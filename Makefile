@@ -4,7 +4,7 @@ GO ?= go
 # sources are unchanged, so repeat `make lint` runs pay only for go vet.
 LINTBIN ?= bin/aq2pnnlint
 
-.PHONY: build test race vet lint lintbin bench bench-matmul bench-batch bench-session bench-preproc bench-online bench-gateway benchgate chaos chaos-fleet fuzz ci
+.PHONY: build test race vet lint lintbin bench-module bench bench-matmul bench-batch bench-session bench-preproc bench-online bench-gateway benchgate chaos chaos-fleet fuzz ci
 
 # Per-target budget for `make fuzz`; CI uses 30s per target on PRs.
 FUZZTIME ?= 60s
@@ -22,6 +22,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# bench/ is its own module (BENCHMARK.json builds it from the checkout), so
+# the root ./... never compiles it: an engine API change can break the
+# benchmark while build, vet and test all stay green. This target is the
+# gate.
+bench-module:
+	cd bench && $(GO) vet . && $(GO) test .
 
 lintbin:
 	$(GO) build -o $(LINTBIN) ./cmd/aq2pnnlint
@@ -85,10 +92,20 @@ benchgate:
 bench: bench-matmul bench-batch bench-session bench-preproc bench-online bench-gateway
 
 # Deterministic chaos harness (docs/robustness.md): the sampled fault
-# sweep under the race detector, then the exhaustive micro sweep and the
-# sampled networked-LeNet5 sweep without it. Mirrors the CI chaos job.
+# sweep, the serve-loop and retry tests and the fault injector's own tests
+# under the race detector, then the exhaustive micro sweep and the sampled
+# networked-LeNet5 sweep without it. The CI chaos job runs this target. A
+# -run alternative that selects no test (a rename the regex missed) fails
+# the target instead of silently shrinking it.
+CHAOS_RUN = TestFaultSweep|TestServe|TestRetry|TestChaosConn
+CHAOS_PKGS = ./internal/engine/ ./internal/transport/
+
 chaos:
-	$(GO) test -race -timeout 20m -count=1 -run 'TestFaultSweep|TestServeTCP|TestRunUserWithRetry|TestChaosConn' ./internal/engine/ ./internal/transport/
+	@for re in $(subst |, ,$(CHAOS_RUN)); do \
+		$(GO) test -list "$$re" $(CHAOS_PKGS) | grep -q "^$$re" || \
+			{ echo "chaos: -run alternative $$re selects no test"; exit 1; }; \
+	done
+	$(GO) test -race -timeout 20m -count=1 -run '$(CHAOS_RUN)' $(CHAOS_PKGS)
 	AQ2PNN_CHAOS=1 AQ2PNN_CHAOS_LENET=1 $(GO) test -timeout 30m -count=1 -run 'TestFaultSweep' ./internal/engine/
 
 # Fleet-level chaos (docs/robustness.md): the gateway's three-backend
@@ -112,4 +129,4 @@ fuzz:
 	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzOTFlowHeader$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scm/ -run '^$$' -fuzz '^FuzzSCMMessage$$' -fuzztime $(FUZZTIME)
 
-ci: vet lint build race benchgate
+ci: vet lint build race bench-module benchgate

@@ -251,36 +251,19 @@ func CompileProgram(m *Model, carrierBits uint) (*Program, error) {
 }
 
 // ServeModelTCP runs the model-provider side of a two-process deployment:
-// it listens on addr and serves every connecting user a complete secure
-// inference, with simultaneous clients handled concurrently. With
-// cfg.ServeSessions > 0 it returns once that many sessions complete;
+// it listens on addr and serves every connecting user's session — setup
+// once, then a stream of secure inferences — with simultaneous clients
+// handled concurrently. It is ServeModelsTCP over a one-model registry.
+// With cfg.ServeSessions > 0 it returns once that many sessions complete;
 // otherwise it serves until ctx is cancelled (returning nil). Set
 // cfg.DemoGroup for the small fast OT group in demonstrations (NOT
 // cryptographically strong).
 func ServeModelTCP(ctx context.Context, addr string, m *Model, cfg InferenceConfig) error {
-	return serveTCP(ctx, addr, cfg, func(ctx context.Context, l *transport.Listener) error {
-		return engine.ServeTCP(ctx, l, m, networkConfig(cfg), int(cfg.ServeSessions), nil)
-	})
-}
-
-// serveTCP is the shared listener scaffolding of ServeModelTCP and
-// ServeModelsTCP: bind the address, stand up the optional metrics
-// endpoint, hand the listener to the serving loop.
-func serveTCP(ctx context.Context, addr string, cfg InferenceConfig, serve func(context.Context, *transport.Listener) error) error {
-	l, err := transport.NewListener(addr)
-	if err != nil {
+	reg := NewModelRegistry()
+	if err := reg.Add(m); err != nil {
 		return err
 	}
-	defer l.Close()
-	if cfg.MetricsAddr != "" {
-		telemetry.Enable()
-		_, stop, err := telemetry.StartMetricsServer(cfg.MetricsAddr, telemetry.Default())
-		if err != nil {
-			return fmt.Errorf("aq2pnn: metrics endpoint: %w", err)
-		}
-		defer stop()
-	}
-	return serve(ctx, l)
+	return ServeModelsTCP(ctx, addr, reg, cfg)
 }
 
 // SecureInferTCP runs one secure inference against a provider at addr: a

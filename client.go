@@ -2,10 +2,12 @@ package aq2pnn
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"aq2pnn/internal/engine"
 	"aq2pnn/internal/nn"
+	"aq2pnn/internal/telemetry"
 	"aq2pnn/internal/transport"
 )
 
@@ -142,15 +144,27 @@ func (r *ModelRegistry) Remove(m *Model) { r.reg.Remove(m) }
 // Len reports how many models are registered.
 func (r *ModelRegistry) Len() int { return r.reg.Len() }
 
-// ServeModelsTCP is the multi-model provider loop: it listens on addr and
-// dispatches every connecting client against the registry by the model
-// fingerprint in its hello. Clients using the Session API get the
-// persistent flow — setup once, then a stream of inferences, with faulted
-// sessions parked for token re-attachment; one-shot clients are served as
-// by ServeModelTCP. Shutdown, draining, admission control and the
-// hostile-peer defences match ServeModelTCP.
+// ServeModelsTCP is the provider loop: it listens on addr and dispatches
+// every connecting client against the registry by the model fingerprint in
+// its hello. Each client runs one session — setup once, then a stream of
+// inferences, with faulted sessions parked for token re-attachment.
+// Shutdown is graceful (cfg.DrainGrace); cfg.MaxConcurrentSessions,
+// cfg.IdleTimeout and cfg.MemBudget are the admission and hostile-peer
+// defences; cfg.MetricsAddr stands up /metrics and /debug/pprof for the
+// loop's lifetime.
 func ServeModelsTCP(ctx context.Context, addr string, reg *ModelRegistry, cfg InferenceConfig) error {
-	return serveTCP(ctx, addr, cfg, func(ctx context.Context, l *transport.Listener) error {
-		return engine.ServeRegistryTCP(ctx, l, reg.reg, networkConfig(cfg), int(cfg.ServeSessions), nil)
-	})
+	l, err := transport.NewListener(addr)
+	if err != nil {
+		return err
+	}
+	defer l.Close()
+	if cfg.MetricsAddr != "" {
+		telemetry.Enable()
+		_, stop, err := telemetry.StartMetricsServer(cfg.MetricsAddr, telemetry.Default())
+		if err != nil {
+			return fmt.Errorf("aq2pnn: metrics endpoint: %w", err)
+		}
+		defer stop()
+	}
+	return engine.ServeRegistryTCP(ctx, l, reg.reg, networkConfig(cfg), int(cfg.ServeSessions), nil)
 }

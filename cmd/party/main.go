@@ -14,18 +14,17 @@
 // concurrent clients (0 = serve forever); -workers caps each side's
 // local compute parallelism (0 = all CPUs).
 //
-// Persistent sessions (see docs/sessions.md): the user opens one session
-// and streams -inferences inferences over it, paying the setup (weight
-// shares, triple preparation) exactly once; -oneshot selects the legacy
-// one-inference-per-connection protocol instead. The provider's -model
-// flag accepts a comma-separated list — each connecting client names its
+// Sessions (see docs/sessions.md): the user opens one session and
+// streams -inferences inferences over it, paying the setup (weight
+// shares, triple preparation) exactly once. The provider's -model flag
+// accepts a comma-separated list — each connecting client names its
 // model in the handshake and is dispatched against the registry.
 //
 // Preprocessing (see docs/preprocessing.md): the user's -bank-depth
-// enables the asynchronous preprocessing plane on persistent sessions —
-// a second multiplexed stream over the same connection on which paired
-// background fillers pre-generate each upcoming inference's triple/OT
-// material, taking the generation cost off the online path.
+// enables the asynchronous preprocessing plane — a second multiplexed
+// stream over the same connection on which paired background fillers
+// pre-generate each upcoming inference's triple/OT material, taking the
+// generation cost off the online path.
 // -fill-workers and -fill-watermark bound its compute and run-ahead.
 //
 // Fault tolerance (see docs/robustness.md): both roles exchange a
@@ -72,8 +71,7 @@ func main() {
 	demoGroup := flag.Bool("demo-group", false, "use the fast demo OT group (NOT secure)")
 	workers := flag.Uint("workers", 0, "local compute parallelism (0 = all CPUs)")
 	sessions := flag.Uint("sessions", 1, "provider: sessions to serve before exiting (0 = forever)")
-	inferences := flag.Uint("inferences", 1, "user: inferences to stream over one persistent session")
-	oneshot := flag.Bool("oneshot", false, "user: one-inference-per-connection legacy protocol instead of a persistent session")
+	inferences := flag.Uint("inferences", 1, "user: inferences to stream over the session")
 	retries := flag.Uint("retries", 2, "user: extra attempts after a transient session failure")
 	retryBase := flag.Duration("retry-base", 100*time.Millisecond, "user: first retry backoff delay")
 	sessionTimeout := flag.Duration("session-timeout", 0, "bound one session attempt end to end (0 = none)")
@@ -119,7 +117,7 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *role, *listen, *connect, *model, cfg, int(*sessions), int(*inferences), *oneshot); err != nil {
+	if err := run(ctx, *role, *listen, *connect, *model, cfg, int(*sessions), int(*inferences)); err != nil {
 		fmt.Fprintln(os.Stderr, "party:", err)
 		os.Exit(1)
 	}
@@ -146,22 +144,22 @@ func writeTrace(path string, tr *telemetry.Tracer) error {
 	return f.Close()
 }
 
-func run(ctx context.Context, role, listen, connect, model string, cfg engine.Options, sessions, inferences int, oneshot bool) error {
+func run(ctx context.Context, role, listen, connect, model string, cfg engine.Options, sessions, inferences int) error {
 	switch role {
 	case "provider":
-		return runProvider(ctx, listen, strings.Split(model, ","), cfg, sessions)
+		return serve(ctx, listen, strings.Split(model, ","), cfg, sessions)
 	case "user":
 		m, err := nn.ByName(model, nn.ZooConfig{Seed: cfg.Seed})
 		if err != nil {
 			return err
 		}
-		return runUser(ctx, connect, m, cfg, inferences, oneshot)
+		return infer(ctx, connect, m, cfg, inferences)
 	default:
 		return fmt.Errorf("-role must be provider or user")
 	}
 }
 
-func runProvider(ctx context.Context, listen string, models []string, cfg engine.Options, sessions int) error {
+func serve(ctx context.Context, listen string, models []string, cfg engine.Options, sessions int) error {
 	reg := engine.NewRegistry()
 	for _, name := range models {
 		m, err := nn.ByName(strings.TrimSpace(name), nn.ZooConfig{Seed: cfg.Seed})
@@ -195,7 +193,7 @@ func runProvider(ctx context.Context, listen string, models []string, cfg engine
 	return nil
 }
 
-func runUser(ctx context.Context, connect string, m *nn.Model, cfg engine.Options, inferences int, oneshot bool) error {
+func infer(ctx context.Context, connect string, m *nn.Model, cfg engine.Options, inferences int) error {
 	fmt.Printf("user: %s, %d-bit carrier, dialing %s\n", m.Name, cfg.CarrierBits, connect)
 	dial := func(ctx context.Context) (transport.Conn, error) {
 		return transport.DialContext(ctx, connect, 30*time.Second)
@@ -209,17 +207,6 @@ func runUser(ctx context.Context, connect string, m *nn.Model, cfg engine.Option
 		return x
 	}
 	start := time.Now()
-	if oneshot {
-		res, err := engine.RunUserWithRetry(ctx, dial, m, input(0), cfg)
-		if err != nil {
-			return classifyUserErr(err)
-		}
-		fmt.Printf("user done in %v\n", time.Since(start))
-		fmt.Printf("class: %d, logits: %v\n", nn.Argmax(res.Logits), res.Logits)
-		fmt.Printf("setup %.3f MiB, online %.3f MiB (%d rounds)\n",
-			res.Setup.MiB(), res.Online.MiB(), res.Online.Rounds)
-		return nil
-	}
 	s, err := engine.NewClient(dial, cfg).OpenSession(ctx, m)
 	if err != nil {
 		return classifyUserErr(err)

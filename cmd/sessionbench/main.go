@@ -210,8 +210,12 @@ func run() error {
 	if *benchOut != "" {
 		sessions = 2 // one cold, one warm
 	}
+	reg := engine.NewRegistry()
+	if err := reg.Add(m); err != nil {
+		return err
+	}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- engine.ServeTCP(ctx, l, m, cfg, sessions, nil) }()
+	go func() { serveErr <- engine.ServeRegistryTCP(ctx, l, reg, cfg, sessions, nil) }()
 	dial := func(ctx context.Context) (transport.Conn, error) {
 		return transport.DialContext(ctx, l.Addr(), 10*time.Second)
 	}

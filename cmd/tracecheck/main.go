@@ -150,23 +150,20 @@ func check(path string) error {
 		return fmt.Errorf("%s: no root span carried communication counters to verify", path)
 	}
 
-	// Session mode: the persistent-session protocol's structural contract,
-	// re-verified on the artifact. Setup work — handshake, weight-share
-	// exchange, linear-layer preparation — is paid once under an open/setup
-	// root and must never appear inside a steady-state "*.session.infer"
-	// root; weight shares must only ever cross the wire under an open/setup
-	// root. Traces without session spans (the one-shot quickstart) have no
-	// infer roots to violate the first rule and still get the second.
+	// Session mode: the session protocol's structural contract, re-verified
+	// on the artifact. Setup work — weight-share exchange, linear-layer
+	// preparation — is paid once under an open/setup root and must never
+	// appear inside a steady-state "*.session.infer" root; weight shares
+	// must only ever cross the wire under an open/setup root. Traces
+	// without session spans (the local quickstart) have no infer roots to
+	// violate the first rule and still get the second.
 	setupSpans := map[string]bool{
-		"handshake":             true,
 		"exchange.shares":       true,
 		"secure.linear.prepare": true,
 	}
 	openRoots := map[string]bool{
 		"user.session.open":     true,
 		"provider.session.open": true,
-		"user.setup":            true,
-		"provider.setup":        true,
 		"p0.setup":              true,
 		"p1.setup":              true,
 	}
@@ -226,7 +223,7 @@ func check(path string) error {
 			return fmt.Errorf("triple generation span under steady-state root %q: a warm session must consume banked material, not generate inline", root.Name)
 		}
 	}
-	mode := "one-shot"
+	mode := "local"
 	if sessionSpans > 0 {
 		mode = fmt.Sprintf("session (%d session spans)", sessionSpans)
 		if fillRoots > 0 {

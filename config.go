@@ -56,19 +56,19 @@ type NetConfig struct {
 	DialTimeout time.Duration
 	// Retries is how many additional attempts the client makes after a
 	// transient failure (connection reset, provider crash mid-protocol).
-	// One-shot inference replays the deterministic transcript from
-	// scratch; an open Session instead re-attaches to the provider's
-	// cached state through its resumption token and recomputes only the
-	// interrupted inference. Permanent errors (handshake or payload
+	// A Session re-attaches to the provider's cached state through its
+	// resumption token and recomputes only the interrupted inference
+	// (falling back to a fresh setup if the provider no longer holds the
+	// state). Permanent errors (handshake or payload
 	// mismatches) are never retried. 0 = a single attempt.
 	Retries uint
 	// RetryBase is the first retry's backoff delay (default 100ms),
 	// doubling per attempt with deterministic seed-derived jitter.
 	RetryBase time.Duration
-	// SessionTimeout bounds one connection end to end on both sides: each
-	// one-shot attempt, each Session.Infer attempt, and each ServeModelTCP
-	// connection (for a persistent session that is the whole connection
-	// lifetime — prefer IdleTimeout for per-frame patience); 0 disables it.
+	// SessionTimeout bounds one attempt end to end on both sides: each
+	// Session.Infer attempt, and each ServeModelTCP connection (the whole
+	// session lifetime — prefer IdleTimeout for per-frame patience); 0
+	// disables it.
 	SessionTimeout time.Duration
 	// DrainGrace is how long ServeModelTCP lets in-flight sessions finish
 	// after its context is cancelled before force-closing them; 0 tears
@@ -211,7 +211,6 @@ type engineOptionsMirror struct {
 	RevealClassOnly       bool
 	Workers               uint
 	Group                 ot.Group
-	NoExtension           bool
 	Trace                 *telemetry.Tracer
 	Retries               uint
 	RetryBase             time.Duration

@@ -18,11 +18,9 @@ var facadeOnlyFields = map[string]bool{
 }
 
 // engineOnlyOptions are engine.Options fields with no same-named facade
-// field: Group is derived from DemoGroup, NoExtension is an
-// engine-internal ablation knob not exposed on the facade.
+// field: Group is derived from DemoGroup.
 var engineOnlyOptions = map[string]bool{
-	"Group":       true,
-	"NoExtension": true,
+	"Group": true,
 }
 
 // setNonZero fills every field of a struct with a distinct non-zero value

@@ -27,7 +27,7 @@ func main() {
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
 		case "provider":
-			runProvider()
+			serve()
 			return
 		case "user":
 			runUser(os.Args[2])
@@ -54,11 +54,11 @@ func cfg() aq2pnn.InferenceConfig {
 			Seed:        9,
 		},
 		NetConfig: aq2pnn.NetConfig{
-			// Fault tolerance (docs/robustness.md): a transiently failed
-			// one-shot session is re-dialed and replayed from scratch; an
-			// open Session instead re-attaches to the provider's cached
-			// state through its resumption token. Handshake mismatches
-			// (wrong model/bits/seed) fail fast instead of retrying.
+			// Fault tolerance (docs/robustness.md): after a transient
+			// failure the Session re-dials and re-attaches to the
+			// provider's cached state through its resumption token.
+			// Handshake mismatches (wrong model/bits/seed) fail fast
+			// instead of retrying.
 			Retries:    2,
 			RetryBase:  200 * time.Millisecond,
 			DrainGrace: 10 * time.Second,
@@ -66,7 +66,7 @@ func cfg() aq2pnn.InferenceConfig {
 	}
 }
 
-func runProvider() {
+func serve() {
 	fmt.Println("[provider] listening on", addr)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()

@@ -117,10 +117,7 @@ func RunLocalBatch(m *nn.Model, xs [][]int64, cfg Options) (*BatchResult, error)
 	preps1 := party1.PreparedWeights()
 	prep.Close()
 
-	var reluRing ring.Ring
-	if cfg.ABReLUBits != 0 && cfg.ABReLUBits < r.Bits {
-		reluRing = ring.New(cfg.ABReLUBits)
-	}
+	reluRing := reluRingFor(cfg, r)
 	pool := cfg.Pool()
 
 	// Derive all per-image randomness serially BEFORE any lane runs: the
@@ -174,50 +171,16 @@ func RunLocalBatch(m *nn.Model, xs [][]int64, cfg Options) (*BatchResult, error)
 		sess.P0.SetTrace(telemetry.NewScope(img0))
 		sess.P1.SetTrace(telemetry.NewScope(img1))
 
-		finish := func(c *secure.Context, o []uint64) error {
-			sp := c.Trace.Enter("reveal")
-			defer c.Trace.Exit(sp)
-			if cfg.RevealClassOnly {
-				idx, err := c.ArgMaxBatched(r, o)
-				if err != nil {
-					return err
+		run := func(p *Party, x []uint64) func(*secure.Context) error {
+			return func(*secure.Context) error {
+				l, cl, err := p.inferReveal(cfg, x)
+				if p.Ctx.Party == share.PartyI {
+					logits[i], classes[i] = l, cl
 				}
-				//lint:declassify protocol output: the argmax class index is the protocol's defined result, revealed to the user party only
-				opened, err := c.RevealTo(r, share.PartyI, []uint64{idx})
-				if err != nil {
-					return err
-				}
-				if c.Party == share.PartyI {
-					classes[i] = int(r.ToInt(opened[0]))
-				}
-				return nil
-			}
-			//lint:declassify protocol output: the logit vector is the protocol's defined result, revealed to the user party only
-			opened, err := c.RevealTo(r, share.PartyI, o)
-			if err != nil {
 				return err
 			}
-			if c.Party == share.PartyI {
-				logits[i] = r.ToInts(opened)
-			}
-			return nil
 		}
-		err := sess.Run(
-			func(c *secure.Context) error {
-				o, err := p0.Infer(x0[i])
-				if err != nil {
-					return err
-				}
-				return finish(c, o)
-			},
-			func(c *secure.Context) error {
-				o, err := p1.Infer(x1[i])
-				if err != nil {
-					return err
-				}
-				return finish(c, o)
-			},
-		)
+		err := sess.Run(run(p0, x0[i]), run(p1, x1[i]))
 		stats[i], _ = sess.Stats()
 		profiles[i] = profile
 		return err

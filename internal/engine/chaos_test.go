@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"os"
 	"runtime"
@@ -14,8 +15,8 @@ import (
 	"aq2pnn/internal/transport"
 )
 
-// Deterministic chaos harness: networked inferences with a fault injected
-// at every (or a sampled set of) transport op index, asserting the
+// Deterministic chaos harness: sessions of one inference with a fault
+// injected at every (or a sampled set of) transport op index, asserting the
 // failure contract — both parties return a classified error within the
 // deadline, nothing deadlocks, no goroutine leaks, and any reveal that
 // does complete is uncorrupted.
@@ -47,9 +48,12 @@ func sweepIndices(total int) []int {
 	return idx
 }
 
-// cleanRun measures a fault-free session: per-party transport op counts
-// and the reference logits faulted runs are compared against.
-func cleanRun(t *testing.T, m *nn.Model, x []int64, cfg Options) (userOps, providerOps int, logits []int64) {
+// cleanRun measures a fault-free session of one inference against reg:
+// per-party transport op counts through the reveal (the user's trailing
+// end frame is best-effort and excluded, so every swept user index faults
+// inside the open or the inference) and the reference logits faulted runs
+// are compared against.
+func cleanRun(t *testing.T, reg *Registry, m *nn.Model, x []int64, cfg Options) (userOps, providerOps int, logits []int64) {
 	t.Helper()
 	a, b := transport.Pipe()
 	defer a.Close()
@@ -58,8 +62,8 @@ func cleanRun(t *testing.T, m *nn.Model, x []int64, cfg Options) (userOps, provi
 	var errU, errP error
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); res, errU = RunUser(a, m, x, cfg) }()
-	go func() { defer wg.Done(); errP = RunProvider(b, m, cfg) }()
+	go func() { defer wg.Done(); res, errU = inferOnce(context.Background(), over(a), m, x, cfg) }()
+	go func() { defer wg.Done(); errP = provideConn(b, reg, cfg) }()
 	wg.Wait()
 	if errU != nil || errP != nil {
 		t.Fatalf("clean run failed: user %v, provider %v", errU, errP)
@@ -87,10 +91,17 @@ func faultedRun(t *testing.T, m *nn.Model, x []int64, cfg Options, faultUser boo
 	var wg sync.WaitGroup
 	wg.Add(2)
 	// Closing the underlying pipe end when a party exits is the conn
-	// hygiene RunUserWithRetry/ServeTCP provide in production; it is what
-	// unblocks the healthy peer.
-	go func() { defer wg.Done(); defer a.Close(); res, errU = RunUser(uc, m, x, cfg) }()
-	go func() { defer wg.Done(); defer b.Close(); errP = RunProvider(pc, m, cfg) }()
+	// hygiene Session and ServeRegistryTCP provide in production; it is
+	// what unblocks the healthy peer. Every run serves from a fresh
+	// registry, so it mints the clean run's token and replays its
+	// transcript up to the fault.
+	reg := registryOf(t, m)
+	go func() {
+		defer wg.Done()
+		defer a.Close()
+		res, errU = inferOnce(context.Background(), over(uc), m, x, cfg)
+	}()
+	go func() { defer wg.Done(); defer b.Close(); errP = provideConn(pc, reg, cfg) }()
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
@@ -138,7 +149,7 @@ func sweepModel(t *testing.T, m *nn.Model, cfg Options, userIdx, providerIdx []i
 		x[i] = int64(i%13) - 6
 	}
 	base := runtime.NumGoroutine()
-	userOps, providerOps, want := cleanRun(t, m, x, cfg)
+	userOps, providerOps, want := cleanRun(t, registryOf(t, m), m, x, cfg)
 	t.Logf("clean run: %d user ops, %d provider ops", userOps, providerOps)
 	if userIdx == nil {
 		userIdx = sweepIndices(userOps)
@@ -207,8 +218,13 @@ func TestFaultSweepLatency(t *testing.T) {
 		var errU, errP error
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); defer a.Close(); _, errU = RunUser(uc, m, x, cfg) }()
-		go func() { defer wg.Done(); defer b.Close(); errP = RunProvider(b, m, cfg) }()
+		reg := registryOf(t, m)
+		go func() {
+			defer wg.Done()
+			defer a.Close()
+			_, errU = inferOnce(context.Background(), over(uc), m, x, cfg)
+		}()
+		go func() { defer wg.Done(); defer b.Close(); errP = provideConn(b, reg, cfg) }()
 		wg.Wait()
 		if !errors.Is(errU, transport.ErrInjected) {
 			t.Errorf("latency+drop at %d: user error %v", k, errU)

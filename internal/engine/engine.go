@@ -56,45 +56,43 @@ type Options struct {
 	// speed (explicitly NOT cryptographically strong). Ignored by local
 	// dealer-backed runs.
 	Group ot.Group
-	// NoExtension disables IKNP OT extension on networked runs and
-	// harvests every correlation through base OTs (slow; for tests and
-	// comparisons). Ignored by local runs.
-	NoExtension bool
 	// Trace collects hierarchical telemetry spans (per-phase, per-layer,
 	// per-protocol-op) with exact per-span communication attribution; nil
 	// (the default) disables tracing at one branch per instrumented call.
 	// Tracing never touches protocol bytes: outputs are bit-identical with
 	// it on or off, at every Workers setting.
 	Trace *telemetry.Tracer
-	// Retries is how many additional attempts RunUserWithRetry makes
-	// after a transiently failed session (0 = single attempt). Every
-	// retry re-dials and replays the protocol from scratch; with a fixed
-	// Seed the transcript is deterministic, so a retried session reveals
-	// logits bit-identical to what the failed attempt would have produced.
+	// Retries is how many additional attempts OpenSession and each
+	// Session.Infer make after a transient failure (0 = single attempt).
+	// A retry re-dials and re-attaches through the resumption token,
+	// falling back to a fresh setup when the provider no longer holds the
+	// state; the transcript is a deterministic function of (Seed, token,
+	// seq), so a retried inference reveals logits bit-identical to what
+	// the failed attempt would have produced.
 	Retries uint
 	// RetryBase is the first retry's backoff delay (default 100ms). It
 	// doubles per attempt, capped at 2s, with deterministic seed-derived
 	// jitter (see transport.BackoffDelay).
 	RetryBase time.Duration
-	// SessionTimeout bounds one session attempt end to end — on the user
-	// each RunUserWithRetry attempt, on the provider each ServeTCP
-	// session. 0 disables the deadline.
+	// SessionTimeout bounds one attempt end to end — on the user each
+	// Session.Infer attempt, on the provider each ServeRegistryTCP
+	// connection (the whole session lifetime; prefer IdleTimeout for
+	// per-frame patience). 0 disables the deadline.
 	SessionTimeout time.Duration
-	// DrainGrace is how long ServeTCP lets in-flight sessions keep
-	// running after ctx is cancelled before force-closing their
-	// connections. 0 keeps the historical behaviour: cancellation tears
-	// sessions down immediately.
+	// DrainGrace is how long ServeRegistryTCP lets in-flight sessions
+	// keep running after ctx is cancelled before force-closing their
+	// connections. 0 tears sessions down immediately on cancellation.
 	DrainGrace time.Duration
-	// MaxConcurrentSessions caps how many sessions ServeTCP runs at
-	// once. Connections beyond the cap are shed with a typed busy reject
+	// MaxConcurrentSessions caps how many sessions ServeRegistryTCP runs
+	// at once. Connections beyond the cap are shed with a typed busy reject
 	// (transport.ErrServerBusy — transient, so retrying clients back off
 	// and re-attempt) instead of being queued; 0 admits everything.
 	MaxConcurrentSessions int
 	// IdleTimeout is the longest a networked peer may stall a single
 	// Send/Recv (re-armed per transferred segment, so bulk transfers are
 	// bounded by progress, not total size). It kills slow-loris peers on
-	// the serving path; 0 disables it. Applied by ServeTCP to every
-	// accepted connection.
+	// the serving path; 0 disables it. Applied by ServeRegistryTCP to
+	// every accepted connection.
 	IdleTimeout time.Duration
 	// MemBudget caps the cumulative bytes one session's peer may declare
 	// for this endpoint to receive, charged before any allocation. Every
@@ -481,10 +479,7 @@ func RunLocal(m *nn.Model, x []int64, cfg Options) (*Result, error) {
 	}
 	x0, x1 := share.SplitVec(g, r, r.FromInts(x))
 
-	var reluRing ring.Ring
-	if cfg.ABReLUBits != 0 && cfg.ABReLUBits < r.Bits {
-		reluRing = ring.New(cfg.ABReLUBits)
-	}
+	reluRing := reluRingFor(cfg, r)
 	var profile []OpProfile
 	party0 := &Party{Ctx: sess.P0, Model: m, Weights: ws0, R: r, ReLURing: reluRing, Pool: pool, Profile: &profile}
 	party1 := &Party{Ctx: sess.P1, Model: m, Weights: ws1, R: r, ReLURing: reluRing, Pool: pool}
@@ -517,48 +512,16 @@ func RunLocal(m *nn.Model, x []int64, cfg Options) (*Result, error) {
 	sess.P1.SetTrace(telemetry.NewScope(in1))
 	var logits []int64
 	class := -1
-	finish := func(c *secure.Context, o []uint64) error {
-		sp := c.Trace.Enter("reveal")
-		defer c.Trace.Exit(sp)
-		if cfg.RevealClassOnly {
-			idx, err := c.ArgMaxBatched(r, o)
-			if err != nil {
-				return err
+	run := func(p *Party, x []uint64) func(*secure.Context) error {
+		return func(*secure.Context) error {
+			l, cl, err := p.inferReveal(cfg, x)
+			if p.Ctx.Party == share.PartyI {
+				logits, class = l, cl
 			}
-			opened, err := c.RevealTo(r, share.PartyI, []uint64{idx})
-			if err != nil {
-				return err
-			}
-			if c.Party == share.PartyI {
-				class = int(r.ToInt(opened[0]))
-			}
-			return nil
-		}
-		opened, err := c.RevealTo(r, share.PartyI, o)
-		if err != nil {
 			return err
 		}
-		if c.Party == share.PartyI {
-			logits = r.ToInts(opened)
-		}
-		return nil
 	}
-	err = sess.Run(
-		func(c *secure.Context) error {
-			o, err := party0.Infer(x0)
-			if err != nil {
-				return err
-			}
-			return finish(c, o)
-		},
-		func(c *secure.Context) error {
-			o, err := party1.Infer(x1)
-			if err != nil {
-				return err
-			}
-			return finish(c, o)
-		},
-	)
+	err = sess.Run(run(party0, x0), run(party1, x1))
 	in0.End()
 	in1.End()
 	if err != nil {

@@ -11,8 +11,8 @@ import (
 // Flat share codec (protocol v5). Setup share payloads used to ride
 // encoding/gob, which spends CPU on type reflection and stream dictionaries
 // and encodes every uint64 at a value-dependent width — a generic answer to
-// a problem with a fixed shape. A wirePayload is three collections of ring
-// elements, and the carrier ring's byte width is agreed in the handshake,
+// a problem with a fixed shape. A weight-share payload is two collections of
+// ring elements, and the carrier ring's byte width is agreed in the handshake,
 // so the payload is now a flat, fixed-width binary image: length-prefixed
 // little-endian element slabs, each element exactly the ring's wire width
 // (the same width-aware packing transport.PackElems uses for online
@@ -27,7 +27,8 @@ import (
 //	u32 magic "AQ2F" | u8 version | u8 width | u16 reserved=0
 //	u32 nW    then nW    × (u32 nodeID | u32 count | count·width bytes)
 //	u32 nBias then nBias × (u32 nodeID | u32 count | count·width bytes)
-//	u8 hasX   then, if 1:  u32 count | count·width bytes
+//	u8 hasX = 0 (the input slab of the retired one-shot flow; sessions
+//	ship the input share per inference with transport.SendElems)
 //
 // Node entries are sorted by id, so encoding is deterministic (the
 // registry's cached payload must be byte-identical across sessions).
@@ -43,10 +44,10 @@ const flatVersion = 1
 
 const flatHeaderLen = 8
 
-// encodeShares serialises a wirePayload at the given element byte width.
+// encodeShares serialises a weight share at the given element byte width.
 // Elements must already be reduced below 2^(8·width); a violation is a
 // programming error on the sending side, reported rather than masked.
-func encodeShares(wp *wirePayload, width int) ([]byte, error) {
+func encodeShares(wp *WeightShares, width int) ([]byte, error) {
 	if width < 1 || width > 8 {
 		return nil, fmt.Errorf("engine: flat codec width %d outside [1,8]", width)
 	}
@@ -56,9 +57,6 @@ func encodeShares(wp *wirePayload, width int) ([]byte, error) {
 	}
 	for _, xs := range wp.Bias {
 		size += 8 + len(xs)*width
-	}
-	if wp.X != nil {
-		size += 4 + len(wp.X)*width
 	}
 	p := make([]byte, 0, size)
 	var hdr [flatHeaderLen]byte
@@ -73,15 +71,7 @@ func encodeShares(wp *wirePayload, width int) ([]byte, error) {
 	if p, err = appendEntries(p, wp.Bias, width); err != nil {
 		return nil, err
 	}
-	if wp.X == nil {
-		p = append(p, 0)
-	} else {
-		p = append(p, 1)
-		p = binary.LittleEndian.AppendUint32(p, uint32(len(wp.X)))
-		if p, err = appendElems(p, wp.X, width); err != nil {
-			return nil, err
-		}
-	}
+	p = append(p, 0) // hasX
 	if len(p) > maxSetupPayload {
 		return nil, fmt.Errorf("engine: setup payload %d bytes exceeds %d-byte cap", len(p), maxSetupPayload)
 	}
@@ -202,7 +192,7 @@ func (r *flatReader) entries(field string, width int) (map[int][]uint64, error) 
 
 // decodeShares parses a flat payload, rejecting any disagreement with the
 // locally expected element width.
-func decodeShares(p []byte, width int) (*wirePayload, error) {
+func decodeShares(p []byte, width int) (*WeightShares, error) {
 	if width < 1 || width > 8 {
 		return nil, fmt.Errorf("engine: flat codec width %d outside [1,8]", width)
 	}
@@ -234,7 +224,7 @@ func decodeShares(p []byte, width int) (*wirePayload, error) {
 	if _, err := r.u8("flat reserved"); err != nil {
 		return nil, err
 	}
-	var wp wirePayload
+	var wp WeightShares
 	if wp.W, err = r.entries("weights", width); err != nil {
 		return nil, err
 	}
@@ -245,18 +235,8 @@ func decodeShares(p []byte, width int) (*wirePayload, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch hasX {
-	case 0:
-	case 1:
-		n, err := r.u32("input element count")
-		if err != nil {
-			return nil, err
-		}
-		if wp.X, err = r.elems("input", n, width); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, wireError("input flag", int(hasX), 1)
+	if hasX != 0 {
+		return nil, wireError("input flag", int(hasX), 0)
 	}
 	if r.remaining() != 0 {
 		return nil, wireError("trailing bytes", r.remaining(), 0)
@@ -264,19 +244,9 @@ func decodeShares(p []byte, width int) (*wirePayload, error) {
 	return &wp, nil
 }
 
-// sendShares encodes and ships a share payload through the chunked setup
-// exchange.
-func sendShares(c transport.Conn, wp *wirePayload, width int) error {
-	p, err := encodeShares(wp, width)
-	if err != nil {
-		return err
-	}
-	return sendSetupBytes(c, p)
-}
-
 // recvShares receives and decodes a share payload from the chunked setup
 // exchange.
-func recvShares(c transport.Conn, width int) (*wirePayload, error) {
+func recvShares(c transport.Conn, width int) (*WeightShares, error) {
 	p, err := recvSetupBytes(c)
 	if err != nil {
 		return nil, err

@@ -77,7 +77,8 @@ func FuzzRecvSetup(f *testing.F) {
 	// Seed with a genuine transcript so the fuzzer starts from the valid
 	// wire shape, plus targeted corruptions of it.
 	col := &collectConn{}
-	if err := sendShares(col, &wirePayload{X: []uint64{1, 2, 3, 4}}, 2); err != nil {
+	seed := &WeightShares{W: map[int][]uint64{0: {1, 2, 3, 4}}}
+	if err := sendSetupBytes(col, mustEncodeShares(f, seed, 2)); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(joinFrames(col.sent))
@@ -131,16 +132,13 @@ func FuzzHandshakeHello(f *testing.F) {
 // survive a canonical re-encode→decode roundtrip unchanged.
 func FuzzShareCodec(f *testing.F) {
 	m := tinyModel(nn.PoolAvg)
-	valid, err := encodeShares(&wirePayload{
+	valid := mustEncodeShares(f, &WeightShares{
 		W:    map[int][]uint64{0: {1, 2}},
 		Bias: map[int][]uint64{0: {3}},
-		X:    []uint64{4, 5, 6},
 	}, 2)
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Add(valid)
-	f.Add(valid[:len(valid)-1])                        // truncated slab
+	f.Add(valid[:len(valid)-1])                         // truncated: the input flag is missing
+	f.Add(append(valid[:len(valid)-1:len(valid)-1], 1)) // input flag set: the retired input slab
 	oversize := append([]byte(nil), valid...)           // oversize declared length:
 	binary.LittleEndian.PutUint32(oversize[16:], 1<<30) // first W entry claims 2^30 elements
 	f.Add(oversize)

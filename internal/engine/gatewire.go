@@ -6,10 +6,10 @@ import (
 
 // Gateway wire-peek helpers. A routing tier in front of a provider fleet
 // (internal/gateway) terminates no protocol state: it reads just enough
-// of a session's opening frames — the hello and, for persistent
-// sessions, the attach request — to pick a backend, may rewrite a fresh
-// attach with a gateway-minted token so the routing key survives
-// failover, and splices raw frames from there on. These exported views
+// of a session's opening frames — the hello and the attach request — to
+// pick a backend, may rewrite a fresh attach with a gateway-minted token
+// so the routing key survives failover, and splices raw frames from
+// there on. These exported views
 // keep the wire layouts in exactly one place: the gateway decodes with
 // the same functions the protocol itself uses.
 
@@ -29,26 +29,29 @@ type HelloInfo struct {
 	Role    uint8
 	Carrier uint16
 	Model   uint64 // architecture fingerprint
-	Session bool   // persistent-session flow requested
 	Preproc bool   // preprocessing plane requested (frames ride the mux)
 }
 
 // PeekHello decodes a client hello frame without consuming it: the frame
 // is forwarded verbatim to the chosen backend. A busy-reject frame in
 // hello position surfaces as transport.ErrServerBusy, any other
-// malformed frame as the typed *HandshakeError the protocol itself would
-// produce.
+// malformed frame — or a hello that does not request the session flow,
+// the only one a provider serves — as the typed *HandshakeError the
+// protocol itself would produce.
 func PeekHello(frame []byte) (HelloInfo, error) {
 	h, err := decodeHello(frame)
 	if err != nil {
 		return HelloInfo{}, err
+	}
+	if h.Flags&flagSession == 0 {
+		return HelloInfo{}, &HandshakeError{Field: "protocol flags",
+			Local: uint64(h.Flags | flagSession), Peer: uint64(h.Flags)}
 	}
 	return HelloInfo{
 		Version: h.Version,
 		Role:    h.Role,
 		Carrier: h.Carrier,
 		Model:   h.Model,
-		Session: h.Flags&flagSession != 0,
 		Preproc: h.Flags&flagPreproc != 0,
 	}, nil
 }

@@ -20,14 +20,18 @@ func TestGatewirePeeks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hi.Model != m.Fingerprint() || hi.Role != RoleUser || !hi.Session || !hi.Preproc {
-		t.Errorf("PeekHello = %+v, want model %#x role user session+preproc", hi, m.Fingerprint())
+	if hi.Model != m.Fingerprint() || hi.Role != RoleUser || !hi.Preproc {
+		t.Errorf("PeekHello = %+v, want model %#x role user with preproc", hi, m.Fingerprint())
 	}
 	if hi.Version != ProtocolVersion || hi.Carrier != 20 {
 		t.Errorf("PeekHello version/carrier = %d/%d, want %d/20", hi.Version, hi.Carrier, ProtocolVersion)
 	}
 	if _, err := PeekHello([]byte("AQ2Snope")); err == nil {
 		t.Error("PeekHello accepted a malformed hello")
+	}
+	var he *HandshakeError
+	if _, err := PeekHello(helloFor(roleUser, m, cfg.Carrier(m), cfg).encode()); !errors.As(err, &he) || he.Field != "protocol flags" {
+		t.Errorf("PeekHello on a hello without the session flag = %v, want the protocol-flags *HandshakeError", err)
 	}
 	if _, err := PeekHello(BusyRejectFrame()); !errors.Is(err, transport.ErrServerBusy) {
 		t.Errorf("PeekHello on busy frame = %v, want ErrServerBusy", err)

@@ -2,9 +2,7 @@ package engine
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"time"
 
 	"aq2pnn/internal/nn"
 	"aq2pnn/internal/ring"
@@ -62,23 +60,26 @@ func busyFrame() []byte {
 // wire transcript: parties disagreeing on one of these would desynchronise
 // mid-protocol.
 const (
-	flagLocalTrunc  = 1 << 0
-	flagNoExtension = 1 << 1
+	flagLocalTrunc = 1 << 0
+	// Bit 1 is retired (it once disabled IKNP extension). No party sets
+	// it, so a hello carrying it fails the flags check.
 	// flagClassOnly selects the class-only reveal (secure argmax instead
 	// of the logit reveal). It changes the online transcript, so both
 	// parties must run the same flow; the serving path adopts the
 	// client's choice (what the user learns is the user's knob).
 	flagClassOnly = 1 << 2
-	// flagSession requests the persistent-session flow: attach/resume
-	// exchange after the hello, then a stream of per-seq inference
-	// requests over the prepared state. The serving path mirrors it.
+	// flagSession marks the session flow — attach/resume exchange after
+	// the hello, then a stream of per-seq inference requests over the
+	// prepared state. It is the only networked flow: every client sets
+	// it, and the serving path asserts it in its own hello, so a client
+	// without it fails the flags check on both ends.
 	flagSession = 1 << 3
 	// flagPreproc requests the asynchronous preprocessing plane on top of
 	// a persistent session: immediately after the attach exchange both
 	// parties multiplex the connection into a main stream and a
 	// preprocessing stream, and paired background fillers pre-generate
 	// each inference's triple kits over the latter (internal/preproc).
-	// The serving path adopts the client's choice, like flagSession.
+	// The serving path adopts the client's choice.
 	flagPreproc = 1 << 4
 )
 
@@ -132,9 +133,6 @@ func helloFor(role uint8, m *nn.Model, r ring.Ring, cfg Options) sessionHello {
 	var flags uint8
 	if cfg.LocalTrunc {
 		flags |= flagLocalTrunc
-	}
-	if cfg.NoExtension {
-		flags |= flagNoExtension
 	}
 	if cfg.RevealClassOnly {
 		flags |= flagClassOnly
@@ -216,36 +214,4 @@ func checkHello(mine, peer sessionHello) error {
 		return &HandshakeError{Field: "protocol flags", Local: uint64(mine.Flags), Peer: uint64(peer.Flags)}
 	}
 	return nil
-}
-
-// exchangeHello sends this party's hello, receives the peer's, and
-// verifies every session parameter. Both parties send before receiving
-// (the transports buffer a frame, so the symmetric order cannot
-// deadlock), and both run identical checks, so a mismatch produces the
-// same typed error on each side instead of one party erroring and the
-// other hanging.
-//
-// A positive timeout bounds the hello read on transports that support
-// receive deadlines: a peer that connects and sends three bytes then
-// stalls fails fast with a typed *HandshakeError instead of pinning the
-// session goroutine forever. In-memory pipes ignore the timeout.
-func exchangeHello(conn transport.Conn, mine sessionHello, timeout time.Duration) error {
-	if err := conn.Send(mine.encode()); err != nil {
-		return fmt.Errorf("engine: sending session hello: %w", err)
-	}
-	if timeout > 0 && transport.SetRecvDeadline(conn, time.Now().Add(timeout)) {
-		defer transport.SetRecvDeadline(conn, time.Time{})
-	}
-	p, err := conn.Recv()
-	if err != nil {
-		if errors.Is(err, transport.ErrIdleTimeout) {
-			return &HandshakeError{Field: "hello read", Err: err}
-		}
-		return fmt.Errorf("engine: receiving session hello: %w", err)
-	}
-	peer, err := decodeHello(p)
-	if err != nil {
-		return err
-	}
-	return checkHello(mine, peer)
 }

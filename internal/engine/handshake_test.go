@@ -1,9 +1,10 @@
 package engine
 
 import (
+	"context"
 	"errors"
-	"sync"
 	"testing"
+	"time"
 
 	"aq2pnn/internal/nn"
 	"aq2pnn/internal/ring"
@@ -11,7 +12,7 @@ import (
 )
 
 func TestHelloEncodeDecodeRoundTrip(t *testing.T) {
-	in := sessionHello{Version: 3, Role: roleProvider, Flags: flagLocalTrunc | flagNoExtension | flagClassOnly | flagSession, Carrier: 61, Model: 0xDEADBEEFCAFE}
+	in := sessionHello{Version: 3, Role: roleProvider, Flags: flagLocalTrunc | flagClassOnly | flagSession | flagPreproc, Carrier: 61, Model: 0xDEADBEEFCAFE}
 	out, err := decodeHello(in.encode())
 	if err != nil {
 		t.Fatal(err)
@@ -24,19 +25,18 @@ func TestHelloEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// exchangeBoth runs exchangeHello on both ends of a pipe and returns both
-// errors.
-func exchangeBoth(t *testing.T, mine, theirs sessionHello) (errA, errB error) {
+// checkBoth gives each party the other's hello as it arrives off the wire
+// and returns both verdicts.
+func checkBoth(t *testing.T, mine, theirs sessionHello) (errA, errB error) {
 	t.Helper()
-	a, b := transport.Pipe()
-	defer a.Close()
-	defer b.Close()
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); errA = exchangeHello(a, mine, 0) }()
-	go func() { defer wg.Done(); errB = exchangeHello(b, theirs, 0) }()
-	wg.Wait()
-	return errA, errB
+	fromWire := func(h sessionHello) sessionHello {
+		out, err := decodeHello(h.encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	return checkHello(mine, fromWire(theirs)), checkHello(theirs, fromWire(mine))
 }
 
 func TestHandshakeMismatchTypedOnBothParties(t *testing.T) {
@@ -55,15 +55,14 @@ func TestHandshakeMismatchTypedOnBothParties(t *testing.T) {
 		{"flags", func(h *sessionHello) { h.Flags = flagLocalTrunc }, "protocol flags"},
 		// A provider that fails to mirror the session request desynchronises
 		// (one side expects the attach exchange): the client must reject it.
-		// The serving path (provideConn) adopts flagSession/flagClassOnly
-		// from the client before checkHello, so honest providers never hit
-		// this; the session tests cover that adoption end to end.
+		// The serving path (provideConn) asserts flagSession itself, so
+		// honest providers never hit this.
 		{"session flag unmirrored", func(h *sessionHello) { h.Flags = flagSession }, "protocol flags"},
 	}
 	for _, tc := range cases {
 		mine, theirs := base(roleUser), base(roleProvider)
 		tc.mutate(&theirs)
-		errA, errB := exchangeBoth(t, mine, theirs)
+		errA, errB := checkBoth(t, mine, theirs)
 		for side, err := range map[string]error{"user": errA, "provider": errB} {
 			var he *HandshakeError
 			if !errors.As(err, &he) {
@@ -78,16 +77,18 @@ func TestHandshakeMismatchTypedOnBothParties(t *testing.T) {
 			}
 		}
 	}
-	if errA, errB := exchangeBoth(t, base(roleUser), base(roleProvider)); errA != nil || errB != nil {
+	if errA, errB := checkBoth(t, base(roleUser), base(roleProvider)); errA != nil || errB != nil {
 		t.Errorf("matching hellos rejected: %v / %v", errA, errB)
 	}
 }
 
-// TestSessionHandshakeFailsFastEndToEnd runs the real RunUser/RunProvider
-// pair with disagreeing configurations and checks both sides fail with a
-// typed error before any protocol material crosses — previously the
-// carrier mismatch below desynchronised mid-protocol and surfaced as a
-// garbled reveal or a hang.
+// TestSessionHandshakeFailsFastEndToEnd runs a client against the real
+// serving loop with disagreeing configurations and checks both sides fail
+// with the same typed error before any protocol material crosses —
+// previously the carrier mismatch below desynchronised mid-protocol and
+// surfaced as a garbled reveal or a hang. Rows with a hello mutation stand
+// in for clients no current code can produce: the user side is then a
+// hand-rolled open checking the provider's answer as a real client would.
 func TestSessionHandshakeFailsFastEndToEnd(t *testing.T) {
 	m := tinyModel(nn.PoolAvg)
 	cases := []struct {
@@ -96,6 +97,7 @@ func TestSessionHandshakeFailsFastEndToEnd(t *testing.T) {
 		providerCfg  Options
 		field        string
 		providerView *nn.Model
+		mutateHello  func(*sessionHello)
 	}{
 		{
 			name:        "carrier width",
@@ -116,21 +118,49 @@ func TestSessionHandshakeFailsFastEndToEnd(t *testing.T) {
 			field:        "model fingerprint",
 			providerView: tinyModel(nn.PoolMax),
 		},
+		{
+			// The retired one-inference-per-connection flow: a hello that
+			// does not request a session.
+			name:        "no session flag",
+			userCfg:     Options{CarrierBits: 20, Seed: 4},
+			providerCfg: Options{CarrierBits: 20, Seed: 4},
+			field:       "protocol flags",
+			mutateHello: func(h *sessionHello) { h.Flags &^= flagSession },
+		},
+		{
+			// Bit 1 once disabled IKNP extension; no party sets it now.
+			name:        "retired extension flag",
+			userCfg:     Options{CarrierBits: 20, Seed: 4},
+			providerCfg: Options{CarrierBits: 20, Seed: 4},
+			field:       "protocol flags",
+			mutateHello: func(h *sessionHello) { h.Flags |= 1 << 1 },
+		},
 	}
 	for _, tc := range cases {
-		a, b := transport.Pipe()
 		pm := m
 		if tc.providerView != nil {
 			pm = tc.providerView
 		}
-		var errU, errP error
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); _, errU = RunUser(a, m, input(64), tc.userCfg) }()
-		go func() { defer wg.Done(); errP = RunProvider(b, pm, tc.providerCfg) }()
-		wg.Wait()
-		a.Close()
-		b.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		addr, done := serveOnce(t, ctx, tc.providerCfg, pm, 1, nil)
+		var errU error
+		if tc.mutateHello == nil {
+			dial := func(ctx context.Context) (transport.Conn, error) {
+				return transport.DialContext(ctx, addr, 5*time.Second)
+			}
+			_, errU = inferOnce(ctx, dial, m, input(64), tc.userCfg)
+		} else {
+			conn, err := transport.Dial(addr, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := userHello(m, tc.userCfg)
+			tc.mutateHello(&h)
+			errU = checkHello(h, rawOpen(t, conn, h))
+			conn.Close()
+		}
+		errP := <-done
+		cancel()
 		for side, err := range map[string]error{"user": errU, "provider": errP} {
 			var he *HandshakeError
 			if !errors.As(err, &he) {

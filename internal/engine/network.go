@@ -1,9 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
-	"aq2pnn/internal/nn"
 	"aq2pnn/internal/ot"
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/ring"
@@ -24,10 +21,11 @@ func tracePhase(tr *telemetry.Tracer, ctx *secure.Context, name string, f func()
 	return f()
 }
 
-// Two-process deployment: the same protocol as RunLocal, but over a real
+// Two-process deployment: the same operators as RunLocal, but over a real
 // transport with no trusted dealer — OT correlations are harvested through
-// base OTs on the wire and Beaver triple families are generated with the
-// Gilboa protocol. This is the cmd/party / examples/tcp_inference path,
+// base OTs and IKNP extension on the wire and Beaver triple families are
+// generated with the Gilboa protocol. The session client and provider
+// (sessionclient.go, sessionprovider.go) are the only networked protocol,
 // emulating the paper's two-board setup.
 
 // NewNetworkContext builds a party context over a live connection with
@@ -40,7 +38,7 @@ func NewNetworkContext(party int, conn transport.Conn, cfg Options) *secure.Cont
 	}
 	ep := ot.NewEndpoint(party, conn, rng.Fork())
 	ep.HarvestGroup = grp
-	ep.UseExtension = !cfg.NoExtension
+	ep.UseExtension = true
 	gilboaRng := rng.Fork()
 	return &secure.Context{
 		Party:      share.Party(party),
@@ -56,13 +54,6 @@ func NewNetworkContext(party int, conn transport.Conn, cfg Options) *secure.Cont
 	}
 }
 
-// wirePayload carries one party's secret-shared material during setup.
-type wirePayload struct {
-	W    map[int][]uint64
-	Bias map[int][]uint64
-	X    []uint64
-}
-
 // reluRingFor resolves the contracted ABReLU ring: the zero Ring when the
 // configured width is 0 or not narrower than the carrier (both mean "full
 // width", matching the hello normalisation in helloFor).
@@ -73,10 +64,20 @@ func reluRingFor(cfg Options, r ring.Ring) ring.Ring {
 	return ring.Ring{}
 }
 
+// inferReveal runs this party's online phase on its input share and
+// finishes with the reveal. Both parties run it; only party i's returns
+// are meaningful (logits nil / class -1 elsewhere).
+func (p *Party) inferReveal(cfg Options, x []uint64) (logits []int64, class int, err error) {
+	o, err := p.Infer(x)
+	if err != nil {
+		return nil, -1, err
+	}
+	return revealResult(p.Ctx, p.R, cfg, o)
+}
+
 // revealResult finishes the online phase: under RevealClassOnly a secure
 // argmax tournament reveals only the predicted class to the user,
-// otherwise the logit shares are revealed. Both parties run it; only
-// party i's returns are meaningful (logits nil / class -1 elsewhere).
+// otherwise the logit shares are revealed.
 func revealResult(ctx *secure.Context, r ring.Ring, cfg Options, o []uint64) (logits []int64, class int, err error) {
 	class = -1
 	sp := ctx.Trace.Enter("reveal")
@@ -105,140 +106,4 @@ func revealResult(ctx *secure.Context, r ring.Ring, cfg Options, o []uint64) (lo
 		logits = r.ToInts(opened)
 	}
 	return logits, class, nil
-}
-
-// RunUser executes the user side (party i): it secret-shares its input,
-// receives its weight shares from the provider, runs the protocol and
-// returns the revealed logits with the measured traffic.
-func RunUser(conn transport.Conn, m *nn.Model, x []int64, cfg Options) (*Result, error) {
-	r := cfg.Carrier(m)
-	if len(x) != m.InputShape().Numel() {
-		return nil, fmt.Errorf("engine: input length %d, want %d", len(x), m.InputShape().Numel())
-	}
-	ctx := NewNetworkContext(0, conn, cfg)
-	var profile []OpProfile
-	p := &Party{Ctx: ctx, Model: m, R: r, ReLURing: reluRingFor(cfg, r), Pool: ctx.Pool, Profile: &profile}
-	var x0 []uint64
-	if err := tracePhase(cfg.Trace, ctx, "user.setup", func() error {
-		if err := func() error {
-			sp := ctx.Trace.Enter("handshake")
-			defer ctx.Trace.Exit(sp)
-			return exchangeHello(conn, helloFor(roleUser, m, r, cfg), cfg.handshakeTimeout())
-		}(); err != nil {
-			return err
-		}
-		if err := func() error {
-			sp := ctx.Trace.Enter("exchange.shares")
-			defer ctx.Trace.Exit(sp)
-			// Receive this party's weight shares from the model provider.
-			wp, err := recvShares(conn, r.Bytes())
-			if err != nil {
-				return fmt.Errorf("engine: receiving weight shares: %w", err)
-			}
-			if err := validateWirePayload(m, wp); err != nil {
-				return err
-			}
-			// Share the input: keep x0, send x1.
-			g := prg.NewSeeded(saltedSeed(cfg.Seed, 0x1272C0DE))
-			var x1 []uint64
-			x0, x1 = share.SplitVec(g, r, r.FromInts(x))
-			if err := sendShares(conn, &wirePayload{X: x1}, r.Bytes()); err != nil {
-				return fmt.Errorf("engine: sending input share: %w", err)
-			}
-			p.Weights = &WeightShares{W: wp.W, Bias: wp.Bias}
-			return nil
-		}(); err != nil {
-			return err
-		}
-		return p.Prepare()
-	}); err != nil {
-		return nil, err
-	}
-	setup := conn.Stats()
-	conn.ResetStats()
-	var logits []int64
-	class := -1
-	if err := tracePhase(cfg.Trace, ctx, "user.infer", func() error {
-		o, err := p.Infer(x0)
-		if err != nil {
-			return err
-		}
-		logits, class, err = revealResult(ctx, r, cfg, o)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	return &Result{
-		Logits:  logits,
-		Class:   class,
-		Setup:   setup,
-		Online:  conn.Stats(),
-		PerOp:   profile,
-		Carrier: r,
-	}, nil
-}
-
-// RunProvider executes the model-provider side (party j): it secret-shares
-// its weights, sends the user's shares, receives its input share and runs
-// the protocol. The model must carry real weights (not a skeleton); the
-// architecture and quantization metadata are assumed public and identical
-// on both sides.
-func RunProvider(conn transport.Conn, m *nn.Model, cfg Options) error {
-	r := cfg.Carrier(m)
-	return runProvider(conn, m, r, cfg, func() error {
-		return exchangeHello(conn, helloFor(roleProvider, m, r, cfg), cfg.handshakeTimeout())
-	})
-}
-
-// runProvider is the post-dispatch provider flow. hello performs the
-// handshake under the setup root — RunProvider's symmetric exchange, or a
-// no-op on the serving path, which consumes the client's hello itself to
-// pick the model before this function is chosen.
-func runProvider(conn transport.Conn, m *nn.Model, r ring.Ring, cfg Options, hello func() error) error {
-	ctx := NewNetworkContext(1, conn, cfg)
-	g := prg.NewSeeded(saltedSeed(cfg.Seed, 0x0DE17272))
-	ws0, ws1, err := SplitModel(g, m, r)
-	if err != nil {
-		return err
-	}
-	p := &Party{Ctx: ctx, Model: m, Weights: ws1, R: r, ReLURing: reluRingFor(cfg, r), Pool: ctx.Pool}
-	var in *wirePayload
-	if err := tracePhase(cfg.Trace, ctx, "provider.setup", func() error {
-		if hello != nil {
-			if err := func() error {
-				sp := ctx.Trace.Enter("handshake")
-				defer ctx.Trace.Exit(sp)
-				return hello()
-			}(); err != nil {
-				return err
-			}
-		}
-		if err := func() error {
-			sp := ctx.Trace.Enter("exchange.shares")
-			defer ctx.Trace.Exit(sp)
-			if err := sendShares(conn, &wirePayload{W: ws0.W, Bias: ws0.Bias}, r.Bytes()); err != nil {
-				return fmt.Errorf("engine: sending weight shares: %w", err)
-			}
-			if in, err = recvShares(conn, r.Bytes()); err != nil {
-				return fmt.Errorf("engine: receiving input share: %w", err)
-			}
-			if len(in.X) != m.InputShape().Numel() {
-				return &PayloadError{Node: -1, Field: "input", Got: len(in.X), Want: m.InputShape().Numel()}
-			}
-			return nil
-		}(); err != nil {
-			return err
-		}
-		return p.Prepare()
-	}); err != nil {
-		return err
-	}
-	return tracePhase(cfg.Trace, ctx, "provider.infer", func() error {
-		o, err := p.Infer(in.X)
-		if err != nil {
-			return err
-		}
-		_, _, err = revealResult(ctx, r, cfg, o)
-		return err
-	})
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"net"
 	"sync"
 	"testing"
@@ -11,6 +12,37 @@ import (
 	"aq2pnn/internal/ring"
 	"aq2pnn/internal/transport"
 )
+
+// inferOnce runs a session of one inference — open, infer, close — the
+// user half of every single-inference test.
+func inferOnce(ctx context.Context, dial Redial, m *nn.Model, x []int64, cfg Options) (*Result, error) {
+	s, err := NewClient(dial, cfg).OpenSession(ctx, m)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	res, err := s.Infer(ctx, x)
+	if err != nil {
+		return nil, err
+	}
+	res.Setup = s.SetupStats()
+	return res, nil
+}
+
+// over adapts an established connection to the Redial a Client takes.
+func over(conn transport.Conn) Redial {
+	return func(context.Context) (transport.Conn, error) { return conn, nil }
+}
+
+// registryOf returns a registry serving just m.
+func registryOf(t testing.TB, m *nn.Model) *Registry {
+	t.Helper()
+	reg := NewRegistry()
+	if err := reg.Add(m); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
 
 func TestNetworkInferenceNoDealer(t *testing.T) {
 	// Full dealer-free protocol: base-OT harvested correlations and
@@ -26,8 +58,9 @@ func TestNetworkInferenceNoDealer(t *testing.T) {
 	var errU, errP error
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); res, errU = RunUser(a, m, x, cfg) }()
-	go func() { defer wg.Done(); errP = RunProvider(b, m, cfg) }()
+	reg := registryOf(t, m)
+	go func() { defer wg.Done(); res, errU = inferOnce(context.Background(), over(a), m, x, cfg) }()
+	go func() { defer wg.Done(); errP = provideConn(b, reg, cfg) }()
 	wg.Wait()
 	if errU != nil || errP != nil {
 		t.Fatal(errU, errP)
@@ -51,6 +84,8 @@ func TestNetworkInferenceOverTCP(t *testing.T) {
 	}
 	m := tinyModel(nn.PoolMax)
 	x := input(64)
+	cfg := Options{CarrierBits: 18, Seed: 5, Group: ot.TestGroup()}
+	reg := registryOf(t, m)
 	done := make(chan error, 1)
 	addrCh := make(chan string, 1)
 	go func() {
@@ -66,7 +101,7 @@ func TestNetworkInferenceOverTCP(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		done <- RunProvider(conn, m, Options{CarrierBits: 18, Seed: 5, Group: ot.TestGroup()})
+		done <- provideConn(conn, reg, cfg)
 	}()
 	addr := <-addrCh
 	conn, err := transport.Dial(addr, 5*time.Second)
@@ -74,7 +109,7 @@ func TestNetworkInferenceOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	res, err := RunUser(conn, m, x, Options{CarrierBits: 18, Seed: 5, Group: ot.TestGroup()})
+	res, err := inferOnce(context.Background(), over(conn), m, x, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func preprocGen(pconn transport.Conn, party int, cfg Options, r ring.Ring,
 		rng := prg.NewSeeded(saltedSeed(icfg.Seed, preprocSeedSalt+uint64(party)*7919))
 		ep := ot.NewEndpoint(party, pconn, rng.Fork())
 		ep.HarvestGroup = grp
-		ep.UseExtension = !cfg.NoExtension
+		ep.UseExtension = true
 		ep.Trace = telemetry.NewScope(root)
 		famRng := prg.NewSeeded(inferFamSeed(icfg, party))
 		mats := make(map[int]*triple.Mat, len(layers))

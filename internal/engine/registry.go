@@ -152,9 +152,7 @@ func (g *Registry) setCap(n int) {
 }
 
 // sharesFor returns the cached weight split for (model, seed, ring),
-// computing and caching it on first use. The split PRG seed matches the
-// one-shot RunProvider flow, so a cached split is byte-identical to what a
-// one-shot session would have sent.
+// computing and caching it on first use.
 func (g *Registry) sharesFor(m *nn.Model, r ring.Ring, seed uint64) (*modelShares, error) {
 	key := shareKey{fp: m.Fingerprint(), seed: seed, bits: r.Bits}
 	g.mu.Lock()
@@ -167,14 +165,12 @@ func (g *Registry) sharesFor(m *nn.Model, r ring.Ring, seed uint64) (*modelShare
 	// Split outside the lock: a large model's split must not stall
 	// unrelated sessions. A duplicate computation under contention is
 	// wasted work, not an error — last writer wins with an equal value.
-	// Same purpose salt as runProvider's one-shot split: the session and
-	// one-shot paths derive identical weight-share streams for one seed.
 	gsplit := prg.NewSeeded(saltedSeed(seed, 0x0DE17272))
 	ws0, ws1, err := SplitModel(gsplit, m, r)
 	if err != nil {
 		return nil, err
 	}
-	payload, err := encodeShares(&wirePayload{W: ws0.W, Bias: ws0.Bias}, r.Bytes())
+	payload, err := encodeShares(ws0, r.Bytes())
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@ import (
 	"aq2pnn/internal/transport"
 )
 
-// restartableServer hosts ServeTCP runs that can be torn down and
+// restartableServer hosts serve loops that can be torn down and
 // replaced wholesale — listener, registry and all — while a client keeps
 // a session handle across the gap. Each Start is a cold process as far
 // as the protocol can tell: a fresh Registry holds the model's weights
@@ -34,8 +34,9 @@ func (rs *restartableServer) Start() {
 		rs.t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	reg := registryOf(rs.t, rs.m)
 	done := make(chan error, 1)
-	go func() { done <- ServeTCP(ctx, l, rs.m, rs.cfg, 0, nil) }()
+	go func() { done <- ServeRegistryTCP(ctx, l, reg, rs.cfg, 0, nil) }()
 	rs.mu.Lock()
 	rs.addr, rs.cancel, rs.done = l.Addr(), cancel, done
 	rs.mu.Unlock()

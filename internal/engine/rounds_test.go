@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -28,7 +29,7 @@ import (
 //
 // A cold run additionally pays OT-extension refill rounds the first time a
 // pool of correlations runs dry (the conv1 figure includes 2 such refills);
-// the session/bank path moves those off the online clock, which is why the
+// the preprocessing bank moves those off the online clock, which is why the
 // warm BENCH figure is lower than this cold pin. If coalescing ever
 // regresses to per-group exchanges, these counts jump by the group count
 // (9 groups at 16 bits) and this test fails.
@@ -49,8 +50,9 @@ func TestMicroOnlineRoundsPinned(t *testing.T) {
 	var errU, errP error
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); res, errU = RunUser(a, m, x, cfg) }()
-	go func() { defer wg.Done(); errP = RunProvider(b, m, cfg) }()
+	reg := registryOf(t, m)
+	go func() { defer wg.Done(); res, errU = inferOnce(context.Background(), over(a), m, x, cfg) }()
+	go func() { defer wg.Done(); errP = provideConn(b, reg, cfg) }()
 	wg.Wait()
 	if errU != nil {
 		t.Fatal(errU)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"aq2pnn/internal/nn"
 	"aq2pnn/internal/telemetry"
 	"aq2pnn/internal/transport"
 )
@@ -17,12 +16,17 @@ import (
 // expiry) rather than by the protocol itself failing.
 var ErrSessionAborted = errors.New("engine: session aborted")
 
-// ServeTCP hosts the model-provider side for many clients: every accepted
-// connection runs a complete RunProvider protocol in its own goroutine, so
-// simultaneous users are served concurrently. sessions > 0 accepts exactly
-// that many connections and returns once they all finish; sessions == 0
-// serves until ctx is cancelled (which then returns nil). onSession, when
-// non-nil, observes each finished session's error as it completes.
+// ServeRegistryTCP hosts the model-provider side for many clients: every
+// accepted connection runs one session in its own goroutine, so
+// simultaneous users are served concurrently. Each connection's hello
+// names a model by fingerprint, dispatched against the registry (which may
+// gain and lose models while serving); unknown fingerprints fail the
+// handshake with the typed mismatch on both sides. A session pays setup
+// once, then streams inference requests; a faulted session is parked for
+// token re-attachment. sessions > 0 accepts exactly that many connections
+// and returns once they all finish; sessions == 0 serves until ctx is
+// cancelled (which then returns nil). onSession, when non-nil, observes
+// each finished session's error as it completes.
 //
 // Shutdown is graceful: cancelling ctx stops accepting immediately, but
 // in-flight sessions get cfg.DrainGrace to run to completion before their
@@ -43,23 +47,6 @@ var ErrSessionAborted = errors.New("engine: session aborted")
 // protocol ever blocks or allocates. Shed sessions increment
 // aq2pnn_sessions_shed_total; sessions killed by those limits increment
 // aq2pnn_idle_timeouts_total / aq2pnn_frames_rejected_total.
-func ServeTCP(ctx context.Context, l *transport.Listener, m *nn.Model, cfg Options, sessions int, onSession func(error)) error {
-	reg := NewRegistry()
-	if err := reg.Add(m); err != nil {
-		return err
-	}
-	return ServeRegistryTCP(ctx, l, reg, cfg, sessions, onSession)
-}
-
-// ServeRegistryTCP is the multi-model serving loop: each accepted
-// connection's hello names a model by fingerprint, dispatched against the
-// registry (which may gain and lose models while serving). Unknown
-// fingerprints fail the handshake with the typed mismatch on both sides.
-// Clients that set the session flag get the persistent flow — setup once,
-// then a stream of inference requests, with faulted sessions parked for
-// token re-attachment; plain clients get the one-shot protocol. Shutdown,
-// draining, admission control and the hostile-peer defences behave exactly
-// as documented on ServeTCP.
 func ServeRegistryTCP(ctx context.Context, l *transport.Listener, reg *Registry, cfg Options, sessions int, onSession func(error)) error {
 	reg.setCap(cfg.SessionCache)
 	if cfg.IdleTimeout > 0 || cfg.MemBudget > 0 {
@@ -188,10 +175,10 @@ func countHostile(err error) {
 
 // runSession executes one provider session with panic containment and the
 // optional per-session deadline. ctx is the drain context: it outlives
-// the accept loop's context by the configured grace. For a persistent
-// session the deadline bounds the whole connection lifetime (prefer
-// IdleTimeout for per-frame patience; a timed-out-but-established session
-// is still parked for re-attachment).
+// the accept loop's context by the configured grace. The deadline bounds
+// the whole connection lifetime (prefer IdleTimeout for per-frame
+// patience; a timed-out-but-established session is still parked for
+// re-attachment).
 func runSession(ctx context.Context, conn transport.Conn, reg *Registry, cfg Options) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

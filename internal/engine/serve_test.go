@@ -24,15 +24,46 @@ func serveOnce(t *testing.T, ctx context.Context, cfg Options, m *nn.Model, sess
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
+	reg := registryOf(t, m)
 	done = make(chan error, 1)
-	go func() { done <- ServeTCP(ctx, l, m, cfg, sessions, onSession) }()
+	go func() { done <- ServeRegistryTCP(ctx, l, reg, cfg, sessions, onSession) }()
 	return l.Addr(), done
 }
 
-// TestServeTCPGracefulDrain cancels the server while a session is in
+// rawOpen plays a hand-rolled client's opening move on conn: the session
+// hello and a fresh attach request, pipelined as Session.establish sends
+// them, then the provider's hello. Tests use it to park a provider
+// mid-session or to open with something a real client never would. As in
+// establish, a provider that rejects at the hello may hang up under the
+// attach send, so only the answer is checked.
+func rawOpen(t *testing.T, conn transport.Conn, h sessionHello) sessionHello {
+	t.Helper()
+	sendErr := conn.Send(h.encode())
+	if sendErr == nil {
+		sendErr = conn.Send(encodeAttach(attachReqMagic, attachFrame{}))
+	}
+	p, err := conn.Recv()
+	if err != nil {
+		t.Fatal(errors.Join(sendErr, err))
+	}
+	peer, err := decodeHello(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return peer
+}
+
+// userHello is the hello a real client sends for (m, cfg).
+func userHello(m *nn.Model, cfg Options) sessionHello {
+	h := helloFor(roleUser, m, cfg.Carrier(m), cfg)
+	h.Flags |= flagSession
+	return h
+}
+
+// TestServeGracefulDrain cancels the server while a session is in
 // flight and checks the session still completes (the drain grace covers
 // it) and the server returns clean.
-func TestServeTCPGracefulDrain(t *testing.T) {
+func TestServeGracefulDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked session")
 	}
@@ -60,7 +91,7 @@ func TestServeTCPGracefulDrain(t *testing.T) {
 	var errU error
 	go func() {
 		defer close(userDone)
-		res, errU = RunUser(conn, m, input(64), cfg)
+		res, errU = inferOnce(context.Background(), over(conn), m, input(64), cfg)
 	}()
 	time.Sleep(150 * time.Millisecond)
 	cancel()
@@ -81,10 +112,10 @@ func TestServeTCPGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestServeTCPAbortAfterGrace cancels with a tiny grace: the in-flight
+// TestServeAbortAfterGrace cancels with a tiny grace: the in-flight
 // session must be cut off, reported as ErrSessionAborted to onSession and
 // counted, while the server still shuts down clean.
-func TestServeTCPAbortAfterGrace(t *testing.T) {
+func TestServeAbortAfterGrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked session")
 	}
@@ -102,7 +133,7 @@ func TestServeTCPAbortAfterGrace(t *testing.T) {
 	defer conn.Close()
 	userDone := make(chan error, 1)
 	go func() {
-		_, err := RunUser(conn, m, input(64), cfg)
+		_, err := inferOnce(context.Background(), over(conn), m, input(64), cfg)
 		userDone <- err
 	}()
 	time.Sleep(100 * time.Millisecond)
@@ -123,10 +154,10 @@ func TestServeTCPAbortAfterGrace(t *testing.T) {
 	}
 }
 
-// TestServeTCPSessionTimeout bounds a session that stalls mid-protocol:
-// a client that handshakes and then goes silent must not pin a provider
-// goroutine forever.
-func TestServeTCPSessionTimeout(t *testing.T) {
+// TestServeSessionTimeout bounds a session that stalls mid-protocol:
+// a client that handshakes and attaches, then goes silent, must not pin a
+// provider goroutine forever.
+func TestServeSessionTimeout(t *testing.T) {
 	m := tinyModel(nn.PoolAvg)
 	cfg := testCfg()
 	cfg.SessionTimeout = 300 * time.Millisecond
@@ -139,11 +170,9 @@ func TestServeTCPSessionTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Valid hello, then silence.
-	r := cfg.Carrier(m)
-	if err := exchangeHello(conn, helloFor(roleUser, m, r, cfg), 0); err != nil {
-		t.Fatal(err)
-	}
+	// Valid open, then silence: the provider ships its weight shares and
+	// stalls in the first F opening.
+	rawOpen(t, conn, userHello(m, cfg))
 	select {
 	case err := <-aborted:
 		if !errors.Is(err, ErrSessionAborted) {
@@ -153,14 +182,14 @@ func TestServeTCPSessionTimeout(t *testing.T) {
 		t.Fatal("stalled session was not timed out")
 	}
 	if err := <-done; err == nil {
-		t.Error("ServeTCP(sessions=1) swallowed the aborted session error")
+		t.Error("serve loop (sessions=1) swallowed the aborted session error")
 	}
 }
 
-// TestServeTCPSessionPanicRecovered: a model that panics inside the
+// TestServeSessionPanicRecovered: a model that panics inside the
 // session goroutine (truncated weight slice, the classic) must surface as
 // an onSession error, not kill the process.
-func TestServeTCPSessionPanicRecovered(t *testing.T) {
+func TestServeSessionPanicRecovered(t *testing.T) {
 	m := tinyModel(nn.PoolAvg)
 	// Truncate one Conv weight slice: SplitModel's transpose loop indexes
 	// past the end and panics inside the session goroutine.
@@ -179,12 +208,10 @@ func TestServeTCPSessionPanicRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Complete the hello: the serving path dispatches on the client's
-	// hello before touching the weights, so the panic fires only once the
-	// session is past the handshake.
-	if err := exchangeHello(conn, helloFor(roleUser, m, cfg.Carrier(m), cfg), 0); err != nil {
-		t.Fatal(err)
-	}
+	// Complete the hello and attach: the serving path dispatches on the
+	// client's hello before touching the weights, so the panic fires only
+	// once the session is past the handshake.
+	rawOpen(t, conn, userHello(m, cfg))
 	select {
 	case err := <-sessionErr:
 		if err == nil || !strings.Contains(err.Error(), "session panic") {
@@ -195,15 +222,17 @@ func TestServeTCPSessionPanicRecovered(t *testing.T) {
 	}
 	conn.Close()
 	if err := <-done; err == nil || !strings.Contains(err.Error(), "session panic") {
-		t.Errorf("ServeTCP returned %v, want the recovered panic", err)
+		t.Errorf("serve loop returned %v, want the recovered panic", err)
 	}
 }
 
-// TestRunUserWithRetryRecovers is the acceptance scenario: the first
-// session attempt dies from an injected transport fault during setup, the
-// retry wrapper re-dials, and the second attempt reveals logits
-// bit-identical to a fault-free run with the same seed.
-func TestRunUserWithRetryRecovers(t *testing.T) {
+// TestRetryRecovers is the acceptance scenario: the first attempt dies
+// from an injected transport fault, the client's retry loop re-dials, and
+// the session of one reveals logits bit-identical to a fault-free run of
+// the same (seed, token). A fault during the open re-opens from scratch —
+// the provider mints its second token, so the reference burns one first;
+// a fault past the open re-attaches through the first token.
+func TestRetryRecovers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked sessions")
 	}
@@ -212,46 +241,52 @@ func TestRunUserWithRetryRecovers(t *testing.T) {
 	cfg := testCfg()
 	cfg.Retries = 2
 	cfg.RetryBase = 10 * time.Millisecond
-	// Reference: a clean run, same seed.
-	_, _, want := cleanRun(t, m, x, cfg)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	addr, done := serveOnce(t, ctx, cfg, m, 0, nil)
-	dials := 0
-	dial := func(ctx context.Context) (transport.Conn, error) {
-		conn, err := transport.DialContext(ctx, addr, 5*time.Second)
-		if err != nil {
-			return nil, err
-		}
-		dials++
-		if dials == 1 {
-			// First attempt: die 6 ops into the session (mid-setup).
-			return transport.NewChaosConn(conn, transport.FaultPlan{FailAfter: 6}), nil
-		}
-		return conn, nil
-	}
-	res, err := RunUserWithRetry(ctx, dial, m, x, cfg)
-	if err != nil {
-		t.Fatalf("retry wrapper failed: %v", err)
-	}
-	if dials != 2 {
-		t.Errorf("dialed %d times, want 2 (one failure, one recovery)", dials)
-	}
-	for i := range want {
-		if res.Logits[i] != want[i] {
-			t.Fatalf("retried logits %v, want bit-identical %v", res.Logits, want)
-		}
-	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Errorf("server shutdown: %v", err)
+	userOps, _, wantFirst := cleanRun(t, registryOf(t, m), m, x, cfg)
+	burned := registryOf(t, m)
+	burned.nextToken()
+	_, _, wantSecond := cleanRun(t, burned, m, x, cfg)
+	for _, tc := range []struct {
+		name      string
+		failAfter int
+		want      []int64
+	}{
+		{"mid-setup", 6, wantSecond},
+		{"mid-inference", userOps - 8, wantFirst}, // well past the open, short of the reveal
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			addr, done := serveOnce(t, ctx, cfg, m, 0, nil)
+			dials := 0
+			dial := func(ctx context.Context) (transport.Conn, error) {
+				conn, err := transport.DialContext(ctx, addr, 5*time.Second)
+				if err != nil {
+					return nil, err
+				}
+				dials++
+				if dials == 1 {
+					return transport.NewChaosConn(conn, transport.FaultPlan{FailAfter: tc.failAfter}), nil
+				}
+				return conn, nil
+			}
+			res, err := inferOnce(ctx, dial, m, x, cfg)
+			if err != nil {
+				t.Fatalf("retry loop failed: %v", err)
+			}
+			if dials != 2 {
+				t.Errorf("dialed %d times, want 2 (one failure, one recovery)", dials)
+			}
+			assertSameLogits(t, "retried inference", res.Logits, tc.want)
+			cancel()
+			if err := <-done; err != nil {
+				t.Errorf("server shutdown: %v", err)
+			}
+		})
 	}
 }
 
-// TestRunUserWithRetryPermanentError: a handshake mismatch must not be
-// retried.
-func TestRunUserWithRetryPermanentError(t *testing.T) {
+// TestRetryPermanentError: a handshake mismatch must not be retried.
+func TestRetryPermanentError(t *testing.T) {
 	m := tinyModel(nn.PoolAvg)
 	other := tinyModel(nn.PoolMax)
 	cfg := testCfg()
@@ -265,7 +300,7 @@ func TestRunUserWithRetryPermanentError(t *testing.T) {
 		dials++
 		return transport.DialContext(ctx, addr, 5*time.Second)
 	}
-	_, err := RunUserWithRetry(ctx, dial, m, input(64), cfg)
+	_, err := inferOnce(ctx, dial, m, input(64), cfg)
 	var he *HandshakeError
 	if !errors.As(err, &he) {
 		t.Fatalf("got %v, want *HandshakeError", err)
@@ -277,9 +312,9 @@ func TestRunUserWithRetryPermanentError(t *testing.T) {
 	<-done
 }
 
-// TestRunUserWithRetryExhaustsBudget: a server that is simply absent
-// yields a transient error after Retries+1 attempts.
-func TestRunUserWithRetryExhaustsBudget(t *testing.T) {
+// TestRetryExhaustsBudget: a server that is simply absent yields a
+// transient error after Retries+1 attempts.
+func TestRetryExhaustsBudget(t *testing.T) {
 	cfg := testCfg()
 	cfg.Retries = 2
 	cfg.RetryBase = time.Millisecond
@@ -291,7 +326,7 @@ func TestRunUserWithRetryExhaustsBudget(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err := RunUserWithRetry(ctx, dial, m, input(64), cfg)
+	_, err := inferOnce(ctx, dial, m, input(64), cfg)
 	if err == nil || !errors.Is(err, transport.ErrInjected) {
 		t.Fatalf("got %v, want the final attempt's ErrInjected", err)
 	}

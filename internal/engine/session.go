@@ -14,11 +14,10 @@ import (
 	"aq2pnn/internal/triple"
 )
 
-// Persistent-session mode (protocol generation 3). A one-shot session pays
-// the full setup — weight-share exchange plus the F openings of every
-// linear layer — for a single inference. A persistent session pays it once
-// at open and then streams any number of inference requests over the
-// prepared state:
+// The session protocol (generation 3), the only networked flow. The setup
+// — weight-share exchange plus the F openings of every linear layer — is
+// paid once at open; any number of inference requests then stream over the
+// prepared state (a single inference is a session of one):
 //
 //	hello(flagSession) → attach/resume → [weight shares + prepare]   (open)
 //	(infer seq=0 → input share → online protocol)*                   (steady state)
@@ -26,10 +25,9 @@ import (
 //
 // Each inference runs on a fresh deterministic context derived from
 // (Seed, seq): a new OT endpoint whose base OTs and IKNP setup are part of
-// that inference's own transcript, exactly as in the one-shot online
-// phase. Two consequences fall out: every steady-state inference costs
-// byte-identical wire traffic (nothing accumulates across seqs), and a
-// re-run of an interrupted seq after a transport fault replays the same
+// that inference's own transcript. Two consequences fall out: every
+// steady-state inference costs byte-identical wire traffic (nothing
+// accumulates across seqs), and a re-run of an interrupted seq after a transport fault replays the same
 // transcript bit for bit — the resumption token lets the client re-attach
 // to the provider's parked state instead of replaying setup.
 
@@ -136,7 +134,7 @@ func recvSessionReq(conn transport.Conn) (seq uint32, warm, end bool, err error)
 // Seed-derivation salts. Every per-session and per-inference PRG stream is
 // a deterministic function of cfg.Seed so a resumed inference replays the
 // interrupted transcript bit for bit; the salts decorrelate the streams
-// from each other and from the one-shot flow's seeds.
+// from each other.
 const (
 	inferSeedSalt = 0x5E55_10F3_BAD5_EED5
 	famSeedSalt   = 0xFA41_11E5_0B5A_A3E5
@@ -224,10 +222,10 @@ func inferFamSeed(icfg Options, party int) uint64 {
 
 // bindInfer builds the executor for one inference: a fresh deterministic
 // context over the live connection (new OT endpoint — its base OTs and
-// IKNP setup belong to this inference's own transcript, as in the one-shot
-// online phase) with the session's prepared weights bound through fixed-B
-// families. Both parties derive everything from (cfg.Seed, seq), so
-// re-running a seq after a fault replays the identical transcript.
+// IKNP setup belong to this inference's own transcript) with the session's
+// prepared weights bound through fixed-B families. Both parties derive
+// everything from (cfg.Seed, seq), so re-running a seq after a fault
+// replays the identical transcript.
 //
 // kit, when non-nil, is seq's precomputed material from the preprocessing
 // plane: linear nodes it covers bind a consumed-once precomputed family

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"aq2pnn/internal/nn"
 	"aq2pnn/internal/ring"
 	"aq2pnn/internal/telemetry"
+	"aq2pnn/internal/testutil"
 	"aq2pnn/internal/transport"
 )
 
@@ -26,8 +28,9 @@ type sessionHarness struct {
 	wg       sync.WaitGroup
 	dials    int
 	provErrs []error
-	// wrap, when set, may replace the client end of dial n (1-based).
-	wrap func(dial int, c transport.Conn) transport.Conn
+	// wrap and wrapProvider, when set, may replace the client or the
+	// provider end of dial n (1-based).
+	wrap, wrapProvider func(dial int, c transport.Conn) transport.Conn
 	// beforeDial, when set, runs at the start of dial n — tests use it to
 	// hold a re-dial until the faulted provider goroutine has parked.
 	beforeDial func(dial int)
@@ -35,12 +38,8 @@ type sessionHarness struct {
 
 func newSessionHarness(t *testing.T, m *nn.Model, cfg Options) *sessionHarness {
 	t.Helper()
-	reg := NewRegistry()
-	if err := reg.Add(m); err != nil {
-		t.Fatal(err)
-	}
 	cfg.Trace = nil
-	return &sessionHarness{t: t, reg: reg, cfg: cfg}
+	return &sessionHarness{t: t, reg: registryOf(t, m), cfg: cfg}
 }
 
 func (h *sessionHarness) dial(ctx context.Context) (transport.Conn, error) {
@@ -53,11 +52,17 @@ func (h *sessionHarness) dial(ctx context.Context) (transport.Conn, error) {
 		h.beforeDial(d)
 	}
 	a, b := transport.Pipe()
+	pc := transport.Conn(b)
+	if h.wrapProvider != nil {
+		if w := h.wrapProvider(d, b); w != nil {
+			pc = w
+		}
+	}
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()
 		defer b.Close()
-		err := provideConn(b, reg, h.cfg)
+		err := provideConn(pc, reg, h.cfg)
 		h.mu.Lock()
 		h.provErrs = append(h.provErrs, err)
 		h.mu.Unlock()
@@ -377,6 +382,107 @@ func TestSessionResumeAfterFault(t *testing.T) {
 	}
 }
 
+// stallConn parks its at-th transport operation until release is closed,
+// announcing the stall on reached: a peer that stops mid-protocol for as
+// long as the test needs it to.
+type stallConn struct {
+	transport.Conn
+	at, ops          int
+	reached, release chan struct{}
+}
+
+func (c *stallConn) step() {
+	if c.ops == c.at {
+		close(c.reached)
+		<-c.release
+	}
+	c.ops++
+}
+
+func (c *stallConn) Send(p []byte) error   { c.step(); return c.Conn.Send(p) }
+func (c *stallConn) Recv() ([]byte, error) { c.step(); return c.Conn.Recv() }
+
+// TestSessionInferHonoursContext: Infer is bound to its own ctx, not just
+// to the one the connection was dialed under. The provider stalls
+// mid-inference, the caller cancels, and Infer must return ctx's error
+// promptly instead of waiting the stall out; the handle then heals on the
+// next call — re-attach, replay of the same seq, bit-identical logits —
+// and nothing leaks.
+func TestSessionInferHonoursContext(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full networked sessions")
+	}
+	m := tinyModel(nn.PoolAvg)
+	x := input(64)
+	cfg := testCfg()
+	ctx := context.Background()
+	base := runtime.NumGoroutine()
+
+	// Clean reference: the logits, and where mid-inference is.
+	hA := newSessionHarness(t, m, cfg)
+	sA, err := NewClient(hA.dial, cfg).OpenSession(ctx, m)
+	if err != nil {
+		t.Fatalf("clean open: %v", err)
+	}
+	want, err := sA.Infer(ctx, x)
+	if err != nil {
+		t.Fatalf("clean inference: %v", err)
+	}
+	setup := sA.SetupStats()
+	stallAt := int(setup.MsgsSent+setup.MsgsRecv) + int(want.Online.MsgsSent+want.Online.MsgsRecv)/2
+	sA.Close()
+	hA.wg.Wait()
+
+	stalled := &stallConn{at: stallAt, reached: make(chan struct{}), release: make(chan struct{})}
+	hB := newSessionHarness(t, m, cfg)
+	hB.wrapProvider = func(dial int, c transport.Conn) transport.Conn {
+		if dial == 1 {
+			stalled.Conn = c
+			return stalled
+		}
+		return nil
+	}
+	// Hold the healing dial until the stalled provider has woken up on a
+	// dead connection and parked the session.
+	hB.beforeDial = func(dial int) {
+		if dial == 2 {
+			hB.waitProviderDone(1)
+		}
+	}
+	s, err := NewClient(hB.dial, cfg).OpenSession(ctx, m)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	cancelled := make(chan time.Time, 1)
+	go func() {
+		<-stalled.reached
+		cancelled <- time.Now()
+		cancel()
+	}()
+	_, err = s.Infer(cctx, x)
+	late := time.Since(<-cancelled)
+	close(stalled.release)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Infer returned %v, want context.Canceled in the chain", err)
+	}
+	if late > time.Second {
+		t.Errorf("Infer returned %v after the cancel, want under 1s", late)
+	}
+	res, err := s.Infer(ctx, x)
+	if err != nil {
+		t.Fatalf("inference after the cancelled one: %v", err)
+	}
+	assertSameLogits(t, "healed inference", res.Logits, want.Logits)
+	if hB.dials != 2 {
+		t.Errorf("dialed %d times, want 2 (open, heal)", hB.dials)
+	}
+	s.Close()
+	hB.wg.Wait()
+	testutil.CheckGoroutines(t, base)
+}
+
 // TestSessionAttachMissFallsBack: a resume token the provider no longer
 // holds (here: a registry swap, the provider-restart stand-in) must fall
 // back to a fresh setup under the same client handle — the session heals
@@ -461,10 +567,10 @@ func TestSessionAttachMissFallsBack(t *testing.T) {
 	h.wg.Wait()
 }
 
-// TestSessionOverServeTCP runs the persistent flow through the real
-// serving stack: listener, admission, drain machinery and the session
-// dispatch inside ServeTCP.
-func TestSessionOverServeTCP(t *testing.T) {
+// TestSessionOverTCP runs a multi-inference session through the real
+// serving stack: listener, admission, drain machinery and the dispatch
+// inside ServeRegistryTCP.
+func TestSessionOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked session")
 	}
@@ -505,12 +611,12 @@ func TestSessionOverServeTCP(t *testing.T) {
 		t.Errorf("Close: %v", err)
 	}
 	if err := <-done; err != nil {
-		t.Errorf("ServeTCP returned %v, want nil", err)
+		t.Errorf("serve loop returned %v, want nil", err)
 	}
 }
 
 // TestServeRegistryTCPMultiModel serves two models from one registry,
-// mixes a persistent session with a one-shot client, then hot-removes a
+// mixes a long-lived session with a session of one, then hot-removes a
 // model and checks the typed handshake failure while the surviving
 // session keeps streaming.
 func TestServeRegistryTCPMultiModel(t *testing.T) {
@@ -564,10 +670,10 @@ func TestServeRegistryTCPMultiModel(t *testing.T) {
 	if d := maxAbsDiff(resA.Logits, wantA); d > 6 {
 		t.Errorf("model A: max |logit diff| = %d, want ≤ 6", d)
 	}
-	// One-shot client against the same serving loop, other model.
-	resB, err := RunUserWithRetry(ctx, dial, mB, x, cfg)
+	// A session of one against the same serving loop, other model.
+	resB, err := inferOnce(ctx, dial, mB, x, cfg)
 	if err != nil {
-		t.Fatalf("one-shot inference for model B: %v", err)
+		t.Fatalf("single inference for model B: %v", err)
 	}
 	if d := maxAbsDiff(resB.Logits, wantB); d > 6 {
 		t.Errorf("model B: max |logit diff| = %d, want ≤ 6", d)

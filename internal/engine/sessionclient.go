@@ -16,6 +16,16 @@ import (
 	"aq2pnn/internal/transport"
 )
 
+// Redial establishes a fresh connection for a session: the open, and every
+// re-attach after a transport fault. A faulted connection cannot be
+// resumed mid-transcript (the OT correlations are bound to it), so
+// recovery always re-dials and replays the interrupted inference.
+type Redial func(ctx context.Context) (transport.Conn, error)
+
+// retrySeedSalt decorrelates the retry backoff stream from the protocol
+// PRG seeds derived from the same cfg.Seed.
+const retrySeedSalt = 0x9E3779B97F4A7C15
+
 // Client opens persistent inference sessions against a serving provider.
 // It holds no connection itself — each OpenSession dials through the
 // Redial, and a Session re-dials on faults — so one Client may open any
@@ -69,8 +79,13 @@ func (c *Client) OpenSession(ctx context.Context, m *nn.Model) (*Session, error)
 	return s, nil
 }
 
-// withRetry runs op under the client's transient-retry budget, mirroring
-// RunUserWithRetry's classification and backoff schedule.
+// withRetry runs op under the client's transient-retry budget: up to
+// cfg.Retries further attempts after a transient failure (connection
+// refused/reset, peer crash mid-protocol, an injected fault, an attempt
+// deadline expiry), spaced by transport.BackoffDelay with cfg.Seed-derived
+// jitter so a given configuration retries on a reproducible schedule.
+// Permanent errors — a handshake mismatch, a malformed payload — and
+// cancellation of ctx return immediately.
 func (c *Client) withRetry(ctx context.Context, op func() error) error {
 	attempts := int(c.cfg.Retries) + 1
 	var lastErr error
@@ -91,8 +106,13 @@ func (c *Client) withRetry(ctx context.Context, op func() error) error {
 		}
 		lastErr = err
 		if ctx.Err() != nil {
-			return err
+			// The caller is gone: whatever the attempt reported, it asked
+			// us to stop.
+			return errors.Join(ctx.Err(), err)
 		}
+		// An attempt-deadline expiry is retryable even though deadline
+		// errors otherwise classify as permanent: the deadline that fired
+		// was this attempt's own.
 		if !transport.IsTransient(err) && !errors.Is(err, context.DeadlineExceeded) {
 			return err
 		}
@@ -127,20 +147,27 @@ func (s *Session) establish(ctx context.Context, resume bool) error {
 	// a routing tier (internal/gateway) must see both frames before it
 	// can pick a backend — the attach token is half the routing key, and
 	// the gateway sends nothing of its own, so waiting for the provider
-	// hello here would deadlock the intake.
-	if err := conn.Send(h.encode()); err != nil {
-		return fmt.Errorf("engine: sending session hello: %w", err)
-	}
-	if err := conn.Send(encodeAttach(attachReqMagic, attachFrame{flag: resume, token: s.token})); err != nil {
-		return fmt.Errorf("engine: sending session attach: %w", err)
-	}
-	// The handshake deadline spans both answers: a peer (or proxy) that
-	// accepts the frames then stalls fails fast, typed.
+	// hello here would deadlock the intake. The handshake deadline spans
+	// both answers: a peer (or proxy) that accepts the frames then stalls
+	// fails fast, typed.
 	if to := cfg.handshakeTimeout(); to > 0 && transport.SetRecvDeadline(conn, time.Now().Add(to)) {
 		defer transport.SetRecvDeadline(conn, time.Time{})
 	}
+	sendErr := conn.Send(h.encode())
+	if sendErr == nil {
+		sendErr = conn.Send(encodeAttach(attachReqMagic, attachFrame{flag: resume, token: s.token}))
+	}
+	if sendErr != nil {
+		// A peer that rejects at the hello (busy reject, mismatch) answers
+		// and hangs up without reading on, which can fail these pipelined
+		// sends; its answer, already queued, is the better diagnosis.
+		sendErr = fmt.Errorf("engine: sending session open: %w", sendErr)
+	}
 	p, err := conn.Recv()
 	if err != nil {
+		if sendErr != nil {
+			return sendErr
+		}
 		if errors.Is(err, transport.ErrIdleTimeout) {
 			return &HandshakeError{Field: "hello read", Err: err}
 		}
@@ -152,6 +179,9 @@ func (s *Session) establish(ctx context.Context, resume bool) error {
 	}
 	if err := checkHello(h, peer); err != nil {
 		return err
+	}
+	if sendErr != nil {
+		return sendErr
 	}
 	frame, err := conn.Recv()
 	if err != nil {
@@ -182,7 +212,7 @@ func (s *Session) establish(ctx context.Context, resume bool) error {
 		nctx := NewNetworkContext(0, conn, cfg)
 		var st *sessionState
 		if err := tracePhase(cfg.Trace, nctx, "user.session.open", func() error {
-			var wp *wirePayload
+			var wp *WeightShares
 			if err := func() error {
 				sp := nctx.Trace.Enter("exchange.shares")
 				defer nctx.Trace.Exit(sp)
@@ -195,8 +225,7 @@ func (s *Session) establish(ctx context.Context, resume bool) error {
 				return err
 			}
 			var err error
-			st, err = newSessionState(nctx, s.m, s.r, &WeightShares{W: wp.W, Bias: wp.Bias},
-				sessionFamSeed(cfg, 0, s.token))
+			st, err = newSessionState(nctx, s.m, s.r, wp, sessionFamSeed(cfg, 0, s.token))
 			return err
 		}); err != nil {
 			return err
@@ -266,9 +295,10 @@ func (s *Session) teardownPreproc(closeMain bool) {
 // back to a fresh setup if the provider no longer holds the state) and
 // replays the same seq; the derived transcript is deterministic, so the
 // retried reveal is bit-identical to what the failed attempt would have
-// produced. The result's Online stats are this inference's exact wire
-// cost; its Setup stats are zero — session setup is reported once by
-// SetupStats.
+// produced. Cancelling ctx closes the connection under a blocked attempt,
+// so Infer returns promptly with ctx's error and the next call re-attaches.
+// The result's Online stats are this inference's exact wire cost; its
+// Setup stats are zero — session setup is reported once by SetupStats.
 func (s *Session) Infer(ctx context.Context, x []int64) (*Result, error) {
 	if s.closed {
 		return nil, fmt.Errorf("engine: session is closed")
@@ -283,7 +313,14 @@ func (s *Session) Infer(ctx context.Context, x []int64) (*Result, error) {
 				return err
 			}
 		}
+		conn := s.conn
+		stop := context.AfterFunc(ctx, func() { conn.Close() })
 		r, err := s.inferAttempt(x)
+		if !stop() && err == nil {
+			// Cancellation raced the reveal: the connection is closed (or
+			// about to be) under a result the caller no longer wants.
+			err = ctx.Err()
+		}
 		if err != nil {
 			s.teardownPreproc(true)
 			if s.conn != nil {
@@ -366,11 +403,8 @@ func (s *Session) inferAttempt(x []int64) (*Result, error) {
 		}(); err != nil {
 			return err
 		}
-		o, err := p.Infer(x0)
-		if err != nil {
-			return err
-		}
-		logits, class, err = revealResult(nctx, s.r, cfg, o)
+		var err error
+		logits, class, err = p.inferReveal(cfg, x0)
 		return err
 	}()
 	if err != nil {

@@ -13,12 +13,14 @@ import (
 	"aq2pnn/internal/transport"
 )
 
-// provideConn dispatches one accepted connection. The provider receives
-// the client's hello first — it names the model, so the provider cannot
+// provideConn serves one accepted connection. The provider receives the
+// client's hello first — it names the model, so the provider cannot
 // assemble its own hello before reading it — then answers with its view
-// and branches on the session flag. Two flags are adopted from the client
-// rather than checked: class-only reveal (what the user learns is the
-// user's knob) and session mode.
+// and runs the session. Two flags are adopted from the client rather than
+// checked: class-only reveal (what the user learns is the user's knob)
+// and the preprocessing plane. flagSession is asserted, not adopted: a
+// client that does not request the session flow fails the flags check
+// with the same typed *HandshakeError on both ends.
 func provideConn(conn transport.Conn, reg *Registry, cfg Options) error {
 	if to := cfg.handshakeTimeout(); to > 0 {
 		transport.SetRecvDeadline(conn, time.Now().Add(to))
@@ -41,7 +43,7 @@ func provideConn(conn transport.Conn, reg *Registry, cfg Options) error {
 	var mine sessionHello
 	if m != nil {
 		mine = helloFor(roleProvider, m, scfg.Carrier(m), scfg)
-		mine.Flags |= peer.Flags & (flagSession | flagPreproc)
+		mine.Flags |= flagSession | peer.Flags&flagPreproc
 	} else {
 		// Unknown model: answer with the peer's own parameters under a
 		// zero fingerprint, so the client fails with the same typed
@@ -60,10 +62,7 @@ func provideConn(conn transport.Conn, reg *Registry, cfg Options) error {
 	if err := checkHello(mine, peer); err != nil {
 		return err
 	}
-	if peer.Flags&flagSession != 0 {
-		return provideSession(conn, reg, m, scfg, peer.Flags&flagPreproc != 0)
-	}
-	return runProvider(conn, m, scfg.Carrier(m), scfg, nil)
+	return provideSession(conn, reg, m, scfg, peer.Flags&flagPreproc != 0)
 }
 
 // provideSession runs the provider half of a persistent session: the
@@ -234,10 +233,6 @@ func providerInfer(conn transport.Conn, st *sessionState, cfg Options, seq uint3
 	if err != nil {
 		return fmt.Errorf("receiving input share: %w", err)
 	}
-	o, err := p.Infer(x1)
-	if err != nil {
-		return err
-	}
-	_, _, err = revealResult(ctx, st.r, cfg, o)
+	_, _, err = p.inferReveal(cfg, x1)
 	return err
 }

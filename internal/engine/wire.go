@@ -131,12 +131,12 @@ func recvSetupBytes(c transport.Conn) ([]byte, error) {
 // model architecture, or — when Wire is set — a setup exchange that
 // violates the chunked wire framing or the flat codec's layout (bad
 // header, out-of-order chunk index, truncated slab, oversize declared
-// length). Node is the offending node id, or -1 for the shared input
-// vector or a framing violation. Like *HandshakeError it is permanent: the
-// peer is misconfigured (or malicious), and retrying cannot help.
+// length). Node is the offending node id, or -1 for a framing violation.
+// Like *HandshakeError it is permanent: the peer is misconfigured (or
+// malicious), and retrying cannot help.
 type PayloadError struct {
 	Node      int
-	Field     string // "weights", "bias", "input" or the violated framing rule
+	Field     string // "weights", "bias" or the violated framing rule
 	Got, Want int
 	// Wire marks a framing violation of the chunked setup exchange rather
 	// than a shape mismatch in a decoded payload.
@@ -146,10 +146,6 @@ type PayloadError struct {
 func (e *PayloadError) Error() string {
 	if e.Wire {
 		return fmt.Sprintf("engine: setup wire framing: %s is %d, want %d",
-			e.Field, e.Got, e.Want)
-	}
-	if e.Node < 0 {
-		return fmt.Sprintf("engine: setup payload: %s share has %d elements, want %d",
 			e.Field, e.Got, e.Want)
 	}
 	return fmt.Sprintf("engine: setup payload: node %d %s share has %d elements, want %d",
@@ -168,7 +164,7 @@ func wireError(field string, got, want int) *PayloadError {
 // or out-of-range node ids are rejected. Without this check a
 // short share surfaced later as an index panic deep inside the tiled
 // GEMM — or worse, a silently wrong reveal.
-func validateWirePayload(m *nn.Model, wp *wirePayload) error {
+func validateWirePayload(m *nn.Model, wp *WeightShares) error {
 	for i, node := range m.Nodes {
 		k, n, ok := LinearDims(node)
 		if !ok {

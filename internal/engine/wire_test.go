@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -29,6 +30,15 @@ func (c *frameCapConn) Send(p []byte) error {
 	return c.Conn.Send(p)
 }
 
+func mustEncodeShares(t testing.TB, ws *WeightShares, width int) []byte {
+	t.Helper()
+	p, err := encodeShares(ws, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestSetupChunkingReassembly(t *testing.T) {
 	saved := setupChunk
 	setupChunk = 1 << 10
@@ -36,16 +46,15 @@ func TestSetupChunkingReassembly(t *testing.T) {
 	a, b := transport.Pipe()
 	defer a.Close()
 	defer b.Close()
-	in := wirePayload{
-		W:    map[int][]uint64{0: make([]uint64, 9000), 3: {1, 2, 3}},
+	in := WeightShares{
+		W:    map[int][]uint64{0: make([]uint64, 9000), 3: {1, 2, 3}, 5: make([]uint64, 5000)},
 		Bias: map[int][]uint64{0: {7, 8}},
-		X:    make([]uint64, 5000),
 	}
 	for i := range in.W[0] {
 		in.W[0][i] = ^uint64(i)
 	}
 	fc := &frameCapConn{Conn: a}
-	if err := sendShares(fc, &in, 8); err != nil {
+	if err := sendSetupBytes(fc, mustEncodeShares(t, &in, 8)); err != nil {
 		t.Fatal(err)
 	}
 	if fc.frames < 10 {
@@ -55,16 +64,16 @@ func TestSetupChunkingReassembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.W[0]) != 9000 || out.W[0][77] != in.W[0][77] || len(out.X) != 5000 || out.Bias[0][1] != 8 {
+	if len(out.W[0]) != 9000 || out.W[0][77] != in.W[0][77] || len(out.W[5]) != 5000 || out.Bias[0][1] != 8 {
 		t.Error("chunked payload did not survive the round trip")
 	}
 }
 
 // TestSetupPayloadBeyondMaxFrame is the regression test for the original
-// bug: a setup payload whose gob encoding exceeds transport.MaxFrame
-// (64 MiB). The old single-frame sendGob returned "frame exceeds
-// MaxFrame" on the provider while the user hung in Recv; chunking must
-// move it transparently with every frame under the cap.
+// bug: a weight-share payload whose encoding exceeds transport.MaxFrame
+// (64 MiB). A single-frame send returned "frame exceeds MaxFrame" on the
+// provider while the user hung in Recv; chunking must move it
+// transparently with every frame under the cap.
 func TestSetupPayloadBeyondMaxFrame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates several 70 MiB buffers")
@@ -79,7 +88,7 @@ func TestSetupPayloadBeyondMaxFrame(t *testing.T) {
 		big[i] = ^uint64(0) - uint64(i)
 	}
 	fc := &frameCapConn{Conn: a}
-	if err := sendShares(fc, &wirePayload{X: big}, 8); err != nil {
+	if err := sendSetupBytes(fc, mustEncodeShares(t, &WeightShares{W: map[int][]uint64{0: big}}, 8)); err != nil {
 		t.Fatalf("sending >MaxFrame payload: %v", err)
 	}
 	if fc.frames < 3 { // header + at least two chunks
@@ -89,7 +98,7 @@ func TestSetupPayloadBeyondMaxFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.X) != len(big) || out.X[0] != big[0] || out.X[len(big)-1] != big[len(big)-1] {
+	if got := out.W[0]; len(got) != len(big) || got[0] != big[0] || got[len(big)-1] != big[len(big)-1] {
 		t.Error("oversized payload corrupted in transit")
 	}
 }
@@ -132,12 +141,12 @@ func TestValidateWirePayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := ring.New(20)
-	good := func() *wirePayload {
+	good := func() *WeightShares {
 		ws0, _, err := SplitModel(prg.NewSeeded(3), m, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &wirePayload{W: ws0.W, Bias: ws0.Bias}
+		return ws0
 	}
 	if err := validateWirePayload(m, good()); err != nil {
 		t.Fatalf("well-formed payload rejected: %v", err)
@@ -154,14 +163,14 @@ func TestValidateWirePayload(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		mutate func(*wirePayload)
+		mutate func(*WeightShares)
 		node   int
 		field  string
 	}{
-		{"truncated weights", func(wp *wirePayload) { wp.W[linear] = wp.W[linear][:len(wp.W[linear])-1] }, linear, "weights"},
-		{"missing weights", func(wp *wirePayload) { delete(wp.W, linear) }, linear, "weights"},
-		{"oversized bias", func(wp *wirePayload) { wp.Bias[linear] = append(wp.Bias[linear], 1) }, linear, "bias"},
-		{"unknown node id", func(wp *wirePayload) { wp.W[len(m.Nodes)+7] = []uint64{1} }, len(m.Nodes) + 7, "weights"},
+		{"truncated weights", func(wp *WeightShares) { wp.W[linear] = wp.W[linear][:len(wp.W[linear])-1] }, linear, "weights"},
+		{"missing weights", func(wp *WeightShares) { delete(wp.W, linear) }, linear, "weights"},
+		{"oversized bias", func(wp *WeightShares) { wp.Bias[linear] = append(wp.Bias[linear], 1) }, linear, "bias"},
+		{"unknown node id", func(wp *WeightShares) { wp.W[len(m.Nodes)+7] = []uint64{1} }, len(m.Nodes) + 7, "weights"},
 	}
 	for _, tc := range cases {
 		wp := good()
@@ -181,11 +190,11 @@ func TestValidateWirePayload(t *testing.T) {
 	}
 }
 
-// TestRunUserRejectsMalformedPayload drives the validation through the
-// real session path: a provider that sends a truncated weight share must
+// TestOpenRejectsMalformedPayload drives the validation through the real
+// session open: a provider that sends a truncated weight share must
 // produce a typed *PayloadError on the user before any share reaches the
 // executor.
-func TestRunUserRejectsMalformedPayload(t *testing.T) {
+func TestOpenRejectsMalformedPayload(t *testing.T) {
 	m := tinyModel(nn.PoolAvg)
 	r := ring.New(20)
 	ws0, _, err := SplitModel(prg.NewSeeded(3), m, r)
@@ -200,21 +209,30 @@ func TestRunUserRejectsMalformedPayload(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	cfg := Options{CarrierBits: 20, Seed: 4}
+	payload := mustEncodeShares(t, ws0, r.Bytes())
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Hand-rolled malicious provider: valid hello, bad payload.
-		if err := exchangeHello(b, helloFor(roleProvider, m, r, cfg), 0); err != nil {
+		// Hand-rolled malicious provider: swallow the pipelined hello and
+		// attach, answer both validly, then ship the bad payload.
+		for i := 0; i < 2; i++ {
+			if _, err := b.Recv(); err != nil {
+				return
+			}
+		}
+		mine := helloFor(roleProvider, m, r, cfg)
+		mine.Flags |= flagSession
+		if b.Send(mine.encode()) != nil || b.Send(encodeAttach(attachRespMagic, attachFrame{})) != nil {
 			return
 		}
-		_ = sendShares(b, &wirePayload{W: ws0.W, Bias: ws0.Bias}, r.Bytes())
+		_ = sendSetupBytes(b, payload)
 	}()
-	_, err = RunUser(a, m, input(64), cfg)
+	_, err = NewClient(over(a), cfg).OpenSession(context.Background(), m)
 	wg.Wait()
 	var pe *PayloadError
 	if !errors.As(err, &pe) {
-		t.Fatalf("RunUser returned %v, want *PayloadError", err)
+		t.Fatalf("OpenSession returned %v, want *PayloadError", err)
 	}
 	if pe.Field != "weights" || !strings.Contains(err.Error(), "setup payload") {
 		t.Errorf("unexpected payload error %v", err)

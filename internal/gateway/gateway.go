@@ -314,9 +314,7 @@ func (g *Gateway) mintToken() engine.SessionToken {
 }
 
 // routeKey folds the routing identity — model fingerprint and session
-// token — into the consistent-hash key. One-shot (sessionless) clients
-// get a minted key too, so they spread across the fleet instead of
-// pinning the fingerprint's owner.
+// token — into the consistent-hash key.
 func routeKey(fp uint64, token engine.SessionToken) uint64 {
 	lo := binary.LittleEndian.Uint64(token[:8])
 	hi := binary.LittleEndian.Uint64(token[8:])

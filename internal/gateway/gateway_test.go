@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 	"aq2pnn/internal/nn"
 	"aq2pnn/internal/ot"
 	"aq2pnn/internal/ring"
+	"aq2pnn/internal/telemetry"
 	"aq2pnn/internal/testutil"
 	"aq2pnn/internal/transport"
 )
@@ -42,7 +44,7 @@ func testInput(m *nn.Model) []int64 {
 }
 
 // fleetBackend is one in-process provider "process": its own listener,
-// its own fresh Registry (inside ServeTCP), and a process-level fault
+// its own fresh Registry, and a process-level fault
 // injector wrapping every connection it accepts.
 type fleetBackend struct {
 	name   string
@@ -66,7 +68,11 @@ func startBackend(t *testing.T, name string, m *nn.Model, cfg engine.Options, pl
 	ctx, cancel := context.WithCancel(context.Background())
 	fb.cancel = cancel
 	fb.done = make(chan error, 1)
-	go func() { fb.done <- engine.ServeTCP(ctx, l, m, cfg, 0, nil) }()
+	reg := engine.NewRegistry()
+	if err := reg.Add(m); err != nil {
+		t.Fatal(err)
+	}
+	go func() { fb.done <- engine.ServeRegistryTCP(ctx, l, reg, cfg, 0, nil) }()
 	t.Cleanup(func() { l.Close() })
 	return fb
 }
@@ -263,29 +269,53 @@ func TestGatewayShedsAtMaxSessions(t *testing.T) {
 }
 
 // TestGatewayRejectsGarbageIntake: a peer that cannot produce a valid
-// hello is dropped at intake, before any backend is dialed.
+// session hello is dropped at intake, before any backend is dialed.
 func TestGatewayRejectsGarbageIntake(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked fleet")
 	}
+	telemetry.Enable()
 	m := testModel(t)
+	cfg := fleetCfg()
 	never := transport.FaultPlan{FailAfter: -1}
-	f := startFleet(t, m, fleetCfg(), []transport.FaultPlan{never}, nil)
+	f := startFleet(t, m, cfg, []transport.FaultPlan{never}, nil)
 	ctx := context.Background()
 
-	c, err := f.dial(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Send([]byte("this is not a hello")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Recv(); err == nil {
-		t.Fatal("gateway answered a garbage hello instead of dropping it")
+	// A well-formed user hello for the served model that does not request
+	// a session: the retired one-inference-per-connection flow.
+	noSession := make([]byte, 20)
+	copy(noSession, "AQ2S")
+	binary.LittleEndian.PutUint16(noSession[4:], engine.ProtocolVersion)
+	noSession[6] = engine.RoleUser
+	binary.LittleEndian.PutUint16(noSession[8:], uint16(cfg.CarrierBits))
+	binary.LittleEndian.PutUint64(noSession[12:], m.Fingerprint())
+
+	rejects := telemetry.Default().Counter("aq2pnn_gateway_intake_rejects_total")
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"garbage", []byte("this is not a hello")},
+		{"hello without the session flag", noSession},
+	} {
+		before := rejects.Value()
+		c, err := f.dial(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send(tc.frame); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Recv(); err == nil {
+			t.Errorf("%s: gateway answered instead of dropping the connection", tc.name)
+		}
+		c.Close()
+		if got := rejects.Value() - before; got != 1 {
+			t.Errorf("%s: aq2pnn_gateway_intake_rejects_total rose by %d, want 1", tc.name, got)
+		}
 	}
 	if ops := f.backends[0].faults.Ops(); ops != 0 {
-		t.Errorf("backend saw %d operations from a rejected intake, want 0", ops)
+		t.Errorf("backend saw %d operations from rejected intakes, want 0", ops)
 	}
 	if h := f.gw.Health(); h["b0"] != "closed" {
 		t.Errorf("intake garbage scored against a backend: health %v", h)

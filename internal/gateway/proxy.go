@@ -12,10 +12,10 @@ import (
 	"aq2pnn/internal/transport"
 )
 
-// Frame-level session proxying. The client pipelines its hello and (for
-// persistent sessions) attach request before waiting for answers — see
-// Session.establish — so the intake here reads the full routing identity
-// without speaking for any backend. Everything after intake is a blind
+// Frame-level session proxying. The client pipelines its hello and
+// attach request before waiting for answers — see Session.establish — so
+// the intake here reads the full routing identity without speaking for
+// any backend. Everything after intake is a blind
 // splice: the gateway never decodes another frame beyond cheap
 // end/busy-frame classification for health scoring.
 
@@ -81,36 +81,27 @@ func (g *Gateway) proxy(ctx context.Context, client transport.Conn) {
 		))
 	defer sp.End()
 
-	if err := bconn.Send(in.helloFrame); err != nil {
+	err = bconn.Send(in.helloFrame)
+	if err == nil {
+		err = bconn.Send(in.attachFrame)
+	}
+	if err != nil {
 		chosen.brk.failure()
 		g.backendFailures.Add(1)
 		telemetry.Count("aq2pnn_gateway_backend_failures_total", 1)
 		return
 	}
-	if in.attachFrame != nil {
-		if err := bconn.Send(in.attachFrame); err != nil {
-			chosen.brk.failure()
-			g.backendFailures.Add(1)
-			telemetry.Count("aq2pnn_gateway_backend_failures_total", 1)
-			return
-		}
-	}
 	res := splice(client, bconn)
 	// Scoring. A clean end (client's end frame) or a backend-issued busy
-	// reject is healthy routing. One-shot sessions (no session flag) end
-	// in a bare close with no end frame — they stay neutral rather than
-	// blaming a backend for every client disconnect. Otherwise the
-	// backend is at fault only when a client request went unanswered
-	// (last frame moved client→server — the stalled-backend signature)
-	// or undeliverable (the forward to the backend failed with a request
+	// reject is healthy routing. Otherwise the backend is at fault only
+	// when a client request went unanswered (last frame moved
+	// client→server — the stalled-backend signature) or undeliverable (the forward to the backend failed with a request
 	// in hand). A backend that breaks while idle between requests stays
 	// neutral: the next session, or the active prober, will convict it
 	// without passive scoring misfiring on ordinary close races.
 	switch {
 	case res.sawEnd || res.sawBusy:
 		chosen.brk.success()
-	case !in.hello.Session:
-		// Neutral: passive scoring can't see one-shot outcomes.
 	case res.sendFailed || res.lastDir == dirClientToServer:
 		chosen.brk.failure()
 		g.backendFailures.Add(1)
@@ -125,14 +116,13 @@ func (g *Gateway) proxy(ctx context.Context, client transport.Conn) {
 type intakeResult struct {
 	hello       engine.HelloInfo
 	helloFrame  []byte
-	attachFrame []byte // nil for one-shot clients
+	attachFrame []byte
 	key         uint64
 }
 
-// intake reads the client's hello — and, for persistent sessions, its
-// attach request — under the handshake deadline, minting and splicing in
-// a gateway token on fresh opens so the routing key is fixed for the
-// session's whole life.
+// intake reads the client's hello and attach request under the handshake
+// deadline, minting and splicing in a gateway token on fresh opens so the
+// routing key is fixed for the session's whole life.
 func (g *Gateway) intake(client transport.Conn) (intakeResult, error) {
 	var in intakeResult
 	if to := g.cfg.handshakeTimeout(); to > 0 && transport.SetRecvDeadline(client, time.Now().Add(to)) {
@@ -151,34 +141,23 @@ func (g *Gateway) intake(client transport.Conn) (intakeResult, error) {
 		// provider hello here is a misconfigured (or probing) peer.
 		return in, errors.New("gateway: non-user hello")
 	}
-	in.hello, in.helloFrame = hi, helloFrame
-	var token engine.SessionToken
-	if hi.Session {
-		attachFrame, err := client.Recv()
-		if err != nil {
-			return in, err
-		}
-		resume, tok, err := engine.PeekAttachRequest(attachFrame)
-		if err != nil {
-			return in, err
-		}
-		if !resume && tok == (engine.SessionToken{}) {
-			// Fresh open: mint the token here and rewrite the attach into
-			// a resume. The backend's attach miss adopts it (fresh setup,
-			// same token), and every later re-attach — including after
-			// that backend dies — hashes to the same key.
-			tok = g.mintToken()
-			attachFrame = engine.EncodeAttachRequest(true, tok)
-		}
-		token, in.attachFrame = tok, attachFrame
-	} else {
-		// One-shot client: no token on the wire; mint a routing-only one
-		// so one-shot load spreads over the fleet instead of pinning each
-		// model fingerprint's owner.
-		token = g.mintToken()
+	attachFrame, err := client.Recv()
+	if err != nil {
+		return in, err
 	}
-	in.key = routeKey(hi.Model, token)
-	return in, nil
+	resume, token, err := engine.PeekAttachRequest(attachFrame)
+	if err != nil {
+		return in, err
+	}
+	if !resume && token == (engine.SessionToken{}) {
+		// Fresh open: mint the token here and rewrite the attach into a
+		// resume. The backend's attach miss adopts it (fresh setup, same
+		// token), and every later re-attach — including after that
+		// backend dies — hashes to the same key.
+		token = g.mintToken()
+		attachFrame = engine.EncodeAttachRequest(true, token)
+	}
+	return intakeResult{hello: hi, helloFrame: helloFrame, attachFrame: attachFrame, key: routeKey(hi.Model, token)}, nil
 }
 
 // dialBackend makes a single bounded dial attempt — no retry loop:

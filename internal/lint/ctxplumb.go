@@ -12,7 +12,7 @@ import (
 // or context.TODO(), or dialing with the context-less transport.Dial when
 // transport.DialContext exists. A serving engine that drops its context on
 // the floor cannot be cancelled or deadlined, which breaks the concurrent
-// server's shutdown path (PR 1's ServeTCP contract).
+// server's shutdown path (ServeRegistryTCP's drain contract).
 var CtxPlumb = &analysis.Analyzer{
 	Name: "ctxplumb",
 	Doc: "flags blocking transport/pool calls that ignore an available " +
