@@ -4,7 +4,8 @@ package aq2pnn
 // secure inference at different Workers settings. On a multi-core host
 // the pipelined lanes overlap one image's OT rounds with another's GEMMs;
 // on a single CPU the settings coincide (results are bit-identical at
-// every setting either way). BENCH.md records measured numbers.
+// every setting either way). The benchmark's lenet5_local_batch workload
+// (bench/README.md) measures the same path.
 
 import (
 	"fmt"

@@ -1,7 +1,9 @@
 // Command tracecheck validates a Chrome trace-event JSON file emitted by
-// the telemetry subsystem (quickstart -trace, party -trace). CI runs it
-// against the quickstart artifact to pin the export schema: a schema
-// drift that chrome://tracing would silently tolerate fails here.
+// the telemetry subsystem (quickstart -trace, party -trace, the
+// benchmark's traced runs). `make trace` runs it on the quickstart
+// artifact and on the bench/ micro_warm and fleet_micro traces to pin the
+// export schema: a schema drift that chrome://tracing would silently
+// tolerate fails here.
 //
 //	tracecheck trace.json
 //
@@ -11,8 +13,8 @@
 // communication args carry the full counter set; the per-layer byte
 // totals of each phase root sum exactly to that root's own counters —
 // the subsystem's attribution contract, re-verified on the exported
-// artifact rather than in-process; and on session traces (sessionbench
-// -trace, party -trace), the session protocol's structural contract: no
+// artifact rather than in-process; and on session traces (party -trace,
+// the benchmark's), the session protocol's structural contract: no
 // setup span under a steady-state "*.session.infer" root, weight-share
 // exchanges only under open/setup roots, fill-subprotocol spans only
 // under "*.preproc.fill" roots, and — when the trace shows an active

@@ -133,7 +133,8 @@ func TestSessionSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenSession: %v", err)
 	}
-	if s.SetupStats().TotalBytes() == 0 {
+	setup := s.SetupStats()
+	if setup.TotalBytes() == 0 {
 		t.Error("session open reported zero setup traffic")
 	}
 	const inferences = 10
@@ -153,6 +154,9 @@ func TestSessionSteadyState(t *testing.T) {
 			t.Errorf("inference %d reported zero online traffic", i)
 		}
 		online = append(online, res.Online)
+	}
+	if got := s.SetupStats(); got != setup {
+		t.Errorf("setup ledger grew in steady state: %+v after %d inferences, %+v at open", got, inferences, setup)
 	}
 	// Steady state: nothing accumulates across seqs, so every inference's
 	// wire cost is byte-identical (same bytes, messages and rounds).

@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"aq2pnn/internal/engine"
+	"aq2pnn/internal/nn"
+	"aq2pnn/internal/ring"
 	"aq2pnn/internal/testutil"
 	"aq2pnn/internal/transport"
 )
@@ -169,6 +172,93 @@ func TestFleetChaosFailoverBitIdentical(t *testing.T) {
 				}
 			})
 		}
+	}
+	testutil.CheckGoroutines(t, base)
+}
+
+// TestFleetKillUnderLoad: a backend killed while it holds sessions of a
+// concurrent load. Once every session has finished its first inference,
+// one backend that holds a session dies; every session must finish its
+// remaining inferences through the failover path, the victim must leave
+// rotation, and nothing may leak.
+func TestFleetKillUnderLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full networked fleet under load")
+	}
+	base := runtime.NumGoroutine()
+	m := testModel(t)
+	x := testInput(m)
+	scfg := fleetCfg()
+	ccfg := fleetCfg()
+	ccfg.Retries = 8
+	ccfg.RetryBase = 5 * time.Millisecond
+	want, err := m.Forward(x, nn.ForwardOptions{Mode: nn.Ring, Carrier: ring.New(scfg.CarrierBits)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	never := transport.FaultPlan{FailAfter: -1}
+	f := startFleet(t, m, scfg, []transport.FaultPlan{never, never, never}, nil)
+
+	const sessions, inferences = 4, 3
+	var first, all sync.WaitGroup
+	first.Add(sessions)
+	all.Add(sessions)
+	killed := make(chan struct{})
+	errs := make([]error, sessions)
+	run := func() error {
+		firstDone := sync.OnceFunc(first.Done)
+		defer firstDone()
+		ctx := context.Background()
+		s, err := engine.NewClient(f.dial, ccfg).OpenSession(ctx, m)
+		if err != nil {
+			return fmt.Errorf("open: %w", err)
+		}
+		defer s.Close() // may race the dead backend's teardown; outcome not asserted
+		for i := 0; i < inferences; i++ {
+			if i == 1 {
+				firstDone()
+				<-killed
+			}
+			res, err := s.Infer(ctx, x)
+			if err != nil {
+				return fmt.Errorf("inference %d: %w", i, err)
+			}
+			if d := maxAbsDiff(res.Logits, want); d > 32 {
+				return fmt.Errorf("inference %d diverges from plaintext by %d", i, d)
+			}
+		}
+		return nil
+	}
+	for i := range errs {
+		go func() { defer all.Done(); errs[i] = run() }()
+	}
+	first.Wait()
+	victim := -1
+	for i, b := range f.backends {
+		if b.faults.Ops() > 0 { // probes are off, so only sessions touch a backend
+			victim = i
+			b.faults.Kill()
+			break
+		}
+	}
+	close(killed)
+	all.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("session %d: %v", i, err)
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no backend holds a session")
+	}
+	f.stop()
+	st := f.gw.Stats()
+	t.Logf("killed b%d: %+v", victim, st)
+	if st.Reroutes == 0 {
+		t.Errorf("a backend holding sessions died but none was rerouted: %+v", st)
+	}
+	if h := f.gw.Health(); h[fmt.Sprintf("b%d", victim)] == "closed" {
+		t.Errorf("victim b%d's breaker still closed after its death: %v", victim, h)
 	}
 	testutil.CheckGoroutines(t, base)
 }

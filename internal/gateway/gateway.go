@@ -136,7 +136,7 @@ func (c Config) cooldown() transport.Backoff {
 
 // Stats is a snapshot of the gateway's own counters. The same figures
 // are mirrored to the telemetry registry (aq2pnn_gateway_*); the
-// snapshot exists so harnesses and loadgen read them without scraping.
+// snapshot exists so tests and the benchmark read them without scraping.
 type Stats struct {
 	Sessions        uint64 // sessions accepted and routed
 	Shed            uint64 // sessions rejected busy (cap or no backend)

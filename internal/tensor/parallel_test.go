@@ -83,9 +83,31 @@ func TestIm2ColIntParMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestHotKernelsAllocFree is the online hot path's allocation gate: the
+// Into kernels, serial and through a nil pool, write into caller-owned
+// memory and allocate nothing. Allocation-freedom does not depend on size,
+// so small shapes suffice.
+func TestHotKernelsAllocFree(t *testing.T) {
+	g := prg.NewSeeded(53)
+	r := ring.New(32)
+	const d = 64
+	a, b, dst := randMat(g, d*d, r), randMat(g, d*d, r), make([]uint64, d*d)
+	geom := ConvGeom{InC: 2, InH: 8, InW: 8, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	img, cols := randMat(g, geom.InC*geom.InH*geom.InW, r), make([]uint64, geom.Patches()*geom.PatchLen())
+	for name, f := range map[string]func(){
+		"MatMulModInto":    func() { MatMulModInto(dst, a, b, d, d, d, r.Mask) },
+		"MatMulModParInto": func() { MatMulModParInto(nil, dst, a, b, d, d, d, r.Mask) },
+		"Im2ColIntInto":    func() { Im2ColIntInto(cols, img, geom) },
+		"Im2ColIntParInto": func() { Im2ColIntParInto(nil, cols, img, geom) },
+	} {
+		if n := testing.AllocsPerRun(5, f); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, n)
+		}
+	}
+}
+
 // The acceptance benchmark: serial vs Workers:4 on a 512×512×512 modular
-// GEMM. On a multi-core host the parallel variant must be ≥2× faster; run
-// with `make bench` (see BENCH.md for recorded numbers).
+// GEMM. On a multi-core host the parallel variant must be ≥2× faster.
 func benchmarkMatMulMod(b *testing.B, workers uint) {
 	g := prg.NewSeeded(7)
 	r := ring.New(32)
@@ -104,9 +126,9 @@ func BenchmarkMatMulMod512_Workers1(b *testing.B) { benchmarkMatMulMod(b, 1) }
 func BenchmarkMatMulMod512_Workers2(b *testing.B) { benchmarkMatMulMod(b, 2) }
 func BenchmarkMatMulMod512_Workers4(b *testing.B) { benchmarkMatMulMod(b, 4) }
 
-// BenchmarkMatMulMod512 is the allocation gate the CI bench step pins at
-// 0 allocs/op: the serial 512³ modular GEMM through the Into hot path
-// with a caller-owned destination (`make bench-online`).
+// BenchmarkMatMulMod512 is the serial 512³ modular GEMM through the Into
+// hot path with a caller-owned destination; TestHotKernelsAllocFree gates
+// its allocation count.
 func BenchmarkMatMulMod512(b *testing.B) {
 	g := prg.NewSeeded(7)
 	r := ring.New(32)
