@@ -1,0 +1,128 @@
+package engine
+
+import (
+	"context"
+	"encoding/binary"
+	"hash/fnv"
+	"sync"
+	"testing"
+
+	"aq2pnn/internal/nn"
+	"aq2pnn/internal/transport"
+)
+
+// frameDigest chains an FNV-64a over a stream of frames: each step hashes
+// the previous digest followed by the frame, so the result pins both the
+// content and the order.
+type frameDigest struct {
+	sum    uint64
+	frames int
+}
+
+func (d *frameDigest) add(p []byte) {
+	h := fnv.New64a()
+	var prev [8]byte
+	binary.LittleEndian.PutUint64(prev[:], d.sum)
+	h.Write(prev[:])
+	h.Write(p)
+	d.sum = h.Sum64()
+	d.frames++
+}
+
+// transcriptConn digests every frame crossing the client's dialed conn,
+// one chain per direction. With mainOnly (a muxed session) the frames past
+// the hello and attach are folded in only when they carry mux stream 0
+// payload: how many kits the fill stream runs before Close depends on
+// timing, and so does the order of the teardown close controls.
+type transcriptConn struct {
+	transport.Conn
+	mainOnly bool
+
+	mu         sync.Mutex
+	seenSent   int
+	seenRecv   int
+	sent, recv frameDigest
+}
+
+func (c *transcriptConn) keep(seen int, p []byte) bool {
+	return !c.mainOnly || seen <= 2 || (len(p) > 0 && p[0] == transport.StreamMain)
+}
+
+func (c *transcriptConn) Send(p []byte) error {
+	c.mu.Lock()
+	c.seenSent++
+	if c.keep(c.seenSent, p) {
+		c.sent.add(p)
+	}
+	c.mu.Unlock()
+	return c.Conn.Send(p)
+}
+
+func (c *transcriptConn) Recv() ([]byte, error) {
+	p, err := c.Conn.Recv()
+	if err == nil {
+		c.mu.Lock()
+		c.seenRecv++
+		if c.keep(c.seenRecv, p) {
+			c.recv.add(p)
+		}
+		c.mu.Unlock()
+	}
+	return p, err
+}
+
+// TestSessionTranscriptPinned pins the client's wire transcript, byte for
+// byte, for one session of three inferences — cold (inline generation) and
+// warm (banked kits, main stream only). The constants were captured before
+// the session driver was shared between the two parties; the benchmark
+// checks byte counts, this checks byte content.
+func TestSessionTranscriptPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full networked sessions")
+	}
+	for _, tc := range []struct {
+		name                   string
+		bankDepth              int
+		sent, recv             uint64
+		sentFrames, recvFrames int
+	}{
+		{"cold", 0, 0x8e38c0ae9e7a1bdf, 0xbdb872a005aff606, 74, 81},
+		{"warm", 2, 0x358d05a09d07111c, 0x880a990788486f9c, 56, 63},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tinyModel(nn.PoolAvg)
+			cfg := testCfg()
+			cfg.BankDepth = tc.bankDepth
+			h := newSessionHarness(t, m, cfg)
+			var tc0 *transcriptConn
+			h.wrap = func(_ int, c transport.Conn) transport.Conn {
+				tc0 = &transcriptConn{Conn: c, mainOnly: tc.bankDepth > 0}
+				return tc0
+			}
+			s, err := NewClient(h.dial, cfg).OpenSession(context.Background(), m)
+			if err != nil {
+				t.Fatalf("OpenSession: %v", err)
+			}
+			if tc.bankDepth > 0 && !s.WarmupPreproc(2) {
+				t.Fatal("preprocessing plane died during warm-up")
+			}
+			for i := 0; i < 3; i++ {
+				if _, err := s.Infer(context.Background(), input(64)); err != nil {
+					t.Fatalf("inference %d: %v", i, err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			h.wg.Wait()
+			tc0.mu.Lock()
+			defer tc0.mu.Unlock()
+			if tc0.sent.sum != tc.sent || tc0.sent.frames != tc.sentFrames {
+				t.Errorf("sent transcript %#x over %d frames, want %#x over %d", tc0.sent.sum, tc0.sent.frames, tc.sent, tc.sentFrames)
+			}
+			if tc0.recv.sum != tc.recv || tc0.recv.frames != tc.recvFrames {
+				t.Errorf("recv transcript %#x over %d frames, want %#x over %d", tc0.recv.sum, tc0.recv.frames, tc.recv, tc.recvFrames)
+			}
+		})
+	}
+}
