@@ -25,7 +25,7 @@
 // stream over the same connection on which paired background fillers
 // pre-generate each upcoming inference's triple/OT material, taking the
 // generation cost off the online path.
-// -fill-workers and -fill-watermark bound its compute and run-ahead.
+// -fill-workers bounds its compute; the filler runs -bank-depth ahead.
 //
 // Fault tolerance (see docs/robustness.md): both roles exchange a
 // versioned handshake before any setup material crosses the wire, so a
@@ -79,11 +79,10 @@ func main() {
 	maxSessions := flag.Int("max-sessions", 0, "provider: cap on concurrent sessions; excess connections are shed with a transient busy-reject (0 = unlimited)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "provider: cut sessions whose peer stalls mid-frame longer than this (0 = no slow-loris defence)")
 	memBudget := flag.Uint64("mem-budget", 0, "provider: per-session receive-memory budget in bytes; peers declaring past it are rejected before allocation (0 = unlimited)")
-	handshakeTimeout := flag.Duration("handshake-timeout", 0, "bound the wait for the peer's hello (0 = 30s default, negative = none)")
+	handshakeTimeout := flag.Duration("handshake-timeout", 0, "bound the hello and attach exchange (0 = 30s default, negative = none)")
 	sessionCache := flag.Int("session-cache", 0, "provider: detached sessions kept resumable (0 = default 64, negative = disable resumption)")
 	bankDepth := flag.Int("bank-depth", 0, "user: enable the asynchronous preprocessing plane with a kit bank this deep (0 = off; see docs/preprocessing.md)")
 	fillWorkers := flag.Uint("fill-workers", 0, "filler compute parallelism, independent of -workers (0 = all CPUs)")
-	fillWatermark := flag.Uint("fill-watermark", 0, "how many inferences ahead the filler runs (0 = full bank depth)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file on exit")
 	metrics := flag.String("metrics", "", "serve /metrics and /debug/pprof on this address (e.g. :9090; loopback unless a host is given)")
 	flag.Parse()
@@ -95,7 +94,7 @@ func main() {
 		MaxConcurrentSessions: *maxSessions, IdleTimeout: *idleTimeout,
 		MemBudget: *memBudget, HandshakeTimeout: *handshakeTimeout,
 		SessionCache: *sessionCache,
-		BankDepth:    *bankDepth, FillWorkers: *fillWorkers, FillWatermark: *fillWatermark,
+		BankDepth:    *bankDepth, FillWorkers: *fillWorkers,
 	}
 	if *demoGroup {
 		cfg.Group = ot.TestGroup()

@@ -94,7 +94,7 @@ type NetConfig struct {
 	// the model's setup volume. A peer declaring past the budget is
 	// rejected before allocation; 0 = unlimited.
 	MemBudget uint64
-	// HandshakeTimeout bounds the wait for the peer's hello on both TCP
+	// HandshakeTimeout bounds the hello and attach exchange on both TCP
 	// entrypoints; 0 applies the 30s default, negative disables it.
 	HandshakeTimeout time.Duration
 	// SessionCache caps how many detached persistent sessions the provider
@@ -115,10 +115,6 @@ type NetConfig struct {
 	// triple generation online. 0 disables the plane. Warm and cold
 	// inferences reveal byte-identical logits.
 	BankDepth int
-	// FillWatermark is how many inferences ahead of consumption the
-	// preprocessing filler runs; 0 (or anything outside [1, BankDepth])
-	// runs the full bank depth ahead.
-	FillWatermark uint
 }
 
 // InferenceConfig controls every secure-inference entrypoint: local
@@ -161,7 +157,6 @@ func networkConfig(cfg InferenceConfig) engine.Options {
 		HandshakeTimeout:      cfg.HandshakeTimeout,
 		SessionCache:          cfg.SessionCache,
 		BankDepth:             cfg.BankDepth,
-		FillWatermark:         cfg.FillWatermark,
 	}
 	if cfg.DemoGroup {
 		nc.Group = ot.TestGroup()
@@ -200,7 +195,6 @@ type netConfigMirror struct {
 	SessionCache          int
 	MetricsAddr           string
 	BankDepth             int
-	FillWatermark         uint
 }
 
 type engineOptionsMirror struct {
@@ -223,7 +217,6 @@ type engineOptionsMirror struct {
 	SessionCache          int
 	BankDepth             int
 	FillWorkers           uint
-	FillWatermark         uint
 }
 
 var (

@@ -101,9 +101,10 @@ type Options struct {
 	// expected setup volume plus protocol traffic. Exceeding it aborts
 	// the session with a typed *transport.BudgetError; 0 disables it.
 	MemBudget uint64
-	// HandshakeTimeout bounds the hello read at session start on
-	// deadline-capable transports: 0 selects DefaultHandshakeTimeout,
-	// negative disables the bound entirely.
+	// HandshakeTimeout bounds the hello and attach exchange at session
+	// start on deadline-capable transports — never the setup phase behind
+	// it: 0 selects DefaultHandshakeTimeout, negative disables the bound
+	// entirely.
 	HandshakeTimeout time.Duration
 	// SessionCache caps how many detached persistent sessions a serving
 	// Registry keeps resumable (prepared state parked after a client's
@@ -123,18 +124,14 @@ type Options struct {
 	// the online path's CPUs. 0 uses GOMAXPROCS. Ignored when BankDepth
 	// is 0.
 	FillWorkers uint
-	// FillWatermark is how many inferences ahead of consumption the filler
-	// runs (the fill-ahead watermark). 0 or anything outside [1, BankDepth]
-	// selects BankDepth. Ignored when BankDepth is 0.
-	FillWatermark uint
 }
 
-// DefaultHandshakeTimeout bounds the hello read when
+// DefaultHandshakeTimeout bounds the hello and attach exchange when
 // Options.HandshakeTimeout is zero: generous against slow networks,
 // finite against peers that connect and never speak.
 const DefaultHandshakeTimeout = 30 * time.Second
 
-// handshakeTimeout resolves the configured hello deadline.
+// handshakeTimeout resolves the configured handshake deadline.
 func (c Options) handshakeTimeout() time.Duration {
 	switch {
 	case c.HandshakeTimeout < 0:
@@ -457,76 +454,19 @@ func (p *Party) runFC(i int, op *nn.FC, in []uint64) ([]uint64, error) {
 	return out, nil
 }
 
-// RunLocal performs a complete in-process secure inference: shares the
-// model and input, prepares both parties, executes the protocol and
-// reveals the logits (to party i, the user).
+// RunLocal performs a complete in-process secure inference — a batch of
+// one: shares the model and input, prepares both parties, executes the
+// protocol and reveals the logits (to party i, the user).
 func RunLocal(m *nn.Model, x []int64, cfg Options) (*Result, error) {
-	r := cfg.Carrier(m)
-	if len(x) != m.InputShape().Numel() {
-		return nil, fmt.Errorf("engine: input length %d, want %d", len(x), m.InputShape().Numel())
-	}
-	sess := secure.NewLocalSession(saltedSeed(cfg.Seed, 0x5E5510CA))
-	defer sess.Close()
-	sess.P0.LocalTrunc = cfg.LocalTrunc
-	sess.P1.LocalTrunc = cfg.LocalTrunc
-	pool := cfg.Pool()
-	sess.P0.Pool = pool
-	sess.P1.Pool = pool
-	g := prg.NewSeeded(saltedSeed(cfg.Seed, 0xA92B11E5D00DF00D))
-	ws0, ws1, err := SplitModel(g, m, r)
+	b, err := RunLocalBatch(m, [][]int64{x}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	x0, x1 := share.SplitVec(g, r, r.FromInts(x))
-
-	reluRing := reluRingFor(cfg, r)
-	var profile []OpProfile
-	party0 := &Party{Ctx: sess.P0, Model: m, Weights: ws0, R: r, ReLURing: reluRing, Pool: pool, Profile: &profile}
-	party1 := &Party{Ctx: sess.P1, Model: m, Weights: ws1, R: r, ReLURing: reluRing, Pool: pool}
-
-	// Setup phase: weight preparation (F openings). Each party's flow gets
-	// its own root span (and scope), since the two run concurrently.
-	sp0 := cfg.Trace.Root("p0.setup", telemetry.WithConn(sess.P0.Conn))
-	sp1 := cfg.Trace.Root("p1.setup", telemetry.WithConn(sess.P1.Conn))
-	sess.P0.SetTrace(telemetry.NewScope(sp0))
-	sess.P1.SetTrace(telemetry.NewScope(sp1))
-	err = sess.Run(
-		func(*secure.Context) error { return party0.Prepare() },
-		func(*secure.Context) error { return party1.Prepare() },
-	)
-	sp0.End()
-	sp1.End()
-	if err != nil {
-		return nil, err
+	res := &Result{Class: -1, Setup: b.Setup, Online: b.Online, PerOp: b.PerOp, Carrier: b.Carrier}
+	if cfg.RevealClassOnly {
+		res.Class = b.Classes[0]
+	} else {
+		res.Logits = b.Logits[0]
 	}
-	setup, _ := sess.Stats()
-	sess.ResetStats()
-
-	// Online phase: fresh per-party root spans, created after the stats
-	// reset so their communication deltas equal the online Stats exactly.
-	in0 := cfg.Trace.Root("p0.infer", telemetry.WithConn(sess.P0.Conn),
-		telemetry.WithAttrs(telemetry.Int("carrier_bits", int64(r.Bits))))
-	in1 := cfg.Trace.Root("p1.infer", telemetry.WithConn(sess.P1.Conn),
-		telemetry.WithAttrs(telemetry.Int("carrier_bits", int64(r.Bits))))
-	sess.P0.SetTrace(telemetry.NewScope(in0))
-	sess.P1.SetTrace(telemetry.NewScope(in1))
-	var logits []int64
-	class := -1
-	run := func(p *Party, x []uint64) func(*secure.Context) error {
-		return func(*secure.Context) error {
-			l, cl, err := p.inferReveal(cfg, x)
-			if p.Ctx.Party == share.PartyI {
-				logits, class = l, cl
-			}
-			return err
-		}
-	}
-	err = sess.Run(run(party0, x0), run(party1, x1))
-	in0.End()
-	in1.End()
-	if err != nil {
-		return nil, err
-	}
-	online, _ := sess.Stats()
-	return &Result{Logits: logits, Class: class, Setup: setup, Online: online, PerOp: profile, Carrier: r}, nil
+	return res, nil
 }

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"time"
 
 	"aq2pnn/internal/nn"
 	"aq2pnn/internal/ring"
@@ -83,11 +85,41 @@ const (
 	flagPreproc = 1 << 4
 )
 
-// Handshake roles.
+// Handshake roles. They double as the party index every session step and
+// seed derivation is keyed by.
 const (
 	roleUser     = 0
 	roleProvider = 1
 )
+
+// roleNames prefixes each party's telemetry roots ("user.session.open",
+// "provider.preproc.fill", ...).
+var roleNames = [2]string{roleUser: "user", roleProvider: "provider"}
+
+// armHandshake arms the handshake deadline on conn and returns its
+// disarm. Both roles arm it before the hello and disarm it right after
+// the attach answer, so it bounds exactly the hello and attach exchange —
+// the rule the gateway's intake applies too — and never the setup phase
+// behind it, whose length grows with the model and the link.
+func armHandshake(conn transport.Conn, cfg Options) (disarm func()) {
+	if to := cfg.handshakeTimeout(); to > 0 && transport.SetRecvDeadline(conn, time.Now().Add(to)) {
+		return func() { transport.SetRecvDeadline(conn, time.Time{}) }
+	}
+	return func() {}
+}
+
+// recvHandshake reads the peer's hello or attach frame. A read cut short
+// by the handshake deadline is a typed *HandshakeError naming it.
+func recvHandshake(conn transport.Conn, frame string) ([]byte, error) {
+	p, err := conn.Recv()
+	switch {
+	case errors.Is(err, transport.ErrIdleTimeout):
+		return nil, &HandshakeError{Field: frame + " read", Err: err}
+	case err != nil:
+		return nil, fmt.Errorf("engine: receiving session %s: %w", frame, err)
+	}
+	return p, nil
+}
 
 // sessionHello is one party's view of the session parameters.
 type sessionHello struct {
@@ -113,7 +145,7 @@ type HandshakeError struct {
 	Field       string
 	Local, Peer uint64
 	// Err, when non-nil, is the underlying transport failure (e.g. the
-	// idle-timeout that cut short a stalled hello read).
+	// idle-timeout that cut short a stalled hello or attach read).
 	Err error
 }
 

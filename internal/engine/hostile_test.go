@@ -385,47 +385,96 @@ func TestHandshakeRejectsTruncatedAndGarbage(t *testing.T) {
 	}
 }
 
-// TestHandshakeStallFailsFast: a peer that opens a session, delivers
-// three bytes and stalls must be cut off by the handshake deadline, not
-// pin the provider until the TCP keepalive gives up.
+// TestHandshakeStallFailsFast: a peer that opens a session and stalls
+// anywhere inside the hello and attach exchange must be cut off by the
+// handshake deadline, not hold an admission slot until the TCP keepalive
+// gives up. The typed error names the read that stalled.
 func TestHandshakeStallFailsFast(t *testing.T) {
 	m := tinyModel(nn.PoolAvg)
 	cfg := testCfg()
 	cfg.HandshakeTimeout = 300 * time.Millisecond
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		opens []byte
+		field string
+	}{
+		{"three bytes then silence", []byte{1, 2, 3}, "hello read"},
+		{"valid hello, no attach", rawFrame(userHello(m, cfg).encode()), "attach read"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			accepted := make(chan net.Conn, 1)
+			go func() {
+				c, err := l.Accept()
+				if err != nil {
+					return
+				}
+				accepted <- c
+			}()
+			cl, err := net.Dial("tcp", l.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if _, err := cl.Write(tc.opens); err != nil {
+				t.Fatal(err)
+			}
+			conn := transport.NewNetConn(<-accepted)
+			defer conn.Close()
+			done := make(chan error, 1)
+			go func() { done <- provideConn(conn, registryOf(t, m), cfg) }()
+			select {
+			case err = <-done:
+			case <-time.After(time.Second):
+				conn.Close()
+				<-done
+				t.Fatalf("provider still blocked 1s into a stalled handshake, want cut off at ~300ms")
+			}
+			var he *HandshakeError
+			if !errors.As(err, &he) || he.Field != tc.field {
+				t.Fatalf("stalled handshake produced %v, want *HandshakeError{Field: %q}", err, tc.field)
+			}
+			if !errors.Is(err, transport.ErrIdleTimeout) {
+				t.Errorf("stalled handshake error %v does not carry ErrIdleTimeout", err)
+			}
+		})
 	}
-	defer l.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, err := l.Accept()
+}
+
+// TestHandshakeDeadlineEndsAtAttach: the handshake deadline bounds the
+// hello and attach exchange only. A client whose setup phase outlasts it —
+// here the first setup read stalls past the deadline — must still open.
+func TestHandshakeDeadlineEndsAtAttach(t *testing.T) {
+	m := tinyModel(nn.PoolAvg)
+	cfg := testCfg()
+	cfg.HandshakeTimeout = 200 * time.Millisecond
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addr, done := serveOnce(t, ctx, cfg, m, 1, nil)
+	dial := func(ctx context.Context) (transport.Conn, error) {
+		c, err := transport.DialContext(ctx, addr, 5*time.Second)
 		if err != nil {
-			return
+			return nil, err
 		}
-		accepted <- c
-	}()
-	cl, err := net.Dial("tcp", l.Addr().String())
+		// Ops 0-3 are the hello send, attach send, hello recv and attach
+		// recv; op 4 is the first setup read.
+		return transport.NewChaosConn(c, transport.FaultPlan{FailAfter: -1, Stall: 500 * time.Millisecond, StallAt: 4}), nil
+	}
+	s, err := NewClient(dial, cfg).OpenSession(ctx, m)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("OpenSession with a setup slower than the handshake deadline: %v", err)
 	}
-	defer cl.Close()
-	if _, err := cl.Write([]byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
+	if _, err := s.Infer(ctx, input(64)); err != nil {
+		t.Errorf("Infer: %v", err)
 	}
-	conn := transport.NewNetConn(<-accepted)
-	defer conn.Close()
-	start := time.Now()
-	err = provideConn(conn, registryOf(t, m), cfg)
-	elapsed := time.Since(start)
-	var he *HandshakeError
-	if !errors.As(err, &he) {
-		t.Fatalf("stalled handshake produced %v, want *HandshakeError", err)
+	if err := s.Close(); err != nil {
+		t.Errorf("Close: %v", err)
 	}
-	if !errors.Is(err, transport.ErrIdleTimeout) {
-		t.Errorf("stalled handshake error %v does not carry ErrIdleTimeout", err)
-	}
-	if elapsed > 2*time.Second {
-		t.Errorf("handshake stall took %v to fail, want ~300ms", elapsed)
+	if err := <-done; err != nil {
+		t.Errorf("provider: %v", err)
 	}
 }

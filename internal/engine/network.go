@@ -6,39 +6,21 @@ import (
 	"aq2pnn/internal/ring"
 	"aq2pnn/internal/secure"
 	"aq2pnn/internal/share"
-	"aq2pnn/internal/telemetry"
 	"aq2pnn/internal/transport"
 	"aq2pnn/internal/triple"
 )
 
-// tracePhase runs f under a fresh root span scoped to the context's
-// connection (one lane per protocol phase; the span's comm delta is that
-// phase's traffic). With tracing disabled it adds two nil-checks.
-func tracePhase(tr *telemetry.Tracer, ctx *secure.Context, name string, f func() error) error {
-	sp := tr.Root(name, telemetry.WithConn(ctx.Conn))
-	defer sp.End()
-	ctx.SetTrace(telemetry.NewScope(sp))
-	return f()
-}
-
 // Two-process deployment: the same operators as RunLocal, but over a real
 // transport with no trusted dealer — OT correlations are harvested through
 // base OTs and IKNP extension on the wire and Beaver triple families are
-// generated with the Gilboa protocol. The session client and provider
-// (sessionclient.go, sessionprovider.go) are the only networked protocol,
-// emulating the paper's two-board setup.
+// generated with the Gilboa protocol. The session (session.go) is the only
+// networked protocol, emulating the paper's two-board setup.
 
 // NewNetworkContext builds a party context over a live connection with
 // harvest-backed OT and Gilboa triple families.
 func NewNetworkContext(party int, conn transport.Conn, cfg Options) *secure.Context {
 	rng := prg.NewSeeded(saltedSeed(cfg.Seed, uint64(party)*7919))
-	grp := cfg.Group
-	if grp.P == nil {
-		grp = ot.DefaultGroup()
-	}
-	ep := ot.NewEndpoint(party, conn, rng.Fork())
-	ep.HarvestGroup = grp
-	ep.UseExtension = true
+	ep := newOTEndpoint(party, conn, cfg, rng.Fork())
 	gilboaRng := rng.Fork()
 	return &secure.Context{
 		Party:      share.Party(party),
@@ -52,6 +34,20 @@ func NewNetworkContext(party int, conn transport.Conn, cfg Options) *secure.Cont
 			return triple.NewGilboaFamily(ep, gilboaRng.Fork(), party, r, k, n), nil
 		},
 	}
+}
+
+// newOTEndpoint builds party's networked OT endpoint over conn: base OTs
+// harvested in the configured group (the production default when unset),
+// then IKNP extension. Every networked OT flow starts here — the online
+// contexts and the fill plane's kit generation alike.
+func newOTEndpoint(party int, conn transport.Conn, cfg Options, rng *prg.PRG) *ot.Endpoint {
+	ep := ot.NewEndpoint(party, conn, rng)
+	ep.HarvestGroup = cfg.Group
+	if ep.HarvestGroup.P == nil {
+		ep.HarvestGroup = ot.DefaultGroup()
+	}
+	ep.UseExtension = true
+	return ep
 }
 
 // reluRingFor resolves the contracted ABReLU ring: the zero Ring when the

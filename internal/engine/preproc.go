@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"aq2pnn/internal/nn"
-	"aq2pnn/internal/ot"
 	"aq2pnn/internal/parallel"
 	"aq2pnn/internal/preproc"
 	"aq2pnn/internal/prg"
-	"aq2pnn/internal/ring"
 	"aq2pnn/internal/telemetry"
 	"aq2pnn/internal/transport"
 	"aq2pnn/internal/triple"
@@ -70,23 +68,17 @@ func preprocLayers(m *nn.Model) []preproc.Layer {
 // interactive Gilboa generation for every linear layer. The produced kit
 // is bit-identical to the triples an inline cold inference of the same seq
 // would generate.
-func preprocGen(pconn transport.Conn, party int, cfg Options, r ring.Ring,
-	layers []preproc.Layer, bShares map[int][]uint64, pool *parallel.Pool) preproc.GenFunc {
-	grp := cfg.Group
-	if grp.P == nil {
-		grp = ot.DefaultGroup()
-	}
+func preprocGen(pconn transport.Conn, party int, cfg Options, st *sessionState, pool *parallel.Pool) preproc.GenFunc {
+	layers := preprocLayers(st.model)
 	return func(seq uint32, root *telemetry.Span) (*preproc.Kit, error) {
 		icfg := inferOptions(cfg, seq)
 		rng := prg.NewSeeded(saltedSeed(icfg.Seed, preprocSeedSalt+uint64(party)*7919))
-		ep := ot.NewEndpoint(party, pconn, rng.Fork())
-		ep.HarvestGroup = grp
-		ep.UseExtension = true
+		ep := newOTEndpoint(party, pconn, cfg, rng.Fork())
 		ep.Trace = telemetry.NewScope(root)
 		famRng := prg.NewSeeded(inferFamSeed(icfg, party))
 		mats := make(map[int]*triple.Mat, len(layers))
 		for _, l := range layers {
-			fam := triple.NewGilboaFamilyFixed(ep, famRng.Fork(), party, r, l.K, l.N, bShares[l.Node])
+			fam := triple.NewGilboaFamilyFixed(ep, famRng.Fork(), party, st.r, l.K, l.N, st.bShares[l.Node])
 			fam.Pool = pool
 			mat, err := fam.Generate(l.M)
 			if err != nil {
@@ -98,15 +90,30 @@ func preprocGen(pconn transport.Conn, party int, cfg Options, r ring.Ring,
 	}
 }
 
+// startFill launches party's background filler over the preprocessing
+// substream. loop is the role's fill loop over its kit buffer —
+// preproc.FillClient on the user's Bank, preproc.FillProvider on the
+// provider's Store — fed by a generator replaying the cold path's per-seq
+// derivations (see preprocGen). A filler failure only degrades the plane:
+// the loop closes the substream, the peer's filler exits symmetrically,
+// and every later inference generates its triples inline on the main
+// stream. join closes the substream and waits for the filler to exit; a
+// filler blocked mid-exchange is unblocked by the peer's symmetric close,
+// or by the caller closing the main stream first.
+func startFill(pconn transport.Conn, party int, cfg Options, st *sessionState, loop func(preproc.Filler) error) (join func()) {
+	pc := wrapPreprocConn(party, pconn)
+	gen := preprocGen(pc, party, cfg, st, parallel.New(cfg.FillWorkers))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = loop(preproc.Filler{Conn: pc, Trace: cfg.Trace, Root: roleNames[party] + ".preproc.fill", Gen: gen})
+	}()
+	return func() {
+		pc.Close()
+		<-done
+	}
+}
+
 // preprocOn reports whether the session should negotiate the preprocessing
 // plane.
 func (c Options) preprocOn() bool { return c.BankDepth > 0 }
-
-// fillWatermark resolves the fill-ahead watermark knob (0 = run the full
-// bank depth ahead; NewBank clamps out-of-range values).
-func (c Options) fillWatermark() int {
-	if c.FillWatermark == 0 {
-		return c.BankDepth
-	}
-	return int(c.FillWatermark)
-}

@@ -30,6 +30,13 @@ import (
 // accumulates across seqs), and a re-run of an interrupted seq after a transport fault replays the same
 // transcript bit for bit — the resumption token lets the client re-attach
 // to the provider's parked state instead of replaying setup.
+//
+// Both parties run a session through the same party-indexed steps: the
+// handshake deadline (armHandshake), the setup (openState), the fill plane
+// (startFill) and the per-seq inference (inferSeq). Each takes the role's
+// own step as an argument and branches on the party only to name its
+// telemetry roots and salt its seeds; sessionclient.go and
+// sessionprovider.go hold the role-specific control flow around them.
 
 // SessionToken identifies a provider-side persistent session for
 // re-attachment after a transport fault. It is an opaque capability in the
@@ -211,6 +218,26 @@ func sessionFamSeed(cfg Options, party int, token SessionToken) uint64 {
 	return mix64(cfg.Seed ^ famSeedSalt ^ binary.LittleEndian.Uint64(token[:8]) + uint64(party)*7919)
 }
 
+// openState runs one party's setup half under its "<role>.session.open"
+// root: the role's weight-share step inside the exchange.shares span — the
+// user receives and validates its share, the provider sends the
+// registry's cached payload — then the F openings (newSessionState) over
+// the B masks drawn for this session's token.
+func openState(conn transport.Conn, party int, cfg Options, m *nn.Model, r ring.Ring, token SessionToken,
+	exchange func() (*WeightShares, error)) (*sessionState, error) {
+	ctx := NewNetworkContext(party, conn, cfg)
+	sp := cfg.Trace.Root(roleNames[party]+".session.open", telemetry.WithConn(conn))
+	defer sp.End()
+	ctx.SetTrace(telemetry.NewScope(sp))
+	esp := ctx.Trace.Enter("exchange.shares")
+	weights, err := exchange()
+	ctx.Trace.Exit(esp)
+	if err != nil {
+		return nil, err
+	}
+	return newSessionState(ctx, m, r, weights, sessionFamSeed(cfg, party, token))
+}
+
 // inferFamSeed derives inference seq's per-layer family stream for one
 // party from the already-derived per-inference options. Both the inline
 // (cold) bind and the preprocessing plane's kit generation use it, which
@@ -257,11 +284,29 @@ func (st *sessionState) bindInfer(conn transport.Conn, party int, cfg Options, s
 	return ctx, p
 }
 
-// sessionInferRoot opens the per-inference telemetry root, tagged with the
-// seq so the trace distinguishes steady-state inferences.
-func sessionInferRoot(tr *telemetry.Tracer, conn transport.Conn, name string, seq uint32) *telemetry.Span {
-	return tr.Root(name, telemetry.WithConn(conn),
+// inferSeq runs one party's inference seq over the live connection: a
+// fresh per-seq executor (bindInfer) under the party's
+// "<role>.session.infer" root, the role's input step — the user sends the
+// request and the provider's share of the input, the provider receives
+// that share — in the input.share span, then the online protocol and the
+// reveal. Only the
+// user's logits and class are meaningful; profile, when non-nil, receives
+// the per-node costs. Errors carry the seq.
+func (st *sessionState) inferSeq(conn transport.Conn, party int, cfg Options, seq uint32, kit *preproc.Kit,
+	profile *[]OpProfile, input func() ([]uint64, error)) (logits []int64, class int, err error) {
+	ctx, p := st.bindInfer(conn, party, cfg, seq, kit)
+	p.Profile = profile
+	sp := cfg.Trace.Root(roleNames[party]+".session.infer", telemetry.WithConn(conn),
 		telemetry.WithAttrs(telemetry.Int("seq", int64(seq))))
+	defer sp.End()
+	ctx.SetTrace(telemetry.NewScope(sp))
+	isp := ctx.Trace.Enter("input.share")
+	x, err := input()
+	ctx.Trace.Exit(isp)
+	if err == nil {
+		logits, class, err = p.inferReveal(cfg, x)
+	}
+	return logits, class, sessionError(seq, err)
 }
 
 // sessionError prefixes a session-phase failure with its seq for

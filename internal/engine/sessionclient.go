@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"aq2pnn/internal/nn"
-	"aq2pnn/internal/parallel"
 	"aq2pnn/internal/preproc"
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/ring"
@@ -58,12 +57,11 @@ type Session struct {
 	seq    uint32
 	setup  transport.Stats
 	closed bool
-	// Preprocessing plane (BankDepth > 0): the fill substream, the kit
-	// bank the background filler commits into, and the filler's exit
-	// signal. All nil/zero when the plane is off.
-	pconn    transport.Conn
+	// Preprocessing plane (BankDepth > 0): the kit bank the background
+	// filler commits into, and the filler's join. Both nil when the plane
+	// is off.
 	bank     *preproc.Bank
-	fillDone chan struct{}
+	joinFill func()
 }
 
 // OpenSession establishes a persistent session for the model: handshake,
@@ -150,9 +148,7 @@ func (s *Session) establish(ctx context.Context, resume bool) error {
 	// hello here would deadlock the intake. The handshake deadline spans
 	// both answers: a peer (or proxy) that accepts the frames then stalls
 	// fails fast, typed.
-	if to := cfg.handshakeTimeout(); to > 0 && transport.SetRecvDeadline(conn, time.Now().Add(to)) {
-		defer transport.SetRecvDeadline(conn, time.Time{})
-	}
+	disarm := armHandshake(conn, cfg)
 	sendErr := conn.Send(h.encode())
 	if sendErr == nil {
 		sendErr = conn.Send(encodeAttach(attachReqMagic, attachFrame{flag: resume, token: s.token}))
@@ -163,15 +159,12 @@ func (s *Session) establish(ctx context.Context, resume bool) error {
 		// sends; its answer, already queued, is the better diagnosis.
 		sendErr = fmt.Errorf("engine: sending session open: %w", sendErr)
 	}
-	p, err := conn.Recv()
+	p, err := recvHandshake(conn, "hello")
 	if err != nil {
 		if sendErr != nil {
 			return sendErr
 		}
-		if errors.Is(err, transport.ErrIdleTimeout) {
-			return &HandshakeError{Field: "hello read", Err: err}
-		}
-		return fmt.Errorf("engine: receiving session hello: %w", err)
+		return err
 	}
 	peer, err := decodeHello(p)
 	if err != nil {
@@ -183,10 +176,11 @@ func (s *Session) establish(ctx context.Context, resume bool) error {
 	if sendErr != nil {
 		return sendErr
 	}
-	frame, err := conn.Recv()
+	frame, err := recvHandshake(conn, "attach")
 	if err != nil {
-		return fmt.Errorf("engine: receiving session attach: %w", err)
+		return err
 	}
+	disarm()
 	resp, err := decodeAttach(attachRespMagic, frame)
 	if err != nil {
 		return err
@@ -209,25 +203,14 @@ func (s *Session) establish(ctx context.Context, resume bool) error {
 		// Fresh setup (first open, or the token missed — expired, evicted
 		// or a restarted provider — and the provider fell back to a fresh
 		// session under a new token).
-		nctx := NewNetworkContext(0, conn, cfg)
-		var st *sessionState
-		if err := tracePhase(cfg.Trace, nctx, "user.session.open", func() error {
-			var wp *WeightShares
-			if err := func() error {
-				sp := nctx.Trace.Enter("exchange.shares")
-				defer nctx.Trace.Exit(sp)
-				var err error
-				if wp, err = recvShares(conn, s.r.Bytes()); err != nil {
-					return fmt.Errorf("engine: receiving weight shares: %w", err)
-				}
-				return validateWirePayload(s.m, wp)
-			}(); err != nil {
-				return err
+		st, err := openState(conn, roleUser, cfg, s.m, s.r, s.token, func() (*WeightShares, error) {
+			wp, err := recvShares(conn, s.r.Bytes())
+			if err != nil {
+				return nil, fmt.Errorf("engine: receiving weight shares: %w", err)
 			}
-			var err error
-			st, err = newSessionState(nctx, s.m, s.r, wp, sessionFamSeed(cfg, 0, s.token))
-			return err
-		}); err != nil {
+			return wp, validateWirePayload(s.m, wp)
+		})
+		if err != nil {
 			return err
 		}
 		s.st = st
@@ -242,52 +225,28 @@ func (s *Session) establish(ctx context.Context, resume bool) error {
 	s.conn = conn
 	ok = true
 	if pconn != nil {
-		s.startFill(pconn)
+		// The bank starts at the next seq this session will run; the
+		// filler owns pconn and teardownPreproc joins it.
+		bank := preproc.NewBank(s.seq, cfg.BankDepth)
+		s.bank = bank
+		s.joinFill = startFill(pconn, roleUser, cfg, s.st, func(f preproc.Filler) error { return preproc.FillClient(f, bank) })
 	}
 	return nil
-}
-
-// startFill launches the background filler over the preprocessing
-// substream: a bank sized by the knobs, starting at the next seq this
-// session will run, and a generator replaying the cold path's per-seq
-// derivations (see preprocGen). The filler owns pconn; teardownPreproc
-// joins it.
-func (s *Session) startFill(pconn transport.Conn) {
-	cfg := s.c.cfg
-	pc := wrapPreprocConn(0, pconn)
-	bank := preproc.NewBank(s.seq, cfg.BankDepth, cfg.fillWatermark())
-	gen := preprocGen(pc, 0, cfg, s.r, preprocLayers(s.m), s.st.bShares, parallel.New(cfg.FillWorkers))
-	done := make(chan struct{})
-	s.pconn, s.bank, s.fillDone = pc, bank, done
-	go func() {
-		defer close(done)
-		// A filler failure only degrades: it marks the bank dead, after
-		// which every Take misses and the online path generates inline.
-		_ = preproc.FillClient(preproc.Filler{
-			Conn: pc, Trace: cfg.Trace, Root: "user.preproc.fill", Gen: gen,
-		}, bank)
-	}()
 }
 
 // teardownPreproc stops the fill plane and joins the filler: the bank
 // stops handing out seqs, the substream closes (the close control lets
 // the provider's filler exit cleanly; a filler blocked mid-exchange is
-// unblocked by the peer's symmetric close or by closeMain below), and the
-// filler goroutine is awaited — no leak under any exit path. closeMain
-// additionally tears down the whole mux first, which force-unblocks a
-// filler parked on a connection that will make no more progress (the
-// fault path, where the main conn is being abandoned anyway).
-func (s *Session) teardownPreproc(closeMain bool) {
-	if s.fillDone == nil {
+// unblocked by the peer's symmetric close, or by the caller closing the
+// main stream first), and the filler goroutine is awaited — no leak under
+// any exit path.
+func (s *Session) teardownPreproc() {
+	if s.joinFill == nil {
 		return
 	}
 	s.bank.Stop()
-	if closeMain && s.conn != nil {
-		s.conn.Close()
-	}
-	s.pconn.Close()
-	<-s.fillDone
-	s.pconn, s.bank, s.fillDone = nil, nil, nil
+	s.joinFill()
+	s.bank, s.joinFill = nil, nil
 }
 
 // Infer runs one secure inference over the session. A transiently failed
@@ -322,11 +281,12 @@ func (s *Session) Infer(ctx context.Context, x []int64) (*Result, error) {
 			err = ctx.Err()
 		}
 		if err != nil {
-			s.teardownPreproc(true)
-			if s.conn != nil {
-				s.conn.Close()
-				s.conn = nil
-			}
+			// Abandon the connection before joining the filler: closing the
+			// main stream tears down the whole mux, which force-unblocks a
+			// filler parked on a connection that will make no more progress.
+			s.conn.Close()
+			s.conn = nil
+			s.teardownPreproc()
 			return err
 		}
 		res = r
@@ -372,43 +332,24 @@ func (s *Session) inferAttempt(x []int64) (*Result, error) {
 			telemetry.Count("aq2pnn_preproc_starvation_total", 1)
 		}
 	}
-	icfg := inferOptions(cfg, seq)
-	nctx, p := s.st.bindInfer(conn, 0, cfg, seq, kit)
 	var profile []OpProfile
-	p.Profile = &profile
-	var logits []int64
-	class := -1
-	err := func() error {
-		sp := sessionInferRoot(cfg.Trace, conn, "user.session.infer", seq)
-		defer sp.End()
-		nctx.SetTrace(telemetry.NewScope(sp))
-		var x0 []uint64
-		if err := func() error {
-			isp := nctx.Trace.Enter("input.share")
-			defer nctx.Trace.Exit(isp)
-			if err := conn.Send(encodeInferReq(seq, kit != nil)); err != nil {
-				return fmt.Errorf("sending inference request: %w", err)
-			}
-			// The input split PRG derives from the per-inference seed, so a
-			// replayed seq re-derives the identical shares — a requirement
-			// for bit-identical resumption under faithful truncation, whose
-			// ±1 LSB depends on the concrete share values.
-			g := prg.NewSeeded(saltedSeed(icfg.Seed, 0x1272C0DE))
-			var x1 []uint64
-			x0, x1 = share.SplitVec(g, s.r, s.r.FromInts(x))
-			if err := transport.SendElems(conn, s.r, x1); err != nil {
-				return fmt.Errorf("sending input share: %w", err)
-			}
-			return nil
-		}(); err != nil {
-			return err
+	logits, class, err := s.st.inferSeq(conn, roleUser, cfg, seq, kit, &profile, func() ([]uint64, error) {
+		if err := conn.Send(encodeInferReq(seq, kit != nil)); err != nil {
+			return nil, fmt.Errorf("sending inference request: %w", err)
 		}
-		var err error
-		logits, class, err = p.inferReveal(cfg, x0)
-		return err
-	}()
+		// The input split PRG derives from the per-inference seed, so a
+		// replayed seq re-derives the identical shares — a requirement
+		// for bit-identical resumption under faithful truncation, whose
+		// ±1 LSB depends on the concrete share values.
+		g := prg.NewSeeded(saltedSeed(inferOptions(cfg, seq).Seed, 0x1272C0DE))
+		x0, x1 := share.SplitVec(g, s.r, s.r.FromInts(x))
+		if err := transport.SendElems(conn, s.r, x1); err != nil {
+			return nil, fmt.Errorf("sending input share: %w", err)
+		}
+		return x0, nil
+	})
 	if err != nil {
-		return nil, sessionError(seq, err)
+		return nil, err
 	}
 	online := conn.Stats()
 	conn.ResetStats()
@@ -429,7 +370,7 @@ func (s *Session) Close() error {
 	// Stop the fill plane first: the filler drains its in-flight exchange
 	// (or fails fast on the closed substream) before the end frame tells
 	// the provider to drop the session.
-	s.teardownPreproc(false)
+	s.teardownPreproc()
 	//lint:allow sendcheck best-effort end frame on close; a peer that already hung up simply misses it
 	_ = s.conn.Send(encodeEnd())
 	err := s.conn.Close()
@@ -438,7 +379,7 @@ func (s *Session) Close() error {
 }
 
 // WarmupPreproc blocks until the preprocessing bank holds at least n kits
-// (clamped to the fill-ahead watermark) and reports whether the level was
+// (clamped to the bank depth) and reports whether the level was
 // reached — false when the plane is off or died first. Benchmarks use it
 // to move the initial fill wait off the measured online path.
 func (s *Session) WarmupPreproc(n int) bool {
@@ -458,13 +399,13 @@ func (s *Session) WarmupPreproc(n int) bool {
 // plane was drained. A faulted-and-resumed session restarts a fresh
 // plane, discarding the drained bank's leftovers.
 func (s *Session) DrainPreproc() bool {
-	if s.fillDone == nil {
+	if s.joinFill == nil {
 		return false
 	}
 	// teardownPreproc forgets the bank along with the filler; a drain
 	// keeps it, stopped, so Take serves the banked kits until they run out.
 	bank := s.bank
-	s.teardownPreproc(false)
+	s.teardownPreproc()
 	s.bank = bank
 	return true
 }

@@ -63,7 +63,7 @@ func TestTraceAttributionExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertExactAttribution(t, tr, "p0.infer", &res.Online)
+	assertExactAttribution(t, tr, "p0.image0", &res.Online)
 	// Setup: the whole phase is one Prepare call per party, so the root's
 	// delta IS the setup stats (children are the per-layer prepare spans).
 	spans := tr.Spans()
@@ -113,18 +113,18 @@ func TestTraceAttributionLeNet5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertExactAttribution(t, tr, "p0.infer", &res.Online)
+	assertExactAttribution(t, tr, "p0.image0", &res.Online)
 	// Party 1's endpoint sees the mirror image of party 0's traffic (its
 	// own round count — the two differ because rounds are counted at the
 	// receiver — so only the byte/message mirror is asserted).
-	assertExactAttribution(t, tr, "p1.infer", nil)
+	assertExactAttribution(t, tr, "p1.image0", nil)
 	for _, r := range tr.Spans() {
-		if r.Parent != 0 || r.Name != "p1.infer" {
+		if r.Parent != 0 || r.Name != "p1.image0" {
 			continue
 		}
 		if r.Comm.BytesSent != res.Online.BytesRecv || r.Comm.BytesRecv != res.Online.BytesSent ||
 			r.Comm.MsgsSent != res.Online.MsgsRecv || r.Comm.MsgsRecv != res.Online.MsgsSent {
-			t.Errorf("p1.infer comm %+v is not the mirror of online stats %+v", r.Comm, res.Online)
+			t.Errorf("p1.image0 comm %+v is not the mirror of online stats %+v", r.Comm, res.Online)
 		}
 	}
 }

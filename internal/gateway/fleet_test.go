@@ -55,18 +55,24 @@ func TestFleetChaosFailoverBitIdentical(t *testing.T) {
 	}
 	refToken := s.Token()
 	victim := -1
-	var opsOpen uint64
 	for i, b := range ref.backends {
-		if ops := b.faults.Ops(); ops > 0 {
+		if b.faults.Ops() > 0 {
 			if victim >= 0 {
 				t.Fatalf("session open touched backends %d and %d — routing is not sticky", victim, i)
 			}
-			victim, opsOpen = i, ops
+			victim = i
 		}
 	}
 	if victim < 0 {
 		t.Fatal("no backend saw the session open")
 	}
+	// The victim's own count when OpenSession or Infer returns races its
+	// parked next-request receive (operations are counted when they
+	// start), so count the victim's ops from the client's side instead:
+	// one per frame the splice moved, plus that receive.
+	setup := s.SetupStats()
+	opsOpen := setup.MsgsSent + setup.MsgsRecv + 1
+	opsTotal := opsOpen
 	var want [inferences][]int64
 	for i := 0; i < inferences; i++ {
 		res, err := s.Infer(ctx, x)
@@ -74,8 +80,8 @@ func TestFleetChaosFailoverBitIdentical(t *testing.T) {
 			t.Fatalf("reference inference %d: %v", i, err)
 		}
 		want[i] = res.Logits
+		opsTotal += res.Online.MsgsSent + res.Online.MsgsRecv
 	}
-	opsTotal := ref.backends[victim].faults.Ops()
 	if err := s.Close(); err != nil {
 		t.Fatalf("reference close: %v", err)
 	}
@@ -89,11 +95,10 @@ func TestFleetChaosFailoverBitIdentical(t *testing.T) {
 	t.Logf("victim b%d: open at op %d, stream ends at op %d", victim, opsOpen, opsTotal)
 
 	// Fault indices inside the open window. The ceiling backs off the
-	// stream tail: operations are counted when they start, so opsTotal
-	// can include the final answer's send and the provider's parked
-	// next-request receive — a fault landing there lets the session
-	// finish cleanly and nothing fails over. Three ops of slack keeps
-	// every sampled fault strictly mid-stream under either race outcome.
+	// stream tail: opsTotal includes the final answer's send and the
+	// provider's parked next-request receive — a fault landing there lets
+	// the session finish cleanly and nothing fails over. Three ops of
+	// slack keeps every sampled fault strictly mid-stream.
 	lo, hi := opsOpen+1, opsTotal-3
 	mid := (lo + hi) / 2
 	killAt := []uint64{lo, mid, hi}

@@ -17,26 +17,23 @@ type Bank struct {
 	cond *sync.Cond
 	kits map[uint32]*Kit
 	// base is the next seq the online path will request; next is the next
-	// seq the filler will claim. The filler runs at most watermark seqs
-	// ahead of base, and the bank never holds more than depth kits.
-	base, next       uint32
-	depth, watermark int
-	dead, stopped    bool
+	// seq the filler will claim. The filler runs at most depth seqs ahead
+	// of base, so the bank never holds more than depth kits.
+	base, next    uint32
+	depth         int
+	dead, stopped bool
 }
 
-// NewBank sizes a bank starting at seq start. depth is clamped to
-// [1, MaxDepth]; watermark (how far ahead the filler runs) to [1, depth].
-func NewBank(start uint32, depth, watermark int) *Bank {
+// NewBank sizes a bank starting at seq start. depth — how far ahead of
+// the online path the filler runs — is clamped to [1, MaxDepth].
+func NewBank(start uint32, depth int) *Bank {
 	if depth < 1 {
 		depth = 1
 	}
 	if depth > MaxDepth {
 		depth = MaxDepth
 	}
-	if watermark < 1 || watermark > depth {
-		watermark = depth
-	}
-	b := &Bank{kits: map[uint32]*Kit{}, base: start, next: start, depth: depth, watermark: watermark}
+	b := &Bank{kits: map[uint32]*Kit{}, base: start, next: start, depth: depth}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
@@ -44,13 +41,13 @@ func NewBank(start uint32, depth, watermark int) *Bank {
 // Depth reports the clamped bank capacity.
 func (b *Bank) Depth() int { return b.depth }
 
-// NextSeq blocks until the filler may run another seq (fewer than
-// watermark seqs ahead of the online path) and claims it. ok=false means
+// NextSeq blocks until the filler may run another seq (fewer than depth
+// seqs ahead of the online path) and claims it. ok=false means
 // the bank was stopped or marked dead — the filler's clean exit signal.
 func (b *Bank) NextSeq() (seq uint32, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for !b.stopped && !b.dead && b.next-b.base >= uint32(b.watermark) {
+	for !b.stopped && !b.dead && b.next-b.base >= uint32(b.depth) {
 		b.cond.Wait()
 	}
 	if b.stopped || b.dead {
@@ -103,13 +100,13 @@ func (b *Bank) Fill() int {
 }
 
 // WaitFill blocks until the bank holds at least n kits (clamped to the
-// watermark, the most the filler will ever run ahead) and reports whether
+// depth, the most the filler will ever run ahead) and reports whether
 // the level was reached — false means the plane died first. Session
 // warm-up uses it to move the first inferences' fill wait off the
 // measured online path.
 func (b *Bank) WaitFill(n int) bool {
-	if n > b.watermark {
-		n = b.watermark
+	if n > b.depth {
+		n = b.depth
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -145,7 +142,7 @@ func (b *Bank) Stop() {
 
 // Store is the provider-side kit buffer. The provider's filler commits
 // before acking, the steady-state loop takes kits as warm inference
-// requests name them; the client's watermark paces demand, and the
+// requests name them; the client's bank depth paces demand, and the
 // capacity bound is the defence against a client that does not.
 type Store struct {
 	mu   sync.Mutex

@@ -10,15 +10,14 @@ import (
 func kit(seq uint32) *Kit { return &Kit{Seq: seq} }
 
 func TestBankClamps(t *testing.T) {
-	if d := NewBank(0, 0, 0).Depth(); d != 1 {
+	if d := NewBank(0, 0).Depth(); d != 1 {
 		t.Errorf("depth 0 clamped to %d, want 1", d)
 	}
-	if d := NewBank(0, MaxDepth+100, 0).Depth(); d != MaxDepth {
+	if d := NewBank(0, MaxDepth+100).Depth(); d != MaxDepth {
 		t.Errorf("depth %d clamped to %d, want MaxDepth %d", MaxDepth+100, d, MaxDepth)
 	}
-	// An out-of-range watermark falls back to the full depth: the filler
-	// may immediately claim depth seqs ahead.
-	b := NewBank(0, 3, 9)
+	// The filler may immediately claim depth seqs ahead.
+	b := NewBank(0, 3)
 	for i := uint32(0); i < 3; i++ {
 		seq, ok := b.NextSeq()
 		if !ok || seq != i {
@@ -27,10 +26,10 @@ func TestBankClamps(t *testing.T) {
 	}
 }
 
-// TestBankPacing: NextSeq blocks at the watermark and unblocks exactly
-// when the online path advances past the oldest outstanding seq.
+// TestBankPacing: NextSeq blocks at the depth and unblocks exactly when
+// the online path advances past the oldest outstanding seq.
 func TestBankPacing(t *testing.T) {
-	b := NewBank(0, 4, 2)
+	b := NewBank(0, 2)
 	for i := uint32(0); i < 2; i++ {
 		seq, ok := b.NextSeq()
 		if !ok || seq != i {
@@ -47,7 +46,7 @@ func TestBankPacing(t *testing.T) {
 	}()
 	select {
 	case seq := <-claimed:
-		t.Fatalf("NextSeq claimed %d past the watermark", seq)
+		t.Fatalf("NextSeq claimed %d past the depth", seq)
 	case <-time.After(20 * time.Millisecond):
 	}
 	if k := b.Take(0); k == nil || k.Seq != 0 {
@@ -66,7 +65,7 @@ func TestBankPacing(t *testing.T) {
 // TestBankTakeBlocksUntilCommit: a Take ahead of the filler waits for the
 // commit instead of missing.
 func TestBankTakeBlocksUntilCommit(t *testing.T) {
-	b := NewBank(5, 2, 2)
+	b := NewBank(5, 2)
 	got := make(chan *Kit, 1)
 	go func() { got <- b.Take(5) }()
 	select {
@@ -102,7 +101,7 @@ func TestBankDeadAndStop(t *testing.T) {
 		{"stopped", func(b *Bank) { b.Stop() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b := NewBank(0, 2, 2)
+			b := NewBank(0, 2)
 			var wg sync.WaitGroup
 			wg.Add(2)
 			go func() {
@@ -131,9 +130,9 @@ func TestBankDeadAndStop(t *testing.T) {
 }
 
 func TestBankWaitFill(t *testing.T) {
-	b := NewBank(0, 4, 2)
+	b := NewBank(0, 2)
 	done := make(chan bool, 1)
-	go func() { done <- b.WaitFill(10) }() // clamped to the watermark (2)
+	go func() { done <- b.WaitFill(10) }() // clamped to the depth (2)
 	select {
 	case <-done:
 		t.Fatal("WaitFill returned on an empty bank")
@@ -149,11 +148,11 @@ func TestBankWaitFill(t *testing.T) {
 			t.Fatal("WaitFill = false on a healthy bank")
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("WaitFill still blocked at the clamped watermark level")
+		t.Fatal("WaitFill still blocked at the clamped depth level")
 	}
 	// Death path: WaitFill on an empty bank reports false once the plane
 	// dies instead of blocking forever.
-	dead := NewBank(0, 2, 2)
+	dead := NewBank(0, 2)
 	res := make(chan bool, 1)
 	go func() { res <- dead.WaitFill(1) }()
 	time.Sleep(10 * time.Millisecond)

@@ -109,7 +109,7 @@ func ReserveBudget(c Conn, n uint64) error {
 // SetRecvDeadline arms (or, with the zero time, clears) an explicit
 // deadline for subsequent Recv calls on the connection, reporting
 // whether the underlying transport supports one. The engine uses it to
-// bound the handshake hello read independently of the steady-state
+// bound the hello and attach exchange independently of the steady-state
 // IdleTimeout; whichever deadline is sooner wins.
 func SetRecvDeadline(c Conn, t time.Time) bool {
 	if nc := unwrapNet(c); nc != nil {
