@@ -20,7 +20,10 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
+# gofmt drift fails vet: nothing else would catch it.
 vet:
+	@unformatted="$$(gofmt -l .)"; if test -n "$$unformatted"; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 
 # bench/ is its own module (BENCHMARK.json builds it from the checkout), so

@@ -35,7 +35,6 @@ import (
 	"aq2pnn/internal/nn"
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/quant"
-	"aq2pnn/internal/ring"
 	"aq2pnn/internal/telemetry"
 	"aq2pnn/internal/train"
 	"aq2pnn/internal/transport"
@@ -131,51 +130,25 @@ func BuildModel(name string, cfg ZooConfig) (*Model, error) {
 // 1 Gbps LAN).
 func ZCU104() Accelerator { return fpga.ZCU104() }
 
-// InferenceResult reports a secure inference.
-type InferenceResult struct {
-	// Logits are the revealed outputs (party i's view).
-	Logits []int64
-	// Class is the argmax of the logits.
-	Class int
-	// Setup and Online are party i's measured traffic for the two phases.
-	Setup, Online CommStats
-	// PerOp profiles every operator's measured communication.
-	PerOp []engine.OpProfile
-	// CarrierBits is the ring the inference ran on.
-	CarrierBits uint
-}
+// InferenceResult reports a secure inference: the revealed logits and
+// predicted class, party i's measured traffic per phase and per operator,
+// and the carrier ring the inference ran on.
+type InferenceResult = engine.Result
 
 // SecureInfer runs a full two-party secure inference of the quantized
 // model on the integer input: the model and input are secret-shared, both
 // parties execute the AQ2PNN protocol over an instrumented in-process
 // channel, and the logits are revealed to the user party.
 func SecureInfer(m *Model, x []int64, cfg InferenceConfig) (*InferenceResult, error) {
-	res, err := engine.RunLocal(m, x, networkConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	class := res.Class
-	if !cfg.RevealClassOnly {
-		class = nn.Argmax(res.Logits)
-	}
-	return &InferenceResult{
-		Logits:      res.Logits,
-		Class:       class,
-		Setup:       res.Setup,
-		Online:      res.Online,
-		PerOp:       res.PerOp,
-		CarrierBits: res.Carrier.Bits,
-	}, nil
+	return engine.RunLocal(m, x, cfg.options())
 }
 
-// EstimateModel prices one secure inference of m at carrierBits on acc,
-// using the analytic communication model (validated against measured
-// protocol traffic) and the accelerator cycle model.
+// EstimateModel prices one secure inference of m at carrierBits (0 = the
+// model bits + 4 default) on acc, using the analytic communication model
+// (validated against measured protocol traffic) and the accelerator cycle
+// model.
 func EstimateModel(acc Accelerator, m *Model, carrierBits uint) (Estimate, error) {
-	if carrierBits == 0 {
-		carrierBits = m.InBits + engine.Margin
-	}
-	return acc.EstimateModel(m, ring.New(carrierBits), false)
+	return acc.EstimateModel(m, Options{CarrierBits: carrierBits}.Carrier(m), false)
 }
 
 // TrainStandin trains a reduced stand-in ("lenet5", "alexnet", "vgg16",
@@ -242,12 +215,10 @@ func NewExperimentSuite(quick bool, seed uint64) *experiments.Suite {
 type Program = fpga.Program
 
 // CompileProgram lowers a model into the accelerator's INST Q instruction
-// stream at the given carrier width (Sec. 4.1.1).
+// stream at the given carrier width (Sec. 4.1.1; 0 = the model bits + 4
+// default).
 func CompileProgram(m *Model, carrierBits uint) (*Program, error) {
-	if carrierBits == 0 {
-		carrierBits = m.InBits + engine.Margin
-	}
-	return fpga.Compile(fpga.ZCU104(), m, ring.New(carrierBits), false)
+	return fpga.Compile(fpga.ZCU104(), m, Options{CarrierBits: carrierBits}.Carrier(m), false)
 }
 
 // ServeModelTCP runs the model-provider side of a two-process deployment:
@@ -307,5 +278,5 @@ type BatchResult = engine.BatchResult
 // the paper's 1,000-iteration throughput averages. Images are pipelined
 // over cfg.Workers lanes with bit-identical results at every setting.
 func SecureInferBatch(m *Model, xs [][]int64, cfg InferenceConfig) (*BatchResult, error) {
-	return engine.RunLocalBatch(m, xs, networkConfig(cfg))
+	return engine.RunLocalBatch(m, xs, cfg.options())
 }

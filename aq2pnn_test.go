@@ -24,7 +24,7 @@ func TestPublicPipelineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, te := ds.Split(240)
-	res, err := SecureInfer(q.Model, q.QuantizeInput(te.X[0]), InferenceConfig{ComputeConfig: ComputeConfig{CarrierBits: 20, Seed: 3}})
+	res, err := SecureInfer(q.Model, q.QuantizeInput(te.X[0]), InferenceConfig{Options: Options{CarrierBits: 20, Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +34,8 @@ func TestPublicPipelineEndToEnd(t *testing.T) {
 	if res.Online.TotalBytes() == 0 || len(res.PerOp) == 0 {
 		t.Error("missing measurements")
 	}
-	if res.CarrierBits != 20 {
-		t.Errorf("carrier = %d", res.CarrierBits)
+	if res.Carrier.Bits != 20 {
+		t.Errorf("carrier = %d", res.Carrier.Bits)
 	}
 }
 

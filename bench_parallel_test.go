@@ -29,7 +29,7 @@ func benchBatch(b *testing.B, model string, batch int, workers uint) {
 		}
 		xs[i] = x
 	}
-	cfg := InferenceConfig{ComputeConfig: ComputeConfig{CarrierBits: 16, Seed: 3, Workers: workers}}
+	cfg := InferenceConfig{Options: Options{CarrierBits: 16, Seed: 3, Workers: workers}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := SecureInferBatch(m, xs, cfg)

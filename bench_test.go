@@ -69,7 +69,7 @@ func BenchmarkSecureInference_LeNet5(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SecureInfer(m, x, InferenceConfig{ComputeConfig: ComputeConfig{CarrierBits: 16, Seed: uint64(i)}}); err != nil {
+		if _, err := SecureInfer(m, x, InferenceConfig{Options: Options{CarrierBits: 16, Seed: uint64(i)}}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -83,7 +83,7 @@ func run(o options) error {
 	}
 	fmt.Printf("running secure inference: %s on %d inputs, carrier %d bits\n", m.Name, n, bits)
 	res, err := aq2pnn.SecureInfer(m, x, aq2pnn.InferenceConfig{
-		ComputeConfig: aq2pnn.ComputeConfig{
+		Options: aq2pnn.Options{
 			CarrierBits: bits, Seed: seed, LocalTrunc: localTrunc,
 			ABReLUBits: o.reluBits, RevealClassOnly: o.classOnly,
 		},

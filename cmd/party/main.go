@@ -219,7 +219,7 @@ func infer(ctx context.Context, connect string, m *nn.Model, cfg engine.Options,
 			return classifyUserErr(err)
 		}
 		fmt.Printf("inference %d in %v: class %d, online %.3f MiB (%d rounds)\n",
-			i, time.Since(t0), nn.Argmax(res.Logits), res.Online.MiB(), res.Online.Rounds)
+			i, time.Since(t0), res.Class, res.Online.MiB(), res.Online.Rounds)
 	}
 	fmt.Printf("user done in %v: %d inference(s), setup paid once (%.3f MiB)\n",
 		time.Since(start), inferences, s.SetupStats().MiB())

@@ -21,7 +21,7 @@ func ExampleSecureInfer() {
 	for i := range x {
 		x[i] = int64(i % 7)
 	}
-	res, err := aq2pnn.SecureInfer(model, x, aq2pnn.InferenceConfig{ComputeConfig: aq2pnn.ComputeConfig{CarrierBits: 16, Seed: 2}})
+	res, err := aq2pnn.SecureInfer(model, x, aq2pnn.InferenceConfig{Options: aq2pnn.Options{CarrierBits: 16, Seed: 2}})
 	if err != nil {
 		panic(err)
 	}
@@ -70,7 +70,7 @@ func ExampleSecureInfer_classOnly() {
 	model, _ := aq2pnn.BuildModel("micro", aq2pnn.ZooConfig{Seed: 1})
 	x := make([]int64, 8*8)
 	res, err := aq2pnn.SecureInfer(model, x, aq2pnn.InferenceConfig{
-		ComputeConfig: aq2pnn.ComputeConfig{CarrierBits: 16, Seed: 3, RevealClassOnly: true},
+		Options: aq2pnn.Options{CarrierBits: 16, Seed: 3, RevealClassOnly: true},
 	})
 	if err != nil {
 		panic(err)

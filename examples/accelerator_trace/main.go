@@ -43,7 +43,7 @@ func main() {
 		x[i] = int64(i%23) - 11
 	}
 	tr := aq2pnn.NewTracer()
-	res, err := aq2pnn.SecureInfer(m, x, aq2pnn.InferenceConfig{ComputeConfig: aq2pnn.ComputeConfig{CarrierBits: 16, Seed: 3, Trace: tr}})
+	res, err := aq2pnn.SecureInfer(m, x, aq2pnn.InferenceConfig{Options: aq2pnn.Options{CarrierBits: 16, Seed: 3, Trace: tr}})
 	if err != nil {
 		log.Fatal(err)
 	}

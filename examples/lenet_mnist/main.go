@@ -46,7 +46,7 @@ func main() {
 	const n = 5
 	for i := 0; i < n; i++ {
 		x := q.QuantizeInput(testData.X[i])
-		res, err := aq2pnn.SecureInfer(q.Model, x, aq2pnn.InferenceConfig{ComputeConfig: aq2pnn.ComputeConfig{CarrierBits: 16, Seed: uint64(i)}})
+		res, err := aq2pnn.SecureInfer(q.Model, x, aq2pnn.InferenceConfig{Options: aq2pnn.Options{CarrierBits: 16, Seed: uint64(i)}})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func main() {
 
 	// One secure inference on a 16-bit carrier ring — the paper's
 	// headline configuration.
-	cfg := aq2pnn.InferenceConfig{ComputeConfig: aq2pnn.ComputeConfig{CarrierBits: 16, Seed: 1}}
+	cfg := aq2pnn.InferenceConfig{Options: aq2pnn.Options{CarrierBits: 16, Seed: 1}}
 	if *tracePath != "" {
 		cfg.Trace = aq2pnn.NewTracer()
 	}

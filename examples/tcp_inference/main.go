@@ -49,11 +49,9 @@ func model() *aq2pnn.Model {
 
 func cfg() aq2pnn.InferenceConfig {
 	return aq2pnn.InferenceConfig{
-		ComputeConfig: aq2pnn.ComputeConfig{
+		Options: aq2pnn.Options{
 			CarrierBits: 16,
 			Seed:        9,
-		},
-		NetConfig: aq2pnn.NetConfig{
 			// Fault tolerance (docs/robustness.md): after a transient
 			// failure the Session re-dials and re-attaches to the
 			// provider's cached state through its resumption token.

@@ -32,8 +32,8 @@ type BatchResult struct {
 	// Logits holds each image's revealed outputs (nil per image under
 	// RevealClassOnly).
 	Logits [][]int64
-	// Classes holds each image's securely computed argmax when
-	// RevealClassOnly is set (nil otherwise).
+	// Classes holds each image's predicted class: the securely computed
+	// argmax under RevealClassOnly, the argmax of its logits otherwise.
 	Classes []int
 	// Setup is the one-time weight-preparation traffic (party i).
 	Setup transport.Stats
@@ -215,9 +215,8 @@ func RunLocalBatch(m *nn.Model, xs [][]int64, cfg Options) (*BatchResult, error)
 		}
 	}
 
-	out := &BatchResult{Logits: logits, Setup: setup, Carrier: r}
+	out := &BatchResult{Logits: logits, Classes: classes, Setup: setup, Carrier: r}
 	if cfg.RevealClassOnly {
-		out.Classes = classes
 		out.Logits = nil
 	}
 	for i := 0; i < k; i++ {

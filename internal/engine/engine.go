@@ -31,7 +31,8 @@ const Margin = 4
 // The zero value is a working configuration (carrier from the model,
 // faithful truncation, full-width ReLU, logit reveal, one worker per CPU).
 type Options struct {
-	// CarrierBits is the ring width ℓ_c; 0 selects InBits+Margin.
+	// CarrierBits is the ring width ℓ_c; 0 selects InBits+Margin, the
+	// paper's adaptive rule.
 	CarrierBits uint
 	// Seed drives all protocol randomness for reproducible experiments.
 	Seed uint64
@@ -68,7 +69,8 @@ type Options struct {
 	// falling back to a fresh setup when the provider no longer holds the
 	// state; the transcript is a deterministic function of (Seed, token,
 	// seq), so a retried inference reveals logits bit-identical to what
-	// the failed attempt would have produced.
+	// the failed attempt would have produced. Permanent errors (handshake
+	// or payload mismatches) are never retried.
 	Retries uint
 	// RetryBase is the first retry's backoff delay (default 100ms). It
 	// doubles per attempt, capped at 2s, with deterministic seed-derived
@@ -92,7 +94,9 @@ type Options struct {
 	// Send/Recv (re-armed per transferred segment, so bulk transfers are
 	// bounded by progress, not total size). It kills slow-loris peers on
 	// the serving path; 0 disables it. Applied by ServeRegistryTCP to
-	// every accepted connection.
+	// every accepted connection. For persistent sessions it also bounds
+	// how long an attached-but-silent client may hold its connection (the
+	// parked state stays resumable).
 	IdleTimeout time.Duration
 	// MemBudget caps the cumulative bytes one session's peer may declare
 	// for this endpoint to receive, charged before any allocation. Every
@@ -168,8 +172,8 @@ type OpProfile struct {
 type Result struct {
 	// Logits are the revealed outputs (nil under RevealClassOnly).
 	Logits []int64
-	// Class is the securely computed argmax when RevealClassOnly is set
-	// (−1 otherwise; derive it from Logits in that case).
+	// Class is the predicted class: the securely computed argmax when
+	// RevealClassOnly is set, the argmax of Logits otherwise.
 	Class int
 	// Setup is party i's traffic during weight preparation (F openings).
 	Setup transport.Stats
@@ -462,10 +466,8 @@ func RunLocal(m *nn.Model, x []int64, cfg Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Class: -1, Setup: b.Setup, Online: b.Online, PerOp: b.PerOp, Carrier: b.Carrier}
-	if cfg.RevealClassOnly {
-		res.Class = b.Classes[0]
-	} else {
+	res := &Result{Class: b.Classes[0], Setup: b.Setup, Online: b.Online, PerOp: b.PerOp, Carrier: b.Carrier}
+	if !cfg.RevealClassOnly {
 		res.Logits = b.Logits[0]
 	}
 	return res, nil

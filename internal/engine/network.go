@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"aq2pnn/internal/nn"
 	"aq2pnn/internal/ot"
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/ring"
@@ -73,7 +74,8 @@ func (p *Party) inferReveal(cfg Options, x []uint64) (logits []int64, class int,
 
 // revealResult finishes the online phase: under RevealClassOnly a secure
 // argmax tournament reveals only the predicted class to the user,
-// otherwise the logit shares are revealed.
+// otherwise the logit shares are revealed and the user derives the class
+// from them.
 func revealResult(ctx *secure.Context, r ring.Ring, cfg Options, o []uint64) (logits []int64, class int, err error) {
 	class = -1
 	sp := ctx.Trace.Enter("reveal")
@@ -100,6 +102,7 @@ func revealResult(ctx *secure.Context, r ring.Ring, cfg Options, o []uint64) (lo
 	}
 	if ctx.Party == share.PartyI {
 		logits = r.ToInts(opened)
+		class = nn.Argmax(logits)
 	}
 	return logits, class, nil
 }

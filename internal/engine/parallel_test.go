@@ -96,12 +96,16 @@ func TestBatchRevealClassOnly(t *testing.T) {
 	if hidden.Logits != nil {
 		t.Fatal("RevealClassOnly batch leaked logits")
 	}
-	if len(hidden.Classes) != len(xs) {
-		t.Fatalf("got %d classes, want %d", len(hidden.Classes), len(xs))
+	if len(hidden.Classes) != len(xs) || len(open.Classes) != len(xs) {
+		t.Fatalf("got %d classes (%d logit-revealing), want %d", len(hidden.Classes), len(open.Classes), len(xs))
 	}
 	for i, logits := range open.Logits {
-		if want := nn.Argmax(logits); hidden.Classes[i] != want {
+		want := nn.Argmax(logits)
+		if hidden.Classes[i] != want {
 			t.Errorf("image %d class %d, want argmax %d", i, hidden.Classes[i], want)
+		}
+		if open.Classes[i] != want {
+			t.Errorf("image %d logit-revealing class %d, want argmax %d", i, open.Classes[i], want)
 		}
 	}
 }

@@ -79,7 +79,7 @@ func NewRegistry() *Registry {
 
 // Add registers (or replaces) a model, keyed by its architecture
 // fingerprint. The model must carry real weights: sessions secret-share
-// them at open.
+// them at open. Replacing a model invalidates its cached weight split.
 func (g *Registry) Add(m *nn.Model) error {
 	if m == nil {
 		return fmt.Errorf("engine: registry: nil model")
@@ -105,7 +105,8 @@ func (g *Registry) Add(m *nn.Model) error {
 
 // Remove unregisters a model and drops its cached weight splits and every
 // parked session that serves it. In-flight attached sessions keep their
-// own references and finish undisturbed.
+// own references and finish undisturbed; new clients asking for it fail
+// their handshake with the typed model-fingerprint mismatch.
 func (g *Registry) Remove(m *nn.Model) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

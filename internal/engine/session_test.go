@@ -147,6 +147,9 @@ func TestSessionSteadyState(t *testing.T) {
 		if d := maxAbsDiff(res.Logits, want); d > 6 {
 			t.Errorf("inference %d: max |logit diff| = %d, want ≤ 6", i, d)
 		}
+		if am := nn.Argmax(res.Logits); res.Class != am {
+			t.Errorf("inference %d: class %d, want argmax %d", i, res.Class, am)
+		}
 		if res.Setup.TotalBytes() != 0 {
 			t.Errorf("inference %d reported setup traffic %v; session inferences are online-only", i, res.Setup)
 		}

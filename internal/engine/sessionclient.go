@@ -300,7 +300,8 @@ func (s *Session) Infer(ctx context.Context, x []int64) (*Result, error) {
 }
 
 // InferBatch streams a batch of inputs over the session, one inference
-// each, stopping at the first failure.
+// each, stopping at the first failure (the completed prefix is returned
+// alongside the error).
 func (s *Session) InferBatch(ctx context.Context, xs [][]int64) ([]*Result, error) {
 	out := make([]*Result, 0, len(xs))
 	for i, x := range xs {

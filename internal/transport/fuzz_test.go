@@ -33,9 +33,9 @@ func FuzzRecvFrame(f *testing.F) {
 		return append(hdr, p...)
 	}
 	f.Add(frame([]byte("abcd")), uint64(0))
-	f.Add(frame([]byte("hello")), uint64(4))                              // frame above budget
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 'x'}, uint64(1<<20))             // giant declared length
-	f.Add([]byte{8, 0, 0, 0, 'a', 'b'}, uint64(0))                        // truncated body
+	f.Add(frame([]byte("hello")), uint64(4))                                   // frame above budget
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 'x'}, uint64(1<<20))                  // giant declared length
+	f.Add([]byte{8, 0, 0, 0, 'a', 'b'}, uint64(0))                             // truncated body
 	f.Add(append(frame([]byte("one")), frame([]byte("twotwo"))...), uint64(9)) // budget across frames
 	f.Add([]byte{}, uint64(0))
 	f.Fuzz(func(t *testing.T, data []byte, budget uint64) {

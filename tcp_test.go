@@ -28,12 +28,10 @@ func TestServeModelTCPConcurrentClients(t *testing.T) {
 	const addr = "127.0.0.1:17549"
 	const clients = 4
 	cfg := aq2pnn.InferenceConfig{
-		ComputeConfig: aq2pnn.ComputeConfig{CarrierBits: 16, Seed: 9},
-		NetConfig: aq2pnn.NetConfig{
-			DemoGroup:     true,
-			DialTimeout:   20 * time.Second,
-			ServeSessions: clients,
-		},
+		Options:       aq2pnn.Options{CarrierBits: 16, Seed: 9},
+		DemoGroup:     true,
+		DialTimeout:   20 * time.Second,
+		ServeSessions: clients,
 	}
 	m := microModel(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
@@ -81,8 +79,9 @@ func TestServeModelTCPConcurrentClients(t *testing.T) {
 func TestClientSessionTCP(t *testing.T) {
 	const addr = "127.0.0.1:17551"
 	cfg := aq2pnn.InferenceConfig{
-		ComputeConfig: aq2pnn.ComputeConfig{CarrierBits: 16, Seed: 9},
-		NetConfig:     aq2pnn.NetConfig{DemoGroup: true, DialTimeout: 20 * time.Second},
+		Options:     aq2pnn.Options{CarrierBits: 16, Seed: 9},
+		DemoGroup:   true,
+		DialTimeout: 20 * time.Second,
 	}
 	mA := microModel(t)
 	mB, err := aq2pnn.BuildModel("micro", aq2pnn.ZooConfig{Seed: 9, Pool: aq2pnn.PoolAvg})
@@ -163,7 +162,7 @@ func TestServeModelTCPCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- aq2pnn.ServeModelTCP(ctx, addr, microModel(t), aq2pnn.InferenceConfig{ComputeConfig: aq2pnn.ComputeConfig{CarrierBits: 16, Seed: 9}})
+		done <- aq2pnn.ServeModelTCP(ctx, addr, microModel(t), aq2pnn.InferenceConfig{Options: aq2pnn.Options{CarrierBits: 16, Seed: 9}})
 	}()
 	time.Sleep(100 * time.Millisecond)
 	cancel()
@@ -193,11 +192,11 @@ func ExampleSecureInferBatch() {
 		}
 		xs[i] = x
 	}
-	serial, err := aq2pnn.SecureInferBatch(model, xs, aq2pnn.InferenceConfig{ComputeConfig: aq2pnn.ComputeConfig{CarrierBits: 16, Seed: 2, Workers: 1}})
+	serial, err := aq2pnn.SecureInferBatch(model, xs, aq2pnn.InferenceConfig{Options: aq2pnn.Options{CarrierBits: 16, Seed: 2, Workers: 1}})
 	if err != nil {
 		panic(err)
 	}
-	parallel, err := aq2pnn.SecureInferBatch(model, xs, aq2pnn.InferenceConfig{ComputeConfig: aq2pnn.ComputeConfig{CarrierBits: 16, Seed: 2, Workers: 4}})
+	parallel, err := aq2pnn.SecureInferBatch(model, xs, aq2pnn.InferenceConfig{Options: aq2pnn.Options{CarrierBits: 16, Seed: 2, Workers: 4}})
 	if err != nil {
 		panic(err)
 	}
