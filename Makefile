@@ -100,6 +100,7 @@ fuzz:
 	$(GO) test ./internal/engine/ -run '^$$' -fuzz '^FuzzHandshakeHello$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine/ -run '^$$' -fuzz '^FuzzShareCodec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzOTFlowHeader$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzOTExtendFrames$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scm/ -run '^$$' -fuzz '^FuzzSCMMessage$$' -fuzztime $(FUZZTIME)
 
 ci: vet lint build race bench-module bench-gate trace

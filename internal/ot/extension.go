@@ -26,6 +26,13 @@ import (
 //	        qᵢ = G(k_{Δᵢ,i}) ⊕ Δᵢ·uᵢ, so row j satisfies q_j = t_j ⊕ r_j·Δ.
 //	output: S's two pads for OT j are H(j, q_j) and H(j, q_j ⊕ Δ); R holds
 //	        H(j, t_j) — the pad selected by its random bit r_j.
+//
+// Implementation: G is prg.Keystream, which writes exactly the ⌈m/8⌉
+// bytes a column needs into one κ-column slab; the columns become rows by
+// an 8×8-block bit transpose (transposeBits) into a caller-owned row slab;
+// H is SHA-256 over counter ‖ j ‖ row, assembled on the stack. Only the
+// u-matrix crosses the wire; TestOTTranscriptPinned pins it and the
+// minted seeds byte for byte.
 
 // ExtKappa is the security parameter: the number of base-OT columns.
 const ExtKappa = 128
@@ -89,32 +96,63 @@ func NewExtReceiver(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*E
 	return &ExtReceiver{conn: conn, rng: rng, pairs: pairs}, nil
 }
 
-// expandColumn stretches a column seed to rows bytes of keystream; the
-// salt keeps successive Extend calls on fresh keystream.
-func expandColumn(seed [SeedLen]byte, salt uint64, nBytes int) []byte {
+// expandColumn fills dst with a column seed's keystream; the salt keeps
+// successive Extend calls on fresh keystream.
+func expandColumn(dst []byte, seed [SeedLen]byte, salt uint64) {
 	var s [prg.SeedSize]byte
 	copy(s[:SeedLen], seed[:])
 	binary.LittleEndian.PutUint64(s[SeedLen:SeedLen+8], salt)
 	s[prg.SeedSize-1] = 0xE7
-	out := make([]byte, nBytes)
-	prg.New(s).Read(out)
-	return out
+	prg.Keystream(dst, s)
 }
 
-// rowHash derives one 16-byte random-OT pad seed from a κ-bit row.
+// rowHash derives one 16-byte random-OT pad seed from a κ-bit row:
+// SHA-256(counter ‖ j ‖ row), truncated. The message is assembled on the
+// stack for κ ≤ ExtKappa.
 func rowHash(counter uint64, j int, row []byte) [SeedLen]byte {
-	h := sha256.New()
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[:8], counter)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(j))
-	h.Write(hdr[:])
-	h.Write(row)
-	var out [SeedLen]byte
-	copy(out[:], h.Sum(nil)[:SeedLen])
-	return out
+	var buf [16 + ExtKappa/8]byte
+	msg := binary.LittleEndian.AppendUint64(buf[:0], counter)
+	msg = binary.LittleEndian.AppendUint64(msg, uint64(j))
+	msg = append(msg, row...)
+	sum := sha256.Sum256(msg)
+	return [SeedLen]byte(sum[:SeedLen])
 }
 
 func bitOf(b []byte, i int) byte { return (b[i/8] >> (i % 8)) & 1 }
+
+// transposeBits turns κ columns of m bits into m rows of κ bits. Column i
+// is cols[i·⌈m/8⌉ : (i+1)·⌈m/8⌉], bit j at bit j%8 of byte j/8; row j is
+// written to rows[j·κ/8 : (j+1)·κ/8] with column i's bit at bit i%8 of
+// byte i/8. It moves 8×8 bit blocks — eight column bytes gathered into
+// one word, transposed in three swap steps — and writes only the rows
+// below m, so the tail bits of a final partial column byte are ignored.
+func transposeBits(rows, cols []byte, kappa, m int) {
+	nBytes, rowLen := (m+7)/8, kappa/8
+	for jb := 0; jb < nBytes; jb++ {
+		nr := min(8, m-8*jb)
+		for ib := 0; ib < rowLen; ib++ {
+			var x uint64
+			for c := 0; c < 8; c++ {
+				x |= uint64(cols[(8*ib+c)*nBytes+jb]) << (8 * c)
+			}
+			x = transpose8(x)
+			for r := 0; r < nr; r++ {
+				rows[(8*jb+r)*rowLen+ib] = byte(x >> (8 * r))
+			}
+		}
+	}
+}
+
+// transpose8 transposes the 8×8 bit matrix held in x, bit 8r+c being
+// entry (r, c): it swaps the off-diagonal 1×1, then 2×2, then 4×4 blocks.
+func transpose8(x uint64) uint64 {
+	t := (x ^ (x >> 7)) & 0x00AA00AA00AA00AA
+	x ^= t ^ (t << 7)
+	t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCC
+	x ^= t ^ (t << 14)
+	t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0
+	return x ^ t ^ (t << 28)
+}
 
 // Extend mints m random 1-of-2 OT correlations on the sender side.
 func (s *ExtSender) Extend(m int) ([]SenderInst, error) {
@@ -122,7 +160,7 @@ func (s *ExtSender) Extend(m int) ([]SenderInst, error) {
 		return nil, fmt.Errorf("ot: extension of %d instances", m)
 	}
 	kappa := len(s.seeds)
-	nBytes := (m + 7) / 8
+	nBytes, rowLen := (m+7)/8, kappa/8
 	us, err := s.conn.Recv()
 	if err != nil {
 		return nil, err
@@ -131,36 +169,24 @@ func (s *ExtSender) Extend(m int) ([]SenderInst, error) {
 		return nil, fmt.Errorf("ot: extension expected %d u-bytes, got %d", kappa*nBytes, len(us))
 	}
 	// q columns: qᵢ = G(k_{Δᵢ}) ⊕ Δᵢ·uᵢ.
-	cols := make([][]byte, kappa)
+	cols := make([]byte, kappa*nBytes)
 	for i := 0; i < kappa; i++ {
-		col := expandColumn(s.seeds[i], s.counter, nBytes)
+		col := cols[i*nBytes : (i+1)*nBytes]
+		expandColumn(col, s.seeds[i], s.counter)
 		if bitOf(s.delta, i) == 1 {
-			u := us[i*nBytes : (i+1)*nBytes]
-			for b := range col {
-				col[b] ^= u[b]
-			}
+			xorInto(col, us[i*nBytes:(i+1)*nBytes])
 		}
-		cols[i] = col
 	}
+	rows := make([]byte, m*rowLen)
+	transposeBits(rows, cols, kappa, m)
 	out := make([]SenderInst, m)
-	row := make([]byte, kappa/8)
-	rowD := make([]byte, kappa/8)
-	for j := 0; j < m; j++ {
-		for i := range row {
-			row[i] = 0
-		}
-		for i := 0; i < kappa; i++ {
-			if bitOf(cols[i], j) == 1 {
-				row[i/8] |= 1 << (i % 8)
-			}
-		}
-		for i := range row {
-			rowD[i] = row[i] ^ s.delta[i]
-		}
-		out[j] = SenderInst{Seeds: [][SeedLen]byte{
-			rowHash(s.counter, j, row),
-			rowHash(s.counter, j, rowD),
-		}}
+	seeds := make([][SeedLen]byte, 2*m)
+	for j := range out {
+		row := rows[j*rowLen : (j+1)*rowLen]
+		seeds[2*j] = rowHash(s.counter, j, row)
+		xorInto(row, s.delta)
+		seeds[2*j+1] = rowHash(s.counter, j, row)
+		out[j] = SenderInst{Seeds: seeds[2*j : 2*j+2 : 2*j+2]}
 	}
 	s.counter++
 	return out, nil
@@ -172,37 +198,27 @@ func (r *ExtReceiver) Extend(m int) ([]RecvInst, error) {
 		return nil, fmt.Errorf("ot: extension of %d instances", m)
 	}
 	kappa := len(r.pairs)
-	nBytes := (m + 7) / 8
+	nBytes, rowLen := (m+7)/8, kappa/8
 	choice := make([]byte, nBytes)
 	r.rng.Read(choice)
-	// t columns and the u transmission.
-	tCols := make([][]byte, kappa)
-	us := make([]byte, 0, kappa*nBytes)
+	// t columns and the u transmission: uᵢ = G(k₀ᵢ) ⊕ G(k₁ᵢ) ⊕ r.
+	tCols := make([]byte, kappa*nBytes)
+	us := make([]byte, kappa*nBytes)
 	for i := 0; i < kappa; i++ {
-		t0 := expandColumn(r.pairs[i][0], r.counter, nBytes)
-		t1 := expandColumn(r.pairs[i][1], r.counter, nBytes)
-		u := make([]byte, nBytes)
-		for b := range u {
-			u[b] = t0[b] ^ t1[b] ^ choice[b]
-		}
-		tCols[i] = t0
-		us = append(us, u...)
+		t0, u := tCols[i*nBytes:(i+1)*nBytes], us[i*nBytes:(i+1)*nBytes]
+		expandColumn(t0, r.pairs[i][0], r.counter)
+		expandColumn(u, r.pairs[i][1], r.counter)
+		xorInto(u, t0)
+		xorInto(u, choice)
 	}
 	if err := r.conn.Send(us); err != nil {
 		return nil, err
 	}
+	rows := make([]byte, m*rowLen)
+	transposeBits(rows, tCols, kappa, m)
 	out := make([]RecvInst, m)
-	row := make([]byte, kappa/8)
-	for j := 0; j < m; j++ {
-		for i := range row {
-			row[i] = 0
-		}
-		for i := 0; i < kappa; i++ {
-			if bitOf(tCols[i], j) == 1 {
-				row[i/8] |= 1 << (i % 8)
-			}
-		}
-		out[j] = RecvInst{Choice: int(bitOf(choice, j)), Seed: rowHash(r.counter, j, row)}
+	for j := range out {
+		out[j] = RecvInst{Choice: int(bitOf(choice, j)), Seed: rowHash(r.counter, j, rows[j*rowLen:(j+1)*rowLen])}
 	}
 	r.counter++
 	return out, nil
@@ -211,30 +227,34 @@ func (r *ExtReceiver) Extend(m int) ([]RecvInst, error) {
 // CombineSenderROTs fuses t random 1-of-2 correlations into one 1-of-2^t
 // correlation: candidate pads are hashes of the chosen component seeds.
 func CombineSenderROTs(insts []SenderInst) SenderInst {
-	t := len(insts)
-	n := 1 << t
-	seeds := make([][SeedLen]byte, n)
-	for c := 0; c < n; c++ {
-		h := sha256.New()
-		for b := 0; b < t; b++ {
-			s := insts[b].Seeds[(c>>b)&1]
-			h.Write(s[:])
-		}
-		copy(seeds[c][:], h.Sum(nil)[:SeedLen])
-	}
+	seeds := make([][SeedLen]byte, 1<<len(insts))
+	combineSenderInto(seeds, insts)
 	return SenderInst{Seeds: seeds}
+}
+
+// combineSenderInto writes CombineSenderROTs' 2^t candidate seeds to dst.
+// Each hash input is assembled on the stack for t ≤ 8 (every N ≤ 256).
+func combineSenderInto(dst [][SeedLen]byte, insts []SenderInst) {
+	var buf [8 * SeedLen]byte
+	for c := range dst {
+		msg := buf[:0]
+		for b, inst := range insts {
+			msg = append(msg, inst.Seeds[(c>>b)&1][:]...)
+		}
+		sum := sha256.Sum256(msg)
+		dst[c] = [SeedLen]byte(sum[:SeedLen])
+	}
 }
 
 // CombineRecvROTs is the receiver counterpart of CombineSenderROTs.
 func CombineRecvROTs(insts []RecvInst) RecvInst {
-	t := len(insts)
+	var buf [8 * SeedLen]byte
+	msg := buf[:0]
 	c := 0
-	h := sha256.New()
-	for b := 0; b < t; b++ {
-		c |= insts[b].Choice << b
-		h.Write(insts[b].Seed[:])
+	for b, inst := range insts {
+		c |= inst.Choice << b
+		msg = append(msg, inst.Seed[:]...)
 	}
-	var seed [SeedLen]byte
-	copy(seed[:], h.Sum(nil)[:SeedLen])
-	return RecvInst{Choice: c, Seed: seed}
+	sum := sha256.Sum256(msg)
+	return RecvInst{Choice: c, Seed: [SeedLen]byte(sum[:SeedLen])}
 }

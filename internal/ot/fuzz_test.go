@@ -1,7 +1,11 @@
 package ot
 
 import (
+	"bytes"
 	"testing"
+
+	"aq2pnn/internal/prg"
+	"aq2pnn/internal/transport"
 )
 
 // FuzzOTFlowHeader throws arbitrary bytes at the OT-flow header decoder:
@@ -35,4 +39,78 @@ func encodeSeedHeader() []byte {
 	g := TestGroup()
 	h := flowHeader{group: g, rHat: g.G, labels: nil}
 	return h.encode()
+}
+
+// FuzzOTExtendFrames throws arbitrary bytes at the two frames a peer
+// controls once the base phase is over: the IKNP u-matrix ExtSender.Extend
+// reads (m instances of κ columns) and the derandomization shifts SendPre
+// reads. Each must give an error or well-formed output — never a panic,
+// never an index past the transpose's column slab — and an accepted shift
+// frame must still deliver the receiver the message its shift selects.
+func FuzzOTExtendFrames(f *testing.F) {
+	f.Add(uint16(7), make([]byte, ExtKappa))      // one column byte per column
+	f.Add(uint16(64), make([]byte, ExtKappa*8))   // whole 8×8 blocks
+	f.Add(uint16(3), []byte{0, 3, 1})             // in-range shifts for N = 4
+	f.Add(uint16(3), []byte{0, 4, 1})             // shift out of range
+	f.Add(uint16(0), []byte{})                    // no instances, empty frame
+	f.Add(uint16(1000), make([]byte, ExtKappa-1)) // short u-matrix
+	g := prg.NewSeeded(51)
+	delta := make([]byte, ExtKappa/8)
+	g.Read(delta)
+	delta[0] |= 1 // Δ ≠ 0, so the two pads of an accepted row always differ
+	seeds := make([][SeedLen]byte, ExtKappa)
+	for i := range seeds {
+		g.Read(seeds[i][:])
+	}
+	const n, msgLen = 4, 5
+	snd, rcv := Deal(g, n, 3)
+	msgs := make([][][]byte, len(snd))
+	for k := range msgs {
+		msgs[k] = make([][]byte, n)
+		for l := range msgs[k] {
+			msgs[k][l] = []byte{byte(k), byte(l), 'm', 's', 'g'}
+		}
+	}
+	f.Fuzz(func(t *testing.T, m16 uint16, frame []byte) {
+		m := int(m16 % 2048)
+		a, b := transport.Pipe()
+		defer a.Close()
+		defer b.Close()
+		if err := b.Send(frame); err != nil {
+			t.Fatal(err)
+		}
+		s := &ExtSender{conn: a, delta: delta, seeds: seeds}
+		if out, err := s.Extend(m); err == nil {
+			if len(out) != m {
+				t.Fatalf("Extend(%d) returned %d instances", m, len(out))
+			}
+			for j, inst := range out {
+				if len(inst.Seeds) != 2 || inst.Seeds[0] == inst.Seeds[1] {
+					t.Fatalf("instance %d is not a 1-of-2 correlation", j)
+				}
+			}
+		}
+
+		if err := b.Send(frame); err != nil {
+			t.Fatal(err)
+		}
+		if err := SendPre(a, snd, n, msgs); err != nil {
+			return
+		}
+		cts, err := b.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cts) != len(msgs)*n*msgLen {
+			t.Fatalf("SendPre sent %d bytes, want %d", len(cts), len(msgs)*n*msgLen)
+		}
+		for k, d := range frame {
+			ch := (rcv[k].Choice - int(d) + n) % n
+			got := Pad(rcv[k].Seed, msgLen)
+			xorInto(got, cts[(k*n+ch)*msgLen:(k*n+ch+1)*msgLen])
+			if !bytes.Equal(got, msgs[k][ch]) {
+				t.Fatalf("instance %d: shift %d does not deliver message %d", k, d, ch)
+			}
+		}
+	})
 }

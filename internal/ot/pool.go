@@ -112,24 +112,8 @@ func (e *Endpoint) refillSend(n, need int) error {
 		return nil
 	}
 	if e.UseExtension {
-		t, err := log2Arity(n)
-		if err != nil {
-			return err
-		}
-		if e.extS == nil {
-			e.extS, err = NewExtSender(e.Conn, e.HarvestGroup, e.Rng, ExtKappa)
-			if err != nil {
-				return err
-			}
-		}
-		raw, err := e.extS.Extend(chunk * t)
-		if err != nil {
-			return err
-		}
-		for k := 0; k < chunk; k++ {
-			e.sendStock[n] = append(e.sendStock[n], CombineSenderROTs(raw[k*t:(k+1)*t]))
-		}
-		return nil
+		// The single-arity case of the coalesced refill: one Extend call.
+		return e.refillSendMulti(map[int]int{n: need})
 	}
 	got, err := HarvestSend(e.Conn, e.HarvestGroup, e.Rng, n, chunk)
 	if err != nil {
@@ -150,24 +134,8 @@ func (e *Endpoint) refillRecv(n, need int) error {
 		return nil
 	}
 	if e.UseExtension {
-		t, err := log2Arity(n)
-		if err != nil {
-			return err
-		}
-		if e.extR == nil {
-			e.extR, err = NewExtReceiver(e.Conn, e.HarvestGroup, e.Rng, ExtKappa)
-			if err != nil {
-				return err
-			}
-		}
-		raw, err := e.extR.Extend(chunk * t)
-		if err != nil {
-			return err
-		}
-		for k := 0; k < chunk; k++ {
-			e.recvStock[n] = append(e.recvStock[n], CombineRecvROTs(raw[k*t:(k+1)*t]))
-		}
-		return nil
+		// The single-arity case of the coalesced refill: one Extend call.
+		return e.refillRecvMulti(map[int]int{n: need})
 	}
 	got, err := HarvestRecv(e.Conn, e.Rng, n, chunk)
 	if err != nil {

@@ -1,7 +1,6 @@
 package ot
 
 import (
-	"crypto/aes"
 	"fmt"
 
 	"aq2pnn/internal/prg"
@@ -38,31 +37,16 @@ func Pad(seed [SeedLen]byte, l int) []byte {
 }
 
 // PadInto fills dst with the XOR pad of seed, writing the same bytes Pad
-// would. The pad stream is AES-128-CTR keyed by the seed with the 0x5C
-// domain-separation IV, so for pads of at most one block (every online OT
-// message: tokens are bits, share messages are ≤ 8 bytes) a single block
-// encryption replaces the general PRG construction — no keystream buffer,
-// no allocation beyond the cipher schedule.
+// would: the first len(dst) bytes of the PRG stream keyed by seed‖0x5C‖0…
+// (AES-128-CTR under the seed, IV {0x5C, 0…}). Exactly len(dst) bytes of
+// keystream are produced — a one-block pad (every token and online share
+// message) is a single block encryption, a 240-byte Gilboa message fifteen
+// — and the cipher's key schedule is nearly all that is allocated.
 func PadInto(dst []byte, seed [SeedLen]byte) {
-	if len(dst) <= aes.BlockSize {
-		// Fast path, bit-identical to the PRG construction below: the PRG's
-		// key is the seed, its IV is {0x5C, 0…}, and a CTR keystream's first
-		// block is AES_key(IV).
-		block, err := aes.NewCipher(seed[:])
-		if err != nil {
-			//lint:allow panicfree unreachable-by-construction: aes.NewCipher fails only on key lengths other than 16/24/32, and the seed is a fixed 16-byte array
-			panic("ot: " + err.Error())
-		}
-		var iv, ks [aes.BlockSize]byte
-		iv[0] = 0x5C
-		block.Encrypt(ks[:], iv[:])
-		copy(dst, ks[:len(dst)])
-		return
-	}
 	var s [prg.SeedSize]byte
 	copy(s[:SeedLen], seed[:])
 	s[SeedLen] = 0x5C // domain separation from other PRG uses
-	prg.New(s).Read(dst)
+	prg.Keystream(dst, s)
 }
 
 // Deal produces `count` correlated random 1-of-N OT instances from a
@@ -160,8 +144,7 @@ func SendPre(c transport.Conn, pre []SenderInst, n int, msgs [][][]byte) error {
 	if len(ds) != len(msgs) {
 		return fmt.Errorf("ot: expected %d shift bytes, got %d", len(msgs), len(ds))
 	}
-	out := make([]byte, 0, len(msgs)*n*msgLen)
-	pad := make([]byte, msgLen)
+	out := make([]byte, len(msgs)*n*msgLen)
 	for k := range msgs {
 		d := int(ds[k])
 		if d >= n {
@@ -172,19 +155,23 @@ func SendPre(c transport.Conn, pre []SenderInst, n int, msgs [][][]byte) error {
 			return fmt.Errorf("ot: precomputed instance %d has arity %d, want %d", k, len(inst.Seeds), n)
 		}
 		for l := 0; l < n; l++ {
-			PadInto(pad, inst.Seeds[(l+d)%n])
-			xorInto(pad, msgs[k][l])
-			out = append(out, pad...)
+			e := out[(k*n+l)*msgLen : (k*n+l+1)*msgLen]
+			PadInto(e, inst.Seeds[(l+d)%n])
+			xorInto(e, msgs[k][l])
 		}
 	}
 	return c.Send(out)
 }
 
 // RecvPre runs the online receiver phase: choices[k] selects instance k's
-// message of length msgLen.
+// message of length msgLen. Like SendPre it rejects N > 256 before any
+// traffic: the shift travels as one byte.
 func RecvPre(c transport.Conn, pre []RecvInst, n int, choices []int, msgLen int) ([][]byte, error) {
 	if len(pre) < len(choices) {
 		return nil, fmt.Errorf("ot: %d precomputed instances for %d transfers", len(pre), len(choices))
+	}
+	if n > 256 {
+		return nil, fmt.Errorf("ot: online derandomization supports N ≤ 256, got %d", n)
 	}
 	ds := make([]byte, len(choices))
 	for k, ch := range choices {

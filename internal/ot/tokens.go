@@ -257,27 +257,29 @@ func (e *Endpoint) refillSendMulti(needs map[int]int) error {
 		}
 		return nil
 	}
+	chunks, ts, total, err := refillSchedule(arities, needs)
+	if err != nil {
+		return err
+	}
 	if e.extS == nil {
-		var err error
 		e.extS, err = NewExtSender(e.Conn, e.HarvestGroup, e.Rng, ExtKappa)
 		if err != nil {
 			return err
 		}
 	}
-	chunks, ts, total, err := refillSchedule(arities, needs)
-	if err != nil {
-		return err
-	}
 	raw, err := e.extS.Extend(total)
 	if err != nil {
 		return err
 	}
-	off := 0
 	for i, n := range arities {
-		t := ts[i]
-		for k := 0; k < chunks[i]; k++ {
-			e.sendStock[n] = append(e.sendStock[n], CombineSenderROTs(raw[off:off+t]))
-			off += t
+		t, chunk := ts[i], chunks[i]
+		// One seed slab per arity; each instance's capped window of it.
+		seeds := make([][SeedLen]byte, chunk*n)
+		for k := 0; k < chunk; k++ {
+			s := seeds[k*n : (k+1)*n : (k+1)*n]
+			combineSenderInto(s, raw[:t])
+			raw = raw[t:]
+			e.sendStock[n] = append(e.sendStock[n], SenderInst{Seeds: s})
 		}
 	}
 	return nil
@@ -297,16 +299,15 @@ func (e *Endpoint) refillRecvMulti(needs map[int]int) error {
 		}
 		return nil
 	}
+	chunks, ts, total, err := refillSchedule(arities, needs)
+	if err != nil {
+		return err
+	}
 	if e.extR == nil {
-		var err error
 		e.extR, err = NewExtReceiver(e.Conn, e.HarvestGroup, e.Rng, ExtKappa)
 		if err != nil {
 			return err
 		}
-	}
-	chunks, ts, total, err := refillSchedule(arities, needs)
-	if err != nil {
-		return err
 	}
 	raw, err := e.extR.Extend(total)
 	if err != nil {

@@ -39,6 +39,45 @@ func New(seed [SeedSize]byte) *PRG {
 	return g
 }
 
+// shortStream is the longest Keystream output built block by block; past
+// it the pipelined CTR mode repays its second copy of the key schedule.
+const shortStream = 256
+
+// Keystream fills dst with the first len(dst) bytes of New(seed)'s stream,
+// without New's 8 KiB buffer: one-shot expansions (OT pads, IKNP columns)
+// produce exactly the bytes they use. Short outputs encrypt the CTR counter
+// blocks IV, IV+1, … directly (a one-block pad is a single encryption),
+// allocating little beyond the cipher's key schedule.
+func Keystream(dst []byte, seed [SeedSize]byte) {
+	block, err := aes.NewCipher(seed[:16])
+	if err != nil {
+		// aes.NewCipher only fails on bad key sizes; 16 is always valid.
+		panic("prg: " + err.Error())
+	}
+	if len(dst) > shortStream {
+		iv := [aes.BlockSize]byte(seed[16:])
+		clear(dst)
+		cipher.NewCTR(block, iv[:]).XORKeyStream(dst, dst)
+		return
+	}
+	// Counter and keystream block share one array: Encrypt's arguments
+	// escape, so this is the call's one allocation besides the cipher.
+	var buf [2 * aes.BlockSize]byte
+	ctr, ks := buf[:aes.BlockSize], buf[aes.BlockSize:]
+	copy(ctr, seed[16:])
+	for len(dst) > 0 {
+		block.Encrypt(ks, ctr)
+		dst = dst[copy(dst, ks):]
+		// Big-endian 128-bit increment, as crypto/cipher's CTR counts.
+		for i := len(ctr) - 1; i >= 0; i-- {
+			ctr[i]++
+			if ctr[i] != 0 {
+				break
+			}
+		}
+	}
+}
+
 // NewSeeded is a convenience constructor deriving the 32-byte seed from a
 // small integer, for tests and reproducible experiments.
 func NewSeeded(seed uint64) *PRG {

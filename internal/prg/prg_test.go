@@ -1,6 +1,7 @@
 package prg
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -47,6 +48,30 @@ func TestReadAcrossRefill(t *testing.T) {
 	for i := range p2 {
 		if p2[i] != big[5000+i] {
 			t.Fatal("chunked read mismatch (tail)")
+		}
+	}
+}
+
+func TestKeystreamMatchesNew(t *testing.T) {
+	g := NewSeeded(8)
+	for _, l := range []int{0, 1, 15, 16, 17, 240, shortStream, shortStream + 1, 8192, 8193, 3*8192 + 5} {
+		var seed [SeedSize]byte
+		g.Read(seed[:])
+		if l == 17 {
+			// The counter carries across bytes: IV+1 wraps its low limb.
+			for i := 16; i < SeedSize; i++ {
+				seed[i] = 0xFF
+			}
+		}
+		want := make([]byte, l)
+		New(seed).Read(want)
+		got := make([]byte, l)
+		for i := range got {
+			got[i] = 0xA5 // Keystream overwrites, it does not XOR
+		}
+		Keystream(got, seed)
+		if !bytes.Equal(got, want) {
+			t.Errorf("Keystream(%d bytes) differs from New(seed).Read", l)
 		}
 	}
 }

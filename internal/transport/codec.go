@@ -54,14 +54,29 @@ func UnpackElems(r ring.Ring, p []byte) ([]uint64, error) {
 		return nil, fmt.Errorf("transport: payload of %d bytes is not a multiple of element width %d", len(p), w)
 	}
 	xs := make([]uint64, len(p)/w)
-	for i := range xs {
+	unpackInto(xs, r, p)
+	return xs, nil
+}
+
+// UnpackElemsInto is the allocation-free form of UnpackElems: p must hold
+// exactly len(dst) elements.
+func UnpackElemsInto(dst []uint64, r ring.Ring, p []byte) error {
+	if len(p) != len(dst)*r.Bytes() {
+		return fmt.Errorf("transport: payload of %d bytes for %d elements of width %d", len(p), len(dst), r.Bytes())
+	}
+	unpackInto(dst, r, p)
+	return nil
+}
+
+func unpackInto(dst []uint64, r ring.Ring, p []byte) {
+	w := r.Bytes()
+	for i := range dst {
 		var x uint64
 		for b := 0; b < w; b++ {
 			x |= uint64(p[i*w+b]) << (8 * b)
 		}
-		xs[i] = x & r.Mask
+		dst[i] = x & r.Mask
 	}
-	return xs, nil
 }
 
 // SendElems transmits a ring-element vector in one frame, packing it

@@ -17,72 +17,69 @@ import (
 // sender offers (r_t, r_t + 2^t·b); the receiver picks with bit a_t and
 // accumulates, ending with Σ = a·b + r, while the sender keeps −r. Vector
 // messages amortize one bit's OT over a whole row of B.
+//
+// Both halves accumulate straight into the caller's Z share (ring addition
+// is exact, so the order of accumulation cannot change a share). The
+// sender's r_t draws run in (row, bit, element) order — the order the
+// warm ≡ cold argument of GilboaFamily.Generate relies on.
 
-// gilboaVecSend is the sender side of shares of a·b for `rows` scalars a
-// (held by the peer) times this party's vectors bs[i] (each of width w).
-// It returns this party's additive shares (−r per element).
-func gilboaVecSend(ep *ot.Endpoint, rng *prg.PRG, r ring.Ring, bs [][]uint64) ([][]uint64, error) {
+// gilboaSend is the OT-sender half of one cross term of an M×K by K×N
+// product: for every row idx = i·K + kk the peer holds the scalar a_idx and
+// this party B's row kk (bShare is K×N). It packs both candidates of every
+// OT into one slab, subtracts each r_t from Z's row i, and sends.
+func gilboaSend(ep *ot.Endpoint, rng *prg.PRG, r ring.Ring, z, bShare []uint64, m, k, n int) error {
 	bits := int(r.Bits)
-	out := make([][]uint64, len(bs))
-	msgs := make([][][]byte, 0, len(bs)*bits)
-	for i, b := range bs {
-		acc := make([]uint64, len(b))
+	msgLen := n * r.Bytes()
+	slab := make([]byte, 2*m*k*bits*msgLen)
+	cands := make([][]byte, 2*m*k*bits)
+	msgs := make([][][]byte, m*k*bits)
+	rt, m1 := make([]uint64, n), make([]uint64, n)
+	for idx := 0; idx < m*k; idx++ {
+		b := bShare[(idx%k)*n : (idx%k+1)*n]
+		zi := z[(idx/k)*n : (idx/k+1)*n]
 		for t := 0; t < bits; t++ {
-			rt := rng.Elems(len(b), r)
-			m0 := transport.PackElems(r, rt)
-			m1v := make([]uint64, len(b))
+			rng.FillElems(rt, r)
 			for j := range b {
-				m1v[j] = r.Add(rt[j], r.Mul(b[j], 1<<uint(t)))
+				m1[j] = r.Add(rt[j], r.Mul(b[j], 1<<uint(t)))
+				zi[j] = r.Sub(zi[j], rt[j])
 			}
-			m1 := transport.PackElems(r, m1v)
-			msgs = append(msgs, [][]byte{m0, m1})
-			for j := range rt {
-				acc[j] = r.Sub(acc[j], rt[j])
-			}
+			o := idx*bits + t
+			c0 := slab[2*o*msgLen : (2*o+1)*msgLen]
+			c1 := slab[(2*o+1)*msgLen : (2*o+2)*msgLen]
+			transport.PackElemsInto(c0, r, rt)
+			transport.PackElemsInto(c1, r, m1)
+			cands[2*o], cands[2*o+1] = c0, c1
+			msgs[o] = cands[2*o : 2*o+2 : 2*o+2]
 		}
-		out[i] = acc
 	}
-	if err := ep.Send1ofN(2, msgs); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return ep.Send1ofN(2, msgs)
 }
 
-// gilboaVecRecv is the receiver side: as[i] is this party's scalar, w the
-// width of the peer's vectors. It returns this party's additive shares
-// (Σ received values per element).
-func gilboaVecRecv(ep *ot.Endpoint, r ring.Ring, as []uint64, w int) ([][]uint64, error) {
+// gilboaRecv is the OT-receiver half: aShare (M×K) supplies the choice
+// bits, and every received N-element row is added into Z's row i.
+func gilboaRecv(ep *ot.Endpoint, r ring.Ring, z, aShare []uint64, m, k, n int) error {
 	bits := int(r.Bits)
-	choices := make([]int, 0, len(as)*bits)
-	for _, a := range as {
+	choices := make([]int, 0, m*k*bits)
+	for _, a := range aShare {
 		for t := 0; t < bits; t++ {
 			choices = append(choices, int((a>>uint(t))&1))
 		}
 	}
-	got, err := ep.Recv1ofN(2, choices, len(transport.PackElems(r, make([]uint64, w))))
+	got, err := ep.Recv1ofN(2, choices, n*r.Bytes())
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([][]uint64, len(as))
-	idx := 0
-	for i := range as {
-		acc := make([]uint64, w)
-		for t := 0; t < bits; t++ {
-			vals, err := transport.UnpackElems(r, got[idx])
-			if err != nil {
-				return nil, err
+	vals := make([]uint64, n)
+	for idx := 0; idx < m*k; idx++ {
+		zi := z[(idx/k)*n : (idx/k+1)*n]
+		for _, msg := range got[idx*bits : (idx+1)*bits] {
+			if err := transport.UnpackElemsInto(vals, r, msg); err != nil {
+				return fmt.Errorf("triple: gilboa row: %w", err)
 			}
-			if len(vals) != w {
-				return nil, fmt.Errorf("triple: gilboa row width %d, want %d", len(vals), w)
-			}
-			for j := range vals {
-				acc[j] = r.Add(acc[j], vals[j])
-			}
-			idx++
+			r.AddVec(zi, zi, vals)
 		}
-		out[i] = acc
 	}
-	return out, nil
+	return nil
 }
 
 // GenMatGilboa generates one party's share of a matrix triple by running
@@ -108,50 +105,23 @@ func GenMatGilboa(ep *ot.Endpoint, rng *prg.PRG, r ring.Ring, party, m, k, n int
 
 // gilboaZ computes this party's share of rec(A) ⊗ rec(B) given its shares
 // of A (M×K) and B (K×N): the local term A_p⊗B_p plus two OT-based cross
-// products. Party 0 plays the OT receiver first. A non-nil pool
-// parallelises the local term (bit-identical at any worker count); the
-// interactive cross products are sequential wire protocol either way.
+// products, rec(A)⊗rec(B) = A0B0 + A0B1 + A1B0 + A1B1. Party 0 plays the OT
+// receiver first. A non-nil pool parallelises the local term (bit-identical
+// at any worker count); the interactive cross products are sequential wire
+// protocol either way.
 func gilboaZ(ep *ot.Endpoint, rng *prg.PRG, pool *parallel.Pool, r ring.Ring, party, m, k, n int, aShare, bShare []uint64) ([]uint64, error) {
 	z := tensor.MatMulModPar(pool, aShare, bShare, m, k, n, r.Mask)
-	// rec(A)⊗rec(B) = A0B0 + A0B1 + A1B0 + A1B1: cross terms via OT.
-	addCross := func(rows [][]uint64) {
-		// rows are indexed by (i·K + kk); each row is the contribution of
-		// a_ik times B's row kk, added into Z row i.
-		for idx, row := range rows {
-			zi := idx / k
-			for j := 0; j < n; j++ {
-				z[zi*n+j] = r.Add(z[zi*n+j], row[j])
-			}
-		}
+	recv := func() error { return gilboaRecv(ep, r, z, aShare, m, k, n) }
+	send := func() error { return gilboaSend(ep, rng, r, z, bShare, m, k, n) }
+	first, second := recv, send
+	if party != 0 {
+		first, second = send, recv
 	}
-	bRows := make([][]uint64, m*k)
-	for i := 0; i < m; i++ {
-		for kk := 0; kk < k; kk++ {
-			bRows[i*k+kk] = bShare[kk*n : (kk+1)*n]
-		}
+	if err := first(); err != nil {
+		return nil, err
 	}
-	if party == 0 {
-		rows, err := gilboaVecRecv(ep, r, aShare, n)
-		if err != nil {
-			return nil, err
-		}
-		addCross(rows)
-		sent, err := gilboaVecSend(ep, rng, r, bRows)
-		if err != nil {
-			return nil, err
-		}
-		addCross(sent)
-	} else {
-		sent, err := gilboaVecSend(ep, rng, r, bRows)
-		if err != nil {
-			return nil, err
-		}
-		addCross(sent)
-		rows, err := gilboaVecRecv(ep, r, aShare, n)
-		if err != nil {
-			return nil, err
-		}
-		addCross(rows)
+	if err := second(); err != nil {
+		return nil, err
 	}
 	return z, nil
 }
