@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -60,9 +61,52 @@ func userHello(m *nn.Model, cfg Options) sessionHello {
 	return h
 }
 
-// TestServeGracefulDrain cancels the server while a session is in
-// flight and checks the session still completes (the drain grace covers
-// it) and the server returns clean.
+// gatedConn parks a client mid-protocol: its third Send — the first past
+// the pipelined hello and attach, so the provider is already running the
+// session — closes parked and blocks until Release. Shutdown tests cancel
+// the server against a session that is provably in flight, however fast
+// the protocol runs, instead of guessing with a sleep.
+type gatedConn struct {
+	transport.Conn
+	sent    atomic.Int32
+	parked  chan struct{}
+	release chan struct{}
+	Release func() // lets the parked Send go on; idempotent
+}
+
+func newGatedConn(c transport.Conn) *gatedConn {
+	g := &gatedConn{Conn: c, parked: make(chan struct{}), release: make(chan struct{})}
+	g.Release = sync.OnceFunc(func() { close(g.release) })
+	return g
+}
+
+func (c *gatedConn) Send(p []byte) error {
+	if c.sent.Add(1) == 3 {
+		close(c.parked)
+		<-c.release
+	}
+	return c.Conn.Send(p)
+}
+
+// Close releases a still-parked Send, so a failed test leaks no goroutine.
+func (c *gatedConn) Close() error {
+	c.Release()
+	return c.Conn.Close()
+}
+
+// waitParked fails the test unless the client reaches the gate.
+func (c *gatedConn) waitParked(t *testing.T) {
+	t.Helper()
+	select {
+	case <-c.parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("session never reached the gate")
+	}
+}
+
+// TestServeGracefulDrain cancels the server while a session is parked
+// mid-protocol, then lets it go on: the session must still complete (the
+// drain grace covers it) and the server return clean.
 func TestServeGracefulDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked session")
@@ -83,18 +127,20 @@ func TestServeGracefulDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	// Cancel as soon as the session is past the handshake: the server
-	// must stop accepting but let this session drain to completion.
+	gate := newGatedConn(conn)
+	defer gate.Close()
 	userDone := make(chan struct{})
 	var res *Result
 	var errU error
 	go func() {
 		defer close(userDone)
-		res, errU = inferOnce(context.Background(), over(conn), m, input(64), cfg)
+		res, errU = inferOnce(context.Background(), over(gate), m, input(64), cfg)
 	}()
-	time.Sleep(150 * time.Millisecond)
+	// Cancel while the session is held past the handshake: the server must
+	// stop accepting but let this session drain to completion.
+	gate.waitParked(t)
 	cancel()
+	gate.Release()
 	<-userDone
 	if errU != nil {
 		t.Fatalf("drained session failed: %v", errU)
@@ -112,9 +158,11 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestServeAbortAfterGrace cancels with a tiny grace: the in-flight
-// session must be cut off, reported as ErrSessionAborted to onSession and
-// counted, while the server still shuts down clean.
+// TestServeAbortAfterGrace cancels with a tiny grace while a session is
+// parked mid-protocol: the held session must be cut off, reported as
+// ErrSessionAborted to onSession and counted, while the server still shuts
+// down clean. The client is let go only once the abort is reported, and
+// then finds its connection gone.
 func TestServeAbortAfterGrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked session")
@@ -130,13 +178,14 @@ func TestServeAbortAfterGrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
+	gate := newGatedConn(conn)
+	defer gate.Close()
 	userDone := make(chan error, 1)
 	go func() {
-		_, err := inferOnce(context.Background(), over(conn), m, input(64), cfg)
+		_, err := inferOnce(context.Background(), over(gate), m, input(64), cfg)
 		userDone <- err
 	}()
-	time.Sleep(100 * time.Millisecond)
+	gate.waitParked(t)
 	cancel()
 	select {
 	case err := <-aborted:
@@ -146,6 +195,7 @@ func TestServeAbortAfterGrace(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("session not torn down after grace expired")
 	}
+	gate.Release()
 	if err := <-userDone; err == nil {
 		t.Error("user side of an aborted session succeeded")
 	}
