@@ -49,8 +49,10 @@ type Options struct {
 	// tournament: the user learns only the predicted class index.
 	RevealClassOnly bool
 	// Workers caps this process's local compute parallelism (GEMM rows,
-	// im2col patches, SCM token matrices, batch pipelining). 0 uses
-	// GOMAXPROCS. Results are bit-identical at every setting.
+	// im2col patches, SCM token matrices, batch pipelining, and the online
+	// OT endpoint's pad, IKNP row-hash and combine loops). 0 uses
+	// GOMAXPROCS. Results and wire bytes are bit-identical at every
+	// setting.
 	Workers uint
 	// Group selects the OT-flow group for networked runs. The zero value
 	// uses the production 512-bit prime; demos may pass ot.TestGroup() for
@@ -124,9 +126,9 @@ type Options struct {
 	// Warm and cold inferences reveal byte-identical logits.
 	BankDepth int
 	// FillWorkers caps the filler's local compute parallelism (its Gilboa
-	// GEMMs), independently of Workers so background fill does not steal
-	// the online path's CPUs. 0 uses GOMAXPROCS. Ignored when BankDepth
-	// is 0.
+	// GEMMs and its OT endpoint's pad, IKNP row-hash and combine loops),
+	// independently of Workers so background fill does not steal the
+	// online path's CPUs. 0 uses GOMAXPROCS. Ignored when BankDepth is 0.
 	FillWorkers uint
 }
 

@@ -30,7 +30,7 @@ func NewNetworkContext(party int, conn transport.Conn, cfg Options) *secure.Cont
 		Rng:        rng.Fork(),
 		Triples:    &triple.OTSource{EP: ep, Rng: gilboaRng.Fork(), Party: party},
 		LocalTrunc: cfg.LocalTrunc,
-		Pool:       cfg.Pool(),
+		Pool:       ep.Pool,
 		NewFamily: func(id string, r ring.Ring, k, n int) (triple.Family, error) {
 			return triple.NewGilboaFamily(ep, gilboaRng.Fork(), party, r, k, n), nil
 		},
@@ -39,10 +39,12 @@ func NewNetworkContext(party int, conn transport.Conn, cfg Options) *secure.Cont
 
 // newOTEndpoint builds party's networked OT endpoint over conn: base OTs
 // harvested in the configured group (the production default when unset),
-// then IKNP extension. Every networked OT flow starts here — the online
-// contexts and the fill plane's kit generation alike.
+// then IKNP extension, with its pad and hash loops on the Workers pool.
+// Every networked OT flow starts here — the online contexts and the fill
+// plane's kit generation alike (which swaps in its FillWorkers pool).
 func newOTEndpoint(party int, conn transport.Conn, cfg Options, rng *prg.PRG) *ot.Endpoint {
 	ep := ot.NewEndpoint(party, conn, rng)
+	ep.Pool = cfg.Pool()
 	ep.HarvestGroup = cfg.Group
 	if ep.HarvestGroup.P == nil {
 		ep.HarvestGroup = ot.DefaultGroup()

@@ -74,6 +74,7 @@ func preprocGen(pconn transport.Conn, party int, cfg Options, st *sessionState, 
 		icfg := inferOptions(cfg, seq)
 		rng := prg.NewSeeded(saltedSeed(icfg.Seed, preprocSeedSalt+uint64(party)*7919))
 		ep := newOTEndpoint(party, pconn, cfg, rng.Fork())
+		ep.Pool = pool
 		ep.Trace = telemetry.NewScope(root)
 		famRng := prg.NewSeeded(inferFamSeed(icfg, party))
 		mats := make(map[int]*triple.Mat, len(layers))

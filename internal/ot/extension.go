@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"aq2pnn/internal/parallel"
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/transport"
 )
@@ -30,9 +31,10 @@ import (
 // Implementation: G is prg.Keystream, which writes exactly the ⌈m/8⌉
 // bytes a column needs into one κ-column slab; the columns become rows by
 // an 8×8-block bit transpose (transposeBits) into a caller-owned row slab;
-// H is SHA-256 over counter ‖ j ‖ row, assembled on the stack. Only the
-// u-matrix crosses the wire; TestOTTranscriptPinned pins it and the
-// minted seeds byte for byte.
+// H is SHA-256 over counter ‖ j ‖ row, assembled on the stack. The κ
+// column expansions and the m row hashes are independent, so a large
+// Extend blocks both over the endpoint's pool. Only the u-matrix crosses the
+// wire; TestOTTranscriptPinned pins it and the minted seeds byte for byte.
 
 // ExtKappa is the security parameter: the number of base-OT columns.
 const ExtKappa = 128
@@ -45,6 +47,9 @@ type ExtSender struct {
 	seeds [][SeedLen]byte
 	// counter salts the per-row hash across Extend calls.
 	counter uint64
+	// pool, when set, spreads a large Extend's column expansion and row
+	// hashing over its workers; the output is identical at any size.
+	pool *parallel.Pool
 }
 
 // ExtReceiver is the counterpart state (base-OT sender during setup).
@@ -53,6 +58,21 @@ type ExtReceiver struct {
 	rng     *prg.PRG
 	pairs   [][2][SeedLen]byte
 	counter uint64
+	pool    *parallel.Pool // as ExtSender.pool
+}
+
+// parBatch is the smallest batch of OT instances whose independent
+// per-instance loops are spread over a pool; below it the hand-off to a
+// helper goroutine costs more than the work it moves.
+const parBatch = 256
+
+// poolFor returns p for a batch of at least parBatch instances and nil,
+// the serial pool, below it.
+func poolFor(p *parallel.Pool, batch int) *parallel.Pool {
+	if batch < parBatch {
+		return nil
+	}
+	return p
 }
 
 // NewExtSender runs the reversed base OTs as their receiver, with secret
@@ -168,26 +188,31 @@ func (s *ExtSender) Extend(m int) ([]SenderInst, error) {
 	if len(us) != kappa*nBytes {
 		return nil, fmt.Errorf("ot: extension expected %d u-bytes, got %d", kappa*nBytes, len(us))
 	}
+	pool := poolFor(s.pool, m)
 	// q columns: qᵢ = G(k_{Δᵢ}) ⊕ Δᵢ·uᵢ.
 	cols := make([]byte, kappa*nBytes)
-	for i := 0; i < kappa; i++ {
-		col := cols[i*nBytes : (i+1)*nBytes]
-		expandColumn(col, s.seeds[i], s.counter)
-		if bitOf(s.delta, i) == 1 {
-			xorInto(col, us[i*nBytes:(i+1)*nBytes])
+	pool.Blocks(kappa, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			col := cols[i*nBytes : (i+1)*nBytes]
+			expandColumn(col, s.seeds[i], s.counter)
+			if bitOf(s.delta, i) == 1 {
+				xorInto(col, us[i*nBytes:(i+1)*nBytes])
+			}
 		}
-	}
+	})
 	rows := make([]byte, m*rowLen)
 	transposeBits(rows, cols, kappa, m)
 	out := make([]SenderInst, m)
 	seeds := make([][SeedLen]byte, 2*m)
-	for j := range out {
-		row := rows[j*rowLen : (j+1)*rowLen]
-		seeds[2*j] = rowHash(s.counter, j, row)
-		xorInto(row, s.delta)
-		seeds[2*j+1] = rowHash(s.counter, j, row)
-		out[j] = SenderInst{Seeds: seeds[2*j : 2*j+2 : 2*j+2]}
-	}
+	pool.Blocks(m, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			row := rows[j*rowLen : (j+1)*rowLen]
+			seeds[2*j] = rowHash(s.counter, j, row)
+			xorInto(row, s.delta)
+			seeds[2*j+1] = rowHash(s.counter, j, row)
+			out[j] = SenderInst{Seeds: seeds[2*j : 2*j+2 : 2*j+2]}
+		}
+	})
 	s.counter++
 	return out, nil
 }
@@ -201,25 +226,30 @@ func (r *ExtReceiver) Extend(m int) ([]RecvInst, error) {
 	nBytes, rowLen := (m+7)/8, kappa/8
 	choice := make([]byte, nBytes)
 	r.rng.Read(choice)
+	pool := poolFor(r.pool, m)
 	// t columns and the u transmission: uᵢ = G(k₀ᵢ) ⊕ G(k₁ᵢ) ⊕ r.
 	tCols := make([]byte, kappa*nBytes)
 	us := make([]byte, kappa*nBytes)
-	for i := 0; i < kappa; i++ {
-		t0, u := tCols[i*nBytes:(i+1)*nBytes], us[i*nBytes:(i+1)*nBytes]
-		expandColumn(t0, r.pairs[i][0], r.counter)
-		expandColumn(u, r.pairs[i][1], r.counter)
-		xorInto(u, t0)
-		xorInto(u, choice)
-	}
+	pool.Blocks(kappa, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			t0, u := tCols[i*nBytes:(i+1)*nBytes], us[i*nBytes:(i+1)*nBytes]
+			expandColumn(t0, r.pairs[i][0], r.counter)
+			expandColumn(u, r.pairs[i][1], r.counter)
+			xorInto(u, t0)
+			xorInto(u, choice)
+		}
+	})
 	if err := r.conn.Send(us); err != nil {
 		return nil, err
 	}
 	rows := make([]byte, m*rowLen)
 	transposeBits(rows, tCols, kappa, m)
 	out := make([]RecvInst, m)
-	for j := range out {
-		out[j] = RecvInst{Choice: int(bitOf(choice, j)), Seed: rowHash(r.counter, j, rows[j*rowLen:(j+1)*rowLen])}
-	}
+	pool.Blocks(m, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			out[j] = RecvInst{Choice: int(bitOf(choice, j)), Seed: rowHash(r.counter, j, rows[j*rowLen:(j+1)*rowLen])}
+		}
+	})
 	r.counter++
 	return out, nil
 }

@@ -94,7 +94,7 @@ func FuzzOTExtendFrames(f *testing.F) {
 		if err := b.Send(frame); err != nil {
 			t.Fatal(err)
 		}
-		if err := SendPre(a, snd, n, msgs); err != nil {
+		if err := SendPre(a, nil, snd, n, msgs); err != nil {
 			return
 		}
 		cts, err := b.Recv()

@@ -87,7 +87,7 @@ func TestRecvPreRejectsWideArity(t *testing.T) {
 	_, rcv := Deal(prg.NewSeeded(43), 300, 1)
 	done := make(chan error, 1)
 	go func() {
-		_, err := RecvPre(b, rcv, 300, []int{299}, 4)
+		_, err := RecvPre(b, nil, rcv, 300, []int{299}, 4)
 		done <- err
 	}()
 	select {

@@ -184,10 +184,10 @@ func TestPrecomputedOnline(t *testing.T) {
 	}
 	var got [][]byte
 	runPair(t,
-		func(c transport.Conn) error { return SendPre(c, snd, n, msgs) },
+		func(c transport.Conn) error { return SendPre(c, nil, snd, n, msgs) },
 		func(c transport.Conn) error {
 			var err error
-			got, err = RecvPre(c, rcv, n, choices, 5)
+			got, err = RecvPre(c, nil, rcv, n, choices, 5)
 			return err
 		})
 	for k := range msgs {
@@ -214,8 +214,8 @@ func TestPrecomputedOnlineCommCost(t *testing.T) {
 	defer b.Close()
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); SendPre(a, snd, n, msgs) }()
-	go func() { defer wg.Done(); RecvPre(b, rcv, n, choices, msgLen) }()
+	go func() { defer wg.Done(); SendPre(a, nil, snd, n, msgs) }()
+	go func() { defer wg.Done(); RecvPre(b, nil, rcv, n, choices, msgLen) }()
 	wg.Wait()
 	if got := a.Stats().BytesSent; got != uint64(count*n*msgLen) {
 		t.Errorf("sender online bytes = %d, want %d", got, count*n*msgLen)
@@ -255,10 +255,10 @@ func TestHarvestThenOnline(t *testing.T) {
 	}
 	var got [][]byte
 	runPair(t,
-		func(c transport.Conn) error { return SendPre(c, snd, n, msgs) },
+		func(c transport.Conn) error { return SendPre(c, nil, snd, n, msgs) },
 		func(c transport.Conn) error {
 			var err error
-			got, err = RecvPre(c, rcv, n, choices, 1)
+			got, err = RecvPre(c, nil, rcv, n, choices, 1)
 			return err
 		})
 	for k := range got {
@@ -391,8 +391,8 @@ func BenchmarkPrecomputedOnline1of4(b *testing.B) {
 		b.StartTimer()
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); SendPre(a, snd, 4, msgs) }()
-		go func() { defer wg.Done(); RecvPre(c, rcv, 4, choices, 1) }()
+		go func() { defer wg.Done(); SendPre(a, nil, snd, 4, msgs) }()
+		go func() { defer wg.Done(); RecvPre(c, nil, rcv, 4, choices, 1) }()
 		wg.Wait()
 		b.StopTimer()
 		a.Close()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"aq2pnn/internal/parallel"
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/telemetry"
 	"aq2pnn/internal/transport"
@@ -78,6 +79,11 @@ type Endpoint struct {
 	// UseExtension turns on IKNP OT extension: κ base OTs once, then
 	// PRG+hash-only refills. Both endpoints must agree.
 	UseExtension bool
+
+	// Pool spreads the pad, row-hash and combine loops of batches of at
+	// least parBatch instances over its workers; nil runs them serially.
+	// Wire bytes and results are identical at every worker count.
+	Pool *parallel.Pool
 
 	// Trace receives a span per online OT batch (nil disables tracing at
 	// one branch per call). Like the rest of the endpoint it belongs to
@@ -173,7 +179,7 @@ func (e *Endpoint) Send1ofN(n int, msgs [][][]byte) error {
 		}
 	}
 	pre := e.sendStock[n][:len(msgs)]
-	if err := SendPre(e.Conn, pre, n, msgs); err != nil {
+	if err := SendPre(e.Conn, e.Pool, pre, n, msgs); err != nil {
 		return err
 	}
 	e.sendStock[n] = e.sendStock[n][len(msgs):]
@@ -195,7 +201,7 @@ func (e *Endpoint) Recv1ofN(n int, choices []int, msgLen int) ([][]byte, error) 
 		}
 	}
 	pre := e.recvStock[n][:len(choices)]
-	out, err := RecvPre(e.Conn, pre, n, choices, msgLen)
+	out, err := RecvPre(e.Conn, e.Pool, pre, n, choices, msgLen)
 	if err != nil {
 		return nil, err
 	}

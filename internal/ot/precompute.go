@@ -3,6 +3,7 @@ package ot
 import (
 	"fmt"
 
+	"aq2pnn/internal/parallel"
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/transport"
 )
@@ -113,8 +114,10 @@ func HarvestRecv(c transport.Conn, rng *prg.PRG, n, count int) ([]RecvInst, erro
 // OTs. pre must contain one precomputed instance per message set. The
 // receiver first reveals d = (c′ − c) mod N; the sender answers with
 // e_l = m_l ⊕ pad_{(l+d) mod N}. Online cost: 1 byte from the receiver and
-// N·msgLen bytes from the sender per instance, in one message each.
-func SendPre(c transport.Conn, pre []SenderInst, n int, msgs [][][]byte) error {
+// N·msgLen bytes from the sender per instance, in one message each. The
+// peer's shifts are all checked before the pads of a large batch are
+// spread over pool (nil runs them serially).
+func SendPre(c transport.Conn, pool *parallel.Pool, pre []SenderInst, n int, msgs [][][]byte) error {
 	if len(pre) < len(msgs) {
 		return fmt.Errorf("ot: %d precomputed instances for %d transfers", len(pre), len(msgs))
 	}
@@ -144,29 +147,33 @@ func SendPre(c transport.Conn, pre []SenderInst, n int, msgs [][][]byte) error {
 	if len(ds) != len(msgs) {
 		return fmt.Errorf("ot: expected %d shift bytes, got %d", len(msgs), len(ds))
 	}
-	out := make([]byte, len(msgs)*n*msgLen)
-	for k := range msgs {
-		d := int(ds[k])
-		if d >= n {
+	for k, d := range ds {
+		if int(d) >= n {
 			return fmt.Errorf("ot: shift %d out of range for N=%d", d, n)
 		}
-		inst := pre[k]
-		if len(inst.Seeds) != n {
-			return fmt.Errorf("ot: precomputed instance %d has arity %d, want %d", k, len(inst.Seeds), n)
-		}
-		for l := 0; l < n; l++ {
-			e := out[(k*n+l)*msgLen : (k*n+l+1)*msgLen]
-			PadInto(e, inst.Seeds[(l+d)%n])
-			xorInto(e, msgs[k][l])
+		if len(pre[k].Seeds) != n {
+			return fmt.Errorf("ot: precomputed instance %d has arity %d, want %d", k, len(pre[k].Seeds), n)
 		}
 	}
+	out := make([]byte, len(msgs)*n*msgLen)
+	poolFor(pool, len(msgs)).Blocks(len(msgs), func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			d, seeds := int(ds[k]), pre[k].Seeds
+			for l := 0; l < n; l++ {
+				e := out[(k*n+l)*msgLen : (k*n+l+1)*msgLen]
+				PadInto(e, seeds[(l+d)%n])
+				xorInto(e, msgs[k][l])
+			}
+		}
+	})
 	return c.Send(out)
 }
 
 // RecvPre runs the online receiver phase: choices[k] selects instance k's
 // message of length msgLen. Like SendPre it rejects N > 256 before any
-// traffic: the shift travels as one byte.
-func RecvPre(c transport.Conn, pre []RecvInst, n int, choices []int, msgLen int) ([][]byte, error) {
+// traffic: the shift travels as one byte. The pads of a large batch are
+// spread over pool (nil runs them serially).
+func RecvPre(c transport.Conn, pool *parallel.Pool, pre []RecvInst, n int, choices []int, msgLen int) ([][]byte, error) {
 	if len(pre) < len(choices) {
 		return nil, fmt.Errorf("ot: %d precomputed instances for %d transfers", len(pre), len(choices))
 	}
@@ -192,11 +199,14 @@ func RecvPre(c transport.Conn, pre []RecvInst, n int, choices []int, msgLen int)
 	}
 	out := make([][]byte, len(choices))
 	flat := make([]byte, len(choices)*msgLen)
-	for k, ch := range choices {
-		m := flat[k*msgLen : (k+1)*msgLen]
-		PadInto(m, pre[k].Seed)
-		xorInto(m, cts[(k*n+ch)*msgLen:(k*n+ch+1)*msgLen])
-		out[k] = m
-	}
+	poolFor(pool, len(choices)).Blocks(len(choices), func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			ch := choices[k]
+			m := flat[k*msgLen : (k+1)*msgLen]
+			PadInto(m, pre[k].Seed)
+			xorInto(m, cts[(k*n+ch)*msgLen:(k*n+ch+1)*msgLen])
+			out[k] = m
+		}
+	})
 	return out, nil
 }

@@ -2,6 +2,7 @@ package ot
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"aq2pnn/internal/telemetry"
@@ -266,6 +267,7 @@ func (e *Endpoint) refillSendMulti(needs map[int]int) error {
 		if err != nil {
 			return err
 		}
+		e.extS.pool = e.Pool
 	}
 	raw, err := e.extS.Extend(total)
 	if err != nil {
@@ -275,12 +277,17 @@ func (e *Endpoint) refillSendMulti(needs map[int]int) error {
 		t, chunk := ts[i], chunks[i]
 		// One seed slab per arity; each instance's capped window of it.
 		seeds := make([][SeedLen]byte, chunk*n)
-		for k := 0; k < chunk; k++ {
-			s := seeds[k*n : (k+1)*n : (k+1)*n]
-			combineSenderInto(s, raw[:t])
-			raw = raw[t:]
-			e.sendStock[n] = append(e.sendStock[n], SenderInst{Seeds: s})
-		}
+		stock := slices.Grow(e.sendStock[n], chunk)
+		fresh := stock[len(stock) : len(stock)+chunk]
+		poolFor(e.Pool, chunk).Blocks(chunk, func(lo, hi int) {
+			for k := lo; k < hi; k++ {
+				s := seeds[k*n : (k+1)*n : (k+1)*n]
+				combineSenderInto(s, raw[k*t:(k+1)*t])
+				fresh[k] = SenderInst{Seeds: s}
+			}
+		})
+		raw = raw[chunk*t:]
+		e.sendStock[n] = stock[:len(stock)+chunk]
 	}
 	return nil
 }
@@ -308,18 +315,23 @@ func (e *Endpoint) refillRecvMulti(needs map[int]int) error {
 		if err != nil {
 			return err
 		}
+		e.extR.pool = e.Pool
 	}
 	raw, err := e.extR.Extend(total)
 	if err != nil {
 		return err
 	}
-	off := 0
 	for i, n := range arities {
-		t := ts[i]
-		for k := 0; k < chunks[i]; k++ {
-			e.recvStock[n] = append(e.recvStock[n], CombineRecvROTs(raw[off:off+t]))
-			off += t
-		}
+		t, chunk := ts[i], chunks[i]
+		stock := slices.Grow(e.recvStock[n], chunk)
+		fresh := stock[len(stock) : len(stock)+chunk]
+		poolFor(e.Pool, chunk).Blocks(chunk, func(lo, hi int) {
+			for k := lo; k < hi; k++ {
+				fresh[k] = CombineRecvROTs(raw[k*t : (k+1)*t])
+			}
+		})
+		raw = raw[chunk*t:]
+		e.recvStock[n] = stock[:len(stock)+chunk]
 	}
 	return nil
 }

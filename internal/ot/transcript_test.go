@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"aq2pnn/internal/parallel"
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/transport"
 )
@@ -70,19 +71,22 @@ func both(t *testing.T, p0, p1 func() error) {
 // both sides of the one-block pad and of the PRG's 8 KiB buffer, in both
 // directions. The constants were captured before the pad, transpose and
 // hashing paths were rewritten; they must never move without a deliberate
-// wire change.
+// wire change. Every loop runs on a GOMAXPROCS-sized pool, so `go test
+// -cpu 1,4,8` checks that the constants do not depend on the worker count.
 func TestOTTranscriptPinned(t *testing.T) {
 	a, b := transport.Pipe()
 	defer a.Close()
 	defer b.Close()
 	dc := &digestConn{Conn: a}
 	var minted frameDigest
+	pool := parallel.New(0)
 
 	var s *ExtSender
 	var r *ExtReceiver
 	both(t,
 		func() (err error) { s, err = NewExtSender(dc, TestGroup(), prg.NewSeeded(101), ExtKappa); return },
 		func() (err error) { r, err = NewExtReceiver(b, TestGroup(), prg.NewSeeded(102), ExtKappa); return })
+	s.pool, r.pool = pool, pool
 	for _, m := range []int{1, 7, 64, 1000} {
 		var si []SenderInst
 		var ri []RecvInst
@@ -100,6 +104,7 @@ func TestOTTranscriptPinned(t *testing.T) {
 	for _, e := range []*Endpoint{e0, e1} {
 		e.HarvestGroup = TestGroup()
 		e.UseExtension = true
+		e.Pool = pool
 	}
 	g := prg.NewSeeded(105)
 	for _, msgLen := range []int{8, 16, 17, 32, 240, 8192, 8200} {
@@ -141,6 +146,60 @@ func TestOTTranscriptPinned(t *testing.T) {
 	} {
 		if c.got.sum != c.sum || c.got.frames != c.frames {
 			t.Errorf("%s digest %#x over %d frames, want %#x over %d", c.name, c.got.sum, c.got.frames, c.sum, c.frames)
+		}
+	}
+}
+
+// TestPoolMatchesSerial runs batches past parBatch — so every pooled loop
+// (column expansion, row hashing, both combiners, both pad loops) actually
+// splits — on a serial and on pooled endpoint pairs, including a degree
+// that does not divide the batch, and requires identical frames and
+// outputs.
+func TestPoolMatchesSerial(t *testing.T) {
+	run := func(pool *parallel.Pool) [3]frameDigest {
+		a, b := transport.Pipe()
+		defer a.Close()
+		defer b.Close()
+		dc := &digestConn{Conn: a}
+		e0, e1 := NewEndpoint(0, dc, prg.NewSeeded(111)), NewEndpoint(1, b, prg.NewSeeded(112))
+		for _, e := range []*Endpoint{e0, e1} {
+			e.HarvestGroup = TestGroup()
+			e.UseExtension = true
+			e.Pool = pool
+		}
+		g := prg.NewSeeded(113)
+		var got frameDigest
+		for _, dir := range []struct {
+			n, insts, msgLen int
+			snd, rcv         *Endpoint
+		}{{2, 1500, 20, e0, e1}, {8, parBatch + 3, 3, e1, e0}} {
+			msgs := make([][][]byte, dir.insts)
+			choices := make([]int, dir.insts)
+			for k := range msgs {
+				msgs[k] = make([][]byte, dir.n)
+				for l := range msgs[k] {
+					msgs[k][l] = make([]byte, dir.msgLen)
+					g.Read(msgs[k][l])
+				}
+				choices[k] = g.Intn(dir.n)
+			}
+			var out [][]byte
+			both(t,
+				func() error { return dir.snd.Send1ofN(dir.n, msgs) },
+				func() (err error) { out, err = dir.rcv.Recv1ofN(dir.n, choices, dir.msgLen); return })
+			for k := range out {
+				if !bytes.Equal(out[k], msgs[k][choices[k]]) {
+					t.Fatalf("N=%d instance %d: wrong message", dir.n, k)
+				}
+				got.add(out[k])
+			}
+		}
+		return [3]frameDigest{dc.sent, dc.recv, got}
+	}
+	want := run(nil)
+	for _, w := range []uint{2, 3, 8} {
+		if got := run(parallel.New(w)); got != want {
+			t.Errorf("pool of %d: digests %v, serial %v", w, got, want)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"aq2pnn/internal/ot"
+	"aq2pnn/internal/parallel"
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/ring"
 	"aq2pnn/internal/transport"
@@ -18,7 +19,9 @@ import (
 // The shares are a function of the sender's rng draws in (row, bit,
 // element) order and of the receiver's choice bits, so any reordering of
 // those draws moves the digest — the warm ≡ cold argument of the
-// preprocessing plane rests on exactly that order.
+// preprocessing plane rests on exactly that order. The endpoints run on a
+// GOMAXPROCS-sized pool, so `go test -cpu 1,4,8` checks that the digest
+// does not depend on the worker count.
 func TestGilboaSharesPinned(t *testing.T) {
 	a, b := transport.Pipe()
 	defer a.Close()
@@ -28,6 +31,7 @@ func TestGilboaSharesPinned(t *testing.T) {
 	for _, e := range eps {
 		e.HarvestGroup = ot.TestGroup()
 		e.UseExtension = true
+		e.Pool = parallel.New(0)
 	}
 	h := fnv.New64a()
 	for _, sh := range []struct {
