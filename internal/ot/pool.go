@@ -81,8 +81,8 @@ type Endpoint struct {
 	UseExtension bool
 
 	// Pool spreads the pad, row-hash and combine loops of batches of at
-	// least parBatch instances over its workers; nil runs them serially.
-	// Wire bytes and results are identical at every worker count.
+	// least 256 instances (parBatch) over its workers; nil runs them
+	// serially. Wire bytes and results are identical at every worker count.
 	Pool *parallel.Pool
 
 	// Trace receives a span per online OT batch (nil disables tracing at

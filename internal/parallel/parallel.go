@@ -1,7 +1,8 @@
 // Package parallel provides the shared, size-capped goroutine pool behind
 // every data-parallel hot path of the secure engine: row-blocked modular
 // GEMM, im2col lowering, SCM comparison-matrix construction and ABReLU
-// group evaluation, and the pipelined batch executor.
+// group evaluation, the OT plane's pad, IKNP row-hash and combine loops,
+// and the pipelined batch executor.
 //
 // The pool is deliberately simple: a process-wide semaphore caps the number
 // of in-flight helper goroutines, and each Pool value is a per-call-site
