@@ -3,6 +3,7 @@ package engine
 import (
 	"aq2pnn/internal/nn"
 	"aq2pnn/internal/ot"
+	"aq2pnn/internal/parallel"
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/ring"
 	"aq2pnn/internal/secure"
@@ -21,7 +22,7 @@ import (
 // harvest-backed OT and Gilboa triple families.
 func NewNetworkContext(party int, conn transport.Conn, cfg Options) *secure.Context {
 	rng := prg.NewSeeded(saltedSeed(cfg.Seed, uint64(party)*7919))
-	ep := newOTEndpoint(party, conn, cfg, rng.Fork())
+	ep := newOTEndpoint(party, conn, cfg, rng.Fork(), cfg.Pool())
 	gilboaRng := rng.Fork()
 	return &secure.Context{
 		Party:      share.Party(party),
@@ -39,12 +40,12 @@ func NewNetworkContext(party int, conn transport.Conn, cfg Options) *secure.Cont
 
 // newOTEndpoint builds party's networked OT endpoint over conn: base OTs
 // harvested in the configured group (the production default when unset),
-// then IKNP extension, with its pad and hash loops on the Workers pool.
-// Every networked OT flow starts here — the online contexts and the fill
-// plane's kit generation alike (which swaps in its FillWorkers pool).
-func newOTEndpoint(party int, conn transport.Conn, cfg Options, rng *prg.PRG) *ot.Endpoint {
+// then IKNP extension, with its pad and hash loops on pool. Every
+// networked OT flow starts here — the online contexts on the Workers pool
+// and the fill plane's kit generation on its FillWorkers pool alike.
+func newOTEndpoint(party int, conn transport.Conn, cfg Options, rng *prg.PRG, pool *parallel.Pool) *ot.Endpoint {
 	ep := ot.NewEndpoint(party, conn, rng)
-	ep.Pool = cfg.Pool()
+	ep.Pool = pool
 	ep.HarvestGroup = cfg.Group
 	if ep.HarvestGroup.P == nil {
 		ep.HarvestGroup = ot.DefaultGroup()

@@ -73,8 +73,7 @@ func preprocGen(pconn transport.Conn, party int, cfg Options, st *sessionState, 
 	return func(seq uint32, root *telemetry.Span) (*preproc.Kit, error) {
 		icfg := inferOptions(cfg, seq)
 		rng := prg.NewSeeded(saltedSeed(icfg.Seed, preprocSeedSalt+uint64(party)*7919))
-		ep := newOTEndpoint(party, pconn, cfg, rng.Fork())
-		ep.Pool = pool
+		ep := newOTEndpoint(party, pconn, cfg, rng.Fork(), pool)
 		ep.Trace = telemetry.NewScope(root)
 		famRng := prg.NewSeeded(inferFamSeed(icfg, party))
 		mats := make(map[int]*triple.Mat, len(layers))

@@ -32,8 +32,8 @@ import (
 // bytes a column needs into one κ-column slab; the columns become rows by
 // an 8×8-block bit transpose (transposeBits) into a caller-owned row slab;
 // H is SHA-256 over counter ‖ j ‖ row, assembled on the stack. The κ
-// column expansions and the m row hashes are independent, so a large
-// Extend blocks both over the endpoint's pool. Only the u-matrix crosses the
+// column expansions and the m row hashes are independent, so an endpoint
+// refill blocks both over the endpoint's pool. Only the u-matrix crosses the
 // wire; TestOTTranscriptPinned pins it and the minted seeds byte for byte.
 
 // ExtKappa is the security parameter: the number of base-OT columns.
@@ -47,9 +47,6 @@ type ExtSender struct {
 	seeds [][SeedLen]byte
 	// counter salts the per-row hash across Extend calls.
 	counter uint64
-	// pool, when set, spreads a large Extend's column expansion and row
-	// hashing over its workers; the output is identical at any size.
-	pool *parallel.Pool
 }
 
 // ExtReceiver is the counterpart state (base-OT sender during setup).
@@ -58,21 +55,6 @@ type ExtReceiver struct {
 	rng     *prg.PRG
 	pairs   [][2][SeedLen]byte
 	counter uint64
-	pool    *parallel.Pool // as ExtSender.pool
-}
-
-// parBatch is the smallest batch of OT instances whose independent
-// per-instance loops are spread over a pool; below it the hand-off to a
-// helper goroutine costs more than the work it moves.
-const parBatch = 256
-
-// poolFor returns p for a batch of at least parBatch instances and nil,
-// the serial pool, below it.
-func poolFor(p *parallel.Pool, batch int) *parallel.Pool {
-	if batch < parBatch {
-		return nil
-	}
-	return p
 }
 
 // NewExtSender runs the reversed base OTs as their receiver, with secret
@@ -174,8 +156,14 @@ func transpose8(x uint64) uint64 {
 	return x ^ t ^ (t << 28)
 }
 
-// Extend mints m random 1-of-2 OT correlations on the sender side.
-func (s *ExtSender) Extend(m int) ([]SenderInst, error) {
+// Extend mints m random 1-of-2 OT correlations on the sender side,
+// serially; the endpoint's refills run the same steps over its pool.
+func (s *ExtSender) Extend(m int) ([]SenderInst, error) { return s.extend(nil, m) }
+
+// extend is Extend with the κ column expansions and the m row hashes
+// blocked over pool (nil runs them serially); the output is identical at
+// every worker count.
+func (s *ExtSender) extend(pool *parallel.Pool, m int) ([]SenderInst, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("ot: extension of %d instances", m)
 	}
@@ -188,7 +176,6 @@ func (s *ExtSender) Extend(m int) ([]SenderInst, error) {
 	if len(us) != kappa*nBytes {
 		return nil, fmt.Errorf("ot: extension expected %d u-bytes, got %d", kappa*nBytes, len(us))
 	}
-	pool := poolFor(s.pool, m)
 	// q columns: qᵢ = G(k_{Δᵢ}) ⊕ Δᵢ·uᵢ.
 	cols := make([]byte, kappa*nBytes)
 	pool.Blocks(kappa, func(lo, hi int) {
@@ -217,8 +204,12 @@ func (s *ExtSender) Extend(m int) ([]SenderInst, error) {
 	return out, nil
 }
 
-// Extend mints m random 1-of-2 OT correlations on the receiver side.
-func (r *ExtReceiver) Extend(m int) ([]RecvInst, error) {
+// Extend mints m random 1-of-2 OT correlations on the receiver side,
+// serially; the endpoint's refills run the same steps over its pool.
+func (r *ExtReceiver) Extend(m int) ([]RecvInst, error) { return r.extend(nil, m) }
+
+// extend is the receiver counterpart of ExtSender.extend.
+func (r *ExtReceiver) extend(pool *parallel.Pool, m int) ([]RecvInst, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("ot: extension of %d instances", m)
 	}
@@ -226,7 +217,6 @@ func (r *ExtReceiver) Extend(m int) ([]RecvInst, error) {
 	nBytes, rowLen := (m+7)/8, kappa/8
 	choice := make([]byte, nBytes)
 	r.rng.Read(choice)
-	pool := poolFor(r.pool, m)
 	// t columns and the u transmission: uᵢ = G(k₀ᵢ) ⊕ G(k₁ᵢ) ⊕ r.
 	tCols := make([]byte, kappa*nBytes)
 	us := make([]byte, kappa*nBytes)
@@ -254,16 +244,10 @@ func (r *ExtReceiver) Extend(m int) ([]RecvInst, error) {
 	return out, nil
 }
 
-// CombineSenderROTs fuses t random 1-of-2 correlations into one 1-of-2^t
-// correlation: candidate pads are hashes of the chosen component seeds.
-func CombineSenderROTs(insts []SenderInst) SenderInst {
-	seeds := make([][SeedLen]byte, 1<<len(insts))
-	combineSenderInto(seeds, insts)
-	return SenderInst{Seeds: seeds}
-}
-
-// combineSenderInto writes CombineSenderROTs' 2^t candidate seeds to dst.
-// Each hash input is assembled on the stack for t ≤ 8 (every N ≤ 256).
+// combineSenderInto fuses t = log2(len(dst)) random 1-of-2 correlations
+// into one 1-of-2^t correlation, writing its candidate seeds to dst:
+// candidate c is the hash of the component seeds c's bits select. Each
+// hash input is assembled on the stack for t ≤ 8 (every N ≤ 256).
 func combineSenderInto(dst [][SeedLen]byte, insts []SenderInst) {
 	var buf [8 * SeedLen]byte
 	for c := range dst {
@@ -276,7 +260,7 @@ func combineSenderInto(dst [][SeedLen]byte, insts []SenderInst) {
 	}
 }
 
-// CombineRecvROTs is the receiver counterpart of CombineSenderROTs.
+// CombineRecvROTs is the receiver counterpart of combineSenderInto.
 func CombineRecvROTs(insts []RecvInst) RecvInst {
 	var buf [8 * SeedLen]byte
 	msg := buf[:0]

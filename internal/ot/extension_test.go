@@ -81,11 +81,9 @@ func TestCombineROTs(t *testing.T) {
 	si, ri := extendPair(t, s, r, 8)
 	// Combine pairs into 1-of-4 correlations.
 	for k := 0; k < 4; k++ {
-		cs := CombineSenderROTs(si[2*k : 2*k+2])
+		cs := SenderInst{Seeds: make([][SeedLen]byte, 4)}
+		combineSenderInto(cs.Seeds, si[2*k:2*k+2])
 		cr := CombineRecvROTs(ri[2*k : 2*k+2])
-		if len(cs.Seeds) != 4 {
-			t.Fatalf("combined arity %d", len(cs.Seeds))
-		}
 		if cr.Choice < 0 || cr.Choice > 3 {
 			t.Fatalf("combined choice %d", cr.Choice)
 		}

@@ -80,9 +80,9 @@ type Endpoint struct {
 	// PRG+hash-only refills. Both endpoints must agree.
 	UseExtension bool
 
-	// Pool spreads the pad, row-hash and combine loops of batches of at
-	// least 256 instances (parBatch) over its workers; nil runs them
-	// serially. Wire bytes and results are identical at every worker count.
+	// Pool spreads the pad, row-hash and combine loops over its workers;
+	// nil runs them serially. Wire bytes and results are identical at every
+	// worker count.
 	Pool *parallel.Pool
 
 	// Trace receives a span per online OT batch (nil disables tracing at

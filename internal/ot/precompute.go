@@ -115,8 +115,8 @@ func HarvestRecv(c transport.Conn, rng *prg.PRG, n, count int) ([]RecvInst, erro
 // receiver first reveals d = (c′ − c) mod N; the sender answers with
 // e_l = m_l ⊕ pad_{(l+d) mod N}. Online cost: 1 byte from the receiver and
 // N·msgLen bytes from the sender per instance, in one message each. The
-// peer's shifts are all checked before the pads of a large batch are
-// spread over pool (nil runs them serially).
+// peer's shifts are all checked before the pads are spread over pool (nil
+// runs them serially).
 func SendPre(c transport.Conn, pool *parallel.Pool, pre []SenderInst, n int, msgs [][][]byte) error {
 	if len(pre) < len(msgs) {
 		return fmt.Errorf("ot: %d precomputed instances for %d transfers", len(pre), len(msgs))
@@ -156,7 +156,7 @@ func SendPre(c transport.Conn, pool *parallel.Pool, pre []SenderInst, n int, msg
 		}
 	}
 	out := make([]byte, len(msgs)*n*msgLen)
-	poolFor(pool, len(msgs)).Blocks(len(msgs), func(lo, hi int) {
+	pool.Blocks(len(msgs), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			d, seeds := int(ds[k]), pre[k].Seeds
 			for l := 0; l < n; l++ {
@@ -171,8 +171,8 @@ func SendPre(c transport.Conn, pool *parallel.Pool, pre []SenderInst, n int, msg
 
 // RecvPre runs the online receiver phase: choices[k] selects instance k's
 // message of length msgLen. Like SendPre it rejects N > 256 before any
-// traffic: the shift travels as one byte. The pads of a large batch are
-// spread over pool (nil runs them serially).
+// traffic: the shift travels as one byte. The pads are spread over pool
+// (nil runs them serially).
 func RecvPre(c transport.Conn, pool *parallel.Pool, pre []RecvInst, n int, choices []int, msgLen int) ([][]byte, error) {
 	if len(pre) < len(choices) {
 		return nil, fmt.Errorf("ot: %d precomputed instances for %d transfers", len(pre), len(choices))
@@ -199,7 +199,7 @@ func RecvPre(c transport.Conn, pool *parallel.Pool, pre []RecvInst, n int, choic
 	}
 	out := make([][]byte, len(choices))
 	flat := make([]byte, len(choices)*msgLen)
-	poolFor(pool, len(choices)).Blocks(len(choices), func(lo, hi int) {
+	pool.Blocks(len(choices), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			ch := choices[k]
 			m := flat[k*msgLen : (k+1)*msgLen]

@@ -267,9 +267,8 @@ func (e *Endpoint) refillSendMulti(needs map[int]int) error {
 		if err != nil {
 			return err
 		}
-		e.extS.pool = e.Pool
 	}
-	raw, err := e.extS.Extend(total)
+	raw, err := e.extS.extend(e.Pool, total)
 	if err != nil {
 		return err
 	}
@@ -279,7 +278,7 @@ func (e *Endpoint) refillSendMulti(needs map[int]int) error {
 		seeds := make([][SeedLen]byte, chunk*n)
 		stock := slices.Grow(e.sendStock[n], chunk)
 		fresh := stock[len(stock) : len(stock)+chunk]
-		poolFor(e.Pool, chunk).Blocks(chunk, func(lo, hi int) {
+		e.Pool.Blocks(chunk, func(lo, hi int) {
 			for k := lo; k < hi; k++ {
 				s := seeds[k*n : (k+1)*n : (k+1)*n]
 				combineSenderInto(s, raw[k*t:(k+1)*t])
@@ -315,9 +314,8 @@ func (e *Endpoint) refillRecvMulti(needs map[int]int) error {
 		if err != nil {
 			return err
 		}
-		e.extR.pool = e.Pool
 	}
-	raw, err := e.extR.Extend(total)
+	raw, err := e.extR.extend(e.Pool, total)
 	if err != nil {
 		return err
 	}
@@ -325,7 +323,7 @@ func (e *Endpoint) refillRecvMulti(needs map[int]int) error {
 		t, chunk := ts[i], chunks[i]
 		stock := slices.Grow(e.recvStock[n], chunk)
 		fresh := stock[len(stock) : len(stock)+chunk]
-		poolFor(e.Pool, chunk).Blocks(chunk, func(lo, hi int) {
+		e.Pool.Blocks(chunk, func(lo, hi int) {
 			for k := lo; k < hi; k++ {
 				fresh[k] = CombineRecvROTs(raw[k*t : (k+1)*t])
 			}

@@ -86,13 +86,12 @@ func TestOTTranscriptPinned(t *testing.T) {
 	both(t,
 		func() (err error) { s, err = NewExtSender(dc, TestGroup(), prg.NewSeeded(101), ExtKappa); return },
 		func() (err error) { r, err = NewExtReceiver(b, TestGroup(), prg.NewSeeded(102), ExtKappa); return })
-	s.pool, r.pool = pool, pool
 	for _, m := range []int{1, 7, 64, 1000} {
 		var si []SenderInst
 		var ri []RecvInst
 		both(t,
-			func() (err error) { si, err = s.Extend(m); return },
-			func() (err error) { ri, err = r.Extend(m); return })
+			func() (err error) { si, err = s.extend(pool, m); return },
+			func() (err error) { ri, err = r.extend(pool, m); return })
 		for j := range si {
 			minted.add(append(si[j].Seeds[0][:], si[j].Seeds[1][:]...))
 			minted.add(append([]byte{byte(ri[j].Choice)}, ri[j].Seed[:]...))
@@ -150,10 +149,10 @@ func TestOTTranscriptPinned(t *testing.T) {
 	}
 }
 
-// TestPoolMatchesSerial runs batches past parBatch — so every pooled loop
-// (column expansion, row hashing, both combiners, both pad loops) actually
-// splits — on a serial and on pooled endpoint pairs, including a degree
-// that does not divide the batch, and requires identical frames and
+// TestPoolMatchesSerial runs a large and a small batch — every pooled loop
+// (column expansion, row hashing, both combiners, both pad loops) splits —
+// on a serial and on pooled endpoint pairs, including a degree that does
+// not divide the batch and one above it, and requires identical frames and
 // outputs.
 func TestPoolMatchesSerial(t *testing.T) {
 	run := func(pool *parallel.Pool) [3]frameDigest {
@@ -172,7 +171,7 @@ func TestPoolMatchesSerial(t *testing.T) {
 		for _, dir := range []struct {
 			n, insts, msgLen int
 			snd, rcv         *Endpoint
-		}{{2, 1500, 20, e0, e1}, {8, parBatch + 3, 3, e1, e0}} {
+		}{{2, 1500, 20, e0, e1}, {8, 7, 3, e1, e0}} {
 			msgs := make([][][]byte, dir.insts)
 			choices := make([]int, dir.insts)
 			for k := range msgs {
