@@ -57,11 +57,21 @@ type ExtReceiver struct {
 	counter uint64
 }
 
+// checkKappa rejects every κ but ExtKappa before any traffic: a smaller Δ
+// can be guessed (κ = 8 is 256 tries), and the row hash reads a κ-bit row
+// as exactly one AES block.
+func checkKappa(kappa int) error {
+	if kappa != ExtKappa {
+		return fmt.Errorf("ot: extension kappa %d, want %d", kappa, ExtKappa)
+	}
+	return nil
+}
+
 // NewExtSender runs the reversed base OTs as their receiver, with secret
-// choice bits Δ.
+// choice bits Δ. kappa must be ExtKappa.
 func NewExtSender(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*ExtSender, error) {
-	if kappa <= 0 || kappa%8 != 0 {
-		return nil, fmt.Errorf("ot: extension kappa %d must be a positive multiple of 8", kappa)
+	if err := checkKappa(kappa); err != nil {
+		return nil, err
 	}
 	delta := make([]byte, kappa/8)
 	rng.Read(delta)
@@ -80,10 +90,11 @@ func NewExtSender(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*Ext
 	return &ExtSender{conn: conn, delta: delta, seeds: seeds}, nil
 }
 
-// NewExtReceiver runs the reversed base OTs as their sender.
+// NewExtReceiver runs the reversed base OTs as their sender. kappa must be
+// ExtKappa.
 func NewExtReceiver(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*ExtReceiver, error) {
-	if kappa <= 0 || kappa%8 != 0 {
-		return nil, fmt.Errorf("ot: extension kappa %d must be a positive multiple of 8", kappa)
+	if err := checkKappa(kappa); err != nil {
+		return nil, err
 	}
 	pairs := make([][2][SeedLen]byte, kappa)
 	msgs := make([][][]byte, kappa)

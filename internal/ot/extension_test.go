@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+	"time"
 
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/transport"
@@ -157,12 +158,42 @@ func TestExtensionBackedEndpoints(t *testing.T) {
 	}
 }
 
+// TestExtensionValidation: both constructors reject every κ but ExtKappa
+// before any traffic (κ = 8 would leave a 256-guess Δ, and κ = 256 would
+// not fit the one-block row hash); a constructor that let one through
+// would block on a peer that is not there.
 func TestExtensionValidation(t *testing.T) {
-	a, b := transport.Pipe()
-	defer a.Close()
-	defer b.Close()
-	if _, err := NewExtSender(a, TestGroup(), prg.NewSeeded(7), 13); err == nil {
-		t.Error("non-multiple-of-8 kappa accepted")
+	for _, kappa := range []int{0, 8, 13, 64, 120, 136, 256} {
+		for _, side := range []struct {
+			name string
+			ctor func(transport.Conn) error
+		}{
+			{"sender", func(c transport.Conn) error {
+				_, err := NewExtSender(c, TestGroup(), prg.NewSeeded(7), kappa)
+				return err
+			}},
+			{"receiver", func(c transport.Conn) error {
+				_, err := NewExtReceiver(c, TestGroup(), prg.NewSeeded(7), kappa)
+				return err
+			}},
+		} {
+			a, b := transport.Pipe()
+			done := make(chan error, 1)
+			go func() { done <- side.ctor(a) }()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Errorf("%s accepted κ = %d", side.name, kappa)
+				}
+			case <-time.After(5 * time.Second):
+				t.Errorf("%s ran the base phase at κ = %d instead of rejecting it", side.name, kappa)
+			}
+			if sent := a.Stats().MsgsSent; sent != 0 {
+				t.Errorf("%s sent %d messages before rejecting κ = %d", side.name, sent, kappa)
+			}
+			a.Close()
+			b.Close()
+		}
 	}
 	if _, err := log2Arity(3); err == nil {
 		t.Error("arity 3 accepted")
