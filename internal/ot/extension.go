@@ -1,7 +1,6 @@
 package ot
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 
@@ -31,10 +30,11 @@ import (
 // Implementation: G is prg.Keystream, which writes exactly the ⌈m/8⌉
 // bytes a column needs into one κ-column slab; the columns become rows by
 // an 8×8-block bit transpose (transposeBits) into a caller-owned row slab;
-// H is SHA-256 over counter ‖ j ‖ row, assembled on the stack. The κ
-// column expansions and the m row hashes are independent, so an endpoint
-// refill blocks both over the endpoint's pool. Only the u-matrix crosses the
-// wire; TestOTTranscriptPinned pins it and the minted seeds byte for byte.
+// H is the fixed-key-AES hash of hash.go, tweaked by counter and j, with κ
+// = 128 so that a row is one block. The κ column expansions and the m row
+// hashes are independent, so an endpoint refill blocks both over the
+// endpoint's pool. Only the u-matrix crosses the wire;
+// TestOTTranscriptPinned pins it and the minted seeds byte for byte.
 
 // ExtKappa is the security parameter: the number of base-OT columns.
 const ExtKappa = 128
@@ -119,18 +119,6 @@ func expandColumn(dst []byte, seed [SeedLen]byte, salt uint64) {
 	prg.Keystream(dst, s)
 }
 
-// rowHash derives one 16-byte random-OT pad seed from a κ-bit row:
-// SHA-256(counter ‖ j ‖ row), truncated. The message is assembled on the
-// stack for κ ≤ ExtKappa.
-func rowHash(counter uint64, j int, row []byte) [SeedLen]byte {
-	var buf [16 + ExtKappa/8]byte
-	msg := binary.LittleEndian.AppendUint64(buf[:0], counter)
-	msg = binary.LittleEndian.AppendUint64(msg, uint64(j))
-	msg = append(msg, row...)
-	sum := sha256.Sum256(msg)
-	return [SeedLen]byte(sum[:SeedLen])
-}
-
 func bitOf(b []byte, i int) byte { return (b[i/8] >> (i % 8)) & 1 }
 
 // transposeBits turns κ columns of m bits into m rows of κ bits. Column i
@@ -203,11 +191,12 @@ func (s *ExtSender) extend(pool *parallel.Pool, m int) ([]SenderInst, error) {
 	out := make([]SenderInst, m)
 	seeds := make([][SeedLen]byte, 2*m)
 	pool.Blocks(m, func(lo, hi int) {
+		h := new(hasher)
 		for j := lo; j < hi; j++ {
 			row := rows[j*rowLen : (j+1)*rowLen]
-			seeds[2*j] = rowHash(s.counter, j, row)
+			seeds[2*j] = h.rowHash(s.counter, j, row)
 			xorInto(row, s.delta)
-			seeds[2*j+1] = rowHash(s.counter, j, row)
+			seeds[2*j+1] = h.rowHash(s.counter, j, row)
 			out[j] = SenderInst{Seeds: seeds[2*j : 2*j+2 : 2*j+2]}
 		}
 	})
@@ -247,39 +236,11 @@ func (r *ExtReceiver) extend(pool *parallel.Pool, m int) ([]RecvInst, error) {
 	transposeBits(rows, tCols, kappa, m)
 	out := make([]RecvInst, m)
 	pool.Blocks(m, func(lo, hi int) {
+		h := new(hasher)
 		for j := lo; j < hi; j++ {
-			out[j] = RecvInst{Choice: int(bitOf(choice, j)), Seed: rowHash(r.counter, j, rows[j*rowLen:(j+1)*rowLen])}
+			out[j] = RecvInst{Choice: int(bitOf(choice, j)), Seed: h.rowHash(r.counter, j, rows[j*rowLen:(j+1)*rowLen])}
 		}
 	})
 	r.counter++
 	return out, nil
-}
-
-// combineSenderInto fuses t = log2(len(dst)) random 1-of-2 correlations
-// into one 1-of-2^t correlation, writing its candidate seeds to dst:
-// candidate c is the hash of the component seeds c's bits select. Each
-// hash input is assembled on the stack for t ≤ 8 (every N ≤ 256).
-func combineSenderInto(dst [][SeedLen]byte, insts []SenderInst) {
-	var buf [8 * SeedLen]byte
-	for c := range dst {
-		msg := buf[:0]
-		for b, inst := range insts {
-			msg = append(msg, inst.Seeds[(c>>b)&1][:]...)
-		}
-		sum := sha256.Sum256(msg)
-		dst[c] = [SeedLen]byte(sum[:SeedLen])
-	}
-}
-
-// CombineRecvROTs is the receiver counterpart of combineSenderInto.
-func CombineRecvROTs(insts []RecvInst) RecvInst {
-	var buf [8 * SeedLen]byte
-	msg := buf[:0]
-	c := 0
-	for b, inst := range insts {
-		c |= inst.Choice << b
-		msg = append(msg, inst.Seed[:]...)
-	}
-	sum := sha256.Sum256(msg)
-	return RecvInst{Choice: c, Seed: [SeedLen]byte(sum[:SeedLen])}
 }

@@ -81,10 +81,11 @@ func TestCombineROTs(t *testing.T) {
 	defer closeFn()
 	si, ri := extendPair(t, s, r, 8)
 	// Combine pairs into 1-of-4 correlations.
+	h := new(hasher)
 	for k := 0; k < 4; k++ {
 		cs := SenderInst{Seeds: make([][SeedLen]byte, 4)}
-		combineSenderInto(cs.Seeds, si[2*k:2*k+2])
-		cr := CombineRecvROTs(ri[2*k : 2*k+2])
+		h.combineSend(cs.Seeds, si[2*k:2*k+2])
+		cr := h.combineRecv(ri[2*k : 2*k+2])
 		if cr.Choice < 0 || cr.Choice > 3 {
 			t.Fatalf("combined choice %d", cr.Choice)
 		}
@@ -94,6 +95,69 @@ func TestCombineROTs(t *testing.T) {
 		for c := 0; c < 4; c++ {
 			if c != cr.Choice && bytes.Equal(cs.Seeds[c][:], cr.Seed[:]) {
 				t.Fatal("combined receiver sees an unchosen pad")
+			}
+		}
+	}
+}
+
+// xorLeak reports a receiver choice c and a non-empty subset of the other
+// candidates (bit i of mask selects the i-th of them) whose seeds XOR to
+// zero or to seed c. A receiver holding seed c would then learn the XOR of
+// those unchosen messages.
+func xorLeak(seeds [][SeedLen]byte) (c, mask int, found bool) {
+	n := len(seeds)
+	for c = 0; c < n; c++ {
+		others := make([]int, 0, n-1)
+		for o := range seeds {
+			if o != c {
+				others = append(others, o)
+			}
+		}
+		for mask = 1; mask < 1<<(n-1); mask++ {
+			var x [SeedLen]byte
+			for i, o := range others {
+				if mask>>i&1 == 1 {
+					x = xor16(x, seeds[o])
+				}
+			}
+			if x == [SeedLen]byte{} || x == seeds[c] {
+				return c, mask, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// TestCombinerHidesUnchosen checks the combined 1-of-4 and 1-of-8 seeds for
+// a linear leak: for every receiver choice, no XOR of a non-empty subset of
+// the unchosen candidates may equal zero or the chosen seed. As a power
+// check, a combiner that XORs the per-component hashes without the
+// candidate in the tweak must fail it: its pads of 01, 10 and 11 XOR to the
+// pad of 00.
+func TestCombinerHidesUnchosen(t *testing.T) {
+	h := new(hasher)
+	xorOnly := func(dst [][SeedLen]byte, insts []SenderInst) {
+		for c := range dst {
+			var seed [SeedLen]byte
+			for b, inst := range insts {
+				seed = xor16(seed, h.hashPermuted(h.permute(inst.Seeds[(c>>b)&1]), tweak(tagComb, 0, uint64(b))))
+			}
+			dst[c] = seed
+		}
+	}
+	g := prg.NewSeeded(61)
+	for _, n := range []int{4, 8} {
+		tc, _ := log2Arity(n)
+		for trial := 0; trial < 10; trial++ {
+			snd, _ := Deal(g, 2, tc)
+			seeds := make([][SeedLen]byte, n)
+			h.combineSend(seeds, snd)
+			if c, mask, found := xorLeak(seeds); found {
+				t.Errorf("N=%d trial %d: choice %d, unchosen subset %#b XORs to zero or the chosen seed", n, trial, c, mask)
+			}
+			xorOnly(seeds, snd)
+			if _, _, found := xorLeak(seeds); !found {
+				t.Errorf("N=%d trial %d: the XOR-only combiner passes the check", n, trial)
 			}
 		}
 	}
@@ -195,8 +259,10 @@ func TestExtensionValidation(t *testing.T) {
 			b.Close()
 		}
 	}
-	if _, err := log2Arity(3); err == nil {
-		t.Error("arity 3 accepted")
+	for _, n := range []int{0, 1, 3, 512} {
+		if _, err := log2Arity(n); err == nil {
+			t.Errorf("arity %d accepted", n)
+		}
 	}
 	if v, _ := log2Arity(8); v != 3 {
 		t.Errorf("log2Arity(8) = %d", v)

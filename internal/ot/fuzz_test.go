@@ -106,7 +106,8 @@ func FuzzOTExtendFrames(f *testing.F) {
 		}
 		for k, d := range frame {
 			ch := (rcv[k].Choice - int(d) + n) % n
-			got := Pad(rcv[k].Seed, msgLen)
+			got := make([]byte, msgLen)
+			PadInto(got, rcv[k].Seed)
 			xorInto(got, cts[(k*n+ch)*msgLen:(k*n+ch+1)*msgLen])
 			if !bytes.Equal(got, msgs[k][ch]) {
 				t.Fatalf("instance %d: shift %d does not deliver message %d", k, d, ch)

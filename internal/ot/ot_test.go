@@ -150,7 +150,10 @@ func TestDealPadConsistency(t *testing.T) {
 	snd, rcv := Deal(g, 4, 50)
 	for k := range snd {
 		c := rcv[k].Choice
-		if !bytes.Equal(Pad(snd[k].Seeds[c], 32), Pad(rcv[k].Seed, 32)) {
+		ps, pr := make([]byte, 32), make([]byte, 32)
+		PadInto(ps, snd[k].Seeds[c])
+		PadInto(pr, rcv[k].Seed)
+		if !bytes.Equal(ps, pr) {
 			t.Fatalf("instance %d: pads disagree", k)
 		}
 	}

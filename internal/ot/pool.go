@@ -151,10 +151,12 @@ func (e *Endpoint) refillRecv(n, need int) error {
 	return nil
 }
 
-// log2Arity returns t for n = 2^t, rejecting non-power-of-two arities.
+// log2Arity returns t for n = 2^t, rejecting non-power-of-two arities and
+// any above 256: a shift travels in at most one byte, and the combiners
+// fuse at most 8 components.
 func log2Arity(n int) (int, error) {
-	if n < 2 || n&(n-1) != 0 {
-		return 0, fmt.Errorf("ot: extension supports power-of-two arities, got %d", n)
+	if n < 2 || n > 256 || n&(n-1) != 0 {
+		return 0, fmt.Errorf("ot: extension supports power-of-two arities up to 256, got %d", n)
 	}
 	t := 0
 	for v := n; v > 1; v >>= 1 {

@@ -30,26 +30,6 @@ type RecvInst struct {
 	Seed   [SeedLen]byte
 }
 
-// Pad expands a seed into an l-byte XOR pad.
-func Pad(seed [SeedLen]byte, l int) []byte {
-	p := make([]byte, l)
-	PadInto(p, seed)
-	return p
-}
-
-// PadInto fills dst with the XOR pad of seed, writing the same bytes Pad
-// would: the first len(dst) bytes of the PRG stream keyed by seed‖0x5C‖0…
-// (AES-128-CTR under the seed, IV {0x5C, 0…}). Exactly len(dst) bytes of
-// keystream are produced — a one-block pad (every token and online share
-// message) is a single block encryption, a 240-byte Gilboa message fifteen
-// — and the cipher's key schedule is nearly all that is allocated.
-func PadInto(dst []byte, seed [SeedLen]byte) {
-	var s [prg.SeedSize]byte
-	copy(s[:SeedLen], seed[:])
-	s[SeedLen] = 0x5C // domain separation from other PRG uses
-	prg.Keystream(dst, s)
-}
-
 // Deal produces `count` correlated random 1-of-N OT instances from a
 // single dealer PRG: the trusted-dealer offline phase used by the
 // in-process experiments (the paper likewise treats offline material as
@@ -157,11 +137,12 @@ func SendPre(c transport.Conn, pool *parallel.Pool, pre []SenderInst, n int, msg
 	}
 	out := make([]byte, len(msgs)*n*msgLen)
 	pool.Blocks(len(msgs), func(lo, hi int) {
+		h := new(hasher)
 		for k := lo; k < hi; k++ {
 			d, seeds := int(ds[k]), pre[k].Seeds
 			for l := 0; l < n; l++ {
 				e := out[(k*n+l)*msgLen : (k*n+l+1)*msgLen]
-				PadInto(e, seeds[(l+d)%n])
+				h.pad(e, seeds[(l+d)%n])
 				xorInto(e, msgs[k][l])
 			}
 		}
@@ -200,10 +181,11 @@ func RecvPre(c transport.Conn, pool *parallel.Pool, pre []RecvInst, n int, choic
 	out := make([][]byte, len(choices))
 	flat := make([]byte, len(choices)*msgLen)
 	pool.Blocks(len(choices), func(lo, hi int) {
+		h := new(hasher)
 		for k := lo; k < hi; k++ {
 			ch := choices[k]
 			m := flat[k*msgLen : (k+1)*msgLen]
-			PadInto(m, pre[k].Seed)
+			h.pad(m, pre[k].Seed)
 			xorInto(m, cts[(k*n+ch)*msgLen:(k*n+ch+1)*msgLen])
 			out[k] = m
 		}

@@ -135,6 +135,7 @@ func (e *Endpoint) SendTokens(bits uint, batches []SendTokenBatch) error {
 	out := make([]byte, bitLen(plan.ctBits))
 	var dsPos, ctPos uint64
 	taken := map[int]int{}
+	h := new(hasher)
 	var pad [1]byte
 	for bi, b := range batches {
 		n, w := b.N, plan.widths[bi]
@@ -157,7 +158,7 @@ func (e *Endpoint) SendTokens(bits uint, batches []SendTokenBatch) error {
 				if row[l] > mask {
 					return fmt.Errorf("ot: token value exceeds %d bits", bits)
 				}
-				PadInto(pad[:], inst.Seeds[(l+d)%n])
+				h.pad(pad[:], inst.Seeds[(l+d)%n])
 				putBits(out, ctPos, uint64(row[l]^(pad[0]&mask)), bits)
 				ctPos += uint64(bits)
 			}
@@ -222,6 +223,7 @@ func (e *Endpoint) RecvTokens(bits uint, batches []RecvTokenBatch) ([][]byte, er
 	out := make([][]byte, len(batches))
 	var ctPos uint64
 	taken = map[int]int{}
+	h := new(hasher)
 	var pad [1]byte
 	for bi, b := range batches {
 		n := b.N
@@ -231,7 +233,7 @@ func (e *Endpoint) RecvTokens(bits uint, batches []RecvTokenBatch) ([][]byte, er
 		for k, ch := range b.Choices {
 			v := byte(getBits(cts, ctPos+uint64(ch)*uint64(bits), bits))
 			ctPos += uint64(n) * uint64(bits)
-			PadInto(pad[:], pre[k].Seed)
+			h.pad(pad[:], pre[k].Seed)
 			toks[k] = v ^ (pad[0] & mask)
 		}
 		out[bi] = toks
@@ -279,9 +281,10 @@ func (e *Endpoint) refillSendMulti(needs map[int]int) error {
 		stock := slices.Grow(e.sendStock[n], chunk)
 		fresh := stock[len(stock) : len(stock)+chunk]
 		e.Pool.Blocks(chunk, func(lo, hi int) {
+			h := new(hasher)
 			for k := lo; k < hi; k++ {
 				s := seeds[k*n : (k+1)*n : (k+1)*n]
-				combineSenderInto(s, raw[k*t:(k+1)*t])
+				h.combineSend(s, raw[k*t:(k+1)*t])
 				fresh[k] = SenderInst{Seeds: s}
 			}
 		})
@@ -324,8 +327,9 @@ func (e *Endpoint) refillRecvMulti(needs map[int]int) error {
 		stock := slices.Grow(e.recvStock[n], chunk)
 		fresh := stock[len(stock) : len(stock)+chunk]
 		e.Pool.Blocks(chunk, func(lo, hi int) {
+			h := new(hasher)
 			for k := lo; k < hi; k++ {
-				fresh[k] = CombineRecvROTs(raw[k*t : (k+1)*t])
+				fresh[k] = h.combineRecv(raw[k*t : (k+1)*t])
 			}
 		})
 		raw = raw[chunk*t:]

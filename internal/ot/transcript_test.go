@@ -2,7 +2,10 @@ package ot
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/subtle"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/fnv"
 	"sync"
 	"testing"
@@ -203,21 +206,41 @@ func TestPoolMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPadMatchesPRG pins the pad stream to its definition: the first l
-// bytes of the PRG keyed by seed‖0x5C‖0…, at lengths on both sides of one
-// AES block and of the PRG's internal buffer.
-func TestPadMatchesPRG(t *testing.T) {
+// TestPadKnownAnswer pins the pad to its definition, recomputed here from
+// crypto/aes and the fixed key alone, at lengths on both sides of one
+// block: up to 16 bytes the pad is the seed itself; past that, block b is
+// π(π(seed) ⊕ tw_b) ⊕ π(seed), where π is AES-128 under the fixed key and
+// tw_b holds b little-endian in bytes 0–7 and the pad tag 3 in byte 15.
+func TestPadKnownAnswer(t *testing.T) {
+	key, _ := hex.DecodeString("243f6a8885a308d313198a2e03707344")
+	pi, err := aes.NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := prg.NewSeeded(106)
-	for _, l := range []int{1, 8, 15, 16, 17, 32, 240, 8191, 8192, 8193, 8200} {
+	for _, l := range []int{1, 15, 16, 17, 32, 240, 8200} {
 		var seed [SeedLen]byte
 		g.Read(seed[:])
-		var s [prg.SeedSize]byte
-		copy(s[:], seed[:])
-		s[SeedLen] = 0x5C
-		want := make([]byte, l)
-		prg.New(s).Read(want)
-		if got := Pad(seed, l); !bytes.Equal(got, want) {
-			t.Errorf("Pad(seed, %d) differs from the PRG stream", l)
+		want := append([]byte(nil), seed[:min(l, SeedLen)]...)
+		if l > SeedLen {
+			want = want[:0]
+			ps := make([]byte, aes.BlockSize)
+			pi.Encrypt(ps, seed[:])
+			for b := uint64(0); len(want) < l; b++ {
+				blk := make([]byte, aes.BlockSize)
+				binary.LittleEndian.PutUint64(blk, b)
+				blk[15] = 3
+				subtle.XORBytes(blk, blk, ps)
+				pi.Encrypt(blk, blk)
+				subtle.XORBytes(blk, blk, ps)
+				want = append(want, blk...)
+			}
+			want = want[:l]
+		}
+		got := make([]byte, l)
+		PadInto(got, seed)
+		if !bytes.Equal(got, want) {
+			t.Errorf("PadInto(%d bytes) differs from the fixed-key definition", l)
 		}
 	}
 }
