@@ -72,10 +72,12 @@ func both(t *testing.T, p0, p1 func() error) {
 // row transpose or the row hash, so the minted seeds are digested too),
 // then extension-backed Send1ofN/Recv1ofN batches at message lengths on
 // both sides of the one-block pad and of the PRG's 8 KiB buffer, in both
-// directions. The constants were captured before the pad, transpose and
-// hashing paths were rewritten; they must never move without a deliberate
-// wire change. Every loop runs on a GOMAXPROCS-sized pool, so `go test
-// -cpu 1,4,8` checks that the constants do not depend on the worker count.
+// directions. The constants were re-captured when the row hash, the
+// combiners and the pads moved to the fixed-key permutation, which changed
+// ciphertext content but no frame size or count; they must never move
+// without a deliberate wire change. Every loop runs on a GOMAXPROCS-sized
+// pool, so `go test -cpu 1,4,8` checks that the constants do not depend on
+// the worker count.
 func TestOTTranscriptPinned(t *testing.T) {
 	a, b := transport.Pipe()
 	defer a.Close()
@@ -142,9 +144,9 @@ func TestOTTranscriptPinned(t *testing.T) {
 		sum    uint64
 		frames int
 	}{
-		{"sent", dc.sent, 0xb4025f1952c1053c, 19},
-		{"recv", dc.recv, 0x2df8bd483f019107, 24},
-		{"minted", minted, 0x10ea7f4389d3613b, 2144},
+		{"sent", dc.sent, 0xac23974b1eeadec5, 19},
+		{"recv", dc.recv, 0x6958e752f6390107, 24},
+		{"minted", minted, 0x8fc56f3fde4f2975, 2144},
 	} {
 		if c.got.sum != c.sum || c.got.frames != c.frames {
 			t.Errorf("%s digest %#x over %d frames, want %#x over %d", c.name, c.got.sum, c.got.frames, c.sum, c.frames)
