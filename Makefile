@@ -4,7 +4,7 @@ GO ?= go
 # sources are unchanged, so repeat `make lint` runs pay only for go vet.
 LINTBIN ?= bin/aq2pnnlint
 
-.PHONY: build test race vet lint lintbin bench-module bench-gate trace chaos chaos-fleet fuzz ci
+.PHONY: build test race vet lint lintbin bench-module bench-gate trace chaos chaos-fleet fuzz pins ci
 
 # Per-target budget for `make fuzz`; CI uses 30s per target on PRs.
 FUZZTIME ?= 60s
@@ -81,6 +81,21 @@ chaos:
 	$(GO) test -race -timeout 20m -count=1 -run '$(CHAOS_RUN)' $(CHAOS_PKGS)
 	AQ2PNN_CHAOS=1 AQ2PNN_CHAOS_LENET=1 $(GO) test -timeout 30m -count=1 -run 'TestFaultSweep' ./internal/engine/
 
+# Determinism pins (docs/performance.md): the OT and session wire
+# transcripts, the pad definition, serial-vs-pooled OT endpoints and the
+# Gilboa triple shares, at three worker counts. The pinned constants must
+# not depend on GOMAXPROCS, and tier-1 runs them at one count only. Like
+# chaos, a -run alternative that selects no test fails the target.
+PINS_RUN = TestOTTranscriptPinned|TestPoolMatchesSerial|TestPadKnownAnswer|TestGilboaSharesPinned|TestSessionTranscriptPinned
+PINS_PKGS = ./internal/ot/ ./internal/triple/ ./internal/engine/
+
+pins:
+	@for re in $(subst |, ,$(PINS_RUN)); do \
+		$(GO) test -list "$$re" $(PINS_PKGS) | grep -q "^$$re" || \
+			{ echo "pins: -run alternative $$re selects no test"; exit 1; }; \
+	done
+	$(GO) test -count=1 -cpu 1,4,8 -run '$(PINS_RUN)' $(PINS_PKGS)
+
 # Fleet-level chaos (docs/robustness.md): the gateway's three-backend
 # sweep — kill/stall/corrupt one backend at every sampled mid-inference
 # operation index; every session must fail over and finish with
@@ -103,4 +118,4 @@ fuzz:
 	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzOTExtendFrames$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scm/ -run '^$$' -fuzz '^FuzzSCMMessage$$' -fuzztime $(FUZZTIME)
 
-ci: vet lint build race bench-module bench-gate trace
+ci: vet lint build race pins bench-module bench-gate trace
