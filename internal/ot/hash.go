@@ -6,11 +6,11 @@ import (
 	"encoding/binary"
 )
 
-// One AES-128 permutation π under a public, fixed key derives everything
-// the OT plane's hot loops used to key a cipher or run SHA-256 for: the IKNP
-// row hash, the 1-of-2^t combiners and the message pads. A use costs block
-// encryptions only, with no key schedule, and one cipher.Block serves every
-// pool worker (encryption only reads the expanded key).
+// One AES-128 permutation π under a public, fixed key derives the OT
+// plane's IKNP row hashes, 1-of-2^t combiners and message pads. A use costs
+// block encryptions only, with no key schedule per seed, and one
+// cipher.Block serves every pool worker (encryption only reads the
+// expanded key).
 //
 // The hash is the tweakable circular-correlation-robust hash of Guo, Katz,
 // Wang and Yu, "Efficient and Secure Multiparty Computation from Fixed-Key

@@ -1,5 +1,5 @@
 // Package prg provides the pseudorandom generator used everywhere secret
-// randomness is needed: share masks, Beaver triples, OT pads and the
+// randomness is needed: share masks, Beaver triples, OT seeds and the
 // synthetic datasets. It is an AES-128-CTR keystream, which is both fast
 // and — when seeded from crypto/rand — cryptographically strong. Seeded
 // construction gives deterministic, reproducible experiments.
@@ -44,10 +44,10 @@ func New(seed [SeedSize]byte) *PRG {
 const shortStream = 256
 
 // Keystream fills dst with the first len(dst) bytes of New(seed)'s stream,
-// without New's 8 KiB buffer: one-shot expansions (OT pads, IKNP columns)
-// produce exactly the bytes they use. Short outputs encrypt the CTR counter
-// blocks IV, IV+1, … directly (a one-block pad is a single encryption),
-// allocating little beyond the cipher's key schedule.
+// without New's 8 KiB buffer: a one-shot expansion (an IKNP column)
+// produces exactly the bytes it uses. Short outputs encrypt the CTR counter
+// blocks IV, IV+1, … directly, allocating little beyond the cipher's key
+// schedule.
 func Keystream(dst []byte, seed [SeedSize]byte) {
 	block, err := aes.NewCipher(seed[:16])
 	if err != nil {
