@@ -54,7 +54,7 @@ func (e *MuxError) Error() string { return "transport: mux: " + e.Reason }
 type Mux struct {
 	inner Conn
 
-	sendMu sync.Mutex // serialises prefix+payload writes to inner
+	sendMu sync.Mutex // serialises prefix+payload writes to inner; taken before mu, never while holding it
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -90,6 +90,15 @@ func (s *muxStream) Send(payload []byte) error {
 		return &FrameError{Op: "send", Declared: uint64(len(payload)), Limit: MaxFrame - 1}
 	}
 	m := s.mux
+	framed := make([]byte, 1+len(payload))
+	framed[0] = s.id
+	copy(framed[1:], payload)
+	// sendMu is held from the closed check through the inner send, so a
+	// concurrent Close cannot put its close control on the wire ahead of a
+	// frame that passed the check: the peer would read that frame on a
+	// remotely closed stream and poison the whole mux.
+	m.sendMu.Lock()
+	defer m.sendMu.Unlock()
 	m.mu.Lock()
 	if m.err != nil {
 		err := m.err
@@ -104,13 +113,7 @@ func (s *muxStream) Send(payload []byte) error {
 	}
 	m.mu.Unlock()
 
-	framed := make([]byte, 1+len(payload))
-	framed[0] = s.id
-	copy(framed[1:], payload)
-	m.sendMu.Lock()
-	err := m.inner.Send(framed)
-	m.sendMu.Unlock()
-	if err != nil {
+	if err := m.inner.Send(framed); err != nil {
 		s.noteSendErr()
 		m.poison(err)
 		return err

@@ -275,3 +275,49 @@ func TestMuxUnwrap(t *testing.T) {
 		}
 	}
 }
+
+// TestMuxPreprocCloseNeverOvertakesSend races preproc senders against the
+// preproc Close. A data frame whose Send passed the closed check must
+// reach the wire before the close control: the peer reads data on a
+// remotely closed stream as a wire violation and poisons the whole mux,
+// main stream included.
+func TestMuxPreprocCloseNeverOvertakesSend(t *testing.T) {
+	for i := 0; i < 300; i++ {
+		aMain, aPre, bMain, bPre := muxPair()
+		first, drained := make(chan struct{}), make(chan error, 1)
+		go func() {
+			for n := 0; ; n++ {
+				if _, err := bPre.Recv(); err != nil {
+					drained <- err
+					return
+				}
+				if n == 0 {
+					close(first)
+				}
+			}
+		}()
+		var wg sync.WaitGroup
+		for s := 0; s < 3; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for aPre.Send([]byte("kit")) == nil {
+				}
+			}()
+		}
+		<-first
+		if err := aPre.Close(); err != nil {
+			t.Fatalf("preproc close: %v", err)
+		}
+		wg.Wait()
+		mustSend(t, aMain, []byte("still-alive"))
+		if err := <-drained; !errors.Is(err, ErrClosed) {
+			t.Fatalf("round %d: peer preproc recv returned %v, want ErrClosed", i, err)
+		}
+		if got, err := bMain.Recv(); err != nil || string(got) != "still-alive" {
+			t.Fatalf("round %d: main after preproc close got %q, %v", i, got, err)
+		}
+		aMain.Close()
+		bMain.Close()
+	}
+}
