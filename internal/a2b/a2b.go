@@ -44,23 +44,58 @@ func Groups(bits uint) []uint {
 	return gs
 }
 
-// U returns the number of groups for an ℓ-bit value.
-func U(bits uint) int { return len(Groups(bits)) }
+// U returns the number of groups for an ℓ-bit value: the two sign-end
+// single bits, then ⌈(ℓ−2)/2⌉ groups of the rest.
+func U(bits uint) int {
+	if bits == 0 {
+		//lint:allow panicfree config-time guard: every caller passes ring.Ring.Bits, which ring.New bounds to [1,MaxBits]
+		panic("a2b: zero bit-length")
+	}
+	if bits == 1 {
+		return 1
+	}
+	return 2 + int(bits-1)/2
+}
+
+// MaxU is U(ring.MaxBits): a [MaxU]uint64 array holds any element's groups,
+// so hot loops split into a stack array.
+const MaxU = 2 + (ring.MaxBits-1)/2
 
 // Split decomposes x (an element of r) into its group values, MSB first.
 // Split(r, x)[0] is the sign bit.
 func Split(r ring.Ring, x uint64) []uint64 {
+	out := make([]uint64, U(r.Bits))
+	SplitInto(out, r, x)
+	return out
+}
+
+// SplitInto is Split writing into dst[:U(r.Bits)]. The 1‖1‖2‖…‖(1) layout
+// is computed by arithmetic, so the call allocates nothing.
+func SplitInto(dst []uint64, r ring.Ring, x uint64) {
 	if telemetry.Enabled() {
 		splitCounter.Inc()
 	}
-	gs := Groups(r.Bits)
-	out := make([]uint64, len(gs))
-	shift := r.Bits
-	for i, w := range gs {
-		shift -= w
-		out[i] = (x >> shift) & ((1 << w) - 1)
+	dst = dst[:U(r.Bits)]
+	dst[0] = (x >> (r.Bits - 1)) & 1
+	if r.Bits > 1 {
+		splitLow(dst[1:], r.Bits, x)
 	}
-	return out
+}
+
+// splitLow writes the groups of the low bits−1 bits of x into dst, MSB
+// first: one single bit, 2-bit groups, and a trailing single bit when bits
+// is odd. len(dst) is U(bits)−1 and bits ≥ 2.
+func splitLow(dst []uint64, bits uint, x uint64) {
+	shift := bits - 2
+	dst[0] = (x >> shift) & 1
+	for i := 1; i < len(dst); i++ {
+		if shift >= 2 {
+			shift -= 2
+			dst[i] = (x >> shift) & 3
+		} else {
+			dst[i] = x & 1
+		}
+	}
 }
 
 // Join is the inverse of Split.
@@ -86,13 +121,27 @@ func Join(r ring.Ring, groups []uint64) (uint64, error) {
 // transfers; the sign bits are folded into the final XOR by quadrant
 // detection.
 func SplitLow(r ring.Ring, x uint64) []uint64 {
+	var out []uint64
+	if r.Bits > 1 {
+		out = make([]uint64, U(r.Bits)-1)
+	}
+	SplitLowInto(out, r, x)
+	return out
+}
+
+// SplitLowInto is SplitLow writing into dst[:U(r.Bits)−1]. Like SplitLow
+// it counts one low split and, for ℓ > 1, one full split.
+func SplitLowInto(dst []uint64, r ring.Ring, x uint64) {
 	if telemetry.Enabled() {
 		splitLowCounter.Inc()
 	}
 	if r.Bits == 1 {
-		return nil
+		return
 	}
-	return Split(r, x)[1:]
+	if telemetry.Enabled() {
+		splitCounter.Inc()
+	}
+	splitLow(dst[:U(r.Bits)-1], r.Bits, x)
 }
 
 // LowGroups returns the group widths used by SplitLow.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"aq2pnn/internal/prg"
 	"aq2pnn/internal/ring"
 )
 
@@ -113,6 +114,39 @@ func TestSplitIsMSBFirst(t *testing.T) {
 	for i := 1; i < len(g)-1; i++ {
 		if g[i] != 0 {
 			t.Errorf("middle group %d nonzero", i)
+		}
+	}
+}
+
+// TestSplitIntoMatchesLayout: the arithmetic split agrees with a split
+// driven by the Groups widths at every ring width, and MaxU bounds U.
+func TestSplitIntoMatchesLayout(t *testing.T) {
+	g := prg.NewSeeded(9)
+	if MaxU != U(ring.MaxBits) {
+		t.Fatalf("MaxU = %d, want U(%d) = %d", MaxU, ring.MaxBits, U(ring.MaxBits))
+	}
+	for bits := uint(1); bits <= ring.MaxBits; bits++ {
+		r := ring.New(bits)
+		gs := Groups(bits)
+		if U(bits) != len(gs) {
+			t.Fatalf("U(%d) = %d, want %d", bits, U(bits), len(gs))
+		}
+		for i := 0; i < 50; i++ {
+			x := g.Elem(r)
+			want := make([]uint64, len(gs))
+			shift := bits
+			for u, w := range gs {
+				shift -= w
+				want[u] = (x >> shift) & (1<<w - 1)
+			}
+			var got, low [MaxU]uint64
+			SplitInto(got[:], r, x)
+			SplitLowInto(low[:], r, x)
+			for u := range want {
+				if got[u] != want[u] || (u > 0 && low[u-1] != want[u]) {
+					t.Fatalf("ℓ=%d x=%#x: SplitInto %v, SplitLowInto %v, want %v", bits, x, got[:len(gs)], low[:len(gs)-1], want)
+				}
+			}
 		}
 	}
 }

@@ -50,7 +50,6 @@ func newOTEndpoint(party int, conn transport.Conn, cfg Options, rng *prg.PRG, po
 	if ep.HarvestGroup.P == nil {
 		ep.HarvestGroup = ot.DefaultGroup()
 	}
-	ep.UseExtension = true
 	return ep
 }
 

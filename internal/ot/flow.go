@@ -30,13 +30,14 @@ import (
 // per instance so identical choices do not produce identical pads.
 
 // padFromKey expands a key (a serialised group element) into an l-byte XOR
-// pad via SHA-256 → AES-CTR.
+// pad via SHA-256 → AES-CTR. prg.Keystream yields the same bytes as a
+// prg.New stream without its 8 KiB buffer.
 func padFromKey(key []byte, l int) []byte {
 	var seed [prg.SeedSize]byte
 	sum := sha256.Sum256(key)
 	copy(seed[:], sum[:])
 	p := make([]byte, l)
-	prg.New(seed).Read(p)
+	prg.Keystream(p, seed)
 	return p
 }
 

@@ -228,49 +228,6 @@ func TestPrecomputedOnlineCommCost(t *testing.T) {
 	}
 }
 
-func TestHarvestThenOnline(t *testing.T) {
-	// Full stack: real base OTs harvest random correlations, online phase
-	// consumes them.
-	n, count := 4, 8
-	var snd []SenderInst
-	var rcv []RecvInst
-	runPair(t,
-		func(c transport.Conn) error {
-			var err error
-			snd, err = HarvestSend(c, TestGroup(), prg.NewSeeded(13), n, count)
-			return err
-		},
-		func(c transport.Conn) error {
-			var err error
-			rcv, err = HarvestRecv(c, prg.NewSeeded(14), n, count)
-			return err
-		})
-	for k := range snd {
-		if !bytes.Equal(snd[k].Seeds[rcv[k].Choice][:], rcv[k].Seed[:]) {
-			t.Fatalf("harvested instance %d inconsistent", k)
-		}
-	}
-	msgs := make([][][]byte, count)
-	choices := make([]int, count)
-	for k := range msgs {
-		msgs[k] = [][]byte{{10}, {20}, {30}, {40}}
-		choices[k] = (k * 3) % n
-	}
-	var got [][]byte
-	runPair(t,
-		func(c transport.Conn) error { return SendPre(c, nil, snd, n, msgs) },
-		func(c transport.Conn) error {
-			var err error
-			got, err = RecvPre(c, nil, rcv, n, choices, 1)
-			return err
-		})
-	for k := range got {
-		if got[k][0] != byte(10*(choices[k]+1)) {
-			t.Fatalf("instance %d: got %d", k, got[k][0])
-		}
-	}
-}
-
 func TestEndpointsWithDealer(t *testing.T) {
 	dealer := NewDealer(prg.NewSeeded(15))
 	a, b := transport.Pipe()
@@ -317,6 +274,55 @@ func TestEndpointsWithDealer(t *testing.T) {
 			t.Fatalf("reverse instance %d wrong", k)
 		}
 	}
+}
+
+// TestDealerStreamIndependentOfTakes: the k-th sender and receiver views
+// of one (direction, arity) stream are the same whether the stream is taken
+// whole or in pieces, and an append to a taken slice cannot write into
+// stock the dealer has not handed out yet.
+func TestDealerStreamIndependentOfTakes(t *testing.T) {
+	const n = 4
+	sizes := []int{1, 7, 1024, 5000}
+	total := 0
+	for _, c := range sizes {
+		total += c
+	}
+	whole := NewDealer(prg.NewSeeded(44))
+	wantS, wantR := whole.TakeSender(0, n, total), whole.TakeRecv(0, n, total)
+
+	pieces := NewDealer(prg.NewSeeded(44))
+	var gotS []SenderInst
+	var gotR []RecvInst
+	for i, c := range sizes {
+		s := pieces.TakeSender(0, n, c)
+		// The receiver takes the same total in the reverse split.
+		r := pieces.TakeRecv(0, n, sizes[len(sizes)-1-i])
+		if cap(s) != len(s) || cap(r) != len(r) {
+			t.Fatalf("take %d: capacities %d/%d exceed lengths %d/%d", i, cap(s), cap(r), len(s), len(r))
+		}
+		_ = append(s, SenderInst{})
+		_ = append(r, RecvInst{Choice: -1})
+		gotS, gotR = append(gotS, s...), append(gotR, r...)
+	}
+	for k := 0; k < total; k++ {
+		if len(gotS[k].Seeds) != n || !bytes.Equal(seedBytes(gotS[k].Seeds), seedBytes(wantS[k].Seeds)) {
+			t.Fatalf("sender view %d differs between one take and pieces", k)
+		}
+		if gotR[k] != wantR[k] {
+			t.Fatalf("receiver view %d differs between one take and pieces", k)
+		}
+		if gotS[k].Seeds[gotR[k].Choice] != gotR[k].Seed {
+			t.Fatalf("instance %d: receiver seed is not the chosen sender seed", k)
+		}
+	}
+}
+
+func seedBytes(seeds [][SeedLen]byte) []byte {
+	var b []byte
+	for _, s := range seeds {
+		b = append(b, s[:]...)
+	}
+	return b
 }
 
 func TestEndpointTransportFailure(t *testing.T) {

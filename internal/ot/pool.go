@@ -10,44 +10,61 @@ import (
 	"aq2pnn/internal/transport"
 )
 
-// minChunk is the smallest refill batch. Both endpoints use the same
-// policy, so harvest-backed refills stay in lockstep across the two
-// processes without extra coordination traffic.
+// minChunk is the smallest refill batch: an IKNP refill mints at least
+// this many instances per arity, and a dealer-backed endpoint takes at
+// least this many. Both endpoints use the same policy, so IKNP refills stay
+// in lockstep across the two processes without extra coordination traffic.
 const minChunk = 1024
 
 // Dealer is the in-process trusted offline phase: it deals matching
 // sender/receiver views of random OT correlations to the two endpoints of
 // a session. It is safe for concurrent use by both party goroutines.
+//
+// Every slice it hands out is capacity-clipped: an append to a taken slice
+// reallocates instead of writing into stock not yet handed out.
 type Dealer struct {
 	mu  sync.Mutex
 	g   *prg.PRG
-	snd map[string][]SenderInst
-	rcv map[string][]RecvInst
+	snd map[dealKey][]SenderInst
+	rcv map[dealKey][]RecvInst
 }
+
+// dealKey names one stream of correlations: a direction (the sending
+// party) and an arity.
+type dealKey struct{ sender, n int }
 
 // NewDealer returns a dealer drawing correlations from g.
 func NewDealer(g *prg.PRG) *Dealer {
-	return &Dealer{g: g, snd: map[string][]SenderInst{}, rcv: map[string][]RecvInst{}}
+	return &Dealer{g: g, snd: map[dealKey][]SenderInst{}, rcv: map[dealKey][]RecvInst{}}
 }
 
-func dirKey(senderParty, n int) string { return fmt.Sprintf("%d/%d", senderParty, n) }
-
-func (d *Dealer) ensure(key string, n, count int) {
-	for len(d.snd[key]) < count || len(d.rcv[key]) < count {
-		s, r := Deal(d.g, n, minChunk)
-		d.snd[key] = append(d.snd[key], s...)
-		d.rcv[key] = append(d.rcv[key], r...)
+// ensure tops both views of k up to at least count instances. It deals the
+// deficit, rounded up to whole minChunk blocks, in one call into a fresh
+// slab behind the small remainder. The rounding matters: every stream draws
+// from the one PRG, so the size of each deal fixes where the next stream's
+// draws begin, and whole blocks keep those positions what dealing one
+// block at a time gave.
+func (d *Dealer) ensure(k dealKey, count int) {
+	s, r := d.snd[k], d.rcv[k]
+	short := count - min(len(s), len(r))
+	if short <= 0 {
+		return
 	}
+	deal := (short + minChunk - 1) / minChunk * minChunk
+	ns := make([]SenderInst, len(s)+deal)
+	nr := make([]RecvInst, len(r)+deal)
+	dealInto(d.g, k.n, ns[copy(ns, s):], nr[copy(nr, r):])
+	d.snd[k], d.rcv[k] = ns, nr
 }
 
 // TakeSender removes `count` sender views for the given direction/arity.
 func (d *Dealer) TakeSender(senderParty, n, count int) []SenderInst {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	key := dirKey(senderParty, n)
-	d.ensure(key, n, count)
-	out := d.snd[key][:count]
-	d.snd[key] = d.snd[key][count:]
+	k := dealKey{senderParty, n}
+	d.ensure(k, count)
+	out := d.snd[k][:count:count]
+	d.snd[k] = d.snd[k][count:]
 	return out
 }
 
@@ -55,29 +72,30 @@ func (d *Dealer) TakeSender(senderParty, n, count int) []SenderInst {
 func (d *Dealer) TakeRecv(senderParty, n, count int) []RecvInst {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	key := dirKey(senderParty, n)
-	d.ensure(key, n, count)
-	out := d.rcv[key][:count]
-	d.rcv[key] = d.rcv[key][count:]
+	k := dealKey{senderParty, n}
+	d.ensure(k, count)
+	out := d.rcv[k][:count:count]
+	d.rcv[k] = d.rcv[k][count:]
 	return out
 }
 
 // Endpoint is one party's OT interface: it owns the precomputed stock and
 // runs the cheap online phases over the session connection. Refill is
-// either dealer-backed (in-process) or harvest-backed (real base OTs over
-// the wire).
+// either dealer-backed (in-process) or IKNP extension over base OTs run on
+// the wire.
 type Endpoint struct {
 	Party int // this party's index (0 or 1)
 	Conn  transport.Conn
 	Rng   *prg.PRG
 
 	// Refill backends, in precedence order: Dealer (in-process trusted
-	// offline phase), IKNP extension over HarvestGroup (UseExtension), or
-	// per-instance base-OT harvesting over HarvestGroup.
+	// offline phase), then IKNP extension over base OTs in HarvestGroup:
+	// κ base OTs once, then PRG+hash-only refills.
 	Dealer       *Dealer
 	HarvestGroup Group
-	// UseExtension turns on IKNP OT extension: κ base OTs once, then
-	// PRG+hash-only refills. Both endpoints must agree.
+	// UseExtension is always on: an endpoint without a Dealer refills by
+	// IKNP extension whatever this field says. It stays for callers that
+	// still set it.
 	UseExtension bool
 
 	// Pool spreads the pad, row-hash and combine loops over its workers;
@@ -108,47 +126,14 @@ func NewEndpoint(party int, conn transport.Conn, rng *prg.PRG) *Endpoint {
 	}
 }
 
-func (e *Endpoint) refillSend(n, need int) error {
-	chunk := need
-	if chunk < minChunk {
-		chunk = minChunk
+// stockUp appends fresh instances to an arity's stock. An empty stock
+// takes fresh as it is, without a copy; dealer takes are capacity-clipped,
+// so a later append never writes into the dealer's memory.
+func stockUp[T any](stock, fresh []T) []T {
+	if len(stock) == 0 {
+		return fresh
 	}
-	if e.Dealer != nil {
-		e.sendStock[n] = append(e.sendStock[n], e.Dealer.TakeSender(e.Party, n, chunk)...)
-		return nil
-	}
-	if e.UseExtension {
-		// The single-arity case of the coalesced refill: one Extend call.
-		return e.refillSendMulti(map[int]int{n: need})
-	}
-	got, err := HarvestSend(e.Conn, e.HarvestGroup, e.Rng, n, chunk)
-	if err != nil {
-		return err
-	}
-	e.sendStock[n] = append(e.sendStock[n], got...)
-	return nil
-}
-
-func (e *Endpoint) refillRecv(n, need int) error {
-	chunk := need
-	if chunk < minChunk {
-		chunk = minChunk
-	}
-	if e.Dealer != nil {
-		// The sender of these correlations is the other party.
-		e.recvStock[n] = append(e.recvStock[n], e.Dealer.TakeRecv(1-e.Party, n, chunk)...)
-		return nil
-	}
-	if e.UseExtension {
-		// The single-arity case of the coalesced refill: one Extend call.
-		return e.refillRecvMulti(map[int]int{n: need})
-	}
-	got, err := HarvestRecv(e.Conn, e.Rng, n, chunk)
-	if err != nil {
-		return err
-	}
-	e.recvStock[n] = append(e.recvStock[n], got...)
-	return nil
+	return append(stock, fresh...)
 }
 
 // log2Arity returns t for n = 2^t, rejecting non-power-of-two arities and
@@ -176,7 +161,7 @@ func (e *Endpoint) Send1ofN(n int, msgs [][][]byte) error {
 	defer e.Trace.Exit(sp)
 	telemetry.Count("aq2pnn_ot_send_insts_total", uint64(len(msgs)))
 	if len(e.sendStock[n]) < len(msgs) {
-		if err := e.refillSend(n, len(msgs)-len(e.sendStock[n])); err != nil {
+		if err := e.refillSend(map[int]int{n: len(msgs) - len(e.sendStock[n])}); err != nil {
 			return err
 		}
 	}
@@ -198,7 +183,7 @@ func (e *Endpoint) Recv1ofN(n int, choices []int, msgLen int) ([][]byte, error) 
 	defer e.Trace.Exit(sp)
 	telemetry.Count("aq2pnn_ot_recv_insts_total", uint64(len(choices)))
 	if len(e.recvStock[n]) < len(choices) {
-		if err := e.refillRecv(n, len(choices)-len(e.recvStock[n])); err != nil {
+		if err := e.refillRecv(map[int]int{n: len(choices) - len(e.recvStock[n])}); err != nil {
 			return nil, err
 		}
 	}

@@ -37,57 +37,27 @@ type RecvInst struct {
 func Deal(g *prg.PRG, n, count int) ([]SenderInst, []RecvInst) {
 	snd := make([]SenderInst, count)
 	rcv := make([]RecvInst, count)
-	for k := 0; k < count; k++ {
-		seeds := make([][SeedLen]byte, n)
-		for l := range seeds {
-			g.Read(seeds[l][:])
-		}
-		c := g.Intn(n)
-		snd[k] = SenderInst{Seeds: seeds}
-		rcv[k] = RecvInst{Choice: c, Seed: seeds[c]}
-	}
+	dealInto(g, n, snd, rcv)
 	return snd, rcv
 }
 
-// HarvestSend generates `count` random 1-of-N OT instances by actually
-// running the OT-flow as sender: the receiver learns one random seed per
-// instance and nothing else, giving both parties the same correlation a
-// dealer would, without a trusted third party.
-func HarvestSend(c transport.Conn, grp Group, rng *prg.PRG, n, count int) ([]SenderInst, error) {
-	snd := make([]SenderInst, count)
-	msgs := make([][][]byte, count)
-	for k := 0; k < count; k++ {
-		seeds := make([][SeedLen]byte, n)
-		cand := make([][]byte, n)
-		for l := range seeds {
-			rng.Read(seeds[l][:])
-			cand[l] = seeds[l][:]
+// dealInto fills snd and rcv, of equal length, with fresh correlations. All
+// seeds of the call live in one slab, and each instance's Seeds is its
+// capacity-clipped window of it. Per instance the draws are its n seeds,
+// as one n·16-byte read, then the choice.
+func dealInto(g *prg.PRG, n int, snd []SenderInst, rcv []RecvInst) {
+	seeds := make([][SeedLen]byte, len(snd)*n)
+	buf := make([]byte, n*SeedLen)
+	for k := range snd {
+		g.Read(buf)
+		s := seeds[k*n : (k+1)*n : (k+1)*n]
+		for l := range s {
+			copy(s[l][:], buf[l*SeedLen:])
 		}
-		snd[k] = SenderInst{Seeds: seeds}
-		msgs[k] = cand
+		c := g.Intn(n)
+		snd[k] = SenderInst{Seeds: s}
+		rcv[k] = RecvInst{Choice: c, Seed: s[c]}
 	}
-	if err := FlowSend(c, grp, rng, n, msgs); err != nil {
-		return nil, err
-	}
-	return snd, nil
-}
-
-// HarvestRecv is the receiver side of HarvestSend, drawing uniform choices.
-func HarvestRecv(c transport.Conn, rng *prg.PRG, n, count int) ([]RecvInst, error) {
-	choices := make([]int, count)
-	for k := range choices {
-		choices[k] = rng.Intn(n)
-	}
-	got, err := FlowRecv(c, rng, n, choices, SeedLen)
-	if err != nil {
-		return nil, err
-	}
-	rcv := make([]RecvInst, count)
-	for k := range rcv {
-		rcv[k].Choice = choices[k]
-		copy(rcv[k].Seed[:], got[k])
-	}
-	return rcv, nil
 }
 
 // SendPre runs the online sender phase of a batch of derandomized 1-of-N

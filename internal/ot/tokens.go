@@ -121,7 +121,7 @@ func (e *Endpoint) SendTokens(bits uint, batches []SendTokenBatch) error {
 	if err != nil {
 		return err
 	}
-	if err := e.refillSendMulti(plan.needs(func(n int) int { return len(e.sendStock[n]) })); err != nil {
+	if err := e.refillSend(plan.needs(func(n int) int { return len(e.sendStock[n]) })); err != nil {
 		return err
 	}
 	ds, err := e.Conn.Recv()
@@ -191,7 +191,7 @@ func (e *Endpoint) RecvTokens(bits uint, batches []RecvTokenBatch) ([][]byte, er
 	if err != nil {
 		return nil, err
 	}
-	if err := e.refillRecvMulti(plan.needs(func(n int) int { return len(e.recvStock[n]) })); err != nil {
+	if err := e.refillRecv(plan.needs(func(n int) int { return len(e.recvStock[n]) })); err != nil {
 		return nil, err
 	}
 	ds := make([]byte, bitLen(plan.dsBits))
@@ -244,19 +244,17 @@ func (e *Endpoint) RecvTokens(bits uint, batches []RecvTokenBatch) ([][]byte, er
 	return out, nil
 }
 
-// refillSendMulti tops up several arities' sender stock in one pass, in
-// ascending-arity order. With IKNP extension every arity shares a single
-// Extend call; dealer and harvest backends fall back to per-arity refills.
-func (e *Endpoint) refillSendMulti(needs map[int]int) error {
+// refillSend tops up several arities' sender stock in one pass, in
+// ascending-arity order: one dealer take per arity, or else a single IKNP
+// Extend call shared by every arity.
+func (e *Endpoint) refillSend(needs map[int]int) error {
 	arities := sortedArities(needs)
 	if len(arities) == 0 {
 		return nil
 	}
-	if e.Dealer != nil || !e.UseExtension {
+	if e.Dealer != nil {
 		for _, n := range arities {
-			if err := e.refillSend(n, needs[n]); err != nil {
-				return err
-			}
+			e.sendStock[n] = stockUp(e.sendStock[n], e.Dealer.TakeSender(e.Party, n, max(needs[n], minChunk)))
 		}
 		return nil
 	}
@@ -294,17 +292,16 @@ func (e *Endpoint) refillSendMulti(needs map[int]int) error {
 	return nil
 }
 
-// refillRecvMulti is the receiver counterpart of refillSendMulti.
-func (e *Endpoint) refillRecvMulti(needs map[int]int) error {
+// refillRecv is the receiver counterpart of refillSend.
+func (e *Endpoint) refillRecv(needs map[int]int) error {
 	arities := sortedArities(needs)
 	if len(arities) == 0 {
 		return nil
 	}
-	if e.Dealer != nil || !e.UseExtension {
+	if e.Dealer != nil {
 		for _, n := range arities {
-			if err := e.refillRecv(n, needs[n]); err != nil {
-				return err
-			}
+			// The sender of these correlations is the other party.
+			e.recvStock[n] = stockUp(e.recvStock[n], e.Dealer.TakeRecv(1-e.Party, n, max(needs[n], minChunk)))
 		}
 		return nil
 	}

@@ -31,16 +31,23 @@ const (
 // lexicographic scan yields the LT label exactly when the predicate holds
 // (before unmasking). Equality in the final group resolves to "false".
 func PredTokens(ga []uint64, widths []uint, flip uint64, rel Rel) [][]byte {
+	flat := make([]byte, rowLen(widths))
+	PredTokensInto(flat, ga, widths, flip, rel)
+	return splitRows(flat, widths)
+}
+
+// PredTokensInto writes PredTokens' rows back to back into
+// dst[:rowLen(widths)]. It allocates nothing.
+func PredTokensInto(dst []byte, ga []uint64, widths []uint, flip uint64, rel Rel) {
 	trueLab, falseLab := TokenLT, TokenGT
 	if flip == 1 {
 		trueLab, falseLab = falseLab, trueLab
 	}
-	rows := make([][]byte, len(widths))
 	for u, w := range widths {
-		n := 1 << w
-		row := make([]byte, n)
+		row := dst[:1<<w]
+		dst = dst[1<<w:]
 		last := u == len(widths)-1
-		for pm := 0; pm < n; pm++ {
+		for pm := range row {
 			var tok byte
 			switch {
 			case uint64(pm) == ga[u]:
@@ -56,9 +63,7 @@ func PredTokens(ga []uint64, widths []uint, flip uint64, rel Rel) [][]byte {
 			}
 			row[pm] = tok
 		}
-		rows[u] = row
 	}
-	return rows
 }
 
 // CmpSender runs party i's side of the batched unsigned comparison for its
@@ -74,18 +79,17 @@ func CmpSenderPar(ep *ot.Endpoint, rng *prg.PRG, r ring.Ring, a []uint64, rel Re
 	sp := ep.Trace.Enter("scm.cmp", telemetry.WithAttrs(
 		telemetry.Int("elems", int64(len(a))), telemetry.Int("bits", int64(r.Bits))))
 	defer ep.Trace.Exit(sp)
-	widths := a2b.Groups(r.Bits)
-	count := len(a)
-	m := make([]uint64, count)
+	m := make([]uint64, len(a))
 	for v := range m {
 		m[v] = rng.Bit()
 	}
-	tokens := make([][][]byte, count)
-	pool.For(count, func(v int) {
-		tokens[v] = PredTokens(a2b.Split(r, a[v]), widths, m[v], rel)
+	widths := a2b.Groups(r.Bits)
+	err := sendRows(ep, pool, widths, len(a), func(v int, dst []byte) {
+		var ga [a2b.MaxU]uint64
+		a2b.SplitInto(ga[:], r, a[v])
+		PredTokensInto(dst, ga[:], widths, m[v], rel)
 	})
-	plan := planFullBatches(r.Bits, count)
-	if err := ep.SendTokens(tokenBits, plan.sendBatches(tokens, pool)); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("scm: compare token transfer: %w", err)
 	}
 	return m, nil
@@ -103,41 +107,7 @@ func CmpReceiverPar(ep *ot.Endpoint, r ring.Ring, b []uint64, rel Rel, pool *par
 	sp := ep.Trace.Enter("scm.cmp", telemetry.WithAttrs(
 		telemetry.Int("elems", int64(len(b))), telemetry.Int("bits", int64(r.Bits))))
 	defer ep.Trace.Exit(sp)
-	widths := a2b.Groups(r.Bits)
-	count := len(b)
-	groups := make([][]uint64, count)
-	pool.For(count, func(v int) {
-		groups[v] = a2b.Split(r, b[v])
+	return recvScan(ep, pool, a2b.Groups(r.Bits), len(b), "scm: compare token transfer", func(v int, dst []uint64) {
+		a2b.SplitInto(dst, r, b[v])
 	})
-	plan := planFullBatches(r.Bits, count)
-	received := make([][]byte, count)
-	for v := range received {
-		received[v] = make([]byte, len(widths))
-	}
-	got, err := ep.RecvTokens(tokenBits, plan.recvBatches(groups))
-	if err != nil {
-		return nil, fmt.Errorf("scm: compare token transfer: %w", err)
-	}
-	plan.scatter(got, received)
-	out := make([]uint64, count)
-	errs := make([]error, count)
-	pool.For(count, func(v int) {
-		raw, err := ScanTokens(received[v])
-		if err != nil {
-			errs[v] = err
-			return
-		}
-		out[v] = raw
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// planFullBatches is planBatches over the full ℓ-bit layout.
-func planFullBatches(bits uint, count int) batchPlan {
-	return planOver(a2b.Groups(bits), count)
 }

@@ -43,16 +43,24 @@ const (
 // encoded through the same flip so the receiver always terminates with a
 // definite label.
 func SenderTokens(gaLow []uint64, widths []uint, flip uint64) [][]byte {
-	rows := make([][]byte, len(widths))
+	flat := make([]byte, rowLen(widths))
+	SenderTokensInto(flat, gaLow, widths, flip)
+	return splitRows(flat, widths)
+}
+
+// SenderTokensInto writes SenderTokens' rows back to back into
+// dst[:rowLen(widths)], group u's 2^w tokens after group u−1's. It
+// allocates nothing.
+func SenderTokensInto(dst []byte, gaLow []uint64, widths []uint, flip uint64) {
 	lt, gt := TokenLT, TokenGT
 	if flip == 1 {
 		lt, gt = gt, lt
 	}
 	for u, w := range widths {
-		n := 1 << w
-		row := make([]byte, n)
+		row := dst[:1<<w]
+		dst = dst[1<<w:]
 		last := u == len(widths)-1
-		for pm := 0; pm < n; pm++ {
+		for pm := range row {
 			switch {
 			case uint64(pm) < gaLow[u]:
 				row[pm] = lt
@@ -66,7 +74,25 @@ func SenderTokens(gaLow []uint64, widths []uint, flip uint64) [][]byte {
 				row[pm] = TokenEQ
 			}
 		}
-		rows[u] = row
+	}
+}
+
+// rowLen is the byte length of one element's token rows: 2^w per group.
+func rowLen(widths []uint) int {
+	n := 0
+	for _, w := range widths {
+		n += 1 << w
+	}
+	return n
+}
+
+// splitRows windows one element's back-to-back token rows into one
+// capacity-clipped row per group.
+func splitRows(flat []byte, widths []uint) [][]byte {
+	rows := make([][]byte, len(widths))
+	for u, w := range widths {
+		rows[u] = flat[: 1<<w : 1<<w]
+		flat = flat[1<<w:]
 	}
 	return rows
 }
@@ -99,17 +125,16 @@ const tokenBits = 2
 
 // batchPlan groups the (element, group) OT instances by arity so a whole
 // tensor's comparison runs as one coalesced token transfer: one slice per
-// arity, all slices riding a single send/recv pair.
+// arity, all slices riding a single send/recv pair. Instances are laid out
+// by index arithmetic over flat per-tensor slabs, in transfer order: arity
+// ascending, then group u, then element v.
 type batchPlan struct {
-	widths []uint
-	// pairs[n] lists, in deterministic order, the (v, u) pairs using
-	// (1,n)-OT.
-	arities []int // distinct arities in ascending order
-	pairs   map[int][][2]int
-}
-
-func planBatches(bits uint, count int) batchPlan {
-	return planOver(a2b.LowGroups(bits), count)
+	widths  []uint
+	count   int
+	arities []int   // distinct arities in ascending order
+	byArity [][]int // byArity[bi]: the groups u using arities[bi], ascending
+	off     []int   // off[u]: group u's offset within an element's token rows
+	rowLen  int     // bytes of one element's token rows
 }
 
 // planOver builds the batch plan for an explicit group layout. The arity
@@ -117,53 +142,118 @@ func planBatches(bits uint, count int) batchPlan {
 // identical coalesced-transfer shape with no negotiation; u-order within
 // an arity follows the layout.
 func planOver(widths []uint, count int) batchPlan {
-	p := batchPlan{widths: widths, arities: a2b.Arities(widths), pairs: map[int][][2]int{}}
-	for u, w := range widths {
-		n := 1 << w
-		for v := 0; v < count; v++ {
-			p.pairs[n] = append(p.pairs[n], [2]int{v, u})
+	p := batchPlan{widths: widths, count: count, arities: a2b.Arities(widths), off: make([]int, len(widths))}
+	p.byArity = make([][]int, len(p.arities))
+	for bi, n := range p.arities {
+		for u, w := range widths {
+			if 1<<w == n {
+				p.byArity[bi] = append(p.byArity[bi], u)
+			}
 		}
+	}
+	for u, w := range widths {
+		p.off[u] = p.rowLen
+		p.rowLen += 1 << w
 	}
 	return p
 }
 
-// sendBatches lays each arity's token rows out in plan order for one
-// coalesced transfer. rows are aliased, not copied.
-func (p batchPlan) sendBatches(tokens [][][]byte, pool *parallel.Pool) []ot.SendTokenBatch {
+// sendBatches windows each instance's token row out of slab, which holds
+// count × rowLen bytes, element v's rows at v·rowLen. Rows alias slab and
+// are capacity-clipped.
+func (p batchPlan) sendBatches(slab []byte) []ot.SendTokenBatch {
+	rows := make([][]byte, p.count*len(p.widths))
 	batches := make([]ot.SendTokenBatch, len(p.arities))
 	for bi, n := range p.arities {
-		pairs := p.pairs[n]
-		rows := make([][]byte, len(pairs))
-		pool.For(len(pairs), func(k int) {
-			vu := pairs[k]
-			rows[k] = tokens[vu[0]][vu[1]]
-		})
-		batches[bi] = ot.SendTokenBatch{N: n, Rows: rows}
+		batch := rows[:len(p.byArity[bi])*p.count]
+		rows = rows[len(batch):]
+		for i, u := range p.byArity[bi] {
+			for v := 0; v < p.count; v++ {
+				o := v*p.rowLen + p.off[u]
+				batch[i*p.count+v] = slab[o : o+n : o+n]
+			}
+		}
+		batches[bi] = ot.SendTokenBatch{N: n, Rows: batch}
 	}
 	return batches
 }
 
-// recvBatches lays each arity's choices out in plan order.
-func (p batchPlan) recvBatches(groups [][]uint64) []ot.RecvTokenBatch {
+// recvBatches lays each arity's choices out in plan order; groups holds
+// count × U values, element v's at v·U.
+func (p batchPlan) recvBatches(groups []uint64) []ot.RecvTokenBatch {
+	nu := len(p.widths)
+	choices := make([]int, p.count*nu)
 	batches := make([]ot.RecvTokenBatch, len(p.arities))
 	for bi, n := range p.arities {
-		pairs := p.pairs[n]
-		choices := make([]int, len(pairs))
-		for k, vu := range pairs {
-			choices[k] = int(groups[vu[0]][vu[1]])
+		batch := choices[:len(p.byArity[bi])*p.count]
+		choices = choices[len(batch):]
+		for i, u := range p.byArity[bi] {
+			for v := 0; v < p.count; v++ {
+				batch[i*p.count+v] = int(groups[v*nu+u])
+			}
 		}
-		batches[bi] = ot.RecvTokenBatch{N: n, Choices: choices}
+		batches[bi] = ot.RecvTokenBatch{N: n, Choices: batch}
 	}
 	return batches
 }
 
-// scatter writes the received tokens back into per-element group order.
-func (p batchPlan) scatter(got [][]byte, received [][]byte) {
-	for bi, n := range p.arities {
-		for k, vu := range p.pairs[n] {
-			received[vu[0]][vu[1]] = got[bi][k]
+// scatter writes the received tokens back into per-element group order:
+// element v's tokens at received[v·U : (v+1)·U].
+func (p batchPlan) scatter(got [][]byte, received []byte) {
+	nu := len(p.widths)
+	for bi := range p.arities {
+		for i, u := range p.byArity[bi] {
+			for v := 0; v < p.count; v++ {
+				received[v*nu+u] = got[bi][i*p.count+v]
+			}
 		}
 	}
+}
+
+// sendRows builds every element's token rows into one count × rowLen slab,
+// spread over pool, and sends them as one coalesced transfer. build writes
+// element v's rows into dst.
+func sendRows(ep *ot.Endpoint, pool *parallel.Pool, widths []uint, count int, build func(v int, dst []byte)) error {
+	p := planOver(widths, count)
+	slab := make([]byte, count*p.rowLen)
+	pool.Blocks(count, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			build(v, slab[v*p.rowLen:(v+1)*p.rowLen])
+		}
+	})
+	return ep.SendTokens(tokenBits, p.sendBatches(slab))
+}
+
+// recvScan splits every element into its groups, spread over pool, receives
+// the tokens of one coalesced transfer and scans each element's tokens. It
+// returns the raw scan bits; split writes element v's U groups into dst. A
+// transfer error is wrapped under the prefix what.
+func recvScan(ep *ot.Endpoint, pool *parallel.Pool, widths []uint, count int, what string, split func(v int, dst []uint64)) ([]uint64, error) {
+	p := planOver(widths, count)
+	nu := len(widths)
+	groups := make([]uint64, count*nu)
+	pool.Blocks(count, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			split(v, groups[v*nu:(v+1)*nu])
+		}
+	})
+	got, err := ep.RecvTokens(tokenBits, p.recvBatches(groups))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", what, err)
+	}
+	received := make([]byte, count*nu)
+	p.scatter(got, received)
+	out := make([]uint64, count)
+	errs := make([]error, count)
+	pool.For(count, func(v int) {
+		out[v], errs[v] = ScanTokens(received[v*nu : (v+1)*nu])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // MSBSender runs party i's side of the secure sign computation for a batch
@@ -183,20 +273,18 @@ func MSBSenderPar(ep *ot.Endpoint, rng *prg.PRG, r ring.Ring, xi []uint64, pool 
 	sp := ep.Trace.Enter("scm.msb", telemetry.WithAttrs(
 		telemetry.Int("elems", int64(len(xi))), telemetry.Int("bits", int64(r.Bits))))
 	defer ep.Trace.Exit(sp)
-	count := len(xi)
-	m := make([]uint64, count)
+	m := make([]uint64, len(xi))
 	for v := range m {
 		m[v] = rng.Bit()
 	}
-	tokens := make([][][]byte, count) // per element, per group, the token row
 	widths := a2b.LowGroups(r.Bits)
-	pool.For(count, func(v int) {
+	err := sendRows(ep, pool, widths, len(xi), func(v int, dst []byte) {
 		a := r.Neg(xi[v])
-		flip := m[v] ^ r.MSB(a)
-		tokens[v] = SenderTokens(a2b.SplitLow(r, a), widths, flip)
+		var ga [a2b.MaxU]uint64
+		a2b.SplitLowInto(ga[:], r, a)
+		SenderTokensInto(dst, ga[:], widths, m[v]^r.MSB(a))
 	})
-	plan := planBatches(r.Bits, count)
-	if err := ep.SendTokens(tokenBits, plan.sendBatches(tokens, pool)); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("scm: token transfer: %w", err)
 	}
 	return m, nil
@@ -217,36 +305,14 @@ func MSBReceiverPar(ep *ot.Endpoint, r ring.Ring, xj []uint64, pool *parallel.Po
 	sp := ep.Trace.Enter("scm.msb", telemetry.WithAttrs(
 		telemetry.Int("elems", int64(len(xj))), telemetry.Int("bits", int64(r.Bits))))
 	defer ep.Trace.Exit(sp)
-	count := len(xj)
-	widths := a2b.LowGroups(r.Bits)
-	groups := make([][]uint64, count)
-	pool.For(count, func(v int) {
-		groups[v] = a2b.SplitLow(r, xj[v])
+	out, err := recvScan(ep, pool, a2b.LowGroups(r.Bits), len(xj), "scm: token transfer", func(v int, dst []uint64) {
+		a2b.SplitLowInto(dst, r, xj[v])
 	})
-	plan := planBatches(r.Bits, count)
-	received := make([][]byte, count)
-	for v := range received {
-		received[v] = make([]byte, len(widths))
-	}
-	got, err := ep.RecvTokens(tokenBits, plan.recvBatches(groups))
 	if err != nil {
-		return nil, fmt.Errorf("scm: token transfer: %w", err)
+		return nil, err
 	}
-	plan.scatter(got, received)
-	out := make([]uint64, count)
-	errs := make([]error, count)
-	pool.For(count, func(v int) {
-		raw, err := ScanTokens(received[v])
-		if err != nil {
-			errs[v] = err
-			return
-		}
-		out[v] = raw ^ r.MSB(xj[v])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	for v := range out {
+		out[v] ^= r.MSB(xj[v])
 	}
 	return out, nil
 }

@@ -282,29 +282,3 @@ func TestCensusFig7(t *testing.T) {
 		t.Error("Q1 must contain both signs")
 	}
 }
-
-func BenchmarkMSB16(b *testing.B) {
-	r := ring.New(16)
-	g := prg.NewSeeded(1)
-	n := 256
-	xi := g.Elems(n, r)
-	xj := g.Elems(n, r)
-	dealer := ot.NewDealer(prg.NewSeeded(2))
-	a, c := transport.Pipe()
-	defer a.Close()
-	defer c.Close()
-	e0 := ot.NewEndpoint(0, a, prg.NewSeeded(3))
-	e0.Dealer = dealer
-	e1 := ot.NewEndpoint(1, c, prg.NewSeeded(4))
-	e1.Dealer = dealer
-	rng := prg.NewSeeded(5)
-	b.SetBytes(int64(n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); MSBSender(e0, rng, r, xi) }()
-		go func() { defer wg.Done(); MSBReceiver(e1, r, xj) }()
-		wg.Wait()
-	}
-}
