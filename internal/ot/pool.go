@@ -53,7 +53,9 @@ func (d *Dealer) ensure(k dealKey, count int) {
 	deal := (short + minChunk - 1) / minChunk * minChunk
 	ns := make([]SenderInst, len(s)+deal)
 	nr := make([]RecvInst, len(r)+deal)
-	dealInto(d.g, k.n, ns[copy(ns, s):], nr[copy(nr, r):])
+	copy(ns, s)
+	copy(nr, r)
+	dealInto(d.g, k.n, ns[len(s):], nr[len(r):])
 	d.snd[k], d.rcv[k] = ns, nr
 }
 
