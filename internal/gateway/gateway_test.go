@@ -322,6 +322,80 @@ func TestGatewayRejectsGarbageIntake(t *testing.T) {
 	}
 }
 
+// TestGatewayShutdownIsNoBackendFailure: a splice the gateway severs on
+// its own shutdown is not scored against the backend, even with a client
+// request still unanswered: a healthy session can be cut with its end
+// frame still unread.
+func TestGatewayShutdownIsNoBackendFailure(t *testing.T) {
+	// The backend reads the hello, the attach and one request, then waits
+	// for more without answering.
+	bl, err := transport.NewListener("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bl.Close()
+	request := make(chan struct{})
+	go func() {
+		c, err := bl.Accept(context.Background())
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		for i := 0; i < 3; i++ {
+			if _, err := c.Recv(); err != nil {
+				return
+			}
+		}
+		close(request)
+		//lint:allow sendcheck parks until the gateway severs the splice; the error is the expected end
+		c.Recv()
+	}()
+	gw, err := New(Config{Backends: []Backend{{Name: "b0", Addr: bl.Addr()}}, Seed: 7, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl, err := transport.NewListener("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gl.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- gw.Serve(ctx, gl) }()
+
+	c, err := transport.DialContext(context.Background(), gl.Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	hello := make([]byte, 20)
+	copy(hello, "AQ2S")
+	binary.LittleEndian.PutUint16(hello[4:], engine.ProtocolVersion)
+	hello[6] = engine.RoleUser
+	hello[7] = 1 << 3 // the session flag
+	binary.LittleEndian.PutUint16(hello[8:], 16)
+	for _, f := range [][]byte{hello, engine.EncodeAttachRequest(false, engine.SessionToken{}), []byte("request")} {
+		if err := c.Send(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-request:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the request never reached the backend")
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("gateway serve returned %v, want nil", err)
+	}
+	if st := gw.Stats(); st.BackendFailures != 0 || st.Reroutes != 0 || st.Shed != 0 {
+		t.Errorf("shutdown scored against the backend: %+v", st)
+	}
+	if h := gw.Health(); h["b0"] != "closed" {
+		t.Errorf("shutdown tripped the backend's breaker: health %v", h)
+	}
+}
+
 // TestGatewayGoroutineHygiene: a fleet spun up and torn down leaks
 // nothing.
 func TestGatewayGoroutineHygiene(t *testing.T) {

@@ -98,10 +98,15 @@ func (g *Gateway) proxy(ctx context.Context, client transport.Conn) {
 	// client→server — the stalled-backend signature) or undeliverable (the forward to the backend failed with a request
 	// in hand). A backend that breaks while idle between requests stays
 	// neutral: the next session, or the active prober, will convict it
-	// without passive scoring misfiring on ordinary close races.
+	// without passive scoring misfiring on ordinary close races. So is a
+	// splice the gateway's own shutdown severed: a session can be cut
+	// with its end frame still unread, and a request in flight then is
+	// not the backend's fault.
 	switch {
 	case res.sawEnd || res.sawBusy:
 		chosen.brk.success()
+	case ctx.Err() != nil:
+		// Severed by the gateway's shutdown: neutral.
 	case res.sendFailed || res.lastDir == dirClientToServer:
 		chosen.brk.failure()
 		g.backendFailures.Add(1)
