@@ -33,8 +33,9 @@ import (
 // H is the fixed-key-AES hash of hash.go, tweaked by counter and j, with κ
 // = 128 so that a row is one block. The κ column expansions and the m row
 // hashes are independent, so an endpoint refill blocks both over the
-// endpoint's pool. Only the u-matrix crosses the wire;
-// TestOTTranscriptPinned pins it and the minted seeds byte for byte.
+// endpoint's pool, and each pool chunk hashes its rows in batches. Only
+// the u-matrix crosses the wire; TestOTTranscriptPinned pins it and the
+// minted seeds byte for byte.
 
 // ExtKappa is the security parameter: the number of base-OT columns.
 const ExtKappa = 128
@@ -191,12 +192,10 @@ func (s *ExtSender) extend(pool *parallel.Pool, m int) ([]SenderInst, error) {
 	out := make([]SenderInst, m)
 	seeds := make([][SeedLen]byte, 2*m)
 	pool.Blocks(m, func(lo, hi int) {
-		h := new(hasher)
+		h := hashers.Get().(*hasher)
+		h.rowHashesSend(seeds[2*lo:2*hi], rows[lo*rowLen:hi*rowLen], s.delta, s.counter, lo)
+		hashers.Put(h)
 		for j := lo; j < hi; j++ {
-			row := rows[j*rowLen : (j+1)*rowLen]
-			seeds[2*j] = h.rowHash(s.counter, j, row)
-			xorInto(row, s.delta)
-			seeds[2*j+1] = h.rowHash(s.counter, j, row)
 			out[j] = SenderInst{Seeds: seeds[2*j : 2*j+2 : 2*j+2]}
 		}
 	})
@@ -236,10 +235,12 @@ func (r *ExtReceiver) extend(pool *parallel.Pool, m int) ([]RecvInst, error) {
 	transposeBits(rows, tCols, kappa, m)
 	out := make([]RecvInst, m)
 	pool.Blocks(m, func(lo, hi int) {
-		h := new(hasher)
 		for j := lo; j < hi; j++ {
-			out[j] = RecvInst{Choice: int(bitOf(choice, j)), Seed: h.rowHash(r.counter, j, rows[j*rowLen:(j+1)*rowLen])}
+			out[j].Choice = int(bitOf(choice, j))
 		}
+		h := hashers.Get().(*hasher)
+		h.rowHashesRecv(out[lo:hi], rows[lo*rowLen:hi*rowLen], r.counter, lo)
+		hashers.Put(h)
 	})
 	r.counter++
 	return out, nil

@@ -84,8 +84,10 @@ func TestCombineROTs(t *testing.T) {
 	h := new(hasher)
 	for k := 0; k < 4; k++ {
 		cs := SenderInst{Seeds: make([][SeedLen]byte, 4)}
-		h.combineSend(cs.Seeds, si[2*k:2*k+2])
-		cr := h.combineRecv(ri[2*k : 2*k+2])
+		h.combineSend(cs.Seeds, si[2*k:2*k+2], 2)
+		var crs [1]RecvInst
+		h.combineRecv(crs[:], ri[2*k:2*k+2], 2)
+		cr := crs[0]
 		if cr.Choice < 0 || cr.Choice > 3 {
 			t.Fatalf("combined choice %d", cr.Choice)
 		}
@@ -140,7 +142,7 @@ func TestCombinerHidesUnchosen(t *testing.T) {
 		for c := range dst {
 			var seed [SeedLen]byte
 			for b, inst := range insts {
-				seed = xor16(seed, h.hashPermuted(h.permute(inst.Seeds[(c>>b)&1]), tweak(tagComb, 0, uint64(b))))
+				seed = xor16(seed, refHash(inst.Seeds[(c>>b)&1], tagComb, 0, uint64(b)))
 			}
 			dst[c] = seed
 		}
@@ -151,7 +153,7 @@ func TestCombinerHidesUnchosen(t *testing.T) {
 		for trial := 0; trial < 10; trial++ {
 			snd, _ := Deal(g, 2, tc)
 			seeds := make([][SeedLen]byte, n)
-			h.combineSend(seeds, snd)
+			h.combineSend(seeds, snd, tc)
 			if c, mask, found := xorLeak(seeds); found {
 				t.Errorf("N=%d trial %d: choice %d, unchosen subset %#b XORs to zero or the chosen seed", n, trial, c, mask)
 			}

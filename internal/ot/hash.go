@@ -2,15 +2,14 @@ package ot
 
 import (
 	"crypto/aes"
-	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/binary"
+	"sync"
 )
 
-// One AES-128 permutation π under a public, fixed key derives the OT
-// plane's IKNP row hashes, 1-of-2^t combiners and message pads. A use costs
-// block encryptions only, with no key schedule per seed, and one
-// cipher.Block serves every pool worker (encryption only reads the
-// expanded key).
+// One AES-128 permutation π under a public, fixed key (perm.go) derives
+// the OT plane's IKNP row hashes, 1-of-2^t combiners and message pads. A
+// use costs block encryptions only, with no key schedule per seed.
 //
 // The hash is the tweakable circular-correlation-robust hash of Guo, Katz,
 // Wang and Yu, "Efficient and Secure Multiparty Computation from Fixed-Key
@@ -18,26 +17,13 @@ import (
 //
 //	H(x, i) = π(π(x) ⊕ i) ⊕ π(x)
 //
-// Every use puts its own domain tag in the tweak i (see tweak). Base OTs
+// Every use puts its own domain tag in the tweak i (see putTweak). Base OTs
 // (padFromKey) and the IKNP column expansion (prg.Keystream, keyed by
 // base-OT seeds) stay keyed PRGs.
-
-// fixedKey is π's key. It is public and the same in every process: the
-// first 128 bits of the fractional part of the circle constant, in hex
-// 243F6A88 85A308D3 13198A2E 03707344, a value with nothing up its sleeve.
-const fixedKey = "\x24\x3f\x6a\x88\x85\xa3\x08\xd3\x13\x19\x8a\x2e\x03\x70\x73\x44"
-
-// perm is π, set once by init and only read after.
-var perm cipher.Block
-
-func init() {
-	b, err := aes.NewCipher([]byte(fixedKey))
-	if err != nil {
-		// aes.NewCipher only fails on bad key sizes; 16 is always valid.
-		panic("ot: " + err.Error())
-	}
-	perm = b
-}
+//
+// Every use of π is batched: it stages up to hashBatch inputs and tweaks
+// in a hasher, and runs π, XOR-tweak, π, XOR over the whole batch, so that
+// the kernel behind permuteBlocks pipelines many blocks per call.
 
 // Domain tags, the top byte of every tweak: no two uses of H share one.
 const (
@@ -46,84 +32,178 @@ const (
 	tagPad  = 3 // block b of a pad longer than one block: ⟨tagPad, b, 0⟩
 )
 
-// tweak packs ⟨tag, a, b⟩ into one block, little-endian: a in bytes 0–7, b
-// in bytes 8–14, tag in byte 15. Every caller's b is below 2^56 (a row
-// index, a component number or zero), so the packing is injective.
-func tweak(tag byte, a, b uint64) (tw [aes.BlockSize]byte) {
+// putTweak packs ⟨tag, a, b⟩ into the block tw, little-endian: a in bytes
+// 0–7, b in bytes 8–14, tag in byte 15. Every caller's b is below 2^56 (a
+// row index, a component number or zero), so the packing is injective.
+func putTweak(tw *[aes.BlockSize]byte, tag byte, a, b uint64) {
 	binary.LittleEndian.PutUint64(tw[:8], a)
 	binary.LittleEndian.PutUint64(tw[8:], b)
 	tw[15] = tag
-	return tw
 }
 
-func xor16(a, b [aes.BlockSize]byte) (out [aes.BlockSize]byte) {
+// xorBlock XORs the block x into d.
+func xorBlock(d, x *[aes.BlockSize]byte) {
 	le := binary.LittleEndian
-	le.PutUint64(out[:8], le.Uint64(a[:8])^le.Uint64(b[:8]))
-	le.PutUint64(out[8:], le.Uint64(a[8:])^le.Uint64(b[8:]))
-	return out
+	le.PutUint64(d[:8], le.Uint64(d[:8])^le.Uint64(x[:8]))
+	le.PutUint64(d[8:], le.Uint64(d[8:])^le.Uint64(x[8:]))
 }
 
-// hasher is the heap block π encrypts in. Encrypt's arguments escape
-// through the cipher.Block interface, so a stack buffer would cost one
-// allocation per call; instead each pool chunk or token transfer makes one
-// hasher and reuses it. A hasher belongs to one goroutine.
+// hashBatch is the number of blocks a hasher stages for one batch.
+const hashBatch = 64
+
+// hasher is the staging area of a batch: π(x) of each input in px, its
+// tweak and then its hash in out, and a combiner's permuted component
+// seeds in pre. A hasher belongs to one goroutine at a time.
 type hasher struct {
-	buf [aes.BlockSize]byte
+	px  [hashBatch * aes.BlockSize]byte
+	out [hashBatch * aes.BlockSize]byte
+	pre [hashBatch * aes.BlockSize]byte
 }
 
-// permute returns π(x).
-func (h *hasher) permute(x [aes.BlockSize]byte) [aes.BlockSize]byte {
-	h.buf = x
-	perm.Encrypt(h.buf[:], h.buf[:])
-	return h.buf
+// hashers recycles staging areas: each pool chunk takes one hasher for all
+// its batches and puts it back, so staging is not allocated per call.
+var hashers = sync.Pool{New: func() any { return new(hasher) }}
+
+// at is block i of s.
+func at(s []byte, i int) *[aes.BlockSize]byte { return (*[aes.BlockSize]byte)(s[i*aes.BlockSize:]) }
+
+// hash turns the first m staged tweaks into hashes: block i of out becomes
+// H(x_i, out_i) = π(π(x_i) ⊕ out_i) ⊕ π(x_i), where block i of px holds
+// π(x_i).
+func (h *hasher) hash(m int) {
+	px, out := h.px[:m*aes.BlockSize], h.out[:m*aes.BlockSize]
+	subtle.XORBytes(out, out, px)
+	permuteBlocks(out, out)
+	subtle.XORBytes(out, out, px)
 }
 
-// hashPermuted returns H(x, tw) from px = π(x).
-func (h *hasher) hashPermuted(px, tw [aes.BlockSize]byte) [aes.BlockSize]byte {
-	h.buf = xor16(px, tw)
-	perm.Encrypt(h.buf[:], h.buf[:])
-	return xor16(h.buf, px)
-}
-
-// rowHash derives one random-OT seed from a κ-bit IKNP row, which is one
-// block: H(row, ⟨tagRow, counter, j⟩). The counter keeps successive Extend
-// calls on distinct tweaks.
-func (h *hasher) rowHash(counter uint64, j int, row []byte) [SeedLen]byte {
-	return h.hashPermuted(h.permute([SeedLen]byte(row)), tweak(tagRow, counter, uint64(j)))
-}
-
-// combineSend fuses t = log2(len(dst)) ≤ 8 random 1-of-2 correlations into
-// one 1-of-2^t correlation (Naor and Pinkas, STOC 1999), writing its
-// candidate seeds to dst: candidate c's seed is ⊕_b H(s_{b,c_b},
-// ⟨tagComb, c, b⟩), with π applied once per component seed. The tweak must
-// carry c. Without it the pads of candidates 01, 10 and 11 XOR to the pad
-// of 00, and a receiver holding one candidate learns a message XOR.
-func (h *hasher) combineSend(dst [][SeedLen]byte, insts []SenderInst) {
-	var pre [8][2][SeedLen]byte
-	for b, inst := range insts {
-		pre[b] = [2][SeedLen]byte{h.permute(inst.Seeds[0]), h.permute(inst.Seeds[1])}
-	}
-	for c := range dst {
-		var seed [SeedLen]byte
-		for b := range insts {
-			seed = xor16(seed, h.hashPermuted(pre[b][(c>>b)&1], tweak(tagComb, uint64(c), uint64(b))))
+// rowHashesSend derives the sender's two random-OT seeds of each IKNP row,
+// H(q_j, ⟨tagRow, counter, j⟩) and H(q_j ⊕ Δ, ⟨tagRow, counter, j⟩), into
+// seeds[2j] and seeds[2j+1], for the rows q_j = rows[16j : 16j+16] and j
+// counted from j0. The counter keeps successive Extend calls on distinct
+// tweaks.
+func (h *hasher) rowHashesSend(seeds [][SeedLen]byte, rows, delta []byte, counter uint64, j0 int) {
+	const perBatch = hashBatch / 2
+	d := (*[SeedLen]byte)(delta)
+	for lo := 0; lo*SeedLen < len(rows); lo += perBatch {
+		n := min(perBatch, len(rows)/SeedLen-lo)
+		for i := range n {
+			q0, q1 := at(h.px[:], 2*i), at(h.px[:], 2*i+1)
+			*q0 = *at(rows, lo+i)
+			*q1 = *q0
+			xorBlock(q1, d)
+			j := uint64(j0 + lo + i)
+			putTweak(at(h.out[:], 2*i), tagRow, counter, j)
+			putTweak(at(h.out[:], 2*i+1), tagRow, counter, j)
 		}
-		dst[c] = seed
+		permuteBlocks(h.px[:2*n*aes.BlockSize], h.px[:2*n*aes.BlockSize])
+		h.hash(2 * n)
+		for i := range 2 * n {
+			seeds[2*lo+i] = *at(h.out[:], i)
+		}
 	}
 }
 
-// combineRecv is the receiver counterpart of combineSend: its choice is the
-// components' choice bits, and its seed the chosen candidate's.
-func (h *hasher) combineRecv(insts []RecvInst) RecvInst {
-	var out RecvInst
-	for b, inst := range insts {
-		out.Choice |= inst.Choice << b
+// rowHashesRecv is the receiver counterpart of rowHashesSend: out[j].Seed
+// becomes H(t_j, ⟨tagRow, counter, j0+j⟩) for the rows t_j of rows.
+func (h *hasher) rowHashesRecv(out []RecvInst, rows []byte, counter uint64, j0 int) {
+	for lo := 0; lo < len(out); lo += hashBatch {
+		n := min(hashBatch, len(out)-lo)
+		permuteBlocks(h.px[:n*aes.BlockSize], rows[lo*SeedLen:(lo+n)*SeedLen])
+		for i := range n {
+			putTweak(at(h.out[:], i), tagRow, counter, uint64(j0+lo+i))
+		}
+		h.hash(n)
+		for i := range n {
+			out[lo+i].Seed = *at(h.out[:], i)
+		}
 	}
-	for b, inst := range insts {
-		out.Seed = xor16(out.Seed, h.hashPermuted(h.permute(inst.Seed), tweak(tagComb, uint64(out.Choice), uint64(b))))
-	}
-	return out
 }
+
+// combineSend fuses random 1-of-2 correlations, t = log2(n) ≤ 8 per
+// instance, into 1-of-n correlations (Naor and Pinkas, STOC 1999): instance
+// k takes insts[k·t : (k+1)·t] and writes its n candidate seeds to
+// dst[k·n : (k+1)·n]. Candidate c's seed is ⊕_b H(s_{b,c_b}, ⟨tagComb, c,
+// b⟩), with π applied once per component seed. The tweak must carry c.
+// Without it the pads of candidates 01, 10 and 11 XOR to the pad of 00, and
+// a receiver holding one candidate learns a message XOR.
+//
+// Instances go in groups whose 2t component seeds per instance fill pre at
+// most, so that even t = 1 hands π whole batches.
+func (h *hasher) combineSend(dst [][SeedLen]byte, insts []SenderInst, t int) {
+	n := 1 << t
+	group := max(1, hashBatch/(2*t))
+	for k0 := 0; k0*t < len(insts); k0 += group {
+		grp := insts[k0*t : min(len(insts), (k0+group)*t)]
+		for i, inst := range grp {
+			*at(h.pre[:], 2*i), *at(h.pre[:], 2*i+1) = inst.Seeds[0], inst.Seeds[1]
+		}
+		pre := h.pre[:2*len(grp)*aes.BlockSize]
+		permuteBlocks(pre, pre)
+		seeds := dst[k0*n : (k0+len(grp)/t)*n]
+		clear(seeds)
+		// Stage one hash per (candidate, component) in order; after each
+		// batch, fold every hash into its candidate from candidate first,
+		// component firstB on.
+		m, first, firstB := 0, 0, 0
+		for kc := range seeds {
+			k, c := kc>>t, kc&(n-1)
+			for b := range t {
+				*at(h.px[:], m) = *at(pre, 2*(k*t+b)+(c>>b)&1)
+				putTweak(at(h.out[:], m), tagComb, uint64(c), uint64(b))
+				if m++; m == hashBatch || (kc == len(seeds)-1 && b == t-1) {
+					h.hash(m)
+					for i := range m {
+						xorBlock(&seeds[first], at(h.out[:], i))
+						if firstB++; firstB == t {
+							first, firstB = first+1, 0
+						}
+					}
+					m = 0
+				}
+			}
+		}
+	}
+}
+
+// combineRecv is the receiver counterpart of combineSend: instance k takes
+// insts[k·t : (k+1)·t], and dst[k]'s choice is their choice bits, its seed
+// the chosen candidate's.
+func (h *hasher) combineRecv(dst, insts []RecvInst, t int) {
+	for k := range dst {
+		c := 0
+		for b, inst := range insts[k*t : (k+1)*t] {
+			c |= inst.Choice << b
+		}
+		dst[k] = RecvInst{Choice: c}
+	}
+	k, b := 0, 0
+	for lo := 0; lo < len(insts); lo += hashBatch {
+		batch := insts[lo:min(len(insts), lo+hashBatch)]
+		px := h.px[:len(batch)*aes.BlockSize]
+		k0, b0 := k, b
+		for i, inst := range batch {
+			*at(px, i) = inst.Seed
+			putTweak(at(h.out[:], i), tagComb, uint64(dst[k].Choice), uint64(b))
+			if b++; b == t {
+				k, b = k+1, 0
+			}
+		}
+		permuteBlocks(px, px)
+		h.hash(len(batch))
+		for i := range batch {
+			xorBlock(&dst[k0].Seed, at(h.out[:], i))
+			if b0++; b0 == t {
+				k0, b0 = k0+1, 0
+			}
+		}
+	}
+}
+
+// shortPad returns the pad of a message of at most SeedLen bytes: the seed
+// itself, cut to length (see hasher.pad). It takes no π, so the token
+// transfers need no hasher.
+func shortPad(seed *[SeedLen]byte, n int) []byte { return seed[:n] }
 
 // pad fills dst with seed's XOR pad. Up to one block the pad is the seed
 // itself, cut to length, as in textbook IKNP: the seed is already a hash
@@ -133,16 +213,31 @@ func (h *hasher) combineRecv(insts []RecvInst) RecvInst {
 // it the rest of the pad.
 func (h *hasher) pad(dst []byte, seed [SeedLen]byte) {
 	if len(dst) <= SeedLen {
-		copy(dst, seed[:])
+		copy(dst, shortPad(&seed, len(dst)))
 		return
 	}
-	ps := h.permute(seed)
-	for b := uint64(0); len(dst) > 0; b++ {
-		blk := h.hashPermuted(ps, tweak(tagPad, b, 0))
-		dst = dst[copy(dst, blk[:]):]
+	ps := at(h.px[:], 0)
+	*ps = seed
+	permuteBlocks(ps[:], ps[:])
+	blocks := (len(dst) + aes.BlockSize - 1) / aes.BlockSize
+	for i := 1; i < min(hashBatch, blocks); i++ {
+		*at(h.px[:], i) = *ps
+	}
+	for lo := 0; lo < blocks; lo += hashBatch {
+		m := min(hashBatch, blocks-lo)
+		for i := range m {
+			putTweak(at(h.out[:], i), tagPad, uint64(lo+i), 0)
+		}
+		h.hash(m)
+		dst = dst[copy(dst, h.out[:m*aes.BlockSize]):]
 	}
 }
 
 // PadInto fills dst with the XOR pad of seed (see hasher.pad). The hot
-// loops pad through a reused hasher; this form allocates one per call.
-func PadInto(dst []byte, seed [SeedLen]byte) { new(hasher).pad(dst, seed) }
+// loops pad through one hasher per pool chunk; this form takes one per
+// call.
+func PadInto(dst []byte, seed [SeedLen]byte) {
+	h := hashers.Get().(*hasher)
+	h.pad(dst, seed)
+	hashers.Put(h)
+}

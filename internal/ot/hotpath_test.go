@@ -46,32 +46,39 @@ var (
 
 // TestOTHotPathAllocs is the OT plane's allocation gate, mirroring
 // TestHotKernelsAllocFree: the IKNP transpose writes into caller-owned
-// rows, and the row hash, both combiners and the pads work in a reused
-// hasher's heap block, so in the forms the hot loops call them none of them
-// allocates. A 1-byte pad is a token's, 16 bytes an online share's, 240
-// bytes an fc1 Gilboa message's on a 16-bit ring.
+// rows, and the row hashes, both combiners and the pads stage their
+// batches in a reused hasher, so in the forms the hot loops call them none
+// of them allocates. A 1-byte pad is a token's (read through shortPad, with
+// no hasher), 16 bytes an online share's, 240 bytes an fc1 Gilboa
+// message's on a 16-bit ring, and 8,200 bytes spans many staging batches.
 func TestOTHotPathAllocs(t *testing.T) {
 	const m = 1000
 	g := prg.NewSeeded(42)
 	cols := make([]byte, ExtKappa*((m+7)/8))
 	g.Read(cols)
 	rows := make([]byte, m*ExtKappa/8)
+	delta := make([]byte, ExtKappa/8)
 	snd, rcv := Deal(g, 2, 8)
-	seeds := make([][SeedLen]byte, 1<<8)
-	pad16, pad240 := make([]byte, 16), make([]byte, 240)
+	seeds := make([][SeedLen]byte, 2*m)
+	recv := make([]RecvInst, m)
+	pad16, pad240, pad8200 := make([]byte, 16), make([]byte, 240), make([]byte, 8200)
 	h := new(hasher)
 	for name, f := range map[string]func(){
-		"transposeBits": func() { transposeBits(rows, cols, ExtKappa, m) },
-		"rowHash":       func() { seedSink = h.rowHash(7, 3, rows[:ExtKappa/8]) },
-		"combineSend":   func() { h.combineSend(seeds, snd) },
-		"combineRecv":   func() { seedSink = h.combineRecv(rcv).Seed },
+		"transposeBits":      func() { transposeBits(rows, cols, ExtKappa, m) },
+		"rowHashesRecv/1":    func() { h.rowHashesRecv(recv[:1], rows[:ExtKappa/8], 7, 3) },
+		"rowHashesRecv/1000": func() { h.rowHashesRecv(recv, rows, 7, 0) },
+		"rowHashesSend/1000": func() { h.rowHashesSend(seeds, rows, delta, 7, 0) },
+		"combineSend":        func() { h.combineSend(seeds[:1<<8], snd, 8) },
+		"combineRecv":        func() { h.combineRecv(recv[:1], rcv, 8) },
+		"shortPad/1":         func() { byteSink = shortPad(&seedSink, 1)[0] },
 		"pad/1": func() {
 			var pad [1]byte
 			h.pad(pad[:], seedSink)
 			byteSink = pad[0]
 		},
-		"pad/16":  func() { h.pad(pad16, seedSink) },
-		"pad/240": func() { h.pad(pad240, seedSink) },
+		"pad/16":   func() { h.pad(pad16, seedSink) },
+		"pad/240":  func() { h.pad(pad240, seedSink) },
+		"pad/8200": func() { h.pad(pad8200, seedSink) },
 	} {
 		if n := testing.AllocsPerRun(5, f); n != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", name, n)

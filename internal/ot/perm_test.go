@@ -1,0 +1,130 @@
+package ot
+
+import (
+	"bytes"
+	"crypto/aes"
+	"encoding/hex"
+	"fmt"
+	"testing"
+
+	"aq2pnn/internal/prg"
+)
+
+// refPerm is π straight from crypto/aes under the fixed key, one block per
+// call, built apart from the package's own cipher.Block. NewCipher fails
+// only on a bad key length, and the key is 16 bytes.
+var refPerm, _ = aes.NewCipher([]byte(fixedKey))
+
+func unhex(t testing.TB, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestPermKnownAnswer checks the key expansion against FIPS-197 (the last
+// round key of Appendix A.1, and on an AES-NI build the Appendix C.1
+// encryption through the kernel), then π itself against crypto/aes under
+// the fixed key.
+func TestPermKnownAnswer(t *testing.T) {
+	rk := expandKey([16]byte(unhex(t, "2b7e151628aed2a6abf7158809cf4f3c")))
+	if got, want := rk[160:], unhex(t, "d014f9a8c9ee2589e13f0cc8b6630ca6"); !bytes.Equal(got, want) {
+		t.Errorf("A.1 round key 10 = %x, want %x", got, want)
+	}
+	rk = expandKey([16]byte(unhex(t, "000102030405060708090a0b0c0d0e0f")))
+	got := make([]byte, aes.BlockSize)
+	if kernelWith(&rk, got, unhex(t, "00112233445566778899aabbccddeeff")) {
+		if want := unhex(t, "69c4e0d86a7b0430d8cdb78070b4c55a"); !bytes.Equal(got, want) {
+			t.Errorf("C.1 through the kernel = %x, want %x", got, want)
+		}
+	} else {
+		t.Log("no AES-NI kernel in this build or on this CPU; C.1 not run")
+	}
+	g := prg.NewSeeded(107)
+	for _, n := range []int{1, 8, 9, 100} {
+		src := make([]byte, n*aes.BlockSize)
+		g.Read(src)
+		got := make([]byte, len(src))
+		permuteBlocks(got, src)
+		for i := 0; i < len(src); i += aes.BlockSize {
+			want := make([]byte, aes.BlockSize)
+			refPerm.Encrypt(want, src[i:i+aes.BlockSize])
+			if !bytes.Equal(got[i:i+aes.BlockSize], want) {
+				t.Fatalf("n=%d: π(block %d) = %x, crypto/aes gives %x", n, i/aes.BlockSize, got[i:i+aes.BlockSize], want)
+			}
+		}
+	}
+}
+
+// TestPermKernelMatchesFallback compares permuteBlocks with the per-block
+// fallback directly, so the fallback runs even where the kernel serves
+// every production call, at every length through the 8-, 4- and 1-way
+// tails, in place and disjoint.
+func TestPermKernelMatchesFallback(t *testing.T) {
+	g := prg.NewSeeded(108)
+	for n := 0; n <= 40; n++ {
+		src := make([]byte, n*aes.BlockSize)
+		g.Read(src)
+		want := make([]byte, len(src))
+		permuteBlocksGeneric(want, src)
+		got := make([]byte, len(src))
+		permuteBlocks(got, src)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d disjoint: kernel and fallback differ", n)
+		}
+		permuteBlocks(src, src)
+		if !bytes.Equal(src, want) {
+			t.Fatalf("n=%d in place: kernel and fallback differ", n)
+		}
+	}
+}
+
+// FuzzPermBlocks is a differential test of permuteBlocks against
+// crypto/aes over whole blocks of arbitrary input, in place or into a
+// disjoint dst. The seeds cover every lane tail: 0, 1, 3, 4, 7, 8 and 9
+// blocks.
+func FuzzPermBlocks(f *testing.F) {
+	for _, n := range []int{0, 1, 3, 4, 7, 8, 9, 21} {
+		data := make([]byte, n*aes.BlockSize)
+		prg.NewSeeded(uint64(n)).Read(data)
+		f.Add(data, n%2 == 0)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, inPlace bool) {
+		src := data[:len(data)/aes.BlockSize*aes.BlockSize]
+		want := make([]byte, len(src))
+		for i := 0; i < len(src); i += aes.BlockSize {
+			refPerm.Encrypt(want[i:i+aes.BlockSize], src[i:i+aes.BlockSize])
+		}
+		dst := make([]byte, len(src))
+		if inPlace {
+			copy(dst, src)
+			permuteBlocks(dst, dst)
+		} else {
+			permuteBlocks(dst, src)
+		}
+		if !bytes.Equal(dst, want) {
+			t.Fatalf("%d blocks (in place %v): permuteBlocks differs from crypto/aes", len(src)/aes.BlockSize, inPlace)
+		}
+	})
+}
+
+// BenchmarkPermBlocks reports ns per block for permuteBlocks (the kernel,
+// where the build and CPU have one) and for the one-block Encrypt loop, at
+// a hasher's batch size.
+func BenchmarkPermBlocks(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		f    func(dst, src []byte)
+	}{{"kernel", permuteBlocks}, {"oneblock", permuteBlocksGeneric}} {
+		b.Run(fmt.Sprintf("%s/%d", bc.name, hashBatch), func(b *testing.B) {
+			buf := make([]byte, hashBatch*aes.BlockSize)
+			b.SetBytes(int64(len(buf)))
+			for i := 0; i < b.N; i++ {
+				bc.f(buf, buf)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hashBatch), "ns/block")
+		})
+	}
+}

@@ -107,7 +107,7 @@ func SendPre(c transport.Conn, pool *parallel.Pool, pre []SenderInst, n int, msg
 	}
 	out := make([]byte, len(msgs)*n*msgLen)
 	pool.Blocks(len(msgs), func(lo, hi int) {
-		h := new(hasher)
+		h := hashers.Get().(*hasher)
 		for k := lo; k < hi; k++ {
 			d, seeds := int(ds[k]), pre[k].Seeds
 			for l := 0; l < n; l++ {
@@ -116,6 +116,7 @@ func SendPre(c transport.Conn, pool *parallel.Pool, pre []SenderInst, n int, msg
 				xorInto(e, msgs[k][l])
 			}
 		}
+		hashers.Put(h)
 	})
 	return c.Send(out)
 }
@@ -151,7 +152,7 @@ func RecvPre(c transport.Conn, pool *parallel.Pool, pre []RecvInst, n int, choic
 	out := make([][]byte, len(choices))
 	flat := make([]byte, len(choices)*msgLen)
 	pool.Blocks(len(choices), func(lo, hi int) {
-		h := new(hasher)
+		h := hashers.Get().(*hasher)
 		for k := lo; k < hi; k++ {
 			ch := choices[k]
 			m := flat[k*msgLen : (k+1)*msgLen]
@@ -159,6 +160,7 @@ func RecvPre(c transport.Conn, pool *parallel.Pool, pre []RecvInst, n int, choic
 			xorInto(m, cts[(k*n+ch)*msgLen:(k*n+ch+1)*msgLen])
 			out[k] = m
 		}
+		hashers.Put(h)
 	})
 	return out, nil
 }

@@ -135,8 +135,6 @@ func (e *Endpoint) SendTokens(bits uint, batches []SendTokenBatch) error {
 	out := make([]byte, bitLen(plan.ctBits))
 	var dsPos, ctPos uint64
 	taken := map[int]int{}
-	h := new(hasher)
-	var pad [1]byte
 	for bi, b := range batches {
 		n, w := b.N, plan.widths[bi]
 		pre := e.sendStock[n][taken[n] : taken[n]+len(b.Rows)]
@@ -158,8 +156,8 @@ func (e *Endpoint) SendTokens(bits uint, batches []SendTokenBatch) error {
 				if row[l] > mask {
 					return fmt.Errorf("ot: token value exceeds %d bits", bits)
 				}
-				h.pad(pad[:], inst.Seeds[(l+d)%n])
-				putBits(out, ctPos, uint64(row[l]^(pad[0]&mask)), bits)
+				pad := shortPad(&inst.Seeds[(l+d)%n], 1)[0]
+				putBits(out, ctPos, uint64(row[l]^(pad&mask)), bits)
 				ctPos += uint64(bits)
 			}
 		}
@@ -223,8 +221,6 @@ func (e *Endpoint) RecvTokens(bits uint, batches []RecvTokenBatch) ([][]byte, er
 	out := make([][]byte, len(batches))
 	var ctPos uint64
 	taken = map[int]int{}
-	h := new(hasher)
-	var pad [1]byte
 	for bi, b := range batches {
 		n := b.N
 		pre := e.recvStock[n][taken[n] : taken[n]+len(b.Choices)]
@@ -233,8 +229,7 @@ func (e *Endpoint) RecvTokens(bits uint, batches []RecvTokenBatch) ([][]byte, er
 		for k, ch := range b.Choices {
 			v := byte(getBits(cts, ctPos+uint64(ch)*uint64(bits), bits))
 			ctPos += uint64(n) * uint64(bits)
-			h.pad(pad[:], pre[k].Seed)
-			toks[k] = v ^ (pad[0] & mask)
+			toks[k] = v ^ (shortPad(&pre[k].Seed, 1)[0] & mask)
 		}
 		out[bi] = toks
 	}
@@ -279,11 +274,11 @@ func (e *Endpoint) refillSend(needs map[int]int) error {
 		stock := slices.Grow(e.sendStock[n], chunk)
 		fresh := stock[len(stock) : len(stock)+chunk]
 		e.Pool.Blocks(chunk, func(lo, hi int) {
-			h := new(hasher)
+			h := hashers.Get().(*hasher)
+			h.combineSend(seeds[lo*n:hi*n], raw[lo*t:hi*t], t)
+			hashers.Put(h)
 			for k := lo; k < hi; k++ {
-				s := seeds[k*n : (k+1)*n : (k+1)*n]
-				h.combineSend(s, raw[k*t:(k+1)*t])
-				fresh[k] = SenderInst{Seeds: s}
+				fresh[k] = SenderInst{Seeds: seeds[k*n : (k+1)*n : (k+1)*n]}
 			}
 		})
 		raw = raw[chunk*t:]
@@ -324,10 +319,9 @@ func (e *Endpoint) refillRecv(needs map[int]int) error {
 		stock := slices.Grow(e.recvStock[n], chunk)
 		fresh := stock[len(stock) : len(stock)+chunk]
 		e.Pool.Blocks(chunk, func(lo, hi int) {
-			h := new(hasher)
-			for k := lo; k < hi; k++ {
-				fresh[k] = h.combineRecv(raw[k*t : (k+1)*t])
-			}
+			h := hashers.Get().(*hasher)
+			h.combineRecv(fresh[lo:hi], raw[lo*t:hi*t], t)
+			hashers.Put(h)
 		})
 		raw = raw[chunk*t:]
 		e.recvStock[n] = stock[:len(stock)+chunk]
