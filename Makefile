@@ -83,8 +83,10 @@ chaos:
 
 # Determinism pins (docs/performance.md): the OT and session wire
 # transcripts, the pad definition, serial-vs-pooled OT endpoints and the
-# Gilboa triple shares, at three worker counts. The pinned constants must
-# not depend on GOMAXPROCS, and tier-1 runs them at one count only. Like
+# Gilboa triple shares, at three worker counts, once with the AES-NI kernel
+# behind the fixed-key permutation and once under -tags purego, which runs
+# the per-block fallback. The pinned constants must not depend on
+# GOMAXPROCS or on the build, and tier-1 runs them at one count only. Like
 # chaos, a -run alternative that selects no test fails the target.
 PINS_RUN = TestOTTranscriptPinned|TestPoolMatchesSerial|TestPadKnownAnswer|TestGilboaSharesPinned|TestSessionTranscriptPinned
 PINS_PKGS = ./internal/ot/ ./internal/triple/ ./internal/engine/
@@ -95,6 +97,7 @@ pins:
 			{ echo "pins: -run alternative $$re selects no test"; exit 1; }; \
 	done
 	$(GO) test -count=1 -cpu 1,4,8 -run '$(PINS_RUN)' $(PINS_PKGS)
+	$(GO) test -count=1 -cpu 1,4,8 -tags purego -run '$(PINS_RUN)' $(PINS_PKGS)
 
 # Fleet-level chaos (docs/robustness.md): the gateway's three-backend
 # sweep — kill/stall/corrupt one backend at every sampled mid-inference
@@ -108,7 +111,8 @@ chaos-fleet:
 
 # Protocol fuzzing suite (docs/robustness.md, "Hostile peers"): every
 # wire decoder that consumes peer-controlled bytes, from its committed
-# seed corpus in testdata/fuzz/.
+# seed corpus in testdata/fuzz/, then the fixed-key permutation's kernel
+# differentially against crypto/aes.
 fuzz:
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzRecvFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine/ -run '^$$' -fuzz '^FuzzRecvSetup$$' -fuzztime $(FUZZTIME)
@@ -117,5 +121,6 @@ fuzz:
 	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzOTFlowHeader$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzOTExtendFrames$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scm/ -run '^$$' -fuzz '^FuzzSCMMessage$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzPermBlocks$$' -fuzztime $(FUZZTIME)
 
 ci: vet lint build race pins bench-module bench-gate trace
