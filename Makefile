@@ -112,7 +112,8 @@ chaos-fleet:
 # Protocol fuzzing suite (docs/robustness.md, "Hostile peers"): every
 # wire decoder that consumes peer-controlled bytes, from its committed
 # seed corpus in testdata/fuzz/, then the fixed-key permutation's kernel
-# differentially against crypto/aes.
+# differentially against crypto/aes and the IKNP row-block transpose
+# against the bit-by-bit one.
 fuzz:
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzRecvFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine/ -run '^$$' -fuzz '^FuzzRecvSetup$$' -fuzztime $(FUZZTIME)
@@ -122,5 +123,6 @@ fuzz:
 	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzOTExtendFrames$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scm/ -run '^$$' -fuzz '^FuzzSCMMessage$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzPermBlocks$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzTransposeBlock$$' -fuzztime $(FUZZTIME)
 
 ci: vet lint build race pins bench-module bench-gate trace

@@ -1,6 +1,7 @@
 package ot
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 
@@ -28,12 +29,13 @@ import (
 //	        H(j, t_j) — the pad selected by its random bit r_j.
 //
 // Implementation: G is prg.Keystream, which writes exactly the ⌈m/8⌉
-// bytes a column needs into one κ-column slab; the columns become rows by
-// an 8×8-block bit transpose (transposeBits) into a caller-owned row slab;
-// H is the fixed-key-AES hash of hash.go, tweaked by counter and j, with κ
-// = 128 so that a row is one block. The κ column expansions and the m row
-// hashes are independent, so an endpoint refill blocks both over the
-// endpoint's pool, and each pool chunk hashes its rows in batches. Only
+// bytes a column needs into one κ-column slab; H is the fixed-key-AES hash
+// of hash.go, tweaked by counter and j, with κ = 128 so that a row is one
+// block. The κ column expansions are independent, and so are the ⌈m/64⌉
+// row blocks: an endpoint refill blocks both over the endpoint's pool, and
+// each pool chunk turns its row blocks from columns into rows
+// (transposeBlock, a 64×64 bit transpose per 64 columns) in its hasher's
+// staging and hashes them there, so no whole-matrix row slab exists. Only
 // the u-matrix crosses the wire; TestOTTranscriptPinned pins it and the
 // minted seeds byte for byte.
 
@@ -122,48 +124,79 @@ func expandColumn(dst []byte, seed [SeedLen]byte, salt uint64) {
 
 func bitOf(b []byte, i int) byte { return (b[i/8] >> (i % 8)) & 1 }
 
-// transposeBits turns κ columns of m bits into m rows of κ bits. Column i
-// is cols[i·⌈m/8⌉ : (i+1)·⌈m/8⌉], bit j at bit j%8 of byte j/8; row j is
-// written to rows[j·κ/8 : (j+1)·κ/8] with column i's bit at bit i%8 of
-// byte i/8. It moves 8×8 bit blocks — eight column bytes gathered into
-// one word, transposed in three swap steps — and writes only the rows
-// below m, so the tail bits of a final partial column byte are ignored.
-func transposeBits(rows, cols []byte, kappa, m int) {
+// rowBlock is the number of rows transposeBlock turns at once.
+const rowBlock = 64
+
+// transposeBlock turns rows 64·rb to 64·rb+63 of κ columns of m bits into
+// rows of κ bits. Column i is cols[i·⌈m/8⌉ : (i+1)·⌈m/8⌉], bit j at bit j%8
+// of byte j/8; row 64·rb+r is written to dst[r·κ/8 : (r+1)·κ/8] with column
+// i's bit at bit i%8 of byte i/8. Per 64 columns it loads each column's 64
+// bits of the block as one little-endian word, zero-padded past the
+// column's end, and transposes the 64×64 bit matrix in six block-swap
+// levels. It writes only the rows below m, so the tail bits of a final
+// partial column byte are ignored. κ must be a multiple of 8. Indices
+// into the 64-word tile are masked with 63 so that the compiler drops
+// their bounds checks.
+func transposeBlock(dst, cols []byte, kappa, m, rb int) {
 	nBytes, rowLen := (m+7)/8, kappa/8
-	for jb := 0; jb < nBytes; jb++ {
-		nr := min(8, m-8*jb)
-		for ib := 0; ib < rowLen; ib++ {
-			var x uint64
-			for c := 0; c < 8; c++ {
-				x |= uint64(cols[(8*ib+c)*nBytes+jb]) << (8 * c)
+	nr, off := min(rowBlock, m-rowBlock*rb), 8*rb
+	whole := off+8 <= nBytes
+	var w [64]uint64
+	for c0 := 0; c0 < kappa; c0 += 64 {
+		nc := min(64, kappa-c0)
+		for c := range nc {
+			p := (c0+c)*nBytes + off
+			if whole {
+				w[c&63] = binary.LittleEndian.Uint64(cols[p:])
+			} else {
+				var tail [8]byte
+				copy(tail[:], cols[p:(c0+c+1)*nBytes])
+				w[c&63] = binary.LittleEndian.Uint64(tail[:])
 			}
-			x = transpose8(x)
-			for r := 0; r < nr; r++ {
-				rows[(8*jb+r)*rowLen+ib] = byte(x >> (8 * r))
+		}
+		clear(w[nc:])
+		transpose64(&w)
+		for r := range nr {
+			if nc == 64 {
+				binary.LittleEndian.PutUint64(dst[r*rowLen+c0/8:], w[r&63])
+				continue
+			}
+			for b := range nc / 8 {
+				dst[r*rowLen+c0/8+b] = byte(w[r&63] >> (8 * b))
 			}
 		}
 	}
 }
 
-// transpose8 transposes the 8×8 bit matrix held in x, bit 8r+c being
-// entry (r, c): it swaps the off-diagonal 1×1, then 2×2, then 4×4 blocks.
-func transpose8(x uint64) uint64 {
-	t := (x ^ (x >> 7)) & 0x00AA00AA00AA00AA
-	x ^= t ^ (t << 7)
-	t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCC
-	x ^= t ^ (t << 14)
-	t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0
-	return x ^ t ^ (t << 28)
+// transpose64 transposes the 64×64 bit matrix whose row r is w[r], bit c
+// being entry (r, c): it swaps the off-diagonal 32×32 blocks, then within
+// each the 16×16 blocks, and so on down to single bits.
+func transpose64(w *[64]uint64) {
+	swap := func(j int, mask uint64) {
+		for k := 0; k < 64; k = (k + j + 1) &^ j {
+			a, b := &w[k&63], &w[(k+j)&63]
+			t := (*a>>j ^ *b) & mask
+			*a ^= t << j
+			*b ^= t
+		}
+	}
+	swap(32, 0x00000000FFFFFFFF)
+	swap(16, 0x0000FFFF0000FFFF)
+	swap(8, 0x00FF00FF00FF00FF)
+	swap(4, 0x0F0F0F0F0F0F0F0F)
+	swap(2, 0x3333333333333333)
+	swap(1, 0x5555555555555555)
 }
 
 // Extend mints m random 1-of-2 OT correlations on the sender side,
 // serially; the endpoint's refills run the same steps over its pool.
-func (s *ExtSender) Extend(m int) ([]SenderInst, error) { return s.extend(nil, m) }
+// Correlation j's two seeds are entries 2j and 2j+1 of the result.
+func (s *ExtSender) Extend(m int) ([][SeedLen]byte, error) { return s.extend(nil, m) }
 
-// extend is Extend with the κ column expansions and the m row hashes
-// blocked over pool (nil runs them serially); the output is identical at
+// extend is Extend with the κ column expansions and the ⌈m/64⌉ row blocks
+// spread over pool (nil runs them serially); the output is identical at
 // every worker count.
-func (s *ExtSender) extend(pool *parallel.Pool, m int) ([]SenderInst, error) {
+func (s *ExtSender) extend(pool *parallel.Pool, m int) ([][SeedLen]byte, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("ot: extension of %d instances", m)
 	}
@@ -183,24 +216,23 @@ func (s *ExtSender) extend(pool *parallel.Pool, m int) ([]SenderInst, error) {
 			col := cols[i*nBytes : (i+1)*nBytes]
 			expandColumn(col, s.seeds[i], s.counter)
 			if bitOf(s.delta, i) == 1 {
-				xorInto(col, us[i*nBytes:(i+1)*nBytes])
+				subtle.XORBytes(col, col, us[i*nBytes:(i+1)*nBytes])
 			}
 		}
 	})
-	rows := make([]byte, m*rowLen)
-	transposeBits(rows, cols, kappa, m)
-	out := make([]SenderInst, m)
 	seeds := make([][SeedLen]byte, 2*m)
-	pool.Blocks(m, func(lo, hi int) {
+	pool.Blocks((m+rowBlock-1)/rowBlock, func(lo, hi int) {
 		h := hashers.Get().(*hasher)
-		h.rowHashesSend(seeds[2*lo:2*hi], rows[lo*rowLen:hi*rowLen], s.delta, s.counter, lo)
-		hashers.Put(h)
-		for j := lo; j < hi; j++ {
-			out[j] = SenderInst{Seeds: seeds[2*j : 2*j+2 : 2*j+2]}
+		for rb := lo; rb < hi; rb++ {
+			j0 := rowBlock * rb
+			nr := min(rowBlock, m-j0)
+			transposeBlock(h.rows[:], cols, kappa, m, rb)
+			h.rowHashesSend(seeds[2*j0:2*(j0+nr)], h.rows[:nr*rowLen], s.delta, s.counter, j0)
 		}
+		hashers.Put(h)
 	})
 	s.counter++
-	return out, nil
+	return seeds, nil
 }
 
 // Extend mints m random 1-of-2 OT correlations on the receiver side,
@@ -224,22 +256,25 @@ func (r *ExtReceiver) extend(pool *parallel.Pool, m int) ([]RecvInst, error) {
 			t0, u := tCols[i*nBytes:(i+1)*nBytes], us[i*nBytes:(i+1)*nBytes]
 			expandColumn(t0, r.pairs[i][0], r.counter)
 			expandColumn(u, r.pairs[i][1], r.counter)
-			xorInto(u, t0)
-			xorInto(u, choice)
+			subtle.XORBytes(u, u, t0)
+			subtle.XORBytes(u, u, choice)
 		}
 	})
 	if err := r.conn.Send(us); err != nil {
 		return nil, err
 	}
-	rows := make([]byte, m*rowLen)
-	transposeBits(rows, tCols, kappa, m)
 	out := make([]RecvInst, m)
-	pool.Blocks(m, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			out[j].Choice = int(bitOf(choice, j))
-		}
+	pool.Blocks((m+rowBlock-1)/rowBlock, func(lo, hi int) {
 		h := hashers.Get().(*hasher)
-		h.rowHashesRecv(out[lo:hi], rows[lo*rowLen:hi*rowLen], r.counter, lo)
+		for rb := lo; rb < hi; rb++ {
+			j0 := rowBlock * rb
+			nr := min(rowBlock, m-j0)
+			for j := j0; j < j0+nr; j++ {
+				out[j].Choice = int(bitOf(choice, j))
+			}
+			transposeBlock(h.rows[:], tCols, kappa, m, rb)
+			h.rowHashesRecv(out[j0:j0+nr], h.rows[:nr*rowLen], r.counter, j0)
+		}
 		hashers.Put(h)
 	})
 	r.counter++

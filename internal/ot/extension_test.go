@@ -29,9 +29,9 @@ func newExtPair(t *testing.T, seed uint64) (*ExtSender, *ExtReceiver, func()) {
 	return s, r, func() { a.Close(); b.Close() }
 }
 
-func extendPair(t *testing.T, s *ExtSender, r *ExtReceiver, m int) ([]SenderInst, []RecvInst) {
+func extendPair(t *testing.T, s *ExtSender, r *ExtReceiver, m int) ([][SeedLen]byte, []RecvInst) {
 	t.Helper()
-	var si []SenderInst
+	var si [][SeedLen]byte
 	var ri []RecvInst
 	var es, er error
 	var wg sync.WaitGroup
@@ -50,14 +50,14 @@ func TestExtensionCorrelationsConsistent(t *testing.T) {
 	defer closeFn()
 	si, ri := extendPair(t, s, r, 500)
 	choiceCounts := [2]int{}
-	for j := range si {
+	for j := range ri {
 		c := ri[j].Choice
 		choiceCounts[c]++
-		if !bytes.Equal(si[j].Seeds[c][:], ri[j].Seed[:]) {
+		if !bytes.Equal(si[2*j+c][:], ri[j].Seed[:]) {
 			t.Fatalf("instance %d: receiver seed does not match sender seed[%d]", j, c)
 		}
 		// The unchosen pad must differ (Δ is never zero w.h.p.).
-		if bytes.Equal(si[j].Seeds[1-c][:], ri[j].Seed[:]) {
+		if bytes.Equal(si[2*j+1-c][:], ri[j].Seed[:]) {
 			t.Fatalf("instance %d: receiver can see both pads", j)
 		}
 	}
@@ -71,7 +71,7 @@ func TestExtensionFreshAcrossCalls(t *testing.T) {
 	defer closeFn()
 	a1, _ := extendPair(t, s, r, 64)
 	a2, _ := extendPair(t, s, r, 64)
-	if bytes.Equal(a1[0].Seeds[0][:], a2[0].Seeds[0][:]) {
+	if bytes.Equal(a1[0][:], a2[0][:]) {
 		t.Error("successive Extend calls reuse keystream")
 	}
 }
@@ -83,19 +83,19 @@ func TestCombineROTs(t *testing.T) {
 	// Combine pairs into 1-of-4 correlations.
 	h := new(hasher)
 	for k := 0; k < 4; k++ {
-		cs := SenderInst{Seeds: make([][SeedLen]byte, 4)}
-		h.combineSend(cs.Seeds, si[2*k:2*k+2], 2)
+		cs := make([][SeedLen]byte, 4)
+		h.combineSend(cs, si[4*k:4*k+4], 2)
 		var crs [1]RecvInst
 		h.combineRecv(crs[:], ri[2*k:2*k+2], 2)
 		cr := crs[0]
 		if cr.Choice < 0 || cr.Choice > 3 {
 			t.Fatalf("combined choice %d", cr.Choice)
 		}
-		if !bytes.Equal(cs.Seeds[cr.Choice][:], cr.Seed[:]) {
+		if !bytes.Equal(cs[cr.Choice][:], cr.Seed[:]) {
 			t.Fatal("combined correlation inconsistent")
 		}
 		for c := 0; c < 4; c++ {
-			if c != cr.Choice && bytes.Equal(cs.Seeds[c][:], cr.Seed[:]) {
+			if c != cr.Choice && bytes.Equal(cs[c][:], cr.Seed[:]) {
 				t.Fatal("combined receiver sees an unchosen pad")
 			}
 		}
@@ -138,11 +138,11 @@ func xorLeak(seeds [][SeedLen]byte) (c, mask int, found bool) {
 // pad of 00.
 func TestCombinerHidesUnchosen(t *testing.T) {
 	h := new(hasher)
-	xorOnly := func(dst [][SeedLen]byte, insts []SenderInst) {
+	xorOnly := func(dst, raw [][SeedLen]byte) {
 		for c := range dst {
 			var seed [SeedLen]byte
-			for b, inst := range insts {
-				seed = xor16(seed, refHash(inst.Seeds[(c>>b)&1], tagComb, 0, uint64(b)))
+			for b := range len(raw) / 2 {
+				seed = xor16(seed, refHash(raw[2*b+(c>>b)&1], tagComb, 0, uint64(b)))
 			}
 			dst[c] = seed
 		}
@@ -184,18 +184,18 @@ func TestExtensionBackedEndpoints(t *testing.T) {
 		msgs[k] = [][]byte{{byte(k)}, {byte(k + 1)}, {byte(k + 2)}, {byte(k + 3)}}
 		choices[k] = g.Intn(4)
 	}
-	var got [][]byte
+	var got []byte
 	var errS, errR error
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); errS = e0.Send1ofN(4, msgs) }()
+	go func() { defer wg.Done(); errS = e0.Send1ofN(4, 1, flatten(msgs)) }()
 	go func() { defer wg.Done(); got, errR = e1.Recv1ofN(4, choices, 1) }()
 	wg.Wait()
 	if errS != nil || errR != nil {
 		t.Fatal(errS, errR)
 	}
 	for k := range got {
-		if got[k][0] != byte(k+choices[k]) {
+		if got[k] != byte(k+choices[k]) {
 			t.Fatalf("instance %d wrong message", k)
 		}
 	}
@@ -207,7 +207,7 @@ func TestExtensionBackedEndpoints(t *testing.T) {
 		choices2[k] = k % 2
 	}
 	wg.Add(2)
-	go func() { defer wg.Done(); errS = e1.Send1ofN(2, msgs2) }()
+	go func() { defer wg.Done(); errS = e1.Send1ofN(2, 1, flatten(msgs2)) }()
 	go func() { defer wg.Done(); got, errR = e0.Recv1ofN(2, choices2, 1) }()
 	wg.Wait()
 	if errS != nil || errR != nil {
@@ -218,7 +218,7 @@ func TestExtensionBackedEndpoints(t *testing.T) {
 		if choices2[k] == 1 {
 			want = byte(20 + k)
 		}
-		if got[k][0] != want {
+		if got[k] != want {
 			t.Fatalf("reverse instance %d wrong", k)
 		}
 	}

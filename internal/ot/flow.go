@@ -2,6 +2,7 @@ package ot
 
 import (
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"math/big"
@@ -39,12 +40,6 @@ func padFromKey(key []byte, l int) []byte {
 	p := make([]byte, l)
 	prg.Keystream(p, seed)
 	return p
-}
-
-func xorInto(dst, pad []byte) {
-	for i := range dst {
-		dst[i] ^= pad[i]
-	}
 }
 
 // flowHeader carries the sender's setup: group parameters, labels and ŕ.
@@ -172,12 +167,12 @@ func FlowSend(c transport.Conn, grp Group, rng *prg.PRG, n int, msgs [][][]byte)
 		rBytes := rsRaw[k*eb : (k+1)*eb]
 		for l := 0; l < n; l++ {
 			copy(tmp, rBytes)
-			xorInto(tmp, grp.Encode(rHatPow[l]))
+			subtle.XORBytes(tmp, tmp, grp.Encode(rHatPow[l]))
 			base := new(big.Int).SetBytes(tmp)
 			base.Mod(base, grp.P)
 			key := grp.Encode(grp.Exp(base, ri))
 			ct := append([]byte(nil), msgs[k][l]...)
-			xorInto(ct, padFromKey(key, msgLen))
+			subtle.XORBytes(ct, ct, padFromKey(key, msgLen))
 			out = append(out, ct...)
 		}
 	}
@@ -211,7 +206,7 @@ func FlowRecv(c transport.Conn, rng *prg.PRG, n int, choices []int, msgLen int) 
 		rj := grp.RandScalar(rng)
 		rjs[k] = rj
 		r := grp.Encode(grp.Exp(hdr.rHat, hdr.labels[ch])) // ŕ^{e2l(c)}
-		xorInto(r, grp.Encode(grp.ExpG(rj)))               // ⊕ g^{r_j}   (Eq. 2)
+		subtle.XORBytes(r, r, grp.Encode(grp.ExpG(rj)))    // ⊕ g^{r_j}   (Eq. 2)
 		rs = append(rs, r...)
 	}
 	if err := c.Send(rs); err != nil {
@@ -228,7 +223,7 @@ func FlowRecv(c transport.Conn, rng *prg.PRG, n int, choices []int, msgLen int) 
 	for k, ch := range choices {
 		key := grp.Encode(grp.Exp(hdr.rHat, rjs[k])) // ŕ^{r_j}  (Eq. 5)
 		m := append([]byte(nil), cts[(k*n+ch)*msgLen:(k*n+ch+1)*msgLen]...)
-		xorInto(m, padFromKey(key, msgLen))
+		subtle.XORBytes(m, m, padFromKey(key, msgLen))
 		out[k] = m
 	}
 	return out, nil

@@ -2,6 +2,7 @@ package ot
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"testing"
 
 	"aq2pnn/internal/prg"
@@ -49,7 +50,7 @@ func encodeSeedHeader() []byte {
 // frame must still deliver the receiver the message its shift selects.
 func FuzzOTExtendFrames(f *testing.F) {
 	f.Add(uint16(7), make([]byte, ExtKappa))      // one column byte per column
-	f.Add(uint16(64), make([]byte, ExtKappa*8))   // whole 8×8 blocks
+	f.Add(uint16(64), make([]byte, ExtKappa*8))   // one whole 64-row block
 	f.Add(uint16(3), []byte{0, 3, 1})             // in-range shifts for N = 4
 	f.Add(uint16(3), []byte{0, 4, 1})             // shift out of range
 	f.Add(uint16(0), []byte{})                    // no instances, empty frame
@@ -81,11 +82,11 @@ func FuzzOTExtendFrames(f *testing.F) {
 		}
 		s := &ExtSender{conn: a, delta: delta, seeds: seeds}
 		if out, err := s.Extend(m); err == nil {
-			if len(out) != m {
-				t.Fatalf("Extend(%d) returned %d instances", m, len(out))
+			if len(out) != 2*m {
+				t.Fatalf("Extend(%d) returned %d seeds", m, len(out))
 			}
-			for j, inst := range out {
-				if len(inst.Seeds) != 2 || inst.Seeds[0] == inst.Seeds[1] {
+			for j := 0; j < m; j++ {
+				if out[2*j] == out[2*j+1] {
 					t.Fatalf("instance %d is not a 1-of-2 correlation", j)
 				}
 			}
@@ -94,7 +95,7 @@ func FuzzOTExtendFrames(f *testing.F) {
 		if err := b.Send(frame); err != nil {
 			t.Fatal(err)
 		}
-		if err := SendPre(a, nil, snd, n, msgs); err != nil {
+		if err := SendPre(a, nil, snd, n, msgLen, flatten(msgs)); err != nil {
 			return
 		}
 		cts, err := b.Recv()
@@ -108,9 +109,44 @@ func FuzzOTExtendFrames(f *testing.F) {
 			ch := (rcv[k].Choice - int(d) + n) % n
 			got := make([]byte, msgLen)
 			PadInto(got, rcv[k].Seed)
-			xorInto(got, cts[(k*n+ch)*msgLen:(k*n+ch+1)*msgLen])
+			subtle.XORBytes(got, got, cts[(k*n+ch)*msgLen:(k*n+ch+1)*msgLen])
 			if !bytes.Equal(got, msgs[k][ch]) {
 				t.Fatalf("instance %d: shift %d does not deliver message %d", k, d, ch)
+			}
+		}
+	})
+}
+
+// FuzzTransposeBlock checks transposeBlock differentially against the
+// bit-by-bit transpose, at κ = ExtKappa and a random column matrix, for any
+// m below 2^13 and any one of its row blocks: the rows it writes must be
+// exactly those rows of the reference, and it must write no row at or past
+// m.
+func FuzzTransposeBlock(f *testing.F) {
+	f.Add(uint16(1), uint16(0), uint64(1))
+	f.Add(uint16(64), uint16(0), uint64(2))
+	f.Add(uint16(129), uint16(2), uint64(3))
+	f.Add(uint16(4097), uint16(64), uint64(4))
+	f.Fuzz(func(t *testing.T, m16, rb16 uint16, seed uint64) {
+		m := int(m16%(1<<13)) + 1
+		blocks := (m + rowBlock - 1) / rowBlock
+		rb := int(rb16) % blocks
+		cols := make([]byte, ExtKappa*((m+7)/8))
+		prg.NewSeeded(seed).Read(cols)
+		const rowLen = ExtKappa / 8
+		var h hasher
+		for i := range h.rows {
+			h.rows[i] = 0xA5
+		}
+		transposeBlock(h.rows[:], cols, ExtKappa, m, rb)
+		nr := min(rowBlock, m-rb*rowBlock)
+		want := naiveTranspose(cols, ExtKappa, m)[rb*rowBlock*rowLen : (rb*rowBlock+nr)*rowLen]
+		if !bytes.Equal(h.rows[:nr*rowLen], want) {
+			t.Fatalf("m=%d block %d: transposeBlock differs from the bitwise transpose", m, rb)
+		}
+		for i, b := range h.rows[nr*rowLen:] {
+			if b != 0xA5 {
+				t.Fatalf("m=%d block %d: byte %d past row %d written", m, rb, i, nr)
 			}
 		}
 	})

@@ -52,12 +52,14 @@ func xorBlock(d, x *[aes.BlockSize]byte) {
 const hashBatch = 64
 
 // hasher is the staging area of a batch: π(x) of each input in px, its
-// tweak and then its hash in out, and a combiner's permuted component
-// seeds in pre. A hasher belongs to one goroutine at a time.
+// tweak and then its hash in out, a combiner's permuted component seeds in
+// pre, and one 64-row block of the IKNP matrix, transposed, in rows. A
+// hasher belongs to one goroutine at a time.
 type hasher struct {
-	px  [hashBatch * aes.BlockSize]byte
-	out [hashBatch * aes.BlockSize]byte
-	pre [hashBatch * aes.BlockSize]byte
+	px   [hashBatch * aes.BlockSize]byte
+	out  [hashBatch * aes.BlockSize]byte
+	pre  [hashBatch * aes.BlockSize]byte
+	rows [rowBlock * ExtKappa / 8]byte
 }
 
 // hashers recycles staging areas: each pool chunk takes one hasher for all
@@ -121,8 +123,9 @@ func (h *hasher) rowHashesRecv(out []RecvInst, rows []byte, counter uint64, j0 i
 }
 
 // combineSend fuses random 1-of-2 correlations, t = log2(n) ≤ 8 per
-// instance, into 1-of-n correlations (Naor and Pinkas, STOC 1999): instance
-// k takes insts[k·t : (k+1)·t] and writes its n candidate seeds to
+// instance, into 1-of-n correlations (Naor and Pinkas, STOC 1999): raw
+// holds two seeds per 1-of-2 correlation, and instance k takes the t
+// correlations raw[2k·t : 2(k+1)·t] and writes its n candidate seeds to
 // dst[k·n : (k+1)·n]. Candidate c's seed is ⊕_b H(s_{b,c_b}, ⟨tagComb, c,
 // b⟩), with π applied once per component seed. The tweak must carry c.
 // Without it the pads of candidates 01, 10 and 11 XOR to the pad of 00, and
@@ -130,17 +133,17 @@ func (h *hasher) rowHashesRecv(out []RecvInst, rows []byte, counter uint64, j0 i
 //
 // Instances go in groups whose 2t component seeds per instance fill pre at
 // most, so that even t = 1 hands π whole batches.
-func (h *hasher) combineSend(dst [][SeedLen]byte, insts []SenderInst, t int) {
+func (h *hasher) combineSend(dst, raw [][SeedLen]byte, t int) {
 	n := 1 << t
 	group := max(1, hashBatch/(2*t))
-	for k0 := 0; k0*t < len(insts); k0 += group {
-		grp := insts[k0*t : min(len(insts), (k0+group)*t)]
-		for i, inst := range grp {
-			*at(h.pre[:], 2*i), *at(h.pre[:], 2*i+1) = inst.Seeds[0], inst.Seeds[1]
+	for k0 := 0; 2*k0*t < len(raw); k0 += group {
+		grp := raw[2*k0*t : min(len(raw), 2*(k0+group)*t)]
+		for i, s := range grp {
+			*at(h.pre[:], i) = s
 		}
-		pre := h.pre[:2*len(grp)*aes.BlockSize]
+		pre := h.pre[:len(grp)*aes.BlockSize]
 		permuteBlocks(pre, pre)
-		seeds := dst[k0*n : (k0+len(grp)/t)*n]
+		seeds := dst[k0*n : (k0+len(grp)/(2*t))*n]
 		clear(seeds)
 		// Stage one hash per (candidate, component) in order; after each
 		// batch, fold every hash into its candidate from candidate first,
@@ -201,19 +204,19 @@ func (h *hasher) combineRecv(dst, insts []RecvInst, t int) {
 }
 
 // shortPad returns the pad of a message of at most SeedLen bytes: the seed
-// itself, cut to length (see hasher.pad). It takes no π, so the token
+// itself, cut to length (see hasher.padXor). It takes no π, so the token
 // transfers need no hasher.
 func shortPad(seed *[SeedLen]byte, n int) []byte { return seed[:n] }
 
-// pad fills dst with seed's XOR pad. Up to one block the pad is the seed
+// padXor XORs seed's pad into dst. Up to one block the pad is the seed
 // itself, cut to length, as in textbook IKNP: the seed is already a hash
 // output, and it pads exactly one message. A longer pad is the blocks
 // H(seed, ⟨tagPad, b⟩) for b = 0, 1, …, never the seed followed by more
 // blocks: a known first message block would then reveal the seed, and with
 // it the rest of the pad.
-func (h *hasher) pad(dst []byte, seed [SeedLen]byte) {
+func (h *hasher) padXor(dst []byte, seed [SeedLen]byte) {
 	if len(dst) <= SeedLen {
-		copy(dst, shortPad(&seed, len(dst)))
+		subtle.XORBytes(dst, dst, shortPad(&seed, len(dst)))
 		return
 	}
 	ps := at(h.px[:], 0)
@@ -229,15 +232,16 @@ func (h *hasher) pad(dst []byte, seed [SeedLen]byte) {
 			putTweak(at(h.out[:], i), tagPad, uint64(lo+i), 0)
 		}
 		h.hash(m)
-		dst = dst[copy(dst, h.out[:m*aes.BlockSize]):]
+		dst = dst[subtle.XORBytes(dst, dst, h.out[:m*aes.BlockSize]):]
 	}
 }
 
-// PadInto fills dst with the XOR pad of seed (see hasher.pad). The hot
+// PadInto fills dst with the XOR pad of seed (see hasher.padXor). The hot
 // loops pad through one hasher per pool chunk; this form takes one per
 // call.
 func PadInto(dst []byte, seed [SeedLen]byte) {
+	clear(dst)
 	h := hashers.Get().(*hasher)
-	h.pad(dst, seed)
+	h.padXor(dst, seed)
 	hashers.Put(h)
 }

@@ -3,6 +3,7 @@ package ot
 import (
 	"bytes"
 	"crypto/aes"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"testing"
@@ -38,11 +39,11 @@ func refHash(x [SeedLen]byte, tag byte, a, b uint64) [SeedLen]byte {
 	return xor16(refPermute(xor16(px, refTweak(tag, a, b))), px)
 }
 
-func refCombineSend(dst [][SeedLen]byte, insts []SenderInst) {
+func refCombineSend(dst, raw [][SeedLen]byte) {
 	for c := range dst {
 		var seed [SeedLen]byte
-		for b, inst := range insts {
-			seed = xor16(seed, refHash(inst.Seeds[(c>>b)&1], tagComb, uint64(c), uint64(b)))
+		for b := range len(raw) / 2 {
+			seed = xor16(seed, refHash(raw[2*b+(c>>b)&1], tagComb, uint64(c), uint64(b)))
 		}
 		dst[c] = seed
 	}
@@ -84,7 +85,8 @@ func chunks(m, w int) [][2]int {
 // one-block reference at sizes on both sides of a staging batch (hb
 // blocks, hb/2 rows for the sender's row pairs), run whole and in the pool
 // chunks an endpoint hands them: both row hashes, both combiners at every
-// arity from 2 to 256, and pads of 1 to 8,200 bytes.
+// arity from 2 to 256, and pads of 1 to 8,200 bytes XORed into a random
+// message.
 func TestBatchedHashMatchesBlockwise(t *testing.T) {
 	const hb = hashBatch
 	g := prg.NewSeeded(109)
@@ -131,7 +133,7 @@ func TestBatchedHashMatchesBlockwise(t *testing.T) {
 			h.combineRecv(gotR, rcv, tc)
 			want := make([][SeedLen]byte, n)
 			for k := 0; k < count; k++ {
-				refCombineSend(want, snd[k*tc:(k+1)*tc])
+				refCombineSend(want, snd[2*k*tc:2*(k+1)*tc])
 				for c := range want {
 					if got[k*n+c] != want[c] {
 						t.Fatalf("N=%d count=%d: sender instance %d candidate %d differs from the blockwise combiner", n, count, k, c)
@@ -149,13 +151,16 @@ func TestBatchedHashMatchesBlockwise(t *testing.T) {
 	for _, l := range []int{1, 16, 17, 31, 32, 33, 240, 16*hb - 1, 16 * hb, 16*hb + 1, 8200} {
 		var seed [SeedLen]byte
 		g.Read(seed[:])
-		got, want := make([]byte, l), make([]byte, l)
-		h.pad(got, seed)
-		refPad(want, seed)
+		msg, pad := make([]byte, l), make([]byte, l)
+		g.Read(msg)
+		refPad(pad, seed)
+		got, want := bytes.Clone(msg), make([]byte, l)
+		h.padXor(got, seed)
+		subtle.XORBytes(want, msg, pad)
 		if !bytes.Equal(got, want) {
 			t.Errorf("pad of %d bytes differs from the blockwise pad", l)
 		}
-		if l <= SeedLen && !bytes.Equal(shortPad(&seed, l), want) {
+		if l <= SeedLen && !bytes.Equal(shortPad(&seed, l), pad) {
 			t.Errorf("shortPad of %d bytes differs from the blockwise pad", l)
 		}
 	}
@@ -183,7 +188,7 @@ func BenchmarkHashForms(b *testing.B) {
 		{"rowHashesRecv", 2 * m, func() { h.rowHashesRecv(recv, rows, 1, 0) }},
 		{"combineSend/N=2", 4 * m, func() { h.combineSend(comb, snd, 1) }},
 		{"combineRecv/N=2", 2 * m, func() { h.combineRecv(combR, rcv, 1) }},
-		{fmt.Sprintf("pad/%d", len(pad)), 1 + (len(pad)+aes.BlockSize-1)/aes.BlockSize, func() { h.pad(pad, seeds[0]) }},
+		{fmt.Sprintf("padXor/%d", len(pad)), 1 + (len(pad)+aes.BlockSize-1)/aes.BlockSize, func() { h.padXor(pad, seeds[0]) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

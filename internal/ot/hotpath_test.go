@@ -9,7 +9,7 @@ import (
 	"aq2pnn/internal/transport"
 )
 
-// naiveTranspose is the bit-by-bit definition transposeBits must match.
+// naiveTranspose is the bit-by-bit definition transposeBlock must match.
 func naiveTranspose(cols []byte, kappa, m int) []byte {
 	nBytes, rowLen := (m+7)/8, kappa/8
 	rows := make([]byte, m*rowLen)
@@ -21,20 +21,42 @@ func naiveTranspose(cols []byte, kappa, m int) []byte {
 	return rows
 }
 
+// transposeAll turns every row block of the κ columns into rows, one
+// transposeBlock call per block, into a slab first filled with 0xA5 so that
+// a row byte left unwritten shows.
+func transposeAll(cols []byte, kappa, m int) []byte {
+	rowLen := kappa / 8
+	rows := bytes.Repeat([]byte{0xA5}, m*rowLen)
+	for rb := 0; rb*rowBlock < m; rb++ {
+		transposeBlock(rows[rb*rowBlock*rowLen:], cols, kappa, m, rb)
+	}
+	return rows
+}
+
 func TestTransposeBitsMatchesBitwise(t *testing.T) {
 	g := prg.NewSeeded(41)
 	for _, kappa := range []int{8, 64, ExtKappa} {
-		for _, m := range []int{1, 7, 8, 9, 63, 64, 65, 1000} {
+		for _, m := range []int{1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 1000, 4097} {
 			cols := make([]byte, kappa*((m+7)/8))
 			g.Read(cols)
-			rows := make([]byte, m*kappa/8)
-			for i := range rows {
-				rows[i] = 0xA5 // every row byte must be overwritten
-			}
-			transposeBits(rows, cols, kappa, m)
-			if !bytes.Equal(rows, naiveTranspose(cols, kappa, m)) {
+			if !bytes.Equal(transposeAll(cols, kappa, m), naiveTranspose(cols, kappa, m)) {
 				t.Errorf("κ=%d m=%d: block transpose differs from the bitwise one", kappa, m)
 			}
+		}
+	}
+}
+
+// BenchmarkTransposeBlock times the IKNP transpose of 2^17 rows at κ =
+// ExtKappa, one 64-row block at a time into one hasher's staging.
+func BenchmarkTransposeBlock(b *testing.B) {
+	const m = 1 << 17
+	cols := make([]byte, ExtKappa*m/8)
+	prg.NewSeeded(44).Read(cols)
+	h := new(hasher)
+	b.SetBytes(int64(len(cols)))
+	for i := 0; i < b.N; i++ {
+		for rb := 0; rb*rowBlock < m; rb++ {
+			transposeBlock(h.rows[:], cols, ExtKappa, m, rb)
 		}
 	}
 }
@@ -45,40 +67,42 @@ var (
 )
 
 // TestOTHotPathAllocs is the OT plane's allocation gate, mirroring
-// TestHotKernelsAllocFree: the IKNP transpose writes into caller-owned
-// rows, and the row hashes, both combiners and the pads stage their
-// batches in a reused hasher, so in the forms the hot loops call them none
-// of them allocates. A 1-byte pad is a token's (read through shortPad, with
-// no hasher), 16 bytes an online share's, 240 bytes an fc1 Gilboa
-// message's on a 16-bit ring, and 8,200 bytes spans many staging batches.
+// TestHotKernelsAllocFree: the IKNP transpose writes one row block into a
+// hasher's staging, and the row hashes, both combiners (the sender's over
+// the flat seed slab extend returns) and the pads stage their batches in a
+// reused hasher, so in the forms the hot loops call them none of them
+// allocates. A 1-byte pad is a token's (read through shortPad, with no
+// hasher), 16 bytes an online share's, 240 bytes an fc1 Gilboa message's
+// on a 16-bit ring, and 8,200 bytes spans many staging batches.
 func TestOTHotPathAllocs(t *testing.T) {
 	const m = 1000
 	g := prg.NewSeeded(42)
 	cols := make([]byte, ExtKappa*((m+7)/8))
 	g.Read(cols)
 	rows := make([]byte, m*ExtKappa/8)
+	g.Read(rows)
 	delta := make([]byte, ExtKappa/8)
-	snd, rcv := Deal(g, 2, 8)
+	raw, rcv := Deal(g, 2, 8)
 	seeds := make([][SeedLen]byte, 2*m)
 	recv := make([]RecvInst, m)
 	pad16, pad240, pad8200 := make([]byte, 16), make([]byte, 240), make([]byte, 8200)
 	h := new(hasher)
 	for name, f := range map[string]func(){
-		"transposeBits":      func() { transposeBits(rows, cols, ExtKappa, m) },
+		"transposeBlock":     func() { transposeBlock(h.rows[:], cols, ExtKappa, m, m/rowBlock) },
 		"rowHashesRecv/1":    func() { h.rowHashesRecv(recv[:1], rows[:ExtKappa/8], 7, 3) },
 		"rowHashesRecv/1000": func() { h.rowHashesRecv(recv, rows, 7, 0) },
 		"rowHashesSend/1000": func() { h.rowHashesSend(seeds, rows, delta, 7, 0) },
-		"combineSend":        func() { h.combineSend(seeds[:1<<8], snd, 8) },
+		"combineSend":        func() { h.combineSend(seeds[:1<<8], raw, 8) },
 		"combineRecv":        func() { h.combineRecv(recv[:1], rcv, 8) },
 		"shortPad/1":         func() { byteSink = shortPad(&seedSink, 1)[0] },
-		"pad/1": func() {
+		"padXor/1": func() {
 			var pad [1]byte
-			h.pad(pad[:], seedSink)
+			h.padXor(pad[:], seedSink)
 			byteSink = pad[0]
 		},
-		"pad/16":   func() { h.pad(pad16, seedSink) },
-		"pad/240":  func() { h.pad(pad240, seedSink) },
-		"pad/8200": func() { h.pad(pad8200, seedSink) },
+		"padXor/16":   func() { h.padXor(pad16, seedSink) },
+		"padXor/240":  func() { h.padXor(pad240, seedSink) },
+		"padXor/8200": func() { h.padXor(pad8200, seedSink) },
 	} {
 		if n := testing.AllocsPerRun(5, f); n != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", name, n)

@@ -2,6 +2,7 @@ package ot
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"errors"
 	"sync"
 	"testing"
@@ -9,6 +10,19 @@ import (
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/transport"
 )
+
+// flatten lays candidate messages out as the flat slab Send1ofN and
+// SendPre take: instance-major, then candidate. It copies, so the caller's
+// messages survive the in-place encryption.
+func flatten(msgs [][][]byte) []byte {
+	var out []byte
+	for _, inst := range msgs {
+		for _, m := range inst {
+			out = append(out, m...)
+		}
+	}
+	return out
+}
 
 func runPair(t *testing.T, sender func(transport.Conn) error, receiver func(transport.Conn) error) {
 	t.Helper()
@@ -113,7 +127,7 @@ func TestFlowUnchosenMessagesUnrecoverable(t *testing.T) {
 	rng := prg.NewSeeded(9)
 	rj := h.group.RandScalar(rng)
 	r := h.group.Encode(h.group.Exp(h.rHat, h.labels[0]))
-	xorInto(r, h.group.Encode(h.group.ExpG(rj)))
+	subtle.XORBytes(r, r, h.group.Encode(h.group.ExpG(rj)))
 	if err := b.Send(r); err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +162,10 @@ func TestFlowErrors(t *testing.T) {
 func TestDealPadConsistency(t *testing.T) {
 	g := prg.NewSeeded(10)
 	snd, rcv := Deal(g, 4, 50)
-	for k := range snd {
+	for k := range rcv {
 		c := rcv[k].Choice
 		ps, pr := make([]byte, 32), make([]byte, 32)
-		PadInto(ps, snd[k].Seeds[c])
+		PadInto(ps, snd[k*4+c])
 		PadInto(pr, rcv[k].Seed)
 		if !bytes.Equal(ps, pr) {
 			t.Fatalf("instance %d: pads disagree", k)
@@ -185,16 +199,16 @@ func TestPrecomputedOnline(t *testing.T) {
 		}
 		choices[k] = g.Intn(n)
 	}
-	var got [][]byte
+	var got []byte
 	runPair(t,
-		func(c transport.Conn) error { return SendPre(c, nil, snd, n, msgs) },
+		func(c transport.Conn) error { return SendPre(c, nil, snd, n, 5, flatten(msgs)) },
 		func(c transport.Conn) error {
 			var err error
 			got, err = RecvPre(c, nil, rcv, n, choices, 5)
 			return err
 		})
 	for k := range msgs {
-		if !bytes.Equal(got[k], msgs[k][choices[k]]) {
+		if !bytes.Equal(got[k*5:(k+1)*5], msgs[k][choices[k]]) {
 			t.Fatalf("instance %d wrong message", k)
 		}
 	}
@@ -217,7 +231,7 @@ func TestPrecomputedOnlineCommCost(t *testing.T) {
 	defer b.Close()
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); SendPre(a, nil, snd, n, msgs) }()
+	go func() { defer wg.Done(); SendPre(a, nil, snd, n, msgLen, flatten(msgs)) }()
 	go func() { defer wg.Done(); RecvPre(b, nil, rcv, n, choices, msgLen) }()
 	wg.Wait()
 	if got := a.Stats().BytesSent; got != uint64(count*n*msgLen) {
@@ -246,31 +260,31 @@ func TestEndpointsWithDealer(t *testing.T) {
 		msgs[k] = [][]byte{{byte(k)}, {byte(k + 1)}}
 		choices[k] = g.Intn(2)
 	}
-	var got [][]byte
+	var got []byte
 	var wg sync.WaitGroup
 	var errS, errR error
 	wg.Add(2)
-	go func() { defer wg.Done(); errS = e0.Send1ofN(2, msgs) }()
+	go func() { defer wg.Done(); errS = e0.Send1ofN(2, 1, flatten(msgs)) }()
 	go func() { defer wg.Done(); got, errR = e1.Recv1ofN(2, choices, 1) }()
 	wg.Wait()
 	if errS != nil || errR != nil {
 		t.Fatal(errS, errR)
 	}
 	for k := range got {
-		if got[k][0] != byte(k+choices[k]) {
+		if got[k] != byte(k+choices[k]) {
 			t.Fatalf("instance %d wrong", k)
 		}
 	}
 	// Reverse direction must use independent correlations.
 	wg.Add(2)
-	go func() { defer wg.Done(); errS = e1.Send1ofN(2, msgs[:4]) }()
+	go func() { defer wg.Done(); errS = e1.Send1ofN(2, 1, flatten(msgs[:4])) }()
 	go func() { defer wg.Done(); got, errR = e0.Recv1ofN(2, choices[:4], 1) }()
 	wg.Wait()
 	if errS != nil || errR != nil {
 		t.Fatal(errS, errR)
 	}
 	for k := range got {
-		if got[k][0] != byte(k+choices[k]) {
+		if got[k] != byte(k+choices[k]) {
 			t.Fatalf("reverse instance %d wrong", k)
 		}
 	}
@@ -291,7 +305,7 @@ func TestDealerStreamIndependentOfTakes(t *testing.T) {
 	wantS, wantR := whole.TakeSender(0, n, total), whole.TakeRecv(0, n, total)
 
 	pieces := NewDealer(prg.NewSeeded(44))
-	var gotS []SenderInst
+	var gotS [][SeedLen]byte
 	var gotR []RecvInst
 	for i, c := range sizes {
 		s := pieces.TakeSender(0, n, c)
@@ -300,18 +314,18 @@ func TestDealerStreamIndependentOfTakes(t *testing.T) {
 		if cap(s) != len(s) || cap(r) != len(r) {
 			t.Fatalf("take %d: capacities %d/%d exceed lengths %d/%d", i, cap(s), cap(r), len(s), len(r))
 		}
-		_ = append(s, SenderInst{})
+		_ = append(s, [SeedLen]byte{1})
 		_ = append(r, RecvInst{Choice: -1})
 		gotS, gotR = append(gotS, s...), append(gotR, r...)
 	}
 	for k := 0; k < total; k++ {
-		if len(gotS[k].Seeds) != n || !bytes.Equal(seedBytes(gotS[k].Seeds), seedBytes(wantS[k].Seeds)) {
+		if !bytes.Equal(seedBytes(gotS[k*n:(k+1)*n]), seedBytes(wantS[k*n:(k+1)*n])) {
 			t.Fatalf("sender view %d differs between one take and pieces", k)
 		}
 		if gotR[k] != wantR[k] {
 			t.Fatalf("receiver view %d differs between one take and pieces", k)
 		}
-		if gotS[k].Seeds[gotR[k].Choice] != gotR[k].Seed {
+		if gotS[k*n+gotR[k].Choice] != gotR[k].Seed {
 			t.Fatalf("instance %d: receiver seed is not the chosen sender seed", k)
 		}
 	}
@@ -331,7 +345,7 @@ func TestEndpointTransportFailure(t *testing.T) {
 	b.Close() // receiver side dead
 	e0 := NewEndpoint(0, transport.NewFaultyConn(a, 0, false), prg.NewSeeded(20))
 	e0.Dealer = dealer
-	err := e0.Send1ofN(2, [][][]byte{{{1}, {2}}})
+	err := e0.Send1ofN(2, 1, []byte{1, 2})
 	if !errors.Is(err, transport.ErrInjected) {
 		t.Errorf("expected injected transport error, got %v", err)
 	}
@@ -396,11 +410,12 @@ func BenchmarkPrecomputedOnline1of4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		snd, rcv := Deal(g, 4, count)
+		cands := flatten(msgs)
 		a, c := transport.Pipe()
 		b.StartTimer()
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); SendPre(a, nil, snd, 4, msgs) }()
+		go func() { defer wg.Done(); SendPre(a, nil, snd, 4, 1, cands) }()
 		go func() { defer wg.Done(); RecvPre(c, nil, rcv, 4, choices, 1) }()
 		wg.Wait()
 		b.StopTimer()

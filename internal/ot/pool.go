@@ -20,12 +20,13 @@ const minChunk = 1024
 // sender/receiver views of random OT correlations to the two endpoints of
 // a session. It is safe for concurrent use by both party goroutines.
 //
-// Every slice it hands out is capacity-clipped: an append to a taken slice
+// A sender stream is one seed slab, n seeds per instance. Every slice the
+// dealer hands out is capacity-clipped: an append to a taken slice
 // reallocates instead of writing into stock not yet handed out.
 type Dealer struct {
 	mu  sync.Mutex
 	g   *prg.PRG
-	snd map[dealKey][]SenderInst
+	snd map[dealKey][][SeedLen]byte
 	rcv map[dealKey][]RecvInst
 }
 
@@ -35,7 +36,7 @@ type dealKey struct{ sender, n int }
 
 // NewDealer returns a dealer drawing correlations from g.
 func NewDealer(g *prg.PRG) *Dealer {
-	return &Dealer{g: g, snd: map[dealKey][]SenderInst{}, rcv: map[dealKey][]RecvInst{}}
+	return &Dealer{g: g, snd: map[dealKey][][SeedLen]byte{}, rcv: map[dealKey][]RecvInst{}}
 }
 
 // ensure tops both views of k up to at least count instances. It deals the
@@ -46,12 +47,12 @@ func NewDealer(g *prg.PRG) *Dealer {
 // block at a time gave.
 func (d *Dealer) ensure(k dealKey, count int) {
 	s, r := d.snd[k], d.rcv[k]
-	short := count - min(len(s), len(r))
+	short := count - min(len(s)/k.n, len(r))
 	if short <= 0 {
 		return
 	}
 	deal := (short + minChunk - 1) / minChunk * minChunk
-	ns := make([]SenderInst, len(s)+deal)
+	ns := make([][SeedLen]byte, len(s)+deal*k.n)
 	nr := make([]RecvInst, len(r)+deal)
 	copy(ns, s)
 	copy(nr, r)
@@ -59,14 +60,15 @@ func (d *Dealer) ensure(k dealKey, count int) {
 	d.snd[k], d.rcv[k] = ns, nr
 }
 
-// TakeSender removes `count` sender views for the given direction/arity.
-func (d *Dealer) TakeSender(senderParty, n, count int) []SenderInst {
+// TakeSender removes `count` sender views for the given direction/arity:
+// count·n seeds, n per instance.
+func (d *Dealer) TakeSender(senderParty, n, count int) [][SeedLen]byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	k := dealKey{senderParty, n}
 	d.ensure(k, count)
-	out := d.snd[k][:count:count]
-	d.snd[k] = d.snd[k][count:]
+	out := d.snd[k][: count*n : count*n]
+	d.snd[k] = d.snd[k][count*n:]
 	return out
 }
 
@@ -113,7 +115,9 @@ type Endpoint struct {
 	extS *ExtSender
 	extR *ExtReceiver
 
-	sendStock map[int][]SenderInst
+	// sendStock holds n seeds per instance of arity n; recvStock one view
+	// per instance.
+	sendStock map[int][][SeedLen]byte
 	recvStock map[int][]RecvInst
 }
 
@@ -123,7 +127,7 @@ func NewEndpoint(party int, conn transport.Conn, rng *prg.PRG) *Endpoint {
 		Party:     party,
 		Conn:      conn,
 		Rng:       rng,
-		sendStock: map[int][]SenderInst{},
+		sendStock: map[int][][SeedLen]byte{},
 		recvStock: map[int][]RecvInst{},
 	}
 }
@@ -152,31 +156,37 @@ func log2Arity(n int) (int, error) {
 	return t, nil
 }
 
-// Send1ofN acts as OT sender for a batch: msgs[k] holds the n candidate
-// messages of instance k. It consumes len(msgs) precomputed instances.
-func (e *Endpoint) Send1ofN(n int, msgs [][][]byte) error {
-	if len(msgs) == 0 {
+// Send1ofN acts as OT sender for a batch: cands holds n candidates of
+// msgLen bytes per instance, instance-major (see SendPre), and is
+// overwritten with the ciphertexts it sends. It consumes
+// len(cands)/(n·msgLen) precomputed instances.
+func (e *Endpoint) Send1ofN(n, msgLen int, cands []byte) error {
+	if len(cands) == 0 {
 		return nil
 	}
+	count, err := batchLen(n, msgLen, len(cands))
+	if err != nil {
+		return err
+	}
 	sp := e.Trace.Enter("ot.send", telemetry.WithAttrs(
-		telemetry.Int("arity", int64(n)), telemetry.Int("insts", int64(len(msgs)))))
+		telemetry.Int("arity", int64(n)), telemetry.Int("insts", int64(count))))
 	defer e.Trace.Exit(sp)
-	telemetry.Count("aq2pnn_ot_send_insts_total", uint64(len(msgs)))
-	if len(e.sendStock[n]) < len(msgs) {
-		if err := e.refillSend(map[int]int{n: len(msgs) - len(e.sendStock[n])}); err != nil {
+	telemetry.Count("aq2pnn_ot_send_insts_total", uint64(count))
+	if have := len(e.sendStock[n]) / n; have < count {
+		if err := e.refillSend(map[int]int{n: count - have}); err != nil {
 			return err
 		}
 	}
-	pre := e.sendStock[n][:len(msgs)]
-	if err := SendPre(e.Conn, e.Pool, pre, n, msgs); err != nil {
+	if err := SendPre(e.Conn, e.Pool, e.sendStock[n][:count*n], n, msgLen, cands); err != nil {
 		return err
 	}
-	e.sendStock[n] = e.sendStock[n][len(msgs):]
+	e.sendStock[n] = e.sendStock[n][count*n:]
 	return nil
 }
 
-// Recv1ofN acts as OT receiver for a batch of choices.
-func (e *Endpoint) Recv1ofN(n int, choices []int, msgLen int) ([][]byte, error) {
+// Recv1ofN acts as OT receiver for a batch of choices; message k is at
+// k·msgLen of the result.
+func (e *Endpoint) Recv1ofN(n int, choices []int, msgLen int) ([]byte, error) {
 	if len(choices) == 0 {
 		return nil, nil
 	}
@@ -201,5 +211,5 @@ func (e *Endpoint) Recv1ofN(n int, choices []int, msgLen int) ([][]byte, error) 
 // Stock reports the available precomputed instances for an arity, for
 // tests and capacity planning.
 func (e *Endpoint) Stock(n int) (send, recv int) {
-	return len(e.sendStock[n]), len(e.recvStock[n])
+	return len(e.sendStock[n]) / n, len(e.recvStock[n])
 }

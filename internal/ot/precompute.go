@@ -17,12 +17,6 @@ import (
 // SeedLen is the byte length of a random-OT pad seed.
 const SeedLen = 16
 
-// SenderInst is the sender's view of one precomputed random 1-of-N OT:
-// N pad seeds.
-type SenderInst struct {
-	Seeds [][SeedLen]byte
-}
-
 // RecvInst is the receiver's view: a random choice c′ and the seed of pad
 // c′ only.
 type RecvInst struct {
@@ -33,99 +27,93 @@ type RecvInst struct {
 // Deal produces `count` correlated random 1-of-N OT instances from a
 // single dealer PRG: the trusted-dealer offline phase used by the
 // in-process experiments (the paper likewise treats offline material as
-// pre-deployed constants).
-func Deal(g *prg.PRG, n, count int) ([]SenderInst, []RecvInst) {
-	snd := make([]SenderInst, count)
+// pre-deployed constants). The sender's view is one flat seed slab, n
+// seeds per instance: instance k's are entries k·n to (k+1)·n − 1.
+func Deal(g *prg.PRG, n, count int) ([][SeedLen]byte, []RecvInst) {
+	snd := make([][SeedLen]byte, count*n)
 	rcv := make([]RecvInst, count)
 	dealInto(g, n, snd, rcv)
 	return snd, rcv
 }
 
-// dealInto fills snd and rcv, of equal length, with fresh correlations. All
-// seeds of the call live in one slab, and each instance's Seeds is its
-// capacity-clipped window of it. Per instance the draws are its n seeds,
-// as one n·16-byte read, then the choice.
-func dealInto(g *prg.PRG, n int, snd []SenderInst, rcv []RecvInst) {
-	seeds := make([][SeedLen]byte, len(snd)*n)
+// dealInto fills snd (n seeds per instance) and rcv (one view per
+// instance) with fresh correlations. Per instance the draws are its n
+// seeds, as one n·16-byte read, then the choice.
+func dealInto(g *prg.PRG, n int, snd [][SeedLen]byte, rcv []RecvInst) {
 	buf := make([]byte, n*SeedLen)
-	for k := range snd {
+	for k := range rcv {
 		g.Read(buf)
-		s := seeds[k*n : (k+1)*n : (k+1)*n]
+		s := snd[k*n : (k+1)*n]
 		for l := range s {
 			copy(s[l][:], buf[l*SeedLen:])
 		}
 		c := g.Intn(n)
-		snd[k] = SenderInst{Seeds: s}
 		rcv[k] = RecvInst{Choice: c, Seed: s[c]}
 	}
 }
 
+// batchLen returns the number of instances in a non-empty flat candidate
+// slab of n·msgLen bytes per instance.
+func batchLen(n, msgLen, slab int) (int, error) {
+	if n < 1 || msgLen < 1 || slab == 0 {
+		return 0, fmt.Errorf("ot: empty batch or empty messages (%d candidates of %d bytes, %d-byte slab)", n, msgLen, slab)
+	}
+	if slab%(n*msgLen) != 0 {
+		return 0, fmt.Errorf("ot: candidate slab of %d bytes is not whole instances of %d×%d bytes", slab, n, msgLen)
+	}
+	return slab / (n * msgLen), nil
+}
+
 // SendPre runs the online sender phase of a batch of derandomized 1-of-N
-// OTs. pre must contain one precomputed instance per message set. The
-// receiver first reveals d = (c′ − c) mod N; the sender answers with
-// e_l = m_l ⊕ pad_{(l+d) mod N}. Online cost: 1 byte from the receiver and
-// N·msgLen bytes from the sender per instance, in one message each. The
-// peer's shifts are all checked before the pads are spread over pool (nil
-// runs them serially).
-func SendPre(c transport.Conn, pool *parallel.Pool, pre []SenderInst, n int, msgs [][][]byte) error {
-	if len(pre) < len(msgs) {
-		return fmt.Errorf("ot: %d precomputed instances for %d transfers", len(pre), len(msgs))
+// OTs. cands holds the candidates instance-major, then candidate: m_l of
+// instance k is cands[(k·N+l)·msgLen : (k·N+l+1)·msgLen]. pre must hold N
+// precomputed seeds per instance. The receiver first reveals
+// d = (c′ − c) mod N; the sender overwrites each candidate in place with
+// e_l = m_l ⊕ pad_{(l+d) mod N} and sends cands as the frame. Online cost:
+// 1 byte from the receiver and N·msgLen bytes from the sender per
+// instance, in one message each. The peer's shifts are all checked before
+// the pads are spread over pool (nil runs them serially).
+func SendPre(c transport.Conn, pool *parallel.Pool, pre [][SeedLen]byte, n, msgLen int, cands []byte) error {
+	count, err := batchLen(n, msgLen, len(cands))
+	if err != nil {
+		return err
+	}
+	if len(pre) < count*n {
+		return fmt.Errorf("ot: %d precomputed seeds for %d transfers of arity %d", len(pre), count, n)
 	}
 	if n > 256 {
 		return fmt.Errorf("ot: online derandomization supports N ≤ 256, got %d", n)
-	}
-	msgLen := -1
-	for k := range msgs {
-		if len(msgs[k]) != n {
-			return fmt.Errorf("ot: instance %d has %d candidates, want %d", k, len(msgs[k]), n)
-		}
-		for _, m := range msgs[k] {
-			if msgLen == -1 {
-				msgLen = len(m)
-			} else if len(m) != msgLen {
-				return fmt.Errorf("ot: candidate messages have mixed lengths")
-			}
-		}
-	}
-	if msgLen <= 0 {
-		return fmt.Errorf("ot: empty batch or empty messages")
 	}
 	ds, err := c.Recv()
 	if err != nil {
 		return err
 	}
-	if len(ds) != len(msgs) {
-		return fmt.Errorf("ot: expected %d shift bytes, got %d", len(msgs), len(ds))
+	if len(ds) != count {
+		return fmt.Errorf("ot: expected %d shift bytes, got %d", count, len(ds))
 	}
-	for k, d := range ds {
+	for _, d := range ds {
 		if int(d) >= n {
 			return fmt.Errorf("ot: shift %d out of range for N=%d", d, n)
 		}
-		if len(pre[k].Seeds) != n {
-			return fmt.Errorf("ot: precomputed instance %d has arity %d, want %d", k, len(pre[k].Seeds), n)
-		}
 	}
-	out := make([]byte, len(msgs)*n*msgLen)
-	pool.Blocks(len(msgs), func(lo, hi int) {
+	pool.Blocks(count, func(lo, hi int) {
 		h := hashers.Get().(*hasher)
 		for k := lo; k < hi; k++ {
-			d, seeds := int(ds[k]), pre[k].Seeds
+			d, seeds := int(ds[k]), pre[k*n:(k+1)*n]
 			for l := 0; l < n; l++ {
-				e := out[(k*n+l)*msgLen : (k*n+l+1)*msgLen]
-				h.pad(e, seeds[(l+d)%n])
-				xorInto(e, msgs[k][l])
+				h.padXor(cands[(k*n+l)*msgLen:(k*n+l+1)*msgLen], seeds[(l+d)%n])
 			}
 		}
 		hashers.Put(h)
 	})
-	return c.Send(out)
+	return c.Send(cands)
 }
 
 // RecvPre runs the online receiver phase: choices[k] selects instance k's
-// message of length msgLen. Like SendPre it rejects N > 256 before any
-// traffic: the shift travels as one byte. The pads are spread over pool
-// (nil runs them serially).
-func RecvPre(c transport.Conn, pool *parallel.Pool, pre []RecvInst, n int, choices []int, msgLen int) ([][]byte, error) {
+// message of length msgLen, returned at k·msgLen of one flat slab. Like
+// SendPre it rejects N > 256 before any traffic: the shift travels as one
+// byte. The pads are spread over pool (nil runs them serially).
+func RecvPre(c transport.Conn, pool *parallel.Pool, pre []RecvInst, n int, choices []int, msgLen int) ([]byte, error) {
 	if len(pre) < len(choices) {
 		return nil, fmt.Errorf("ot: %d precomputed instances for %d transfers", len(pre), len(choices))
 	}
@@ -149,16 +137,14 @@ func RecvPre(c transport.Conn, pool *parallel.Pool, pre []RecvInst, n int, choic
 	if len(cts) != len(choices)*n*msgLen {
 		return nil, fmt.Errorf("ot: expected %d ciphertext bytes, got %d", len(choices)*n*msgLen, len(cts))
 	}
-	out := make([][]byte, len(choices))
-	flat := make([]byte, len(choices)*msgLen)
+	out := make([]byte, len(choices)*msgLen)
 	pool.Blocks(len(choices), func(lo, hi int) {
 		h := hashers.Get().(*hasher)
 		for k := lo; k < hi; k++ {
 			ch := choices[k]
-			m := flat[k*msgLen : (k+1)*msgLen]
-			h.pad(m, pre[k].Seed)
-			xorInto(m, cts[(k*n+ch)*msgLen:(k*n+ch+1)*msgLen])
-			out[k] = m
+			m := out[k*msgLen : (k+1)*msgLen]
+			copy(m, cts[(k*n+ch)*msgLen:(k*n+ch+1)*msgLen])
+			h.padXor(m, pre[k].Seed)
 		}
 		hashers.Put(h)
 	})

@@ -121,7 +121,7 @@ func (e *Endpoint) SendTokens(bits uint, batches []SendTokenBatch) error {
 	if err != nil {
 		return err
 	}
-	if err := e.refillSend(plan.needs(func(n int) int { return len(e.sendStock[n]) })); err != nil {
+	if err := e.refillSend(plan.needs(func(n int) int { return len(e.sendStock[n]) / n })); err != nil {
 		return err
 	}
 	ds, err := e.Conn.Recv()
@@ -137,7 +137,7 @@ func (e *Endpoint) SendTokens(bits uint, batches []SendTokenBatch) error {
 	taken := map[int]int{}
 	for bi, b := range batches {
 		n, w := b.N, plan.widths[bi]
-		pre := e.sendStock[n][taken[n] : taken[n]+len(b.Rows)]
+		pre := e.sendStock[n][taken[n]*n : (taken[n]+len(b.Rows))*n]
 		taken[n] += len(b.Rows)
 		for k, row := range b.Rows {
 			if len(row) != n {
@@ -148,15 +148,12 @@ func (e *Endpoint) SendTokens(bits uint, batches []SendTokenBatch) error {
 			if d >= n {
 				return fmt.Errorf("ot: shift %d out of range for N=%d", d, n)
 			}
-			inst := pre[k]
-			if len(inst.Seeds) != n {
-				return fmt.Errorf("ot: precomputed instance has arity %d, want %d", len(inst.Seeds), n)
-			}
+			seeds := pre[k*n : (k+1)*n]
 			for l := 0; l < n; l++ {
 				if row[l] > mask {
 					return fmt.Errorf("ot: token value exceeds %d bits", bits)
 				}
-				pad := shortPad(&inst.Seeds[(l+d)%n], 1)[0]
+				pad := shortPad(&seeds[(l+d)%n], 1)[0]
 				putBits(out, ctPos, uint64(row[l]^(pad&mask)), bits)
 				ctPos += uint64(bits)
 			}
@@ -166,7 +163,7 @@ func (e *Endpoint) SendTokens(bits uint, batches []SendTokenBatch) error {
 		return err
 	}
 	for n, u := range plan.use {
-		e.sendStock[n] = e.sendStock[n][u:]
+		e.sendStock[n] = e.sendStock[n][u*n:]
 	}
 	return nil
 }
@@ -263,26 +260,24 @@ func (e *Endpoint) refillSend(needs map[int]int) error {
 			return err
 		}
 	}
+	// raw holds two seeds per 1-of-2 correlation; each arity's chunk
+	// combines its t correlations per instance straight into the grown
+	// stock.
 	raw, err := e.extS.extend(e.Pool, total)
 	if err != nil {
 		return err
 	}
 	for i, n := range arities {
 		t, chunk := ts[i], chunks[i]
-		// One seed slab per arity; each instance's capped window of it.
-		seeds := make([][SeedLen]byte, chunk*n)
-		stock := slices.Grow(e.sendStock[n], chunk)
-		fresh := stock[len(stock) : len(stock)+chunk]
+		stock := slices.Grow(e.sendStock[n], chunk*n)
+		fresh := stock[len(stock) : len(stock)+chunk*n]
 		e.Pool.Blocks(chunk, func(lo, hi int) {
 			h := hashers.Get().(*hasher)
-			h.combineSend(seeds[lo*n:hi*n], raw[lo*t:hi*t], t)
+			h.combineSend(fresh[lo*n:hi*n], raw[2*lo*t:2*hi*t], t)
 			hashers.Put(h)
-			for k := lo; k < hi; k++ {
-				fresh[k] = SenderInst{Seeds: seeds[k*n : (k+1)*n : (k+1)*n]}
-			}
 		})
-		raw = raw[chunk*t:]
-		e.sendStock[n] = stock[:len(stock)+chunk]
+		raw = raw[2*chunk*t:]
+		e.sendStock[n] = stock[:len(stock)+chunk*n]
 	}
 	return nil
 }

@@ -92,13 +92,13 @@ func TestOTTranscriptPinned(t *testing.T) {
 		func() (err error) { s, err = NewExtSender(dc, TestGroup(), prg.NewSeeded(101), ExtKappa); return },
 		func() (err error) { r, err = NewExtReceiver(b, TestGroup(), prg.NewSeeded(102), ExtKappa); return })
 	for _, m := range []int{1, 7, 64, 1000} {
-		var si []SenderInst
+		var si [][SeedLen]byte
 		var ri []RecvInst
 		both(t,
 			func() (err error) { si, err = s.extend(pool, m); return },
 			func() (err error) { ri, err = r.extend(pool, m); return })
-		for j := range si {
-			minted.add(append(si[j].Seeds[0][:], si[j].Seeds[1][:]...))
+		for j := range ri {
+			minted.add(append(si[2*j][:], si[2*j+1][:]...))
 			minted.add(append([]byte{byte(ri[j].Choice)}, ri[j].Seed[:]...))
 		}
 	}
@@ -126,12 +126,12 @@ func TestOTTranscriptPinned(t *testing.T) {
 				}
 				choices[k] = g.Intn(dir.n)
 			}
-			var got [][]byte
+			var got []byte
 			both(t,
-				func() error { return dir.snd.Send1ofN(dir.n, msgs) },
+				func() error { return dir.snd.Send1ofN(dir.n, msgLen, flatten(msgs)) },
 				func() (err error) { got, err = dir.rcv.Recv1ofN(dir.n, choices, msgLen); return })
 			for k := range msgs {
-				if !bytes.Equal(got[k], msgs[k][choices[k]]) {
+				if !bytes.Equal(got[k*msgLen:(k+1)*msgLen], msgs[k][choices[k]]) {
 					t.Fatalf("msgLen %d, N=%d, instance %d: wrong message", msgLen, dir.n, k)
 				}
 			}
@@ -187,15 +187,16 @@ func TestPoolMatchesSerial(t *testing.T) {
 				}
 				choices[k] = g.Intn(dir.n)
 			}
-			var out [][]byte
+			var out []byte
 			both(t,
-				func() error { return dir.snd.Send1ofN(dir.n, msgs) },
+				func() error { return dir.snd.Send1ofN(dir.n, dir.msgLen, flatten(msgs)) },
 				func() (err error) { out, err = dir.rcv.Recv1ofN(dir.n, choices, dir.msgLen); return })
-			for k := range out {
-				if !bytes.Equal(out[k], msgs[k][choices[k]]) {
+			for k := range msgs {
+				m := out[k*dir.msgLen : (k+1)*dir.msgLen]
+				if !bytes.Equal(m, msgs[k][choices[k]]) {
 					t.Fatalf("N=%d instance %d: wrong message", dir.n, k)
 				}
-				got.add(out[k])
+				got.add(m)
 			}
 		}
 		return [3]frameDigest{dc.sent, dc.recv, got}

@@ -31,20 +31,16 @@ func (c *Context) B2A(r ring.Ring, d []uint64) ([]uint64, error) {
 		telemetry.Int("elems", int64(len(d))), telemetry.Int("bits", int64(r.Bits))))
 	defer c.Trace.Exit(sp)
 	n := len(d)
-	w := r.Bytes()
 	out := make([]uint64, n)
 	if c.Party == 0 {
 		rp := c.Rng.Elems(n, r)
-		msgs := make([][][]byte, n)
-		c.Pool.For(n, func(k int) {
-			m := make([][]byte, 2)
-			for cBit := uint64(0); cBit < 2; cBit++ {
-				prod := r.Mul(d[k]&1, cBit)
-				m[cBit] = transport.PackElems(r, []uint64{r.Sub(prod, rp[k])})
-			}
-			msgs[k] = m
-		})
-		if err := c.OT.Send1ofN(2, msgs); err != nil {
+		// Instance k offers d_k·c − r_k for c = 0, 1: one slab per tensor.
+		cands := make([]uint64, 2*n)
+		for k := range n {
+			cands[2*k] = r.Neg(rp[k])
+			cands[2*k+1] = r.Sub(d[k]&1, rp[k])
+		}
+		if err := c.OT.Send1ofN(2, r.Bytes(), transport.PackElems(r, cands)); err != nil {
 			return nil, err
 		}
 		for k := 0; k < n; k++ {
@@ -56,16 +52,15 @@ func (c *Context) B2A(r ring.Ring, d []uint64) ([]uint64, error) {
 	for k := range choices {
 		choices[k] = int(d[k] & 1)
 	}
-	got, err := c.OT.Recv1ofN(2, choices, w)
+	got, err := c.OT.Recv1ofN(2, choices, r.Bytes())
 	if err != nil {
 		return nil, err
 	}
-	for k := range got {
-		vals, err := transport.UnpackElems(r, got[k])
-		if err != nil {
-			return nil, err
-		}
-		out[k] = r.Sub(d[k]&1, r.MulConst(vals[0], 2))
+	if err := transport.UnpackElemsInto(out, r, got); err != nil {
+		return nil, err
+	}
+	for k, v := range out {
+		out[k] = r.Sub(d[k]&1, r.MulConst(v, 2))
 	}
 	return out, nil
 }

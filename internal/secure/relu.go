@@ -42,22 +42,19 @@ func (c *Context) Mux(r ring.Ring, x, d []uint64) ([]uint64, error) {
 		telemetry.Int("elems", int64(len(x))), telemetry.Int("bits", int64(r.Bits))))
 	defer c.Trace.Exit(sp)
 	n := len(x)
-	w := r.Bytes()
 
-	buildMsgs := func(rp []uint64) [][][]byte {
-		msgs := make([][][]byte, n)
-		c.Pool.For(n, func(k int) {
-			m := make([][]byte, 2)
-			for cBit := uint64(0); cBit < 2; cBit++ {
-				var v uint64
-				if d[k]^cBit == 1 {
-					v = x[k]
-				}
-				m[cBit] = transport.PackElems(r, []uint64{r.Sub(v, rp[k])})
+	// Instance k offers x_k·(d_k ⊕ c) − r_k for c = 0, 1: one slab per
+	// tensor.
+	buildCands := func(rp []uint64) []byte {
+		cands := make([]uint64, 2*n)
+		for k := range n {
+			v0, v1 := r.Neg(rp[k]), r.Sub(x[k], rp[k])
+			if d[k]&1 == 1 {
+				v0, v1 = v1, v0
 			}
-			msgs[k] = m
-		})
-		return msgs
+			cands[2*k], cands[2*k+1] = v0, v1
+		}
+		return transport.PackElems(r, cands)
 	}
 	choices := make([]int, n)
 	for k := range choices {
@@ -67,24 +64,22 @@ func (c *Context) Mux(r ring.Ring, x, d []uint64) ([]uint64, error) {
 	out := make([]uint64, n)
 	sendPart := func() error {
 		rp := c.Rng.Elems(n, r)
-		if err := c.OT.Send1ofN(2, buildMsgs(rp)); err != nil {
+		if err := c.OT.Send1ofN(2, r.Bytes(), buildCands(rp)); err != nil {
 			return err
 		}
 		r.AddVec(out, out, rp)
 		return nil
 	}
 	recvPart := func() error {
-		got, err := c.OT.Recv1ofN(2, choices, w)
+		got, err := c.OT.Recv1ofN(2, choices, r.Bytes())
 		if err != nil {
 			return err
 		}
-		for k := range got {
-			vals, err := transport.UnpackElems(r, got[k])
-			if err != nil {
-				return err
-			}
-			out[k] = r.Add(out[k], vals[0])
+		vals := make([]uint64, n)
+		if err := transport.UnpackElemsInto(vals, r, got); err != nil {
+			return err
 		}
+		r.AddVec(out, out, vals)
 		return nil
 	}
 	// Party 0 sends its term first, then receives; party 1 mirrors.

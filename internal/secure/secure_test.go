@@ -436,6 +436,44 @@ func TestB2AExhaustive(t *testing.T) {
 	}
 }
 
+// TestOTOpsAllocsPerTensor is the allocation gate of the OT-backed share
+// ops: a dealer-backed B2A or Mux packs one candidate slab per tensor, so
+// it allocates the same number of times, within a small constant, at 64
+// and at 4,096 elements. The slack covers what the larger run's extra
+// garbage collections cost: the OT hashers' sync.Pool is emptied by a
+// collection, and each refill allocates a staging area.
+func TestOTOpsAllocsPerTensor(t *testing.T) {
+	r := ring.New(16)
+	const slack = 16
+	for name, op := range map[string]func(c *Context, x, d []uint64) ([]uint64, error){
+		"B2A": func(c *Context, _, d []uint64) ([]uint64, error) { return c.B2A(r, d) },
+		"Mux": func(c *Context, x, d []uint64) ([]uint64, error) { return c.Mux(r, x, d) },
+	} {
+		var allocs [2]float64
+		for i, n := range []int{64, 4096} {
+			g := prg.NewSeeded(90)
+			x0, x1 := g.Elems(n, r), g.Elems(n, r)
+			d0, d1 := make([]uint64, n), make([]uint64, n)
+			for k := range d0 {
+				d0[k], d1[k] = g.Bit(), g.Bit()
+			}
+			allocs[i] = testing.AllocsPerRun(3, func() {
+				s := NewLocalSession(91)
+				defer s.Close()
+				err := s.Run(
+					func(c *Context) error { _, e := op(c, x0, d0); return e },
+					func(c *Context) error { _, e := op(c, x1, d1); return e })
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if d := allocs[1] - allocs[0]; d > slack || d < -slack {
+			t.Errorf("%s: %v allocs at 64 elements, %v at 4096: it allocates per element", name, allocs[0], allocs[1])
+		}
+	}
+}
+
 func TestZeroExtendExact(t *testing.T) {
 	from, to := ring.New(12), ring.New(16)
 	g := prg.NewSeeded(27)

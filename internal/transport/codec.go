@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -17,17 +18,34 @@ func PackElems(r ring.Ring, xs []uint64) []byte {
 }
 
 // PackElemsInto packs xs into dst, which must be exactly len(xs)·⌈ℓ/8⌉
-// bytes — the allocation-free form behind the pooled send path.
+// bytes — the allocation-free form behind the pooled send path. The
+// element widths of 2, 4 and 8 bytes take one fixed-width store each.
 func PackElemsInto(dst []byte, r ring.Ring, xs []uint64) {
 	w := r.Bytes()
 	if len(dst) != len(xs)*w {
 		//lint:allow panicfree local programming error, not peer input: dst is sized by the caller from the same xs/ring it passes in
 		panic(fmt.Sprintf("transport: PackElemsInto dst length %d for %d elements of width %d", len(dst), len(xs), w))
 	}
-	for i, x := range xs {
-		x &= r.Mask
-		for b := 0; b < w; b++ {
-			dst[i*w+b] = byte(x >> (8 * b))
+	le := binary.LittleEndian
+	switch w {
+	case 2:
+		for i, x := range xs {
+			le.PutUint16(dst[2*i:], uint16(x&r.Mask))
+		}
+	case 4:
+		for i, x := range xs {
+			le.PutUint32(dst[4*i:], uint32(x&r.Mask))
+		}
+	case 8:
+		for i, x := range xs {
+			le.PutUint64(dst[8*i:], x&r.Mask)
+		}
+	default:
+		for i, x := range xs {
+			x &= r.Mask
+			for b := 0; b < w; b++ {
+				dst[i*w+b] = byte(x >> (8 * b))
+			}
 		}
 	}
 }
@@ -68,14 +86,31 @@ func UnpackElemsInto(dst []uint64, r ring.Ring, p []byte) error {
 	return nil
 }
 
+// unpackInto decodes len(dst) elements of p, masked to the ring. The
+// element widths of 2, 4 and 8 bytes take one fixed-width load each.
 func unpackInto(dst []uint64, r ring.Ring, p []byte) {
-	w := r.Bytes()
-	for i := range dst {
-		var x uint64
-		for b := 0; b < w; b++ {
-			x |= uint64(p[i*w+b]) << (8 * b)
+	le := binary.LittleEndian
+	switch w := r.Bytes(); w {
+	case 2:
+		for i := range dst {
+			dst[i] = uint64(le.Uint16(p[2*i:])) & r.Mask
 		}
-		dst[i] = x & r.Mask
+	case 4:
+		for i := range dst {
+			dst[i] = uint64(le.Uint32(p[4*i:])) & r.Mask
+		}
+	case 8:
+		for i := range dst {
+			dst[i] = le.Uint64(p[8*i:]) & r.Mask
+		}
+	default:
+		for i := range dst {
+			var x uint64
+			for b := 0; b < w; b++ {
+				x |= uint64(p[i*w+b]) << (8 * b)
+			}
+			dst[i] = x & r.Mask
+		}
 	}
 }
 

@@ -133,6 +133,49 @@ func TestPackUnpackWidths(t *testing.T) {
 	}
 }
 
+// TestPackElemsWidths checks the codec at every ring width against the
+// byte-at-a-time definition: ⌈ℓ/8⌉ little-endian bytes of x mod 2^ℓ per
+// element, and the unpacked value masked to the ring. The inputs carry
+// bits above the mask on both sides, so a fixed-width path that drops the
+// mask fails.
+func TestPackElemsWidths(t *testing.T) {
+	g := prg.NewSeeded(2)
+	for bits := uint(1); bits <= ring.MaxBits; bits++ {
+		r := ring.New(bits)
+		w := r.Bytes()
+		xs := make([]uint64, 37)
+		for i := range xs {
+			xs[i] = g.Uint64()
+		}
+		want := make([]byte, len(xs)*w)
+		for i, x := range xs {
+			for b := 0; b < w; b++ {
+				want[i*w+b] = byte((x & r.Mask) >> (8 * b))
+			}
+		}
+		got := make([]byte, len(want))
+		PackElemsInto(got, r, xs)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("ℓ=%d: packed bytes differ from the byte loop", bits)
+		}
+		wire := make([]byte, len(xs)*w)
+		g.Read(wire) // bits above the mask in every element's top byte
+		vals := make([]uint64, len(xs))
+		if err := UnpackElemsInto(vals, r, wire); err != nil {
+			t.Fatal(err)
+		}
+		for i := range vals {
+			var x uint64
+			for b := 0; b < w; b++ {
+				x |= uint64(wire[i*w+b]) << (8 * b)
+			}
+			if vals[i] != x&r.Mask {
+				t.Fatalf("ℓ=%d: element %d unpacks to %#x, want %#x", bits, i, vals[i], x&r.Mask)
+			}
+		}
+	}
+}
+
 func TestUnpackRejectsBadLength(t *testing.T) {
 	r := ring.New(16)
 	if _, err := UnpackElems(r, make([]byte, 5)); err == nil {

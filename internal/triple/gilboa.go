@@ -26,13 +26,12 @@ import (
 // gilboaSend is the OT-sender half of one cross term of an M×K by K×N
 // product: for every row idx = i·K + kk the peer holds the scalar a_idx and
 // this party B's row kk (bShare is K×N). It packs both candidates of every
-// OT into one slab, subtracts each r_t from Z's row i, and sends.
+// OT straight into the candidate slab, subtracts each r_t from Z's row i,
+// and sends.
 func gilboaSend(ep *ot.Endpoint, rng *prg.PRG, r ring.Ring, z, bShare []uint64, m, k, n int) error {
 	bits := int(r.Bits)
 	msgLen := n * r.Bytes()
-	slab := make([]byte, 2*m*k*bits*msgLen)
-	cands := make([][]byte, 2*m*k*bits)
-	msgs := make([][][]byte, m*k*bits)
+	cands := make([]byte, 2*m*k*bits*msgLen)
 	rt, m1 := make([]uint64, n), make([]uint64, n)
 	for idx := 0; idx < m*k; idx++ {
 		b := bShare[(idx%k)*n : (idx%k+1)*n]
@@ -44,36 +43,33 @@ func gilboaSend(ep *ot.Endpoint, rng *prg.PRG, r ring.Ring, z, bShare []uint64, 
 				zi[j] = r.Sub(zi[j], rt[j])
 			}
 			o := idx*bits + t
-			c0 := slab[2*o*msgLen : (2*o+1)*msgLen]
-			c1 := slab[(2*o+1)*msgLen : (2*o+2)*msgLen]
-			transport.PackElemsInto(c0, r, rt)
-			transport.PackElemsInto(c1, r, m1)
-			cands[2*o], cands[2*o+1] = c0, c1
-			msgs[o] = cands[2*o : 2*o+2 : 2*o+2]
+			transport.PackElemsInto(cands[2*o*msgLen:(2*o+1)*msgLen], r, rt)
+			transport.PackElemsInto(cands[(2*o+1)*msgLen:(2*o+2)*msgLen], r, m1)
 		}
 	}
-	return ep.Send1ofN(2, msgs)
+	return ep.Send1ofN(2, msgLen, cands)
 }
 
 // gilboaRecv is the OT-receiver half: aShare (M×K) supplies the choice
 // bits, and every received N-element row is added into Z's row i.
 func gilboaRecv(ep *ot.Endpoint, r ring.Ring, z, aShare []uint64, m, k, n int) error {
 	bits := int(r.Bits)
+	msgLen := n * r.Bytes()
 	choices := make([]int, 0, m*k*bits)
 	for _, a := range aShare {
 		for t := 0; t < bits; t++ {
 			choices = append(choices, int((a>>uint(t))&1))
 		}
 	}
-	got, err := ep.Recv1ofN(2, choices, n*r.Bytes())
+	got, err := ep.Recv1ofN(2, choices, msgLen)
 	if err != nil {
 		return err
 	}
 	vals := make([]uint64, n)
 	for idx := 0; idx < m*k; idx++ {
 		zi := z[(idx/k)*n : (idx/k+1)*n]
-		for _, msg := range got[idx*bits : (idx+1)*bits] {
-			if err := transport.UnpackElemsInto(vals, r, msg); err != nil {
+		for o := idx * bits; o < (idx+1)*bits; o++ {
+			if err := transport.UnpackElemsInto(vals, r, got[o*msgLen:(o+1)*msgLen]); err != nil {
 				return fmt.Errorf("triple: gilboa row: %w", err)
 			}
 			r.AddVec(zi, zi, vals)
