@@ -127,24 +127,24 @@ func bitOf(b []byte, i int) byte { return (b[i/8] >> (i % 8)) & 1 }
 // rowBlock is the number of rows transposeBlock turns at once.
 const rowBlock = 64
 
-// transposeBlock turns rows 64·rb to 64·rb+63 of κ columns of m bits into
-// rows of κ bits. Column i is cols[i·⌈m/8⌉ : (i+1)·⌈m/8⌉], bit j at bit j%8
-// of byte j/8; row 64·rb+r is written to dst[r·κ/8 : (r+1)·κ/8] with column
-// i's bit at bit i%8 of byte i/8. Per 64 columns it loads each column's 64
-// bits of the block as one little-endian word, zero-padded past the
-// column's end, and transposes the 64×64 bit matrix in six block-swap
-// levels. It writes only the rows below m, so the tail bits of a final
-// partial column byte are ignored. κ must be a multiple of 8. Indices
-// into the 64-word tile are masked with 63 so that the compiler drops
-// their bounds checks.
-func transposeBlock(dst, cols []byte, kappa, m, rb int) {
-	nBytes, rowLen := (m+7)/8, kappa/8
+// transposeBlock turns rows 64·rb to 64·rb+63 of ExtKappa columns of m
+// bits into rows of ExtKappa bits. Column i is cols[i·⌈m/8⌉ : (i+1)·⌈m/8⌉],
+// bit j at bit j%8 of byte j/8; row 64·rb+r is written to
+// dst[r·κ/8 : (r+1)·κ/8] with column i's bit at bit i%8 of byte i/8. Per
+// 64 columns it loads each column's 64 bits of the block as one
+// little-endian word, zero-padded past the column's end, and transposes
+// the 64×64 bit matrix in six block-swap levels. It writes only the rows
+// below m, so the tail bits of a final partial column byte are ignored.
+// Indices into the 64-word tile are masked with 63 so that the compiler
+// drops their bounds checks.
+func transposeBlock(dst, cols []byte, m, rb int) {
+	const rowLen = ExtKappa / 8
+	nBytes := (m + 7) / 8
 	nr, off := min(rowBlock, m-rowBlock*rb), 8*rb
 	whole := off+8 <= nBytes
 	var w [64]uint64
-	for c0 := 0; c0 < kappa; c0 += 64 {
-		nc := min(64, kappa-c0)
-		for c := range nc {
+	for c0 := 0; c0 < ExtKappa; c0 += 64 {
+		for c := range 64 {
 			p := (c0+c)*nBytes + off
 			if whole {
 				w[c&63] = binary.LittleEndian.Uint64(cols[p:])
@@ -154,16 +154,9 @@ func transposeBlock(dst, cols []byte, kappa, m, rb int) {
 				w[c&63] = binary.LittleEndian.Uint64(tail[:])
 			}
 		}
-		clear(w[nc:])
 		transpose64(&w)
 		for r := range nr {
-			if nc == 64 {
-				binary.LittleEndian.PutUint64(dst[r*rowLen+c0/8:], w[r&63])
-				continue
-			}
-			for b := range nc / 8 {
-				dst[r*rowLen+c0/8+b] = byte(w[r&63] >> (8 * b))
-			}
+			binary.LittleEndian.PutUint64(dst[r*rowLen+c0/8:], w[r&63])
 		}
 	}
 }
@@ -226,7 +219,7 @@ func (s *ExtSender) extend(pool *parallel.Pool, m int) ([][SeedLen]byte, error) 
 		for rb := lo; rb < hi; rb++ {
 			j0 := rowBlock * rb
 			nr := min(rowBlock, m-j0)
-			transposeBlock(h.rows[:], cols, kappa, m, rb)
+			transposeBlock(h.rows[:], cols, m, rb)
 			h.rowHashesSend(seeds[2*j0:2*(j0+nr)], h.rows[:nr*rowLen], s.delta, s.counter, j0)
 		}
 		hashers.Put(h)
@@ -272,7 +265,7 @@ func (r *ExtReceiver) extend(pool *parallel.Pool, m int) ([]RecvInst, error) {
 			for j := j0; j < j0+nr; j++ {
 				out[j].Choice = int(bitOf(choice, j))
 			}
-			transposeBlock(h.rows[:], tCols, kappa, m, rb)
+			transposeBlock(h.rows[:], tCols, m, rb)
 			h.rowHashesRecv(out[j0:j0+nr], h.rows[:nr*rowLen], r.counter, j0)
 		}
 		hashers.Put(h)

@@ -138,9 +138,9 @@ func FuzzTransposeBlock(f *testing.F) {
 		for i := range h.rows {
 			h.rows[i] = 0xA5
 		}
-		transposeBlock(h.rows[:], cols, ExtKappa, m, rb)
+		transposeBlock(h.rows[:], cols, m, rb)
 		nr := min(rowBlock, m-rb*rowBlock)
-		want := naiveTranspose(cols, ExtKappa, m)[rb*rowBlock*rowLen : (rb*rowBlock+nr)*rowLen]
+		want := naiveTranspose(cols, m)[rb*rowBlock*rowLen : (rb*rowBlock+nr)*rowLen]
 		if !bytes.Equal(h.rows[:nr*rowLen], want) {
 			t.Fatalf("m=%d block %d: transposeBlock differs from the bitwise transpose", m, rb)
 		}

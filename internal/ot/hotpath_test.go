@@ -10,11 +10,12 @@ import (
 )
 
 // naiveTranspose is the bit-by-bit definition transposeBlock must match.
-func naiveTranspose(cols []byte, kappa, m int) []byte {
-	nBytes, rowLen := (m+7)/8, kappa/8
+func naiveTranspose(cols []byte, m int) []byte {
+	const rowLen = ExtKappa / 8
+	nBytes := (m + 7) / 8
 	rows := make([]byte, m*rowLen)
 	for j := 0; j < m; j++ {
-		for i := 0; i < kappa; i++ {
+		for i := 0; i < ExtKappa; i++ {
 			rows[j*rowLen+i/8] |= bitOf(cols[i*nBytes:(i+1)*nBytes], j) << (i % 8)
 		}
 	}
@@ -24,24 +25,22 @@ func naiveTranspose(cols []byte, kappa, m int) []byte {
 // transposeAll turns every row block of the κ columns into rows, one
 // transposeBlock call per block, into a slab first filled with 0xA5 so that
 // a row byte left unwritten shows.
-func transposeAll(cols []byte, kappa, m int) []byte {
-	rowLen := kappa / 8
+func transposeAll(cols []byte, m int) []byte {
+	const rowLen = ExtKappa / 8
 	rows := bytes.Repeat([]byte{0xA5}, m*rowLen)
 	for rb := 0; rb*rowBlock < m; rb++ {
-		transposeBlock(rows[rb*rowBlock*rowLen:], cols, kappa, m, rb)
+		transposeBlock(rows[rb*rowBlock*rowLen:], cols, m, rb)
 	}
 	return rows
 }
 
 func TestTransposeBitsMatchesBitwise(t *testing.T) {
 	g := prg.NewSeeded(41)
-	for _, kappa := range []int{8, 64, ExtKappa} {
-		for _, m := range []int{1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 1000, 4097} {
-			cols := make([]byte, kappa*((m+7)/8))
-			g.Read(cols)
-			if !bytes.Equal(transposeAll(cols, kappa, m), naiveTranspose(cols, kappa, m)) {
-				t.Errorf("κ=%d m=%d: block transpose differs from the bitwise one", kappa, m)
-			}
+	for _, m := range []int{1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 1000, 4097} {
+		cols := make([]byte, ExtKappa*((m+7)/8))
+		g.Read(cols)
+		if !bytes.Equal(transposeAll(cols, m), naiveTranspose(cols, m)) {
+			t.Errorf("m=%d: block transpose differs from the bitwise one", m)
 		}
 	}
 }
@@ -56,7 +55,7 @@ func BenchmarkTransposeBlock(b *testing.B) {
 	b.SetBytes(int64(len(cols)))
 	for i := 0; i < b.N; i++ {
 		for rb := 0; rb*rowBlock < m; rb++ {
-			transposeBlock(h.rows[:], cols, ExtKappa, m, rb)
+			transposeBlock(h.rows[:], cols, m, rb)
 		}
 	}
 }
@@ -88,7 +87,7 @@ func TestOTHotPathAllocs(t *testing.T) {
 	pad16, pad240, pad8200 := make([]byte, 16), make([]byte, 240), make([]byte, 8200)
 	h := new(hasher)
 	for name, f := range map[string]func(){
-		"transposeBlock":     func() { transposeBlock(h.rows[:], cols, ExtKappa, m, m/rowBlock) },
+		"transposeBlock":     func() { transposeBlock(h.rows[:], cols, m, m/rowBlock) },
 		"rowHashesRecv/1":    func() { h.rowHashesRecv(recv[:1], rows[:ExtKappa/8], 7, 3) },
 		"rowHashesRecv/1000": func() { h.rowHashesRecv(recv, rows, 7, 0) },
 		"rowHashesSend/1000": func() { h.rowHashesSend(seeds, rows, delta, 7, 0) },

@@ -207,9 +207,3 @@ func (e *Endpoint) Recv1ofN(n int, choices []int, msgLen int) ([]byte, error) {
 	e.recvStock[n] = e.recvStock[n][len(choices):]
 	return out, nil
 }
-
-// Stock reports the available precomputed instances for an arity, for
-// tests and capacity planning.
-func (e *Endpoint) Stock(n int) (send, recv int) {
-	return len(e.sendStock[n]) / n, len(e.recvStock[n])
-}

@@ -19,7 +19,8 @@ func PackElems(r ring.Ring, xs []uint64) []byte {
 
 // PackElemsInto packs xs into dst, which must be exactly len(xs)·⌈ℓ/8⌉
 // bytes — the allocation-free form behind the pooled send path. The
-// element widths of 2, 4 and 8 bytes take one fixed-width store each.
+// element widths of 2 and 4 bytes, the carriers the engine runs on, take
+// one fixed-width store each.
 func PackElemsInto(dst []byte, r ring.Ring, xs []uint64) {
 	w := r.Bytes()
 	if len(dst) != len(xs)*w {
@@ -35,10 +36,6 @@ func PackElemsInto(dst []byte, r ring.Ring, xs []uint64) {
 	case 4:
 		for i, x := range xs {
 			le.PutUint32(dst[4*i:], uint32(x&r.Mask))
-		}
-	case 8:
-		for i, x := range xs {
-			le.PutUint64(dst[8*i:], x&r.Mask)
 		}
 	default:
 		for i, x := range xs {
@@ -87,7 +84,7 @@ func UnpackElemsInto(dst []uint64, r ring.Ring, p []byte) error {
 }
 
 // unpackInto decodes len(dst) elements of p, masked to the ring. The
-// element widths of 2, 4 and 8 bytes take one fixed-width load each.
+// element widths of 2 and 4 bytes take one fixed-width load each.
 func unpackInto(dst []uint64, r ring.Ring, p []byte) {
 	le := binary.LittleEndian
 	switch w := r.Bytes(); w {
@@ -98,10 +95,6 @@ func unpackInto(dst []uint64, r ring.Ring, p []byte) {
 	case 4:
 		for i := range dst {
 			dst[i] = uint64(le.Uint32(p[4*i:])) & r.Mask
-		}
-	case 8:
-		for i := range dst {
-			dst[i] = le.Uint64(p[8*i:]) & r.Mask
 		}
 	default:
 		for i := range dst {
