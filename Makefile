@@ -120,6 +120,7 @@ fuzz:
 	$(GO) test ./internal/engine/ -run '^$$' -fuzz '^FuzzHandshakeHello$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine/ -run '^$$' -fuzz '^FuzzShareCodec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzOTFlowHeader$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzOTFlowElems$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzOTExtendFrames$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scm/ -run '^$$' -fuzz '^FuzzSCMMessage$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzPermBlocks$$' -fuzztime $(FUZZTIME)

@@ -18,17 +18,41 @@ import (
 //	init: both know (P, g) and a label list e2l: choice ↦ random exponent.
 //	 ①  i: r_i ← rand,  ŕ = g^{r_i} mod P            → send ŕ (and labels)
 //	 ②  j: per instance, with choice c: r_j ← rand,
-//	       R = (ŕ^{e2l(c)} mod P) ⊕ (g^{r_j} mod P)   → send R        (Eq. 2)
+//	       R = ŕ^{e2l(c)} · g^{r_j} mod P              → send R        (Eq. 2)
 //	 ③  i: per candidate l:
-//	       KEY_l = H( (R ⊕ ŕ^{e2l(l)})^{r_i} mod P )
+//	       KEY_l = H( (R · ŕ^{−e2l(l)})^{r_i} mod P )
 //	       Enc(m_l) = m_l ⊕ expand(KEY_l)             → send all Enc  (Eq. 3/4)
 //	 ④  j: KEY = H( ŕ^{r_j} mod P ), decrypt Enc(m_c)                 (Eq. 5)
 //
-// When l = c the XOR in step ③ strips ŕ^{e2l(c)} and leaves exactly
+// When l = c the product in step ③ strips ŕ^{e2l(c)} and leaves exactly
 // g^{r_j}, so (g^{r_j})^{r_i} = (g^{r_i})^{r_j} = ŕ^{r_j} and the keys
-// agree; for l ≠ c the sender's key is an unrelated group element. Unlike
-// the paper (which reuses r_j across the v dimension), we draw fresh r_j
-// per instance so identical choices do not produce identical pads.
+// agree; for l ≠ c the sender's key is an unrelated group element. The
+// blinding is the group operation, as in Chou–Orlandi: R is a uniform
+// element of ⟨g⟩ whatever c is. (Fig. 4 writes it as a XOR, which the
+// sender can see through: for the wrong candidate R ⊕ ŕ^{e2l(l)} can be
+// at least P, or a non-residue where g^{r_j} never is.) Unlike the paper
+// (which reuses r_j across the v dimension), we draw fresh r_j per
+// instance so identical choices do not produce identical pads.
+
+// ElemError reports a peer's group element outside [1, P): the modulus
+// itself, zero or an unreduced value is no element of the group, and
+// unblinding one would hand the sender information the flow must not.
+type ElemError struct {
+	Field string // "G", "ŕ" or "R"
+	Index int    // the instance of an R element; 0 otherwise
+}
+
+func (e *ElemError) Error() string {
+	return fmt.Sprintf("ot: peer element %s[%d] outside [1, P)", e.Field, e.Index)
+}
+
+// checkElem rejects x unless 1 ≤ x < P.
+func checkElem(grp Group, x *big.Int, field string, index int) error {
+	if x.Sign() <= 0 || x.Cmp(grp.P) >= 0 {
+		return &ElemError{Field: field, Index: index}
+	}
+	return nil
+}
 
 // padFromKey expands a key (a serialised group element) into an l-byte XOR
 // pad via SHA-256 → AES-CTR. prg.Keystream yields the same bytes as a
@@ -109,6 +133,12 @@ func decodeFlowHeader(p []byte) (flowHeader, error) {
 	if h.group.ElemBytes() != eb {
 		return h, fmt.Errorf("ot: flow header element width %d does not match modulus width %d", eb, h.group.ElemBytes())
 	}
+	if err := checkElem(h.group, h.group.G, "G", 0); err != nil {
+		return h, err
+	}
+	if err := checkElem(h.group, h.rHat, "ŕ", 0); err != nil {
+		return h, err
+	}
 	return h, nil
 }
 
@@ -155,21 +185,28 @@ func FlowSend(c transport.Conn, grp Group, rng *prg.PRG, n int, msgs [][][]byte)
 	if len(rsRaw) != eb*len(msgs) {
 		return fmt.Errorf("ot: expected %d R-bytes, got %d", eb*len(msgs), len(rsRaw))
 	}
-	// Precompute ŕ^{e2l(l)} once per candidate (shared across instances).
-	rHatPow := make([]*big.Int, n)
-	for l := 0; l < n; l++ {
-		rHatPow[l] = grp.Exp(rHat, labels[l])
+	// Every R must be a group element before any exponentiation.
+	rs := make([]*big.Int, len(msgs))
+	for k := range rs {
+		rs[k] = new(big.Int).SetBytes(rsRaw[k*eb : (k+1)*eb])
+		if err := checkElem(grp, rs[k], "R", k); err != nil {
+			return err
+		}
+	}
+	// ŕ^{−e2l(l)} once per candidate, shared across instances.
+	inv := make([]*big.Int, n)
+	for l := range inv {
+		inv[l] = new(big.Int).ModInverse(grp.Exp(rHat, labels[l]), grp.P)
+		if inv[l] == nil {
+			return fmt.Errorf("ot: ŕ^{e2l(%d)} has no inverse: the modulus is not prime", l)
+		}
 	}
 	// ③ encrypt every candidate of every instance.
 	out := make([]byte, 0, len(msgs)*n*msgLen)
-	tmp := make([]byte, eb)
-	for k := range msgs {
-		rBytes := rsRaw[k*eb : (k+1)*eb]
+	base := new(big.Int)
+	for k, r := range rs {
 		for l := 0; l < n; l++ {
-			copy(tmp, rBytes)
-			subtle.XORBytes(tmp, tmp, grp.Encode(rHatPow[l]))
-			base := new(big.Int).SetBytes(tmp)
-			base.Mod(base, grp.P)
+			base.Mul(r, inv[l]).Mod(base, grp.P)
 			key := grp.Encode(grp.Exp(base, ri))
 			ct := append([]byte(nil), msgs[k][l]...)
 			subtle.XORBytes(ct, ct, padFromKey(key, msgLen))
@@ -197,17 +234,22 @@ func FlowRecv(c transport.Conn, rng *prg.PRG, n int, choices []int, msgLen int) 
 	eb := grp.ElemBytes()
 	rjs := make([]*big.Int, len(choices))
 	rs := make([]byte, 0, eb*len(choices))
+	// ŕ^{e2l(c)} once per candidate value, on first use.
+	pows := make([]*big.Int, n)
+	r := new(big.Int)
 	for k, ch := range choices {
 		// Report the position only: the choice value is the receiver's
 		// secret selection and must not surface in error text.
 		if ch < 0 || ch >= n {
 			return nil, fmt.Errorf("ot: choice at index %d outside [0,%d)", k, n)
 		}
+		if pows[ch] == nil {
+			pows[ch] = grp.Exp(hdr.rHat, hdr.labels[ch])
+		}
 		rj := grp.RandScalar(rng)
 		rjs[k] = rj
-		r := grp.Encode(grp.Exp(hdr.rHat, hdr.labels[ch])) // ŕ^{e2l(c)}
-		subtle.XORBytes(r, r, grp.Encode(grp.ExpG(rj)))    // ⊕ g^{r_j}   (Eq. 2)
-		rs = append(rs, r...)
+		r.Mul(pows[ch], grp.ExpG(rj)).Mod(r, grp.P) // ŕ^{e2l(c)} · g^{r_j}   (Eq. 2)
+		rs = append(rs, grp.Encode(r)...)
 	}
 	if err := c.Send(rs); err != nil {
 		return nil, err

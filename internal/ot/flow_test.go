@@ -1,6 +1,7 @@
 package ot
 
 import (
+	"errors"
 	"math"
 	"math/big"
 	"testing"
@@ -132,4 +133,58 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
+}
+
+// TestFlowRejectsOutOfRangeElems sends each side of a flow a peer element
+// outside [1, P): ŕ = 0 and G = P in the header, R = 0 and R = P in the R
+// frame. Each must be refused with an *ElemError naming the element.
+func TestFlowRejectsOutOfRangeElems(t *testing.T) {
+	grp := TestGroup()
+	good := flowHeader{group: grp, labels: []*big.Int{big.NewInt(7), big.NewInt(11)}, rHat: grp.ExpG(big.NewInt(5))}
+	badHat, badG := good, good
+	badHat.rHat = big.NewInt(0)
+	badG.group = Group{P: grp.P, G: grp.P}
+	for _, tc := range []struct {
+		field  string
+		hdr    flowHeader
+		rFrame []byte
+	}{
+		{"ŕ", badHat, nil},
+		{"G", badG, nil},
+		{"R", good, append(grp.Encode(grp.G), make([]byte, grp.ElemBytes())...)},
+		{"R", good, append(grp.Encode(grp.G), grp.Encode(grp.P)...)},
+	} {
+		var err error
+		if tc.rFrame == nil {
+			_, err = decodeFlowHeader(tc.hdr.encode())
+		} else {
+			a, b := transport.Pipe()
+			if err := b.Send(tc.rFrame); err != nil {
+				t.Fatal(err)
+			}
+			err = FlowSend(a, grp, prg.NewSeeded(71), 2, [][][]byte{{{0}, {1}}, {{0}, {1}}})
+			a.Close()
+			b.Close()
+		}
+		var ee *ElemError
+		if !errors.As(err, &ee) || ee.Field != tc.field {
+			t.Errorf("%s outside [1, P): err %v, want an *ElemError on %s", tc.field, err, tc.field)
+		}
+	}
+}
+
+// TestDefaultGroupConcurrent calls DefaultGroup from two goroutines at
+// once: the race detector flags an unsynchronised lazy set-up, and both
+// callers must get the same prime.
+func TestDefaultGroupConcurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("prime generation")
+	}
+	var g [2]Group
+	both(t,
+		func() error { g[0] = DefaultGroup(); return nil },
+		func() error { g[1] = DefaultGroup(); return nil })
+	if g[0].P.Cmp(g[1].P) != 0 || g[0].G.Cmp(g[1].G) != 0 {
+		t.Error("concurrent DefaultGroup calls returned different groups")
+	}
 }

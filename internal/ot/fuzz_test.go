@@ -3,6 +3,8 @@ package ot
 import (
 	"bytes"
 	"crypto/subtle"
+	"errors"
+	"math/big"
 	"testing"
 
 	"aq2pnn/internal/prg"
@@ -112,6 +114,71 @@ func FuzzOTExtendFrames(f *testing.F) {
 			subtle.XORBytes(got, got, cts[(k*n+ch)*msgLen:(k*n+ch+1)*msgLen])
 			if !bytes.Equal(got, msgs[k][ch]) {
 				t.Fatalf("instance %d: shift %d does not deliver message %d", k, d, ch)
+			}
+		}
+	})
+}
+
+// FuzzOTFlowElems throws peer bytes at the two flow frames that carry
+// group elements or ciphertexts: the receiver's R frame, which FlowSend
+// reads, and the sender's ciphertext frame, which FlowRecv reads after a
+// genuine header. FlowSend must accept an R frame exactly when it holds
+// one element in [1, P) per instance, and refuse a well-sized frame with
+// an element outside that range with an *ElemError; FlowRecv must accept
+// a ciphertext frame exactly when it has the declared length. Neither may
+// panic.
+func FuzzOTFlowElems(f *testing.F) {
+	grp := TestGroup()
+	const insts, n, msgLen = 2, 2, 3
+	eb := grp.ElemBytes()
+	f.Add(true, append(grp.Encode(big.NewInt(1)), grp.Encode(new(big.Int).Sub(grp.P, big.NewInt(1)))...))
+	f.Add(true, append(grp.Encode(grp.G), grp.Encode(grp.P)...)) // R = P
+	f.Add(true, make([]byte, insts*eb))                          // R = 0
+	f.Add(true, []byte{1, 2, 3})                                 // short frame
+	f.Add(false, make([]byte, insts*n*msgLen))
+	f.Add(false, make([]byte, insts*n*msgLen+1))
+	msgs := make([][][]byte, insts)
+	for k := range msgs {
+		msgs[k] = [][]byte{{byte(k), 0, 'm'}, {byte(k), 1, 'm'}}
+	}
+	hdr := flowHeader{group: grp, labels: []*big.Int{big.NewInt(7), big.NewInt(11)}, rHat: grp.ExpG(big.NewInt(5))}
+	f.Fuzz(func(t *testing.T, toSender bool, frame []byte) {
+		a, b := transport.Pipe()
+		defer a.Close()
+		defer b.Close()
+		if toSender {
+			if err := b.Send(frame); err != nil {
+				t.Fatal(err)
+			}
+			err := FlowSend(a, grp, prg.NewSeeded(61), n, msgs)
+			inRange := len(frame) == insts*eb
+			for k := 0; inRange && k < insts; k++ {
+				x := new(big.Int).SetBytes(frame[k*eb : (k+1)*eb])
+				inRange = x.Sign() > 0 && x.Cmp(grp.P) < 0
+			}
+			var ee *ElemError
+			switch {
+			case inRange && err != nil:
+				t.Fatalf("in-range R frame refused: %v", err)
+			case !inRange && err == nil:
+				t.Fatal("R frame with an element outside [1, P) or the wrong length accepted")
+			case len(frame) == insts*eb && !inRange && !errors.As(err, &ee):
+				t.Fatalf("out-of-range R element refused with %T, want *ElemError", err)
+			}
+			return
+		}
+		for _, p := range [][]byte{hdr.encode(), frame} {
+			if err := b.Send(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, err := FlowRecv(a, prg.NewSeeded(62), n, []int{0, 1}, msgLen)
+		if ok := len(frame) == insts*n*msgLen; ok != (err == nil) {
+			t.Fatalf("ciphertext frame of %d bytes: err %v", len(frame), err)
+		}
+		for k := range out {
+			if len(out[k]) != msgLen {
+				t.Fatalf("instance %d decrypted to %d bytes", k, len(out[k]))
 			}
 		}
 	})

@@ -10,6 +10,7 @@ import (
 	//lint:allow prgonly crypto/rand generates the public group prime, a protocol parameter both parties learn — never share randomness
 	crand "crypto/rand"
 	"math/big"
+	"sync"
 
 	"aq2pnn/internal/prg"
 )
@@ -58,20 +59,19 @@ func TestGroup() Group {
 	return Group{P: big.NewInt((1 << 61) - 1), G: big.NewInt(3)}
 }
 
-var defaultGroup *Group
-
 // DefaultGroup returns the production group: a 512-bit prime generated once
 // per process from the system CSPRNG, with generator 5. Generating rather
 // than hardcoding keeps the repository free of magic constants while the
 // offline build still works (crypto/rand.Prime is in the standard library).
-func DefaultGroup() Group {
-	if defaultGroup == nil {
-		p, err := crand.Prime(crand.Reader, 512)
-		if err != nil {
-			//lint:allow panicfree config-time: the group is built once per process before any protocol bytes flow, and crand.Prime fails only when the OS CSPRNG is broken
-			panic("ot: cannot generate group prime: " + err.Error())
-		}
-		defaultGroup = &Group{P: p, G: big.NewInt(5)}
+// It is safe for concurrent use: the first caller generates the prime and
+// every other caller waits for it.
+func DefaultGroup() Group { return defaultGroup() }
+
+var defaultGroup = sync.OnceValue(func() Group {
+	p, err := crand.Prime(crand.Reader, 512)
+	if err != nil {
+		//lint:allow panicfree config-time: the group is built once per process before any protocol bytes flow, and crand.Prime fails only when the OS CSPRNG is broken
+		panic("ot: cannot generate group prime: " + err.Error())
 	}
-	return *defaultGroup
-}
+	return Group{P: p, G: big.NewInt(5)}
+})
