@@ -65,9 +65,11 @@ func preprocLayers(m *nn.Model) []preproc.Layer {
 // run — a fresh OT endpoint over the fill stream (its own salted seed; the
 // endpoint internals never reach the delivered shares) and the per-layer
 // family streams forked from inferFamSeed in node order — then runs the
-// interactive Gilboa generation for every linear layer. The produced kit
-// is bit-identical to the triples an inline cold inference of the same seq
-// would generate.
+// interactive Gilboa generation for every linear layer. The produced
+// triples are bit-identical to those an inline cold inference of the same
+// seq would generate. Last, the fill endpoint mints κ random OTs into the
+// kit (ot.Endpoint.MintBase), which start the seq's online endpoint, so a
+// warm inference runs no public-key OT and the fill runs one set-up.
 func preprocGen(pconn transport.Conn, party int, cfg Options, st *sessionState, pool *parallel.Pool) preproc.GenFunc {
 	layers := preprocLayers(st.model)
 	return func(seq uint32, root *telemetry.Span) (*preproc.Kit, error) {
@@ -86,7 +88,11 @@ func preprocGen(pconn transport.Conn, party int, cfg Options, st *sessionState, 
 			}
 			mats[l.Node] = mat
 		}
-		return &preproc.Kit{Seq: seq, Mats: mats}, nil
+		base, err := ep.MintBase()
+		if err != nil {
+			return nil, fmt.Errorf("preprocessing base OTs: %w", err)
+		}
+		return &preproc.Kit{Seq: seq, Mats: mats, Base: base}, nil
 	}
 }
 

@@ -24,12 +24,17 @@ import (
 //	end                                                              (close)
 //
 // Each inference runs on a fresh deterministic context derived from
-// (Seed, seq): a new OT endpoint whose base OTs and IKNP setup are part of
-// that inference's own transcript. Two consequences fall out: every
-// steady-state inference costs byte-identical wire traffic (nothing
-// accumulates across seqs), and a re-run of an interrupted seq after a transport fault replays the same
-// transcript bit for bit — the resumption token lets the client re-attach
-// to the provider's parked state instead of replaying setup.
+// (Seed, seq): a new OT endpoint whose IKNP setup is part of that
+// inference's own transcript. A cold seq's endpoint runs one public-key
+// base-OT set-up, for the first direction it needs, and bootstraps the
+// other from κ OTs extended in the first; a warm seq's endpoint starts
+// from the κ base OTs its kit holds and runs none. Two consequences fall
+// out: every steady-state inference costs byte-identical wire traffic
+// (nothing accumulates across seqs), and a re-run of an interrupted seq
+// after a transport fault replays the same transcript bit for bit — the
+// resumption token lets the client re-attach to the provider's parked
+// state instead of replaying setup. A retried seq runs cold: its kit left
+// the bank and the store at the first attempt.
 //
 // Both parties run a session through the same party-indexed steps: the
 // handshake deadline (armHandshake), the setup (openState), the fill plane
@@ -248,22 +253,27 @@ func inferFamSeed(icfg Options, party int) uint64 {
 }
 
 // bindInfer builds the executor for one inference: a fresh deterministic
-// context over the live connection (new OT endpoint — its base OTs and
-// IKNP setup belong to this inference's own transcript) with the session's
-// prepared weights bound through fixed-B families. Both parties derive
-// everything from (cfg.Seed, seq), so re-running a seq after a fault
-// replays the identical transcript.
+// context over the live connection (new OT endpoint — its IKNP setup
+// belongs to this inference's own transcript) with the session's prepared
+// weights bound through fixed-B families. Both parties derive everything
+// from (cfg.Seed, seq), so re-running a seq after a fault replays the
+// identical transcript.
 //
 // kit, when non-nil, is seq's precomputed material from the preprocessing
-// plane: linear nodes it covers bind a consumed-once precomputed family
-// instead of a live Gilboa one, so the online transcript carries no
-// triple generation. The per-node family stream is forked either way —
-// the fork positions stay identical between warm and cold binds, which
-// (together with the kit itself being generated from inferFamSeed) keeps
-// warm and cold logits byte-identical.
+// plane: its base OTs start the OT endpoint, which then runs no public-key
+// set-up (UseBase empties them, so they seed this endpoint only), and
+// linear nodes it covers bind a consumed-once precomputed family instead
+// of a live Gilboa one, so the online transcript carries no triple
+// generation. The per-node family stream is forked either way — the fork
+// positions stay identical between warm and cold binds, which (together
+// with the kit itself being generated from inferFamSeed) keeps warm and
+// cold logits byte-identical.
 func (st *sessionState) bindInfer(conn transport.Conn, party int, cfg Options, seq uint32, kit *preproc.Kit) (*secure.Context, *Party) {
 	icfg := inferOptions(cfg, seq)
 	ctx := NewNetworkContext(party, conn, icfg)
+	if kit != nil {
+		ctx.OT.UseBase(kit.Base)
+	}
 	famRng := prg.NewSeeded(inferFamSeed(icfg, party))
 	fams := map[int]triple.Family{}
 	for i, node := range st.model.Nodes {

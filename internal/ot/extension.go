@@ -7,16 +7,16 @@ import (
 
 	"aq2pnn/internal/parallel"
 	"aq2pnn/internal/prg"
+	"aq2pnn/internal/telemetry"
 	"aq2pnn/internal/transport"
 )
 
-// IKNP-style OT extension: after κ base OTs (run once, in reversed roles,
-// through the Fig. 4 OT-flow), the parties can mint an unbounded stream of
-// random 1-of-2 OT correlations with nothing but PRG expansion, XOR and
-// hashing — three orders of magnitude cheaper than public-key base OTs.
-// This is what makes the dealer-free two-process deployment scale beyond
-// demo models; 1-of-2^t correlations are built by combining t extended
-// instances.
+// IKNP-style OT extension: after κ base OTs, the parties can mint an
+// unbounded stream of random 1-of-2 OT correlations with nothing but PRG
+// expansion, XOR and hashing — three orders of magnitude cheaper than
+// public-key base OTs. This is what makes the dealer-free two-process
+// deployment scale beyond demo models; 1-of-2^t correlations are built by
+// combining t extended instances.
 //
 // Protocol sketch (sender S of the resulting OTs, receiver R):
 //
@@ -28,12 +28,24 @@ import (
 //	output: S's two pads for OT j are H(j, q_j) and H(j, q_j ⊕ Δ); R holds
 //	        H(j, t_j) — the pad selected by its random bit r_j.
 //
+// The setup's κ base OTs need not be public-key ones. Only the first
+// direction an endpoint uses runs the Fig. 4 OT-flow (NewExtSender,
+// NewExtReceiver); any κ random 1-of-2 OTs serve as well, so the reverse
+// direction takes κ OTs extended in the first one (mintBase): the
+// receiver's (choice, seed) views become the reverse sender's (Δ, k_Δ),
+// the sender's seed pairs the reverse receiver's pairs (OT is symmetric,
+// Wolf–Wullschleger, EUROCRYPT 2006). A kit fill mints κ more for the
+// online endpoint of its seq in the same way (BaseOTs). Mints are extend
+// calls of their own domain (domBase): their own counter, column-seed
+// byte and row-hash tag, so they share no column stream and no tweak with
+// the refills (domStock), and their seeds never reach a stock.
+//
 // Implementation: G is prg.Keystream, which writes exactly the ⌈m/8⌉
 // bytes a column needs into one κ-column slab; H is the fixed-key-AES hash
-// of hash.go, tweaked by counter and j, with κ = 128 so that a row is one
-// block. The κ column expansions are independent, and so are the ⌈m/64⌉
-// row blocks: an endpoint refill blocks both over the endpoint's pool, and
-// each pool chunk turns its row blocks from columns into rows
+// of hash.go, tweaked by domain, counter and j, with κ = 128 so that a row
+// is one block. The κ column expansions are independent, and so are the
+// ⌈m/64⌉ row blocks: an endpoint refill blocks both over the endpoint's
+// pool, and each pool chunk turns its row blocks from columns into rows
 // (transposeBlock, a 64×64 bit transpose per 64 columns) in its hasher's
 // staging and hashes them there, so no whole-matrix row slab exists. Only
 // the u-matrix crosses the wire; TestOTTranscriptPinned pins it and the
@@ -42,14 +54,38 @@ import (
 // ExtKappa is the security parameter: the number of base-OT columns.
 const ExtKappa = 128
 
+// Extend-call domains, each with its own counter per direction, column-seed
+// byte and row-hash tag.
+const (
+	domStock = iota // refills that feed an endpoint's stock
+	domBase         // κ-OT mints: a reverse bootstrap or a kit's base views
+)
+
+var (
+	domSeedByte = [2]byte{0xE7, 0x5B}
+	domTag      = [2]byte{tagRow, tagBase}
+)
+
+// BaseOTs is one party's half of κ random 1-of-2 OTs, enough to start one
+// IKNP direction with no public-key set-up: the OT sender's seed pairs
+// start an extension receiver, the OT receiver's choice bits and seeds an
+// extension sender. Endpoint.MintBase makes them, Endpoint.UseBase
+// consumes them.
+type BaseOTs struct {
+	pairs [][2][SeedLen]byte // the OT sender's half
+	delta []byte             // the OT receiver's half: κ choice bits, packed,
+	seeds [][SeedLen]byte    // and the seed each selects
+}
+
 // ExtSender is the extension state of the party that will act as the
 // random-OT sender. It plays the base-OT *receiver* during setup.
 type ExtSender struct {
 	conn  transport.Conn
 	delta []byte // κ bits, packed
 	seeds [][SeedLen]byte
-	// counter salts the per-row hash across Extend calls.
-	counter uint64
+	// counter salts the column expansion and the row hash across extend
+	// calls, one count per domain.
+	counter [2]uint64
 }
 
 // ExtReceiver is the counterpart state (base-OT sender during setup).
@@ -57,7 +93,7 @@ type ExtReceiver struct {
 	conn    transport.Conn
 	rng     *prg.PRG
 	pairs   [][2][SeedLen]byte
-	counter uint64
+	counter [2]uint64
 }
 
 // checkKappa rejects every κ but ExtKappa before any traffic: a smaller Δ
@@ -71,7 +107,8 @@ func checkKappa(kappa int) error {
 }
 
 // NewExtSender runs the reversed base OTs as their receiver, with secret
-// choice bits Δ. kappa must be ExtKappa.
+// choice bits Δ: one public-key set-up, counted in
+// aq2pnn_ot_base_setups_total. kappa must be ExtKappa.
 func NewExtSender(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*ExtSender, error) {
 	if err := checkKappa(kappa); err != nil {
 		return nil, err
@@ -90,10 +127,12 @@ func NewExtSender(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*Ext
 	for i := range seeds {
 		copy(seeds[i][:], got[i])
 	}
+	telemetry.Count("aq2pnn_ot_base_setups_total", 1)
 	return &ExtSender{conn: conn, delta: delta, seeds: seeds}, nil
 }
 
-// NewExtReceiver runs the reversed base OTs as their sender. kappa must be
+// NewExtReceiver runs the reversed base OTs as their sender: one
+// public-key set-up, counted in aq2pnn_ot_base_setups_total. kappa must be
 // ExtKappa.
 func NewExtReceiver(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*ExtReceiver, error) {
 	if err := checkKappa(kappa); err != nil {
@@ -109,16 +148,47 @@ func NewExtReceiver(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*E
 	if err := FlowSend(conn, grp, rng, 2, msgs); err != nil {
 		return nil, fmt.Errorf("ot: extension base phase: %w", err)
 	}
+	telemetry.Count("aq2pnn_ot_base_setups_total", 1)
 	return &ExtReceiver{conn: conn, rng: rng, pairs: pairs}, nil
 }
 
-// expandColumn fills dst with a column seed's keystream; the salt keeps
-// successive Extend calls on fresh keystream.
-func expandColumn(dst []byte, seed [SeedLen]byte, salt uint64) {
+// mintBase extends κ random OTs in the base domain and returns the
+// sender's half: the seed pairs that start the reverse direction's
+// extension receiver.
+func (s *ExtSender) mintBase(pool *parallel.Pool) (*BaseOTs, error) {
+	raw, err := s.extendIn(pool, domBase, ExtKappa)
+	if err != nil {
+		return nil, err
+	}
+	pairs := make([][2][SeedLen]byte, ExtKappa)
+	for i := range pairs {
+		pairs[i] = [2][SeedLen]byte{raw[2*i], raw[2*i+1]}
+	}
+	return &BaseOTs{pairs: pairs}, nil
+}
+
+// mintBase is the receiver counterpart: its half is the choice bits and
+// seeds that start the reverse direction's extension sender.
+func (r *ExtReceiver) mintBase(pool *parallel.Pool) (*BaseOTs, error) {
+	raw, err := r.extendIn(pool, domBase, ExtKappa)
+	if err != nil {
+		return nil, err
+	}
+	b := &BaseOTs{delta: make([]byte, ExtKappa/8), seeds: make([][SeedLen]byte, ExtKappa)}
+	for i, v := range raw {
+		b.delta[i/8] |= byte(v.Choice) << (i % 8)
+		b.seeds[i] = v.Seed
+	}
+	return b, nil
+}
+
+// expandColumn fills dst with a column seed's keystream; the domain and
+// its counter keep every extend call of a direction on fresh keystream.
+func expandColumn(dst []byte, seed [SeedLen]byte, dom int, counter uint64) {
 	var s [prg.SeedSize]byte
 	copy(s[:SeedLen], seed[:])
-	binary.LittleEndian.PutUint64(s[SeedLen:SeedLen+8], salt)
-	s[prg.SeedSize-1] = 0xE7
+	binary.LittleEndian.PutUint64(s[SeedLen:SeedLen+8], counter)
+	s[prg.SeedSize-1] = domSeedByte[dom]
 	prg.Keystream(dst, s)
 }
 
@@ -190,6 +260,11 @@ func (s *ExtSender) Extend(m int) ([][SeedLen]byte, error) { return s.extend(nil
 // spread over pool (nil runs them serially); the output is identical at
 // every worker count.
 func (s *ExtSender) extend(pool *parallel.Pool, m int) ([][SeedLen]byte, error) {
+	return s.extendIn(pool, domStock, m)
+}
+
+// extendIn is extend in domain dom, on that domain's counter.
+func (s *ExtSender) extendIn(pool *parallel.Pool, dom, m int) ([][SeedLen]byte, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("ot: extension of %d instances", m)
 	}
@@ -207,7 +282,7 @@ func (s *ExtSender) extend(pool *parallel.Pool, m int) ([][SeedLen]byte, error) 
 	pool.Blocks(kappa, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			col := cols[i*nBytes : (i+1)*nBytes]
-			expandColumn(col, s.seeds[i], s.counter)
+			expandColumn(col, s.seeds[i], dom, s.counter[dom])
 			if bitOf(s.delta, i) == 1 {
 				subtle.XORBytes(col, col, us[i*nBytes:(i+1)*nBytes])
 			}
@@ -220,11 +295,11 @@ func (s *ExtSender) extend(pool *parallel.Pool, m int) ([][SeedLen]byte, error) 
 			j0 := rowBlock * rb
 			nr := min(rowBlock, m-j0)
 			transposeBlock(h.rows[:], cols, m, rb)
-			h.rowHashesSend(seeds[2*j0:2*(j0+nr)], h.rows[:nr*rowLen], s.delta, s.counter, j0)
+			h.rowHashesSend(seeds[2*j0:2*(j0+nr)], h.rows[:nr*rowLen], s.delta, domTag[dom], s.counter[dom], j0)
 		}
 		hashers.Put(h)
 	})
-	s.counter++
+	s.counter[dom]++
 	return seeds, nil
 }
 
@@ -234,6 +309,11 @@ func (r *ExtReceiver) Extend(m int) ([]RecvInst, error) { return r.extend(nil, m
 
 // extend is the receiver counterpart of ExtSender.extend.
 func (r *ExtReceiver) extend(pool *parallel.Pool, m int) ([]RecvInst, error) {
+	return r.extendIn(pool, domStock, m)
+}
+
+// extendIn is extend in domain dom, on that domain's counter.
+func (r *ExtReceiver) extendIn(pool *parallel.Pool, dom, m int) ([]RecvInst, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("ot: extension of %d instances", m)
 	}
@@ -247,8 +327,8 @@ func (r *ExtReceiver) extend(pool *parallel.Pool, m int) ([]RecvInst, error) {
 	pool.Blocks(kappa, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			t0, u := tCols[i*nBytes:(i+1)*nBytes], us[i*nBytes:(i+1)*nBytes]
-			expandColumn(t0, r.pairs[i][0], r.counter)
-			expandColumn(u, r.pairs[i][1], r.counter)
+			expandColumn(t0, r.pairs[i][0], dom, r.counter[dom])
+			expandColumn(u, r.pairs[i][1], dom, r.counter[dom])
 			subtle.XORBytes(u, u, t0)
 			subtle.XORBytes(u, u, choice)
 		}
@@ -266,10 +346,10 @@ func (r *ExtReceiver) extend(pool *parallel.Pool, m int) ([]RecvInst, error) {
 				out[j].Choice = int(bitOf(choice, j))
 			}
 			transposeBlock(h.rows[:], tCols, m, rb)
-			h.rowHashesRecv(out[j0:j0+nr], h.rows[:nr*rowLen], r.counter, j0)
+			h.rowHashesRecv(out[j0:j0+nr], h.rows[:nr*rowLen], domTag[dom], r.counter[dom], j0)
 		}
 		hashers.Put(h)
 	})
-	r.counter++
+	r.counter[dom]++
 	return out, nil
 }

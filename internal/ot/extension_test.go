@@ -300,3 +300,127 @@ func BenchmarkExtension1of2(b *testing.B) {
 		wg.Wait()
 	}
 }
+
+// checkBaseRelation requires the OT relation of κ base OTs: the receiver's
+// seed for column i is the sender's seed its choice bit Δᵢ selects, and
+// differs from the other one.
+func checkBaseRelation(t *testing.T, what string, pairs [][2][SeedLen]byte, delta []byte, seeds [][SeedLen]byte) {
+	t.Helper()
+	if len(pairs) != ExtKappa || len(seeds) != ExtKappa || len(delta) != ExtKappa/8 {
+		t.Fatalf("%s: %d pairs, %d seeds, %d Δ bytes", what, len(pairs), len(seeds), len(delta))
+	}
+	for i := range pairs {
+		c := bitOf(delta, i)
+		if pairs[i][c] != seeds[i] || pairs[i][1-c] == seeds[i] {
+			t.Fatalf("%s: column %d breaks the OT relation", what, i)
+		}
+	}
+}
+
+// checkExtension extends m OTs on a started direction and requires each
+// to satisfy the OT relation.
+func checkExtension(t *testing.T, what string, s *ExtSender, r *ExtReceiver, m int) {
+	t.Helper()
+	si, ri := extendPair(t, s, r, m)
+	for j, v := range ri {
+		if si[2*j+v.Choice] != v.Seed || si[2*j+1-v.Choice] == v.Seed {
+			t.Fatalf("%s: extended OT %d breaks the OT relation", what, j)
+		}
+	}
+}
+
+// TestReverseExtension starts an endpoint pair's first IKNP direction by
+// a public-key set-up and bootstraps the second from κ OTs extended in
+// the first, in both orders; then it mints a kit's base views and starts
+// a fresh pair from them. The bootstrapped and the minted base OTs must
+// satisfy the OT relation, and so must what each direction they start
+// extends. A base seeds one endpoint only (UseBase empties it), and no
+// bootstrap or minted seed reaches either endpoint's stock.
+func TestReverseExtension(t *testing.T) {
+	for _, first := range []int{0, 1} {
+		a, b := transport.Pipe()
+		eps := [2]*Endpoint{NewEndpoint(0, a, prg.NewSeeded(211)), NewEndpoint(1, b, prg.NewSeeded(212))}
+		for _, e := range eps {
+			e.HarvestGroup = TestGroup()
+		}
+		g := prg.NewSeeded(213)
+		transfer := func(snd, rcv *Endpoint) {
+			msgs := make([][][]byte, 40)
+			choices := make([]int, len(msgs))
+			for k := range msgs {
+				msgs[k] = [][]byte{{byte(k), 0}, {byte(k), 1}, {byte(k), 2}, {byte(k), 3}}
+				choices[k] = g.Intn(4)
+			}
+			var got []byte
+			both(t,
+				func() error { return snd.Send1ofN(4, 2, flatten(msgs)) },
+				func() (err error) { got, err = rcv.Recv1ofN(4, choices, 2); return })
+			for k := range msgs {
+				if !bytes.Equal(got[2*k:2*k+2], msgs[k][choices[k]]) {
+					t.Fatalf("first %d: party %d → %d, instance %d: wrong message", first, snd.Party, rcv.Party, k)
+				}
+			}
+		}
+		transfer(eps[first], eps[1-first])
+		transfer(eps[1-first], eps[first])
+		// The reverse direction's sender is party 1-first: its Δ and seeds
+		// came from its receiver view of the first direction.
+		rs, rr := eps[1-first].extS, eps[first].extR
+		checkBaseRelation(t, "bootstrap", rr.pairs, rs.delta, rs.seeds)
+		checkExtension(t, "bootstrapped direction", rs, rr, 300)
+
+		var mint [2]*BaseOTs
+		both(t,
+			func() (err error) { mint[0], err = eps[0].MintBase(); return },
+			func() (err error) { mint[1], err = eps[1].MintBase(); return })
+		snd, rcv := mint[0], mint[1]
+		if snd.pairs == nil {
+			snd, rcv = rcv, snd
+		}
+		checkBaseRelation(t, "mint", snd.pairs, rcv.delta, rcv.seeds)
+
+		// No base seed — bootstrap or mint — is in either stock.
+		base := map[[SeedLen]byte]bool{}
+		for _, p := range append(rr.pairs, snd.pairs...) {
+			base[p[0]], base[p[1]] = true, true
+		}
+		for _, e := range eps {
+			for _, st := range e.sendStock {
+				for _, s := range st {
+					if base[s] {
+						t.Fatalf("first %d: a base seed reached party %d's sender stock", first, e.Party)
+					}
+				}
+			}
+			for _, st := range e.recvStock {
+				for _, v := range st {
+					if base[v.Seed] {
+						t.Fatalf("first %d: a base seed reached party %d's receiver stock", first, e.Party)
+					}
+				}
+			}
+		}
+		a.Close()
+		b.Close()
+
+		// A fresh pair started from the mint extends in both directions.
+		c, d := transport.Pipe()
+		fresh := [2]*Endpoint{NewEndpoint(0, c, prg.NewSeeded(214)), NewEndpoint(1, d, prg.NewSeeded(215))}
+		for i, e := range fresh {
+			e.HarvestGroup = TestGroup()
+			e.UseBase(mint[i])
+			if m := mint[i]; m.pairs != nil || m.delta != nil || m.seeds != nil {
+				t.Fatalf("first %d: UseBase left party %d's base views in place", first, i)
+			}
+		}
+		transfer(fresh[0], fresh[1])
+		transfer(fresh[1], fresh[0])
+		for i, e := range fresh {
+			if e.extS == nil || e.extR == nil {
+				t.Fatalf("first %d: party %d has not started both directions", first, i)
+			}
+		}
+		c.Close()
+		d.Close()
+	}
+}

@@ -27,9 +27,10 @@ import (
 
 // Domain tags, the top byte of every tweak: no two uses of H share one.
 const (
-	tagRow  = 1 // IKNP row hash: ⟨tagRow, counter, j⟩
+	tagRow  = 1 // IKNP row hash of a stock refill: ⟨tagRow, counter, j⟩
 	tagComb = 2 // 1-of-2^t combiner: ⟨tagComb, candidate c, component b⟩
 	tagPad  = 3 // block b of a pad longer than one block: ⟨tagPad, b, 0⟩
+	tagBase = 4 // IKNP row hash of a base mint: ⟨tagBase, counter, j⟩
 )
 
 // putTweak packs ⟨tag, a, b⟩ into the block tw, little-endian: a in bytes
@@ -80,11 +81,11 @@ func (h *hasher) hash(m int) {
 }
 
 // rowHashesSend derives the sender's two random-OT seeds of each IKNP row,
-// H(q_j, ⟨tagRow, counter, j⟩) and H(q_j ⊕ Δ, ⟨tagRow, counter, j⟩), into
+// H(q_j, ⟨tag, counter, j⟩) and H(q_j ⊕ Δ, ⟨tag, counter, j⟩), into
 // seeds[2j] and seeds[2j+1], for the rows q_j = rows[16j : 16j+16] and j
-// counted from j0. The counter keeps successive Extend calls on distinct
-// tweaks.
-func (h *hasher) rowHashesSend(seeds [][SeedLen]byte, rows, delta []byte, counter uint64, j0 int) {
+// counted from j0. The tag (tagRow or tagBase) and the counter keep every
+// extend call on distinct tweaks.
+func (h *hasher) rowHashesSend(seeds [][SeedLen]byte, rows, delta []byte, tag byte, counter uint64, j0 int) {
 	const perBatch = hashBatch / 2
 	d := (*[SeedLen]byte)(delta)
 	for lo := 0; lo*SeedLen < len(rows); lo += perBatch {
@@ -95,8 +96,8 @@ func (h *hasher) rowHashesSend(seeds [][SeedLen]byte, rows, delta []byte, counte
 			*q1 = *q0
 			xorBlock(q1, d)
 			j := uint64(j0 + lo + i)
-			putTweak(at(h.out[:], 2*i), tagRow, counter, j)
-			putTweak(at(h.out[:], 2*i+1), tagRow, counter, j)
+			putTweak(at(h.out[:], 2*i), tag, counter, j)
+			putTweak(at(h.out[:], 2*i+1), tag, counter, j)
 		}
 		permuteBlocks(h.px[:2*n*aes.BlockSize], h.px[:2*n*aes.BlockSize])
 		h.hash(2 * n)
@@ -107,13 +108,13 @@ func (h *hasher) rowHashesSend(seeds [][SeedLen]byte, rows, delta []byte, counte
 }
 
 // rowHashesRecv is the receiver counterpart of rowHashesSend: out[j].Seed
-// becomes H(t_j, ⟨tagRow, counter, j0+j⟩) for the rows t_j of rows.
-func (h *hasher) rowHashesRecv(out []RecvInst, rows []byte, counter uint64, j0 int) {
+// becomes H(t_j, ⟨tag, counter, j0+j⟩) for the rows t_j of rows.
+func (h *hasher) rowHashesRecv(out []RecvInst, rows []byte, tag byte, counter uint64, j0 int) {
 	for lo := 0; lo < len(out); lo += hashBatch {
 		n := min(hashBatch, len(out)-lo)
 		permuteBlocks(h.px[:n*aes.BlockSize], rows[lo*SeedLen:(lo+n)*SeedLen])
 		for i := range n {
-			putTweak(at(h.out[:], i), tagRow, counter, uint64(j0+lo+i))
+			putTweak(at(h.out[:], i), tag, counter, uint64(j0+lo+i))
 		}
 		h.hash(n)
 		for i := range n {

@@ -103,8 +103,8 @@ func TestBatchedHashMatchesBlockwise(t *testing.T) {
 			recv := make([]RecvInst, m)
 			for _, c := range chunks(m, w) {
 				lo, hi := c[0], c[1]
-				h.rowHashesSend(seeds[2*lo:2*hi], rows[lo*SeedLen:hi*SeedLen], delta, counter, lo)
-				h.rowHashesRecv(recv[lo:hi], rows[lo*SeedLen:hi*SeedLen], counter, lo)
+				h.rowHashesSend(seeds[2*lo:2*hi], rows[lo*SeedLen:hi*SeedLen], delta, tagRow, counter, lo)
+				h.rowHashesRecv(recv[lo:hi], rows[lo*SeedLen:hi*SeedLen], tagRow, counter, lo)
 			}
 			for j := 0; j < m; j++ {
 				row := [SeedLen]byte(rows[j*SeedLen:])
@@ -184,8 +184,8 @@ func BenchmarkHashForms(b *testing.B) {
 		blocks int // π blocks per call
 		f      func()
 	}{
-		{"rowHashesSend", 4 * m, func() { h.rowHashesSend(seeds, rows, rows[:SeedLen], 1, 0) }},
-		{"rowHashesRecv", 2 * m, func() { h.rowHashesRecv(recv, rows, 1, 0) }},
+		{"rowHashesSend", 4 * m, func() { h.rowHashesSend(seeds, rows, rows[:SeedLen], tagRow, 1, 0) }},
+		{"rowHashesRecv", 2 * m, func() { h.rowHashesRecv(recv, rows, tagRow, 1, 0) }},
 		{"combineSend/N=2", 4 * m, func() { h.combineSend(comb, snd, 1) }},
 		{"combineRecv/N=2", 2 * m, func() { h.combineRecv(combR, rcv, 1) }},
 		{fmt.Sprintf("padXor/%d", len(pad)), 1 + (len(pad)+aes.BlockSize-1)/aes.BlockSize, func() { h.padXor(pad, seeds[0]) }},

@@ -88,9 +88,9 @@ func TestOTHotPathAllocs(t *testing.T) {
 	h := new(hasher)
 	for name, f := range map[string]func(){
 		"transposeBlock":     func() { transposeBlock(h.rows[:], cols, m, m/rowBlock) },
-		"rowHashesRecv/1":    func() { h.rowHashesRecv(recv[:1], rows[:ExtKappa/8], 7, 3) },
-		"rowHashesRecv/1000": func() { h.rowHashesRecv(recv, rows, 7, 0) },
-		"rowHashesSend/1000": func() { h.rowHashesSend(seeds, rows, delta, 7, 0) },
+		"rowHashesRecv/1":    func() { h.rowHashesRecv(recv[:1], rows[:ExtKappa/8], tagRow, 7, 3) },
+		"rowHashesRecv/1000": func() { h.rowHashesRecv(recv, rows, tagRow, 7, 0) },
+		"rowHashesSend/1000": func() { h.rowHashesSend(seeds, rows, delta, tagRow, 7, 0) },
 		"combineSend":        func() { h.combineSend(seeds[:1<<8], raw, 8) },
 		"combineRecv":        func() { h.combineRecv(recv[:1], rcv, 8) },
 		"shortPad/1":         func() { byteSink = shortPad(&seedSink, 1)[0] },

@@ -85,16 +85,19 @@ func (d *Dealer) TakeRecv(senderParty, n, count int) []RecvInst {
 
 // Endpoint is one party's OT interface: it owns the precomputed stock and
 // runs the cheap online phases over the session connection. Refill is
-// either dealer-backed (in-process) or IKNP extension over base OTs run on
-// the wire.
+// either dealer-backed (in-process) or IKNP extension on the wire. An
+// extension endpoint runs at most one public-key set-up, for the first
+// direction it needs, and none if UseBase started a direction from a
+// kit's BaseOTs; the other direction bootstraps from κ OTs extended in
+// the first.
 type Endpoint struct {
 	Party int // this party's index (0 or 1)
 	Conn  transport.Conn
 	Rng   *prg.PRG
 
 	// Refill backends, in precedence order: Dealer (in-process trusted
-	// offline phase), then IKNP extension over base OTs in HarvestGroup:
-	// κ base OTs once, then PRG+hash-only refills.
+	// offline phase), then IKNP extension: κ base OTs once (in HarvestGroup
+	// unless UseBase supplied them), then PRG+hash-only refills.
 	Dealer       *Dealer
 	HarvestGroup Group
 	// UseExtension is always on: an endpoint without a Dealer refills by
@@ -130,6 +133,98 @@ func NewEndpoint(party int, conn transport.Conn, rng *prg.PRG) *Endpoint {
 		sendStock: map[int][][SeedLen]byte{},
 		recvStock: map[int][]RecvInst{},
 	}
+}
+
+// sender returns the endpoint's extension-sender state, starting it on
+// first use: from κ OTs minted in the reverse direction when that one is
+// up, or else by a public-key set-up. The peer's receiver does the same
+// in lockstep, since both endpoints see the same directions up.
+func (e *Endpoint) sender() (*ExtSender, error) {
+	if e.extS != nil {
+		return e.extS, nil
+	}
+	if e.extR != nil {
+		b, err := e.extR.mintBase(e.Pool)
+		if err != nil {
+			return nil, err
+		}
+		e.UseBase(b)
+		return e.extS, nil
+	}
+	s, err := NewExtSender(e.Conn, e.HarvestGroup, e.Rng, ExtKappa)
+	e.extS = s
+	return s, err
+}
+
+// receiver is the counterpart of sender.
+func (e *Endpoint) receiver() (*ExtReceiver, error) {
+	if e.extR != nil {
+		return e.extR, nil
+	}
+	if e.extS != nil {
+		b, err := e.extS.mintBase(e.Pool)
+		if err != nil {
+			return nil, err
+		}
+		e.UseBase(b)
+		return e.extR, nil
+	}
+	r, err := NewExtReceiver(e.Conn, e.HarvestGroup, e.Rng, ExtKappa)
+	e.extR = r
+	return r, err
+}
+
+// UseBase starts the IKNP direction that b's half belongs to — as
+// extension receiver from the OT sender's half, as extension sender from
+// the OT receiver's — so that direction runs no public-key set-up. It
+// empties b: a BaseOTs seeds at most one endpoint, and a second UseBase
+// of it, or one with nil, changes nothing.
+func (e *Endpoint) UseBase(b *BaseOTs) {
+	switch {
+	case b == nil:
+		return
+	case b.pairs != nil:
+		e.extR = &ExtReceiver{conn: e.Conn, rng: e.Rng, pairs: b.pairs}
+	case b.seeds != nil:
+		e.extS = &ExtSender{conn: e.Conn, delta: b.delta, seeds: b.seeds}
+	}
+	*b = BaseOTs{}
+}
+
+// MintBase extends κ random OTs in a base-domain call of their own and
+// returns this party's half, for UseBase on another endpoint of the same
+// pair (a kit's seq online). Both endpoints pick the same direction: the
+// one in which party 0 sends, unless only the other is up; with neither
+// up, that direction's public-key set-up runs first. The mint is traced as
+// an ot.send or ot.recv batch of κ 1-of-2 instances; its OTs never enter
+// the stock.
+func (e *Endpoint) MintBase() (*BaseOTs, error) {
+	if e.Dealer != nil {
+		return nil, fmt.Errorf("ot: a dealer-backed endpoint has no extension to mint base OTs from")
+	}
+	send := e.Party == 0
+	if send && e.extS == nil && e.extR != nil || !send && e.extR == nil && e.extS != nil {
+		send = !send
+	}
+	name := "ot.recv"
+	if send {
+		name = "ot.send"
+	}
+	sp := e.Trace.Enter(name, telemetry.WithAttrs(
+		telemetry.Int("arity", 2), telemetry.Int("insts", ExtKappa)))
+	defer e.Trace.Exit(sp)
+	if send {
+		s, err := e.sender()
+		if err != nil {
+			return nil, err
+		}
+		return s.mintBase(e.Pool)
+	}
+	r, err := e.receiver()
+	if err != nil {
+		return nil, err
+	}
+	return r.mintBase(e.Pool)
 }
 
 // stockUp appends fresh instances to an arity's stock. An empty stock

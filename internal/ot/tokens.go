@@ -254,16 +254,14 @@ func (e *Endpoint) refillSend(needs map[int]int) error {
 	if err != nil {
 		return err
 	}
-	if e.extS == nil {
-		e.extS, err = NewExtSender(e.Conn, e.HarvestGroup, e.Rng, ExtKappa)
-		if err != nil {
-			return err
-		}
+	s, err := e.sender()
+	if err != nil {
+		return err
 	}
 	// raw holds two seeds per 1-of-2 correlation; each arity's chunk
 	// combines its t correlations per instance straight into the grown
 	// stock.
-	raw, err := e.extS.extend(e.Pool, total)
+	raw, err := s.extend(e.Pool, total)
 	if err != nil {
 		return err
 	}
@@ -299,13 +297,11 @@ func (e *Endpoint) refillRecv(needs map[int]int) error {
 	if err != nil {
 		return err
 	}
-	if e.extR == nil {
-		e.extR, err = NewExtReceiver(e.Conn, e.HarvestGroup, e.Rng, ExtKappa)
-		if err != nil {
-			return err
-		}
+	r, err := e.receiver()
+	if err != nil {
+		return err
 	}
-	raw, err := e.extR.extend(e.Pool, total)
+	raw, err := r.extend(e.Pool, total)
 	if err != nil {
 		return err
 	}

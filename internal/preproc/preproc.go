@@ -34,6 +34,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"aq2pnn/internal/ot"
 	"aq2pnn/internal/triple"
 )
 
@@ -52,10 +53,13 @@ type Layer struct {
 }
 
 // Kit is the correlated material for one inference seq: one family triple
-// per linear node.
+// per linear node, and this party's half of κ random OTs minted on the
+// fill stream, which start the seq's online OT endpoint with no
+// public-key set-up.
 type Kit struct {
 	Seq  uint32
 	Mats map[int]*triple.Mat // node index → this party's triple share
+	Base *ot.BaseOTs
 }
 
 // Fill-subprotocol frame magics, following the engine's AQ2x family.
