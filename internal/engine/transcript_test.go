@@ -75,10 +75,12 @@ func (c *transcriptConn) Recv() ([]byte, error) {
 // byte, for one session of three inferences — cold (inline generation) and
 // warm (banked kits, main stream only) — at the default worker count and at
 // Workers = FillWorkers = 1 and 4. The constants were last re-captured when
-// the OT plane's pads and hashes moved to the fixed-key permutation (frame
-// content changed, frame sizes and counts did not). They do not depend on
-// the worker count; the benchmark checks byte counts, this checks byte
-// content.
+// the base-OT flow's blinding became multiplicative (content changed) and
+// each OT endpoint came to run one public-key set-up at most: a cold seq's
+// second set-up became a κ-OT bootstrap (six flow frames per seq became
+// four) and a warm seq starts from its kit's base OTs (six became one).
+// They do not depend on the worker count; the benchmark checks byte
+// counts, this checks byte content.
 func TestSessionTranscriptPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked sessions")
@@ -90,12 +92,12 @@ func TestSessionTranscriptPinned(t *testing.T) {
 		sent, recv             uint64
 		sentFrames, recvFrames int
 	}{
-		{"cold", 0, 0, 0x9c3f3244e6422eae, 0xff61f828d88712bf, 74, 81},
-		{"warm", 2, 0, 0x8601fd47c93e118f, 0x3d9816ee1e45c0f5, 56, 63},
-		{"cold_workers1", 0, 1, 0x9c3f3244e6422eae, 0xff61f828d88712bf, 74, 81},
-		{"warm_workers1", 2, 1, 0x8601fd47c93e118f, 0x3d9816ee1e45c0f5, 56, 63},
-		{"cold_workers4", 0, 4, 0x9c3f3244e6422eae, 0xff61f828d88712bf, 74, 81},
-		{"warm_workers4", 2, 4, 0x8601fd47c93e118f, 0x3d9816ee1e45c0f5, 56, 63},
+		{"cold", 0, 0, 0xa46ba8366ed3a7cc, 0x86f047ac0931958a, 74, 75},
+		{"warm", 2, 0, 0x6b2ebd84c04f6bf0, 0x2c995d51ccfdfaae, 50, 54},
+		{"cold_workers1", 0, 1, 0xa46ba8366ed3a7cc, 0x86f047ac0931958a, 74, 75},
+		{"warm_workers1", 2, 1, 0x6b2ebd84c04f6bf0, 0x2c995d51ccfdfaae, 50, 54},
+		{"cold_workers4", 0, 4, 0xa46ba8366ed3a7cc, 0x86f047ac0931958a, 74, 75},
+		{"warm_workers4", 2, 4, 0x6b2ebd84c04f6bf0, 0x2c995d51ccfdfaae, 50, 54},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := tinyModel(nn.PoolAvg)

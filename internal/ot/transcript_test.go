@@ -72,12 +72,15 @@ func both(t *testing.T, p0, p1 func() error) {
 // row transpose or the row hash, so the minted seeds are digested too),
 // then extension-backed Send1ofN/Recv1ofN batches at message lengths on
 // both sides of the one-block pad and of the PRG's 8 KiB buffer, in both
-// directions. The constants were re-captured when the row hash, the
-// combiners and the pads moved to the fixed-key permutation, which changed
-// ciphertext content but no frame size or count; they must never move
-// without a deliberate wire change. Every loop runs on a GOMAXPROCS-sized
-// pool, so `go test -cpu 1,4,8` checks that the constants do not depend on
-// the worker count.
+// directions. The endpoints' first direction runs the public-key flow and
+// the second bootstraps from κ OTs extended in the first. The constants
+// were last re-captured when the flow's blinding became multiplicative
+// (R frame and ciphertext content changed) and the second direction's
+// public-key set-up became that bootstrap (its three flow frames became
+// one u-matrix frame); the minted digest did not move. They must never
+// move without a deliberate wire change. Every loop runs on a
+// GOMAXPROCS-sized pool, so `go test -cpu 1,4,8` checks that the
+// constants do not depend on the worker count.
 func TestOTTranscriptPinned(t *testing.T) {
 	a, b := transport.Pipe()
 	defer a.Close()
@@ -144,8 +147,8 @@ func TestOTTranscriptPinned(t *testing.T) {
 		sum    uint64
 		frames int
 	}{
-		{"sent", dc.sent, 0xac23974b1eeadec5, 19},
-		{"recv", dc.recv, 0x6958e752f6390107, 24},
+		{"sent", dc.sent, 0x272cc7d8833016b6, 17},
+		{"recv", dc.recv, 0x73cc70956576fe37, 24},
 		{"minted", minted, 0x8fc56f3fde4f2975, 2144},
 	} {
 		if c.got.sum != c.sum || c.got.frames != c.frames {
