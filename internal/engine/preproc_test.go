@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -384,4 +385,120 @@ func TestSessionPreprocResumeAfterMainFault(t *testing.T) {
 	}
 	s2.Close()
 	h2.wg.Wait()
+}
+
+// armedFault fails every operation of a connection once it has been armed
+// and has passed left more operations.
+type armedFault struct {
+	transport.Conn
+	mu    sync.Mutex
+	armed bool
+	left  int
+}
+
+func (c *armedFault) arm(after int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.armed, c.left = true, after
+}
+
+func (c *armedFault) op() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.armed {
+		return nil
+	}
+	if c.left == 0 {
+		return transport.ErrInjected
+	}
+	c.left--
+	return nil
+}
+
+func (c *armedFault) Send(p []byte) error {
+	if err := c.op(); err != nil {
+		return err
+	}
+	return c.Conn.Send(p)
+}
+
+func (c *armedFault) Recv() ([]byte, error) {
+	if err := c.op(); err != nil {
+		return nil, err
+	}
+	return c.Conn.Recv()
+}
+
+// TestSessionRetriedSeqRunsCold faults the connection in the middle of a
+// warm inference, after the plane was drained so that only that
+// inference's traffic counts. The retry of the seq must run cold — its
+// online traffic is exactly the cold path's, public-key base-OT set-up
+// included, because its kit's base OTs already seeded the faulted
+// attempt's endpoint — with the cold path's logits, and the next seq must
+// run warm again from the plane re-established after the fault.
+func TestSessionRetriedSeqRunsCold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full networked sessions")
+	}
+	m := tinyModel(nn.PoolAvg)
+	x := input(64)
+	cfg := testCfg()
+	cfg.Retries = 2
+	cfg.RetryBase = 5 * time.Millisecond
+	want, coldOnline := runSessionLogits(t, m, x, cfg, 2)
+
+	wcfg := cfg
+	wcfg.BankDepth = 1
+	_, warmOnline := runSessionLogits(t, m, x, wcfg, 1)
+
+	h := newSessionHarness(t, m, wcfg)
+	var fc *armedFault
+	h.wrap = func(dial int, c transport.Conn) transport.Conn {
+		if dial == 1 {
+			fc = &armedFault{Conn: c}
+			return fc
+		}
+		return nil
+	}
+	h.beforeDial = func(dial int) {
+		if dial == 2 {
+			h.waitProviderDone(1)
+		}
+	}
+	ctx := context.Background()
+	s, err := NewClient(h.dial, wcfg).OpenSession(ctx, m)
+	if err != nil {
+		t.Fatalf("OpenSession: %v", err)
+	}
+	if !s.WarmupPreproc(1) || !s.DrainPreproc() {
+		t.Fatal("the preprocessing plane did not fill one kit")
+	}
+	fc.arm(int(warmOnline[0].MsgsSent+warmOnline[0].MsgsRecv) / 2)
+	var online []transport.Stats
+	for i := range want {
+		res, err := s.Infer(ctx, x)
+		if err != nil {
+			t.Fatalf("inference %d: %v", i, err)
+		}
+		for j := range want[i] {
+			if res.Logits[j] != want[i][j] {
+				t.Fatalf("inference %d: logits %v, want the cold path's %v", i, res.Logits, want[i])
+			}
+		}
+		online = append(online, res.Online)
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	h.wg.Wait()
+	if h.dials != 2 {
+		t.Fatalf("%d dials, want 2: the fault did not force exactly one retry", h.dials)
+	}
+	if online[0] != coldOnline[0] {
+		t.Errorf("retried seq online %+v, want the cold path's %+v", online[0], coldOnline[0])
+	}
+	if online[1].TotalBytes() >= coldOnline[1].TotalBytes() {
+		t.Errorf("seq after the retry moved %d online bytes, want the warm path's, below cold %d",
+			online[1].TotalBytes(), coldOnline[1].TotalBytes())
+	}
 }

@@ -33,8 +33,9 @@ import (
 // (nothing accumulates across seqs), and a re-run of an interrupted seq
 // after a transport fault replays the same transcript bit for bit — the
 // resumption token lets the client re-attach to the provider's parked
-// state instead of replaying setup. A retried seq runs cold: its kit left
-// the bank and the store at the first attempt.
+// state instead of replaying setup. A retried seq runs cold, with a fresh
+// set-up: its kit's base OTs seeded the failed attempt's endpoint, and the
+// client restarts the preprocessing plane at the next seq.
 //
 // Both parties run a session through the same party-indexed steps: the
 // handshake deadline (armHandshake), the setup (openState), the fill plane

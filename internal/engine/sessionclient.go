@@ -48,13 +48,16 @@ func NewClient(dial Redial, cfg Options) *Client {
 // fault cuts the connection mid-stream. A Session is not safe for
 // concurrent use; open one per goroutine.
 type Session struct {
-	c      *Client
-	m      *nn.Model
-	r      ring.Ring
-	conn   transport.Conn
-	token  SessionToken
-	st     *sessionState
-	seq    uint32
+	c     *Client
+	m     *nn.Model
+	r     ring.Ring
+	conn  transport.Conn
+	token SessionToken
+	st    *sessionState
+	seq   uint32
+	// begun records that an attempt of seq has started, so that a retry
+	// of it runs cold: a kit's base OTs seed one online endpoint only.
+	begun  bool
 	setup  transport.Stats
 	closed bool
 	// Preprocessing plane (BankDepth > 0): the kit bank the background
@@ -225,9 +228,14 @@ func (s *Session) establish(ctx context.Context, resume bool) error {
 	s.conn = conn
 	ok = true
 	if pconn != nil {
-		// The bank starts at the next seq this session will run; the
-		// filler owns pconn and teardownPreproc joins it.
-		bank := preproc.NewBank(s.seq, cfg.BankDepth)
+		// The bank starts at the next seq this session will run for the
+		// first time (a retried seq runs cold); the filler owns pconn and
+		// teardownPreproc joins it.
+		start := s.seq
+		if s.begun {
+			start++
+		}
+		bank := preproc.NewBank(start, cfg.BankDepth)
 		s.bank = bank
 		s.joinFill = startFill(pconn, roleUser, cfg, s.st, func(f preproc.Filler) error { return preproc.FillClient(f, bank) })
 	}
@@ -296,6 +304,7 @@ func (s *Session) Infer(ctx context.Context, x []int64) (*Result, error) {
 		return nil, err
 	}
 	s.seq++
+	s.begun = false
 	return res, nil
 }
 
@@ -324,10 +333,15 @@ func (s *Session) inferAttempt(x []int64) (*Result, error) {
 	}
 	// The warm path consumes seq's precomputed kit; a missed Take (the
 	// plane died, or was never on) degrades to inline generation with
-	// byte-identical logits. The kit is taken before the infer root opens
-	// so the fill wait, when any, is not attributed to the online span.
+	// byte-identical logits. A retry of seq runs cold, with a fresh
+	// base-OT set-up: its first attempt's kit seeded that attempt's OT
+	// endpoint, and the plane re-established after the fault starts at
+	// seq+1. The kit is taken before the infer root opens so the fill
+	// wait, when any, is not attributed to the online span.
+	retry := s.begun
+	s.begun = true
 	var kit *preproc.Kit
-	if s.bank != nil {
+	if s.bank != nil && !retry {
 		kit = s.bank.Take(seq)
 		if kit == nil {
 			telemetry.Count("aq2pnn_preproc_starvation_total", 1)
