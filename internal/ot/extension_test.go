@@ -379,6 +379,29 @@ func TestReverseExtension(t *testing.T) {
 		}
 		checkBaseRelation(t, "mint", snd.pairs, rcv.delta, rcv.seeds)
 
+		// Mints count on their own counter. Stock extends: one refill per
+		// direction, plus checkExtension's in the bootstrapped one. Mints:
+		// the bootstrap in the first direction, the kit's in the one in
+		// which party 0 sends.
+		for p, e := range eps {
+			peer := eps[1-p]
+			stock, base := uint64(1), uint64(0)
+			if p != first {
+				stock++
+			}
+			if p == first {
+				base++
+			}
+			if p == 0 {
+				base++
+			}
+			want := [2]uint64{stock, base} // indexed domStock, domBase
+			if e.extS.counter != want || peer.extR.counter != want {
+				t.Errorf("first %d: party %d sending: counters %v and %v, want %v",
+					first, p, e.extS.counter, peer.extR.counter, want)
+			}
+		}
+
 		// No base seed — bootstrap or mint — is in either stock.
 		base := map[[SeedLen]byte]bool{}
 		for _, p := range append(rr.pairs, snd.pairs...) {

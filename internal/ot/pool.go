@@ -199,9 +199,6 @@ func (e *Endpoint) UseBase(b *BaseOTs) {
 // an ot.send or ot.recv batch of κ 1-of-2 instances; its OTs never enter
 // the stock.
 func (e *Endpoint) MintBase() (*BaseOTs, error) {
-	if e.Dealer != nil {
-		return nil, fmt.Errorf("ot: a dealer-backed endpoint has no extension to mint base OTs from")
-	}
 	send := e.Party == 0
 	if send && e.extS == nil && e.extR != nil || !send && e.extR == nil && e.extS != nil {
 		send = !send
