@@ -39,7 +39,8 @@ func NewNetworkContext(party int, conn transport.Conn, cfg Options) *secure.Cont
 }
 
 // newOTEndpoint builds party's networked OT endpoint over conn: base OTs
-// harvested in the configured group (the production default when unset),
+// harvested in the configured group (the production default when unset)
+// for the first IKNP direction it needs, unless a kit's base OTs start it,
 // then IKNP extension, with its pad and hash loops on pool. Every
 // networked OT flow starts here — the online contexts on the Workers pool
 // and the fill plane's kit generation on its FillWorkers pool alike.
