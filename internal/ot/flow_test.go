@@ -112,7 +112,11 @@ func TestFlowReceiverHidesChoice(t *testing.T) {
 				if out[0] == out[1] {
 					continue
 				}
-				if guess := b2i(out[0]); guess == c {
+				guess := 0
+				if out[0] {
+					guess = 1
+				}
+				if guess == c {
 					right++
 				} else {
 					wrong++
@@ -125,14 +129,6 @@ func TestFlowReceiverHidesChoice(t *testing.T) {
 		t.Errorf("the sender's view guessed %d choices right and %d wrong out of %d (band %d): R leaks the choice",
 			right, wrong, 2*insts, band)
 	}
-}
-
-// b2i is 1 for true and 0 for false.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // TestFlowRejectsOutOfRangeElems sends each side of a flow a peer element
