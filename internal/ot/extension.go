@@ -156,7 +156,7 @@ func NewExtReceiver(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*E
 // sender's half: the seed pairs that start the reverse direction's
 // extension receiver.
 func (s *ExtSender) mintBase(pool *parallel.Pool) (*BaseOTs, error) {
-	raw, err := s.extendIn(pool, domBase, ExtKappa)
+	raw, err := s.extend(pool, domBase, ExtKappa)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +170,7 @@ func (s *ExtSender) mintBase(pool *parallel.Pool) (*BaseOTs, error) {
 // mintBase is the receiver counterpart: its half is the choice bits and
 // seeds that start the reverse direction's extension sender.
 func (r *ExtReceiver) mintBase(pool *parallel.Pool) (*BaseOTs, error) {
-	raw, err := r.extendIn(pool, domBase, ExtKappa)
+	raw, err := r.extend(pool, domBase, ExtKappa)
 	if err != nil {
 		return nil, err
 	}
@@ -254,17 +254,12 @@ func transpose64(w *[64]uint64) {
 // Extend mints m random 1-of-2 OT correlations on the sender side,
 // serially; the endpoint's refills run the same steps over its pool.
 // Correlation j's two seeds are entries 2j and 2j+1 of the result.
-func (s *ExtSender) Extend(m int) ([][SeedLen]byte, error) { return s.extend(nil, m) }
+func (s *ExtSender) Extend(m int) ([][SeedLen]byte, error) { return s.extend(nil, domStock, m) }
 
-// extend is Extend with the κ column expansions and the ⌈m/64⌉ row blocks
-// spread over pool (nil runs them serially); the output is identical at
-// every worker count.
-func (s *ExtSender) extend(pool *parallel.Pool, m int) ([][SeedLen]byte, error) {
-	return s.extendIn(pool, domStock, m)
-}
-
-// extendIn is extend in domain dom, on that domain's counter.
-func (s *ExtSender) extendIn(pool *parallel.Pool, dom, m int) ([][SeedLen]byte, error) {
+// extend is Extend in domain dom, on that domain's counter, with the κ
+// column expansions and the ⌈m/64⌉ row blocks spread over pool (nil runs
+// them serially); the output is identical at every worker count.
+func (s *ExtSender) extend(pool *parallel.Pool, dom, m int) ([][SeedLen]byte, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("ot: extension of %d instances", m)
 	}
@@ -305,15 +300,10 @@ func (s *ExtSender) extendIn(pool *parallel.Pool, dom, m int) ([][SeedLen]byte, 
 
 // Extend mints m random 1-of-2 OT correlations on the receiver side,
 // serially; the endpoint's refills run the same steps over its pool.
-func (r *ExtReceiver) Extend(m int) ([]RecvInst, error) { return r.extend(nil, m) }
+func (r *ExtReceiver) Extend(m int) ([]RecvInst, error) { return r.extend(nil, domStock, m) }
 
 // extend is the receiver counterpart of ExtSender.extend.
-func (r *ExtReceiver) extend(pool *parallel.Pool, m int) ([]RecvInst, error) {
-	return r.extendIn(pool, domStock, m)
-}
-
-// extendIn is extend in domain dom, on that domain's counter.
-func (r *ExtReceiver) extendIn(pool *parallel.Pool, dom, m int) ([]RecvInst, error) {
+func (r *ExtReceiver) extend(pool *parallel.Pool, dom, m int) ([]RecvInst, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("ot: extension of %d instances", m)
 	}

@@ -193,16 +193,12 @@ func (e *Endpoint) UseBase(b *BaseOTs) {
 
 // MintBase extends κ random OTs in a base-domain call of their own and
 // returns this party's half, for UseBase on another endpoint of the same
-// pair (a kit's seq online). Both endpoints pick the same direction: the
-// one in which party 0 sends, unless only the other is up; with neither
-// up, that direction's public-key set-up runs first. The mint is traced as
-// an ot.send or ot.recv batch of κ 1-of-2 instances; its OTs never enter
-// the stock.
+// pair (a kit's seq online). It mints in the direction in which party 0
+// sends; sender and receiver start that direction first when it is not
+// up. The mint is traced as an ot.send or ot.recv batch of κ 1-of-2
+// instances; its OTs never enter the stock.
 func (e *Endpoint) MintBase() (*BaseOTs, error) {
 	send := e.Party == 0
-	if send && e.extS == nil && e.extR != nil || !send && e.extR == nil && e.extS != nil {
-		send = !send
-	}
 	name := "ot.recv"
 	if send {
 		name = "ot.send"

@@ -261,7 +261,7 @@ func (e *Endpoint) refillSend(needs map[int]int) error {
 	// raw holds two seeds per 1-of-2 correlation; each arity's chunk
 	// combines its t correlations per instance straight into the grown
 	// stock.
-	raw, err := s.extend(e.Pool, total)
+	raw, err := s.extend(e.Pool, domStock, total)
 	if err != nil {
 		return err
 	}
@@ -301,7 +301,7 @@ func (e *Endpoint) refillRecv(needs map[int]int) error {
 	if err != nil {
 		return err
 	}
-	raw, err := r.extend(e.Pool, total)
+	raw, err := r.extend(e.Pool, domStock, total)
 	if err != nil {
 		return err
 	}

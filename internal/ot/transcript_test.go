@@ -98,8 +98,8 @@ func TestOTTranscriptPinned(t *testing.T) {
 		var si [][SeedLen]byte
 		var ri []RecvInst
 		both(t,
-			func() (err error) { si, err = s.extend(pool, m); return },
-			func() (err error) { ri, err = r.extend(pool, m); return })
+			func() (err error) { si, err = s.extend(pool, domStock, m); return },
+			func() (err error) { ri, err = r.extend(pool, domStock, m); return })
 		for j := range ri {
 			minted.add(append(si[2*j][:], si[2*j+1][:]...))
 			minted.add(append([]byte{byte(ri[j].Choice)}, ri[j].Seed[:]...))
