@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"sync"
@@ -8,6 +9,8 @@ import (
 	"time"
 
 	"aq2pnn/internal/nn"
+	"aq2pnn/internal/ot"
+	"aq2pnn/internal/preproc"
 	"aq2pnn/internal/telemetry"
 	"aq2pnn/internal/testutil"
 	"aq2pnn/internal/transport"
@@ -501,4 +504,49 @@ func TestSessionRetriedSeqRunsCold(t *testing.T) {
 		t.Errorf("seq after the retry moved %d online bytes, want the warm path's, below cold %d",
 			online[1].TotalBytes(), coldOnline[1].TotalBytes())
 	}
+}
+
+// TestRetriedSeqDrawsFreshOTStream checks that a warm attempt of a seq and
+// its cold retry share no OT-endpoint stream, for both parties. The
+// retry's public-key set-up spends its stream's first bytes on base-OT
+// pairs, one seed of each of which the peer learns; were they bytes the
+// warm attempt drew — its reverse direction's Δ, its choice bits — the
+// peer would learn those. Every 16-byte seed of the retry's pairs must be
+// absent, at any offset, from more stream than a warm inference of this
+// model draws. Cold binds of the seq must draw one stream, so that a cold
+// seq retried again replays its transcript.
+func TestRetriedSeqDrawsFreshOTStream(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full networked sessions")
+	}
+	m := tinyModel(nn.PoolAvg)
+	cfg := testCfg()
+	h := newSessionHarness(t, m, cfg)
+	s, err := NewClient(h.dial, cfg).OpenSession(context.Background(), m)
+	if err != nil {
+		t.Fatalf("OpenSession: %v", err)
+	}
+	const warmDrawn, pairBytes = 1 << 18, 2 * ot.ExtKappa * ot.SeedLen
+	for party := range 2 {
+		stream := func(kit *preproc.Kit, n int) []byte {
+			ctx, _ := s.st.bindInfer(nil, party, cfg, 0, kit)
+			b := make([]byte, n)
+			ctx.OT.Rng.Read(b)
+			return b
+		}
+		warm := stream(&preproc.Kit{}, warmDrawn)
+		retry := stream(nil, pairBytes)
+		if !bytes.Equal(retry, stream(nil, pairBytes)) {
+			t.Errorf("party %d: two cold binds of a seq draw different OT streams", party)
+		}
+		for off := 0; off < len(retry); off += ot.SeedLen {
+			if i := bytes.Index(warm, retry[off:off+ot.SeedLen]); i >= 0 {
+				t.Fatalf("party %d: the retry's base-OT seed at byte %d is byte %d of the warm attempt's OT stream", party, off, i)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	h.wg.Wait()
 }

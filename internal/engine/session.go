@@ -149,8 +149,9 @@ func recvSessionReq(conn transport.Conn) (seq uint32, warm, end bool, err error)
 // interrupted transcript bit for bit; the salts decorrelate the streams
 // from each other.
 const (
-	inferSeedSalt = 0x5E55_10F3_BAD5_EED5
-	famSeedSalt   = 0xFA41_11E5_0B5A_A3E5
+	inferSeedSalt  = 0x5E55_10F3_BAD5_EED5
+	famSeedSalt    = 0xFA41_11E5_0B5A_A3E5
+	warmOTSeedSalt = 0x0C7E_D5EE_D0FA_17ED
 )
 
 // mix64 is the splitmix64 finalizer: a bijective avalanche so consecutive
@@ -257,15 +258,20 @@ func inferFamSeed(icfg Options, party int) uint64 {
 // context over the live connection (new OT endpoint — its IKNP setup
 // belongs to this inference's own transcript) with the session's prepared
 // weights bound through fixed-B families. Both parties derive everything
-// from (cfg.Seed, seq), so re-running a seq after a fault replays the
-// identical transcript.
+// from (cfg.Seed, seq) and whether the bind is warm, so re-running a cold
+// seq after a fault replays the identical transcript.
 //
 // kit, when non-nil, is seq's precomputed material from the preprocessing
 // plane: its base OTs start the OT endpoint, which then runs no public-key
 // set-up (UseBase empties them, so they seed this endpoint only), and
 // linear nodes it covers bind a consumed-once precomputed family instead
 // of a live Gilboa one, so the online transcript carries no triple
-// generation. The per-node family stream is forked either way — the fork
+// generation. A warm endpoint draws on an OT stream of its own
+// (warmOTSeedSalt): a seq retried after a fault runs cold, and its
+// public-key set-up uses the stream's first bytes in other roles than the
+// warm attempt did — as base-OT pairs whose one seed each the peer
+// learns, where the warm attempt drew its reverse direction's Δ and its
+// choice bits. The per-node family stream is forked either way — the fork
 // positions stay identical between warm and cold binds, which (together
 // with the kit itself being generated from inferFamSeed) keeps warm and
 // cold logits byte-identical.
@@ -273,6 +279,7 @@ func (st *sessionState) bindInfer(conn transport.Conn, party int, cfg Options, s
 	icfg := inferOptions(cfg, seq)
 	ctx := NewNetworkContext(party, conn, icfg)
 	if kit != nil {
+		ctx.OT.Rng = prg.NewSeeded(saltedSeed(icfg.Seed, warmOTSeedSalt+uint64(party)*7919))
 		ctx.OT.UseBase(kit.Base)
 	}
 	famRng := prg.NewSeeded(inferFamSeed(icfg, party))

@@ -334,7 +334,8 @@ func (s *Session) inferAttempt(x []int64) (*Result, error) {
 	// The warm path consumes seq's precomputed kit; a missed Take (the
 	// plane died, or was never on) degrades to inline generation with
 	// byte-identical logits. A retry of seq runs cold, with a fresh
-	// base-OT set-up: its first attempt's kit seeded that attempt's OT
+	// base-OT set-up on an OT stream the warm attempt never drew from
+	// (bindInfer): its first attempt's kit seeded that attempt's OT
 	// endpoint, and the plane re-established after the fault starts at
 	// seq+1. The kit is taken before the infer root opens so the fill
 	// wait, when any, is not attributed to the online span.
