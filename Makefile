@@ -83,12 +83,12 @@ chaos:
 
 # Determinism pins (docs/performance.md): the OT and session wire
 # transcripts, the pad definition, serial-vs-pooled OT endpoints and the
-# Gilboa triple shares, at three worker counts, once with the AES-NI kernel
-# behind the fixed-key permutation and once under -tags purego, which runs
-# the per-block fallback. The pinned constants must not depend on
+# Gilboa and fixed-choice triple shares, at three worker counts, once with
+# the AES-NI kernel behind the fixed-key permutation and once under -tags
+# purego, which runs the per-block fallback. The pinned constants must not depend on
 # GOMAXPROCS or on the build, and tier-1 runs them at one count only. Like
 # chaos, a -run alternative that selects no test fails the target.
-PINS_RUN = TestOTTranscriptPinned|TestPoolMatchesSerial|TestPadKnownAnswer|TestGilboaSharesPinned|TestSessionTranscriptPinned
+PINS_RUN = TestOTTranscriptPinned|TestPoolMatchesSerial|TestPadKnownAnswer|TestGilboaSharesPinned|TestFixedChoiceSharesPinned|TestSessionTranscriptPinned
 PINS_PKGS = ./internal/ot/ ./internal/triple/ ./internal/engine/
 
 pins:
@@ -123,6 +123,7 @@ fuzz:
 	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzOTFlowElems$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzOTExtendFrames$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scm/ -run '^$$' -fuzz '^FuzzSCMMessage$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/triple/ -run '^$$' -fuzz '^FuzzFixedChoiceFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzPermBlocks$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzTransposeBlock$$' -fuzztime $(FUZZTIME)
 

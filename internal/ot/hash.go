@@ -31,6 +31,7 @@ const (
 	tagComb = 2 // 1-of-2^t combiner: ⟨tagComb, candidate c, component b⟩
 	tagPad  = 3 // block b of a pad longer than one block: ⟨tagPad, b, 0⟩
 	tagBase = 4 // IKNP row hash of a base mint: ⟨tagBase, counter, j⟩
+	tagSeq  = 5 // block b of a session seed's expansion for seq: ⟨tagSeq, seq, b⟩
 )
 
 // putTweak packs ⟨tag, a, b⟩ into the block tw, little-endian: a in bytes
@@ -245,4 +246,39 @@ func PadInto(dst []byte, seed [SeedLen]byte) {
 	h := hashers.Get().(*hasher)
 	h.padXor(dst, seed)
 	hashers.Put(h)
+}
+
+// PermuteSeeds sets block i of dst to π(block i of src): the half of H
+// that depends on the seed alone. A seed that Expand stretches again for
+// every seq keeps π(x) and pays it once. dst and src are whole blocks of
+// equal length, the same slice or disjoint.
+func PermuteSeeds(dst, src []byte) { permuteBlocks(dst, src) }
+
+// Expand stretches session seeds for one seq: for the seeds x_i whose
+// π(x_i) is block i of px, it writes blocks consecutive blocks per seed to
+// dst, block b of seed i being H(x_i, ⟨tagSeq, seq, b⟩). It is a PRG keyed
+// by x_i with (seq, b) in the tweak, so a seed masks a fresh pad at every
+// seq and a replayed seq rebuilds the same one. One π call covers the
+// whole slab; len(dst) must be len(px)·blocks, and nothing is allocated.
+func Expand(dst, px []byte, seq uint64, blocks int) {
+	le := binary.LittleEndian
+	const tag = uint64(tagSeq) << 56
+	n := len(px) / aes.BlockSize
+	for i := range n {
+		lo, hi := le.Uint64(px[16*i:]), le.Uint64(px[16*i+8:])
+		d := dst[16*i*blocks : 16*(i+1)*blocks]
+		for b := 0; b < len(d); b += 16 {
+			le.PutUint64(d[b:], lo^seq)
+			le.PutUint64(d[b+8:], hi^tag^uint64(b/16))
+		}
+	}
+	permuteBlocks(dst, dst)
+	for i := range n {
+		lo, hi := le.Uint64(px[16*i:]), le.Uint64(px[16*i+8:])
+		d := dst[16*i*blocks : 16*(i+1)*blocks]
+		for b := 0; b < len(d); b += 16 {
+			le.PutUint64(d[b:], le.Uint64(d[b:])^lo)
+			le.PutUint64(d[b+8:], le.Uint64(d[b+8:])^hi)
+		}
+	}
 }
