@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 
 	"aq2pnn/internal/nn"
@@ -16,9 +17,12 @@ import (
 // (aq2pnn_ot_base_setups_total) per OT endpoint. Both parties run in this
 // process, so every step that gives each party's endpoint k set-ups moves
 // the counter by 2k. A raw endpoint pair used in both directions runs one
-// set-up per endpoint, in either order; a session open runs none; a cold
-// seq's online endpoint runs one; a kit fill runs one; a warm seq's online
-// endpoint, started from its kit's base OTs, runs none.
+// set-up per endpoint, in either order; a session open with the
+// preprocessing plane runs none, and one without it runs one, for the
+// endpoint under its fixed-choice seed OTs; a cold seq's online endpoint
+// runs one; a kit fill runs one, and the plane's first also one for its
+// seed OTs; a warm seq's online endpoint, started from its kit's base
+// OTs, runs none.
 func TestBaseSetupsPerEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked sessions")
@@ -67,13 +71,13 @@ func TestBaseSetupsPerEndpoint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenSession: %v", err)
 		}
-		perEndpoint("session open", before, 0)
+		perEndpoint("session open", before, uint64(1-bank))
 		if bank > 0 {
 			before = setups()
 			if !s.WarmupPreproc(1) || !s.DrainPreproc() {
 				t.Fatal("the preprocessing plane did not fill one kit")
 			}
-			perEndpoint("kit fill", before, 1)
+			perEndpoint("first kit fill", before, 2)
 		}
 		before = setups()
 		if _, err := s.Infer(context.Background(), x); err != nil {
@@ -88,5 +92,95 @@ func TestBaseSetupsPerEndpoint(t *testing.T) {
 			t.Fatalf("Close: %v", err)
 		}
 		h.wg.Wait()
+	}
+}
+
+// TestFixedSetupsCounted counts fixed-choice seed-OT set-ups
+// (aq2pnn_triple_fixed_setups_total), both parties in this process: one
+// per party per fill plane, whatever its kit count; one per no-plane
+// open; one before the first cold seq of a session opened with the plane;
+// none per kit, per warm seq or per later cold seq.
+func TestFixedSetupsCounted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full networked sessions")
+	}
+	telemetry.Enable()
+	setups := func() uint64 { return counterValue("aq2pnn_triple_fixed_setups_total") }
+	perParty := func(what string, before uint64, want uint64) {
+		t.Helper()
+		if got := setups() - before; got != 2*want {
+			t.Errorf("%s: %d fixed-choice set-ups over both parties, want %d per party", what, got, want)
+		}
+	}
+	m := tinyModel(nn.PoolAvg)
+	x := input(64)
+	infer := func(s *Session, what string, want uint64) {
+		t.Helper()
+		before := setups()
+		if _, err := s.Infer(context.Background(), x); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		perParty(what, before, want)
+	}
+	for _, bank := range []int{0, 2} {
+		cfg := testCfg()
+		cfg.BankDepth = bank
+		h := newSessionHarness(t, m, cfg)
+		before := setups()
+		s, err := NewClient(h.dial, cfg).OpenSession(context.Background(), m)
+		if err != nil {
+			t.Fatalf("OpenSession: %v", err)
+		}
+		if bank == 0 {
+			perParty("no-plane open", before, 1)
+			infer(s, "cold seq", 0)
+			infer(s, "second cold seq", 0)
+		} else {
+			perParty("open with the plane", before, 0)
+			before = setups()
+			if !s.WarmupPreproc(2) || !s.DrainPreproc() {
+				t.Fatal("the preprocessing plane did not fill two kits")
+			}
+			perParty("fill plane of two kits", before, 1)
+			infer(s, "warm seq", 0)
+			infer(s, "second warm seq", 0)
+			infer(s, "first cold seq", 1)
+			infer(s, "second cold seq", 0)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		h.wg.Wait()
+	}
+}
+
+// TestFixedSeedStreamsDistinct: the OT endpoint under the fixed-choice
+// seed OTs draws a stream of its own per session token, per stream (main
+// or fill) and per party, so two runs that share IKNP randomness are
+// re-runs of one set-up — same choice bits, same messages — never two
+// different ones. No 16-byte block of a stream's first 64 KiB recurs in
+// another's, over tokens that differ in either half, nor in the session's
+// seed-pair streams.
+func TestFixedSeedStreamsDistinct(t *testing.T) {
+	cfg := testCfg()
+	tokens := []SessionToken{{1}, {2}, {1, 8: 1}}
+	seen := map[[ot.SeedLen]byte]string{}
+	draw := func(name string, seed uint64) {
+		b := make([]byte, 1<<16)
+		prg.NewSeeded(seed).Read(b)
+		for off := 0; off < len(b); off += ot.SeedLen {
+			k := [ot.SeedLen]byte(b[off:])
+			if prev, ok := seen[k]; ok {
+				t.Fatalf("%s shares a block with %s", name, prev)
+			}
+			seen[k] = name
+		}
+	}
+	for ti, tok := range tokens {
+		for party := range 2 {
+			draw(fmt.Sprintf("token %d party %d main OTs", ti, party), tokenSeed(cfg, fixedMainSalt, party, tok))
+			draw(fmt.Sprintf("token %d party %d fill OTs", ti, party), tokenSeed(cfg, fixedFillSalt, party, tok))
+			draw(fmt.Sprintf("token %d party %d seed pairs", ti, party), tokenSeed(cfg, fixedSeedSalt, party, tok))
+		}
 	}
 }

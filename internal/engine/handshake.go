@@ -30,8 +30,11 @@ import (
 // inference requests — plus in-hello negotiation of the ABReLU ring width
 // and the class-only reveal; generation 4 added the preprocessing plane —
 // the multiplexed fill stream, the demand/ack subprotocol and the warm
-// inference request).
-const ProtocolVersion = 5
+// inference request; generation 5 coalesced the comparison rounds and
+// flattened the share codec; generation 6 generates the convolutions'
+// triples from session seeds — the fixed-choice seed OTs, the fixed-set-up
+// request and per-triple correction frames).
+const ProtocolVersion = 6
 
 // helloMagic opens every hello frame. A peer speaking the pre-handshake
 // protocol (or not speaking this protocol at all) sends something else as

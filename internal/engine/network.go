@@ -15,7 +15,8 @@ import (
 // Two-process deployment: the same operators as RunLocal, but over a real
 // transport with no trusted dealer — OT correlations are harvested through
 // base OTs and IKNP extension on the wire and Beaver triple families are
-// generated with the Gilboa protocol. The session (session.go) is the only
+// generated with the Gilboa protocol, the convolutions' from fixed-choice
+// session seeds (triple.FixedFamily, bound by the session). The session (session.go) is the only
 // networked protocol, emulating the paper's two-board setup.
 
 // NewNetworkContext builds a party context over a live connection with

@@ -16,9 +16,9 @@ import (
 // a persistent session opened with BankDepth > 0 multiplexes its connection
 // into a main stream and a fill stream, and both parties run a background
 // filler that pre-generates each upcoming seq's triple kit over the latter.
-// Everything here is a deterministic function of (cfg.Seed, seq), which is
-// what makes a warm (bank-served) inference reveal logits byte-identical to
-// a cold (inline-generation) one.
+// Everything here is a deterministic function of (cfg.Seed, token, seq),
+// which is what makes a warm (bank-served) inference reveal logits
+// byte-identical to a cold (inline-generation) one.
 
 // preprocSeedSalt decorrelates the fill stream's per-seq OT endpoint
 // randomness (base-OT keys, IKNP matrices) from every online stream. The
@@ -64,15 +64,26 @@ func preprocLayers(m *nn.Model) []preproc.Layer {
 // replays exactly the per-seq derivation the cold path's bindInfer would
 // run — a fresh OT endpoint over the fill stream (its own salted seed; the
 // endpoint internals never reach the delivered shares) and the per-layer
-// family streams forked from inferFamSeed in node order — then runs the
-// interactive Gilboa generation for every linear layer. The produced
+// family streams forked from inferFamSeed in node order — then generates
+// every linear layer's triple: fixed-choice layers from the fill stream's
+// seeds, which the first call sets up (setupFixed, on an endpoint of its
+// own), the others through Gilboa on the kit's endpoint. The produced
 // triples are bit-identical to those an inline cold inference of the same
-// seq would generate. Last, the fill endpoint mints κ random OTs into the
+// seq would generate: both streams' seeds come from the session's one
+// seed-pair stream. Last, the fill endpoint mints κ random OTs into the
 // kit (ot.Endpoint.MintBase), which start the seq's online endpoint, so a
-// warm inference runs no public-key OT and the fill runs one set-up.
+// warm inference runs no public-key OT and the fill runs one set-up per
+// kit.
 func preprocGen(pconn transport.Conn, party int, cfg Options, st *sessionState, pool *parallel.Pool) preproc.GenFunc {
 	layers := preprocLayers(st.model)
+	var seeds map[int]*triple.FixedSeeds
 	return func(seq uint32, root *telemetry.Span) (*preproc.Kit, error) {
+		if seeds == nil {
+			var err error
+			if seeds, err = st.setupFixed(pconn, party, cfg, fixedFillSalt, pool, telemetry.NewScope(root)); err != nil {
+				return nil, fmt.Errorf("preprocessing: %w", err)
+			}
+		}
 		icfg := inferOptions(cfg, seq)
 		rng := prg.NewSeeded(saltedSeed(icfg.Seed, preprocSeedSalt+uint64(party)*7919))
 		ep := newOTEndpoint(party, pconn, cfg, rng.Fork(), pool)
@@ -80,9 +91,16 @@ func preprocGen(pconn transport.Conn, party int, cfg Options, st *sessionState, 
 		famRng := prg.NewSeeded(inferFamSeed(icfg, party))
 		mats := make(map[int]*triple.Mat, len(layers))
 		for _, l := range layers {
-			fam := triple.NewGilboaFamilyFixed(ep, famRng.Fork(), party, st.r, l.K, l.N, st.bShares[l.Node])
-			fam.Pool = pool
-			mat, err := fam.Generate(l.M)
+			var mat *triple.Mat
+			var err error
+			if s := seeds[l.Node]; s != nil {
+				fam := &triple.FixedFamily{EP: ep, Rng: famRng.Fork(), Party: party, Seeds: s, Seq: seq, Pool: pool}
+				mat, err = fam.Generate(l.M)
+			} else {
+				fam := triple.NewGilboaFamilyFixed(ep, famRng.Fork(), party, st.r, l.K, l.N, st.bShares[l.Node])
+				fam.Pool = pool
+				mat, err = fam.Generate(l.M)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("preprocessing node %d: %w", l.Node, err)
 			}

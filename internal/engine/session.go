@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"aq2pnn/internal/nn"
+	"aq2pnn/internal/parallel"
 	"aq2pnn/internal/preproc"
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/ring"
@@ -14,14 +15,22 @@ import (
 	"aq2pnn/internal/triple"
 )
 
-// The session protocol (generation 3), the only networked flow. The setup
-// — weight-share exchange plus the F openings of every linear layer — is
-// paid once at open; any number of inference requests then stream over the
-// prepared state (a single inference is a session of one):
+// The session protocol, the only networked flow. The setup — weight-share
+// exchange plus the F openings of every linear layer — is paid once at
+// open; any number of inference requests then stream over the prepared
+// state (a single inference is a session of one):
 //
-//	hello(flagSession) → attach/resume → [weight shares + prepare]   (open)
-//	(infer seq=0 → input share → online protocol)*                   (steady state)
-//	end                                                              (close)
+//	hello(flagSession) → attach/resume → [weight shares + prepare + seeds]   (open)
+//	([fixed set-up →] infer seq → input share → online protocol)*            (steady state)
+//	end                                                                      (close)
+//
+// The seeds are the fixed-choice seed OTs of the convolutions
+// (triple.SetupFixed), from which every later triple of those layers is
+// built with no OT. Without the preprocessing plane the open runs them on
+// the main stream; with it the open stays OT-free, the fill stream runs
+// its own before its first kit, and the main stream runs them on the
+// client's fixed-set-up request before its first cold inference, if any.
+// Every run sends the same seeds: they derive from (Seed, token, party).
 //
 // Each inference runs on a fresh deterministic context derived from
 // (Seed, seq): a new OT endpoint whose IKNP setup is part of that
@@ -62,7 +71,13 @@ var (
 	// bank committed, which the fill subprotocol's ack ordering guarantees
 	// the provider's store also holds.
 	warmReqMagic = [4]byte{'A', 'Q', '2', 'W'}
-	endMagic     = [4]byte{'A', 'Q', '2', 'E'}
+	// fixedReqMagic asks the provider to run the fixed-choice seed OTs on
+	// the main stream (setupFixed) before a cold inference whose session
+	// state lacks them, because the open ran with the preprocessing plane;
+	// the provider echoes it when done. It is set-up, not a seq's online
+	// traffic.
+	fixedReqMagic = [4]byte{'A', 'Q', '2', 'F'}
+	endMagic      = [4]byte{'A', 'Q', '2', 'E'}
 )
 
 const (
@@ -124,24 +139,42 @@ func encodeEnd() []byte {
 	return p
 }
 
+// encodeFixedReq is the fixed-set-up request, laid out like the end frame.
+func encodeFixedReq() []byte {
+	p := encodeEnd()
+	copy(p, fixedReqMagic[:])
+	return p
+}
+
+// sessionReq is a steady-state request kind, as the provider reads it.
+type sessionReq int
+
+const (
+	reqCold  sessionReq = iota // inference, triples generated inline
+	reqWarm                    // inference served from the preprocessing plane
+	reqFixed                   // the main stream's fixed-choice seed OTs
+	reqEnd                     // end of session
+)
+
 // recvSessionReq reads the next steady-state frame on the provider side:
-// an inference request (end=false, with its seq and whether it is warm —
-// served from the preprocessing plane) or the end frame (end=true).
-// Anything else is a typed wire violation.
-func recvSessionReq(conn transport.Conn) (seq uint32, warm, end bool, err error) {
+// an inference request (with its seq), a fixed-set-up request or the end
+// frame. Anything else is a typed wire violation.
+func recvSessionReq(conn transport.Conn) (seq uint32, req sessionReq, err error) {
 	p, err := conn.Recv()
 	if err != nil {
-		return 0, false, false, err
+		return 0, 0, err
 	}
 	switch {
 	case len(p) == inferReqLen && [4]byte(p[:4]) == inferReqMagic:
-		return binary.LittleEndian.Uint32(p[4:]), false, false, nil
+		return binary.LittleEndian.Uint32(p[4:]), reqCold, nil
 	case len(p) == inferReqLen && [4]byte(p[:4]) == warmReqMagic:
-		return binary.LittleEndian.Uint32(p[4:]), true, false, nil
+		return binary.LittleEndian.Uint32(p[4:]), reqWarm, nil
+	case len(p) == endLen && [4]byte(p[:4]) == fixedReqMagic:
+		return 0, reqFixed, nil
 	case len(p) == endLen && [4]byte(p[:4]) == endMagic:
-		return 0, false, true, nil
+		return 0, reqEnd, nil
 	}
-	return 0, false, false, wireError("session request frame length", len(p), inferReqLen)
+	return 0, 0, wireError("session request frame length", len(p), inferReqLen)
 }
 
 // Seed-derivation salts. Every per-session and per-inference PRG stream is
@@ -152,6 +185,17 @@ const (
 	inferSeedSalt  = 0x5E55_10F3_BAD5_EED5
 	famSeedSalt    = 0xFA41_11E5_0B5A_A3E5
 	warmOTSeedSalt = 0x0C7E_D5EE_D0FA_17ED
+	// fixedSeedSalt keys a session's fixed-choice seed pairs: one stream
+	// per (Seed, token, party), so every set-up of the session — on either
+	// stream, on any attachment — sends the same seeds.
+	fixedSeedSalt = 0xF1ED_C401_CE5E_ED51
+	// fixedMainSalt and fixedFillSalt key the OT endpoint under the seed
+	// OTs, per (Seed, token, stream, party). A set-up runs nothing else on
+	// its endpoint, so a stream's re-runs repeat one transcript (same
+	// choice bits, same messages), and no two sessions or streams share
+	// IKNP columns.
+	fixedMainSalt = 0x3A1F_1E0D_5EED_0717
+	fixedFillSalt = 0xF111_F1ED_5EED_0717
 )
 
 // mix64 is the splitmix64 finalizer: a bijective avalanche so consecutive
@@ -188,9 +232,66 @@ func inferOptions(cfg Options, seq uint32) Options {
 type sessionState struct {
 	model   *nn.Model
 	r       ring.Ring
+	token   SessionToken
 	weights *WeightShares
 	preps   map[int]*secure.Prepared
 	bShares map[int][]uint64
+	// fixed holds the main stream's fixed-choice seeds per node, nil until
+	// setupFixed ran: at a no-plane open, or before the first cold
+	// inference otherwise. They live beside the opened F and survive a
+	// resumed re-attach on both sides; a re-attach that misses sets the
+	// session up afresh, seeds included.
+	fixed map[int]*triple.FixedSeeds
+}
+
+// fixedLayers lists the fixed-choice layers (triple.FixedChoice) of the
+// session's schedule in node order, with this party's B shares.
+func (st *sessionState) fixedLayers() (nodes []int, layers []triple.FixedLayer) {
+	for _, l := range preprocLayers(st.model) {
+		if triple.FixedChoice(l.M, l.N) {
+			nodes = append(nodes, l.Node)
+			layers = append(layers, triple.FixedLayer{R: st.r, K: l.K, N: l.N, BShare: st.bShares[l.Node]})
+		}
+	}
+	return nodes, layers
+}
+
+// needsFixed reports whether a cold inference must first run the main
+// stream's seed OTs.
+func (st *sessionState) needsFixed() bool {
+	nodes, _ := st.fixedLayers()
+	return st.fixed == nil && len(nodes) > 0
+}
+
+// tokenSeed derives a per-session stream seed from cfg.Seed, a purpose
+// salt, both halves of the session token and the party.
+func tokenSeed(cfg Options, salt uint64, party int, token SessionToken) uint64 {
+	le := binary.LittleEndian
+	return mix64(mix64(cfg.Seed^salt^le.Uint64(token[:8])) ^ le.Uint64(token[8:]) + uint64(party)*7919)
+}
+
+// setupFixed runs this party's fixed-choice seed OTs over conn, the
+// stream salt naming the stream (fixedMainSalt or fixedFillSalt), on an
+// OT endpoint of their own (one public-key set-up), traced under trace.
+// The seed pairs come from the session's fixedSeedSalt stream, so every
+// run returns the same seeds.
+func (st *sessionState) setupFixed(conn transport.Conn, party int, cfg Options, stream uint64,
+	pool *parallel.Pool, trace *telemetry.Scope) (map[int]*triple.FixedSeeds, error) {
+	nodes, layers := st.fixedLayers()
+	seeds := make(map[int]*triple.FixedSeeds, len(nodes))
+	if len(nodes) == 0 {
+		return seeds, nil
+	}
+	ep := newOTEndpoint(party, conn, cfg, prg.NewSeeded(tokenSeed(cfg, stream, party, st.token)), pool)
+	ep.Trace = trace
+	got, err := triple.SetupFixed(ep, prg.NewSeeded(tokenSeed(cfg, fixedSeedSalt, party, st.token)), party, layers)
+	if err != nil {
+		return nil, fmt.Errorf("fixed-choice set-up: %w", err)
+	}
+	for i, node := range nodes {
+		seeds[node] = got[i]
+	}
+	return seeds, nil
 }
 
 // newSessionState runs this party's setup half over an established
@@ -229,9 +330,10 @@ func sessionFamSeed(cfg Options, party int, token SessionToken) uint64 {
 // root: the role's weight-share step inside the exchange.shares span — the
 // user receives and validates its share, the provider sends the
 // registry's cached payload — then the F openings (newSessionState) over
-// the B masks drawn for this session's token.
+// the B masks drawn for this session's token and, with fixed (no
+// preprocessing plane), the main stream's fixed-choice seed OTs.
 func openState(conn transport.Conn, party int, cfg Options, m *nn.Model, r ring.Ring, token SessionToken,
-	exchange func() (*WeightShares, error)) (*sessionState, error) {
+	fixed bool, exchange func() (*WeightShares, error)) (*sessionState, error) {
 	ctx := NewNetworkContext(party, conn, cfg)
 	sp := cfg.Trace.Root(roleNames[party]+".session.open", telemetry.WithConn(conn))
 	defer sp.End()
@@ -242,7 +344,32 @@ func openState(conn transport.Conn, party int, cfg Options, m *nn.Model, r ring.
 	if err != nil {
 		return nil, err
 	}
-	return newSessionState(ctx, m, r, weights, sessionFamSeed(cfg, party, token))
+	st, err := newSessionState(ctx, m, r, weights, sessionFamSeed(cfg, party, token))
+	if err != nil {
+		return nil, err
+	}
+	st.token = token
+	if fixed {
+		if st.fixed, err = st.setupFixed(conn, party, cfg, fixedMainSalt, cfg.Pool(), ctx.Trace); err != nil {
+			return nil, err
+		}
+	}
+	return st, nil
+}
+
+// openFixed runs the main stream's seed OTs under a "<role>.session.open"
+// root of their own: set-up work, asked for by the client's fixed-set-up
+// request before a cold inference of a session opened with the
+// preprocessing plane.
+func (st *sessionState) openFixed(conn transport.Conn, party int, cfg Options) error {
+	sp := cfg.Trace.Root(roleNames[party]+".session.open", telemetry.WithConn(conn))
+	defer sp.End()
+	fixed, err := st.setupFixed(conn, party, cfg, fixedMainSalt, cfg.Pool(), telemetry.NewScope(sp))
+	if err != nil {
+		return err
+	}
+	st.fixed = fixed
+	return nil
 }
 
 // inferFamSeed derives inference seq's per-layer family stream for one
@@ -265,8 +392,9 @@ func inferFamSeed(icfg Options, party int) uint64 {
 // plane: its base OTs start the OT endpoint, which then runs no public-key
 // set-up (UseBase empties them, so they seed this endpoint only), and
 // linear nodes it covers bind a consumed-once precomputed family instead
-// of a live Gilboa one, so the online transcript carries no triple
-// generation. A warm endpoint draws on an OT stream of its own
+// of a live one, so the online transcript carries no triple generation. A
+// live family of a fixed-choice node builds from the attachment's main
+// stream seeds (st.fixed, from setupFixed), of any other node runs Gilboa. A warm endpoint draws on an OT stream of its own
 // (warmOTSeedSalt): a seq retried after a fault runs cold, and its
 // public-key set-up uses the stream's first bytes in other roles than the
 // warm attempt did — as base-OT pairs whose one seed each the peer
@@ -294,6 +422,10 @@ func (st *sessionState) bindInfer(conn transport.Conn, party int, cfg Options, s
 			fams[i] = triple.NewMatFamily(kit.Mats[i])
 			continue
 		}
+		if seeds := st.fixed[i]; seeds != nil {
+			fams[i] = &triple.FixedFamily{EP: ctx.OT, Rng: frng, Party: party, Seeds: seeds, Seq: seq, Pool: ctx.Pool}
+			continue
+		}
 		fams[i] = triple.NewGilboaFamilyFixed(ctx.OT, frng, party, st.r, k, n, st.bShares[i])
 	}
 	p := &Party{Ctx: ctx, Model: st.model, Weights: st.weights, R: st.r,
@@ -312,6 +444,9 @@ func (st *sessionState) bindInfer(conn transport.Conn, party int, cfg Options, s
 // the per-node costs. Errors carry the seq.
 func (st *sessionState) inferSeq(conn transport.Conn, party int, cfg Options, seq uint32, kit *preproc.Kit,
 	profile *[]OpProfile, input func() ([]uint64, error)) (logits []int64, class int, err error) {
+	if kit == nil && st.needsFixed() {
+		return nil, -1, sessionError(seq, fmt.Errorf("engine: cold inference before the attachment's fixed-choice set-up"))
+	}
 	ctx, p := st.bindInfer(conn, party, cfg, seq, kit)
 	p.Profile = profile
 	sp := cfg.Trace.Root(roleNames[party]+".session.infer", telemetry.WithConn(conn),

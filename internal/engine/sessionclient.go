@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -200,13 +201,14 @@ func (s *Session) establish(ctx context.Context, resume bool) error {
 	}
 	if resp.flag && resume {
 		// Re-attached: the provider restored our parked peer state, and
-		// our own prepared state is still in hand — no setup traffic.
+		// our own prepared state is still in hand — no setup traffic. The
+		// fixed-choice seeds, when held, survive with it on both sides.
 		telemetry.Count("aq2pnn_sessions_reattached_total", 1)
 	} else {
 		// Fresh setup (first open, or the token missed — expired, evicted
 		// or a restarted provider — and the provider fell back to a fresh
 		// session under a new token).
-		st, err := openState(conn, roleUser, cfg, s.m, s.r, s.token, func() (*WeightShares, error) {
+		st, err := openState(conn, roleUser, cfg, s.m, s.r, s.token, !cfg.preprocOn(), func() (*WeightShares, error) {
 			wp, err := recvShares(conn, s.r.Bytes())
 			if err != nil {
 				return nil, fmt.Errorf("engine: receiving weight shares: %w", err)
@@ -348,6 +350,11 @@ func (s *Session) inferAttempt(x []int64) (*Result, error) {
 			telemetry.Count("aq2pnn_preproc_starvation_total", 1)
 		}
 	}
+	if kit == nil && s.st.needsFixed() {
+		if err := s.fixedSetup(); err != nil {
+			return nil, err
+		}
+	}
 	var profile []OpProfile
 	logits, class, err := s.st.inferSeq(conn, roleUser, cfg, seq, kit, &profile, func() ([]uint64, error) {
 		if err := conn.Send(encodeInferReq(seq, kit != nil)); err != nil {
@@ -370,6 +377,33 @@ func (s *Session) inferAttempt(x []int64) (*Result, error) {
 	online := conn.Stats()
 	conn.ResetStats()
 	return &Result{Logits: logits, Class: class, Online: online, PerOp: profile, Carrier: s.r}, nil
+}
+
+// fixedSetup runs the main stream's fixed-choice seed OTs before a cold
+// inference whose session state lacks them — its open ran with the
+// preprocessing plane, which keeps the open OT-free — : the request
+// frame, the lockstep set-up, then the provider's echo, without which the
+// seeds are dropped again (the provider may not hold them). Its traffic
+// is set-up, added to SetupStats, so a cold inference's Online stats are
+// the same whether or not it ran first.
+func (s *Session) fixedSetup() error {
+	if err := s.conn.Send(encodeFixedReq()); err != nil {
+		return fmt.Errorf("engine: sending fixed-choice set-up request: %w", err)
+	}
+	if err := s.st.openFixed(s.conn, roleUser, s.c.cfg); err != nil {
+		return fmt.Errorf("engine: fixed-choice set-up: %w", err)
+	}
+	p, err := s.conn.Recv()
+	if err == nil && !bytes.Equal(p, encodeFixedReq()) {
+		err = wireError("fixed-choice set-up echo length", len(p), endLen)
+	}
+	if err != nil {
+		s.st.fixed = nil
+		return fmt.Errorf("engine: fixed-choice set-up echo: %w", err)
+	}
+	s.setup.Add(s.conn.Stats())
+	s.conn.ResetStats()
+	return nil
 }
 
 // Close ends the session: the end frame tells the provider to drop its

@@ -100,7 +100,9 @@ func attachState(reg *Registry, req attachFrame, m *nn.Model, r ring.Ring) (Sess
 }
 
 // provideSession runs the provider half of an attached session: at most
-// one setup phase (st == nil), then the steady-state inference loop. On a
+// one setup phase (st == nil), then the steady-state loop of inference
+// requests and, when the client asks before a cold inference, the main
+// stream's fixed-choice set-up. On a
 // transport fault past setup the prepared state is parked under the
 // session token so the client's re-attach skips setup. With withPreproc
 // (the client's flagPreproc, adopted) the connection is multiplexed past
@@ -120,7 +122,7 @@ func provideSession(conn transport.Conn, reg *Registry, m *nn.Model, r ring.Ring
 		if err != nil {
 			return err
 		}
-		st, err = openState(conn, roleProvider, cfg, m, r, token, func() (*WeightShares, error) {
+		st, err = openState(conn, roleProvider, cfg, m, r, token, !withPreproc, func() (*WeightShares, error) {
 			if err := sendSetupBytes(conn, shares.payload); err != nil {
 				return nil, fmt.Errorf("engine: sending weight shares: %w", err)
 			}
@@ -148,21 +150,38 @@ func provideSession(conn transport.Conn, reg *Registry, m *nn.Model, r ring.Ring
 		}()
 	}
 	// Steady state: each inference request binds a fresh deterministic
-	// context to the prepared state. Nothing from the setup phase crosses
-	// the wire again.
+	// context to the prepared state. The only set-up past the open is the
+	// fixed-choice seed OTs, which the client asks for before a cold
+	// inference when the state does not hold them yet.
 	for {
-		seq, warm, end, err := recvSessionReq(conn)
+		seq, req, err := recvSessionReq(conn)
 		if err != nil {
 			if transport.IsTransient(err) {
 				reg.park(token, st)
 			}
 			return fmt.Errorf("engine: receiving session request: %w", err)
 		}
-		if end {
-			return nil
-		}
 		var kit *preproc.Kit
-		if warm {
+		switch req {
+		case reqEnd:
+			return nil
+		case reqFixed:
+			// Run on every request, even with seeds in hand: a fault can
+			// cut the client's set-up after this side finished, and a re-run
+			// repeats the same transcript. The echo acknowledges seeds held
+			// here, so the client never holds seeds this state lacks.
+			err := st.openFixed(conn, roleProvider, cfg)
+			if err == nil {
+				err = conn.Send(encodeFixedReq())
+			}
+			if err != nil {
+				if transport.IsTransient(err) {
+					reg.park(token, st)
+				}
+				return err
+			}
+			continue
+		case reqWarm:
 			// The fill subprotocol's ack ordering guarantees every seq the
 			// client committed is already in the store, so a warm request
 			// that misses is a protocol violation, not a race.
