@@ -69,8 +69,13 @@ type FixedSeeds struct {
 // over ep and returns each layer's seeds. rng draws this party's seed
 // pairs in (layer, kk, j, t) order, k⁰ then k¹; a caller that seeds it
 // from the session (not the stream) makes every re-run deliver the same
-// seeds, which warm ≡ cold rests on. Party 0 receives first.
+// seeds, which warm ≡ cold rests on. Party 0 receives first. The set-up
+// runs under a triple.gilboa span of ep's trace and is counted in
+// aq2pnn_triple_fixed_setups_total.
 func SetupFixed(ep *ot.Endpoint, rng *prg.PRG, party int, layers []FixedLayer) ([]*FixedSeeds, error) {
+	sp := ep.Trace.Enter("triple.gilboa", telemetry.WithAttrs(telemetry.Int("layers", int64(len(layers)))))
+	defer ep.Trace.Exit(sp)
+	telemetry.Count("aq2pnn_triple_fixed_setups_total", 1)
 	total := 0
 	for _, l := range layers {
 		if l.K <= 0 || l.N <= 0 || len(l.BShare) != l.K*l.N {
