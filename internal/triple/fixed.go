@@ -26,9 +26,12 @@ import (
 //     (kk, j, t). The A-holder p sends a seed pair (k⁰, k¹), and the
 //     B-holder q chooses with b_t and keeps k^b.
 //   - Per triple of seq: p sends one M-element correction
-//     u = G(k⁰, seq) − G(k¹, seq) + 2^t·A_p[:, kk] per (kk, j, t) and adds
-//     −G(k⁰, seq) to Z_p[:, j]; q adds G(k^b, seq) + b_t·u to Z_q[:, j].
-//     The two sum to b_t·2^t·A_p[:, kk].
+//     u = G(k⁰, seq) − G(k¹, seq) + A_p[:, kk] per (kk, j, t) and adds
+//     −2^t·G(k⁰, seq) to Z_p[:, j]; q adds 2^t·(G(k^b, seq) + b_t·u) to
+//     Z_q[:, j]. The two sum to b_t·2^t·A_p[:, kk]. Everything of bit t is
+//     taken mod 2^(ℓ−t), since it lands in Z times 2^t: its correction
+//     elements travel in the bytes of ℓ−t bits, 1.5 bytes per element on
+//     average at ℓ = 16 where Gilboa's messages take 2.
 //
 // G is ot.Expand, the OT plane's fixed-key hash keyed by the seed with
 // (seq, block) in the tweak. u hides A_p behind G(k^{1−b}, seq), which q
@@ -202,10 +205,11 @@ func fixedZ(conn transport.Conn, pool *parallel.Pool, s *FixedSeeds, party int, 
 	zt := fixedSlab.Get(n * m)
 	defer fixedSlab.Put(zt)
 	clear(zt)
-	frame := make([]byte, s.frameLen(m))
+	p := s.plan(m)
+	frame := make([]byte, k*n*p.row)
 	pool.Blocks(n, func(lo, hi int) {
-		sc := s.scratch(m)
-		s.correctCols(sc, frame, zt, at, m, seq, lo, hi)
+		sc := s.scratch(p)
+		s.correctCols(sc, p, frame, zt, at, seq, lo, hi)
 		fixedScratch.Put(sc)
 	})
 	var peer []byte
@@ -224,8 +228,8 @@ func fixedZ(conn transport.Conn, pool *parallel.Pool, s *FixedSeeds, party int, 
 		return nil, err
 	}
 	pool.Blocks(n, func(lo, hi int) {
-		sc := s.scratch(m)
-		s.absorbCols(sc, zt, peer, m, seq, lo, hi)
+		sc := s.scratch(p)
+		s.absorbCols(sc, p, zt, peer, seq, lo, hi)
 		fixedScratch.Put(sc)
 	})
 	for i := range m {
@@ -237,9 +241,42 @@ func fixedZ(conn transport.Conn, pool *parallel.Pool, s *FixedSeeds, party int, 
 	return z, nil
 }
 
-// frameLen is the byte length of one m-row correction frame: one
-// m-element vector per (kk, j, t).
-func (s *FixedSeeds) frameLen(m int) int { return s.ots() * m * s.R.Bytes() }
+// fixedPlan is the layout of one m-row triple of a layer. Bit t's
+// correction needs only its ℓ−t low bits, since it lands in Z times 2^t:
+// its elements take w[t] bytes, reduced by mask[t], and start at byte
+// fo[t] of a (kk, j) row of row bytes; each of its expansions takes nb[t]
+// hash blocks.
+type fixedPlan struct {
+	bits, m, row int
+	w, fo, nb    [64]int
+	mask         [64]uint64
+}
+
+func (s *FixedSeeds) plan(m int) *fixedPlan {
+	p := &fixedPlan{bits: int(s.R.Bits), m: m}
+	for t := range p.bits {
+		r := ring.New(uint(p.bits - t))
+		p.w[t], p.mask[t] = r.Bytes(), r.Mask
+		p.fo[t] = p.row
+		p.row += m * p.w[t]
+		p.nb[t] = (m*p.w[t] + aes.BlockSize - 1) / aes.BlockSize
+	}
+	return p
+}
+
+// run returns the end of the run of bits from t0 on whose elements share
+// t0's width, so that one Expand call covers their seeds.
+func (p *fixedPlan) run(t0 int) int {
+	t1 := t0 + 1
+	for t1 < p.bits && p.w[t1] == p.w[t0] {
+		t1++
+	}
+	return t1
+}
+
+// frameLen is the byte length of one m-row correction frame: one row per
+// (kk, j).
+func (s *FixedSeeds) frameLen(m int) int { return s.K * s.N * s.plan(m).row }
 
 // checkFrame checks a peer's correction frame against the public shape
 // before anything reads it.
@@ -254,96 +291,109 @@ func (s *FixedSeeds) checkFrame(p []byte, m int) error {
 var fixedSlab parallel.Slab
 
 // expandScratch is one pool chunk's staging: the expansions of one
-// (kk, j)'s seeds.
+// (kk, j)'s seeds of one width.
 type expandScratch struct{ g []byte }
 
 var fixedScratch = sync.Pool{New: func() any { return new(expandScratch) }}
 
-// blocks is the number of hash blocks one m-element expansion takes.
-func (s *FixedSeeds) blocks(m int) int { return (m*s.R.Bytes() + aes.BlockSize - 1) / aes.BlockSize }
-
-// scratch takes a staging area sized for m rows: room for the 2ℓ
-// expansions of one (kk, j) on the sender side.
-func (s *FixedSeeds) scratch(m int) *expandScratch {
+// scratch takes a staging area sized for p: room for the 2ℓ expansions of
+// one (kk, j) on the sender side, at the widest width.
+func (s *FixedSeeds) scratch(p *fixedPlan) *expandScratch {
 	sc := fixedScratch.Get().(*expandScratch)
-	if g := 2 * int(s.R.Bits) * s.blocks(m) * aes.BlockSize; cap(sc.g) < g {
+	if g := 2 * p.bits * p.nb[0] * aes.BlockSize; cap(sc.g) < g {
 		sc.g = make([]byte, g)
 	}
 	return sc
 }
 
 // correctCols is the sender half for the columns j in [lo, hi): it writes
-// each (kk, j, t)'s correction u = G(k⁰) − G(k¹) + 2^t·A[:, kk] to its
-// place in frame and subtracts G(k⁰) from column j of zt (N×m, the
-// transposed cross term, reduced by the caller). at is A transposed (K×m).
-func (s *FixedSeeds) correctCols(sc *expandScratch, frame []byte, zt, at []uint64, m int, seq uint32, lo, hi int) {
-	bits, nb, w := int(s.R.Bits), s.blocks(m), s.R.Bytes()
-	ex := nb * aes.BlockSize
-	g := sc.g[:2*bits*ex]
+// each (kk, j, t)'s correction u = G(k⁰) − G(k¹) + A[:, kk] mod 2^(ℓ−t)
+// to its place in frame and subtracts 2^t·G(k⁰) from column j of zt (N×m,
+// the transposed cross term, reduced by the caller). at is A transposed
+// (K×m).
+func (s *FixedSeeds) correctCols(sc *expandScratch, p *fixedPlan, frame []byte, zt, at []uint64, seq uint32, lo, hi int) {
+	const blk = aes.BlockSize
+	m, bits := p.m, p.bits
 	for j := lo; j < hi; j++ {
 		ztj := zt[j*m : (j+1)*m]
 		for kk := range s.K {
 			idx := kk*s.N + j
-			ot.Expand(g, s.send[2*idx*bits*aes.BlockSize:2*(idx+1)*bits*aes.BlockSize], uint64(seq), nb)
+			px := s.send[2*idx*bits*blk : 2*(idx+1)*bits*blk]
 			ak := at[kk*m : (kk+1)*m]
-			for t := range bits {
-				o := (idx*bits + t) * m * w
-				correctRow(frame[o:o+m*w], g[2*t*ex:], g[(2*t+1)*ex:], ztj, ak, uint(t), w, s.R.Mask)
+			row := frame[idx*p.row : (idx+1)*p.row]
+			for t0 := 0; t0 < bits; {
+				t1, ex := p.run(t0), p.nb[t0]*blk
+				ot.Expand(sc.g[:2*(t1-t0)*ex], px[2*t0*blk:2*t1*blk], uint64(seq), p.nb[t0])
+				for t := t0; t < t1; t++ {
+					e := sc.g[2*(t-t0)*ex:]
+					correctRow(row[p.fo[t]:p.fo[t]+m*p.w[t]], e, e[ex:], ztj, ak, uint(t), p.w[t], p.mask[t], s.R.Mask)
+				}
+				t0 = t1
 			}
 		}
 	}
 }
 
 // absorbCols is the receiver half for the columns j in [lo, hi): it adds
-// G(k^b) + b·u of every (kk, j, t) to column j of zt, u read from the
-// peer's frame (checked by checkFrame).
-func (s *FixedSeeds) absorbCols(sc *expandScratch, zt []uint64, frame []byte, m int, seq uint32, lo, hi int) {
-	bits, nb, w := int(s.R.Bits), s.blocks(m), s.R.Bytes()
-	ex := nb * aes.BlockSize
-	g := sc.g[:bits*ex]
+// 2^t·(G(k^b) + b·u) of every (kk, j, t) to column j of zt, u read from
+// the peer's frame (checked by checkFrame).
+func (s *FixedSeeds) absorbCols(sc *expandScratch, p *fixedPlan, zt []uint64, frame []byte, seq uint32, lo, hi int) {
+	const blk = aes.BlockSize
+	m, bits := p.m, p.bits
 	for j := lo; j < hi; j++ {
 		ztj := zt[j*m : (j+1)*m]
 		for kk := range s.K {
 			idx := kk*s.N + j
-			ot.Expand(g, s.recv[idx*bits*aes.BlockSize:(idx+1)*bits*aes.BlockSize], uint64(seq), nb)
+			px := s.recv[idx*bits*blk : (idx+1)*bits*blk]
+			row := frame[idx*p.row : (idx+1)*p.row]
 			b := s.BShare[idx]
-			for t := range bits {
-				addRow(ztj, g[t*ex:], w, s.R.Mask)
-				if b>>t&1 == 1 {
-					o := (idx*bits + t) * m * w
-					addRow(ztj, frame[o:o+m*w], w, s.R.Mask)
+			for t0 := 0; t0 < bits; {
+				t1, ex := p.run(t0), p.nb[t0]*blk
+				ot.Expand(sc.g[:(t1-t0)*ex], px[t0*blk:t1*blk], uint64(seq), p.nb[t0])
+				for t := t0; t < t1; t++ {
+					addRow(ztj, sc.g[(t-t0)*ex:], uint(t), p.w[t], p.mask[t], s.R.Mask)
+					if b>>t&1 == 1 {
+						addRow(ztj, row[p.fo[t]:], uint(t), p.w[t], p.mask[t], s.R.Mask)
+					}
 				}
+				t0 = t1
 			}
 		}
 	}
 }
 
-// correctRow sets u to the w-byte elements g0 − g1 + a·2^t, reduced by
-// mask, and subtracts g0 from z, for the len(z) elements of the
-// expansions e0 and e1 (read from their start). z stays unreduced: ring
-// addition mod 2^64 agrees with it mod 2^ℓ.
-func correctRow(u, e0, e1 []byte, z, a []uint64, t uint, w int, mask uint64) {
+// correctRow sets u to the w-byte elements g0 − g1 + a, reduced by mask,
+// and subtracts g0·2^t, reduced by zmask, from z, for the len(z) elements
+// of the expansions e0 and e1 (read from their start, reduced by mask). z
+// itself stays unreduced: ring addition mod 2^64 agrees with it mod 2^ℓ.
+func correctRow(u, e0, e1 []byte, z, a []uint64, t uint, w int, mask, zmask uint64) {
 	le := binary.LittleEndian
 	m := len(z)
-	e0, e1, a = e0[:m*w], e1[:m*w], a[:m]
+	e0, e1, a, u = e0[:m*w], e1[:m*w], a[:m], u[:m*w]
 	switch w {
+	case 1:
+		for i := range z {
+			g0, g1 := uint64(e0[i])&mask, uint64(e1[i])&mask
+			z[i] -= g0 << t & zmask
+			u[i] = byte((g0 - g1 + a[i]) & mask)
+		}
 	case 2:
 		for i := range z {
-			g0, g1 := uint64(le.Uint16(e0[2*i:])), uint64(le.Uint16(e1[2*i:]))
-			z[i] -= g0
-			le.PutUint16(u[2*i:], uint16((g0-g1+a[i]<<t)&mask))
+			g0, g1 := uint64(le.Uint16(e0[2*i:]))&mask, uint64(le.Uint16(e1[2*i:]))&mask
+			z[i] -= g0 << t & zmask
+			le.PutUint16(u[2*i:], uint16((g0-g1+a[i])&mask))
 		}
 	case 4:
 		for i := range z {
-			g0, g1 := uint64(le.Uint32(e0[4*i:])), uint64(le.Uint32(e1[4*i:]))
-			z[i] -= g0
-			le.PutUint32(u[4*i:], uint32((g0-g1+a[i]<<t)&mask))
+			g0, g1 := uint64(le.Uint32(e0[4*i:]))&mask, uint64(le.Uint32(e1[4*i:]))&mask
+			z[i] -= g0 << t & zmask
+			le.PutUint32(u[4*i:], uint32((g0-g1+a[i])&mask))
 		}
 	default:
 		for i := range z {
 			g0, g1 := loadElem(e0[w*i:], w, mask), loadElem(e1[w*i:], w, mask)
-			z[i] -= g0
-			v := (g0 - g1 + a[i]<<t) & mask
+			z[i] -= g0 << t & zmask
+			v := (g0 - g1 + a[i]) & mask
 			for b := range w {
 				u[w*i+b] = byte(v >> (8 * b))
 			}
@@ -351,23 +401,27 @@ func correctRow(u, e0, e1 []byte, z, a []uint64, t uint, w int, mask uint64) {
 	}
 }
 
-// addRow adds the len(z) w-byte elements at the start of p to z,
-// unreduced; only the generic width reduces each load by mask.
-func addRow(z []uint64, p []byte, w int, mask uint64) {
+// addRow adds 2^t times each of the len(z) w-byte elements at the start
+// of p, reduced by mask, then by zmask, to z, itself unreduced.
+func addRow(z []uint64, p []byte, t uint, w int, mask, zmask uint64) {
 	le := binary.LittleEndian
 	p = p[:len(z)*w]
 	switch w {
+	case 1:
+		for i := range z {
+			z[i] += (uint64(p[i]) & mask) << t & zmask
+		}
 	case 2:
 		for i := range z {
-			z[i] += uint64(le.Uint16(p[2*i:]))
+			z[i] += (uint64(le.Uint16(p[2*i:])) & mask) << t & zmask
 		}
 	case 4:
 		for i := range z {
-			z[i] += uint64(le.Uint32(p[4*i:]))
+			z[i] += (uint64(le.Uint32(p[4*i:])) & mask) << t & zmask
 		}
 	default:
 		for i := range z {
-			z[i] += loadElem(p[w*i:], w, mask)
+			z[i] += loadElem(p[w*i:], w, mask) << t & zmask
 		}
 	}
 }

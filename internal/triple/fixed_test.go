@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -102,11 +103,12 @@ func TestFixedChoiceTriple(t *testing.T) {
 }
 
 // TestFixedCorrectionHidesA checks that a correction u = G(k⁰) − G(k¹) +
-// 2^t·A looks uniform to a receiver holding k^b, whatever A is: at b = 0
-// and b = 1, with k^b fixed and k^{1−b} fresh per draw, the elements of u
-// for A = 0 and for A = 0xA5 both pass a χ² test against the uniform
-// distribution on an 8-bit ring (255 degrees of freedom; the bound is
-// about six standard deviations out).
+// A mod 2^(ℓ−t) looks uniform to a receiver holding k^b, whatever A is: at
+// b = 0 and b = 1, with k^b fixed and k^{1−b} fresh per draw, the elements
+// of u for A = 0 and for A = 0xA5 pass a χ² test against the uniform
+// distribution on their ℓ−t bits, for bits t = 0 (8 bits) and t = 5 (3
+// bits) of an 8-bit ring. The bound is six standard deviations above the
+// mean, dof + 6·√(2·dof).
 func TestFixedCorrectionHidesA(t *testing.T) {
 	const m, draws = 64, 128
 	r := ring.New(8)
@@ -115,7 +117,7 @@ func TestFixedCorrectionHidesA(t *testing.T) {
 		for _, aval := range []uint64{0, 0xA5} {
 			var known [aes.BlockSize]byte
 			g.Read(known[:])
-			var hist [256]int
+			hists := map[int][]int{0: make([]int, 256), 5: make([]int, 8)}
 			for range draws {
 				s := &FixedSeeds{FixedLayer: FixedLayer{R: r, K: 1, N: 1, BShare: []uint64{0}}}
 				seeds := make([]byte, 2*8*aes.BlockSize)
@@ -129,21 +131,25 @@ func TestFixedCorrectionHidesA(t *testing.T) {
 				for i := range at {
 					at[i] = aval
 				}
+				p := s.plan(m)
 				frame := make([]byte, s.frameLen(m))
-				sc := s.scratch(m)
-				s.correctCols(sc, frame, make([]uint64, m), at, m, 9, 0, 1)
-				for _, v := range frame {
-					hist[v]++
+				s.correctCols(s.scratch(p), p, frame, make([]uint64, m), at, 9, 0, 1)
+				for tb, hist := range hists {
+					for _, v := range frame[p.fo[tb] : p.fo[tb]+m] {
+						hist[v]++
+					}
 				}
 			}
-			n := float64(m * 8 * draws)
-			chi := 0.0
-			for _, c := range hist {
-				d := float64(c) - n/256
-				chi += d * d / (n / 256)
-			}
-			if chi > 390 {
-				t.Errorf("b=%d, A=%#x: χ² = %.1f over 255 degrees of freedom, u is not uniform", b, aval, chi)
+			for tb, hist := range hists {
+				n, dof := float64(m*draws), float64(len(hist)-1)
+				chi := 0.0
+				for _, c := range hist {
+					d := float64(c) - n/float64(len(hist))
+					chi += d * d / (n / float64(len(hist)))
+				}
+				if bound := dof + 6*math.Sqrt(2*dof); chi > bound {
+					t.Errorf("b=%d, A=%#x, bit %d: χ² = %.1f over %v degrees of freedom (bound %.1f), u is not uniform", b, aval, tb, chi, dof, bound)
+				}
 			}
 		}
 	}
@@ -199,13 +205,14 @@ func TestFixedHotPathAllocs(t *testing.T) {
 	at := make([]uint64, s.K*m)
 	zt := make([]uint64, s.N*m)
 	frame := make([]byte, s.frameLen(m))
-	sc := s.scratch(m)
+	p := s.plan(m)
+	sc := s.scratch(p)
 	px := s.send[:4*aes.BlockSize]
-	ex := make([]byte, 4*s.blocks(m)*aes.BlockSize)
+	ex := make([]byte, 4*p.nb[0]*aes.BlockSize)
 	for name, f := range map[string]func(){
-		"Expand":      func() { ot.Expand(ex, px, 3, s.blocks(m)) },
-		"correctCols": func() { s.correctCols(sc, frame, zt, at, m, 3, 0, 1) },
-		"absorbCols":  func() { s.absorbCols(sc, zt, frame, m, 3, 0, 1) },
+		"Expand":      func() { ot.Expand(ex, px, 3, p.nb[0]) },
+		"correctCols": func() { s.correctCols(sc, p, frame, zt, at, 3, 0, 1) },
+		"absorbCols":  func() { s.absorbCols(sc, p, zt, frame, 3, 0, 1) },
 	} {
 		if n := testing.AllocsPerRun(3, f); n != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", name, n)
@@ -268,23 +275,22 @@ func TestFixedChoiceSharesPinned(t *testing.T) {
 			}
 		}
 	}
-	if got, want := h.Sum64(), uint64(0x8bc67f043341f152); got != want {
+	if got, want := h.Sum64(), uint64(0xa172f4492f1fddfe); got != want {
 		t.Errorf("fixed-choice share digest %#x, want %#x", got, want)
 	}
 }
 
 // FuzzFixedChoiceFrame feeds arbitrary bytes to party 0 as party 1's
-// correction frame for one 2×3 layer at m = 5: a frame of the wrong length
-// must fail with *FrameError, and any frame of the right length must
-// decode without a panic.
+// correction frame for one 2×3 layer at m = 5 on a 12-bit ring (480
+// bytes): a frame of the wrong length must fail with *FrameError, and any
+// frame of the right length must decode without a panic. The committed
+// corpus holds frames of the right length and one byte either side.
 func FuzzFixedChoiceFrame(f *testing.F) {
 	r := ring.New(12)
 	fp := newFixedPair(f, nil)
 	fp.setUp(f, prg.NewSeeded(67), []FixedLayer{{R: r, K: 2, N: 3}})
 	s := fp.seeds[0][0]
 	const m = 5
-	f.Add(make([]byte, s.frameLen(m)))
-	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, p []byte) {
 		err := s.checkFrame(p, m)
 		if len(p) != s.frameLen(m) {
@@ -297,8 +303,9 @@ func FuzzFixedChoiceFrame(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := s.scratch(m)
-		s.absorbCols(sc, make([]uint64, s.N*m), p, m, 1, 0, s.N)
+		plan := s.plan(m)
+		sc := s.scratch(plan)
+		s.absorbCols(sc, plan, make([]uint64, s.N*m), p, 1, 0, s.N)
 		fixedScratch.Put(sc)
 	})
 }
