@@ -380,12 +380,12 @@ func (s *Session) inferAttempt(x []int64) (*Result, error) {
 }
 
 // fixedSetup runs the main stream's fixed-choice seed OTs before a cold
-// inference whose session state lacks them — its open ran with the
-// preprocessing plane, which keeps the open OT-free — : the request
-// frame, the lockstep set-up, then the provider's echo, without which the
-// seeds are dropped again (the provider may not hold them). Its traffic
-// is set-up, added to SetupStats, so a cold inference's Online stats are
-// the same whether or not it ran first.
+// inference whose session state lacks them, because its open ran with the
+// preprocessing plane and stayed OT-free. It sends the request frame, runs
+// the lockstep set-up and awaits the provider's echo; without the echo it
+// drops the seeds again, since the provider may not hold them. The
+// traffic is set-up, added to SetupStats, so a cold inference's Online
+// stats are the same whether or not it ran first.
 func (s *Session) fixedSetup() error {
 	if err := s.conn.Send(encodeFixedReq()); err != nil {
 		return fmt.Errorf("engine: sending fixed-choice set-up request: %w", err)

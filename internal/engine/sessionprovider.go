@@ -102,13 +102,12 @@ func attachState(reg *Registry, req attachFrame, m *nn.Model, r ring.Ring) (Sess
 // provideSession runs the provider half of an attached session: at most
 // one setup phase (st == nil), then the steady-state loop of inference
 // requests and, when the client asks before a cold inference, the main
-// stream's fixed-choice set-up. On a
-// transport fault past setup the prepared state is parked under the
-// session token so the client's re-attach skips setup. With withPreproc
-// (the client's flagPreproc, adopted) the connection is multiplexed past
-// the attach exchange and a background filler serves the fill
-// subprotocol, committing each demanded seq's kit to a store the warm
-// inference requests consume from.
+// stream's fixed-choice set-up. On a transport fault past setup the
+// prepared state is parked under the session token so the client's
+// re-attach skips setup. With withPreproc (the client's flagPreproc,
+// adopted) the connection is multiplexed past the attach exchange and a
+// background filler serves the fill subprotocol, committing each demanded
+// seq's kit to a store the warm inference requests consume from.
 func provideSession(conn transport.Conn, reg *Registry, m *nn.Model, r ring.Ring, cfg Options,
 	withPreproc bool, token SessionToken, st *sessionState) error {
 	var pconn transport.Conn
