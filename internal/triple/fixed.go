@@ -383,12 +383,6 @@ func correctRow(u, e0, e1 []byte, z, a []uint64, t uint, w int, mask, zmask uint
 			z[i] -= g0 << t & zmask
 			le.PutUint16(u[2*i:], uint16((g0-g1+a[i])&mask))
 		}
-	case 4:
-		for i := range z {
-			g0, g1 := uint64(le.Uint32(e0[4*i:]))&mask, uint64(le.Uint32(e1[4*i:]))&mask
-			z[i] -= g0 << t & zmask
-			le.PutUint32(u[4*i:], uint32((g0-g1+a[i])&mask))
-		}
 	default:
 		for i := range z {
 			g0, g1 := loadElem(e0[w*i:], w, mask), loadElem(e1[w*i:], w, mask)
@@ -414,10 +408,6 @@ func addRow(z []uint64, p []byte, t uint, w int, mask, zmask uint64) {
 	case 2:
 		for i := range z {
 			z[i] += (uint64(le.Uint16(p[2*i:])) & mask) << t & zmask
-		}
-	case 4:
-		for i := range z {
-			z[i] += (uint64(le.Uint32(p[4*i:])) & mask) << t & zmask
 		}
 	default:
 		for i := range z {
