@@ -4,7 +4,7 @@ GO ?= go
 # sources are unchanged, so repeat `make lint` runs pay only for go vet.
 LINTBIN ?= bin/aq2pnnlint
 
-.PHONY: build test race vet lint lintbin bench-module bench-gate trace chaos chaos-fleet fuzz pins ci
+.PHONY: build test race vet lint lintbin bench-module bench-gate trace chaos chaos-exhaustive chaos-fleet fuzz pins ci
 
 # Per-target budget for `make fuzz`; CI uses 30s per target on PRs.
 FUZZTIME ?= 60s
@@ -64,38 +64,48 @@ trace:
 	$(GO) run ./cmd/tracecheck bench/results/micro_warm.trace.json
 	$(GO) run ./cmd/tracecheck bench/results/fleet_micro.trace.json
 
+# require-tests fails the calling target when an alternative of the -run
+# regex $(1) selects no test in the packages $(2): a rename the regex
+# missed would otherwise shrink the target silently.
+define require-tests
+@for re in $(subst |, ,$(1)); do \
+	$(GO) test -list "$$re" $(2) | grep -q "^$$re" || \
+		{ echo "$@: -run alternative $$re selects no test"; exit 1; }; \
+done
+endef
+
 # Deterministic chaos harness (docs/robustness.md): the sampled fault
 # sweep, the serve-loop and retry tests and the fault injector's own tests
 # under the race detector, then the exhaustive micro sweep and the sampled
-# networked-LeNet5 sweep without it. The CI chaos job runs this target. A
-# -run alternative that selects no test (a rename the regex missed) fails
-# the target instead of silently shrinking it.
+# networked-LeNet5 sweep without it. The CI chaos job runs this target.
 CHAOS_RUN = TestFaultSweep|TestServe|TestRetry|TestChaosConn
 CHAOS_PKGS = ./internal/engine/ ./internal/transport/
 
 chaos:
-	@for re in $(subst |, ,$(CHAOS_RUN)); do \
-		$(GO) test -list "$$re" $(CHAOS_PKGS) | grep -q "^$$re" || \
-			{ echo "chaos: -run alternative $$re selects no test"; exit 1; }; \
-	done
+	$(call require-tests,$(CHAOS_RUN),$(CHAOS_PKGS))
 	$(GO) test -race -timeout 20m -count=1 -run '$(CHAOS_RUN)' $(CHAOS_PKGS)
 	AQ2PNN_CHAOS=1 AQ2PNN_CHAOS_LENET=1 $(GO) test -timeout 30m -count=1 -run 'TestFaultSweep' ./internal/engine/
+
+# The nightly exhaustive sweep: every transport op of a networked
+# inference for both parties, the sampled LeNet5 tail, and the fault
+# injector's own tests, without the race detector.
+CHAOS_EXHAUSTIVE_RUN = TestFaultSweep|TestChaosConn
+
+chaos-exhaustive:
+	$(call require-tests,$(CHAOS_EXHAUSTIVE_RUN),$(CHAOS_PKGS))
+	AQ2PNN_CHAOS=1 AQ2PNN_CHAOS_LENET=1 $(GO) test -timeout 120m -count=1 -run '$(CHAOS_EXHAUSTIVE_RUN)' $(CHAOS_PKGS)
 
 # Determinism pins (docs/performance.md): the OT and session wire
 # transcripts, the pad definition, serial-vs-pooled OT endpoints and the
 # Gilboa and fixed-choice triple shares, at three worker counts, once with
 # the AES-NI kernel behind the fixed-key permutation and once under -tags
 # purego, which runs the per-block fallback. The pinned constants must not depend on
-# GOMAXPROCS or on the build, and tier-1 runs them at one count only. Like
-# chaos, a -run alternative that selects no test fails the target.
+# GOMAXPROCS or on the build, and tier-1 runs them at one count only.
 PINS_RUN = TestOTTranscriptPinned|TestPoolMatchesSerial|TestPadKnownAnswer|TestGilboaSharesPinned|TestFixedChoiceSharesPinned|TestSessionTranscriptPinned
 PINS_PKGS = ./internal/ot/ ./internal/triple/ ./internal/engine/
 
 pins:
-	@for re in $(subst |, ,$(PINS_RUN)); do \
-		$(GO) test -list "$$re" $(PINS_PKGS) | grep -q "^$$re" || \
-			{ echo "pins: -run alternative $$re selects no test"; exit 1; }; \
-	done
+	$(call require-tests,$(PINS_RUN),$(PINS_PKGS))
 	$(GO) test -count=1 -cpu 1,4,8 -run '$(PINS_RUN)' $(PINS_PKGS)
 	$(GO) test -count=1 -cpu 1,4,8 -tags purego -run '$(PINS_RUN)' $(PINS_PKGS)
 

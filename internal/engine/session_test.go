@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -789,5 +791,80 @@ func TestRegistryAddReplaceInvalidatesSplit(t *testing.T) {
 	reg.mu.Unlock()
 	if cached != 0 {
 		t.Errorf("replacing a model left %d cached splits, want 0", cached)
+	}
+}
+
+// TestSessionInferBatch: InferBatch delivers the logits of sequential
+// Infer calls over an identical session, and a fault mid-batch returns the
+// completed prefix together with the error.
+func TestSessionInferBatch(t *testing.T) {
+	m := tinyModel(nn.PoolAvg)
+	cfg := testCfg()
+	ctx := context.Background()
+	xs := make([][]int64, 3)
+	for i := range xs {
+		xs[i] = input(64)
+		xs[i][i] = 15
+	}
+
+	// Fresh registries mint the same token stream, so every harness below
+	// runs the same session transcript.
+	hA := newSessionHarness(t, m, cfg)
+	sA, err := NewClient(hA.dial, cfg).OpenSession(ctx, m)
+	if err != nil {
+		t.Fatalf("sequential open: %v", err)
+	}
+	setup := sA.SetupStats()
+	var want [][]int64
+	inferOps := 0
+	for i, x := range xs {
+		res, err := sA.Infer(ctx, x)
+		if err != nil {
+			t.Fatalf("sequential inference %d: %v", i, err)
+		}
+		want = append(want, res.Logits)
+		inferOps = int(res.Online.MsgsSent + res.Online.MsgsRecv)
+	}
+	sA.Close()
+	hA.wg.Wait()
+
+	hB := newSessionHarness(t, m, cfg)
+	sB, err := NewClient(hB.dial, cfg).OpenSession(ctx, m)
+	if err != nil {
+		t.Fatalf("batch open: %v", err)
+	}
+	got, err := sB.InferBatch(ctx, xs)
+	sB.Close()
+	hB.wg.Wait()
+	if err != nil {
+		t.Fatalf("InferBatch: %v", err)
+	}
+	if len(got) != len(xs) {
+		t.Fatalf("InferBatch returned %d results, want %d", len(got), len(xs))
+	}
+	for i := range xs {
+		if !slices.Equal(got[i].Logits, want[i]) {
+			t.Errorf("batch input %d: logits %v, sequential Infer %v", i, got[i].Logits, want[i])
+		}
+	}
+
+	// Fail mid-way through the second inference, with no retry budget.
+	hC := newSessionHarness(t, m, cfg)
+	failAt := int(setup.MsgsSent+setup.MsgsRecv) + inferOps + inferOps/2
+	hC.wrap = func(dial int, c transport.Conn) transport.Conn {
+		return transport.NewChaosConn(c, transport.FaultPlan{FailAfter: failAt})
+	}
+	sC, err := NewClient(hC.dial, cfg).OpenSession(ctx, m)
+	if err != nil {
+		t.Fatalf("faulted open: %v", err)
+	}
+	got, err = sC.InferBatch(ctx, xs)
+	sC.Close()
+	hC.wg.Wait()
+	if !errors.Is(err, transport.ErrInjected) || !strings.Contains(err.Error(), "batch input 1") {
+		t.Fatalf("faulted InferBatch error = %v, want the injected fault at batch input 1", err)
+	}
+	if len(got) != 1 || !slices.Equal(got[0].Logits, want[0]) {
+		t.Fatalf("faulted InferBatch returned %d results, want the completed first one", len(got))
 	}
 }

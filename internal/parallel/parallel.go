@@ -58,9 +58,6 @@ func (p *Pool) Workers() int {
 	return p.degree
 }
 
-// Serial reports whether the pool runs everything inline.
-func (p *Pool) Serial() bool { return p.Workers() == 1 }
-
 // Blocks partitions [0, n) into at most Workers() contiguous blocks and
 // invokes fn on each. All fn invocations have returned when Blocks returns.
 // fn must only write state owned by its [lo, hi) range; under that contract

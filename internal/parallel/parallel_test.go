@@ -8,7 +8,7 @@ import (
 
 func TestNilAndZeroPoolsRunSerially(t *testing.T) {
 	var nilPool *Pool
-	if nilPool.Workers() != 1 || !nilPool.Serial() {
+	if nilPool.Workers() != 1 {
 		t.Errorf("nil pool workers = %d", nilPool.Workers())
 	}
 	var zero Pool

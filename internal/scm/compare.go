@@ -66,15 +66,11 @@ func PredTokensInto(dst []byte, ga []uint64, widths []uint, flip uint64, rel Rel
 	}
 }
 
-// CmpSender runs party i's side of the batched unsigned comparison for its
-// values a, returning its boolean shares (the masks).
-func CmpSender(ep *ot.Endpoint, rng *prg.PRG, r ring.Ring, a []uint64, rel Rel) ([]uint64, error) {
-	return CmpSenderPar(ep, rng, r, a, rel, nil)
-}
-
-// CmpSenderPar is CmpSender with the token-matrix construction distributed
-// over the pool; the masks are drawn serially so the transcript is
-// identical at any worker count.
+// CmpSenderPar runs party i's side of the batched unsigned comparison for
+// its values a, returning its boolean shares (the masks). The token-matrix
+// construction is distributed over the pool (nil runs it serially); the
+// masks are drawn serially so the transcript is identical at any worker
+// count.
 func CmpSenderPar(ep *ot.Endpoint, rng *prg.PRG, r ring.Ring, a []uint64, rel Rel, pool *parallel.Pool) ([]uint64, error) {
 	sp := ep.Trace.Enter("scm.cmp", telemetry.WithAttrs(
 		telemetry.Int("elems", int64(len(a))), telemetry.Int("bits", int64(r.Bits))))
@@ -95,14 +91,9 @@ func CmpSenderPar(ep *ot.Endpoint, rng *prg.PRG, r ring.Ring, a []uint64, rel Re
 	return m, nil
 }
 
-// CmpReceiver runs party j's side for its values b, returning its boolean
-// shares (predicate ⊕ mask).
-func CmpReceiver(ep *ot.Endpoint, r ring.Ring, b []uint64, rel Rel) ([]uint64, error) {
-	return CmpReceiverPar(ep, r, b, rel, nil)
-}
-
-// CmpReceiverPar is CmpReceiver with the A2BM splits and token scans
-// distributed over the pool.
+// CmpReceiverPar runs party j's side for its values b, returning its
+// boolean shares (predicate ⊕ mask). The A2BM splits and token scans are
+// distributed over the pool (nil runs them serially).
 func CmpReceiverPar(ep *ot.Endpoint, r ring.Ring, b []uint64, rel Rel, pool *parallel.Pool) ([]uint64, error) {
 	sp := ep.Trace.Enter("scm.cmp", telemetry.WithAttrs(
 		telemetry.Int("elems", int64(len(b))), telemetry.Int("bits", int64(r.Bits))))

@@ -1,32 +1,21 @@
 package scm
 
 import (
-	"sync"
 	"testing"
 
+	"aq2pnn/internal/ot"
+	"aq2pnn/internal/parallel"
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/ring"
 )
 
 func runCmp(t *testing.T, r ring.Ring, a, b []uint64, rel Rel, seed uint64) []uint64 {
 	t.Helper()
-	e0, e1, closeFn := newEndpoints(seed)
-	defer closeFn()
-	var m0, m1 []uint64
-	var err0, err1 error
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); m0, err0 = CmpSender(e0, prg.NewSeeded(seed+3), r, a, rel) }()
-	go func() { defer wg.Done(); m1, err1 = CmpReceiver(e1, r, b, rel) }()
-	wg.Wait()
-	if err0 != nil || err1 != nil {
-		t.Fatal(err0, err1)
-	}
-	out := make([]uint64, len(a))
-	for k := range out {
-		out[k] = m0[k] ^ m1[k]
-	}
-	return out
+	return runPools(t, seed,
+		func(e *ot.Endpoint, rng *prg.PRG, p *parallel.Pool) ([]uint64, error) {
+			return CmpSenderPar(e, rng, r, a, rel, p)
+		},
+		func(e *ot.Endpoint, p *parallel.Pool) ([]uint64, error) { return CmpReceiverPar(e, r, b, rel, p) })
 }
 
 func TestCmpExhaustiveSmall(t *testing.T) {

@@ -30,15 +30,15 @@ func runPlaneOn(tb testing.TB, e0, e1 *ot.Endpoint, rng *prg.PRG, r ring.Ring, x
 	go func() {
 		defer wg.Done()
 		if cmp {
-			_, err0 = CmpSender(e0, rng, r, xi, BGtA)
+			_, err0 = CmpSenderPar(e0, rng, r, xi, BGtA, nil)
 		} else {
-			_, err0 = MSBSender(e0, rng, r, xi)
+			_, err0 = MSBSenderPar(e0, rng, r, xi, nil)
 		}
 	}()
 	if cmp {
-		_, err1 = CmpReceiver(e1, r, xj, BGtA)
+		_, err1 = CmpReceiverPar(e1, r, xj, BGtA, nil)
 	} else {
-		_, err1 = MSBReceiver(e1, r, xj)
+		_, err1 = MSBReceiverPar(e1, r, xj, nil)
 	}
 	wg.Wait()
 	if err0 != nil || err1 != nil {

@@ -256,16 +256,12 @@ func recvScan(ep *ot.Endpoint, pool *parallel.Pool, widths []uint, count int, wh
 	return out, nil
 }
 
-// MSBSender runs party i's side of the secure sign computation for a batch
-// of shared values; xi are party i's arithmetic shares. It returns party
-// i's boolean shares m of MSB(x) (the OUT-MSK values).
-func MSBSender(ep *ot.Endpoint, rng *prg.PRG, r ring.Ring, xi []uint64) ([]uint64, error) {
-	return MSBSenderPar(ep, rng, r, xi, nil)
-}
-
-// MSBSenderPar is MSBSender with the comparison-matrix construction
-// distributed over the pool. The OUT-MSK bits are drawn serially first, so
-// the protocol transcript is identical at any worker count.
+// MSBSenderPar runs party i's side of the secure sign computation for a
+// batch of shared values; xi are party i's arithmetic shares. It returns
+// party i's boolean shares m of MSB(x) (the OUT-MSK values). The
+// comparison-matrix construction is distributed over the pool (nil runs it
+// serially); the OUT-MSK bits are drawn serially first, so the protocol
+// transcript is identical at any worker count.
 func MSBSenderPar(ep *ot.Endpoint, rng *prg.PRG, r ring.Ring, xi []uint64, pool *parallel.Pool) ([]uint64, error) {
 	if r.Bits < 2 {
 		return nil, fmt.Errorf("scm: ring must have at least 2 bits, got %d", r.Bits)
@@ -290,14 +286,9 @@ func MSBSenderPar(ep *ot.Endpoint, rng *prg.PRG, r ring.Ring, xi []uint64, pool 
 	return m, nil
 }
 
-// MSBReceiver runs party j's side; xj are party j's arithmetic shares. It
-// returns party j's boolean shares MSB(x) ⊕ m.
-func MSBReceiver(ep *ot.Endpoint, r ring.Ring, xj []uint64) ([]uint64, error) {
-	return MSBReceiverPar(ep, r, xj, nil)
-}
-
-// MSBReceiverPar is MSBReceiver with the A2BM splits and token scans
-// distributed over the pool.
+// MSBReceiverPar runs party j's side; xj are party j's arithmetic shares.
+// It returns party j's boolean shares MSB(x) ⊕ m. The A2BM splits and
+// token scans are distributed over the pool (nil runs them serially).
 func MSBReceiverPar(ep *ot.Endpoint, r ring.Ring, xj []uint64, pool *parallel.Pool) ([]uint64, error) {
 	if r.Bits < 2 {
 		return nil, fmt.Errorf("scm: ring must have at least 2 bits, got %d", r.Bits)

@@ -1,11 +1,13 @@
 package scm
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"aq2pnn/internal/a2b"
 	"aq2pnn/internal/ot"
+	"aq2pnn/internal/parallel"
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/ring"
 	"aq2pnn/internal/transport"
@@ -26,21 +28,51 @@ func newEndpoints(seed uint64) (*ot.Endpoint, *ot.Endpoint, func()) {
 // returns the XOR-combined result bits.
 func runMSB(t *testing.T, r ring.Ring, xi, xj []uint64, seed uint64) []uint64 {
 	t.Helper()
-	e0, e1, closeFn := newEndpoints(seed)
-	defer closeFn()
-	var m0, m1 []uint64
-	var err0, err1 error
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); m0, err0 = MSBSender(e0, prg.NewSeeded(seed+3), r, xi) }()
-	go func() { defer wg.Done(); m1, err1 = MSBReceiver(e1, r, xj) }()
-	wg.Wait()
-	if err0 != nil || err1 != nil {
-		t.Fatal(err0, err1)
+	return runPools(t, seed,
+		func(e *ot.Endpoint, rng *prg.PRG, p *parallel.Pool) ([]uint64, error) {
+			return MSBSenderPar(e, rng, r, xi, p)
+		},
+		func(e *ot.Endpoint, p *parallel.Pool) ([]uint64, error) { return MSBReceiverPar(e, r, xj, p) })
+}
+
+// runPools runs one comparison protocol over fresh dealer-backed endpoints
+// at a nil pool and at a 4-worker pool. The two runs must deliver identical
+// output shares and identical traffic; runPools returns the XOR-combined
+// result bits.
+func runPools(t *testing.T, seed uint64,
+	send func(*ot.Endpoint, *prg.PRG, *parallel.Pool) ([]uint64, error),
+	recv func(*ot.Endpoint, *parallel.Pool) ([]uint64, error)) []uint64 {
+	t.Helper()
+	var serial [2][]uint64
+	var serialStats [2]transport.Stats
+	for _, p := range []*parallel.Pool{nil, parallel.New(4)} {
+		e0, e1, closeFn := newEndpoints(seed)
+		var m0, m1 []uint64
+		var err0, err1 error
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); m0, err0 = send(e0, prg.NewSeeded(seed+3), p) }()
+		go func() { defer wg.Done(); m1, err1 = recv(e1, p) }()
+		wg.Wait()
+		stats := [2]transport.Stats{e0.Conn.Stats(), e1.Conn.Stats()}
+		closeFn()
+		if err0 != nil || err1 != nil {
+			t.Fatal(err0, err1)
+		}
+		if p == nil {
+			serial, serialStats = [2][]uint64{m0, m1}, stats
+			continue
+		}
+		if !slices.Equal(m0, serial[0]) || !slices.Equal(m1, serial[1]) {
+			t.Fatalf("%d workers: output shares differ from the serial run", p.Workers())
+		}
+		if stats != serialStats {
+			t.Fatalf("%d workers: traffic %+v, serial run %+v", p.Workers(), stats, serialStats)
+		}
 	}
-	out := make([]uint64, len(xi))
+	out := make([]uint64, len(serial[0]))
 	for k := range out {
-		out[k] = m0[k] ^ m1[k]
+		out[k] = serial[0][k] ^ serial[1][k]
 	}
 	return out
 }
@@ -161,8 +193,8 @@ func TestMSBMaskBitsLookRandom(t *testing.T) {
 	var m0 []uint64
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); m0, _ = MSBSender(e0, prg.NewSeeded(501), r, xi) }()
-	go func() { defer wg.Done(); MSBReceiver(e1, r, xj) }()
+	go func() { defer wg.Done(); m0, _ = MSBSenderPar(e0, prg.NewSeeded(501), r, xi, nil) }()
+	go func() { defer wg.Done(); MSBReceiverPar(e1, r, xj, nil) }()
 	wg.Wait()
 	ones := 0
 	for _, b := range m0 {
@@ -176,10 +208,10 @@ func TestMSBMaskBitsLookRandom(t *testing.T) {
 func TestMSBRingTooSmall(t *testing.T) {
 	e0, _, closeFn := newEndpoints(600)
 	defer closeFn()
-	if _, err := MSBSender(e0, prg.NewSeeded(601), ring.New(1), []uint64{0}); err == nil {
+	if _, err := MSBSenderPar(e0, prg.NewSeeded(601), ring.New(1), []uint64{0}, nil); err == nil {
 		t.Error("1-bit ring must be rejected")
 	}
-	if _, err := MSBReceiver(e0, ring.New(1), []uint64{0}); err == nil {
+	if _, err := MSBReceiverPar(e0, ring.New(1), []uint64{0}, nil); err == nil {
 		t.Error("1-bit ring must be rejected (receiver)")
 	}
 }
@@ -204,8 +236,8 @@ func TestMSBCommScalesWithBitWidth(t *testing.T) {
 		e1.Dealer = dealer
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); MSBSender(e0, prg.NewSeeded(13), r, xi) }()
-		go func() { defer wg.Done(); MSBReceiver(e1, r, xj) }()
+		go func() { defer wg.Done(); MSBSenderPar(e0, prg.NewSeeded(13), r, xi, nil) }()
+		go func() { defer wg.Done(); MSBReceiverPar(e1, r, xj, nil) }()
 		wg.Wait()
 		// Every byte sent on one endpoint of a pipe is received on the
 		// other, so one endpoint's TotalBytes is the whole conversation.

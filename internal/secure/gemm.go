@@ -67,7 +67,8 @@ func (c *Context) beaverCombine(r ring.Ring, e, f, inShare, wShare, zShare []uin
 		defer gemmSlab.Put(wf)
 		r.SubVec(wf, wShare, f)
 	}
-	out := tensor.MatMulModPar(c.Pool, e, wf, m, k, n, r.Mask)
+	out := make([]uint64, m*n)
+	tensor.MatMulModParInto(c.Pool, out, e, wf, m, k, n, r.Mask)
 	inf := gemmSlab.Get(m * n)
 	tensor.MatMulModParInto(c.Pool, inf, inShare, f, m, k, n, r.Mask)
 	r.AddVec(out, out, inf)

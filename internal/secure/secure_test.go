@@ -9,6 +9,13 @@ import (
 	"aq2pnn/internal/tensor"
 )
 
+// mulMod is the serial ring GEMM A(m×k) × B(k×n) into a fresh matrix.
+func mulMod(a, b []uint64, m, k, n int, r ring.Ring) []uint64 {
+	c := make([]uint64, m*n)
+	tensor.MatMulModParInto(nil, c, a, b, m, k, n, r.Mask)
+	return c
+}
+
 // runOp splits the inputs, runs op on both parties and reconstructs the
 // result.
 func runOp(t *testing.T, seed uint64, r ring.Ring, x []uint64,
@@ -34,7 +41,7 @@ func TestMatMulMatchesPlaintext(t *testing.T) {
 	m, k, n := 3, 4, 5
 	in := g.Elems(m*k, r)
 	w := g.Elems(k*n, r)
-	want := tensor.MatMulMod(in, w, m, k, n, r.Mask)
+	want := mulMod(in, w, m, k, n, r)
 
 	s := NewLocalSession(2)
 	defer s.Close()
@@ -86,7 +93,7 @@ func TestPreparedLinearOnlineCommIsEOnly(t *testing.T) {
 	m, k, n := 8, 12, 6
 	in := g.Elems(m*k, r)
 	w := g.Elems(k*n, r)
-	want := tensor.MatMulMod(in, w, m, k, n, r.Mask)
+	want := mulMod(in, w, m, k, n, r)
 
 	s := NewLocalSession(6)
 	defer s.Close()
@@ -558,7 +565,12 @@ func TestConvViaIm2ColAndPreparedLinear(t *testing.T) {
 			wt[i*geom.OutC+oc] = r.FromInt(wts[oc*pl+i])
 		}
 	}
-	want := tensor.MatMulMod(tensor.Im2ColInt(imgR, geom), wt, geom.Patches(), pl, geom.OutC, r.Mask)
+	im2col := func(img []uint64) []uint64 {
+		cols := make([]uint64, geom.Patches()*pl)
+		tensor.Im2ColIntParInto(nil, cols, img, geom)
+		return cols
+	}
+	want := mulMod(im2col(imgR), wt, geom.Patches(), pl, geom.OutC, r)
 
 	s := NewLocalSession(33)
 	defer s.Close()
@@ -569,8 +581,7 @@ func TestConvViaIm2ColAndPreparedLinear(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		cols := tensor.Im2ColInt(xs, geom)
-		return l.Mul(cols, geom.Patches())
+		return l.Mul(im2col(xs), geom.Patches())
 	}
 	var o0, o1 []uint64
 	err := s.Run(

@@ -147,66 +147,11 @@ func (g ConvGeom) MACs() int64 {
 	return int64(g.OutC) * int64(g.Patches()) * int64(g.PatchLen())
 }
 
-// Im2ColInt lowers an NCHW (C,H,W) integer image into a (Patches, PatchLen)
-// matrix so convolution becomes GEMM, mirroring how the accelerator's LOAD
-// module streams patches into the AS-INP buffer. Padding positions are 0.
-func Im2ColInt(img []uint64, g ConvGeom) []uint64 {
-	out := make([]uint64, g.Patches()*g.PatchLen())
-	Im2ColIntInto(out, img, g)
-	return out
-}
-
-// Im2ColIntInto is Im2ColInt writing into a caller-owned destination of
-// length Patches·PatchLen. dst is cleared first (padding positions stay
-// 0); it may not alias img.
-func Im2ColIntInto(dst, img []uint64, g ConvGeom) {
-	oh, ow := g.OutH(), g.OutW()
-	pl := g.PatchLen()
-	if len(dst) != oh*ow*pl {
-		panic(fmt.Sprintf("tensor: Im2ColInt dst length %d for %d patches of %d", len(dst), oh*ow, pl))
-	}
-	clear(dst)
-	idx := 0
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			for c := 0; c < g.InC; c++ {
-				for ky := 0; ky < g.KH; ky++ {
-					iy := oy*g.StrideH + ky - g.PadH
-					for kx := 0; kx < g.KW; kx++ {
-						ix := ox*g.StrideW + kx - g.PadW
-						if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
-							dst[idx] = img[(c*g.InH+iy)*g.InW+ix]
-						}
-						idx++
-					}
-				}
-			}
-		}
-	}
-}
-
-// Im2ColFloat is the float64 analogue of Im2ColInt, used by training.
+// Im2ColFloat is the float64 analogue of Im2ColIntParInto, used by
+// training.
 func Im2ColFloat(img []float64, g ConvGeom) []float64 {
-	oh, ow := g.OutH(), g.OutW()
-	pl := g.PatchLen()
-	out := make([]float64, oh*ow*pl)
-	idx := 0
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			for c := 0; c < g.InC; c++ {
-				for ky := 0; ky < g.KH; ky++ {
-					iy := oy*g.StrideH + ky - g.PadH
-					for kx := 0; kx < g.KW; kx++ {
-						ix := ox*g.StrideW + kx - g.PadW
-						if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
-							out[idx] = img[(c*g.InH+iy)*g.InW+ix]
-						}
-						idx++
-					}
-				}
-			}
-		}
-	}
+	out := make([]float64, g.Patches()*g.PatchLen())
+	im2colRows(out, img, g, 0, g.Patches())
 	return out
 }
 
@@ -267,36 +212,6 @@ func TransposeFloat(a []float64, m, n int) []float64 {
 		}
 	}
 	return out
-}
-
-// MatMulMod computes C = A(m×k) × B(k×n) with all products and sums reduced
-// by the mask (i.e. modulo Q = mask+1). This is the plaintext-domain GEMM
-// reference against which AS-GEMM is verified.
-func MatMulMod(a, b []uint64, m, k, n int, mask uint64) []uint64 {
-	c := make([]uint64, m*n)
-	MatMulModInto(c, a, b, m, k, n, mask)
-	return c
-}
-
-// MatMulModInto is MatMulMod writing into a caller-owned destination of
-// length m·n — the allocation-free form the online hot paths run on. dst
-// is cleared first; it may not alias a or b.
-func MatMulModInto(dst, a, b []uint64, m, k, n int, mask uint64) {
-	if len(a) != m*k || len(b) != k*n || len(dst) != m*n {
-		panic(fmt.Sprintf("tensor: MatMulMod dims %dx%d × %dx%d with lens %d,%d,%d", m, k, k, n, len(a), len(b), len(dst)))
-	}
-	clear(dst)
-	for i := 0; i < m; i++ {
-		ar := a[i*k : (i+1)*k]
-		cr := dst[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := ar[p]
-			br := b[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				cr[j] = (cr[j] + av*br[j]) & mask
-			}
-		}
-	}
 }
 
 // PoolWindows iterates the pooling windows of g, invoking fn with the output

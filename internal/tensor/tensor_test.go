@@ -96,7 +96,8 @@ func TestIm2ColMatchesDirectConv(t *testing.T) {
 	rng := prg.NewSeeded(11)
 	img := rng.Elems(g.InC*g.InH*g.InW, ringOf(16))
 	w := rng.Elems(g.OutC*g.PatchLen(), ringOf(16))
-	cols := Im2ColInt(img, g) // (patches, patchLen)
+	cols := make([]uint64, g.Patches()*g.PatchLen()) // (patches, patchLen)
+	Im2ColIntParInto(nil, cols, img, g)
 	// out[p][oc] = cols(p,:) · w(oc,:) → compute as cols × wᵀ.
 	wt := make([]uint64, len(w))
 	pl := g.PatchLen()
@@ -105,7 +106,8 @@ func TestIm2ColMatchesDirectConv(t *testing.T) {
 			wt[i*g.OutC+oc] = w[oc*pl+i]
 		}
 	}
-	got := MatMulMod(cols, wt, g.Patches(), pl, g.OutC, mask)
+	got := make([]uint64, g.Patches()*g.OutC)
+	MatMulModParInto(nil, got, cols, wt, g.Patches(), pl, g.OutC, mask)
 	want := convDirect(img, w, g, mask)
 	oh, ow := g.OutH(), g.OutW()
 	for oc := 0; oc < g.OutC; oc++ {
@@ -211,9 +213,10 @@ func BenchmarkMatMulMod64(b *testing.B) {
 	m, k, n := 64, 64, 64
 	x := rng.Elems(m*k, ringOf(16))
 	y := rng.Elems(k*n, ringOf(16))
+	dst := make([]uint64, m*n)
 	b.SetBytes(int64(m * k * n))
 	for i := 0; i < b.N; i++ {
-		MatMulMod(x, y, m, k, n, 0xFFFF)
+		MatMulModParInto(nil, dst, x, y, m, k, n, 0xFFFF)
 	}
 }
 
@@ -221,7 +224,8 @@ func BenchmarkIm2Col(b *testing.B) {
 	g := ConvGeom{InC: 16, InH: 32, InW: 32, OutC: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	rng := prg.NewSeeded(1)
 	img := rng.Elems(g.InC*g.InH*g.InW, ringOf(16))
+	cols := make([]uint64, g.Patches()*g.PatchLen())
 	for i := 0; i < b.N; i++ {
-		Im2ColInt(img, g)
+		Im2ColIntParInto(nil, cols, img, g)
 	}
 }

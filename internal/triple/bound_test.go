@@ -64,44 +64,63 @@ func TestDealerQueueTrimmed(t *testing.T) {
 }
 
 // TestDealerFamilyQueueBounded: the same backlog bound holds on the
-// per-family queues, and the family's per-m entries are trimmed once both
-// views are delivered.
+// per-family queues of a dealer family and of a FixedBPool, and a
+// family's per-m entries are trimmed once both views are delivered.
 func TestDealerFamilyQueueBounded(t *testing.T) {
-	d := NewDealer(prg.NewSeeded(9))
 	r := ring.New(16)
-	f0, err := d.Family(0, "conv1", r, 2, 3)
+	d := NewDealer(prg.NewSeeded(9))
+	fb, err := DealFixedB(prg.NewSeeded(11), r, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, err := d.Family(1, "conv1", r, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < MaxPending; i++ {
-		if _, err := f0.Next(4); err != nil {
-			t.Fatalf("family triple %d: %v", i, err)
+	pool := fb.Pool(prg.NewSeeded(12))
+	for _, c := range []struct {
+		name    string
+		views   func(party int) (Family, error)
+		entries func() int
+	}{
+		{"dealer", func(party int) (Family, error) { return d.Family(party, "conv1", r, 2, 3) }, func() int {
+			d.mu.Lock()
+			defer d.mu.Unlock()
+			return len(d.families[fmt.Sprintf("conv1|%s|2x3", r)].queues)
+		}},
+		{"FixedBPool", func(party int) (Family, error) { return pool.View(party), nil }, func() int {
+			pool.mu.Lock()
+			defer pool.mu.Unlock()
+			return len(pool.queues)
+		}},
+	} {
+		f0, err := c.views(0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := f0.Next(4); err == nil {
-		t.Fatal("family generated past the MaxPending backlog bound")
-	}
-	if _, err := f1.Next(4); err != nil {
-		t.Fatalf("peer drain: %v", err)
-	}
-	if _, err := f0.Next(4); err != nil {
-		t.Fatalf("generation after drain: %v", err)
-	}
-	// Drain both sides completely: the per-m entry must be trimmed.
-	for i := 0; i < MaxPending; i++ {
+		f1, err := c.views(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < MaxPending; i++ {
+			if _, err := f0.Next(4); err != nil {
+				t.Fatalf("%s: family triple %d: %v", c.name, i, err)
+			}
+		}
+		if _, err := f0.Next(4); err == nil {
+			t.Fatalf("%s: family generated past the MaxPending backlog bound", c.name)
+		}
 		if _, err := f1.Next(4); err != nil {
-			t.Fatalf("final drain %d: %v", i, err)
+			t.Fatalf("%s: peer drain: %v", c.name, err)
 		}
-	}
-	d.mu.Lock()
-	per := len(d.families[fmt.Sprintf("conv1|%s|2x3", r)].queues)
-	d.mu.Unlock()
-	if per != 0 {
-		t.Errorf("family holds %d per-m queue entries after full delivery, want 0", per)
+		if _, err := f0.Next(4); err != nil {
+			t.Fatalf("%s: generation after drain: %v", c.name, err)
+		}
+		// Drain both sides completely: the per-m entry must be trimmed.
+		for i := 0; i < MaxPending; i++ {
+			if _, err := f1.Next(4); err != nil {
+				t.Fatalf("%s: final drain %d: %v", c.name, i, err)
+			}
+		}
+		if per := c.entries(); per != 0 {
+			t.Errorf("%s: family holds %d per-m queue entries after full delivery, want 0", c.name, per)
+		}
 	}
 }
 

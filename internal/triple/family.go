@@ -8,7 +8,6 @@ import (
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/ring"
 	"aq2pnn/internal/telemetry"
-	"aq2pnn/internal/tensor"
 )
 
 // A triple *family* serves one linear layer with static weights: the
@@ -27,9 +26,9 @@ type Family interface {
 }
 
 // MaxPending bounds every undelivered-triple queue in this package (the
-// dealer's per-shape and per-family queues) and anchors the preprocessing
-// plane's bank depth: no component may hold more than MaxPending triples
-// per (shape, party) ahead of consumption. The two parties' consumption
+// dealer's per-shape and per-family queues and FixedBPool's) and anchors
+// the preprocessing plane's bank depth: no component may hold more than
+// MaxPending triples per (shape, party) ahead of consumption. The two parties' consumption
 // runs in lockstep, so a queue past this bound means a protocol-order bug
 // (or a hostile schedule), not a legitimate working set.
 const MaxPending = 256
@@ -37,7 +36,7 @@ const MaxPending = 256
 type dealerFamilyState struct {
 	b       []uint64
 	bShares [2][]uint64
-	queues  map[int][2][]*Mat // per m, per party
+	queues  pending[int] // per m
 }
 
 // Family returns the party's view of the layer family identified by id,
@@ -55,10 +54,8 @@ func (d *Dealer) Family(party int, id string, r ring.Ring, k, n int) (Family, er
 	st := d.families[key]
 	if st == nil {
 		b := d.g.Elems(k*n, r)
-		s0 := d.g.Elems(k*n, r)
-		s1 := make([]uint64, k*n)
-		r.SubVec(s1, b, s0)
-		st = &dealerFamilyState{b: b, bShares: [2][]uint64{s0, s1}, queues: map[int][2][]*Mat{}}
+		s0, s1 := split(d.g, r, b)
+		st = &dealerFamilyState{b: b, bShares: [2][]uint64{s0, s1}, queues: pending[int]{}}
 		d.families[key] = st
 	}
 	return &dealerFamily{d: d, st: st, party: party, r: r, k: k, n: n}, nil
@@ -81,44 +78,9 @@ func (f *dealerFamily) Next(m int) (*Mat, error) {
 	countConsumed(m, f.k, f.n)
 	f.d.mu.Lock()
 	defer f.d.mu.Unlock()
-	q := f.st.queues[m]
-	if len(q[f.party]) == 0 {
-		// Generating for ourselves also queues the peer's view. A peer
-		// that never consumes would grow its queue without bound, so the
-		// generation that would push it past MaxPending fails instead: the
-		// parties' layer schedules are identical, so a backlog this deep is
-		// a protocol-order bug, not demand.
-		if len(q[1-f.party]) >= MaxPending {
-			return nil, fmt.Errorf("triple: family queue for party %d holds %d undelivered %d-row triples (max %d)",
-				1-f.party, len(q[1-f.party]), m, MaxPending)
-		}
-		a := f.d.g.Elems(m*f.k, f.r)
-		z := tensor.MatMulMod(a, f.st.b, m, f.k, f.n, f.r.Mask)
-		split := func(x []uint64) (s0, s1 []uint64) {
-			s0 = f.d.g.Elems(len(x), f.r)
-			s1 = make([]uint64, len(x))
-			f.r.SubVec(s1, x, s0)
-			return
-		}
-		a0, a1 := split(a)
-		z0, z1 := split(z)
-		mk := func(as, zs, bs []uint64) *Mat {
-			return &Mat{R: f.r, M: m, K: f.k, N: f.n, A: as, B: bs, Z: zs}
-		}
-		q[0] = append(q[0], mk(a0, z0, f.st.bShares[0]))
-		q[1] = append(q[1], mk(a1, z1, f.st.bShares[1]))
-	}
-	out := q[f.party][0]
-	q[f.party] = q[f.party][1:]
-	if len(q[0]) == 0 && len(q[1]) == 0 {
-		// Both views delivered: drop the per-m entry so long-lived dealers
-		// (batch executors cycling through many shapes) do not accumulate
-		// empty queue headers.
-		delete(f.st.queues, m)
-	} else {
-		f.st.queues[m] = q
-	}
-	return out, nil
+	return f.st.queues.take(f.party, m, func() [2]*Mat {
+		return dealFixedB(f.d.g, f.r, m, f.k, f.n, f.st.b, f.st.bShares)
+	})
 }
 
 // GilboaFamily generates family triples through the OT-based protocol: B

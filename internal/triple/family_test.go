@@ -7,7 +7,6 @@ import (
 	"aq2pnn/internal/ot"
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/ring"
-	"aq2pnn/internal/tensor"
 	"aq2pnn/internal/transport"
 )
 
@@ -140,12 +139,12 @@ func TestFamilyTripleUsableForBeaver(t *testing.T) {
 	r.AddVec(f, f, tmpF)
 
 	outP := func(p int, inS, wS []uint64, tr *Mat) []uint64 {
-		out := tensor.MatMulMod(e, wS, m, k, n, r.Mask)
+		out := mulMod(e, wS, m, k, n, r)
 		if p == 1 {
-			ef := tensor.MatMulMod(e, f, m, k, n, r.Mask)
+			ef := mulMod(e, f, m, k, n, r)
 			r.SubVec(out, out, ef)
 		}
-		inf := tensor.MatMulMod(inS, f, m, k, n, r.Mask)
+		inf := mulMod(inS, f, m, k, n, r)
 		r.AddVec(out, out, inf)
 		r.AddVec(out, out, tr.Z)
 		return out
@@ -154,7 +153,7 @@ func TestFamilyTripleUsableForBeaver(t *testing.T) {
 	o1 := outP(1, in1, w1, t1)
 	got := make([]uint64, m*n)
 	r.AddVec(got, o0, o1)
-	want := tensor.MatMulMod(in, w, m, k, n, r.Mask)
+	want := mulMod(in, w, m, k, n, r)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("Beaver output [%d] = %d, want %d", i, got[i], want[i])

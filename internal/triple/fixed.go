@@ -194,7 +194,8 @@ func (f *FixedFamily) Generate(m int) (*Mat, error) {
 // before the exchange (party 0 sends first), so the two builds overlap.
 func fixedZ(conn transport.Conn, pool *parallel.Pool, s *FixedSeeds, party int, seq uint32, m int, aShare []uint64) ([]uint64, error) {
 	r, k, n := s.R, s.K, s.N
-	z := tensor.MatMulModPar(pool, aShare, s.BShare, m, k, n, r.Mask)
+	z := make([]uint64, m*n)
+	tensor.MatMulModParInto(pool, z, aShare, s.BShare, m, k, n, r.Mask)
 	at := fixedSlab.Get(k * m)
 	defer fixedSlab.Put(at)
 	for i := range m {

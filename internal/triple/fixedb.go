@@ -6,7 +6,6 @@ import (
 
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/ring"
-	"aq2pnn/internal/tensor"
 )
 
 // FixedB is a dealt layer family with its weight-side mask pinned: the same
@@ -29,9 +28,7 @@ func DealFixedB(g *prg.PRG, r ring.Ring, k, n int) (*FixedB, error) {
 		return nil, fmt.Errorf("triple: non-positive FixedB dims %dx%d", k, n)
 	}
 	b := g.Elems(k*n, r)
-	s0 := g.Elems(k*n, r)
-	s1 := make([]uint64, k*n)
-	r.SubVec(s1, b, s0)
+	s0, s1 := split(g, r, b)
 	return &FixedB{R: r, K: k, N: n, b: b, shares: [2][]uint64{s0, s1}}, nil
 }
 
@@ -44,7 +41,7 @@ func (fb *FixedB) BShare(party int) []uint64 { return fb.shares[party] }
 // independent triple streams, which is what keeps per-image transcripts
 // identical regardless of how the batch schedules images across workers.
 func (fb *FixedB) Pool(g *prg.PRG) *FixedBPool {
-	return &FixedBPool{fb: fb, g: g, queues: map[int][2][]*Mat{}}
+	return &FixedBPool{fb: fb, g: g, queues: pending[int]{}}
 }
 
 // FixedBPool deals matched A/Z pairs on demand against the pool's fixed B.
@@ -53,7 +50,7 @@ type FixedBPool struct {
 	mu     sync.Mutex
 	fb     *FixedB
 	g      *prg.PRG
-	queues map[int][2][]*Mat // per m, per party
+	queues pending[int] // per m
 }
 
 // View returns the party's Family handle onto the pool.
@@ -70,30 +67,10 @@ func (v *fixedBView) Next(m int) (*Mat, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("triple: non-positive row count %d", m)
 	}
-	p := v.p
-	fb := p.fb
+	p, fb := v.p, v.p.fb
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	q := p.queues[m]
-	if len(q[v.party]) == 0 {
-		a := p.g.Elems(m*fb.K, fb.R)
-		z := tensor.MatMulMod(a, fb.b, m, fb.K, fb.N, fb.R.Mask)
-		split := func(x []uint64) (s0, s1 []uint64) {
-			s0 = p.g.Elems(len(x), fb.R)
-			s1 = make([]uint64, len(x))
-			fb.R.SubVec(s1, x, s0)
-			return
-		}
-		a0, a1 := split(a)
-		z0, z1 := split(z)
-		mk := func(as, zs, bs []uint64) *Mat {
-			return &Mat{R: fb.R, M: m, K: fb.K, N: fb.N, A: as, B: bs, Z: zs}
-		}
-		q[0] = append(q[0], mk(a0, z0, fb.shares[0]))
-		q[1] = append(q[1], mk(a1, z1, fb.shares[1]))
-	}
-	out := q[v.party][0]
-	q[v.party] = q[v.party][1:]
-	p.queues[m] = q
-	return out, nil
+	return p.queues.take(v.party, m, func() [2]*Mat {
+		return dealFixedB(p.g, fb.R, m, fb.K, fb.N, fb.b, fb.shares)
+	})
 }

@@ -106,7 +106,8 @@ func GenMatGilboa(ep *ot.Endpoint, rng *prg.PRG, r ring.Ring, party, m, k, n int
 // at any worker count); the interactive cross products are sequential wire
 // protocol either way.
 func gilboaZ(ep *ot.Endpoint, rng *prg.PRG, pool *parallel.Pool, r ring.Ring, party, m, k, n int, aShare, bShare []uint64) ([]uint64, error) {
-	z := tensor.MatMulModPar(pool, aShare, bShare, m, k, n, r.Mask)
+	z := make([]uint64, m*n)
+	tensor.MatMulModParInto(pool, z, aShare, bShare, m, k, n, r.Mask)
 	recv := func() error { return gilboaRecv(ep, r, z, aShare, m, k, n) }
 	send := func() error { return gilboaSend(ep, rng, r, z, bShare, m, k, n) }
 	first, second := recv, send

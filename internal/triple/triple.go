@@ -54,20 +54,71 @@ func matKey(r ring.Ring, m, k, n int) string {
 func DealMat(g *prg.PRG, r ring.Ring, m, k, n int) (p0, p1 *Mat) {
 	a := g.Elems(m*k, r)
 	b := g.Elems(k*n, r)
-	z := tensor.MatMulMod(a, b, m, k, n, r.Mask)
+	z := make([]uint64, m*n)
+	tensor.MatMulModParInto(nil, z, a, b, m, k, n, r.Mask)
 	p0 = &Mat{R: r, M: m, K: k, N: n}
 	p1 = &Mat{R: r, M: m, K: k, N: n}
-	split := func(x []uint64) (s0, s1 []uint64) {
-		s0 = make([]uint64, len(x))
-		s1 = make([]uint64, len(x))
-		g.FillElems(s0, r)
-		r.SubVec(s1, x, s0)
-		return
-	}
-	p0.A, p1.A = split(a)
-	p0.B, p1.B = split(b)
-	p0.Z, p1.Z = split(z)
+	p0.A, p1.A = split(g, r, a)
+	p0.B, p1.B = split(g, r, b)
+	p0.Z, p1.Z = split(g, r, z)
 	return p0, p1
+}
+
+// dealFixedB deals one m-row triple against a fixed weight mask b whose
+// shares the parties already hold: a fresh A and Z = A⊗B, each split. It
+// returns party 0's and party 1's views.
+func dealFixedB(g *prg.PRG, r ring.Ring, m, k, n int, b []uint64, bShares [2][]uint64) [2]*Mat {
+	a := g.Elems(m*k, r)
+	z := make([]uint64, m*n)
+	tensor.MatMulModParInto(nil, z, a, b, m, k, n, r.Mask)
+	a0, a1 := split(g, r, a)
+	z0, z1 := split(g, r, z)
+	return [2]*Mat{
+		{R: r, M: m, K: k, N: n, A: a0, B: bShares[0], Z: z0},
+		{R: r, M: m, K: k, N: n, A: a1, B: bShares[1], Z: z1},
+	}
+}
+
+// split returns the parties' additive shares of x: s0 drawn from g and
+// s1 = x − s0.
+func split(g *prg.PRG, r ring.Ring, x []uint64) (s0, s1 []uint64) {
+	s0 = g.Elems(len(x), r)
+	s1 = make([]uint64, len(x))
+	r.SubVec(s1, x, s0)
+	return s0, s1
+}
+
+// pending holds, per key, each party's FIFO of dealt but undelivered
+// triple views. The caller serialises access.
+type pending[K comparable] map[K][2][]*Mat
+
+// take returns the party's next view under key, calling deal for a fresh
+// pair of views when the party's FIFO is empty. Dealing for one party also
+// queues the peer's view, so a peer that never consumes would grow its
+// FIFO without bound: the deal that would push it past MaxPending fails
+// instead, since the parties request identical keys in identical order
+// and a deeper backlog is a protocol-order bug, not demand. A key whose
+// views are all delivered is dropped, so long-lived dealers cycling
+// through many shapes do not accumulate empty entries.
+func (q pending[K]) take(party int, key K, deal func() [2]*Mat) (*Mat, error) {
+	views := q[key]
+	if len(views[party]) == 0 {
+		if len(views[1-party]) >= MaxPending {
+			return nil, fmt.Errorf("triple: party %d holds %d undelivered triples under key %v (max %d)",
+				1-party, len(views[1-party]), key, MaxPending)
+		}
+		dealt := deal()
+		views[0] = append(views[0], dealt[0])
+		views[1] = append(views[1], dealt[1])
+	}
+	out := views[party][0]
+	views[party] = views[party][1:]
+	if len(views[0]) == 0 && len(views[1]) == 0 {
+		delete(q, key)
+	} else {
+		q[key] = views
+	}
+	return out, nil
 }
 
 // Source supplies one party's triples in protocol order. Both parties must
@@ -82,41 +133,13 @@ type Source interface {
 type Dealer struct {
 	mu       sync.Mutex
 	g        *prg.PRG
-	queue    map[string][2][]*Mat // per shape, per party, FIFO of undelivered views
+	queue    pending[string] // per shape
 	families map[string]*dealerFamilyState
 }
 
 // NewDealer returns a dealer drawing randomness from g.
 func NewDealer(g *prg.PRG) *Dealer {
-	return &Dealer{g: g, queue: map[string][2][]*Mat{}}
-}
-
-// take returns the next triple view for the party, dealing a new triple
-// when that party's queue is empty. The peer's undelivered queue is
-// bounded by MaxPending (see family.go): the parties request identical
-// shapes in identical order, so a deeper backlog is a schedule bug.
-func (d *Dealer) take(party int, r ring.Ring, m, k, n int) (*Mat, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	key := matKey(r, m, k, n)
-	q := d.queue[key]
-	if len(q[party]) == 0 {
-		if len(q[1-party]) >= MaxPending {
-			return nil, fmt.Errorf("triple: dealer queue for party %d holds %d undelivered %s triples (max %d)",
-				1-party, len(q[1-party]), key, MaxPending)
-		}
-		p0, p1 := DealMat(d.g, r, m, k, n)
-		q[0] = append(q[0], p0)
-		q[1] = append(q[1], p1)
-	}
-	out := q[party][0]
-	q[party] = q[party][1:]
-	if len(q[0]) == 0 && len(q[1]) == 0 {
-		delete(d.queue, key)
-	} else {
-		d.queue[key] = q
-	}
-	return out, nil
+	return &Dealer{g: g, queue: pending[string]{}}
 }
 
 // SourceFor returns the party's view of the dealer.
@@ -132,5 +155,11 @@ func (s *dealerSource) MatTriple(r ring.Ring, m, k, n int) (*Mat, error) {
 		return nil, fmt.Errorf("triple: non-positive dims %dx%dx%d", m, k, n)
 	}
 	countConsumed(m, k, n)
-	return s.d.take(s.party, r, m, k, n)
+	d := s.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.queue.take(s.party, matKey(r, m, k, n), func() [2]*Mat {
+		p0, p1 := DealMat(d.g, r, m, k, n)
+		return [2]*Mat{p0, p1}
+	})
 }
