@@ -14,25 +14,25 @@ import (
 )
 
 // TestBaseSetupsPerEndpoint counts public-key base-OT set-ups
-// (aq2pnn_ot_base_setups_total) per OT endpoint. Both parties run in this
-// process, so every step that gives each party's endpoint k set-ups moves
-// the counter by 2k. A raw endpoint pair used in both directions runs one
-// set-up per endpoint, in either order; a session open with the
-// preprocessing plane runs none, and one without it runs one, for the
-// endpoint under its fixed-choice seed OTs; a cold seq's online endpoint
-// runs one; a kit fill runs one, and the plane's first also one for its
-// seed OTs; a warm seq's online endpoint, started from its kit's base
-// OTs, runs none.
+// (aq2pnn_ot_base_setups_total). Both parties run in this process, so
+// every step that runs k set-ups per party moves the counter by 2k. A raw
+// endpoint pair used in both directions runs one set-up per endpoint, in
+// either order. A session runs one per plane: the fill stream's before its
+// first kit, the main stream's at a no-plane open or before the first cold
+// seq; every kit and every cold seq derives its endpoint from its plane
+// and runs none, and a warm seq's endpoint, started from its kit's base
+// OTs, runs none either. A resumed re-attach keeps the main plane and runs
+// none; a failover (a re-attach that misses) sets the plane up afresh.
 func TestBaseSetupsPerEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked sessions")
 	}
 	telemetry.Enable()
 	setups := func() uint64 { return counterValue("aq2pnn_ot_base_setups_total") }
-	perEndpoint := func(what string, before uint64, want uint64) {
+	perParty := func(what string, before uint64, want uint64) {
 		t.Helper()
 		if got := setups() - before; got != 2*want {
-			t.Errorf("%s: %d set-ups over both parties, want %d per endpoint", what, got, want)
+			t.Errorf("%s: %d set-ups over both parties, want %d per party", what, got, want)
 		}
 	}
 
@@ -55,44 +55,97 @@ func TestBaseSetupsPerEndpoint(t *testing.T) {
 				t.Fatalf("raw pair, party %d sending: got %v, %v", snd, got, err)
 			}
 		}
-		perEndpoint("raw pair", before, 1)
+		perParty("raw pair", before, 1)
 		a.Close()
 		b.Close()
 	}
 
 	m := tinyModel(nn.PoolAvg)
 	x := input(64)
-	for _, bank := range []int{0, 1} {
-		cfg := testCfg()
-		cfg.BankDepth = bank
-		h := newSessionHarness(t, m, cfg)
+	infer := func(s *Session, what string, want uint64) {
+		t.Helper()
 		before := setups()
-		s, err := NewClient(h.dial, cfg).OpenSession(context.Background(), m)
-		if err != nil {
-			t.Fatalf("OpenSession: %v", err)
-		}
-		perEndpoint("session open", before, uint64(1-bank))
-		if bank > 0 {
-			before = setups()
-			if !s.WarmupPreproc(1) || !s.DrainPreproc() {
-				t.Fatal("the preprocessing plane did not fill one kit")
-			}
-			perEndpoint("first kit fill", before, 2)
-		}
-		before = setups()
 		if _, err := s.Infer(context.Background(), x); err != nil {
-			t.Fatalf("inference: %v", err)
+			t.Fatalf("%s: %v", what, err)
 		}
-		if bank > 0 {
-			perEndpoint("warm seq", before, 0)
-		} else {
-			perEndpoint("cold seq", before, 1)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		h.wg.Wait()
+		perParty(what, before, want)
 	}
+
+	// A banked session: one set-up for the fill plane, whatever its kit
+	// count, and one for the main plane before the first cold seq.
+	const kits = 3
+	cfg := testCfg()
+	cfg.BankDepth = kits
+	h := newSessionHarness(t, m, cfg)
+	before := setups()
+	s, err := NewClient(h.dial, cfg).OpenSession(context.Background(), m)
+	if err != nil {
+		t.Fatalf("OpenSession: %v", err)
+	}
+	perParty("open with the preprocessing plane", before, 0)
+	before = setups()
+	if !s.WarmupPreproc(kits) || !s.DrainPreproc() {
+		t.Fatalf("the preprocessing plane did not fill %d kits", kits)
+	}
+	perParty("fill plane", before, 1)
+	for i := range kits {
+		infer(s, fmt.Sprintf("warm seq %d", i), 0)
+	}
+	infer(s, "first cold seq", 1)
+	infer(s, "second cold seq", 0)
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	h.wg.Wait()
+
+	// A session without the plane: the open sets up the main plane; a
+	// resumed re-attach keeps it, and a failover sets it up once more.
+	cfg = testCfg()
+	cfg.Retries = 1
+	h = newSessionHarness(t, m, cfg)
+	var live transport.Conn
+	h.wrap = func(_ int, c transport.Conn) transport.Conn { live = c; return nil }
+	waitFor := 0
+	h.beforeDial = func(int) {
+		if waitFor > 0 {
+			h.waitProviderDone(waitFor)
+		}
+	}
+	// cut closes the live connection between inferences; the provider
+	// parks the session on the transient read error, and the next Infer
+	// re-dials once it has.
+	cut := func() {
+		waitFor = len(h.providerErrs()) + 1
+		live.Close()
+	}
+	reattached := func() uint64 { return counterValue("aq2pnn_sessions_reattached_total") }
+	before = setups()
+	if s, err = NewClient(h.dial, cfg).OpenSession(context.Background(), m); err != nil {
+		t.Fatalf("OpenSession: %v", err)
+	}
+	perParty("no-plane open", before, 1)
+	infer(s, "cold seq", 0)
+	infer(s, "second cold seq", 0)
+	cut()
+	re := reattached()
+	infer(s, "cold seq after a resumed re-attach", 0)
+	if got := reattached() - re; got != 1 {
+		t.Fatalf("%d re-attaches, want 1", got)
+	}
+	cut()
+	h.mu.Lock()
+	h.reg = registryOf(t, m) // the parked state is gone: the re-attach misses
+	h.mu.Unlock()
+	re = reattached()
+	infer(s, "cold seq after a failover", 1)
+	if got := reattached() - re; got != 0 {
+		t.Fatalf("%d re-attaches after the registry swap, want 0", got)
+	}
+	infer(s, "cold seq after the failover", 0)
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	h.wg.Wait()
 }
 
 // TestFixedSetupsCounted counts fixed-choice seed-OT set-ups

@@ -20,10 +20,15 @@ import (
 // networked protocol, emulating the paper's two-board setup.
 
 // NewNetworkContext builds a party context over a live connection with
-// harvest-backed OT and Gilboa triple families.
-func NewNetworkContext(party int, conn transport.Conn, cfg Options) *secure.Context {
+// harvest-backed OT and Gilboa triple families. start builds the OT
+// endpoint from the context's OT stream: a seq's endpoint derived from its
+// plane (a cold inference), one started from a kit's base OTs (a warm
+// one), or one that runs no OT at all (the open's F openings). The context
+// sets the endpoint's pool.
+func NewNetworkContext(party int, conn transport.Conn, cfg Options, start func(rng *prg.PRG) *ot.Endpoint) *secure.Context {
 	rng := prg.NewSeeded(saltedSeed(cfg.Seed, uint64(party)*7919))
-	ep := newOTEndpoint(party, conn, cfg, rng.Fork(), cfg.Pool())
+	ep := start(rng.Fork())
+	ep.Pool = cfg.Pool()
 	gilboaRng := rng.Fork()
 	return &secure.Context{
 		Party:      share.Party(party),
@@ -39,12 +44,12 @@ func NewNetworkContext(party int, conn transport.Conn, cfg Options) *secure.Cont
 	}
 }
 
-// newOTEndpoint builds party's networked OT endpoint over conn: base OTs
-// harvested in the configured group (the production default when unset)
-// for the first IKNP direction it needs, unless a kit's base OTs start it,
-// then IKNP extension, with its pad and hash loops on pool. Every
-// networked OT flow starts here — the online contexts on the Workers pool
-// and the fill plane's kit generation on its FillWorkers pool alike.
+// newOTEndpoint builds party's OT endpoint for a plane set-up over conn:
+// base OTs harvested in the configured group (the production default when
+// unset) for the first IKNP direction, the other bootstrapped from it,
+// with its pad and hash loops on pool. It is the only endpoint that runs
+// a public-key set-up: a session runs one per plane (setupFixed), and
+// every kit and cold seq derives its endpoint from its plane's.
 func newOTEndpoint(party int, conn transport.Conn, cfg Options, rng *prg.PRG, pool *parallel.Pool) *ot.Endpoint {
 	ep := ot.NewEndpoint(party, conn, rng)
 	ep.Pool = pool

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"aq2pnn/internal/nn"
+	"aq2pnn/internal/ot"
 	"aq2pnn/internal/parallel"
 	"aq2pnn/internal/preproc"
 	"aq2pnn/internal/prg"
@@ -21,10 +22,12 @@ import (
 // byte-identical to a cold (inline-generation) one.
 
 // preprocSeedSalt decorrelates the fill stream's per-seq OT endpoint
-// randomness (base-OT keys, IKNP matrices) from every online stream. The
+// randomness (its IKNP choice bits) from every online stream. The
 // endpoint internals never reach the delivered triple shares — those come
 // from the inferFamSeed stream shared with the cold path — so this stream
-// only needs to be independent, not matched.
+// only needs to be independent, not matched, and deterministic per seq,
+// so that a refilled seq extends its namespace of the fill stream's plane
+// under the same choice bits.
 const preprocSeedSalt = 0x9BE4_4E12_F111_ED00
 
 // preprocFaultWrap, when non-nil, wraps the preprocessing substream before
@@ -66,27 +69,31 @@ func preprocLayers(m *nn.Model) []preproc.Layer {
 // endpoint internals never reach the delivered shares) and the per-layer
 // family streams forked from inferFamSeed in node order — then generates
 // every linear layer's triple: fixed-choice layers from the fill stream's
-// seeds, which the first call sets up (setupFixed, on an endpoint of its
-// own), the others through Gilboa on the kit's endpoint. The produced
-// triples are bit-identical to those an inline cold inference of the same
-// seq would generate: both streams' seeds come from the session's one
-// seed-pair stream. Last, the fill endpoint mints κ random OTs into the
-// kit (ot.Endpoint.MintBase), which start the seq's online endpoint, so a
-// warm inference runs no public-key OT and the fill runs one set-up per
-// kit.
+// seeds, the others through Gilboa on the kit's endpoint. The first call
+// sets up the fill stream's plane (setupFixed: one public-key set-up and
+// the seed OTs, on an endpoint of its own); every kit's endpoint is
+// derived from that plane in its seq's namespace, so a kit runs no
+// public-key flow and no bootstrap. The produced triples are
+// bit-identical to those an inline cold inference of the same seq would
+// generate: both streams' seeds come from the session's one seed-pair
+// stream. Last, the kit's endpoint mints κ random OTs into the kit
+// (ot.Endpoint.MintBase), which start the seq's online endpoint, so a warm
+// inference runs no public-key OT either.
 func preprocGen(pconn transport.Conn, party int, cfg Options, st *sessionState, pool *parallel.Pool) preproc.GenFunc {
 	layers := preprocLayers(st.model)
 	var seeds map[int]*triple.FixedSeeds
+	var plane *ot.Plane
 	return func(seq uint32, root *telemetry.Span) (*preproc.Kit, error) {
-		if seeds == nil {
+		if plane == nil {
 			var err error
-			if seeds, err = st.setupFixed(pconn, party, cfg, fixedFillSalt, pool, telemetry.NewScope(root)); err != nil {
+			if seeds, plane, err = st.setupFixed(pconn, party, cfg, fixedFillSalt, pool, telemetry.NewScope(root)); err != nil {
 				return nil, fmt.Errorf("preprocessing: %w", err)
 			}
 		}
 		icfg := inferOptions(cfg, seq)
 		rng := prg.NewSeeded(saltedSeed(icfg.Seed, preprocSeedSalt+uint64(party)*7919))
-		ep := newOTEndpoint(party, pconn, cfg, rng.Fork(), pool)
+		ep := plane.Derive(pconn, rng.Fork(), seq)
+		ep.Pool = pool
 		ep.Trace = telemetry.NewScope(root)
 		famRng := prg.NewSeeded(inferFamSeed(icfg, party))
 		mats := make(map[int]*triple.Mat, len(layers))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"aq2pnn/internal/nn"
+	"aq2pnn/internal/ot"
 	"aq2pnn/internal/parallel"
 	"aq2pnn/internal/preproc"
 	"aq2pnn/internal/prg"
@@ -26,25 +27,29 @@ import (
 //
 // The seeds are the fixed-choice seed OTs of the convolutions
 // (triple.SetupFixed), from which every later triple of those layers is
-// built with no OT. Without the preprocessing plane the open runs them on
-// the main stream; with it the open stays OT-free, the fill stream runs
-// its own before its first kit, and the main stream runs them on the
-// client's fixed-set-up request before its first cold inference, if any.
-// Every run sends the same seeds: they derive from (Seed, token, party).
+// built with no OT. They run on a plane set-up (setupFixed): the one
+// public-key base-OT set-up of a stream, whose base state (ot.Plane) every
+// later OT endpoint of that stream derives from. Without the
+// preprocessing plane the open sets up the main stream; with it the open
+// stays OT-free, the fill stream sets up its own before its first kit, and
+// the main stream sets up on the client's fixed-set-up request before its
+// first cold inference, if any. Every run sends the same seeds and yields
+// the same plane: both derive from (Seed, token, stream, party).
 //
 // Each inference runs on a fresh deterministic context derived from
-// (Seed, seq): a new OT endpoint whose IKNP setup is part of that
-// inference's own transcript. A cold seq's endpoint runs one public-key
-// base-OT set-up, for the first direction it needs, and bootstraps the
-// other from κ OTs extended in the first; a warm seq's endpoint starts
-// from the κ base OTs its kit holds and runs none. Two consequences fall
-// out: every steady-state inference costs byte-identical wire traffic
-// (nothing accumulates across seqs), and a re-run of an interrupted seq
-// after a transport fault replays the same transcript bit for bit — the
-// resumption token lets the client re-attach to the provider's parked
-// state instead of replaying setup. A retried seq runs cold, with a fresh
-// set-up: its kit's base OTs seeded the failed attempt's endpoint, and the
-// client restarts the preprocessing plane at the next seq.
+// (Seed, seq): a new OT endpoint whose extensions are part of that
+// inference's own transcript. A cold seq's endpoint is derived from the
+// main stream's plane in a counter namespace of seq's own and runs no
+// public-key set-up; a warm seq's endpoint starts from the κ base OTs its
+// kit holds, whose endpoint the fill stream's plane derived. Two
+// consequences fall out: every steady-state inference costs byte-identical
+// wire traffic (nothing accumulates across seqs), and a re-run of an
+// interrupted seq after a transport fault replays the same transcript bit
+// for bit — the resumption token lets the client re-attach to the
+// provider's parked state, plane included, instead of replaying setup. A
+// retried seq runs cold: its kit's base OTs seeded the failed attempt's
+// endpoint, and the client restarts the preprocessing plane at the next
+// seq.
 //
 // Both parties run a session through the same party-indexed steps: the
 // handshake deadline (armHandshake), the setup (openState), the fill plane
@@ -236,12 +241,14 @@ type sessionState struct {
 	weights *WeightShares
 	preps   map[int]*secure.Prepared
 	bShares map[int][]uint64
-	// fixed holds the main stream's fixed-choice seeds per node, nil until
-	// setupFixed ran: at a no-plane open, or before the first cold
-	// inference otherwise. They live beside the opened F and survive a
-	// resumed re-attach on both sides; a re-attach that misses sets the
-	// session up afresh, seeds included.
+	// fixed holds the main stream's fixed-choice seeds per node and plane
+	// the main stream's base OTs, both nil until setupFixed ran: at a
+	// no-plane open, or before the first cold inference otherwise. Every
+	// cold seq derives its OT endpoint from plane. They live beside the
+	// opened F and survive a resumed re-attach on both sides; a re-attach
+	// that misses sets the session up afresh, seeds and plane included.
 	fixed map[int]*triple.FixedSeeds
+	plane *ot.Plane
 }
 
 // fixedLayers lists the fixed-choice layers (triple.FixedChoice) of the
@@ -256,12 +263,9 @@ func (st *sessionState) fixedLayers() (nodes []int, layers []triple.FixedLayer) 
 	return nodes, layers
 }
 
-// needsFixed reports whether a cold inference must first run the main
-// stream's seed OTs.
-func (st *sessionState) needsFixed() bool {
-	nodes, _ := st.fixedLayers()
-	return st.fixed == nil && len(nodes) > 0
-}
+// needsPlane reports whether a cold inference must first set up the main
+// stream's plane and seed OTs.
+func (st *sessionState) needsPlane() bool { return st.plane == nil }
 
 // tokenSeed derives a per-session stream seed from cfg.Seed, a purpose
 // salt, both halves of the session token and the party.
@@ -270,28 +274,35 @@ func tokenSeed(cfg Options, salt uint64, party int, token SessionToken) uint64 {
 	return mix64(mix64(cfg.Seed^salt^le.Uint64(token[:8])) ^ le.Uint64(token[8:]) + uint64(party)*7919)
 }
 
-// setupFixed runs this party's fixed-choice seed OTs over conn, the
-// stream salt naming the stream (fixedMainSalt or fixedFillSalt), on an
-// OT endpoint of their own (one public-key set-up), traced under trace.
-// The seed pairs come from the session's fixedSeedSalt stream, so every
-// run returns the same seeds.
+// setupFixed sets up one plane of this party over conn, the stream salt
+// naming it (fixedMainSalt or fixedFillSalt), traced under trace: one
+// public-key set-up on an OT endpoint of its own, the fixed-choice seed
+// OTs of every fixed-choice layer (none for a model without one), then the
+// plane's base state for both IKNP directions (ot.Endpoint.Plane). The
+// seed pairs come from the session's fixedSeedSalt stream and the
+// endpoint's randomness from (Seed, token, stream, party), so every run
+// returns the same seeds and the same plane. Only the plane's κ-sized
+// state outlives the call, not the endpoint's leftover stock.
 func (st *sessionState) setupFixed(conn transport.Conn, party int, cfg Options, stream uint64,
-	pool *parallel.Pool, trace *telemetry.Scope) (map[int]*triple.FixedSeeds, error) {
+	pool *parallel.Pool, trace *telemetry.Scope) (map[int]*triple.FixedSeeds, *ot.Plane, error) {
 	nodes, layers := st.fixedLayers()
-	seeds := make(map[int]*triple.FixedSeeds, len(nodes))
-	if len(nodes) == 0 {
-		return seeds, nil
-	}
 	ep := newOTEndpoint(party, conn, cfg, prg.NewSeeded(tokenSeed(cfg, stream, party, st.token)), pool)
 	ep.Trace = trace
-	got, err := triple.SetupFixed(ep, prg.NewSeeded(tokenSeed(cfg, fixedSeedSalt, party, st.token)), party, layers)
+	seeds := make(map[int]*triple.FixedSeeds, len(nodes))
+	if len(nodes) > 0 {
+		got, err := triple.SetupFixed(ep, prg.NewSeeded(tokenSeed(cfg, fixedSeedSalt, party, st.token)), party, layers)
+		if err != nil {
+			return nil, nil, fmt.Errorf("fixed-choice set-up: %w", err)
+		}
+		for i, node := range nodes {
+			seeds[node] = got[i]
+		}
+	}
+	plane, err := ep.Plane()
 	if err != nil {
-		return nil, fmt.Errorf("fixed-choice set-up: %w", err)
+		return nil, nil, fmt.Errorf("plane set-up: %w", err)
 	}
-	for i, node := range nodes {
-		seeds[node] = got[i]
-	}
-	return seeds, nil
+	return seeds, plane, nil
 }
 
 // newSessionState runs this party's setup half over an established
@@ -331,10 +342,12 @@ func sessionFamSeed(cfg Options, party int, token SessionToken) uint64 {
 // user receives and validates its share, the provider sends the
 // registry's cached payload — then the F openings (newSessionState) over
 // the B masks drawn for this session's token and, with fixed (no
-// preprocessing plane), the main stream's fixed-choice seed OTs.
+// preprocessing plane), the main stream's plane and fixed-choice seed
+// OTs. The F openings run no OT, so the open's context has an endpoint
+// with no base-OT group.
 func openState(conn transport.Conn, party int, cfg Options, m *nn.Model, r ring.Ring, token SessionToken,
 	fixed bool, exchange func() (*WeightShares, error)) (*sessionState, error) {
-	ctx := NewNetworkContext(party, conn, cfg)
+	ctx := NewNetworkContext(party, conn, cfg, func(rng *prg.PRG) *ot.Endpoint { return ot.NewEndpoint(party, conn, rng) })
 	sp := cfg.Trace.Root(roleNames[party]+".session.open", telemetry.WithConn(conn))
 	defer sp.End()
 	ctx.SetTrace(telemetry.NewScope(sp))
@@ -350,25 +363,25 @@ func openState(conn transport.Conn, party int, cfg Options, m *nn.Model, r ring.
 	}
 	st.token = token
 	if fixed {
-		if st.fixed, err = st.setupFixed(conn, party, cfg, fixedMainSalt, cfg.Pool(), ctx.Trace); err != nil {
+		if st.fixed, st.plane, err = st.setupFixed(conn, party, cfg, fixedMainSalt, cfg.Pool(), ctx.Trace); err != nil {
 			return nil, err
 		}
 	}
 	return st, nil
 }
 
-// openFixed runs the main stream's seed OTs under a "<role>.session.open"
-// root of their own: set-up work, asked for by the client's fixed-set-up
-// request before a cold inference of a session opened with the
-// preprocessing plane.
+// openFixed sets up the main stream's plane and seed OTs under a
+// "<role>.session.open" root of their own: set-up work, asked for by the
+// client's fixed-set-up request before a cold inference of a session
+// opened with the preprocessing plane.
 func (st *sessionState) openFixed(conn transport.Conn, party int, cfg Options) error {
 	sp := cfg.Trace.Root(roleNames[party]+".session.open", telemetry.WithConn(conn))
 	defer sp.End()
-	fixed, err := st.setupFixed(conn, party, cfg, fixedMainSalt, cfg.Pool(), telemetry.NewScope(sp))
+	fixed, plane, err := st.setupFixed(conn, party, cfg, fixedMainSalt, cfg.Pool(), telemetry.NewScope(sp))
 	if err != nil {
 		return err
 	}
-	st.fixed = fixed
+	st.fixed, st.plane = fixed, plane
 	return nil
 }
 
@@ -382,34 +395,38 @@ func inferFamSeed(icfg Options, party int) uint64 {
 }
 
 // bindInfer builds the executor for one inference: a fresh deterministic
-// context over the live connection (new OT endpoint — its IKNP setup
-// belongs to this inference's own transcript) with the session's prepared
+// context over the live connection (new OT endpoint, whose extensions
+// belong to this inference's own transcript) with the session's prepared
 // weights bound through fixed-B families. Both parties derive everything
 // from (cfg.Seed, seq) and whether the bind is warm, so re-running a cold
 // seq after a fault replays the identical transcript.
 //
-// kit, when non-nil, is seq's precomputed material from the preprocessing
-// plane: its base OTs start the OT endpoint, which then runs no public-key
-// set-up (UseBase empties them, so they seed this endpoint only), and
-// linear nodes it covers bind a consumed-once precomputed family instead
-// of a live one, so the online transcript carries no triple generation. A
-// live family of a fixed-choice node builds from the attachment's main
-// stream seeds (st.fixed, from setupFixed), of any other node runs Gilboa. A warm endpoint draws on an OT stream of its own
-// (warmOTSeedSalt): a seq retried after a fault runs cold, and its
-// public-key set-up uses the stream's first bytes in other roles than the
-// warm attempt did — as base-OT pairs whose one seed each the peer
-// learns, where the warm attempt drew its reverse direction's Δ and its
-// choice bits. The per-node family stream is forked either way — the fork
-// positions stay identical between warm and cold binds, which (together
-// with the kit itself being generated from inferFamSeed) keeps warm and
-// cold logits byte-identical.
+// A cold seq's endpoint is derived from the main stream's plane
+// (st.plane, from setupFixed) in seq's namespace: it runs no public-key
+// set-up and no bootstrap, and a replay of seq extends the same columns
+// under the same choice bits. kit, when non-nil, is seq's precomputed
+// material from the preprocessing plane: its base OTs start the OT
+// endpoint, which bootstraps its other direction from them (UseBase
+// empties them, so they seed this endpoint only), and linear nodes it
+// covers bind a consumed-once precomputed family instead of a live one, so
+// the online transcript carries no triple generation. A live family of a
+// fixed-choice node builds from the main stream's seeds (st.fixed), of any
+// other node runs Gilboa. A warm endpoint draws on an OT stream of its own
+// (warmOTSeedSalt), apart from the stream a cold run of seq draws its
+// choice bits from: a seq retried after a fault runs cold. The per-node
+// family stream is forked either way — the fork positions stay identical
+// between warm and cold binds, which (together with the kit itself being
+// generated from inferFamSeed) keeps warm and cold logits byte-identical.
 func (st *sessionState) bindInfer(conn transport.Conn, party int, cfg Options, seq uint32, kit *preproc.Kit) (*secure.Context, *Party) {
 	icfg := inferOptions(cfg, seq)
-	ctx := NewNetworkContext(party, conn, icfg)
-	if kit != nil {
-		ctx.OT.Rng = prg.NewSeeded(saltedSeed(icfg.Seed, warmOTSeedSalt+uint64(party)*7919))
-		ctx.OT.UseBase(kit.Base)
-	}
+	ctx := NewNetworkContext(party, conn, icfg, func(rng *prg.PRG) *ot.Endpoint {
+		if kit == nil {
+			return st.plane.Derive(conn, rng, seq)
+		}
+		ep := ot.NewEndpoint(party, conn, prg.NewSeeded(saltedSeed(icfg.Seed, warmOTSeedSalt+uint64(party)*7919)))
+		ep.UseBase(kit.Base)
+		return ep
+	})
 	famRng := prg.NewSeeded(inferFamSeed(icfg, party))
 	fams := map[int]triple.Family{}
 	for i, node := range st.model.Nodes {
@@ -444,8 +461,8 @@ func (st *sessionState) bindInfer(conn transport.Conn, party int, cfg Options, s
 // the per-node costs. Errors carry the seq.
 func (st *sessionState) inferSeq(conn transport.Conn, party int, cfg Options, seq uint32, kit *preproc.Kit,
 	profile *[]OpProfile, input func() ([]uint64, error)) (logits []int64, class int, err error) {
-	if kit == nil && st.needsFixed() {
-		return nil, -1, sessionError(seq, fmt.Errorf("engine: cold inference before the attachment's fixed-choice set-up"))
+	if kit == nil && st.needsPlane() {
+		return nil, -1, sessionError(seq, fmt.Errorf("engine: cold inference before the attachment's plane set-up"))
 	}
 	ctx, p := st.bindInfer(conn, party, cfg, seq, kit)
 	p.Profile = profile

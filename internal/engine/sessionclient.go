@@ -335,11 +335,11 @@ func (s *Session) inferAttempt(x []int64) (*Result, error) {
 	}
 	// The warm path consumes seq's precomputed kit; a missed Take (the
 	// plane died, or was never on) degrades to inline generation with
-	// byte-identical logits. A retry of seq runs cold, with a fresh
-	// base-OT set-up on an OT stream the warm attempt never drew from
-	// (bindInfer): its first attempt's kit seeded that attempt's OT
-	// endpoint, and the plane re-established after the fault starts at
-	// seq+1. The kit is taken before the infer root opens so the fill
+	// byte-identical logits. A retry of seq runs cold, on an endpoint
+	// derived from the main stream's plane with an OT stream the warm
+	// attempt never drew from (bindInfer): its first attempt's kit seeded
+	// that attempt's OT endpoint, and the preprocessing plane
+	// re-established after the fault starts at seq+1. The kit is taken before the infer root opens so the fill
 	// wait, when any, is not attributed to the online span.
 	retry := s.begun
 	s.begun = true
@@ -350,7 +350,7 @@ func (s *Session) inferAttempt(x []int64) (*Result, error) {
 			telemetry.Count("aq2pnn_preproc_starvation_total", 1)
 		}
 	}
-	if kit == nil && s.st.needsFixed() {
+	if kit == nil && s.st.needsPlane() {
 		if err := s.fixedSetup(); err != nil {
 			return nil, err
 		}
@@ -379,11 +379,12 @@ func (s *Session) inferAttempt(x []int64) (*Result, error) {
 	return &Result{Logits: logits, Class: class, Online: online, PerOp: profile, Carrier: s.r}, nil
 }
 
-// fixedSetup runs the main stream's fixed-choice seed OTs before a cold
-// inference whose session state lacks them, because its open ran with the
-// preprocessing plane and stayed OT-free. It sends the request frame, runs
-// the lockstep set-up and awaits the provider's echo; without the echo it
-// drops the seeds again, since the provider may not hold them. The
+// fixedSetup sets up the main stream's plane and fixed-choice seed OTs
+// before a cold inference whose session state lacks them, because its open
+// ran with the preprocessing plane and stayed OT-free. It sends the
+// request frame, runs the lockstep set-up and awaits the provider's echo;
+// without the echo it drops the seeds and the plane again, since the
+// provider may not hold them. The
 // traffic is set-up, added to SetupStats, so a cold inference's Online
 // stats are the same whether or not it ran first.
 func (s *Session) fixedSetup() error {
@@ -398,7 +399,7 @@ func (s *Session) fixedSetup() error {
 		err = wireError("fixed-choice set-up echo length", len(p), endLen)
 	}
 	if err != nil {
-		s.st.fixed = nil
+		s.st.fixed, s.st.plane = nil, nil
 		return fmt.Errorf("engine: fixed-choice set-up echo: %w", err)
 	}
 	s.setup.Add(s.conn.Stats())

@@ -138,6 +138,9 @@ func NewExtReceiver(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*E
 	if err := checkKappa(kappa); err != nil {
 		return nil, err
 	}
+	if grp.P == nil {
+		return nil, fmt.Errorf("ot: extension base phase without a group")
+	}
 	pairs := make([][2][SeedLen]byte, kappa)
 	msgs := make([][][]byte, kappa)
 	for i := range pairs {
@@ -182,14 +185,21 @@ func (r *ExtReceiver) mintBase(pool *parallel.Pool) (*BaseOTs, error) {
 	return b, nil
 }
 
-// expandColumn fills dst with a column seed's keystream; the domain and
-// its counter keep every extend call of a direction on fresh keystream.
-func expandColumn(dst []byte, seed [SeedLen]byte, dom int, counter uint64) {
+// columnKey is the keystream key of a column seed's expansion in one
+// extend call: the seed, the call's counter and the domain's byte. The
+// domain and its counter keep every extend call of a direction on fresh
+// keystream.
+func columnKey(seed [SeedLen]byte, dom int, counter uint64) [prg.SeedSize]byte {
 	var s [prg.SeedSize]byte
 	copy(s[:SeedLen], seed[:])
 	binary.LittleEndian.PutUint64(s[SeedLen:SeedLen+8], counter)
 	s[prg.SeedSize-1] = domSeedByte[dom]
-	prg.Keystream(dst, s)
+	return s
+}
+
+// expandColumn fills dst with a column seed's keystream.
+func expandColumn(dst []byte, seed [SeedLen]byte, dom int, counter uint64) {
+	prg.Keystream(dst, columnKey(seed, dom, counter))
 }
 
 func bitOf(b []byte, i int) byte { return (b[i/8] >> (i % 8)) & 1 }
@@ -263,6 +273,9 @@ func (s *ExtSender) extend(pool *parallel.Pool, dom, m int) ([][SeedLen]byte, er
 	if m <= 0 {
 		return nil, fmt.Errorf("ot: extension of %d instances", m)
 	}
+	if err := checkCounter(s.counter[dom]); err != nil {
+		return nil, err
+	}
 	kappa := len(s.seeds)
 	nBytes, rowLen := (m+7)/8, kappa/8
 	us, err := s.conn.Recv()
@@ -306,6 +319,9 @@ func (r *ExtReceiver) Extend(m int) ([]RecvInst, error) { return r.extend(nil, d
 func (r *ExtReceiver) extend(pool *parallel.Pool, dom, m int) ([]RecvInst, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("ot: extension of %d instances", m)
+	}
+	if err := checkCounter(r.counter[dom]); err != nil {
+		return nil, err
 	}
 	kappa := len(r.pairs)
 	nBytes, rowLen := (m+7)/8, kappa/8
