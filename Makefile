@@ -123,8 +123,15 @@ chaos-fleet:
 # wire decoder that consumes peer-controlled bytes, from its committed
 # seed corpus in testdata/fuzz/, then the fixed-key permutation's kernel
 # differentially against crypto/aes and the IKNP row-block transpose
-# against the bit-by-bit one.
+# against the bit-by-bit one. `go test -fuzz` with a pattern that matches
+# no target prints "no fuzz tests to fuzz" and exits 0, so every target is
+# first required to exist in its package.
 fuzz:
+	$(call require-tests,FuzzRecvFrame,./internal/transport/)
+	$(call require-tests,FuzzRecvSetup|FuzzHandshakeHello|FuzzShareCodec,./internal/engine/)
+	$(call require-tests,FuzzOTFlowHeader|FuzzOTFlowElems|FuzzOTExtendFrames|FuzzPermBlocks|FuzzTransposeBlock,./internal/ot/)
+	$(call require-tests,FuzzSCMMessage,./internal/scm/)
+	$(call require-tests,FuzzFixedChoiceFrame,./internal/triple/)
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzRecvFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine/ -run '^$$' -fuzz '^FuzzRecvSetup$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine/ -run '^$$' -fuzz '^FuzzHandshakeHello$$' -fuzztime $(FUZZTIME)
