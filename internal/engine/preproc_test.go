@@ -507,14 +507,16 @@ func TestSessionRetriedSeqRunsCold(t *testing.T) {
 }
 
 // TestRetriedSeqDrawsFreshOTStream checks that a warm attempt of a seq and
-// its cold retry share no OT-endpoint stream, for both parties. The
-// retry's public-key set-up spends its stream's first bytes on base-OT
-// pairs, one seed of each of which the peer learns; were they bytes the
-// warm attempt drew — its reverse direction's Δ, its choice bits — the
-// peer would learn those. Every 16-byte seed of the retry's pairs must be
-// absent, at any offset, from more stream than a warm inference of this
-// model draws. Cold binds of the seq must draw one stream, so that a cold
-// seq retried again replays its transcript.
+// its cold retry share no OT-endpoint stream, for both parties. The warm
+// attempt draws its reverse direction's Δ and its choice bits from its
+// stream; the retry, on an endpoint derived from the main plane, draws
+// its extension choice bits from its own. Were they the same bytes, one
+// attempt's secrets would recur in the other's extensions. Every 16-byte
+// block of the retry stream's first 4 KiB must be absent, at any offset,
+// from more stream than a warm inference of this model draws. Cold binds
+// of the seq must draw one stream, so that a cold seq retried again
+// extends its plane namespace under the same choice bits and replays its
+// transcript.
 func TestRetriedSeqDrawsFreshOTStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked sessions")
@@ -526,7 +528,7 @@ func TestRetriedSeqDrawsFreshOTStream(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenSession: %v", err)
 	}
-	const warmDrawn, pairBytes = 1 << 18, 2 * ot.ExtKappa * ot.SeedLen
+	const warmDrawn, retryDrawn = 1 << 18, 2 * ot.ExtKappa * ot.SeedLen
 	for party := range 2 {
 		stream := func(kit *preproc.Kit, n int) []byte {
 			ctx, _ := s.st.bindInfer(nil, party, cfg, 0, kit)
@@ -535,13 +537,13 @@ func TestRetriedSeqDrawsFreshOTStream(t *testing.T) {
 			return b
 		}
 		warm := stream(&preproc.Kit{}, warmDrawn)
-		retry := stream(nil, pairBytes)
-		if !bytes.Equal(retry, stream(nil, pairBytes)) {
+		retry := stream(nil, retryDrawn)
+		if !bytes.Equal(retry, stream(nil, retryDrawn)) {
 			t.Errorf("party %d: two cold binds of a seq draw different OT streams", party)
 		}
 		for off := 0; off < len(retry); off += ot.SeedLen {
 			if i := bytes.Index(warm, retry[off:off+ot.SeedLen]); i >= 0 {
-				t.Fatalf("party %d: the retry's base-OT seed at byte %d is byte %d of the warm attempt's OT stream", party, off, i)
+				t.Fatalf("party %d: the retry's OT stream block at byte %d is byte %d of the warm attempt's", party, off, i)
 			}
 		}
 	}

@@ -34,12 +34,11 @@ import (
 // right behind the exchange, in the same direction run, so its comparison
 // adds no send→recv change of its own. A cold run's OT endpoint is derived
 // from the session's main plane (ot.Plane), so it runs no public-key
-// flow and no reverse-direction bootstrap online. Before that, a cold
-// endpoint cost conv1 one more round for the base-OT flow (its truncation
-// was the endpoint's first use) and relu1 one more for the bootstrap's
-// u-matrix frame, 16 rounds in all. The preprocessing bank moves the
-// triple and the first refill off the online clock, which is why the warm
-// benchmark figure is lower than this cold pin. If coalescing ever
+// flow (which would add a round to conv1, the endpoint's first use) and no
+// reverse-direction bootstrap (a round in relu1, its first use of the
+// other direction) online. The preprocessing bank moves the triple and the
+// first refill off the online clock, which is why the warm benchmark
+// figure is lower than this cold pin. If coalescing ever
 // regresses to per-group exchanges, these counts jump by the group count
 // (9 groups at 16 bits) and this test fails.
 func TestMicroOnlineRoundsPinned(t *testing.T) {

@@ -38,7 +38,10 @@ import (
 // online endpoint of its seq in the same way (BaseOTs). Mints are extend
 // calls of their own domain (domBase): their own counter, column-seed
 // byte and row-hash tag, so they share no column stream and no tweak with
-// the refills (domStock), and their seeds never reach a stock.
+// the refills (domStock), and their seeds never reach a stock. A session
+// stream runs its public-key set-up once and keeps both directions' base
+// state (Plane, plane.go); every later endpoint of the stream continues
+// those IKNP instances in a counter namespace of its own.
 //
 // Implementation: G is prg.Keystream, which writes exactly the ⌈m/8⌉
 // bytes a column needs into one κ-column slab; H is the fixed-key-AES hash

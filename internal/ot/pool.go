@@ -89,7 +89,8 @@ func (d *Dealer) TakeRecv(senderParty, n, count int) []RecvInst {
 // extension endpoint runs at most one public-key set-up, for the first
 // direction it needs, and none if UseBase started a direction from a
 // kit's BaseOTs; the other direction bootstraps from κ OTs extended in
-// the first.
+// the first. An endpoint derived from a Plane has both directions up and
+// runs neither.
 type Endpoint struct {
 	Party int // this party's index (0 or 1)
 	Conn  transport.Conn
