@@ -339,8 +339,9 @@ func (s *Session) inferAttempt(x []int64) (*Result, error) {
 	// derived from the main stream's plane with an OT stream the warm
 	// attempt never drew from (bindInfer): its first attempt's kit seeded
 	// that attempt's OT endpoint, and the preprocessing plane
-	// re-established after the fault starts at seq+1. The kit is taken before the infer root opens so the fill
-	// wait, when any, is not attributed to the online span.
+	// re-established after the fault starts at seq+1. The kit is taken
+	// before the infer root opens so the fill wait, when any, is not
+	// attributed to the online span.
 	retry := s.begun
 	s.begun = true
 	var kit *preproc.Kit
@@ -384,9 +385,9 @@ func (s *Session) inferAttempt(x []int64) (*Result, error) {
 // ran with the preprocessing plane and stayed OT-free. It sends the
 // request frame, runs the lockstep set-up and awaits the provider's echo;
 // without the echo it drops the seeds and the plane again, since the
-// provider may not hold them. The
-// traffic is set-up, added to SetupStats, so a cold inference's Online
-// stats are the same whether or not it ran first.
+// provider may not hold them. The traffic is set-up, added to SetupStats,
+// so a cold inference's Online stats are the same whether or not it ran
+// first.
 func (s *Session) fixedSetup() error {
 	if err := s.conn.Send(encodeFixedReq()); err != nil {
 		return fmt.Errorf("engine: sending fixed-choice set-up request: %w", err)

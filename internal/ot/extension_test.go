@@ -261,6 +261,15 @@ func TestExtensionValidation(t *testing.T) {
 			b.Close()
 		}
 	}
+	// An endpoint built without a group (any but a plane set-up's) cannot
+	// start a public-key base phase: the sender side refuses before any
+	// traffic instead of dereferencing a nil modulus.
+	a, b := transport.Pipe()
+	if _, err := NewExtReceiver(a, Group{}, prg.NewSeeded(7), ExtKappa); err == nil || a.Stats().MsgsSent != 0 {
+		t.Errorf("receiver with no group: %v after %d messages", err, a.Stats().MsgsSent)
+	}
+	a.Close()
+	b.Close()
 	for _, n := range []int{0, 1, 3, 512} {
 		if _, err := log2Arity(n); err == nil {
 			t.Errorf("arity %d accepted", n)
