@@ -33,8 +33,9 @@ import (
 // inference request; generation 5 coalesced the comparison rounds and
 // flattened the share codec; generation 6 generates the convolutions'
 // triples from session seeds — the fixed-choice seed OTs, the fixed-set-up
-// request and per-triple correction frames).
-const ProtocolVersion = 6
+// request and per-triple correction frames; generation 7 derives every
+// kit's and cold seq's OT endpoint from one base-OT set-up per plane).
+const ProtocolVersion = 7
 
 // helloMagic opens every hello frame. A peer speaking the pre-handshake
 // protocol (or not speaking this protocol at all) sends something else as

@@ -93,8 +93,10 @@ func (c *transcriptConn) Recv() ([]byte, error) {
 // seq's public-key flow and bootstrap frame went (68/79 frames became
 // 65/70), and the warm rows kept their frames but moved in content, since
 // a kit's minted base OTs now come from an endpoint derived from the
-// fill stream's plane. They do not depend on the worker count; the
-// benchmark checks byte counts, this checks byte content.
+// fill stream's plane. The same change raised the protocol generation
+// in the hello to 7, which moved every row's content once more. They do
+// not depend on the worker count; the benchmark checks byte counts, this
+// checks byte content.
 func TestSessionTranscriptPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked sessions")
@@ -106,12 +108,12 @@ func TestSessionTranscriptPinned(t *testing.T) {
 		sent, recv             uint64
 		sentFrames, recvFrames int
 	}{
-		{"cold", 0, 0, 0x548bbc262d4256d0, 0xa21092789aa2e77a, 65, 70},
-		{"warm", 2, 0, 0xe292615ec1b43542, 0x9fc90f837960660f, 50, 54},
-		{"cold_workers1", 0, 1, 0x548bbc262d4256d0, 0xa21092789aa2e77a, 65, 70},
-		{"warm_workers1", 2, 1, 0xe292615ec1b43542, 0x9fc90f837960660f, 50, 54},
-		{"cold_workers4", 0, 4, 0x548bbc262d4256d0, 0xa21092789aa2e77a, 65, 70},
-		{"warm_workers4", 2, 4, 0xe292615ec1b43542, 0x9fc90f837960660f, 50, 54},
+		{"cold", 0, 0, 0xfbc17b7b412929ce, 0x15f1540860f8824f, 65, 70},
+		{"warm", 2, 0, 0xff0d4bf8cb3511a9, 0x945eb14ce78d20c9, 50, 54},
+		{"cold_workers1", 0, 1, 0xfbc17b7b412929ce, 0x15f1540860f8824f, 65, 70},
+		{"warm_workers1", 2, 1, 0xff0d4bf8cb3511a9, 0x945eb14ce78d20c9, 50, 54},
+		{"cold_workers4", 0, 4, 0xfbc17b7b412929ce, 0x15f1540860f8824f, 65, 70},
+		{"warm_workers4", 2, 4, 0xff0d4bf8cb3511a9, 0x945eb14ce78d20c9, 50, 54},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := tinyModel(nn.PoolAvg)
