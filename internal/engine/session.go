@@ -157,7 +157,7 @@ type sessionReq int
 const (
 	reqCold  sessionReq = iota // inference, triples generated inline
 	reqWarm                    // inference served from the preprocessing plane
-	reqFixed                   // the main stream's fixed-choice seed OTs
+	reqFixed                   // the main stream's plane set-up and seed OTs
 	reqEnd                     // end of session
 )
 

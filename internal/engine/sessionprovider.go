@@ -150,8 +150,9 @@ func provideSession(conn transport.Conn, reg *Registry, m *nn.Model, r ring.Ring
 	}
 	// Steady state: each inference request binds a fresh deterministic
 	// context to the prepared state. The only set-up past the open is the
-	// fixed-choice seed OTs, which the client asks for before a cold
-	// inference when the state does not hold them yet.
+	// main stream's plane — one public-key set-up plus the fixed-choice
+	// seed OTs, if the model has any — which the client asks for before
+	// its first cold inference when the state does not hold it yet.
 	for {
 		seq, req, err := recvSessionReq(conn)
 		if err != nil {
