@@ -2,6 +2,7 @@ package triple
 
 import (
 	"crypto/aes"
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -366,34 +367,24 @@ func (s *FixedSeeds) absorbCols(sc *expandScratch, p *fixedPlan, zt []uint64, fr
 // and subtracts g0·2^t, reduced by zmask, from z, for the len(z) elements
 // of the expansions e0 and e1 (read from their start, reduced by mask). z
 // itself stays unreduced: ring addition mod 2^64 agrees with it mod 2^ℓ.
-// The slices are cut to their exact lengths up front and t is masked to a
-// shift the compiler need not guard, so the byte-wide loops run without
-// per-element bounds checks.
 func correctRow(u, e0, e1 []byte, z, a []uint64, t uint, w int, mask, zmask uint64) {
+	le := binary.LittleEndian
 	m := len(z)
-	a = a[:m]
-	t &= 63
+	e0, e1, a, u = e0[:m*w], e1[:m*w], a[:m], u[:m*w]
 	switch w {
 	case 1:
-		e0, e1, u = e0[:m], e1[:m], u[:m]
 		for i := range z {
 			g0, g1 := uint64(e0[i])&mask, uint64(e1[i])&mask
 			z[i] -= g0 << t & zmask
 			u[i] = byte((g0 - g1 + a[i]) & mask)
 		}
 	case 2:
-		e0, e1, u = e0[:2*m], e1[:2*m], u[:2*m]
 		for i := range z {
-			//lint:allow ringmask byte assembly of one 2-byte element, reduced by mask in the same expression
-			g0 := (uint64(e0[2*i]) | uint64(e0[2*i+1])<<8) & mask
-			//lint:allow ringmask byte assembly of one 2-byte element, reduced by mask in the same expression
-			g1 := (uint64(e1[2*i]) | uint64(e1[2*i+1])<<8) & mask
+			g0, g1 := uint64(le.Uint16(e0[2*i:]))&mask, uint64(le.Uint16(e1[2*i:]))&mask
 			z[i] -= g0 << t & zmask
-			v := (g0 - g1 + a[i]) & mask
-			u[2*i], u[2*i+1] = byte(v), byte(v>>8)
+			le.PutUint16(u[2*i:], uint16((g0-g1+a[i])&mask))
 		}
 	default:
-		e0, e1, u = e0[:m*w], e1[:m*w], u[:m*w]
 		for i := range z {
 			g0, g1 := loadElem(e0[w*i:], w, mask), loadElem(e1[w*i:], w, mask)
 			z[i] -= g0 << t & zmask
@@ -406,25 +397,20 @@ func correctRow(u, e0, e1 []byte, z, a []uint64, t uint, w int, mask, zmask uint
 }
 
 // addRow adds 2^t times each of the len(z) w-byte elements at the start
-// of p, reduced by mask, then by zmask, to z, itself unreduced; like
-// correctRow, it cuts p to length and masks t first.
+// of p, reduced by mask, then by zmask, to z, itself unreduced.
 func addRow(z []uint64, p []byte, t uint, w int, mask, zmask uint64) {
-	m := len(z)
-	t &= 63
+	le := binary.LittleEndian
+	p = p[:len(z)*w]
 	switch w {
 	case 1:
-		p = p[:m]
 		for i := range z {
 			z[i] += (uint64(p[i]) & mask) << t & zmask
 		}
 	case 2:
-		p = p[:2*m]
 		for i := range z {
-			//lint:allow ringmask byte assembly of one 2-byte element, reduced by mask in the same expression
-			z[i] += ((uint64(p[2*i]) | uint64(p[2*i+1])<<8) & mask) << t & zmask
+			z[i] += (uint64(le.Uint16(p[2*i:])) & mask) << t & zmask
 		}
 	default:
-		p = p[:m*w]
 		for i := range z {
 			z[i] += loadElem(p[w*i:], w, mask) << t & zmask
 		}
