@@ -124,24 +124,29 @@ chaos-fleet:
 # seed corpus in testdata/fuzz/, then the fixed-key permutation's kernel
 # differentially against crypto/aes and the IKNP row-block transpose
 # against the bit-by-bit one. `go test -fuzz` with a pattern that matches
-# no target prints "no fuzz tests to fuzz" and exits 0, so every target is
-# first required to exist in its package.
+# no target prints "no fuzz tests to fuzz" and exits 0, so every target,
+# named once below as package:Target, is first required to exist.
+FUZZ_TARGETS = \
+	./internal/transport/:FuzzRecvFrame \
+	./internal/engine/:FuzzRecvSetup \
+	./internal/engine/:FuzzHandshakeHello \
+	./internal/engine/:FuzzShareCodec \
+	./internal/ot/:FuzzOTFlowHeader \
+	./internal/ot/:FuzzOTFlowElems \
+	./internal/ot/:FuzzOTExtendFrames \
+	./internal/scm/:FuzzSCMMessage \
+	./internal/triple/:FuzzFixedChoiceFrame \
+	./internal/ot/:FuzzPermBlocks \
+	./internal/ot/:FuzzTransposeBlock
+
 fuzz:
-	$(call require-tests,FuzzRecvFrame,./internal/transport/)
-	$(call require-tests,FuzzRecvSetup|FuzzHandshakeHello|FuzzShareCodec,./internal/engine/)
-	$(call require-tests,FuzzOTFlowHeader|FuzzOTFlowElems|FuzzOTExtendFrames|FuzzPermBlocks|FuzzTransposeBlock,./internal/ot/)
-	$(call require-tests,FuzzSCMMessage,./internal/scm/)
-	$(call require-tests,FuzzFixedChoiceFrame,./internal/triple/)
-	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzRecvFrame$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/engine/ -run '^$$' -fuzz '^FuzzRecvSetup$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/engine/ -run '^$$' -fuzz '^FuzzHandshakeHello$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/engine/ -run '^$$' -fuzz '^FuzzShareCodec$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzOTFlowHeader$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzOTFlowElems$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzOTExtendFrames$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/scm/ -run '^$$' -fuzz '^FuzzSCMMessage$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/triple/ -run '^$$' -fuzz '^FuzzFixedChoiceFrame$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzPermBlocks$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ot/ -run '^$$' -fuzz '^FuzzTransposeBlock$$' -fuzztime $(FUZZTIME)
+	@for t in $(FUZZ_TARGETS); do \
+		$(GO) test -list "^$${t#*:}$$" $${t%%:*} | grep -qx "$${t#*:}" || \
+			{ echo "$@: fuzz target $$t not found"; exit 1; }; \
+	done
+	@for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t"; \
+		$(GO) test $${t%%:*} -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done
 
 ci: vet lint build race pins bench-module bench-gate trace
