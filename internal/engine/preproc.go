@@ -26,8 +26,10 @@ import (
 // endpoint internals never reach the delivered triple shares — those come
 // from the inferFamSeed stream shared with the cold path — so this stream
 // only needs to be independent, not matched, and deterministic per seq,
-// so that a refilled seq extends its namespace of the fill stream's plane
-// under the same choice bits.
+// so that a refilled seq extends its ot.KitHalf namespace of the fill
+// stream's plane under the same choice bits. The seq's warm online
+// endpoint, in the plane's ot.OnlineHalf, draws from warmOTSeedSalt's
+// stream instead.
 const preprocSeedSalt = 0x9BE4_4E12_F111_ED00
 
 // preprocFaultWrap, when non-nil, wraps the preprocessing substream before
@@ -72,13 +74,13 @@ func preprocLayers(m *nn.Model) []preproc.Layer {
 // seeds, the others through Gilboa on the kit's endpoint. The first call
 // sets up the fill stream's plane (setupFixed: one public-key set-up and
 // the seed OTs, on an endpoint of its own); every kit's endpoint is
-// derived from that plane in its seq's namespace, so a kit runs no
-// public-key flow and no bootstrap. The produced triples are
+// derived from that plane in its seq's ot.KitHalf namespace, so a kit runs
+// no public-key flow and no bootstrap. The produced triples are
 // bit-identical to those an inline cold inference of the same seq would
 // generate: both streams' seeds come from the session's one seed-pair
-// stream. Last, the kit's endpoint mints κ random OTs into the kit
-// (ot.Endpoint.MintBase), which start the seq's online endpoint, so a warm
-// inference runs no public-key OT either.
+// stream. The kit keeps the plane, from which bindInfer derives the seq's
+// online endpoint in its ot.OnlineHalf namespace, so a warm inference
+// runs no public-key OT either.
 func preprocGen(pconn transport.Conn, party int, cfg Options, st *sessionState, pool *parallel.Pool) preproc.GenFunc {
 	layers := preprocLayers(st.model)
 	var seeds map[int]*triple.FixedSeeds
@@ -92,7 +94,7 @@ func preprocGen(pconn transport.Conn, party int, cfg Options, st *sessionState, 
 		}
 		icfg := inferOptions(cfg, seq)
 		rng := prg.NewSeeded(saltedSeed(icfg.Seed, preprocSeedSalt+uint64(party)*7919))
-		ep := plane.Derive(pconn, rng.Fork(), seq)
+		ep := plane.Derive(pconn, rng.Fork(), seq, ot.KitHalf)
 		ep.Pool = pool
 		ep.Trace = telemetry.NewScope(root)
 		famRng := prg.NewSeeded(inferFamSeed(icfg, party))
@@ -113,11 +115,7 @@ func preprocGen(pconn transport.Conn, party int, cfg Options, st *sessionState, 
 			}
 			mats[l.Node] = mat
 		}
-		base, err := ep.MintBase()
-		if err != nil {
-			return nil, fmt.Errorf("preprocessing base OTs: %w", err)
-		}
-		return &preproc.Kit{Seq: seq, Mats: mats, Base: base}, nil
+		return &preproc.Kit{Seq: seq, Mats: mats, Plane: plane}, nil
 	}
 }
 

@@ -435,10 +435,10 @@ func (c *armedFault) Recv() ([]byte, error) {
 // TestSessionRetriedSeqRunsCold faults the connection in the middle of a
 // warm inference, after the plane was drained so that only that
 // inference's traffic counts. The retry of the seq must run cold — its
-// online traffic is exactly the cold path's, public-key base-OT set-up
-// included, because its kit's base OTs already seeded the faulted
-// attempt's endpoint — with the cold path's logits, and the next seq must
-// run warm again from the plane re-established after the fault.
+// online traffic is exactly the cold path's, triple generation included,
+// because both parties dropped its kit when the faulted attempt took it —
+// with the cold path's logits, and the next seq must run warm again from
+// the plane re-established after the fault.
 func TestSessionRetriedSeqRunsCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked sessions")
@@ -508,10 +508,10 @@ func TestSessionRetriedSeqRunsCold(t *testing.T) {
 
 // TestRetriedSeqDrawsFreshOTStream checks that a warm attempt of a seq and
 // its cold retry share no OT-endpoint stream, for both parties. The warm
-// attempt draws its reverse direction's Δ and its choice bits from its
-// stream; the retry, on an endpoint derived from the main plane, draws
-// its extension choice bits from its own. Were they the same bytes, one
-// attempt's secrets would recur in the other's extensions. Every 16-byte
+// attempt, on an endpoint derived from its kit's plane, and the retry, on
+// one derived from the main plane, each draw their extension choice bits
+// from a stream of their own. Were they the same bytes, the peer would see
+// two shifts c⊕r under the same r. Every 16-byte
 // block of the retry stream's first 4 KiB must be absent, at any offset,
 // from more stream than a warm inference of this model draws. Cold binds
 // of the seq must draw one stream, so that a cold seq retried again
@@ -536,7 +536,7 @@ func TestRetriedSeqDrawsFreshOTStream(t *testing.T) {
 			ctx.OT.Rng.Read(b)
 			return b
 		}
-		warm := stream(&preproc.Kit{}, warmDrawn)
+		warm := stream(&preproc.Kit{Plane: s.st.plane}, warmDrawn)
 		retry := stream(nil, retryDrawn)
 		if !bytes.Equal(retry, stream(nil, retryDrawn)) {
 			t.Errorf("party %d: two cold binds of a seq draw different OT streams", party)

@@ -38,18 +38,18 @@ import (
 //
 // Each inference runs on a fresh deterministic context derived from
 // (Seed, seq): a new OT endpoint whose extensions are part of that
-// inference's own transcript. A cold seq's endpoint is derived from the
-// main stream's plane in a counter namespace of seq's own and runs no
-// public-key set-up; a warm seq's endpoint starts from the κ base OTs its
-// kit holds, whose endpoint the fill stream's plane derived. Two
-// consequences fall out: every steady-state inference costs byte-identical
-// wire traffic (nothing accumulates across seqs), and a re-run of an
-// interrupted seq after a transport fault replays the same transcript bit
-// for bit — the resumption token lets the client re-attach to the
-// provider's parked state, plane included, instead of replaying setup. A
-// retried seq runs cold: its kit's base OTs seeded the failed attempt's
-// endpoint, and the client restarts the preprocessing plane at the next
-// seq.
+// inference's own transcript. Every seq's endpoint is derived from a plane
+// in a counter namespace of seq's own and runs no public-key set-up: a
+// cold seq's from the main stream's plane, a warm seq's from the fill
+// stream's plane that made its kit, in the half of seq's namespaces that
+// the kit's fill left unused (ot.OnlineHalf). Two consequences fall out:
+// every steady-state inference costs byte-identical wire traffic (nothing
+// accumulates across seqs), and a re-run of an interrupted seq after a
+// transport fault replays the same transcript bit for bit — the
+// resumption token lets the client re-attach to the provider's parked
+// state, plane included, instead of replaying setup. A retried seq runs
+// cold: both parties dropped its kit when the failed attempt took it, and
+// the client restarts the preprocessing plane at the next seq.
 //
 // Both parties run a session through the same party-indexed steps: the
 // handshake deadline (armHandshake), the setup (openState), the fill plane
@@ -402,30 +402,29 @@ func inferFamSeed(icfg Options, party int) uint64 {
 // seq after a fault replays the identical transcript.
 //
 // A cold seq's endpoint is derived from the main stream's plane
-// (st.plane, from setupFixed) in seq's namespace: it runs no public-key
-// set-up and no bootstrap, and a replay of seq extends the same columns
-// under the same choice bits. kit, when non-nil, is seq's precomputed
-// material from the preprocessing plane: its base OTs start the OT
-// endpoint, which bootstraps its other direction from them (UseBase
-// empties them, so they seed this endpoint only), and linear nodes it
-// covers bind a consumed-once precomputed family instead of a live one, so
-// the online transcript carries no triple generation. A live family of a
-// fixed-choice node builds from the main stream's seeds (st.fixed), of any
-// other node runs Gilboa. A warm endpoint draws on an OT stream of its own
-// (warmOTSeedSalt), apart from the stream a cold run of seq draws its
-// choice bits from: a seq retried after a fault runs cold. The per-node
-// family stream is forked either way — the fork positions stay identical
-// between warm and cold binds, which (together with the kit itself being
-// generated from inferFamSeed) keeps warm and cold logits byte-identical.
+// (st.plane, from setupFixed) in seq's ot.KitHalf namespace: it runs no
+// public-key set-up and no bootstrap, and a replay of seq extends the same
+// columns under the same choice bits. kit, when non-nil, is seq's
+// precomputed material from the preprocessing plane: the OT endpoint is
+// derived from the fill plane that made it (kit.Plane) in seq's
+// ot.OnlineHalf namespace, which the kit's own fill never extended, and
+// linear nodes it covers bind a consumed-once precomputed family instead
+// of a live one, so the online transcript carries no triple generation. A
+// live family of a fixed-choice node builds from the main stream's seeds
+// (st.fixed), of any other node runs Gilboa. A warm endpoint draws on an
+// OT stream of its own (warmOTSeedSalt), apart from the stream a cold run
+// of seq draws its choice bits from: a seq retried after a fault runs
+// cold. The per-node family stream is forked either way — the fork
+// positions stay identical between warm and cold binds, which (together
+// with the kit itself being generated from inferFamSeed) keeps warm and
+// cold logits byte-identical.
 func (st *sessionState) bindInfer(conn transport.Conn, party int, cfg Options, seq uint32, kit *preproc.Kit) (*secure.Context, *Party) {
 	icfg := inferOptions(cfg, seq)
 	ctx := NewNetworkContext(party, conn, icfg, func(rng *prg.PRG) *ot.Endpoint {
 		if kit == nil {
-			return st.plane.Derive(conn, rng, seq)
+			return st.plane.Derive(conn, rng, seq, ot.KitHalf)
 		}
-		ep := ot.NewEndpoint(party, conn, prg.NewSeeded(saltedSeed(icfg.Seed, warmOTSeedSalt+uint64(party)*7919)))
-		ep.UseBase(kit.Base)
-		return ep
+		return kit.Plane.Derive(conn, prg.NewSeeded(saltedSeed(icfg.Seed, warmOTSeedSalt+uint64(party)*7919)), seq, ot.OnlineHalf)
 	})
 	famRng := prg.NewSeeded(inferFamSeed(icfg, party))
 	fams := map[int]triple.Family{}

@@ -57,7 +57,8 @@ type Session struct {
 	st    *sessionState
 	seq   uint32
 	// begun records that an attempt of seq has started, so that a retry
-	// of it runs cold: a kit's base OTs seed one online endpoint only.
+	// of it runs cold: both parties dropped seq's kit when the first
+	// attempt took it.
 	begun  bool
 	setup  transport.Stats
 	closed bool
@@ -337,8 +338,8 @@ func (s *Session) inferAttempt(x []int64) (*Result, error) {
 	// plane died, or was never on) degrades to inline generation with
 	// byte-identical logits. A retry of seq runs cold, on an endpoint
 	// derived from the main stream's plane with an OT stream the warm
-	// attempt never drew from (bindInfer): its first attempt's kit seeded
-	// that attempt's OT endpoint, and the preprocessing plane
+	// attempt never drew from (bindInfer): both parties dropped seq's kit
+	// at the first attempt's Take, and the preprocessing plane
 	// re-established after the fault starts at seq+1. The kit is taken
 	// before the infer root opens so the fill wait, when any, is not
 	// attributed to the online span.

@@ -34,14 +34,13 @@ import (
 // direction takes κ OTs extended in the first one (mintBase): the
 // receiver's (choice, seed) views become the reverse sender's (Δ, k_Δ),
 // the sender's seed pairs the reverse receiver's pairs (OT is symmetric,
-// Wolf–Wullschleger, EUROCRYPT 2006). A kit fill mints κ more for the
-// online endpoint of its seq in the same way (BaseOTs). Mints are extend
-// calls of their own domain (domBase): their own counter, column-seed
-// byte and row-hash tag, so they share no column stream and no tweak with
-// the refills (domStock), and their seeds never reach a stock. A session
-// stream runs its public-key set-up once and keeps both directions' base
-// state (Plane, plane.go); every later endpoint of the stream continues
-// those IKNP instances in a counter namespace of its own.
+// Wolf–Wullschleger, EUROCRYPT 2006). The mint is an extend call of its
+// own domain (domBase): its own counter, column-seed byte and row-hash
+// tag, so it shares no column stream and no tweak with the refills
+// (domStock), and its seeds never reach a stock. A session stream runs
+// this set-up once and keeps both directions' base state (Plane,
+// plane.go); every later endpoint of the stream continues those IKNP
+// instances in a counter namespace of its own.
 //
 // Implementation: G is prg.Keystream, which writes exactly the ⌈m/8⌉
 // bytes a column needs into one κ-column slab; H is the fixed-key-AES hash
@@ -61,24 +60,13 @@ const ExtKappa = 128
 // byte and row-hash tag.
 const (
 	domStock = iota // refills that feed an endpoint's stock
-	domBase         // κ-OT mints: a reverse bootstrap or a kit's base views
+	domBase         // the κ-OT mint that bootstraps the reverse direction
 )
 
 var (
 	domSeedByte = [2]byte{0xE7, 0x5B}
 	domTag      = [2]byte{tagRow, tagBase}
 )
-
-// BaseOTs is one party's half of κ random 1-of-2 OTs, enough to start one
-// IKNP direction with no public-key set-up: the OT sender's seed pairs
-// start an extension receiver, the OT receiver's choice bits and seeds an
-// extension sender. Endpoint.MintBase makes them, Endpoint.UseBase
-// consumes them.
-type BaseOTs struct {
-	pairs [][2][SeedLen]byte // the OT sender's half
-	delta []byte             // the OT receiver's half: κ choice bits, packed,
-	seeds [][SeedLen]byte    // and the seed each selects
-}
 
 // ExtSender is the extension state of the party that will act as the
 // random-OT sender. It plays the base-OT *receiver* during setup.
@@ -158,10 +146,10 @@ func NewExtReceiver(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*E
 	return &ExtReceiver{conn: conn, rng: rng, pairs: pairs}, nil
 }
 
-// mintBase extends κ random OTs in the base domain and returns the
-// sender's half: the seed pairs that start the reverse direction's
-// extension receiver.
-func (s *ExtSender) mintBase(pool *parallel.Pool) (*BaseOTs, error) {
+// mintBase extends κ random OTs in the base domain and starts the
+// reverse direction from the sender's half: its seed pairs become the
+// reverse extension receiver's, which draws its choice bits from rng.
+func (s *ExtSender) mintBase(pool *parallel.Pool, rng *prg.PRG) (*ExtReceiver, error) {
 	raw, err := s.extend(pool, domBase, ExtKappa)
 	if err != nil {
 		return nil, err
@@ -170,22 +158,22 @@ func (s *ExtSender) mintBase(pool *parallel.Pool) (*BaseOTs, error) {
 	for i := range pairs {
 		pairs[i] = [2][SeedLen]byte{raw[2*i], raw[2*i+1]}
 	}
-	return &BaseOTs{pairs: pairs}, nil
+	return &ExtReceiver{conn: s.conn, rng: rng, pairs: pairs}, nil
 }
 
-// mintBase is the receiver counterpart: its half is the choice bits and
-// seeds that start the reverse direction's extension sender.
-func (r *ExtReceiver) mintBase(pool *parallel.Pool) (*BaseOTs, error) {
+// mintBase is the receiver counterpart: its choice bits and seeds become
+// the reverse extension sender's Δ and chosen seeds.
+func (r *ExtReceiver) mintBase(pool *parallel.Pool) (*ExtSender, error) {
 	raw, err := r.extend(pool, domBase, ExtKappa)
 	if err != nil {
 		return nil, err
 	}
-	b := &BaseOTs{delta: make([]byte, ExtKappa/8), seeds: make([][SeedLen]byte, ExtKappa)}
+	s := &ExtSender{conn: r.conn, delta: make([]byte, ExtKappa/8), seeds: make([][SeedLen]byte, ExtKappa)}
 	for i, v := range raw {
-		b.delta[i/8] |= byte(v.Choice) << (i % 8)
-		b.seeds[i] = v.Seed
+		s.delta[i/8] |= byte(v.Choice) << (i % 8)
+		s.seeds[i] = v.Seed
 	}
-	return b, nil
+	return s, nil
 }
 
 // columnKey is the keystream key of a column seed's expansion in one

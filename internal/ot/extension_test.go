@@ -340,11 +340,9 @@ func checkExtension(t *testing.T, what string, s *ExtSender, r *ExtReceiver, m i
 
 // TestReverseExtension starts an endpoint pair's first IKNP direction by
 // a public-key set-up and bootstraps the second from κ OTs extended in
-// the first, in both orders; then it mints a kit's base views and starts
-// a fresh pair from them. The bootstrapped and the minted base OTs must
-// satisfy the OT relation, and so must what each direction they start
-// extends. A base seeds one endpoint only (UseBase empties it), and no
-// bootstrap or minted seed reaches either endpoint's stock.
+// the first, in both orders. The bootstrapped base OTs must satisfy the
+// OT relation, and so must what the direction they start extends, and no
+// bootstrap seed reaches either endpoint's stock.
 func TestReverseExtension(t *testing.T) {
 	for _, first := range []int{0, 1} {
 		a, b := transport.Pipe()
@@ -353,67 +351,32 @@ func TestReverseExtension(t *testing.T) {
 			e.HarvestGroup = TestGroup()
 		}
 		g := prg.NewSeeded(213)
-		transfer := func(snd, rcv *Endpoint) {
-			msgs := make([][][]byte, 40)
-			choices := make([]int, len(msgs))
-			for k := range msgs {
-				msgs[k] = [][]byte{{byte(k), 0}, {byte(k), 1}, {byte(k), 2}, {byte(k), 3}}
-				choices[k] = g.Intn(4)
-			}
-			var got []byte
-			both(t,
-				func() error { return snd.Send1ofN(4, 2, flatten(msgs)) },
-				func() (err error) { got, err = rcv.Recv1ofN(4, choices, 2); return })
-			for k := range msgs {
-				if !bytes.Equal(got[2*k:2*k+2], msgs[k][choices[k]]) {
-					t.Fatalf("first %d: party %d → %d, instance %d: wrong message", first, snd.Party, rcv.Party, k)
-				}
-			}
-		}
-		transfer(eps[first], eps[1-first])
-		transfer(eps[1-first], eps[first])
+		transferPair(t, g, eps[first], eps[1-first], 40)
+		transferPair(t, g, eps[1-first], eps[first], 40)
 		// The reverse direction's sender is party 1-first: its Δ and seeds
 		// came from its receiver view of the first direction.
 		rs, rr := eps[1-first].extS, eps[first].extR
 		checkBaseRelation(t, "bootstrap", rr.pairs, rs.delta, rs.seeds)
 		checkExtension(t, "bootstrapped direction", rs, rr, 300)
 
-		var mint [2]*BaseOTs
-		both(t,
-			func() (err error) { mint[0], err = eps[0].MintBase(); return },
-			func() (err error) { mint[1], err = eps[1].MintBase(); return })
-		snd, rcv := mint[0], mint[1]
-		if snd.pairs == nil {
-			snd, rcv = rcv, snd
-		}
-		checkBaseRelation(t, "mint", snd.pairs, rcv.delta, rcv.seeds)
-
-		// Mints count on their own counter. Stock extends: one refill per
-		// direction, plus checkExtension's in the bootstrapped one. Mints:
-		// the bootstrap in the first direction, the kit's in the one in
-		// which party 0 sends.
+		// The bootstrap counts on its own counter, in the first direction
+		// only. Stock extends: one refill per direction, plus
+		// checkExtension's in the bootstrapped one.
 		for p, e := range eps {
 			peer := eps[1-p]
-			stock, base := uint64(1), uint64(0)
+			want := [2]uint64{1, 1} // indexed domStock, domBase
 			if p != first {
-				stock++
+				want = [2]uint64{2, 0}
 			}
-			if p == first {
-				base++
-			}
-			if p == 0 {
-				base++
-			}
-			want := [2]uint64{stock, base} // indexed domStock, domBase
 			if e.extS.counter != want || peer.extR.counter != want {
 				t.Errorf("first %d: party %d sending: counters %v and %v, want %v",
 					first, p, e.extS.counter, peer.extR.counter, want)
 			}
 		}
 
-		// No base seed — bootstrap or mint — is in either stock.
+		// No bootstrap seed is in either stock.
 		base := map[[SeedLen]byte]bool{}
-		for _, p := range append(rr.pairs, snd.pairs...) {
+		for _, p := range rr.pairs {
 			base[p[0]], base[p[1]] = true, true
 		}
 		for _, e := range eps {
@@ -434,25 +397,5 @@ func TestReverseExtension(t *testing.T) {
 		}
 		a.Close()
 		b.Close()
-
-		// A fresh pair started from the mint extends in both directions.
-		c, d := transport.Pipe()
-		fresh := [2]*Endpoint{NewEndpoint(0, c, prg.NewSeeded(214)), NewEndpoint(1, d, prg.NewSeeded(215))}
-		for i, e := range fresh {
-			e.HarvestGroup = TestGroup()
-			e.UseBase(mint[i])
-			if m := mint[i]; m.pairs != nil || m.delta != nil || m.seeds != nil {
-				t.Fatalf("first %d: UseBase left party %d's base views in place", first, i)
-			}
-		}
-		transfer(fresh[0], fresh[1])
-		transfer(fresh[1], fresh[0])
-		for i, e := range fresh {
-			if e.extS == nil || e.extR == nil {
-				t.Fatalf("first %d: party %d has not started both directions", first, i)
-			}
-		}
-		c.Close()
-		d.Close()
 	}
 }

@@ -17,20 +17,34 @@ import (
 // Sharing Δ and the base seeds across endpoints is sound as long as no
 // column stream and no row-hash tweak repeats. Both carry the extend
 // counter, so an endpoint counts in a namespace of its own: the high bits
-// of the counter name it — 0 for the plane's own set-up endpoint, seq+1
-// for the endpoint derived for seq — and the low nsBits count its extend
-// calls per domain. The domain byte and tag (domStock, domBase) separate
-// the two domains within a namespace.
+// of the counter name it, and the low nsBits count its extend calls per
+// domain. Namespace 0 is the plane's own set-up endpoint; each seq has
+// two, one per Half, at 2(seq+1) and 2(seq+1)+1. The domain byte and tag
+// (domStock, domBase) separate the two domains within a namespace.
 
-// nsBits is the width of the per-namespace call count. There are 2^32 + 1
-// namespaces (the plane's and one per uint32 seq), so the highest
-// counter, 2^32·2^31 + 2^31 − 1, still fits 64 bits.
-const nsBits = 31
+// Half names one of a seq's two namespaces on a plane.
+type Half uint64
 
-// nsStart is the first counter of seq's namespace. It is computed in
-// uint64: seq+1 in uint32 would wrap at MaxUint32 onto the plane's own
-// namespace.
-func nsStart(seq uint32) uint64 { return (uint64(seq) + 1) << nsBits }
+const (
+	// KitHalf holds the endpoint a kit fill derives on the fill plane, or
+	// a cold seq on the main plane.
+	KitHalf Half = iota
+	// OnlineHalf holds a warm seq's online endpoint, derived from the
+	// fill plane that made its kit, so it never meets the kit's columns.
+	OnlineHalf
+)
+
+// nsBits is the width of the per-namespace call count. There are
+// 2^33 + 2 namespace indices (the plane's, an unused 1, and two per uint32
+// seq), so the highest counter, (2^33+1)·2^30 + 2^30 − 1, still fits 64
+// bits. A KitHalf namespace starts at (seq+1)·2^31, where it started when
+// a seq had one namespace of 2^31 calls.
+const nsBits = 30
+
+// nsStart is the first counter of seq's namespace in half h. It is
+// computed in uint64: seq+1 in uint32 would wrap at MaxUint32 onto the
+// plane's own namespace.
+func nsStart(seq uint32, h Half) uint64 { return (2*(uint64(seq)+1) + uint64(h)) << nsBits }
 
 // errNamespace reports an endpoint whose extend calls used up their
 // counter namespace.
@@ -38,8 +52,9 @@ var errNamespace = errors.New("ot: extension counter namespace exhausted")
 
 // checkCounter refuses an extend call at counter c when it would be the
 // last call count of its namespace, so no endpoint's counter ever runs
-// into the next namespace. Both parties check the same counter before
-// any traffic, so both refuse the same call.
+// into the next namespace (a KitHalf endpoint into its seq's OnlineHalf).
+// Both parties check the same counter before any traffic, so both refuse
+// the same call.
 func checkCounter(c uint64) error {
 	const last = 1<<nsBits - 1
 	if c&last == last {
@@ -81,16 +96,16 @@ func (e *Endpoint) Plane() (*Plane, error) {
 	return &Plane{party: e.Party, delta: e.extS.delta, seeds: e.extS.seeds, pairs: e.extR.pairs}, nil
 }
 
-// Derive returns this party's endpoint over conn for seq: both IKNP
-// directions up from the plane's base state, counting from seq's
+// Derive returns this party's endpoint over conn for seq in half h: both
+// IKNP directions up from the plane's base state, counting from that
 // namespace, so it runs no public-key set-up and no bootstrap. rng draws
-// the extension receiver's choice bits. A (plane, seq) pair must always
+// the extension receiver's choice bits. A (plane, seq, half) must always
 // extend under the same choice bits, as a replay from the same rng stream
 // does: two extends of one column stream under different choices would
 // show the peer their XOR.
-func (p *Plane) Derive(conn transport.Conn, rng *prg.PRG, seq uint32) *Endpoint {
+func (p *Plane) Derive(conn transport.Conn, rng *prg.PRG, seq uint32, h Half) *Endpoint {
 	e := NewEndpoint(p.party, conn, rng)
-	ns := nsStart(seq)
+	ns := nsStart(seq, h)
 	e.extS = &ExtSender{conn: conn, delta: p.delta, seeds: p.seeds, counter: [2]uint64{ns, ns}}
 	e.extR = &ExtReceiver{conn: conn, rng: rng, pairs: p.pairs, counter: [2]uint64{ns, ns}}
 	return e

@@ -56,28 +56,29 @@ func transferPair(t *testing.T, g *prg.PRG, snd, rcv *Endpoint, count int) []byt
 	return got
 }
 
-// derivedPair derives both parties' endpoints for seq over a fresh pipe,
-// each with its own choice-bit stream, and wraps party 0's end in a
-// digestConn.
-func derivedPair(t *testing.T, planes [2]*Plane, seq uint32) ([2]*Endpoint, *digestConn) {
+// derivedPair derives both parties' endpoints for seq in half h over a
+// fresh pipe, each with its own choice-bit stream, and wraps party 0's end
+// in a digestConn.
+func derivedPair(t *testing.T, planes [2]*Plane, seq uint32, h Half) ([2]*Endpoint, *digestConn) {
 	t.Helper()
 	a, b := transport.Pipe()
 	t.Cleanup(func() { a.Close(); b.Close() })
 	dc := &digestConn{Conn: a}
-	rngSeed := uint64(seq)*2 + 401
+	rngSeed := uint64(seq)*4 + uint64(h)*2 + 401
 	return [2]*Endpoint{
-		planes[0].Derive(dc, prg.NewSeeded(rngSeed), seq),
-		planes[1].Derive(b, prg.NewSeeded(rngSeed+1), seq),
+		planes[0].Derive(dc, prg.NewSeeded(rngSeed), seq, h),
+		planes[1].Derive(b, prg.NewSeeded(rngSeed+1), seq, h),
 	}, dc
 }
 
 // TestPlaneDerivation: endpoints derived from a plane for seqs 0, 1 and
-// MaxUint32 run no public-key set-up and no bootstrap; each direction's
-// derived base views satisfy the OT relation, and so does what they
-// extend; the plane's own endpoint and the three seqs share no column key
-// (seed, counter, domain byte) and no row-hash tweak ⟨tag, counter⟩ in
-// either direction; and replaying a seq from the same choice-bit stream
-// is byte-identical on the wire and in what it delivers.
+// MaxUint32, in both halves, run no public-key set-up and no bootstrap;
+// each direction's derived base views satisfy the OT relation, and so
+// does what they extend; the plane's own endpoint and the six derived
+// pairs share no column key (seed, counter, domain byte) and no row-hash
+// tweak ⟨tag, counter⟩ in either direction; and replaying a seq from the
+// same choice-bit stream is byte-identical on the wire and in what it
+// delivers.
 func TestPlaneDerivation(t *testing.T) {
 	planeEPs, planes := planePair(t)
 	seqs := []uint32{0, 1, math.MaxUint32}
@@ -89,24 +90,25 @@ func TestPlaneDerivation(t *testing.T) {
 	users := []user{{"plane", planeEPs, 0}}
 	g := prg.NewSeeded(304)
 	for _, seq := range seqs {
-		eps, _ := derivedPair(t, planes, seq)
-		transferPair(t, g, eps[0], eps[1], 300)
-		transferPair(t, g, eps[1], eps[0], 300)
-		both(t,
-			func() (err error) { _, err = eps[0].MintBase(); return },
-			func() (err error) { _, err = eps[1].MintBase(); return })
-		// The kit's mint is the only base-domain call: no bootstrap ran. A
-		// derived endpoint has no group, so no public-key flow could run.
-		start := nsStart(seq)
-		if mints := eps[0].extS.counter[domBase] + eps[1].extS.counter[domBase] - 2*start; mints != 1 {
-			t.Errorf("seq %d: %d base-domain calls, want the kit's one mint", seq, mints)
+		for _, h := range []Half{KitHalf, OnlineHalf} {
+			eps, _ := derivedPair(t, planes, seq, h)
+			transferPair(t, g, eps[0], eps[1], 300)
+			transferPair(t, g, eps[1], eps[0], 300)
+			// No base-domain call: no bootstrap ran. A derived endpoint
+			// has no group, so no public-key flow could run.
+			start := nsStart(seq, h)
+			for p, e := range eps {
+				if e.extS.counter[domBase] != start || e.extR.counter[domBase] != start {
+					t.Errorf("seq %d half %d: party %d made base-domain calls", seq, h, p)
+				}
+			}
+			for snd := range 2 {
+				s, r := eps[snd].extS, eps[1-snd].extR
+				checkBaseRelation(t, "derived base", r.pairs, s.delta, s.seeds)
+				checkExtension(t, "derived extension", s, r, 200)
+			}
+			users = append(users, user{fmt.Sprintf("seq %d half %d", seq, h), eps, start})
 		}
-		for snd := range 2 {
-			s, r := eps[snd].extS, eps[1-snd].extR
-			checkBaseRelation(t, "derived base", r.pairs, s.delta, s.seeds)
-			checkExtension(t, "derived extension", s, r, 200)
-		}
-		users = append(users, user{fmt.Sprintf("seq %d", seq), eps, start})
 	}
 
 	// Column keys and tweaks over every extend call: an endpoint's calls
@@ -158,7 +160,7 @@ func TestPlaneDerivation(t *testing.T) {
 	var digests [2][2]frameDigest
 	var got [2][]byte
 	for run := range 2 {
-		eps, dc := derivedPair(t, planes, 7)
+		eps, dc := derivedPair(t, planes, 7, OnlineHalf)
 		rg := prg.NewSeeded(305)
 		got[run] = append(transferPair(t, rg, eps[0], eps[1], 300), transferPair(t, rg, eps[1], eps[0], 300)...)
 		digests[run] = [2]frameDigest{dc.sent, dc.recv}
@@ -168,35 +170,51 @@ func TestPlaneDerivation(t *testing.T) {
 	}
 }
 
-// TestNamespaceBounds: seq MaxUint32's namespace starts past every other
-// one, with no wrap onto the plane's namespace 0, and an endpoint refuses
-// the extend call that would run its counter into the next namespace,
-// before any traffic.
+// TestNamespaceBounds: a seq's KitHalf namespace starts where a seq's one
+// namespace did, (seq+1)·2^31; seq MaxUint32's OnlineHalf starts past
+// every other namespace with no wrap onto the plane's namespace 0, and
+// its last counter fits 64 bits; and an endpoint in either half refuses
+// the extend call that would run its counter into the next namespace —
+// the KitHalf's into the same seq's OnlineHalf — before any traffic.
 func TestNamespaceBounds(t *testing.T) {
-	if nsStart(0) == 0 || nsStart(math.MaxUint32) <= nsStart(math.MaxUint32-1) {
-		t.Fatalf("namespace starts %#x, %#x, %#x", nsStart(0), nsStart(math.MaxUint32-1), nsStart(math.MaxUint32))
+	for _, seq := range []uint32{0, 1, 5, math.MaxUint32} {
+		if got, want := nsStart(seq, KitHalf), (uint64(seq)+1)<<31; got != want {
+			t.Errorf("seq %d: KitHalf starts at %#x, want %#x", seq, got, want)
+		}
+		if nsStart(seq, OnlineHalf) != nsStart(seq, KitHalf)+1<<nsBits {
+			t.Errorf("seq %d: OnlineHalf does not follow KitHalf", seq)
+		}
 	}
-	if last := nsStart(math.MaxUint32) + 1<<nsBits - 1; last < nsStart(math.MaxUint32) {
+	top := nsStart(math.MaxUint32, OnlineHalf)
+	if nsStart(0, KitHalf) == 0 || top <= nsStart(math.MaxUint32, KitHalf) || top>>nsBits != 1<<33+1 {
+		t.Fatalf("namespace starts %#x, %#x, %#x", nsStart(0, KitHalf), nsStart(math.MaxUint32, KitHalf), top)
+	}
+	if last := top + 1<<nsBits - 1; last < top {
 		t.Fatal("the last namespace wraps")
 	}
 	_, planes := planePair(t)
-	eps, dc := derivedPair(t, planes, 5)
-	for _, e := range eps {
-		e.extS.counter[domStock] = nsStart(5) + 1<<nsBits - 2
-		e.extR.counter[domStock] = nsStart(5) + 1<<nsBits - 2
-	}
-	si, ri := extendPair(t, eps[0].extS, eps[1].extR, 8)
-	if len(si) != 16 || len(ri) != 8 {
-		t.Fatalf("the namespace's last permitted call extended %d/%d", len(si), len(ri))
-	}
-	frames := dc.sent.frames + dc.recv.frames
-	if _, err := eps[0].extS.Extend(8); err == nil {
-		t.Error("sender extended past its namespace")
-	}
-	if _, err := eps[1].extR.Extend(8); err == nil {
-		t.Error("receiver extended past its namespace")
-	}
-	if f := dc.sent.frames + dc.recv.frames; f != frames {
-		t.Errorf("a refused extend moved %d frames", f-frames)
+	for _, h := range []Half{KitHalf, OnlineHalf} {
+		eps, dc := derivedPair(t, planes, 5, h)
+		for _, e := range eps {
+			e.extS.counter[domStock] = nsStart(5, h) + 1<<nsBits - 2
+			e.extR.counter[domStock] = nsStart(5, h) + 1<<nsBits - 2
+		}
+		si, ri := extendPair(t, eps[0].extS, eps[1].extR, 8)
+		if len(si) != 16 || len(ri) != 8 {
+			t.Fatalf("half %d: the namespace's last permitted call extended %d/%d", h, len(si), len(ri))
+		}
+		frames := dc.sent.frames + dc.recv.frames
+		if _, err := eps[0].extS.Extend(8); err == nil {
+			t.Errorf("half %d: sender extended past its namespace", h)
+		}
+		if _, err := eps[1].extR.Extend(8); err == nil {
+			t.Errorf("half %d: receiver extended past its namespace", h)
+		}
+		if f := dc.sent.frames + dc.recv.frames; f != frames {
+			t.Errorf("half %d: a refused extend moved %d frames", h, f-frames)
+		}
+		if c, next := eps[0].extS.counter[domStock], nsStart(5, h)+1<<nsBits; c >= next {
+			t.Errorf("half %d: counter %#x reached the next namespace at %#x", h, c, next)
+		}
 	}
 }

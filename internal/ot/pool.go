@@ -85,20 +85,20 @@ func (d *Dealer) TakeRecv(senderParty, n, count int) []RecvInst {
 
 // Endpoint is one party's OT interface: it owns the precomputed stock and
 // runs the cheap online phases over the session connection. Refill is
-// either dealer-backed (in-process) or IKNP extension on the wire. An
-// extension endpoint runs at most one public-key set-up, for the first
-// direction it needs, and none if UseBase started a direction from a
-// kit's BaseOTs; the other direction bootstraps from κ OTs extended in
-// the first. An endpoint derived from a Plane has both directions up and
-// runs neither.
+// either dealer-backed (in-process) or IKNP extension on the wire. A
+// networked endpoint either runs a plane's set-up — one public-key
+// set-up for the first direction it needs, the other bootstrapped from κ
+// OTs extended in the first — or is derived from a Plane with both
+// directions up and runs neither.
 type Endpoint struct {
 	Party int // this party's index (0 or 1)
 	Conn  transport.Conn
 	Rng   *prg.PRG
 
 	// Refill backends, in precedence order: Dealer (in-process trusted
-	// offline phase), then IKNP extension: κ base OTs once (in HarvestGroup
-	// unless UseBase supplied them), then PRG+hash-only refills.
+	// offline phase), then IKNP extension: κ base OTs once (in
+	// HarvestGroup, unless derived from a Plane), then PRG+hash-only
+	// refills.
 	Dealer       *Dealer
 	HarvestGroup Group
 	// UseExtension is always on: an endpoint without a Dealer refills by
@@ -144,17 +144,13 @@ func (e *Endpoint) sender() (*ExtSender, error) {
 	if e.extS != nil {
 		return e.extS, nil
 	}
+	var err error
 	if e.extR != nil {
-		b, err := e.extR.mintBase(e.Pool)
-		if err != nil {
-			return nil, err
-		}
-		e.UseBase(b)
-		return e.extS, nil
+		e.extS, err = e.extR.mintBase(e.Pool)
+	} else {
+		e.extS, err = NewExtSender(e.Conn, e.HarvestGroup, e.Rng, ExtKappa)
 	}
-	s, err := NewExtSender(e.Conn, e.HarvestGroup, e.Rng, ExtKappa)
-	e.extS = s
-	return s, err
+	return e.extS, err
 }
 
 // receiver is the counterpart of sender.
@@ -162,63 +158,13 @@ func (e *Endpoint) receiver() (*ExtReceiver, error) {
 	if e.extR != nil {
 		return e.extR, nil
 	}
+	var err error
 	if e.extS != nil {
-		b, err := e.extS.mintBase(e.Pool)
-		if err != nil {
-			return nil, err
-		}
-		e.UseBase(b)
-		return e.extR, nil
+		e.extR, err = e.extS.mintBase(e.Pool, e.Rng)
+	} else {
+		e.extR, err = NewExtReceiver(e.Conn, e.HarvestGroup, e.Rng, ExtKappa)
 	}
-	r, err := NewExtReceiver(e.Conn, e.HarvestGroup, e.Rng, ExtKappa)
-	e.extR = r
-	return r, err
-}
-
-// UseBase starts the IKNP direction that b's half belongs to — as
-// extension receiver from the OT sender's half, as extension sender from
-// the OT receiver's — so that direction runs no public-key set-up. It
-// empties b: a BaseOTs seeds at most one endpoint, and a second UseBase
-// of it, or one with nil, changes nothing.
-func (e *Endpoint) UseBase(b *BaseOTs) {
-	switch {
-	case b == nil:
-		return
-	case b.pairs != nil:
-		e.extR = &ExtReceiver{conn: e.Conn, rng: e.Rng, pairs: b.pairs}
-	case b.seeds != nil:
-		e.extS = &ExtSender{conn: e.Conn, delta: b.delta, seeds: b.seeds}
-	}
-	*b = BaseOTs{}
-}
-
-// MintBase extends κ random OTs in a base-domain call of their own and
-// returns this party's half, for UseBase on another endpoint of the same
-// pair (a kit's seq online). It mints in the direction in which party 0
-// sends; sender and receiver start that direction first when it is not
-// up. The mint is traced as an ot.send or ot.recv batch of κ 1-of-2
-// instances; its OTs never enter the stock.
-func (e *Endpoint) MintBase() (*BaseOTs, error) {
-	send := e.Party == 0
-	name := "ot.recv"
-	if send {
-		name = "ot.send"
-	}
-	sp := e.Trace.Enter(name, telemetry.WithAttrs(
-		telemetry.Int("arity", 2), telemetry.Int("insts", ExtKappa)))
-	defer e.Trace.Exit(sp)
-	if send {
-		s, err := e.sender()
-		if err != nil {
-			return nil, err
-		}
-		return s.mintBase(e.Pool)
-	}
-	r, err := e.receiver()
-	if err != nil {
-		return nil, err
-	}
-	return r.mintBase(e.Pool)
+	return e.extR, err
 }
 
 // stockUp appends fresh instances to an arity's stock. An empty stock

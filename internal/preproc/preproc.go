@@ -53,13 +53,13 @@ type Layer struct {
 }
 
 // Kit is the correlated material for one inference seq: one family triple
-// per linear node, and this party's half of κ random OTs minted on the
-// fill stream, which start the seq's online OT endpoint with no
-// public-key set-up.
+// per linear node, and the fill plane whose base state made them. The
+// seq's online OT endpoint derives from that plane (ot.OnlineHalf), so a
+// warm inference runs no public-key set-up and no bootstrap.
 type Kit struct {
-	Seq  uint32
-	Mats map[int]*triple.Mat // node index → this party's triple share
-	Base *ot.BaseOTs
+	Seq   uint32
+	Mats  map[int]*triple.Mat // node index → this party's triple share
+	Plane *ot.Plane           // shared by every kit of the plane, read-only
 }
 
 // Fill-subprotocol frame magics, following the engine's AQ2x family.
