@@ -34,8 +34,10 @@ import (
 // flattened the share codec; generation 6 generates the convolutions'
 // triples from session seeds — the fixed-choice seed OTs, the fixed-set-up
 // request and per-triple correction frames; generation 7 derives every
-// kit's and cold seq's OT endpoint from one base-OT set-up per plane).
-const ProtocolVersion = 7
+// kit's and cold seq's OT endpoint from one base-OT set-up per plane;
+// generation 8 derives a warm seq's endpoint from its kit's fill plane,
+// so the kit fill mints no base OTs and a warm seq runs no bootstrap).
+const ProtocolVersion = 8
 
 // helloMagic opens every hello frame. A peer speaking the pre-handshake
 // protocol (or not speaking this protocol at all) sends something else as

@@ -98,8 +98,9 @@ func (c *transcriptConn) Recv() ([]byte, error) {
 // rows were re-captured when a warm seq's endpoint came to be derived
 // from its kit's fill plane instead of starting from minted base OTs: its
 // online bootstrap frame went, one per seq (50/54 frames became 47/54).
-// They do not depend on the worker count; the benchmark checks byte
-// counts, this checks byte content.
+// The same change raised the protocol generation to 8, which moved every
+// row's content and no frame count. They do not depend on the worker
+// count; the benchmark checks byte counts, this checks byte content.
 func TestSessionTranscriptPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked sessions")
@@ -111,12 +112,12 @@ func TestSessionTranscriptPinned(t *testing.T) {
 		sent, recv             uint64
 		sentFrames, recvFrames int
 	}{
-		{"cold", 0, 0, 0xfbc17b7b412929ce, 0x15f1540860f8824f, 65, 70},
-		{"warm", 2, 0, 0x48fb7ee000b852a6, 0x21663484c2e707b9, 47, 54},
-		{"cold_workers1", 0, 1, 0xfbc17b7b412929ce, 0x15f1540860f8824f, 65, 70},
-		{"warm_workers1", 2, 1, 0x48fb7ee000b852a6, 0x21663484c2e707b9, 47, 54},
-		{"cold_workers4", 0, 4, 0xfbc17b7b412929ce, 0x15f1540860f8824f, 65, 70},
-		{"warm_workers4", 2, 4, 0x48fb7ee000b852a6, 0x21663484c2e707b9, 47, 54},
+		{"cold", 0, 0, 0xe7b2496abf41a447, 0x37e0e0fe5646b4f8, 65, 70},
+		{"warm", 2, 0, 0x66de5f494fd6ed94, 0x70ae2eb69f0915c4, 47, 54},
+		{"cold_workers1", 0, 1, 0xe7b2496abf41a447, 0x37e0e0fe5646b4f8, 65, 70},
+		{"warm_workers1", 2, 1, 0x66de5f494fd6ed94, 0x70ae2eb69f0915c4, 47, 54},
+		{"cold_workers4", 0, 4, 0xe7b2496abf41a447, 0x37e0e0fe5646b4f8, 65, 70},
+		{"warm_workers4", 2, 4, 0x66de5f494fd6ed94, 0x70ae2eb69f0915c4, 47, 54},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := tinyModel(nn.PoolAvg)
