@@ -96,12 +96,13 @@ chaos-exhaustive:
 	AQ2PNN_CHAOS=1 AQ2PNN_CHAOS_LENET=1 $(GO) test -timeout 120m -count=1 -run '$(CHAOS_EXHAUSTIVE_RUN)' $(CHAOS_PKGS)
 
 # Determinism pins (docs/performance.md): the OT and session wire
-# transcripts, the pad definition, serial-vs-pooled OT endpoints and the
-# Gilboa and fixed-choice triple shares, at three worker counts, once with
-# the AES-NI kernel behind the fixed-key permutation and once under -tags
-# purego, which runs the per-block fallback. The pinned constants must not depend on
-# GOMAXPROCS or on the build, and tier-1 runs them at one count only.
-PINS_RUN = TestOTTranscriptPinned|TestPoolMatchesSerial|TestPadKnownAnswer|TestGilboaSharesPinned|TestFixedChoiceSharesPinned|TestSessionTranscriptPinned
+# transcripts, the pad definition, serial-vs-pooled OT endpoints, the
+# Gilboa and fixed-choice triple shares and Micro's cold and warm online
+# round counts, at three worker counts, once with the AES-NI kernel behind
+# the fixed-key permutation and once under -tags purego, which runs the
+# per-block fallback. The pinned constants must not depend on GOMAXPROCS
+# or on the build, and tier-1 runs them at one count only.
+PINS_RUN = TestOTTranscriptPinned|TestPoolMatchesSerial|TestPadKnownAnswer|TestGilboaSharesPinned|TestFixedChoiceSharesPinned|TestSessionTranscriptPinned|TestMicroOnlineRoundsPinned
 PINS_PKGS = ./internal/ot/ ./internal/triple/ ./internal/engine/
 
 pins:
