@@ -21,10 +21,10 @@ import (
 
 // NewNetworkContext builds a party context over a live connection with
 // harvest-backed OT and Gilboa triple families. start builds the OT
-// endpoint from the context's OT stream: a seq's endpoint derived from its
-// plane (a cold inference), one started from a kit's base OTs (a warm
-// one), or one that runs no OT at all (the open's F openings). The context
-// sets the endpoint's pool.
+// endpoint, given the context's OT stream: a seq's endpoint derived from
+// a plane (the main stream's for a cold inference; for a warm one, its
+// kit's fill plane, on a stream of its own), or one that runs no OT at
+// all (the open's F openings). The context sets the endpoint's pool.
 func NewNetworkContext(party int, conn transport.Conn, cfg Options, start func(rng *prg.PRG) *ot.Endpoint) *secure.Context {
 	rng := prg.NewSeeded(saltedSeed(cfg.Seed, uint64(party)*7919))
 	ep := start(rng.Fork())
@@ -49,7 +49,8 @@ func NewNetworkContext(party int, conn transport.Conn, cfg Options, start func(r
 // unset) for the first IKNP direction, the other bootstrapped from it,
 // with its pad and hash loops on pool. It is the only endpoint that runs
 // a public-key set-up: a session runs one per plane (setupFixed), and
-// every kit and cold seq derives its endpoint from its plane's.
+// every kit and every seq, warm or cold, derives its endpoint from a
+// plane's.
 func newOTEndpoint(party int, conn transport.Conn, cfg Options, rng *prg.PRG, pool *parallel.Pool) *ot.Endpoint {
 	ep := ot.NewEndpoint(party, conn, rng)
 	ep.Pool = pool

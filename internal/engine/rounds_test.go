@@ -39,11 +39,9 @@ import (
 // one from the session's main plane, the warm one from the fill plane that
 // made its kit. Neither runs a public-key flow (which would add a round to
 // conv1, the endpoint's first use) or a reverse-direction bootstrap (a
-// round at the first use of its second direction) online; a warm endpoint
-// started from base OTs minted into its kit bootstrapped in conv1 and read
-// 13 rounds. If coalescing ever regresses to per-group exchanges, these
-// counts jump by the group count (9 groups at 16 bits) and this test
-// fails.
+// round at the first use of its second direction) online. If coalescing
+// ever regresses to per-group exchanges, these counts jump by the group
+// count (9 groups at 16 bits) and this test fails.
 func TestMicroOnlineRoundsPinned(t *testing.T) {
 	m, err := nn.ByName("micro", nn.ZooConfig{Seed: 9})
 	if err != nil {

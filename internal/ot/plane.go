@@ -37,8 +37,7 @@ const (
 // nsBits is the width of the per-namespace call count. There are
 // 2^33 + 2 namespace indices (the plane's, an unused 1, and two per uint32
 // seq), so the highest counter, (2^33+1)·2^30 + 2^30 − 1, still fits 64
-// bits. A KitHalf namespace starts at (seq+1)·2^31, where it started when
-// a seq had one namespace of 2^31 calls.
+// bits. A KitHalf namespace starts at (seq+1)·2^31.
 const nsBits = 30
 
 // nsStart is the first counter of seq's namespace in half h. It is
