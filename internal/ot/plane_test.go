@@ -203,6 +203,10 @@ func TestNamespaceBounds(t *testing.T) {
 		if len(si) != 16 || len(ri) != 8 {
 			t.Fatalf("half %d: the namespace's last permitted call extended %d/%d", h, len(si), len(ri))
 		}
+		// A call the check let through would block on its absent peer.
+		if checkCounter(eps[0].extS.counter[domStock]) == nil {
+			t.Fatalf("half %d: the call past the namespace's last is not refused", h)
+		}
 		frames := dc.sent.frames + dc.recv.frames
 		if _, err := eps[0].extS.Extend(8); err == nil {
 			t.Errorf("half %d: sender extended past its namespace", h)
