@@ -75,25 +75,26 @@ done
 endef
 
 # Deterministic chaos harness (docs/robustness.md): the sampled fault
-# sweep, the serve-loop and retry tests and the fault injector's own tests
-# under the race detector, then the exhaustive micro sweep and the sampled
-# networked-LeNet5 sweep without it. The CI chaos job runs this target.
-CHAOS_RUN = TestFaultSweep|TestServe|TestRetry|TestChaosConn
+# sweep, the serve-loop and retry tests and every test of the fault
+# injector (transport.Faults) under the race detector, then the exhaustive
+# Micro and LeNet5 sweeps without it. AQ2PNN_CHAOS=1 is the one chaos
+# switch. The CI chaos job runs this target.
+CHAOS_RUN = TestFaultSweep|TestServe|TestRetry|TestFaults
 CHAOS_PKGS = ./internal/engine/ ./internal/transport/
 
 chaos:
 	$(call require-tests,$(CHAOS_RUN),$(CHAOS_PKGS))
 	$(GO) test -race -timeout 20m -count=1 -run '$(CHAOS_RUN)' $(CHAOS_PKGS)
-	AQ2PNN_CHAOS=1 AQ2PNN_CHAOS_LENET=1 $(GO) test -timeout 30m -count=1 -run 'TestFaultSweep' ./internal/engine/
+	AQ2PNN_CHAOS=1 $(GO) test -timeout 30m -count=1 -run 'TestFaultSweep' ./internal/engine/
 
-# The nightly exhaustive sweep: every transport op of a networked
-# inference for both parties, the sampled LeNet5 tail, and the fault
-# injector's own tests, without the race detector.
-CHAOS_EXHAUSTIVE_RUN = TestFaultSweep|TestChaosConn
+# The nightly exhaustive sweep: every transport op of a networked Micro
+# and LeNet5 inference for both parties, and the fault injector's own
+# tests, without the race detector.
+CHAOS_EXHAUSTIVE_RUN = TestFaultSweep|TestFaults
 
 chaos-exhaustive:
 	$(call require-tests,$(CHAOS_EXHAUSTIVE_RUN),$(CHAOS_PKGS))
-	AQ2PNN_CHAOS=1 AQ2PNN_CHAOS_LENET=1 $(GO) test -timeout 120m -count=1 -run '$(CHAOS_EXHAUSTIVE_RUN)' $(CHAOS_PKGS)
+	AQ2PNN_CHAOS=1 $(GO) test -timeout 120m -count=1 -run '$(CHAOS_EXHAUSTIVE_RUN)' $(CHAOS_PKGS)
 
 # Determinism pins (docs/performance.md): the OT and session wire
 # transcripts, the pad definition, serial-vs-pooled OT endpoints, the
@@ -114,11 +115,11 @@ pins:
 # sweep — kill/stall/corrupt one backend at every sampled mid-inference
 # operation index; every session must fail over and finish with
 # bit-identical logits. The sampled sweep runs under the race detector;
-# AQ2PNN_CHAOS_FLEET=1 then widens it to a stride across the whole
-# inference window.
+# AQ2PNN_CHAOS=1 then widens it to a stride across the whole inference
+# window.
 chaos-fleet:
 	$(GO) test -race -timeout 20m -count=1 ./internal/gateway/
-	AQ2PNN_CHAOS_FLEET=1 $(GO) test -timeout 30m -count=1 -run 'TestFleetChaos' ./internal/gateway/
+	AQ2PNN_CHAOS=1 $(GO) test -timeout 30m -count=1 -run 'TestFleetChaos' ./internal/gateway/
 
 # Protocol fuzzing suite (docs/robustness.md, "Hostile peers"): every
 # wire decoder that consumes peer-controlled bytes, from its committed

@@ -22,9 +22,8 @@ import (
 // does complete is uncorrupted.
 //
 // The exhaustive sweep over every op index runs when AQ2PNN_CHAOS=1 (the
-// CI chaos job); the default run samples indices to stay fast. The
-// LeNet5 sweep needs AQ2PNN_CHAOS_LENET=1 — at ~26s per late-fault run
-// it is CI-only by design.
+// CI chaos job); the default run samples Micro's indices to stay fast and
+// skips LeNet5, whose exhaustive sweep takes ~45 s on two cores.
 
 func chaosExhaustive() bool { return os.Getenv("AQ2PNN_CHAOS") == "1" }
 
@@ -82,9 +81,9 @@ func faultedRun(t *testing.T, m *nn.Model, x []int64, cfg Options, faultUser boo
 	plan := transport.FaultPlan{FailAfter: failAfter, Seed: uint64(failAfter)}
 	uc, pc := transport.Conn(a), transport.Conn(b)
 	if faultUser {
-		uc = transport.NewChaosConn(a, plan)
+		uc = transport.NewFaults(plan, nil).Wrap(a)
 	} else {
-		pc = transport.NewChaosConn(b, plan)
+		pc = transport.NewFaults(plan, nil).Wrap(b)
 	}
 	var res *Result
 	var errU, errP error
@@ -142,7 +141,7 @@ func faultedRun(t *testing.T, m *nn.Model, x []int64, cfg Options, faultUser boo
 	}
 }
 
-func sweepModel(t *testing.T, m *nn.Model, cfg Options, userIdx, providerIdx []int) {
+func sweepModel(t *testing.T, m *nn.Model, cfg Options) {
 	t.Helper()
 	x := make([]int64, m.InputShape().Numel())
 	for i := range x {
@@ -151,22 +150,10 @@ func sweepModel(t *testing.T, m *nn.Model, cfg Options, userIdx, providerIdx []i
 	base := runtime.NumGoroutine()
 	userOps, providerOps, want := cleanRun(t, registryOf(t, m), m, x, cfg)
 	t.Logf("clean run: %d user ops, %d provider ops", userOps, providerOps)
-	if userIdx == nil {
-		userIdx = sweepIndices(userOps)
-	}
-	if providerIdx == nil {
-		providerIdx = sweepIndices(providerOps)
-	}
-	for _, k := range userIdx {
-		if k >= userOps {
-			continue
-		}
+	for _, k := range sweepIndices(userOps) {
 		faultedRun(t, m, x, cfg, true, k, want)
 	}
-	for _, k := range providerIdx {
-		if k >= providerOps {
-			continue
-		}
+	for _, k := range sweepIndices(providerOps) {
 		faultedRun(t, m, x, cfg, false, k, want)
 	}
 	testutil.CheckGoroutines(t, base)
@@ -180,22 +167,18 @@ func TestFaultSweepMicro(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweepModel(t, m, Options{Seed: 4, Group: ot.TestGroup()}, nil, nil)
+	sweepModel(t, m, Options{Seed: 4, Group: ot.TestGroup()})
 }
 
 func TestFaultSweepLeNet5(t *testing.T) {
-	if os.Getenv("AQ2PNN_CHAOS_LENET") != "1" {
-		t.Skip("LeNet5 sweep runs in the chaos CI job (AQ2PNN_CHAOS_LENET=1)")
+	if !chaosExhaustive() {
+		t.Skip("LeNet5 sweep runs in the chaos CI job (AQ2PNN_CHAOS=1)")
 	}
 	m, err := nn.ByName("lenet5", nn.ZooConfig{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Options{Seed: 4, Group: ot.TestGroup()}
-	// Late-fault LeNet5 runs cost nearly a full inference (~26s); sample
-	// the handshake/setup boundary, the early online phase and the final
-	// reveal on each side instead of sweeping all ~176 indices.
-	sweepModel(t, m, cfg, []int{0, 3, 9, 40}, []int{1, 6, 30})
+	sweepModel(t, m, Options{Seed: 4, Group: ot.TestGroup()})
 }
 
 // TestFaultSweepLatency runs a few drop faults under seeded latency
@@ -212,9 +195,9 @@ func TestFaultSweepLatency(t *testing.T) {
 	x := make([]int64, m.InputShape().Numel())
 	for _, k := range []int{2, 19} {
 		a, b := transport.Pipe()
-		uc := transport.NewChaosConn(a, transport.FaultPlan{
+		uc := transport.NewFaults(transport.FaultPlan{
 			FailAfter: k, MaxLatency: 2 * time.Millisecond, Seed: 77,
-		})
+		}, nil).Wrap(a)
 		var errU, errP error
 		var wg sync.WaitGroup
 		wg.Add(2)

@@ -289,9 +289,9 @@ func TestIdleTimeoutKillsStalledPeer(t *testing.T) {
 	// Op 4 is the user's Recv of the weight-share header: the provider
 	// ships its shares and is left blocking on the user's half of the
 	// first F opening for the whole 2 s stall.
-	user := transport.NewChaosConn(transport.NewNetConn(cl), transport.FaultPlan{
+	user := transport.NewFaults(transport.FaultPlan{
 		FailAfter: -1, Stall: 2 * time.Second, StallAt: 4,
-	})
+	}, nil).Wrap(transport.NewNetConn(cl))
 	defer user.Close()
 
 	provErr := make(chan error, 1)
@@ -462,7 +462,7 @@ func TestHandshakeDeadlineEndsAtAttach(t *testing.T) {
 		}
 		// Ops 0-3 are the hello send, attach send, hello recv and attach
 		// recv; op 4 is the first setup read.
-		return transport.NewChaosConn(c, transport.FaultPlan{FailAfter: -1, Stall: 500 * time.Millisecond, StallAt: 4}), nil
+		return transport.NewFaults(transport.FaultPlan{FailAfter: -1, Stall: 500 * time.Millisecond, StallAt: 4}, nil).Wrap(c), nil
 	}
 	s, err := NewClient(dial, cfg).OpenSession(ctx, m)
 	if err != nil {

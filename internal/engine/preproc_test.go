@@ -297,7 +297,7 @@ func TestSessionPreprocChaos(t *testing.T) {
 				defer func() { preprocFaultWrap = nil }()
 				preprocFaultWrap = func(party int, c transport.Conn) transport.Conn {
 					if party == side.party {
-						return transport.NewChaosConn(c, plan.p)
+						return transport.NewFaults(plan.p, nil).Wrap(c)
 					}
 					return c
 				}
@@ -362,7 +362,7 @@ func TestSessionPreprocResumeAfterMainFault(t *testing.T) {
 	h2 := newSessionHarness(t, m, cfg)
 	h2.wrap = func(dial int, c transport.Conn) transport.Conn {
 		if dial == 1 {
-			return transport.NewChaosConn(c, transport.FaultPlan{FailAfter: failAt})
+			return transport.NewFaults(transport.FaultPlan{FailAfter: failAt}, nil).Wrap(c)
 		}
 		return nil
 	}

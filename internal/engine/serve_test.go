@@ -315,7 +315,7 @@ func TestRetryRecovers(t *testing.T) {
 				}
 				dials++
 				if dials == 1 {
-					return transport.NewChaosConn(conn, transport.FaultPlan{FailAfter: tc.failAfter}), nil
+					return transport.NewFaults(transport.FaultPlan{FailAfter: tc.failAfter}, nil).Wrap(conn), nil
 				}
 				return conn, nil
 			}

@@ -312,7 +312,7 @@ func TestSessionResumeAfterFault(t *testing.T) {
 			ccfg.Trace = tr
 			hB.wrap = func(dial int, c transport.Conn) transport.Conn {
 				if dial == 1 {
-					return transport.NewChaosConn(c, tc.plan)
+					return transport.NewFaults(tc.plan, nil).Wrap(c)
 				}
 				return nil
 			}
@@ -530,7 +530,7 @@ func TestSessionAttachMissFallsBack(t *testing.T) {
 
 	h.wrap = func(dial int, c transport.Conn) transport.Conn {
 		if dial == 2 { // the session under test; dial 1 was the probe
-			return transport.NewChaosConn(c, transport.FaultPlan{FailAfter: failAt})
+			return transport.NewFaults(transport.FaultPlan{FailAfter: failAt}, nil).Wrap(c)
 		}
 		return nil
 	}
@@ -852,7 +852,7 @@ func TestSessionInferBatch(t *testing.T) {
 	hC := newSessionHarness(t, m, cfg)
 	failAt := int(setup.MsgsSent+setup.MsgsRecv) + inferOps + inferOps/2
 	hC.wrap = func(dial int, c transport.Conn) transport.Conn {
-		return transport.NewChaosConn(c, transport.FaultPlan{FailAfter: failAt})
+		return transport.NewFaults(transport.FaultPlan{FailAfter: failAt}, nil).Wrap(c)
 	}
 	sC, err := NewClient(hC.dial, cfg).OpenSession(ctx, m)
 	if err != nil {

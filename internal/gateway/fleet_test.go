@@ -28,9 +28,9 @@ import (
 // The sweep space is measured, not guessed: a clean reference run
 // counts the victim backend's transport operations, and fault indices
 // are sampled strictly between "session open done" and "last inference
-// op" so every fault lands mid-stream. AQ2PNN_CHAOS_FLEET=1 widens the
-// sample to a stride sweep across the whole window (the nightly
-// make chaos-fleet target).
+// op" so every fault lands mid-stream. AQ2PNN_CHAOS=1 widens the sample
+// to a stride sweep across the whole window (the nightly make chaos-fleet
+// target).
 func TestFleetChaosFailoverBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full networked fleet chaos sweep")
@@ -104,7 +104,7 @@ func TestFleetChaosFailoverBitIdentical(t *testing.T) {
 	killAt := []uint64{lo, mid, hi}
 	stallAt := []uint64{mid}
 	corruptAt := []uint64{lo + 1, hi - 1}
-	if os.Getenv("AQ2PNN_CHAOS_FLEET") != "" {
+	if os.Getenv("AQ2PNN_CHAOS") == "1" {
 		killAt, corruptAt = nil, nil
 		stride := (hi - lo) / 16
 		if stride == 0 {
@@ -127,7 +127,7 @@ func TestFleetChaosFailoverBitIdentical(t *testing.T) {
 			return transport.FaultPlan{FailAfter: int(op)}
 		}, killAt},
 		{"stall", func(op uint64) transport.FaultPlan {
-			return transport.FaultPlan{FailAfter: int(op), Stall: 1200 * time.Millisecond}
+			return transport.FaultPlan{FailAfter: int(op), Stall: 1200 * time.Millisecond, StallAt: int(op)}
 		}, stallAt},
 		{"corrupt", func(op uint64) transport.FaultPlan {
 			return transport.FaultPlan{FailAfter: int(op), Corrupt: true}

@@ -49,7 +49,7 @@ func testInput(m *nn.Model) []int64 {
 type fleetBackend struct {
 	name   string
 	lis    *transport.Listener
-	faults *transport.ProcessFaults
+	faults *transport.Faults
 	cancel context.CancelFunc
 	done   chan error
 }
@@ -63,7 +63,7 @@ func startBackend(t *testing.T, name string, m *nn.Model, cfg engine.Options, pl
 	fb := &fleetBackend{name: name, lis: l}
 	// Death closes the listener too, so post-crash dials fail at the TCP
 	// layer the way they would against a truly dead process.
-	fb.faults = transport.NewProcessFaults(plan, func() { l.Close() })
+	fb.faults = transport.NewFaults(plan, func() { l.Close() })
 	l.SetConnWrap(fb.faults.Wrap)
 	ctx, cancel := context.WithCancel(context.Background())
 	fb.cancel = cancel

@@ -343,7 +343,7 @@ func TestEndpointTransportFailure(t *testing.T) {
 	dealer := NewDealer(prg.NewSeeded(19))
 	a, b := transport.Pipe()
 	b.Close() // receiver side dead
-	e0 := NewEndpoint(0, transport.NewFaultyConn(a, 0, false), prg.NewSeeded(20))
+	e0 := NewEndpoint(0, transport.NewFaults(transport.FaultPlan{}, nil).Wrap(a), prg.NewSeeded(20))
 	e0.Dealer = dealer
 	err := e0.Send1ofN(2, 1, []byte{1, 2})
 	if !errors.Is(err, transport.ErrInjected) {

@@ -14,32 +14,15 @@ import (
 // Failure injection: every protocol layer must surface transport faults
 // as errors — never hang, never return silently wrong shares.
 
-// faultySession wraps party i's connection so it fails after n ops. The
-// returned trip function closes the underlying pipe, unblocking the peer
-// (whose side of the protocol would otherwise wait forever — a deployment
-// handles this with transport timeouts).
-func faultySession(seed uint64, opsBeforeFault int) (s *Session, trip func(), closeFn func()) {
-	s = NewLocalSession(seed)
-	inner := s.P0.Conn
-	f := transport.NewFaultyConn(inner, opsBeforeFault, false)
+// faultySession wraps party 0's connection so it fails after n ops. The
+// trip closes the underlying pipe, which unblocks the peer (a deployment
+// sees the same when the faulted party's connection dies).
+func faultySession(seed uint64, opsBeforeFault int) *Session {
+	s := NewLocalSession(seed)
+	f := transport.NewFaults(transport.FaultPlan{FailAfter: opsBeforeFault}, nil).Wrap(s.P0.Conn)
 	s.P0.Conn = f
 	s.P0.OT.Conn = f
-	return s, func() { inner.Close() }, s.Close
-}
-
-// runWithTrip executes the two party functions, tripping the pipe when a
-// party errors so its peer unblocks.
-func runWithTrip(s *Session, trip func(), f0, f1 func(*Context) error) error {
-	wrap := func(f func(*Context) error) func(*Context) error {
-		return func(c *Context) error {
-			err := f(c)
-			if err != nil {
-				trip()
-			}
-			return err
-		}
-	}
-	return s.Run(wrap(f0), wrap(f1))
+	return s
 }
 
 func TestABReLUSurfacesTransportFault(t *testing.T) {
@@ -47,11 +30,11 @@ func TestABReLUSurfacesTransportFault(t *testing.T) {
 	g := prg.NewSeeded(50)
 	x0, x1 := share.SplitVec(g, r, g.Elems(32, r))
 	for _, ops := range []int{0, 1, 2, 3} {
-		s, trip, closeFn := faultySession(uint64(51+ops), ops)
-		err := runWithTrip(s, trip,
+		s := faultySession(uint64(51+ops), ops)
+		err := s.Run(
 			func(c *Context) error { _, e := c.ABReLU(r, x0); return e },
 			func(c *Context) error { _, e := c.ABReLU(r, x1); return e })
-		closeFn()
+		s.Close()
 		if err == nil {
 			t.Fatalf("ops=%d: fault swallowed", ops)
 		}
@@ -65,9 +48,9 @@ func TestPreparedLinearSurfacesFault(t *testing.T) {
 	r := ring.New(16)
 	g := prg.NewSeeded(60)
 	w0, w1 := share.SplitVec(g, r, g.Elems(12, r))
-	s, trip, closeFn := faultySession(61, 0)
-	defer closeFn()
-	err := runWithTrip(s, trip,
+	s := faultySession(61, 0)
+	defer s.Close()
+	err := s.Run(
 		func(c *Context) error { _, e := c.PrepareLinear("x", r, w0, 3, 4); return e },
 		func(c *Context) error { _, e := c.PrepareLinear("x", r, w1, 3, 4); return e })
 	if err == nil {
@@ -79,9 +62,9 @@ func TestTruncateFaithfulSurfacesFault(t *testing.T) {
 	r := ring.New(16)
 	g := prg.NewSeeded(62)
 	x0, x1 := share.SplitVec(g, r, g.Elems(16, r))
-	s, trip, closeFn := faultySession(63, 1)
-	defer closeFn()
-	err := runWithTrip(s, trip,
+	s := faultySession(63, 1)
+	defer s.Close()
+	err := s.Run(
 		func(c *Context) error { return c.TruncateFaithful(r, x0, 3) },
 		func(c *Context) error { return c.TruncateFaithful(r, x1, 3) })
 	if err == nil {

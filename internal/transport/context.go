@@ -64,8 +64,9 @@ type Listener struct {
 // SetConnWrap installs a decorator applied to every subsequently
 // accepted connection, inside the context binding — cancellation still
 // severs the real transport through the decorator's Unwrap chain. The
-// fleet chaos harness uses it to route all of a backend's connections
-// through one process-level fault injector; nil removes the decorator.
+// fleet chaos harness installs a Faults injector's Wrap here, so one
+// budget covers all of a backend's connections and a trip closes them
+// all, like a crashed process; nil removes the decorator.
 func (l *Listener) SetConnWrap(w func(Conn) Conn) {
 	l.mu.Lock()
 	l.wrap = w

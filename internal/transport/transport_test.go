@@ -311,39 +311,6 @@ func TestNetworkModel(t *testing.T) {
 	}
 }
 
-func TestFaultyConn(t *testing.T) {
-	a, b := Pipe()
-	defer b.Close()
-	f := NewFaultyConn(a, 2, false)
-	if err := f.Send([]byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Send([]byte{2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Send([]byte{3}); !errors.Is(err, ErrInjected) {
-		t.Errorf("third op = %v, want injected fault", err)
-	}
-	if _, err := f.Recv(); !errors.Is(err, ErrInjected) {
-		t.Errorf("recv after budget = %v", err)
-	}
-}
-
-func TestFaultyConnCorruption(t *testing.T) {
-	a, b := Pipe()
-	defer a.Close()
-	defer b.Close()
-	f := NewFaultyConn(b, 1, true)
-	mustSend(t, a, []byte{0, 0, 0})
-	p, err := f.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p[1] != 0xFF {
-		t.Error("corruption not applied on final op")
-	}
-}
-
 func BenchmarkPipeSendRecv(b *testing.B) {
 	x, y := Pipe()
 	defer x.Close()
