@@ -77,9 +77,12 @@ endef
 # Deterministic chaos harness (docs/robustness.md): the sampled fault
 # sweep, the serve-loop and retry tests and every test of the fault
 # injector (transport.Faults) under the race detector, then the exhaustive
-# Micro and LeNet5 sweeps without it. AQ2PNN_CHAOS=1 is the one chaos
-# switch. The CI chaos job runs this target.
-CHAOS_RUN = TestFaultSweep|TestServe|TestRetry|TestFaults
+# Micro and LeNet5 sweeps without it. The injector's tests are TestFaults*
+# plus five drop and corruption tests kept under their earlier names
+# (FAULT_TESTS). AQ2PNN_CHAOS=1 is the one chaos switch. The CI chaos job
+# runs this target.
+FAULT_TESTS = TestFaults|TestChaosConn|TestFaultyConn|TestProcessFaults
+CHAOS_RUN = TestFaultSweep|TestServe|TestRetry|$(FAULT_TESTS)
 CHAOS_PKGS = ./internal/engine/ ./internal/transport/
 
 chaos:
@@ -90,7 +93,7 @@ chaos:
 # The nightly exhaustive sweep: every transport op of a networked Micro
 # and LeNet5 inference for both parties, and the fault injector's own
 # tests, without the race detector.
-CHAOS_EXHAUSTIVE_RUN = TestFaultSweep|TestFaults
+CHAOS_EXHAUSTIVE_RUN = TestFaultSweep|$(FAULT_TESTS)
 
 chaos-exhaustive:
 	$(call require-tests,$(CHAOS_EXHAUSTIVE_RUN),$(CHAOS_PKGS))

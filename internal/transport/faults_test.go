@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// TestFaultsDropAtK checks a single connection runs FailAfter operations
+// TestChaosConnDropAtK checks a single connection runs FailAfter operations
 // normally, then trips: the tripping and every later operation return
 // ErrInjected, and the trip closes the connection under the peer.
-func TestFaultsDropAtK(t *testing.T) {
+func TestChaosConnDropAtK(t *testing.T) {
 	a, b := Pipe()
 	defer b.Close()
 	f := NewFaults(FaultPlan{FailAfter: 2}, nil).Wrap(a)
@@ -33,6 +33,22 @@ func TestFaultsDropAtK(t *testing.T) {
 		}
 	}
 	wantClosed(t, b)
+}
+
+// TestFaultyConn checks the FailAfter: 2 budget on its own: two sends
+// pass, the third and every later operation return ErrInjected.
+func TestFaultyConn(t *testing.T) {
+	a, b := Pipe()
+	defer b.Close()
+	f := NewFaults(FaultPlan{FailAfter: 2}, nil).Wrap(a)
+	mustSend(t, f, []byte{1})
+	mustSend(t, f, []byte{2})
+	if err := f.Send([]byte{3}); !errors.Is(err, ErrInjected) {
+		t.Errorf("third op = %v, want injected fault", err)
+	}
+	if _, err := f.Recv(); !errors.Is(err, ErrInjected) {
+		t.Errorf("recv after budget = %v", err)
+	}
 }
 
 func TestFaultsUnlimitedBudget(t *testing.T) {
@@ -124,10 +140,36 @@ func TestFaultsLatencySchedule(t *testing.T) {
 	}
 }
 
-// TestFaultsCorruptLastRecv checks Corrupt flips exactly the middle byte of
-// the final permitted Recv, leaves earlier Recvs intact, and that the next
-// operation trips.
-func TestFaultsCorruptLastRecv(t *testing.T) {
+// TestChaosConnCorruptFlipsLastRecv checks a one-operation Corrupt plan
+// garbles the only permitted Recv.
+func TestChaosConnCorruptFlipsLastRecv(t *testing.T) {
+	a, b := Pipe()
+	defer a.Close()
+	defer b.Close()
+	mustSend(t, b, []byte{9, 9, 9, 9})
+	f := NewFaults(FaultPlan{FailAfter: 1, Corrupt: true}, nil).Wrap(a)
+	if p := mustRecv(t, f); bytes.Equal(p, []byte{9, 9, 9, 9}) {
+		t.Error("final permitted recv was not corrupted")
+	}
+}
+
+// TestFaultyConnCorruption checks the corrupted byte exactly: the middle
+// byte of a 3-byte frame becomes 0xFF.
+func TestFaultyConnCorruption(t *testing.T) {
+	a, b := Pipe()
+	defer a.Close()
+	defer b.Close()
+	f := NewFaults(FaultPlan{FailAfter: 1, Corrupt: true}, nil).Wrap(b)
+	mustSend(t, a, []byte{0, 0, 0})
+	if p := mustRecv(t, f); p[1] != 0xFF {
+		t.Error("corruption not applied on final op")
+	}
+}
+
+// TestProcessFaultsCorruptLastRecv checks Corrupt flips exactly the middle
+// byte of the final permitted Recv, leaves earlier Recvs intact, and that
+// the next operation trips.
+func TestProcessFaultsCorruptLastRecv(t *testing.T) {
 	a, b := Pipe()
 	defer b.Close()
 	mustSend(t, b, []byte{9, 9, 9, 9})
