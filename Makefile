@@ -4,7 +4,7 @@ GO ?= go
 # sources are unchanged, so repeat `make lint` runs pay only for go vet.
 LINTBIN ?= bin/aq2pnnlint
 
-.PHONY: build test race vet lint lintbin bench-module bench-gate trace chaos chaos-exhaustive chaos-fleet fuzz pins ci
+.PHONY: build test race vet lint lintbin bench-module bench-gate trace chaos chaos-fleet fuzz pins ci
 
 # Per-target budget for `make fuzz`; CI uses 30s per target on PRs.
 FUZZTIME ?= 60s
@@ -79,8 +79,8 @@ endef
 # injector (transport.Faults) under the race detector, then the exhaustive
 # Micro and LeNet5 sweeps without it. The injector's tests are TestFaults*
 # plus five drop and corruption tests kept under their earlier names
-# (FAULT_TESTS). AQ2PNN_CHAOS=1 is the one chaos switch. The CI chaos job
-# runs this target.
+# (FAULT_TESTS). AQ2PNN_CHAOS=1 is the one chaos switch. The CI and the
+# nightly chaos jobs run this target.
 FAULT_TESTS = TestFaults|TestChaosConn|TestFaultyConn|TestProcessFaults
 CHAOS_RUN = TestFaultSweep|TestServe|TestRetry|$(FAULT_TESTS)
 CHAOS_PKGS = ./internal/engine/ ./internal/transport/
@@ -90,22 +90,14 @@ chaos:
 	$(GO) test -race -timeout 20m -count=1 -run '$(CHAOS_RUN)' $(CHAOS_PKGS)
 	AQ2PNN_CHAOS=1 $(GO) test -timeout 30m -count=1 -run 'TestFaultSweep' ./internal/engine/
 
-# The nightly exhaustive sweep: every transport op of a networked Micro
-# and LeNet5 inference for both parties, and the fault injector's own
-# tests, without the race detector.
-CHAOS_EXHAUSTIVE_RUN = TestFaultSweep|$(FAULT_TESTS)
-
-chaos-exhaustive:
-	$(call require-tests,$(CHAOS_EXHAUSTIVE_RUN),$(CHAOS_PKGS))
-	AQ2PNN_CHAOS=1 $(GO) test -timeout 120m -count=1 -run '$(CHAOS_EXHAUSTIVE_RUN)' $(CHAOS_PKGS)
-
 # Determinism pins (docs/performance.md): the OT and session wire
 # transcripts, the pad definition, serial-vs-pooled OT endpoints, the
 # Gilboa and fixed-choice triple shares and Micro's cold and warm online
 # round counts, at three worker counts, once with the AES-NI kernel behind
-# the fixed-key permutation and once under -tags purego, which runs the
-# per-block fallback. The pinned constants must not depend on GOMAXPROCS
-# or on the build, and tier-1 runs them at one count only.
+# the fixed-key permutation and the IKNP column expansion and once under
+# -tags purego, which runs the per-block fallback. The pinned constants
+# must not depend on GOMAXPROCS or on the build, and tier-1 runs them at
+# one count only.
 PINS_RUN = TestOTTranscriptPinned|TestPoolMatchesSerial|TestPadKnownAnswer|TestGilboaSharesPinned|TestFixedChoiceSharesPinned|TestSessionTranscriptPinned|TestMicroOnlineRoundsPinned
 PINS_PKGS = ./internal/ot/ ./internal/triple/ ./internal/engine/
 
@@ -127,8 +119,9 @@ chaos-fleet:
 # Protocol fuzzing suite (docs/robustness.md, "Hostile peers"): every
 # wire decoder that consumes peer-controlled bytes, from its committed
 # seed corpus in testdata/fuzz/, then the fixed-key permutation's kernel
-# differentially against crypto/aes and the IKNP row-block transpose
-# against the bit-by-bit one. `go test -fuzz` with a pattern that matches
+# differentially against crypto/aes, the IKNP row-block transpose against
+# the bit-by-bit one, and the keyed IKNP column expansion against
+# prg.Keystream. `go test -fuzz` with a pattern that matches
 # no target prints "no fuzz tests to fuzz" and exits 0, so every target,
 # named once below as package:Target, is first required to exist.
 FUZZ_TARGETS = \
@@ -142,7 +135,8 @@ FUZZ_TARGETS = \
 	./internal/scm/:FuzzSCMMessage \
 	./internal/triple/:FuzzFixedChoiceFrame \
 	./internal/ot/:FuzzPermBlocks \
-	./internal/ot/:FuzzTransposeBlock
+	./internal/ot/:FuzzTransposeBlock \
+	./internal/ot/:FuzzColumnExpand
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

@@ -1,6 +1,7 @@
 package ot
 
 import (
+	"crypto/aes"
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
@@ -42,16 +43,19 @@ import (
 // plane.go); every later endpoint of the stream continues those IKNP
 // instances in a counter namespace of its own.
 //
-// Implementation: G is prg.Keystream, which writes exactly the ⌈m/8⌉
-// bytes a column needs into one κ-column slab; H is the fixed-key-AES hash
-// of hash.go, tweaked by domain, counter and j, with κ = 128 so that a row
-// is one block. The κ column expansions are independent, and so are the
-// ⌈m/64⌉ row blocks: an endpoint refill blocks both over the endpoint's
-// pool, and each pool chunk turns its row blocks from columns into rows
-// (transposeBlock, a 64×64 bit transpose per 64 columns) in its hasher's
-// staging and hashes them there, so no whole-matrix row slab exists. Only
-// the u-matrix crosses the wire; TestOTTranscriptPinned pins it and the
-// minted seeds byte for byte.
+// Implementation: G is AES-128 in counter mode, keyed by the column seed
+// and started at the call's columnIV, so that it equals prg.Keystream
+// under the seed and that IV. Each column is keyed once, where its base
+// state is built (colKey, perm.go), and its expansion writes exactly the
+// ⌈m/8⌉ bytes the column needs into one κ-column slab. H is the
+// fixed-key-AES hash of hash.go, tweaked by domain, counter and j, with
+// κ = 128 so that a row is one block. The κ column expansions are
+// independent, and so are the ⌈m/64⌉ row blocks: an endpoint refill
+// blocks both over the endpoint's pool, and each pool chunk turns its row
+// blocks from columns into rows (transposeBlock, a 64×64 bit transpose
+// per 64 columns) in its hasher's staging and hashes them there, so no
+// whole-matrix row slab exists. Only the u-matrix crosses the wire;
+// TestOTTranscriptPinned pins it and the minted seeds byte for byte.
 
 // ExtKappa is the security parameter: the number of base-OT columns.
 const ExtKappa = 128
@@ -74,6 +78,7 @@ type ExtSender struct {
 	conn  transport.Conn
 	delta []byte // κ bits, packed
 	seeds [][SeedLen]byte
+	keys  []colKey // seeds[i] keyed, shared read-only like delta and seeds
 	// counter salts the column expansion and the row hash across extend
 	// calls, one count per domain.
 	counter [2]uint64
@@ -84,7 +89,30 @@ type ExtReceiver struct {
 	conn    transport.Conn
 	rng     *prg.PRG
 	pairs   [][2][SeedLen]byte
+	keys    [][2]colKey // pairs[i] keyed, shared read-only like pairs
 	counter [2]uint64
+}
+
+// newExtSender is the extension sender over conn with base choices Δ and
+// the seeds they chose. It keys every column once: its endpoints and
+// every endpoint derived from its plane reuse the keys in each extend call.
+func newExtSender(conn transport.Conn, delta []byte, seeds [][SeedLen]byte) *ExtSender {
+	keys := make([]colKey, len(seeds))
+	for i, s := range seeds {
+		keys[i] = newColKey(s)
+	}
+	return &ExtSender{conn: conn, delta: delta, seeds: seeds, keys: keys}
+}
+
+// newExtReceiver is the extension receiver over conn with base seed pairs
+// pairs, drawing choice bits from rng. It keys both seeds of every column
+// once, as newExtSender does.
+func newExtReceiver(conn transport.Conn, rng *prg.PRG, pairs [][2][SeedLen]byte) *ExtReceiver {
+	keys := make([][2]colKey, len(pairs))
+	for i, p := range pairs {
+		keys[i] = [2]colKey{newColKey(p[0]), newColKey(p[1])}
+	}
+	return &ExtReceiver{conn: conn, rng: rng, pairs: pairs, keys: keys}
 }
 
 // checkKappa rejects every κ but ExtKappa before any traffic: a smaller Δ
@@ -119,7 +147,7 @@ func NewExtSender(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*Ext
 		copy(seeds[i][:], got[i])
 	}
 	telemetry.Count("aq2pnn_ot_base_setups_total", 1)
-	return &ExtSender{conn: conn, delta: delta, seeds: seeds}, nil
+	return newExtSender(conn, delta, seeds), nil
 }
 
 // NewExtReceiver runs the reversed base OTs as their sender: one
@@ -143,7 +171,7 @@ func NewExtReceiver(conn transport.Conn, grp Group, rng *prg.PRG, kappa int) (*E
 		return nil, fmt.Errorf("ot: extension base phase: %w", err)
 	}
 	telemetry.Count("aq2pnn_ot_base_setups_total", 1)
-	return &ExtReceiver{conn: conn, rng: rng, pairs: pairs}, nil
+	return newExtReceiver(conn, rng, pairs), nil
 }
 
 // mintBase extends κ random OTs in the base domain and starts the
@@ -158,7 +186,7 @@ func (s *ExtSender) mintBase(pool *parallel.Pool, rng *prg.PRG) (*ExtReceiver, e
 	for i := range pairs {
 		pairs[i] = [2][SeedLen]byte{raw[2*i], raw[2*i+1]}
 	}
-	return &ExtReceiver{conn: s.conn, rng: rng, pairs: pairs}, nil
+	return newExtReceiver(s.conn, rng, pairs), nil
 }
 
 // mintBase is the receiver counterpart: its choice bits and seeds become
@@ -168,29 +196,23 @@ func (r *ExtReceiver) mintBase(pool *parallel.Pool) (*ExtSender, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &ExtSender{conn: r.conn, delta: make([]byte, ExtKappa/8), seeds: make([][SeedLen]byte, ExtKappa)}
+	delta, seeds := make([]byte, ExtKappa/8), make([][SeedLen]byte, ExtKappa)
 	for i, v := range raw {
-		s.delta[i/8] |= byte(v.Choice) << (i % 8)
-		s.seeds[i] = v.Seed
+		delta[i/8] |= byte(v.Choice) << (i % 8)
+		seeds[i] = v.Seed
 	}
-	return s, nil
+	return newExtSender(r.conn, delta, seeds), nil
 }
 
-// columnKey is the keystream key of a column seed's expansion in one
-// extend call: the seed, the call's counter and the domain's byte. The
-// domain and its counter keep every extend call of a direction on fresh
-// keystream.
-func columnKey(seed [SeedLen]byte, dom int, counter uint64) [prg.SeedSize]byte {
-	var s [prg.SeedSize]byte
-	copy(s[:SeedLen], seed[:])
-	binary.LittleEndian.PutUint64(s[SeedLen:SeedLen+8], counter)
-	s[prg.SeedSize-1] = domSeedByte[dom]
-	return s
-}
-
-// expandColumn fills dst with a column seed's keystream.
-func expandColumn(dst []byte, seed [SeedLen]byte, dom int, counter uint64) {
-	prg.Keystream(dst, columnKey(seed, dom, counter))
+// columnIV is the first counter block of every column's expansion in one
+// extend call: the call's counter, little-endian, in bytes 0–7 and the
+// domain's byte in byte 15. The domain and its counter keep every extend
+// call of a direction on fresh keystream: an expansion counts up in bytes
+// 8–15 only, so no column reaches another call's counter bytes.
+func columnIV(dom int, counter uint64) (iv [aes.BlockSize]byte) {
+	binary.LittleEndian.PutUint64(iv[:8], counter)
+	iv[aes.BlockSize-1] = domSeedByte[dom]
+	return iv
 }
 
 func bitOf(b []byte, i int) byte { return (b[i/8] >> (i % 8)) & 1 }
@@ -278,10 +300,11 @@ func (s *ExtSender) extend(pool *parallel.Pool, dom, m int) ([][SeedLen]byte, er
 	}
 	// q columns: qᵢ = G(k_{Δᵢ}) ⊕ Δᵢ·uᵢ.
 	cols := make([]byte, kappa*nBytes)
+	iv := columnIV(dom, s.counter[dom])
 	pool.Blocks(kappa, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			col := cols[i*nBytes : (i+1)*nBytes]
-			expandColumn(col, s.seeds[i], dom, s.counter[dom])
+			s.keys[i].expand(col, iv)
 			if bitOf(s.delta, i) == 1 {
 				subtle.XORBytes(col, col, us[i*nBytes:(i+1)*nBytes])
 			}
@@ -321,11 +344,12 @@ func (r *ExtReceiver) extend(pool *parallel.Pool, dom, m int) ([]RecvInst, error
 	// t columns and the u transmission: uᵢ = G(k₀ᵢ) ⊕ G(k₁ᵢ) ⊕ r.
 	tCols := make([]byte, kappa*nBytes)
 	us := make([]byte, kappa*nBytes)
+	iv := columnIV(dom, r.counter[dom])
 	pool.Blocks(kappa, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			t0, u := tCols[i*nBytes:(i+1)*nBytes], us[i*nBytes:(i+1)*nBytes]
-			expandColumn(t0, r.pairs[i][0], dom, r.counter[dom])
-			expandColumn(u, r.pairs[i][1], dom, r.counter[dom])
+			r.keys[i][0].expand(t0, iv)
+			r.keys[i][1].expand(u, iv)
 			subtle.XORBytes(u, u, t0)
 			subtle.XORBytes(u, u, choice)
 		}

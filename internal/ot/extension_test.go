@@ -2,6 +2,10 @@ package ot
 
 import (
 	"bytes"
+	"crypto/aes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +16,7 @@ import (
 
 // newExtPair runs the reversed base phase and returns paired extender
 // states over a pipe.
-func newExtPair(t *testing.T, seed uint64) (*ExtSender, *ExtReceiver, func()) {
+func newExtPair(t testing.TB, seed uint64) (*ExtSender, *ExtReceiver, func()) {
 	t.Helper()
 	a, b := transport.Pipe()
 	var s *ExtSender
@@ -29,7 +33,7 @@ func newExtPair(t *testing.T, seed uint64) (*ExtSender, *ExtReceiver, func()) {
 	return s, r, func() { a.Close(); b.Close() }
 }
 
-func extendPair(t *testing.T, s *ExtSender, r *ExtReceiver, m int) ([][SeedLen]byte, []RecvInst) {
+func extendPair(t testing.TB, s *ExtSender, r *ExtReceiver, m int) ([][SeedLen]byte, []RecvInst) {
 	t.Helper()
 	var si [][SeedLen]byte
 	var ri []RecvInst
@@ -43,6 +47,73 @@ func extendPair(t *testing.T, s *ExtSender, r *ExtReceiver, m int) ([][SeedLen]b
 		t.Fatal(es, er)
 	}
 	return si, ri
+}
+
+// columnKey is the prg.Keystream seed whose stream is a column's expansion
+// in one extend call, laid out apart from columnIV: the column seed as the
+// AES key, the call's counter little-endian in bytes 16–23 and the
+// domain's byte in byte 31.
+func columnKey(seed [SeedLen]byte, dom int, counter uint64) [prg.SeedSize]byte {
+	var s [prg.SeedSize]byte
+	copy(s[:SeedLen], seed[:])
+	binary.LittleEndian.PutUint64(s[SeedLen:SeedLen+8], counter)
+	s[prg.SeedSize-1] = domSeedByte[dom]
+	return s
+}
+
+// checkExpansion requires a keyed column expansion from iv, through the
+// build's colKey and through the one-block fallback, to equal
+// prg.Keystream under key, whose AES key is seed and whose IV is iv.
+func checkExpansion(t testing.TB, what string, seed [SeedLen]byte, iv [aes.BlockSize]byte, n int) {
+	t.Helper()
+	key := [prg.SeedSize]byte(append(seed[:], iv[:]...))
+	want := make([]byte, n)
+	prg.Keystream(want, key)
+	k := newColKey(seed)
+	got := bytes.Repeat([]byte{0xA5}, n)
+	k.expand(got, iv)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s, %d B: keyed expansion differs from prg.Keystream", what, n)
+	}
+	clear(got)
+	ctrGeneric(newBlock(seed), got, iv)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s, %d B: one-block expansion differs from prg.Keystream", what, n)
+	}
+}
+
+// TestColumnExpansion checks the keyed column expansion byte for byte
+// against prg.Keystream under columnKey, at lengths on both sides of the
+// kernel's one-block, partial-tail and 8-way steps and of Keystream's
+// switch to crypto/cipher's CTR, in both domains, at the first counters
+// of seq 0's KitHalf and seq MaxUint32's OnlineHalf; and at IVs whose low
+// 64-bit word carries into the high one, and whose whole 128 bits wrap.
+func TestColumnExpansion(t *testing.T) {
+	g := prg.NewSeeded(61)
+	lengths := []int{1, 15, 16, 17, 128, 255, 256, 257, 4101}
+	for _, ctr := range []uint64{nsStart(0, KitHalf), nsStart(math.MaxUint32, OnlineHalf)} {
+		for dom := range domSeedByte {
+			var seed [SeedLen]byte
+			g.Read(seed[:])
+			key := columnKey(seed, dom, ctr)
+			if iv := columnIV(dom, ctr); !bytes.Equal(iv[:], key[SeedLen:]) {
+				t.Fatalf("counter %#x domain %d: columnIV %x, columnKey's IV %x", ctr, dom, iv, key[SeedLen:])
+			}
+			for _, n := range lengths {
+				checkExpansion(t, fmt.Sprintf("counter %#x domain %d", ctr, dom), seed, columnIV(dom, ctr), n)
+			}
+		}
+	}
+	for _, iv := range []string{
+		"0123456789abcdeffffffffffffffffd", // low word carries at block 3
+		"ffffffffffffffffffffffffffffffff", // 128-bit wrap at block 1
+	} {
+		var seed [SeedLen]byte
+		g.Read(seed[:])
+		for _, n := range lengths {
+			checkExpansion(t, "IV "+iv, seed, [aes.BlockSize]byte(unhex(t, iv)), n)
+		}
+	}
 }
 
 func TestExtensionCorrelationsConsistent(t *testing.T) {
@@ -288,25 +359,17 @@ func TestExtensionValidation(t *testing.T) {
 	}
 }
 
+// BenchmarkExtension1of2 times one extend pair of 4,096 OTs; any error of
+// the base phase or of an extend call fails it.
 func BenchmarkExtension1of2(b *testing.B) {
-	a, c := transport.Pipe()
-	defer a.Close()
-	defer c.Close()
-	var s *ExtSender
-	var r *ExtReceiver
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); s, _ = NewExtSender(a, TestGroup(), prg.NewSeeded(9), ExtKappa) }()
-	go func() { defer wg.Done(); r, _ = NewExtReceiver(c, TestGroup(), prg.NewSeeded(10), ExtKappa) }()
-	wg.Wait()
+	s, r, closeFn := newExtPair(b, 9)
+	defer closeFn()
 	const m = 4096
 	b.SetBytes(m)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wg.Add(2)
-		go func() { defer wg.Done(); s.Extend(m) }()
-		go func() { defer wg.Done(); r.Extend(m) }()
-		wg.Wait()
+		extendPair(b, s, r, m)
 	}
 }
 

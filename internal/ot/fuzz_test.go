@@ -2,8 +2,10 @@ package ot
 
 import (
 	"bytes"
+	"crypto/aes"
 	"crypto/subtle"
 	"errors"
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -82,7 +84,7 @@ func FuzzOTExtendFrames(f *testing.F) {
 		if err := b.Send(frame); err != nil {
 			t.Fatal(err)
 		}
-		s := &ExtSender{conn: a, delta: delta, seeds: seeds}
+		s := newExtSender(a, delta, seeds)
 		if out, err := s.Extend(m); err == nil {
 			if len(out) != 2*m {
 				t.Fatalf("Extend(%d) returned %d seeds", m, len(out))
@@ -216,5 +218,21 @@ func FuzzTransposeBlock(f *testing.F) {
 				t.Fatalf("m=%d block %d: byte %d past row %d written", m, rb, i, nr)
 			}
 		}
+	})
+}
+
+// FuzzColumnExpand checks the keyed column expansion differentially
+// against prg.Keystream, through the build's colKey and the one-block
+// fallback, for any column seed, any counter block and any length below
+// 2^13 bytes.
+func FuzzColumnExpand(f *testing.F) {
+	f.Add(make([]byte, SeedLen), make([]byte, aes.BlockSize), uint16(1))
+	f.Add([]byte("column seed 0001"), []byte("\x00\x00\x00\x80\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xe7"), uint16(257))
+	f.Add([]byte("column seed 0002"), bytes.Repeat([]byte{0xFF}, aes.BlockSize), uint16(4101))
+	f.Fuzz(func(t *testing.T, seed, iv []byte, n16 uint16) {
+		if len(seed) < SeedLen || len(iv) < aes.BlockSize {
+			return
+		}
+		checkExpansion(t, fmt.Sprintf("IV %x", iv[:aes.BlockSize]), [SeedLen]byte(seed), [aes.BlockSize]byte(iv), int(n16%(1<<13)))
 	})
 }

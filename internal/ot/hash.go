@@ -18,8 +18,9 @@ import (
 //	H(x, i) = π(π(x) ⊕ i) ⊕ π(x)
 //
 // Every use puts its own domain tag in the tweak i (see putTweak). Base OTs
-// (padFromKey) and the IKNP column expansion (prg.Keystream, keyed by
-// base-OT seeds) stay keyed PRGs.
+// (padFromKey) and the IKNP column expansion stay keyed PRGs: the column
+// expansion is AES-128-CTR under each base-OT seed, keyed once per plane
+// (colKey, perm.go).
 //
 // Every use of π is batched: it stages up to hashBatch inputs and tweaks
 // in a hasher, and runs π, XOR-tweak, π, XOR over the whole batch, so that

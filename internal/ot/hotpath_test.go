@@ -134,3 +134,29 @@ func TestRecvPreRejectsWideArity(t *testing.T) {
 		t.Errorf("RecvPre sent %d messages before rejecting N = 300", sent)
 	}
 }
+
+// TestExtendAllocs is the extension's allocation guard: one extend pair of
+// m OTs on endpoints derived from a plane allocates the call's slabs,
+// frames and goroutines, a constant (18 on an AES-NI build), and nothing
+// per column, since each column key was built with the plane. m = 1000
+// gives every column a partial tail block, which the one-block fallback
+// (no AES-NI kernel) encrypts in one heap block per column expansion, 3κ
+// per pair.
+func TestExtendAllocs(t *testing.T) {
+	_, planes := planePair(t)
+	a, b := transport.Pipe()
+	defer a.Close()
+	defer b.Close()
+	s := planes[0].Derive(a, prg.NewSeeded(311), 0, KitHalf).extS
+	r := planes[1].Derive(b, prg.NewSeeded(312), 0, KitHalf).extR
+	const m, perPair = 1000, 32
+	limit := float64(perPair)
+	if !kernelRuns() {
+		limit += 3 * ExtKappa
+	}
+	if n := testing.AllocsPerRun(10, func() { extendPair(t, s, r, m) }); n > limit {
+		t.Errorf("extend pair of %d OTs: %v allocs, want at most %v", m, n, limit)
+	} else {
+		t.Logf("extend pair of %d OTs: %v allocs", m, n)
+	}
+}

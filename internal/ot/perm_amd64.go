@@ -2,6 +2,13 @@
 
 package ot
 
+import (
+	"crypto/aes"
+	"crypto/cipher"
+	"encoding/binary"
+	"math/bits"
+)
+
 // useAESNI reports whether the CPU has the AES instructions the kernel
 // needs.
 var useAESNI = hasAESNI()
@@ -27,6 +34,41 @@ func permuteBlocks(dst, src []byte) {
 	aesBlocks(&permKeys, dst[:len(src)], src)
 }
 
+// colKey is a column seed's AES-128, keyed once: the kernel's round keys
+// where the CPU has AES-NI, a crypto/aes block where it has not. It is
+// only read after newColKey, so endpoints share it.
+type colKey struct {
+	rk    roundKeys
+	block cipher.Block
+}
+
+func newColKey(seed [SeedLen]byte) colKey {
+	if !useAESNI {
+		return colKey{block: newBlock(seed)}
+	}
+	return colKey{rk: expandKey(seed)}
+}
+
+// expand fills dst with the key's AES-128-CTR keystream from the counter
+// block iv: the kernel writes the keystream of the whole blocks straight
+// into dst, and that of a partial tail block onto the stack.
+func (k *colKey) expand(dst []byte, iv [aes.BlockSize]byte) {
+	if !useAESNI {
+		ctrGeneric(k.block, dst, iv)
+		return
+	}
+	be := binary.BigEndian
+	whole := len(dst) &^ (aes.BlockSize - 1)
+	hi, lo := be.Uint64(iv[:8]), be.Uint64(iv[8:])
+	aesCTR(&k.rk, dst[:whole], hi, lo)
+	if whole < len(dst) {
+		var tail [aes.BlockSize]byte
+		lo, carry := bits.Add64(lo, uint64(whole/aes.BlockSize), 0)
+		aesCTR(&k.rk, tail[:], hi+carry, lo)
+		copy(dst[whole:], tail[:])
+	}
+}
+
 // hasAESNI reports CPUID leaf 1's AES bit (ECX bit 25).
 func hasAESNI() bool
 
@@ -36,3 +78,12 @@ func hasAESNI() bool
 //
 //go:noescape
 func aesBlocks(rk *roundKeys, dst, src []byte)
+
+// aesCTR writes the keystream of the len(dst)/16 counter blocks (hi, lo),
+// (hi, lo)+1, … into dst: each block is hi then lo, big-endian, and the
+// count carries from lo into hi, as in crypto/cipher's CTR mode. The
+// counter blocks are built in registers and encrypted eight, four, then
+// one at a time as in aesBlocks.
+//
+//go:noescape
+func aesCTR(rk *roundKeys, dst []byte, hi, lo uint64)

@@ -101,3 +101,63 @@ tail1:
 
 done:
 	RET
+
+// The counter block (hi, lo), big-endian, into X: bytes 0–7 are hi's and
+// 8–15 lo's, so the low quadword is bswap(hi) and the high one bswap(lo).
+// Then (hi, lo) counts up by one, carrying from lo into hi.
+#define CTR(X) MOVQ R9, R11; BSWAPQ R11; MOVQ R11, X; \
+	MOVQ R8, R10; BSWAPQ R10; MOVQ R10, X10; PUNPCKLQDQ X10, X; \
+	ADDQ $1, R8; ADCQ $0, R9
+
+// func aesCTR(rk *roundKeys, dst []byte, hi, lo uint64)
+// Requires: AES, SSE2
+TEXT ·aesCTR(SB), NOSPLIT, $0-48
+	MOVQ rk+0(FP), AX
+	MOVQ dst_base+8(FP), DI
+	MOVQ dst_len+16(FP), CX
+	MOVQ hi+32(FP), R9
+	MOVQ lo+40(FP), R8
+	SHRQ $4, CX
+
+ctr8:
+	CMPQ CX, $8
+	JB   ctr4
+	CTR(X0); CTR(X1); CTR(X2); CTR(X3)
+	CTR(X4); CTR(X5); CTR(X6); CTR(X7)
+	ROUNDS(XOR8, ENC8, LAST8)
+	MOVOU X0, 0(DI)
+	MOVOU X1, 16(DI)
+	MOVOU X2, 32(DI)
+	MOVOU X3, 48(DI)
+	MOVOU X4, 64(DI)
+	MOVOU X5, 80(DI)
+	MOVOU X6, 96(DI)
+	MOVOU X7, 112(DI)
+	ADDQ $128, DI
+	SUBQ $8, CX
+	JMP  ctr8
+
+ctr4:
+	CMPQ CX, $4
+	JB   ctr1
+	CTR(X0); CTR(X1); CTR(X2); CTR(X3)
+	ROUNDS(XOR4, ENC4, LAST4)
+	MOVOU X0, 0(DI)
+	MOVOU X1, 16(DI)
+	MOVOU X2, 32(DI)
+	MOVOU X3, 48(DI)
+	ADDQ $64, DI
+	SUBQ $4, CX
+
+ctr1:
+	TESTQ CX, CX
+	JZ    ctrdone
+	CTR(X0)
+	ROUNDS(XOR1, ENC1, LAST1)
+	MOVOU X0, (DI)
+	ADDQ  $16, DI
+	DECQ  CX
+	JMP   ctr1
+
+ctrdone:
+	RET

@@ -2,7 +2,22 @@
 
 package ot
 
+import (
+	"crypto/aes"
+	"crypto/cipher"
+)
+
 // permuteBlocks sets each 16-byte block of dst to π of the same block of
 // src. dst and src are whole blocks, len(dst) ≥ len(src), and they are
 // either the same slice or disjoint.
 func permuteBlocks(dst, src []byte) { permuteBlocksGeneric(dst, src) }
+
+// colKey is a column seed's AES-128, keyed once as a crypto/aes block. It
+// is only read after newColKey, so endpoints share it.
+type colKey struct{ block cipher.Block }
+
+func newColKey(seed [SeedLen]byte) colKey { return colKey{block: newBlock(seed)} }
+
+// expand fills dst with the key's AES-128-CTR keystream from the counter
+// block iv.
+func (k *colKey) expand(dst []byte, iv [aes.BlockSize]byte) { ctrGeneric(k.block, dst, iv) }

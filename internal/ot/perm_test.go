@@ -58,6 +58,82 @@ func TestPermKnownAnswer(t *testing.T) {
 	}
 }
 
+// sbox is the AES S-box's definition (FIPS-197 Sec. 5.1.1): the inverse
+// of x in GF(2^8), taking 0 to 0, through the affine map b ⊕ rotl(b, 1…4)
+// ⊕ 0x63.
+func sbox(x byte) byte {
+	inv, sq := byte(1), x
+	for e := 254; e > 0; e >>= 1 { // x^254 = x^-1
+		if e&1 == 1 {
+			inv = gmul(inv, sq)
+		}
+		sq = gmul(sq, sq)
+	}
+	s := inv
+	for r := 1; r <= 4; r++ {
+		s ^= inv<<r | inv>>(8-r)
+	}
+	return s ^ 0x63
+}
+
+// gmul multiplies in GF(2^8) modulo x^8 + x^4 + x^3 + x + 1.
+func gmul(a, b byte) (p byte) {
+	for ; b != 0; b >>= 1 {
+		if b&1 == 1 {
+			p ^= a
+		}
+		carry := a & 0x80
+		a <<= 1
+		if carry != 0 {
+			a ^= 0x1b
+		}
+	}
+	return p
+}
+
+// TestSboxTable checks expandKey's tables against their definitions:
+// every S-box entry, and the round constants x^0…x^9 in GF(2^8).
+func TestSboxTable(t *testing.T) {
+	for x := range sboxTable {
+		if got, want := sboxTable[x], sbox(byte(x)); got != want {
+			t.Errorf("sboxTable[%#02x] = %#02x, want %#02x", x, got, want)
+		}
+	}
+	c := byte(1)
+	for r, got := range rcon {
+		if got != c {
+			t.Errorf("rcon[%d] = %#02x, want %#02x", r, got, c)
+		}
+		c = gmul(c, 2)
+	}
+}
+
+// TestExpandKeyMatchesCrypto encrypts through the kernel under expandKey's
+// round keys for random keys, and requires crypto/aes's result under the
+// same key, on 9 blocks, so that the 8-way and the one-block passes both
+// read every round key.
+func TestExpandKeyMatchesCrypto(t *testing.T) {
+	g := prg.NewSeeded(109)
+	src := make([]byte, 9*aes.BlockSize)
+	got, want := make([]byte, len(src)), make([]byte, len(src))
+	for n := range 200 {
+		var key [aes.BlockSize]byte
+		g.Read(key[:])
+		g.Read(src)
+		rk := expandKey(key)
+		if !kernelWith(&rk, got, src) {
+			t.Skip("no AES-NI kernel in this build or on this CPU; expandKey is unused")
+		}
+		ref := newBlock(key)
+		for i := 0; i < len(src); i += aes.BlockSize {
+			ref.Encrypt(want[i:i+aes.BlockSize], src[i:i+aes.BlockSize])
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("key %d (%x): kernel under expandKey differs from crypto/aes", n, key)
+		}
+	}
+}
+
 // TestPermKernelMatchesFallback compares permuteBlocks with the per-block
 // fallback directly, so the fallback runs even where the kernel serves
 // every production call, at every length through the 8-, 4- and 1-way
@@ -127,4 +203,17 @@ func BenchmarkPermBlocks(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hashBatch), "ns/block")
 		})
 	}
+}
+
+var rkSink roundKeys
+
+// BenchmarkExpandKey reports ns per AES-128 key schedule: a plane pays one
+// per column seed, 3κ per party.
+func BenchmarkExpandKey(b *testing.B) {
+	var key [aes.BlockSize]byte
+	for i := 0; i < b.N; i++ {
+		key[0] = byte(i)
+		rkSink = expandKey(key)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/key")
 }

@@ -64,14 +64,18 @@ func checkCounter(c uint64) error {
 
 // Plane is one party's base-OT state for both IKNP directions of a plane:
 // Δ and the seed it selects per column on the extension-sender side, the
-// seed pairs on the extension-receiver side. It is κ-sized (about 6 KiB)
-// and holds no stock and no connection; endpoints derived from it share
-// its slices read-only, so it is safe for concurrent Derive calls.
+// seed pairs on the extension-receiver side, and each of those 3κ seeds
+// keyed for its column expansion. It is κ-sized (about 72 KiB, nearly all
+// of it round keys) and holds no stock and no connection; endpoints
+// derived from it share its slices read-only, so it is safe for
+// concurrent Derive calls.
 type Plane struct {
-	party int
-	delta []byte
-	seeds [][SeedLen]byte
-	pairs [][2][SeedLen]byte
+	party    int
+	delta    []byte
+	seeds    [][SeedLen]byte
+	sendKeys []colKey
+	pairs    [][2][SeedLen]byte
+	recvKeys [][2]colKey
 }
 
 // Plane starts whichever IKNP directions of e are not up yet — the one in
@@ -92,7 +96,8 @@ func (e *Endpoint) Plane() (*Plane, error) {
 			return nil, err
 		}
 	}
-	return &Plane{party: e.Party, delta: e.extS.delta, seeds: e.extS.seeds, pairs: e.extR.pairs}, nil
+	s, r := e.extS, e.extR
+	return &Plane{party: e.Party, delta: s.delta, seeds: s.seeds, sendKeys: s.keys, pairs: r.pairs, recvKeys: r.keys}, nil
 }
 
 // Derive returns this party's endpoint over conn for seq in half h: both
@@ -105,7 +110,7 @@ func (e *Endpoint) Plane() (*Plane, error) {
 func (p *Plane) Derive(conn transport.Conn, rng *prg.PRG, seq uint32, h Half) *Endpoint {
 	e := NewEndpoint(p.party, conn, rng)
 	ns := nsStart(seq, h)
-	e.extS = &ExtSender{conn: conn, delta: p.delta, seeds: p.seeds, counter: [2]uint64{ns, ns}}
-	e.extR = &ExtReceiver{conn: conn, rng: rng, pairs: p.pairs, counter: [2]uint64{ns, ns}}
+	e.extS = &ExtSender{conn: conn, delta: p.delta, seeds: p.seeds, keys: p.sendKeys, counter: [2]uint64{ns, ns}}
+	e.extR = &ExtReceiver{conn: conn, rng: rng, pairs: p.pairs, keys: p.recvKeys, counter: [2]uint64{ns, ns}}
 	return e
 }

@@ -44,7 +44,7 @@ func New(seed [SeedSize]byte) *PRG {
 const shortStream = 256
 
 // Keystream fills dst with the first len(dst) bytes of New(seed)'s stream,
-// without New's 8 KiB buffer: a one-shot expansion (an IKNP column)
+// without New's 8 KiB buffer: a one-shot expansion (a base-OT pad)
 // produces exactly the bytes it uses. Short outputs encrypt the CTR counter
 // blocks IV, IV+1, … directly, allocating little beyond the cipher's key
 // schedule.
