@@ -91,14 +91,15 @@ chaos:
 	AQ2PNN_CHAOS=1 $(GO) test -timeout 30m -count=1 -run 'TestFaultSweep' ./internal/engine/
 
 # Determinism pins (docs/performance.md): the OT and session wire
-# transcripts, the pad definition, serial-vs-pooled OT endpoints, the
+# transcripts, the pad definition, serial-vs-pooled OT endpoints, an
+# extend pair on recycled 0xFF slabs against one on fresh buffers, the
 # Gilboa and fixed-choice triple shares and Micro's cold and warm online
 # round counts, at three worker counts, once with the AES-NI kernel behind
 # the fixed-key permutation and the IKNP column expansion and once under
 # -tags purego, which runs the per-block fallback. The pinned constants
 # must not depend on GOMAXPROCS or on the build, and tier-1 runs them at
 # one count only.
-PINS_RUN = TestOTTranscriptPinned|TestPoolMatchesSerial|TestPadKnownAnswer|TestGilboaSharesPinned|TestFixedChoiceSharesPinned|TestSessionTranscriptPinned|TestMicroOnlineRoundsPinned
+PINS_RUN = TestOTTranscriptPinned|TestPoolMatchesSerial|TestPadKnownAnswer|TestExtendSlabHygiene|TestGilboaSharesPinned|TestFixedChoiceSharesPinned|TestSessionTranscriptPinned|TestMicroOnlineRoundsPinned
 PINS_PKGS = ./internal/ot/ ./internal/triple/ ./internal/engine/
 
 pins:

@@ -259,7 +259,7 @@ type Party struct {
 	linears  map[int]*secure.Linear
 	// slab recycles the im2col lowering buffers across layers and
 	// inferences — their lifetime ends inside each conv call.
-	slab parallel.Slab
+	slab parallel.Slab[uint64]
 	// Profile receives per-node cost entries when non-nil (party i only,
 	// by convention).
 	Profile *[]OpProfile

@@ -47,7 +47,7 @@ import (
 // and started at the call's columnIV, so that it equals prg.Keystream
 // under the seed and that IV. Each column is keyed once, where its base
 // state is built (colKey, perm.go), and its expansion writes exactly the
-// ⌈m/8⌉ bytes the column needs into one κ-column slab. H is the
+// ⌈m/8⌉ bytes the column needs into one recycled κ-column slab. H is the
 // fixed-key-AES hash of hash.go, tweaked by domain, counter and j, with
 // κ = 128 so that a row is one block. The κ column expansions are
 // independent, and so are the ⌈m/64⌉ row blocks: an endpoint refill
@@ -274,14 +274,27 @@ func transpose64(w *[64]uint64) {
 	swap(1, 0x5555555555555555)
 }
 
+// Extension scratch, recycled across extend calls: the κ-column matrices
+// and the u-frame (colSlab), which each call puts back before it returns,
+// and the raw correlations (seedSlab, instSlab), which a refill puts back
+// once it has combined them into its stock. Every recycled byte is
+// overwritten before it is read.
+var (
+	colSlab  parallel.Slab[byte]
+	seedSlab parallel.Slab[[SeedLen]byte]
+	instSlab parallel.Slab[RecvInst]
+)
+
 // Extend mints m random 1-of-2 OT correlations on the sender side,
 // serially; the endpoint's refills run the same steps over its pool.
-// Correlation j's two seeds are entries 2j and 2j+1 of the result.
+// Correlation j's two seeds are entries 2j and 2j+1 of the result, which
+// the caller owns.
 func (s *ExtSender) Extend(m int) ([][SeedLen]byte, error) { return s.extend(nil, domStock, m) }
 
 // extend is Extend in domain dom, on that domain's counter, with the κ
 // column expansions and the ⌈m/64⌉ row blocks spread over pool (nil runs
-// them serially); the output is identical at every worker count.
+// them serially); the output is identical at every worker count. The
+// result comes from seedSlab, and a caller done with it may put it back.
 func (s *ExtSender) extend(pool *parallel.Pool, dom, m int) ([][SeedLen]byte, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("ot: extension of %d instances", m)
@@ -299,18 +312,21 @@ func (s *ExtSender) extend(pool *parallel.Pool, dom, m int) ([][SeedLen]byte, er
 		return nil, fmt.Errorf("ot: extension expected %d u-bytes, got %d", kappa*nBytes, len(us))
 	}
 	// q columns: qᵢ = G(k_{Δᵢ}) ⊕ Δᵢ·uᵢ.
-	cols := make([]byte, kappa*nBytes)
+	cols := colSlab.Get(kappa * nBytes)
+	defer colSlab.Put(cols)
 	iv := columnIV(dom, s.counter[dom])
 	pool.Blocks(kappa, func(lo, hi int) {
+		h := hashers.Get().(*hasher)
 		for i := lo; i < hi; i++ {
 			col := cols[i*nBytes : (i+1)*nBytes]
-			s.keys[i].expand(col, iv)
+			s.keys[i].expand(col, iv, h.tail())
 			if bitOf(s.delta, i) == 1 {
 				subtle.XORBytes(col, col, us[i*nBytes:(i+1)*nBytes])
 			}
 		}
+		hashers.Put(h)
 	})
-	seeds := make([][SeedLen]byte, 2*m)
+	seeds := seedSlab.Get(2 * m)
 	pool.Blocks((m+rowBlock-1)/rowBlock, func(lo, hi int) {
 		h := hashers.Get().(*hasher)
 		for rb := lo; rb < hi; rb++ {
@@ -326,10 +342,12 @@ func (s *ExtSender) extend(pool *parallel.Pool, dom, m int) ([][SeedLen]byte, er
 }
 
 // Extend mints m random 1-of-2 OT correlations on the receiver side,
-// serially; the endpoint's refills run the same steps over its pool.
+// serially; the endpoint's refills run the same steps over its pool. The
+// caller owns the result.
 func (r *ExtReceiver) Extend(m int) ([]RecvInst, error) { return r.extend(nil, domStock, m) }
 
-// extend is the receiver counterpart of ExtSender.extend.
+// extend is the receiver counterpart of ExtSender.extend; its result
+// comes from instSlab.
 func (r *ExtReceiver) extend(pool *parallel.Pool, dom, m int) ([]RecvInst, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("ot: extension of %d instances", m)
@@ -342,22 +360,27 @@ func (r *ExtReceiver) extend(pool *parallel.Pool, dom, m int) ([]RecvInst, error
 	choice := make([]byte, nBytes)
 	r.rng.Read(choice)
 	// t columns and the u transmission: uᵢ = G(k₀ᵢ) ⊕ G(k₁ᵢ) ⊕ r.
-	tCols := make([]byte, kappa*nBytes)
-	us := make([]byte, kappa*nBytes)
+	tCols, us := colSlab.Get(kappa*nBytes), colSlab.Get(kappa*nBytes)
+	defer colSlab.Put(tCols)
 	iv := columnIV(dom, r.counter[dom])
 	pool.Blocks(kappa, func(lo, hi int) {
+		h := hashers.Get().(*hasher)
 		for i := lo; i < hi; i++ {
 			t0, u := tCols[i*nBytes:(i+1)*nBytes], us[i*nBytes:(i+1)*nBytes]
-			r.keys[i][0].expand(t0, iv)
-			r.keys[i][1].expand(u, iv)
+			r.keys[i][0].expand(t0, iv, h.tail())
+			r.keys[i][1].expand(u, iv, h.tail())
 			subtle.XORBytes(u, u, t0)
 			subtle.XORBytes(u, u, choice)
 		}
+		hashers.Put(h)
 	})
-	if err := r.conn.Send(us); err != nil {
+	// Send keeps no reference to the frame, so it goes back at once.
+	err := r.conn.Send(us)
+	colSlab.Put(us)
+	if err != nil {
 		return nil, err
 	}
-	out := make([]RecvInst, m)
+	out := instSlab.Get(m)
 	pool.Blocks((m+rowBlock-1)/rowBlock, func(lo, hi int) {
 		h := hashers.Get().(*hasher)
 		for rb := lo; rb < hi; rb++ {

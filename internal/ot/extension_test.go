@@ -71,12 +71,13 @@ func checkExpansion(t testing.TB, what string, seed [SeedLen]byte, iv [aes.Block
 	prg.Keystream(want, key)
 	k := newColKey(seed)
 	got := bytes.Repeat([]byte{0xA5}, n)
-	k.expand(got, iv)
+	var tail [aes.BlockSize]byte
+	k.expand(got, iv, &tail)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s, %d B: keyed expansion differs from prg.Keystream", what, n)
 	}
 	clear(got)
-	ctrGeneric(newBlock(seed), got, iv)
+	ctrGeneric(newBlock(seed), got, iv, &tail)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s, %d B: one-block expansion differs from prg.Keystream", what, n)
 	}

@@ -69,6 +69,10 @@ type hasher struct {
 // its batches and puts it back, so staging is not allocated per call.
 var hashers = sync.Pool{New: func() any { return new(hasher) }}
 
+// tail is the scratch block of a column expansion's partial last block
+// (colKey.expand). It lives in the hasher, so it is on the heap already.
+func (h *hasher) tail() *[aes.BlockSize]byte { return at(h.px[:], 0) }
+
 // at is block i of s.
 func at(s []byte, i int) *[aes.BlockSize]byte { return (*[aes.BlockSize]byte)(s[i*aes.BlockSize:]) }
 

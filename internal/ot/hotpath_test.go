@@ -2,9 +2,13 @@ package ot
 
 import (
 	"bytes"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
+	"aq2pnn/internal/parallel"
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/transport"
 )
@@ -136,12 +140,12 @@ func TestRecvPreRejectsWideArity(t *testing.T) {
 }
 
 // TestExtendAllocs is the extension's allocation guard: one extend pair of
-// m OTs on endpoints derived from a plane allocates the call's slabs,
-// frames and goroutines, a constant (18 on an AES-NI build), and nothing
-// per column, since each column key was built with the plane. m = 1000
-// gives every column a partial tail block, which the one-block fallback
-// (no AES-NI kernel) encrypts in one heap block per column expansion, 3κ
-// per pair.
+// m OTs on endpoints derived from a plane allocates the call's frames,
+// results and goroutines, a constant, and nothing per column, since each
+// column key was built with the plane and the column matrices come from
+// colSlab. m = 1000 gives every column a partial tail block, which the
+// one-block fallback (no AES-NI kernel) encrypts in its hasher's scratch,
+// so the bound is the same with the kernel and without.
 func TestExtendAllocs(t *testing.T) {
 	_, planes := planePair(t)
 	a, b := transport.Pipe()
@@ -150,13 +154,75 @@ func TestExtendAllocs(t *testing.T) {
 	s := planes[0].Derive(a, prg.NewSeeded(311), 0, KitHalf).extS
 	r := planes[1].Derive(b, prg.NewSeeded(312), 0, KitHalf).extR
 	const m, perPair = 1000, 32
-	limit := float64(perPair)
-	if !kernelRuns() {
-		limit += 3 * ExtKappa
-	}
-	if n := testing.AllocsPerRun(10, func() { extendPair(t, s, r, m) }); n > limit {
-		t.Errorf("extend pair of %d OTs: %v allocs, want at most %v", m, n, limit)
+	if n := testing.AllocsPerRun(10, func() { extendPair(t, s, r, m) }); n > perPair {
+		t.Errorf("extend pair of %d OTs: %v allocs, want at most %v", m, n, perPair)
 	} else {
 		t.Logf("extend pair of %d OTs: %v allocs", m, n)
+	}
+}
+
+// TestExtendSlabHygiene runs one extend pair of m OTs twice on identically
+// derived endpoints over the GOMAXPROCS pool: first on emptied slabs, so
+// on fresh zeroed buffers, then with every extension slab stocked with
+// 0xFF buffers of the sizes the pair asks for. The sender's seeds, the
+// receiver's choices and seeds and the u-frame must be bit-identical: the
+// extension must overwrite every recycled byte it reads. The second run
+// must also draw its results from the stocked buffers, so the comparison
+// covers recycled memory; GC is off while they are stocked, since a
+// collection empties the slabs.
+func TestExtendSlabHygiene(t *testing.T) {
+	_, planes := planePair(t)
+	const m = 1000
+	pool := parallel.New(0)
+	run := func() ([][SeedLen]byte, []RecvInst, []byte) {
+		a, b := transport.Pipe()
+		defer a.Close()
+		defer b.Close()
+		rec := &recordConn{Conn: b}
+		s := planes[0].Derive(a, prg.NewSeeded(321), 0, KitHalf).extS
+		r := planes[1].Derive(rec, prg.NewSeeded(322), 0, KitHalf).extR
+		var si [][SeedLen]byte
+		var ri []RecvInst
+		both(t,
+			func() (err error) { si, err = s.extend(pool, domStock, m); return },
+			func() (err error) { ri, err = r.extend(pool, domStock, m); return })
+		if len(rec.sent) != 1 {
+			t.Fatalf("receiver sent %d frames, want the u-frame alone", len(rec.sent))
+		}
+		return si, ri, rec.sent[0]
+	}
+	emptySlabs := func() { runtime.GC(); runtime.GC() }
+
+	emptySlabs()
+	wantS, wantR, wantU := run()
+	emptySlabs()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const copies = 4
+	var seedBufs, instBufs []*[SeedLen]byte
+	for range copies {
+		colSlab.Put(bytes.Repeat([]byte{0xFF}, ExtKappa*((m+7)/8)))
+		sb, ib := make([][SeedLen]byte, 2*m), make([]RecvInst, m)
+		for i := range sb {
+			sb[i] = [SeedLen]byte(bytes.Repeat([]byte{0xFF}, SeedLen))
+		}
+		for i := range ib {
+			ib[i] = RecvInst{Choice: -1, Seed: sb[0]}
+		}
+		seedBufs, instBufs = append(seedBufs, &sb[0]), append(instBufs, &ib[0].Seed)
+		seedSlab.Put(sb)
+		instSlab.Put(ib)
+	}
+	gotS, gotR, gotU := run()
+	if !slices.Contains(seedBufs, &gotS[0]) || !slices.Contains(instBufs, &gotR[0].Seed) {
+		t.Fatal("the second extend pair did not draw its results from the stocked slabs")
+	}
+	if !slices.Equal(gotS, wantS) {
+		t.Error("sender seeds differ on recycled buffers")
+	}
+	if !slices.Equal(gotR, wantR) {
+		t.Error("receiver choices or seeds differ on recycled buffers")
+	}
+	if !bytes.Equal(gotU, wantU) {
+		t.Error("u-frame differs on recycled buffers")
 	}
 }

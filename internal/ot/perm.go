@@ -90,15 +90,17 @@ var sboxTable = [256]byte{
 // ctrGeneric fills dst with b's CTR keystream from the counter block iv,
 // counting as crypto/cipher's CTR mode does (a 128-bit big-endian
 // increment), one Encrypt call per block: each whole block of dst takes
-// its counter block and is encrypted in place. A partial tail block
-// escapes to the heap through the interface call, one small allocation.
-func ctrGeneric(b cipher.Block, dst []byte, iv [aes.BlockSize]byte) {
+// its counter block and is encrypted in place, and a partial tail block
+// is encrypted in tail and copied out. tail is the caller's heap scratch:
+// a block on this stack would escape through the interface call, one
+// allocation per column.
+func ctrGeneric(b cipher.Block, dst []byte, iv [aes.BlockSize]byte, tail *[aes.BlockSize]byte) {
 	be := binary.BigEndian
 	hi, lo := be.Uint64(iv[:8]), be.Uint64(iv[8:])
 	for p := 0; p < len(dst); p += aes.BlockSize {
 		blk := dst[p:min(p+aes.BlockSize, len(dst))]
 		if len(blk) < aes.BlockSize {
-			blk = make([]byte, aes.BlockSize)
+			blk = tail[:]
 		}
 		be.PutUint64(blk[:8], hi)
 		be.PutUint64(blk[8:], lo)

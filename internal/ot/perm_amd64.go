@@ -51,10 +51,10 @@ func newColKey(seed [SeedLen]byte) colKey {
 
 // expand fills dst with the key's AES-128-CTR keystream from the counter
 // block iv: the kernel writes the keystream of the whole blocks straight
-// into dst, and that of a partial tail block onto the stack.
-func (k *colKey) expand(dst []byte, iv [aes.BlockSize]byte) {
+// into dst, and that of a partial last block into the scratch tail.
+func (k *colKey) expand(dst []byte, iv [aes.BlockSize]byte, tail *[aes.BlockSize]byte) {
 	if !useAESNI {
-		ctrGeneric(k.block, dst, iv)
+		ctrGeneric(k.block, dst, iv, tail)
 		return
 	}
 	be := binary.BigEndian
@@ -62,7 +62,6 @@ func (k *colKey) expand(dst []byte, iv [aes.BlockSize]byte) {
 	hi, lo := be.Uint64(iv[:8]), be.Uint64(iv[8:])
 	aesCTR(&k.rk, dst[:whole], hi, lo)
 	if whole < len(dst) {
-		var tail [aes.BlockSize]byte
 		lo, carry := bits.Add64(lo, uint64(whole/aes.BlockSize), 0)
 		aesCTR(&k.rk, tail[:], hi+carry, lo)
 		copy(dst[whole:], tail[:])

@@ -2,9 +2,6 @@
 
 package ot
 
-// kernelRuns reports whether this build and CPU run the AES-NI kernel.
-func kernelRuns() bool { return useAESNI }
-
 // kernelWith encrypts src into dst through the AES-NI kernel under rk and
 // reports true, or reports false on a CPU without AES-NI.
 func kernelWith(rk *roundKeys, dst, src []byte) bool {

@@ -19,5 +19,7 @@ type colKey struct{ block cipher.Block }
 func newColKey(seed [SeedLen]byte) colKey { return colKey{block: newBlock(seed)} }
 
 // expand fills dst with the key's AES-128-CTR keystream from the counter
-// block iv.
-func (k *colKey) expand(dst []byte, iv [aes.BlockSize]byte) { ctrGeneric(k.block, dst, iv) }
+// block iv; tail is scratch for a partial last block.
+func (k *colKey) expand(dst []byte, iv [aes.BlockSize]byte, tail *[aes.BlockSize]byte) {
+	ctrGeneric(k.block, dst, iv, tail)
+}

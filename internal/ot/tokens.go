@@ -260,11 +260,12 @@ func (e *Endpoint) refillSend(needs map[int]int) error {
 	}
 	// raw holds two seeds per 1-of-2 correlation; each arity's chunk
 	// combines its t correlations per instance straight into the grown
-	// stock.
+	// stock, and raw goes back to its slab.
 	raw, err := s.extend(e.Pool, domStock, total)
 	if err != nil {
 		return err
 	}
+	defer seedSlab.Put(raw)
 	for i, n := range arities {
 		t, chunk := ts[i], chunks[i]
 		stock := slices.Grow(e.sendStock[n], chunk*n)
@@ -305,6 +306,7 @@ func (e *Endpoint) refillRecv(needs map[int]int) error {
 	if err != nil {
 		return err
 	}
+	defer instSlab.Put(raw)
 	for i, n := range arities {
 		t, chunk := ts[i], chunks[i]
 		stock := slices.Grow(e.recvStock[n], chunk)

@@ -15,7 +15,7 @@ import (
 // shares, the IN⊗F partial product). Results that escape to the caller
 // are still allocated fresh; only buffers whose lifetime ends inside the
 // call draw from the slab.
-var gemmSlab parallel.Slab
+var gemmSlab parallel.Slab[uint64]
 
 // AS-GEMM: the ciphertext-ciphertext matrix multiplication of Sec. 4.1.2.
 // With Beaver triple [[A]], [[B]], [[Z]] (Z = A⊗B) and opened masks

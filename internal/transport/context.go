@@ -174,6 +174,12 @@ func (c *ctxConn) Close() error {
 	return c.Conn.Close()
 }
 
+// sendPrefixed forwards a mux frame to the decorated Conn, which writes
+// it without a copy when it is a netConn.
+func (c *ctxConn) sendPrefixed(prefix byte, payload []byte) error {
+	return sendPrefixed(c.Conn, prefix, payload)
+}
+
 // Unwrap exposes the decorated Conn so budget and deadline requests
 // (ReserveBudget, SetRecvDeadline) reach the transport under the
 // context binding.

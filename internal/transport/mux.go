@@ -90,9 +90,6 @@ func (s *muxStream) Send(payload []byte) error {
 		return &FrameError{Op: "send", Declared: uint64(len(payload)), Limit: MaxFrame - 1}
 	}
 	m := s.mux
-	framed := make([]byte, 1+len(payload))
-	framed[0] = s.id
-	copy(framed[1:], payload)
 	// sendMu is held from the closed check through the inner send, so a
 	// concurrent Close cannot put its close control on the wire ahead of a
 	// frame that passed the check: the peer would read that frame on a
@@ -113,7 +110,7 @@ func (s *muxStream) Send(payload []byte) error {
 	}
 	m.mu.Unlock()
 
-	if err := m.inner.Send(framed); err != nil {
+	if err := sendPrefixed(m.inner, s.id, payload); err != nil {
 		s.noteSendErr()
 		m.poison(err)
 		return err
@@ -195,6 +192,26 @@ func (s *muxStream) Recv() ([]byte, error) {
 	}
 }
 
+// prefixSender is a Conn that sends a prefix byte and a payload as one
+// frame without copying the payload: netConn, and ctxConn over one.
+type prefixSender interface {
+	sendPrefixed(prefix byte, payload []byte) error
+}
+
+// sendPrefixed sends prefix then payload as one frame of c. A Conn that
+// is not a prefixSender (an in-memory pipe, a Faults injector, a test
+// decorator) gets the frame as one copied slice, so it sees the bytes
+// the peer will receive.
+func sendPrefixed(c Conn, prefix byte, payload []byte) error {
+	if ps, ok := c.(prefixSender); ok {
+		return ps.sendPrefixed(prefix, payload)
+	}
+	framed := make([]byte, 1+len(payload))
+	framed[0] = prefix
+	copy(framed[1:], payload)
+	return c.Send(framed)
+}
+
 // routeLocked validates one inner frame and delivers it. Called with
 // mux.mu held.
 func (m *Mux) routeLocked(p []byte) error {
@@ -274,7 +291,7 @@ func (s *muxStream) Close() error {
 	// baton — this control frame is what unblocks it. (Skipping it here is
 	// a teardown deadlock: each side waits for the other's frame.)
 	m.sendMu.Lock()
-	err := m.inner.Send([]byte{muxClose | s.id})
+	err := sendPrefixed(m.inner, muxClose|s.id, nil)
 	m.sendMu.Unlock()
 	if err != nil {
 		// Best effort: the peer learns of the closure from the inner

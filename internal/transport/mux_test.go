@@ -1,7 +1,12 @@
 package transport
 
 import (
+	"bytes"
+	"context"
+	"encoding/binary"
 	"errors"
+	"io"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -33,8 +38,28 @@ func TestMuxRoutesStreams(t *testing.T) {
 	}
 }
 
+// TestMuxConcurrentStreams drives both substreams at once, over a pipe
+// and over TCP, where concurrent frames share the netConn's header
+// storage under its write lock.
 func TestMuxConcurrentStreams(t *testing.T) {
-	aMain, aPre, bMain, bPre := muxPair()
+	pairs := map[string]func(t *testing.T) (Conn, Conn){
+		"pipe": func(*testing.T) (Conn, Conn) { return Pipe() },
+		"tcp": func(t *testing.T) (Conn, Conn) {
+			a, b := tcpPair(t)
+			return NewNetConn(a), NewNetConn(b)
+		},
+	}
+	for name, pair := range pairs {
+		t.Run(name, func(t *testing.T) {
+			a, b := pair(t)
+			aMain, aPre := NewMux(a)
+			bMain, bPre := NewMux(b)
+			testMuxConcurrentStreams(t, aMain, aPre, bMain, bPre)
+		})
+	}
+}
+
+func testMuxConcurrentStreams(t *testing.T, aMain, aPre, bMain, bPre Conn) {
 	defer aMain.Close()
 	defer bMain.Close()
 	const n = 200
@@ -319,5 +344,149 @@ func TestMuxPreprocCloseNeverOvertakesSend(t *testing.T) {
 		}
 		aMain.Close()
 		bMain.Close()
+	}
+}
+
+type muxInner struct {
+	name  string
+	fast  bool // the mux writes through it without a copy
+	inner func(Conn) Conn
+}
+
+// muxInners are the inner conns a mux writes through, over one end of a
+// TCP connection: a bare netConn and a context binding of one take the
+// copy-free path (prefixSender); a Faults injector that never trips takes
+// the copy path.
+func muxInners(t *testing.T) []muxInner {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	return []muxInner{
+		{"netConn", true, func(c Conn) Conn { return c }},
+		{"ctxConn", true, func(c Conn) Conn { return WithContext(ctx, c) }},
+		{"Faults", false, func(c Conn) Conn { return NewFaults(FaultPlan{FailAfter: -1}, nil).Wrap(c) }},
+	}
+}
+
+// TestMuxFramingOnTheSocket: whichever inner conn the mux writes through,
+// the socket carries the same bytes, each frame a little-endian length
+// then the stream byte then the payload; the close control is a
+// one-byte frame. Frames on both sides of ioChunk take the vectored and
+// the chunked write.
+func TestMuxFramingOnTheSocket(t *testing.T) {
+	big := bytes.Repeat([]byte{0x5A}, ioChunk+7)
+	sends := []struct {
+		stream int
+		p      []byte
+	}{
+		{StreamMain, []byte("main-0")},
+		{StreamPreproc, []byte("pre-0")},
+		{StreamMain, nil},
+		{StreamMain, big[:ioChunk-1]}, // with its prefix, exactly ioChunk
+		{StreamPreproc, big},
+	}
+	var want []byte
+	for _, s := range sends {
+		want = binary.LittleEndian.AppendUint32(want, uint32(1+len(s.p)))
+		want = append(want, byte(s.stream))
+		want = append(want, s.p...)
+	}
+	want = append(want, 1, 0, 0, 0, muxClose|StreamPreproc)
+	for _, tc := range muxInners(t) {
+		ca, cb := tcpPair(t)
+		inner := tc.inner(NewNetConn(ca))
+		if _, fast := inner.(prefixSender); fast != tc.fast {
+			t.Fatalf("%s: prefixSender %v, want %v", tc.name, fast, tc.fast)
+		}
+		got := make(chan []byte, 1)
+		go func() {
+			p, _ := io.ReadAll(cb)
+			got <- p
+		}()
+		main, pre := NewMux(inner)
+		streams := [muxStreams]Conn{main, pre}
+		for _, s := range sends {
+			mustSend(t, streams[s.stream], s.p)
+		}
+		if err := pre.Close(); err != nil {
+			t.Fatal(err)
+		}
+		main.Close()
+		if p := <-got; !bytes.Equal(p, want) {
+			t.Errorf("%s: %d bytes on the socket differ from the %d framed ones", tc.name, len(p), len(want))
+		}
+	}
+}
+
+// TestMuxSendPayloadReuse: Send keeps no reference to its payload, so a
+// sender that overwrites the payload as soon as Send returns (as the IKNP
+// extension does with its recycled u-frame) leaves the peer's frame
+// intact, on every inner conn and on both sides of ioChunk.
+func TestMuxSendPayloadReuse(t *testing.T) {
+	for _, tc := range muxInners(t) {
+		ca, cb := tcpPair(t)
+		aMain, _ := NewMux(tc.inner(NewNetConn(ca)))
+		bMain, _ := NewMux(NewNetConn(cb))
+		sizes := []int{64, 64 << 10, ioChunk + 100}
+		done := make(chan error, 1)
+		go func() {
+			for i, n := range sizes {
+				p, err := bMain.Recv()
+				if err == nil && !bytes.Equal(p, bytes.Repeat([]byte{byte(i + 1)}, n)) {
+					err = errors.New("frame corrupted")
+				}
+				if err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		buf := make([]byte, ioChunk+100)
+		for i, n := range sizes {
+			p := buf[:n]
+			for j := range p {
+				p[j] = byte(i + 1)
+			}
+			mustSend(t, aMain, p)
+			for j := range p {
+				p[j] = 0xEE
+			}
+		}
+		if err := <-done; err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		aMain.Close()
+		bMain.Close()
+	}
+}
+
+// TestMuxSendAllocs: a mux Send over a TCP netConn writes the payload
+// where it lies, so sending 64 KiB allocates well under 1 KiB; the copy
+// it replaced cost the whole frame. The peer drains the socket raw into
+// one buffer, allocated before the count starts, so the count is the
+// sender's alone.
+func TestMuxSendAllocs(t *testing.T) {
+	ca, cb := tcpPair(t)
+	main, _ := NewMux(NewNetConn(ca))
+	defer main.Close()
+	buf := make([]byte, 64<<10)
+	go func() {
+		for {
+			if _, err := cb.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	payload := make([]byte, 64<<10)
+	mustSend(t, main, payload)
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		mustSend(t, main, payload)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1024 {
+		t.Errorf("mux Send of 64 KiB allocates %d B, want under 1 KiB", per)
 	}
 }

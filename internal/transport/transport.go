@@ -98,7 +98,8 @@ func (s Stats) String() string {
 
 // Conn is one endpoint of a two-party channel.
 type Conn interface {
-	// Send transmits one frame. The payload is copied before Send returns.
+	// Send transmits one frame. Send does not keep the payload: the
+	// caller may reuse or overwrite it once Send returns.
 	Send(payload []byte) error
 	// Recv blocks for the next frame.
 	Recv() ([]byte, error)
@@ -268,6 +269,13 @@ type netConn struct {
 	// cleared deadline is propagated exactly once. Guarded by rm/wm.
 	rArmed bool
 	wArmed bool
+
+	// hdr is the frame header under construction: the 4-byte length, then
+	// the mux's stream byte when the frame carries one. iov and bufs hold
+	// the vectored write's buffer list. All three are guarded by wm.
+	hdr  [5]byte
+	iov  [2][]byte
+	bufs net.Buffers
 }
 
 // NewNetConn wraps a stream connection (typically TCP) as a framed Conn
@@ -302,23 +310,74 @@ func Listen(addr string) (Conn, error) {
 const ioChunk = 1 << 20
 
 func (c *netConn) Send(payload []byte) error {
-	if len(payload) > MaxFrame {
-		c.noteSendErr()
-		return &FrameError{Op: "send", Declared: uint64(len(payload)), Limit: MaxFrame}
-	}
 	c.wm.Lock()
 	defer c.wm.Unlock()
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if err := c.writeAll(hdr[:]); err != nil {
+	return c.writeFrame(c.hdr[:4], payload)
+}
+
+// sendPrefixed sends prefix then payload as one frame, with no copy of
+// payload: the mux's stream byte rides in the frame header's storage.
+func (c *netConn) sendPrefixed(prefix byte, payload []byte) error {
+	c.wm.Lock()
+	defer c.wm.Unlock()
+	c.hdr[4] = prefix
+	return c.writeFrame(c.hdr[:5], payload)
+}
+
+// writeFrame writes one frame whose payload is hdr[4:] then payload,
+// after setting hdr[:4] to its length. A frame of up to ioChunk bytes
+// goes out in one vectored write; a larger one in writeAll's segments.
+// Called with wm held; hdr is c.hdr.
+func (c *netConn) writeFrame(hdr, payload []byte) error {
+	n := len(hdr) - 4 + len(payload)
+	if n > MaxFrame {
+		c.noteSendErr()
+		return &FrameError{Op: "send", Declared: uint64(n), Limit: MaxFrame}
+	}
+	binary.LittleEndian.PutUint32(hdr, uint32(n))
+	var err error
+	if n <= ioChunk {
+		err = c.writeVec(hdr, payload)
+	} else if err = c.writeAll(hdr); err == nil {
+		err = c.writeAll(payload)
+	}
+	if err != nil {
 		c.noteSendErr()
 		return err
 	}
-	if err := c.writeAll(payload); err != nil {
-		c.noteSendErr()
+	c.noteSend(n)
+	return nil
+}
+
+// writeVec writes hdr then p in one vectored write (writev on TCP) under
+// one idle write deadline. The buffer list lives in the conn, so the
+// write allocates nothing.
+func (c *netConn) writeVec(hdr, p []byte) error {
+	if err := c.armWrite(); err != nil {
 		return err
 	}
-	c.noteSend(len(payload))
+	c.iov = [2][]byte{hdr, p}
+	c.bufs = c.iov[:]
+	_, err := c.bufs.WriteTo(c.c)
+	// WriteTo consumes the list; a failed write may leave p behind.
+	c.iov = [2][]byte{}
+	if err != nil {
+		return wrapIdle("send", err)
+	}
+	return nil
+}
+
+// armWrite sets the idle write deadline ahead of a write, or clears one
+// left armed once the limits no longer ask for it.
+func (c *netConn) armWrite() error {
+	if c.lim.IdleTimeout > 0 {
+		c.wArmed = true
+		return c.c.SetWriteDeadline(time.Now().Add(c.lim.IdleTimeout))
+	}
+	if c.wArmed {
+		c.wArmed = false
+		return c.c.SetWriteDeadline(time.Time{})
+	}
 	return nil
 }
 
@@ -328,16 +387,8 @@ func (c *netConn) Send(payload []byte) error {
 func (c *netConn) writeAll(p []byte) error {
 	for off := 0; off < len(p); off += ioChunk {
 		end := min(off+ioChunk, len(p))
-		if c.lim.IdleTimeout > 0 {
-			c.wArmed = true
-			if err := c.c.SetWriteDeadline(time.Now().Add(c.lim.IdleTimeout)); err != nil {
-				return err
-			}
-		} else if c.wArmed {
-			c.wArmed = false
-			if err := c.c.SetWriteDeadline(time.Time{}); err != nil {
-				return err
-			}
+		if err := c.armWrite(); err != nil {
+			return err
 		}
 		if _, err := c.c.Write(p[off:end]); err != nil {
 			return wrapIdle("send", err)

@@ -311,6 +311,62 @@ func TestNetworkModel(t *testing.T) {
 	}
 }
 
+// tcpPair returns the two ends of a loopback TCP connection, closed when
+// the test ends.
+func tcpPair(t testing.TB) (net.Conn, net.Conn) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	type accepted struct {
+		c   net.Conn
+		err error
+	}
+	ch := make(chan accepted, 1)
+	go func() {
+		c, err := l.Accept()
+		ch <- accepted{c, err}
+	}()
+	a, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := <-ch
+	if acc.err != nil {
+		a.Close()
+		t.Fatal(acc.err)
+	}
+	t.Cleanup(func() { a.Close(); acc.c.Close() })
+	return a, acc.c
+}
+
+// BenchmarkNetConnPingPong times a 64-byte round trip between two framed
+// conns over loopback TCP: a Send and a Recv on each side.
+func BenchmarkNetConnPingPong(b *testing.B) {
+	ca, cb := tcpPair(b)
+	a, echo := NewNetConn(ca), NewNetConn(cb)
+	go func() {
+		for {
+			p, err := echo.Recv()
+			if err != nil {
+				return
+			}
+			if err := echo.Send(p); err != nil {
+				return
+			}
+		}
+	}()
+	msg := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mustSend(b, a, msg)
+		mustRecv(b, a)
+	}
+}
+
 func BenchmarkPipeSendRecv(b *testing.B) {
 	x, y := Pipe()
 	defer x.Close()

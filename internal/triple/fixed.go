@@ -289,7 +289,7 @@ func (s *FixedSeeds) checkFrame(p []byte, m int) error {
 }
 
 // fixedSlab recycles fixedZ's transposed A and cross-term accumulators.
-var fixedSlab parallel.Slab
+var fixedSlab parallel.Slab[uint64]
 
 // expandScratch is one pool chunk's staging: the expansions of one
 // (kk, j)'s seeds of one width.
