@@ -91,15 +91,16 @@ chaos:
 	AQ2PNN_CHAOS=1 $(GO) test -timeout 30m -count=1 -run 'TestFaultSweep' ./internal/engine/
 
 # Determinism pins (docs/performance.md): the OT and session wire
-# transcripts, the pad definition, serial-vs-pooled OT endpoints, an
-# extend pair on recycled 0xFF slabs against one on fresh buffers, the
+# transcripts, token steps of rising then falling size over stocks
+# compacted in place, the pad definition, serial-vs-pooled OT endpoints,
+# an extend pair on recycled 0xFF slabs against one on fresh buffers, the
 # Gilboa and fixed-choice triple shares and Micro's cold and warm online
 # round counts, at three worker counts, once with the AES-NI kernel behind
 # the fixed-key permutation and the IKNP column expansion and once under
 # -tags purego, which runs the per-block fallback. The pinned constants
 # must not depend on GOMAXPROCS or on the build, and tier-1 runs them at
 # one count only.
-PINS_RUN = TestOTTranscriptPinned|TestPoolMatchesSerial|TestPadKnownAnswer|TestExtendSlabHygiene|TestGilboaSharesPinned|TestFixedChoiceSharesPinned|TestSessionTranscriptPinned|TestMicroOnlineRoundsPinned
+PINS_RUN = TestOTTranscriptPinned|TestStockStepsPinned|TestPoolMatchesSerial|TestPadKnownAnswer|TestExtendSlabHygiene|TestGilboaSharesPinned|TestFixedChoiceSharesPinned|TestSessionTranscriptPinned|TestMicroOnlineRoundsPinned
 PINS_PKGS = ./internal/ot/ ./internal/triple/ ./internal/engine/
 
 pins:
@@ -121,8 +122,9 @@ chaos-fleet:
 # wire decoder that consumes peer-controlled bytes, from its committed
 # seed corpus in testdata/fuzz/, then the fixed-key permutation's kernel
 # differentially against crypto/aes, the IKNP row-block transpose against
-# the bit-by-bit one, and the keyed IKNP column expansion against
-# prg.Keystream. `go test -fuzz` with a pattern that matches
+# the bit-by-bit one, the keyed IKNP column expansion against
+# prg.Keystream, and the 1 KiB-buffered PRG against the 8 KiB-buffered
+# one it replaced. `go test -fuzz` with a pattern that matches
 # no target prints "no fuzz tests to fuzz" and exits 0, so every target,
 # named once below as package:Target, is first required to exist.
 FUZZ_TARGETS = \
@@ -137,7 +139,8 @@ FUZZ_TARGETS = \
 	./internal/triple/:FuzzFixedChoiceFrame \
 	./internal/ot/:FuzzPermBlocks \
 	./internal/ot/:FuzzTransposeBlock \
-	./internal/ot/:FuzzColumnExpand
+	./internal/ot/:FuzzColumnExpand \
+	./internal/prg/:FuzzPRGStream
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

@@ -275,10 +275,10 @@ func transpose64(w *[64]uint64) {
 }
 
 // Extension scratch, recycled across extend calls: the κ-column matrices
-// and the u-frame (colSlab), which each call puts back before it returns,
-// and the raw correlations (seedSlab, instSlab), which a refill puts back
-// once it has combined them into its stock. Every recycled byte is
-// overwritten before it is read.
+// and the u-frame, sent or received (colSlab), which each call puts back
+// before it returns, and the raw correlations (seedSlab, instSlab), which
+// a refill puts back once it has combined them into its stock. Every
+// recycled byte is overwritten before it is read.
 var (
 	colSlab  parallel.Slab[byte]
 	seedSlab parallel.Slab[[SeedLen]byte]
@@ -304,7 +304,14 @@ func (s *ExtSender) extend(pool *parallel.Pool, dom, m int) ([][SeedLen]byte, er
 	}
 	kappa := len(s.seeds)
 	nBytes, rowLen := (m+7)/8, kappa/8
-	us, err := s.conn.Recv()
+	// The u-frame lands in a recycled buffer when the conn can read it
+	// into one (transport.RecvInto); it is read by the column loop alone.
+	var ubuf []byte
+	if transport.CanRecvInto(s.conn, kappa*nBytes) {
+		ubuf = colSlab.Get(kappa * nBytes)
+		defer colSlab.Put(ubuf)
+	}
+	us, err := transport.RecvInto(s.conn, ubuf)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package ot
 
 import (
 	"bytes"
+	"net"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -164,18 +165,21 @@ func TestExtendAllocs(t *testing.T) {
 // TestExtendSlabHygiene runs one extend pair of m OTs twice on identically
 // derived endpoints over the GOMAXPROCS pool: first on emptied slabs, so
 // on fresh zeroed buffers, then with every extension slab stocked with
-// 0xFF buffers of the sizes the pair asks for. The sender's seeds, the
-// receiver's choices and seeds and the u-frame must be bit-identical: the
-// extension must overwrite every recycled byte it reads. The second run
-// must also draw its results from the stocked buffers, so the comparison
-// covers recycled memory; GC is off while they are stocked, since a
-// collection empties the slabs.
+// 0xFF buffers of the sizes the pair asks for. The parties talk through
+// framed conns over an in-memory net.Pipe, so the sender receives its
+// u-frame into a colSlab buffer (transport.RecvInto), stocked like the
+// column matrices. The sender's seeds, the receiver's choices and seeds
+// and the u-frame must be bit-identical: the extension must overwrite
+// every recycled byte it reads. The second run must also draw its results
+// from the stocked buffers, so the comparison covers recycled memory; GC
+// is off while they are stocked, since a collection empties the slabs.
 func TestExtendSlabHygiene(t *testing.T) {
 	_, planes := planePair(t)
 	const m = 1000
 	pool := parallel.New(0)
 	run := func() ([][SeedLen]byte, []RecvInst, []byte) {
-		a, b := transport.Pipe()
+		ca, cb := net.Pipe()
+		a, b := transport.NewNetConn(ca), transport.NewNetConn(cb)
 		defer a.Close()
 		defer b.Close()
 		rec := &recordConn{Conn: b}
@@ -197,6 +201,8 @@ func TestExtendSlabHygiene(t *testing.T) {
 	wantS, wantR, wantU := run()
 	emptySlabs()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// Four column-sized buffers: the sender's u-frame and q columns, the
+	// receiver's t columns and u-frame.
 	const copies = 4
 	var seedBufs, instBufs []*[SeedLen]byte
 	for range copies {

@@ -177,6 +177,13 @@ func stockUp[T any](stock, fresh []T) []T {
 	return append(stock, fresh...)
 }
 
+// consume drops a stock's first k entries by moving the rest to the
+// front. The stock keeps its capacity, so once an endpoint's stock has
+// grown to its largest step, later refills grow it in place; a reslice
+// would lose the consumed front and make every refill reallocate. A
+// dealer take is the endpoint's own memory too: the copy stays inside it.
+func consume[T any](stock []T, k int) []T { return stock[:copy(stock, stock[k:])] }
+
 // log2Arity returns t for n = 2^t, rejecting non-power-of-two arities and
 // any above 256: a shift travels in at most one byte, and the combiners
 // fuse at most 8 components.
@@ -215,7 +222,7 @@ func (e *Endpoint) Send1ofN(n, msgLen int, cands []byte) error {
 	if err := SendPre(e.Conn, e.Pool, e.sendStock[n][:count*n], n, msgLen, cands); err != nil {
 		return err
 	}
-	e.sendStock[n] = e.sendStock[n][count*n:]
+	e.sendStock[n] = consume(e.sendStock[n], count*n)
 	return nil
 }
 
@@ -239,6 +246,6 @@ func (e *Endpoint) Recv1ofN(n int, choices []int, msgLen int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.recvStock[n] = e.recvStock[n][len(choices):]
+	e.recvStock[n] = consume(e.recvStock[n], len(choices))
 	return out, nil
 }

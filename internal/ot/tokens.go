@@ -163,7 +163,7 @@ func (e *Endpoint) SendTokens(bits uint, batches []SendTokenBatch) error {
 		return err
 	}
 	for n, u := range plan.use {
-		e.sendStock[n] = e.sendStock[n][u*n:]
+		e.sendStock[n] = consume(e.sendStock[n], u*n)
 	}
 	return nil
 }
@@ -231,7 +231,7 @@ func (e *Endpoint) RecvTokens(bits uint, batches []RecvTokenBatch) ([][]byte, er
 		out[bi] = toks
 	}
 	for n, u := range plan.use {
-		e.recvStock[n] = e.recvStock[n][u:]
+		e.recvStock[n] = consume(e.recvStock[n], u)
 	}
 	return out, nil
 }

@@ -71,7 +71,7 @@ func both(t *testing.T, p0, p1 func() error) {
 // IKNP set-up and four Extend calls (whose u-matrix does not depend on the
 // row transpose or the row hash, so the minted seeds are digested too),
 // then extension-backed Send1ofN/Recv1ofN batches at message lengths on
-// both sides of the one-block pad and of the PRG's 8 KiB buffer, in both
+// both sides of the one-block pad and of the PRG's 8 KiB block, in both
 // directions. The endpoints' first direction runs the public-key flow and
 // the second bootstraps from κ OTs extended in the first. The constants
 // were last re-captured when the flow's blinding became multiplicative

@@ -18,13 +18,23 @@ import (
 // SeedSize is the byte length of a PRG seed (AES-128 key + IV).
 const SeedSize = 32
 
+// blockLen is the span of Uint64's alignment rule: the keystream is cut
+// into 8 KiB blocks, and a word never straddles two of them. The stream
+// was first buffered a whole block at a time, and the rule fixes which
+// bytes every seeded stream, transcript and digest draws.
+const blockLen = 8192
+
 // PRG is a deterministic pseudorandom generator. It is not safe for
 // concurrent use; give each goroutine its own instance (Fork).
+//
+// It buffers 1 KiB of keystream, an eighth of a block: off is the
+// buffer's offset in its block, so Uint64 skips a block's last bytes
+// exactly where a whole-block buffer would.
 type PRG struct {
 	stream cipher.Stream
-	seed   [SeedSize]byte
-	buf    [8192]byte
+	buf    [blockLen / 8]byte
 	pos    int
+	off    int
 }
 
 // New returns a PRG expanding the given seed.
@@ -34,8 +44,10 @@ func New(seed [SeedSize]byte) *PRG {
 		// aes.NewCipher only fails on bad key sizes; 16 is always valid.
 		panic("prg: " + err.Error())
 	}
-	g := &PRG{stream: cipher.NewCTR(block, seed[16:]), seed: seed}
-	g.pos = len(g.buf)
+	// The buffer starts spent, as the last of a block: the first draw
+	// begins block 0.
+	g := &PRG{stream: cipher.NewCTR(block, seed[16:])}
+	g.pos, g.off = len(g.buf), blockLen-len(g.buf)
 	return g
 }
 
@@ -44,7 +56,7 @@ func New(seed [SeedSize]byte) *PRG {
 const shortStream = 256
 
 // Keystream fills dst with the first len(dst) bytes of New(seed)'s stream,
-// without New's 8 KiB buffer: a one-shot expansion (a base-OT pad)
+// without New's buffer: a one-shot expansion (a base-OT pad)
 // produces exactly the bytes it uses. Short outputs encrypt the CTR counter
 // blocks IV, IV+1, … directly, allocating little beyond the cipher's key
 // schedule.
@@ -105,12 +117,11 @@ func (g *PRG) Fork() *PRG {
 	return New(s)
 }
 
+// refill moves the buffer to the next 1 KiB of keystream.
 func (g *PRG) refill() {
-	for i := range g.buf {
-		g.buf[i] = 0
-	}
+	clear(g.buf[:])
 	g.stream.XORKeyStream(g.buf[:], g.buf[:])
-	g.pos = 0
+	g.pos, g.off = 0, (g.off+len(g.buf))%blockLen
 }
 
 // Read fills p with pseudorandom bytes. It never fails.
@@ -127,14 +138,28 @@ func (g *PRG) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// Uint64 returns a uniform 64-bit value.
+// Uint64 returns a uniform 64-bit value: the next 8 bytes of the stream,
+// or, when fewer than 8 are left in the current 8 KiB block, the first 8
+// of the next block.
 func (g *PRG) Uint64() uint64 {
 	if g.pos+8 > len(g.buf) {
-		g.refill()
+		return g.uint64Edge()
 	}
 	v := binary.LittleEndian.Uint64(g.buf[g.pos:])
 	g.pos += 8
 	return v
+}
+
+// uint64Edge is Uint64 when the word does not fit in the buffer: at a
+// block's end it skips the block's last bytes, and inside a block (after
+// a Read of a size not a multiple of 8) it reads across the buffer's end.
+func (g *PRG) uint64Edge() uint64 {
+	var w [8]byte
+	if g.off+len(g.buf) == blockLen {
+		g.refill()
+	}
+	g.Read(w[:])
+	return binary.LittleEndian.Uint64(w[:])
 }
 
 // Elem returns a uniform element of the ring r.

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 )
@@ -119,7 +120,13 @@ func (s *muxStream) Send(payload []byte) error {
 	return nil
 }
 
-func (s *muxStream) Recv() ([]byte, error) {
+func (s *muxStream) Recv() ([]byte, error) { return s.recvInto(nil) }
+
+// recvInto is Recv reading into dst: a frame this stream reads from the
+// inner Conn itself lands in dst when the inner Conn can put it there
+// (RecvInto). A frame it reads for the other stream is copied out of dst
+// before it is queued, since dst is the caller's again once this returns.
+func (s *muxStream) recvInto(dst []byte) ([]byte, error) {
 	m := s.mux
 	m.mu.Lock()
 	for {
@@ -151,22 +158,20 @@ func (s *muxStream) Recv() ([]byte, error) {
 	m.reading = true
 	for {
 		m.mu.Unlock()
-		p, err := m.inner.Recv()
+		prefix, p, err := recvPrefixed(m.inner, dst)
+		if err == nil && prefix&muxIDMask != s.id && aliases(p, dst) {
+			p = bytes.Clone(p)
+		}
 		m.mu.Lock()
+		if err == nil {
+			err = m.routeLocked(prefix, p)
+		}
 		if err != nil {
 			m.reading = false
 			if m.err == nil {
 				m.err = err
 			}
 			err = m.err
-			m.cond.Broadcast()
-			m.mu.Unlock()
-			s.noteRecvErr()
-			return nil, err
-		}
-		if err := m.routeLocked(p); err != nil {
-			m.reading = false
-			m.err = err
 			m.cond.Broadcast()
 			m.mu.Unlock()
 			s.noteRecvErr()
@@ -212,13 +217,41 @@ func sendPrefixed(c Conn, prefix byte, payload []byte) error {
 	return c.Send(framed)
 }
 
-// routeLocked validates one inner frame and delivers it. Called with
-// mux.mu held.
-func (m *Mux) routeLocked(p []byte) error {
-	if len(p) == 0 {
-		return &MuxError{Reason: "empty frame (missing stream prefix)"}
+// prefixRecver is a Conn that reads a mux frame's stream byte with the
+// frame header and the rest of the frame into a caller's buffer: netConn,
+// and ctxConn over one.
+type prefixRecver interface {
+	recvPrefixed(dst []byte) (byte, []byte, error)
+}
+
+// errEmptyMuxFrame is a frame too short to carry a stream byte.
+var errEmptyMuxFrame = &MuxError{Reason: "empty frame (missing stream prefix)"}
+
+// recvPrefixed receives one frame of c as a stream byte and the payload
+// after it, the payload read into dst where RecvInto would put it. A
+// Conn that is not a prefixRecver is read by Recv, and its frame split.
+func recvPrefixed(c Conn, dst []byte) (byte, []byte, error) {
+	if pr, ok := c.(prefixRecver); ok {
+		return pr.recvPrefixed(dst)
 	}
-	prefix := p[0]
+	p, err := c.Recv()
+	if err != nil {
+		return 0, nil, err
+	}
+	if len(p) == 0 {
+		return 0, nil, errEmptyMuxFrame
+	}
+	return p[0], p[1:], nil
+}
+
+// aliases reports whether p starts where dst does.
+func aliases(p, dst []byte) bool {
+	return cap(p) > 0 && cap(dst) > 0 && &p[:1][0] == &dst[:1][0]
+}
+
+// routeLocked validates one inner frame, its stream byte and payload, and
+// delivers it. Called with mux.mu held.
+func (m *Mux) routeLocked(prefix byte, p []byte) error {
 	if prefix&muxBadBits != 0 {
 		return &MuxError{Reason: fmt.Sprintf("reserved prefix bits set (0x%02x)", prefix)}
 	}
@@ -228,7 +261,7 @@ func (m *Mux) routeLocked(p []byte) error {
 	}
 	dst := m.streams[id]
 	if prefix&muxClose != 0 {
-		if len(p) != 1 {
+		if len(p) != 0 {
 			return &MuxError{Reason: "close control frame carries payload"}
 		}
 		dst.remoteClosed = true
@@ -240,7 +273,7 @@ func (m *Mux) routeLocked(p []byte) error {
 	if len(dst.queue) >= muxQueueCap {
 		return &MuxError{Reason: fmt.Sprintf("stream %d queue overflow (%d frames parked)", id, muxQueueCap)}
 	}
-	dst.queue = append(dst.queue, p[1:])
+	dst.queue = append(dst.queue, p)
 	return nil
 }
 

@@ -490,3 +490,155 @@ func TestMuxSendAllocs(t *testing.T) {
 		t.Errorf("mux Send of 64 KiB allocates %d B, want under 1 KiB", per)
 	}
 }
+
+// TestMuxRecvIntoPaths: whichever inner conn the mux reads through, the
+// frames RecvInto delivers and the Stats of the inner conn and of both
+// streams are the same; over a netConn and a context binding of one a
+// frame that fits lands in the lent buffer, as CanRecvInto says, and a
+// frame larger than the buffer or than ioChunk does not. The frames
+// cover both sides of the buffer's capacity and of ioChunk, an empty
+// payload and the close control.
+func TestMuxRecvIntoPaths(t *testing.T) {
+	big := bytes.Repeat([]byte{0x5A}, ioChunk+7)
+	sends := []struct {
+		stream int
+		p      []byte
+	}{
+		{StreamMain, []byte("main-0")},
+		{StreamPreproc, []byte("pre-0")},
+		{StreamMain, nil},
+		{StreamMain, big[:64<<10]},
+		{StreamMain, big[:64<<10+1]},
+		{StreamPreproc, big[:ioChunk-1]},
+		{StreamMain, big},
+		{StreamPreproc, []byte("pre-1")},
+	}
+	type result struct {
+		frames [][]byte
+		stats  [3]Stats // inner, main, preproc
+	}
+	var ref *result
+	for _, tc := range muxInners(t) {
+		ca, cb := tcpPair(t)
+		inner := tc.inner(NewNetConn(cb))
+		_, fastPrefix := inner.(prefixRecver)
+		_, fastInto := inner.(intoRecver)
+		if fastPrefix != tc.fast || fastInto != tc.fast {
+			t.Fatalf("%s: prefixRecver %v, intoRecver %v, want %v", tc.name, fastPrefix, fastInto, tc.fast)
+		}
+		aMain, aPre := NewMux(NewNetConn(ca))
+		bMain, bPre := NewMux(inner)
+		if CanRecvInto(bMain, ioChunk) != tc.fast || CanRecvInto(bPre, ioChunk+1) {
+			t.Fatalf("%s: CanRecvInto %v at ioChunk and %v above it, want %v and false",
+				tc.name, CanRecvInto(bMain, ioChunk), CanRecvInto(bPre, ioChunk+1), tc.fast)
+		}
+		sent := make(chan error, 1)
+		go func() {
+			streams := [muxStreams]Conn{aMain, aPre}
+			for _, s := range sends {
+				if err := streams[s.stream].Send(s.p); err != nil {
+					sent <- err
+					return
+				}
+			}
+			sent <- aPre.Close()
+		}()
+		var got result
+		dst := make([]byte, 64<<10)
+		for _, s := range sends {
+			p, err := RecvInto([muxStreams]Conn{bMain, bPre}[s.stream], dst)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			// Frames are received in the order they were sent, so each
+			// read from the inner conn is the receiving stream's own.
+			if want := tc.fast && len(s.p) <= cap(dst); len(s.p) > 0 && aliases(p, dst) != want {
+				t.Fatalf("%s: %d-byte frame in the %d-byte lent buffer: %v, want %v",
+					tc.name, len(s.p), cap(dst), aliases(p, dst), want)
+			}
+			got.frames = append(got.frames, bytes.Clone(p))
+		}
+		if err := <-sent; err != nil {
+			t.Fatalf("%s: send: %v", tc.name, err)
+		}
+		if _, err := bPre.Recv(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("%s: preproc after the close control: %v, want ErrClosed", tc.name, err)
+		}
+		got.stats = [3]Stats{inner.Stats(), bMain.Stats(), bPre.Stats()}
+		aMain.Close()
+		bMain.Close()
+		for i, s := range sends {
+			if !bytes.Equal(got.frames[i], s.p) {
+				t.Errorf("%s: frame %d differs from the one sent", tc.name, i)
+			}
+		}
+		if ref == nil {
+			ref = &got
+		} else if got.stats != ref.stats {
+			t.Errorf("%s: stats %v, want %v", tc.name, got.stats, ref.stats)
+		}
+	}
+}
+
+// TestMuxRecvIntoCopiesOtherStream: a frame for the other stream, read
+// by a stream that lent its caller's buffer, is queued as a copy, so it
+// survives the caller overwriting that buffer once its own frame is in.
+func TestMuxRecvIntoCopiesOtherStream(t *testing.T) {
+	for _, tc := range muxInners(t) {
+		ca, cb := tcpPair(t)
+		aMain, aPre := NewMux(NewNetConn(ca))
+		bMain, bPre := NewMux(tc.inner(NewNetConn(cb)))
+		pre, main := bytes.Repeat([]byte{0xA1}, 4096), bytes.Repeat([]byte{0xB2}, 4096)
+		mustSend(t, aPre, pre)
+		mustSend(t, aMain, main)
+		dst := make([]byte, 8192)
+		p, err := RecvInto(bMain, dst)
+		if err != nil || !bytes.Equal(p, main) {
+			t.Fatalf("%s: main frame %d bytes, %v", tc.name, len(p), err)
+		}
+		for i := range dst {
+			dst[i] = 0xEE
+		}
+		if got := mustRecv(t, bPre); !bytes.Equal(got, pre) {
+			t.Errorf("%s: the preproc frame read into the lent buffer did not survive its reuse", tc.name)
+		}
+		aMain.Close()
+		bMain.Close()
+	}
+}
+
+// TestMuxRecvIntoAllocs: a mux RecvInto over a TCP netConn reads the
+// frame into the lent buffer, so receiving 64 KiB allocates well under
+// 1 KiB; Recv allocates the whole frame. The peer writes pre-framed
+// bytes straight to the socket, so the count is the receiver's alone.
+func TestMuxRecvIntoAllocs(t *testing.T) {
+	ca, cb := tcpPair(t)
+	main, _ := NewMux(NewNetConn(ca))
+	defer main.Close()
+	const size, runs = 64 << 10, 50
+	frame := binary.LittleEndian.AppendUint32(nil, 1+size)
+	frame = append(frame, StreamMain)
+	frame = append(frame, make([]byte, size)...)
+	go func() {
+		for range runs + 1 {
+			if _, err := cb.Write(frame); err != nil {
+				return
+			}
+		}
+	}()
+	dst := make([]byte, size)
+	if _, err := RecvInto(main, dst); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if p, err := RecvInto(main, dst); err != nil || len(p) != size {
+			t.Fatalf("RecvInto: %d bytes, %v", len(p), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1024 {
+		t.Errorf("mux RecvInto of 64 KiB allocates %d B, want under 1 KiB", per)
+	}
+}

@@ -101,13 +101,56 @@ type Conn interface {
 	// Send transmits one frame. Send does not keep the payload: the
 	// caller may reuse or overwrite it once Send returns.
 	Send(payload []byte) error
-	// Recv blocks for the next frame.
+	// Recv blocks for the next frame. The frame is the caller's; a
+	// frame from RecvInto may alias the buffer the caller lent it.
 	Recv() ([]byte, error)
 	// Stats returns a snapshot of the endpoint's counters.
 	Stats() Stats
 	// ResetStats zeroes the counters (used between experiment phases).
 	ResetStats()
 	Close() error
+}
+
+// RecvInto receives c's next frame into dst when it can: when c reads
+// into a caller's buffer (a TCP netConn, a context binding of one, a mux
+// stream over either) and the frame's n bytes fit, n ≤ cap(dst) and n ≤
+// ioChunk, the result is dst[:n]. Otherwise, and through any other Conn
+// (a pipe, a Faults injector, a test decorator, all of which see every
+// frame), it is what Recv returns, and dst is untouched. Either way the
+// frame is accounted exactly as Recv's would be. A larger frame keeps
+// Recv's incremental read, with its allocation growing only as the peer
+// delivers.
+func RecvInto(c Conn, dst []byte) ([]byte, error) {
+	if r, ok := c.(intoRecver); ok {
+		return r.recvInto(dst)
+	}
+	return c.Recv()
+}
+
+// intoRecver is a Conn that can read a frame into a caller's buffer.
+type intoRecver interface {
+	recvInto(dst []byte) ([]byte, error)
+}
+
+// CanRecvInto reports whether RecvInto(c, dst) puts an n-byte frame into
+// a dst of capacity n, so that a caller lends a buffer only where it is
+// used.
+func CanRecvInto(c Conn, n int) bool {
+	if n > ioChunk {
+		return false
+	}
+	for {
+		switch cc := c.(type) {
+		case *netConn:
+			return true
+		case *ctxConn:
+			c = cc.Conn
+		case *muxStream:
+			c = cc.mux.inner
+		default:
+			return false
+		}
+	}
 }
 
 // statsTracker implements the shared counter logic. Every mutation and
@@ -397,7 +440,9 @@ func (c *netConn) writeAll(p []byte) error {
 	return nil
 }
 
-func (c *netConn) Recv() ([]byte, error) {
+func (c *netConn) Recv() ([]byte, error) { return c.recvInto(nil) }
+
+func (c *netConn) recvInto(dst []byte) ([]byte, error) {
 	c.rm.Lock()
 	defer c.rm.Unlock()
 	var hdr [4]byte
@@ -405,19 +450,12 @@ func (c *netConn) Recv() ([]byte, error) {
 		c.noteRecvErr()
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		c.noteRecvErr()
-		return nil, &FrameError{Op: "recv", Declared: uint64(n), Limit: MaxFrame}
-	}
-	// Charge the declared length against the session budget BEFORE any
-	// allocation: a hostile header costs the peer its session, not us our
-	// memory.
-	if err := c.reserve(uint64(n)); err != nil {
+	n, err := c.admit(hdr)
+	if err != nil {
 		c.noteRecvErr()
 		return nil, err
 	}
-	p, err := c.readBody(int(n))
+	p, err := c.readBody(n, dst)
 	if err != nil {
 		c.noteRecvErr()
 		return nil, err
@@ -426,14 +464,74 @@ func (c *netConn) Recv() ([]byte, error) {
 	return p, nil
 }
 
-// readBody reads an n-byte payload. Small frames are read in one shot;
-// large ones incrementally, with the buffer grown geometrically and the
-// idle deadline re-armed per segment — allocation tracks the bytes the
-// peer has actually delivered, never just the length it declared.
-// Callers have already checked n against MaxFrame and the budget.
-func (c *netConn) readBody(n int) ([]byte, error) {
+// recvPrefixed receives a mux frame: its first byte (the stream byte) is
+// read together with the length header, and the rest of the frame goes
+// into dst when it fits, as in RecvInto. The header read asks for at
+// least the length's 4 bytes, so a hostile empty frame fails the mux at
+// once instead of waiting on a fifth byte.
+func (c *netConn) recvPrefixed(dst []byte) (byte, []byte, error) {
+	c.rm.Lock()
+	defer c.rm.Unlock()
+	var hdr [5]byte
+	got, err := c.readAtLeast(hdr[:], 4)
+	if err != nil {
+		c.noteRecvErr()
+		return 0, nil, err
+	}
+	n, err := c.admit([4]byte(hdr[:4]))
+	if err != nil {
+		c.noteRecvErr()
+		return 0, nil, err
+	}
+	if n == 0 {
+		// The frame is well formed; only the mux rejects it, which
+		// poisons the mux, so a stream byte read past it is never missed.
+		c.noteRecv(0)
+		return 0, nil, errEmptyMuxFrame
+	}
+	if got == 4 {
+		if err := c.readFull(hdr[4:]); err != nil {
+			c.noteRecvErr()
+			return 0, nil, err
+		}
+	}
+	p, err := c.readBody(n-1, dst)
+	if err != nil {
+		c.noteRecvErr()
+		return 0, nil, err
+	}
+	c.noteRecv(n)
+	return hdr[4], p, nil
+}
+
+// admit checks a frame's declared length against MaxFrame and charges it
+// to the session budget, BEFORE any allocation: a hostile header costs
+// the peer its session, not us our memory.
+func (c *netConn) admit(hdr [4]byte) (int, error) {
+	n := binary.LittleEndian.Uint32(hdr[:])
+	if n > MaxFrame {
+		return 0, &FrameError{Op: "recv", Declared: uint64(n), Limit: MaxFrame}
+	}
+	if err := c.reserve(uint64(n)); err != nil {
+		return 0, err
+	}
+	return int(n), nil
+}
+
+// readBody reads an n-byte payload. A frame of up to ioChunk bytes is
+// read in one shot, into dst when it fits there; a larger one
+// incrementally, with the buffer grown geometrically and the idle
+// deadline re-armed per segment — allocation tracks the bytes the peer
+// has actually delivered, never just the length it declared. Callers
+// have already checked n against MaxFrame and the budget.
+func (c *netConn) readBody(n int, dst []byte) ([]byte, error) {
 	if n <= ioChunk {
-		p := make([]byte, n)
+		var p []byte
+		if n <= cap(dst) {
+			p = dst[:n]
+		} else {
+			p = make([]byte, n)
+		}
 		if err := c.readFull(p); err != nil {
 			return nil, err
 		}
@@ -460,13 +558,21 @@ func (c *netConn) readBody(n int) ([]byte, error) {
 // receive deadline (the sooner of the idle timeout and any explicit
 // SetRecvDeadline), mapping deadline expiry onto ErrIdleTimeout.
 func (c *netConn) readFull(p []byte) error {
+	_, err := c.readAtLeast(p, len(p))
+	return err
+}
+
+// readAtLeast reads at least least bytes into p, as readFull does, and
+// returns how many it read.
+func (c *netConn) readAtLeast(p []byte, least int) (int, error) {
 	if err := c.armReadDeadline(); err != nil {
-		return err
+		return 0, err
 	}
-	if _, err := io.ReadFull(c.c, p); err != nil {
-		return wrapIdle("recv", err)
+	n, err := io.ReadAtLeast(c.c, p, least)
+	if err != nil {
+		return n, wrapIdle("recv", err)
 	}
-	return nil
+	return n, nil
 }
 
 func (c *netConn) armReadDeadline() error {
