@@ -185,13 +185,17 @@ type spliceResult struct {
 	sawEnd     bool  // client sent the session end frame
 	sawBusy    bool  // backend's first answer was a busy reject
 	sendFailed bool  // a client request could not be forwarded to the backend
-	lastDir    int32 // direction of the last successfully moved frame
+	lastDir    int32 // direction of the last frame taken up for forwarding
 }
 
 // splice pumps frames in both directions until either side fails, then
 // closes both so the opposite pump unblocks, and joins them. Per-stream
 // framing is preserved exactly — under the preprocessing mux the 1-byte
-// stream prefixes ride along untouched.
+// stream prefixes ride along untouched. Each pump records a frame's
+// direction before forwarding it: recorded after, a request whose Send
+// returned late could overwrite its own answer's direction, and a session
+// then cut with nothing outstanding would read as a request left
+// unanswered.
 func splice(client, backend transport.Conn) spliceResult {
 	var sawEnd, sawBusy, sendFailed atomic.Bool
 	var lastDir atomic.Int32
@@ -206,12 +210,12 @@ func splice(client, backend transport.Conn) spliceResult {
 			if engine.IsEndFrame(p) {
 				sawEnd.Store(true)
 			}
+			lastDir.Store(dirClientToServer)
 			if err := backend.Send(p); err != nil {
 				sendFailed.Store(true)
 				broke <- struct{}{}
 				return
 			}
-			lastDir.Store(dirClientToServer)
 		}
 	}()
 	go func() {
@@ -226,11 +230,11 @@ func splice(client, backend transport.Conn) spliceResult {
 				sawBusy.Store(true)
 			}
 			first = false
+			lastDir.Store(dirServerToClient)
 			if err := client.Send(p); err != nil {
 				broke <- struct{}{}
 				return
 			}
-			lastDir.Store(dirServerToClient)
 		}
 	}()
 	<-broke

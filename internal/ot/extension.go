@@ -306,11 +306,8 @@ func (s *ExtSender) extend(pool *parallel.Pool, dom, m int) ([][SeedLen]byte, er
 	nBytes, rowLen := (m+7)/8, kappa/8
 	// The u-frame lands in a recycled buffer when the conn can read it
 	// into one (transport.RecvInto); it is read by the column loop alone.
-	var ubuf []byte
-	if transport.CanRecvInto(s.conn, kappa*nBytes) {
-		ubuf = colSlab.Get(kappa * nBytes)
-		defer colSlab.Put(ubuf)
-	}
+	ubuf := colSlab.Get(kappa * nBytes)
+	defer colSlab.Put(ubuf)
 	us, err := transport.RecvInto(s.conn, ubuf)
 	if err != nil {
 		return nil, err

@@ -201,9 +201,12 @@ func TestExtendSlabHygiene(t *testing.T) {
 	wantS, wantR, wantU := run()
 	emptySlabs()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// Four column-sized buffers: the sender's u-frame and q columns, the
-	// receiver's t columns and u-frame.
-	const copies = 4
+	// A pair takes four column-sized buffers (the sender's u-frame and q
+	// columns, the receiver's t columns and u-frame) and one buffer from
+	// each result slab. The slabs are stocked well past that: under the
+	// race detector sync.Pool drops a quarter of Puts at random, and a
+	// lone survivor in another P's private slot cannot be stolen.
+	const copies = 16
 	var seedBufs, instBufs []*[SeedLen]byte
 	for range copies {
 		colSlab.Put(bytes.Repeat([]byte{0xFF}, ExtKappa*((m+7)/8)))

@@ -180,12 +180,10 @@ func (c *ctxConn) sendPrefixed(prefix byte, payload []byte) error {
 	return sendPrefixed(c.Conn, prefix, payload)
 }
 
-// recvInto and recvPrefixed forward a receive into a caller's buffer to
-// the decorated Conn, which reads into it when it is a netConn.
-func (c *ctxConn) recvInto(dst []byte) ([]byte, error) { return RecvInto(c.Conn, dst) }
-
-func (c *ctxConn) recvPrefixed(dst []byte) (byte, []byte, error) {
-	return recvPrefixed(c.Conn, dst)
+// recvFrame forwards a receive into a caller's buffer to the decorated
+// Conn, which reads into it when it is a netConn.
+func (c *ctxConn) recvFrame(dst []byte, prefixed bool) (byte, []byte, error) {
+	return recvFrame(c.Conn, dst, prefixed)
 }
 
 // Unwrap exposes the decorated Conn so budget and deadline requests

@@ -62,7 +62,7 @@ func FuzzRecvFrame(f *testing.F) {
 				case 1, 2:
 					p, err = RecvInto(conn, dst)
 				case 3:
-					_, p, err = recvPrefixed(conn, dst)
+					_, p, err = recvFrame(conn, dst, true)
 					used++ // the stream byte
 				}
 				if err != nil {
@@ -102,8 +102,8 @@ func TestRecvIntoHostileLengths(t *testing.T) {
 	dst := make([]byte, 2*ioChunk)
 	recvs := map[string]func(Conn) ([]byte, error){
 		"RecvInto": func(c Conn) ([]byte, error) { return RecvInto(c, dst) },
-		"recvPrefixed": func(c Conn) ([]byte, error) {
-			_, p, err := recvPrefixed(c, dst)
+		"prefixed": func(c Conn) ([]byte, error) {
+			_, p, err := recvFrame(c, dst, true)
 			return p, err
 		},
 	}

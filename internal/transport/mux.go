@@ -158,7 +158,7 @@ func (s *muxStream) recvInto(dst []byte) ([]byte, error) {
 	m.reading = true
 	for {
 		m.mu.Unlock()
-		prefix, p, err := recvPrefixed(m.inner, dst)
+		prefix, p, err := recvFrame(m.inner, dst, true)
 		if err == nil && prefix&muxIDMask != s.id && aliases(p, dst) {
 			p = bytes.Clone(p)
 		}
@@ -217,32 +217,8 @@ func sendPrefixed(c Conn, prefix byte, payload []byte) error {
 	return c.Send(framed)
 }
 
-// prefixRecver is a Conn that reads a mux frame's stream byte with the
-// frame header and the rest of the frame into a caller's buffer: netConn,
-// and ctxConn over one.
-type prefixRecver interface {
-	recvPrefixed(dst []byte) (byte, []byte, error)
-}
-
 // errEmptyMuxFrame is a frame too short to carry a stream byte.
 var errEmptyMuxFrame = &MuxError{Reason: "empty frame (missing stream prefix)"}
-
-// recvPrefixed receives one frame of c as a stream byte and the payload
-// after it, the payload read into dst where RecvInto would put it. A
-// Conn that is not a prefixRecver is read by Recv, and its frame split.
-func recvPrefixed(c Conn, dst []byte) (byte, []byte, error) {
-	if pr, ok := c.(prefixRecver); ok {
-		return pr.recvPrefixed(dst)
-	}
-	p, err := c.Recv()
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(p) == 0 {
-		return 0, nil, errEmptyMuxFrame
-	}
-	return p[0], p[1:], nil
-}
 
 // aliases reports whether p starts where dst does.
 func aliases(p, dst []byte) bool {

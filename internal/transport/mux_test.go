@@ -494,8 +494,8 @@ func TestMuxSendAllocs(t *testing.T) {
 // TestMuxRecvIntoPaths: whichever inner conn the mux reads through, the
 // frames RecvInto delivers and the Stats of the inner conn and of both
 // streams are the same; over a netConn and a context binding of one a
-// frame that fits lands in the lent buffer, as CanRecvInto says, and a
-// frame larger than the buffer or than ioChunk does not. The frames
+// frame that fits lands in the lent buffer, and a frame larger than the
+// buffer or than ioChunk does not. The frames
 // cover both sides of the buffer's capacity and of ioChunk, an empty
 // payload and the close control.
 func TestMuxRecvIntoPaths(t *testing.T) {
@@ -521,17 +521,11 @@ func TestMuxRecvIntoPaths(t *testing.T) {
 	for _, tc := range muxInners(t) {
 		ca, cb := tcpPair(t)
 		inner := tc.inner(NewNetConn(cb))
-		_, fastPrefix := inner.(prefixRecver)
-		_, fastInto := inner.(intoRecver)
-		if fastPrefix != tc.fast || fastInto != tc.fast {
-			t.Fatalf("%s: prefixRecver %v, intoRecver %v, want %v", tc.name, fastPrefix, fastInto, tc.fast)
+		if _, fast := inner.(frameRecver); fast != tc.fast {
+			t.Fatalf("%s: frameRecver %v, want %v", tc.name, fast, tc.fast)
 		}
 		aMain, aPre := NewMux(NewNetConn(ca))
 		bMain, bPre := NewMux(inner)
-		if CanRecvInto(bMain, ioChunk) != tc.fast || CanRecvInto(bPre, ioChunk+1) {
-			t.Fatalf("%s: CanRecvInto %v at ioChunk and %v above it, want %v and false",
-				tc.name, CanRecvInto(bMain, ioChunk), CanRecvInto(bPre, ioChunk+1), tc.fast)
-		}
 		sent := make(chan error, 1)
 		go func() {
 			streams := [muxStreams]Conn{aMain, aPre}

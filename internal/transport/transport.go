@@ -121,36 +121,35 @@ type Conn interface {
 // Recv's incremental read, with its allocation growing only as the peer
 // delivers.
 func RecvInto(c Conn, dst []byte) ([]byte, error) {
-	if r, ok := c.(intoRecver); ok {
-		return r.recvInto(dst)
+	if s, ok := c.(*muxStream); ok {
+		return s.recvInto(dst)
 	}
-	return c.Recv()
+	_, p, err := recvFrame(c, dst, false)
+	return p, err
 }
 
-// intoRecver is a Conn that can read a frame into a caller's buffer.
-type intoRecver interface {
-	recvInto(dst []byte) ([]byte, error)
+// frameRecver is a Conn that can read a frame into a caller's buffer:
+// netConn, and ctxConn over one. With prefixed set the frame's first
+// byte, a mux stream byte, is returned apart, and dst takes the rest.
+type frameRecver interface {
+	recvFrame(dst []byte, prefixed bool) (byte, []byte, error)
 }
 
-// CanRecvInto reports whether RecvInto(c, dst) puts an n-byte frame into
-// a dst of capacity n, so that a caller lends a buffer only where it is
-// used.
-func CanRecvInto(c Conn, n int) bool {
-	if n > ioChunk {
-		return false
+// recvFrame receives c's next frame, into dst where RecvInto would put
+// it, and with prefixed set splits off its stream byte. A Conn that is
+// not a frameRecver is read by Recv.
+func recvFrame(c Conn, dst []byte, prefixed bool) (byte, []byte, error) {
+	if r, ok := c.(frameRecver); ok {
+		return r.recvFrame(dst, prefixed)
 	}
-	for {
-		switch cc := c.(type) {
-		case *netConn:
-			return true
-		case *ctxConn:
-			c = cc.Conn
-		case *muxStream:
-			c = cc.mux.inner
-		default:
-			return false
-		}
+	p, err := c.Recv()
+	if err != nil || !prefixed {
+		return 0, p, err
 	}
+	if len(p) == 0 {
+		return 0, nil, errEmptyMuxFrame
+	}
+	return p[0], p[1:], nil
 }
 
 // statsTracker implements the shared counter logic. Every mutation and
@@ -440,82 +439,62 @@ func (c *netConn) writeAll(p []byte) error {
 	return nil
 }
 
-func (c *netConn) Recv() ([]byte, error) { return c.recvInto(nil) }
-
-func (c *netConn) recvInto(dst []byte) ([]byte, error) {
-	c.rm.Lock()
-	defer c.rm.Unlock()
-	var hdr [4]byte
-	if err := c.readFull(hdr[:]); err != nil {
-		c.noteRecvErr()
-		return nil, err
-	}
-	n, err := c.admit(hdr)
-	if err != nil {
-		c.noteRecvErr()
-		return nil, err
-	}
-	p, err := c.readBody(n, dst)
-	if err != nil {
-		c.noteRecvErr()
-		return nil, err
-	}
-	c.noteRecv(len(p))
-	return p, nil
+func (c *netConn) Recv() ([]byte, error) {
+	_, p, err := c.recvFrame(nil, false)
+	return p, err
 }
 
-// recvPrefixed receives a mux frame: its first byte (the stream byte) is
-// read together with the length header, and the rest of the frame goes
-// into dst when it fits, as in RecvInto. The header read asks for at
-// least the length's 4 bytes, so a hostile empty frame fails the mux at
-// once instead of waiting on a fifth byte.
-func (c *netConn) recvPrefixed(dst []byte) (byte, []byte, error) {
+func (c *netConn) recvFrame(dst []byte, prefixed bool) (byte, []byte, error) {
 	c.rm.Lock()
 	defer c.rm.Unlock()
+	// A mux frame's stream byte is read with the length when it has
+	// arrived with it, which saves a read per frame (BenchmarkMuxPingPong).
+	// The read waits for the length alone, so an empty frame fails at once.
 	var hdr [5]byte
-	got, err := c.readAtLeast(hdr[:], 4)
+	head := hdr[:4]
+	if prefixed {
+		head = hdr[:]
+	}
+	got, err := c.readAtLeast(head, 4)
 	if err != nil {
 		c.noteRecvErr()
 		return 0, nil, err
 	}
-	n, err := c.admit([4]byte(hdr[:4]))
-	if err != nil {
-		c.noteRecvErr()
-		return 0, nil, err
-	}
-	if n == 0 {
-		// The frame is well formed; only the mux rejects it, which
-		// poisons the mux, so a stream byte read past it is never missed.
-		c.noteRecv(0)
-		return 0, nil, errEmptyMuxFrame
-	}
-	if got == 4 {
-		if err := c.readFull(hdr[4:]); err != nil {
-			c.noteRecvErr()
-			return 0, nil, err
-		}
-	}
-	p, err := c.readBody(n-1, dst)
-	if err != nil {
-		c.noteRecvErr()
-		return 0, nil, err
-	}
-	c.noteRecv(n)
-	return hdr[4], p, nil
-}
-
-// admit checks a frame's declared length against MaxFrame and charges it
-// to the session budget, BEFORE any allocation: a hostile header costs
-// the peer its session, not us our memory.
-func (c *netConn) admit(hdr [4]byte) (int, error) {
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr[:4])
 	if n > MaxFrame {
-		return 0, &FrameError{Op: "recv", Declared: uint64(n), Limit: MaxFrame}
+		c.noteRecvErr()
+		return 0, nil, &FrameError{Op: "recv", Declared: uint64(n), Limit: MaxFrame}
 	}
+	// Charge the declared length against the session budget BEFORE any
+	// allocation: a hostile header costs the peer its session, not us our
+	// memory.
 	if err := c.reserve(uint64(n)); err != nil {
-		return 0, err
+		c.noteRecvErr()
+		return 0, nil, err
 	}
-	return int(n), nil
+	body := int(n)
+	if prefixed {
+		if n == 0 {
+			// The frame is well formed; only the mux rejects it, which
+			// poisons the mux, so a stream byte read past it is never missed.
+			c.noteRecv(0)
+			return 0, nil, errEmptyMuxFrame
+		}
+		if got == 4 {
+			if err := c.readFull(hdr[4:]); err != nil {
+				c.noteRecvErr()
+				return 0, nil, err
+			}
+		}
+		body--
+	}
+	p, err := c.readBody(body, dst)
+	if err != nil {
+		c.noteRecvErr()
+		return 0, nil, err
+	}
+	c.noteRecv(int(n))
+	return hdr[4], p, nil
 }
 
 // readBody reads an n-byte payload. A frame of up to ioChunk bytes is

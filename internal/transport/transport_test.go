@@ -367,6 +367,35 @@ func BenchmarkNetConnPingPong(b *testing.B) {
 	}
 }
 
+// BenchmarkMuxPingPong is BenchmarkNetConnPingPong through a mux: a
+// 64-byte round trip on the main streams of two muxes over loopback TCP,
+// each frame carrying its stream byte in the header.
+func BenchmarkMuxPingPong(b *testing.B) {
+	ca, cb := tcpPair(b)
+	a, _ := NewMux(NewNetConn(ca))
+	echo, _ := NewMux(NewNetConn(cb))
+	defer a.Close()
+	go func() {
+		defer echo.Close()
+		for {
+			p, err := echo.Recv()
+			if err != nil {
+				return
+			}
+			if err := echo.Send(p); err != nil {
+				return
+			}
+		}
+	}()
+	msg := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mustSend(b, a, msg)
+		mustRecv(b, a)
+	}
+}
+
 func BenchmarkPipeSendRecv(b *testing.B) {
 	x, y := Pipe()
 	defer x.Close()
