@@ -94,14 +94,15 @@ chaos:
 # transcripts, token steps of rising then falling size over stocks
 # compacted in place, the pad definition, serial-vs-pooled OT endpoints,
 # an extend pair on recycled 0xFF slabs against one on fresh buffers, the
-# Gilboa and fixed-choice triple shares and Micro's cold and warm online
-# round counts, at three worker counts, once with the AES-NI kernel behind
-# the fixed-key permutation and the IKNP column expansion and once under
-# -tags purego, which runs the per-block fallback. The pinned constants
-# must not depend on GOMAXPROCS or on the build, and tier-1 runs them at
-# one count only.
-PINS_RUN = TestOTTranscriptPinned|TestStockStepsPinned|TestPoolMatchesSerial|TestPadKnownAnswer|TestExtendSlabHygiene|TestGilboaSharesPinned|TestFixedChoiceSharesPinned|TestSessionTranscriptPinned|TestMicroOnlineRoundsPinned
-PINS_PKGS = ./internal/ot/ ./internal/triple/ ./internal/engine/
+# Gilboa and fixed-choice triple shares, Micro's cold and warm online
+# round counts and the accelerator cost model's per-node bytes and rounds
+# against the measured wire, at three worker counts, once with the AES-NI
+# kernel behind the fixed-key permutation and the IKNP column expansion
+# and once under -tags purego, which runs the per-block fallback. The
+# pinned constants must not depend on GOMAXPROCS or on the build, and
+# tier-1 runs them at one count only.
+PINS_RUN = TestOTTranscriptPinned|TestStockStepsPinned|TestPoolMatchesSerial|TestPadKnownAnswer|TestExtendSlabHygiene|TestGilboaSharesPinned|TestFixedChoiceSharesPinned|TestSessionTranscriptPinned|TestMicroOnlineRoundsPinned|TestPerOpCommMatchesEngineProfile|TestAnalyticCommMatchesMeasured
+PINS_PKGS = ./internal/ot/ ./internal/triple/ ./internal/engine/ ./internal/fpga/
 
 pins:
 	$(call require-tests,$(PINS_RUN),$(PINS_PKGS))

@@ -144,11 +144,13 @@ func SecureInfer(m *Model, x []int64, cfg InferenceConfig) (*InferenceResult, er
 }
 
 // EstimateModel prices one secure inference of m at carrierBits (0 = the
-// model bits + 4 default) on acc, using the analytic communication model
-// (validated against measured protocol traffic) and the accelerator cycle
-// model.
+// model bits + 4 default) on acc from its compiled INST Q program (see
+// CompileProgram): the instructions' cycles for the compute, and the
+// exchange instructions' bytes and rounds — equal to what the engine's
+// protocol puts on the wire, the output reveal included — for the
+// communication.
 func EstimateModel(acc Accelerator, m *Model, carrierBits uint) (Estimate, error) {
-	return acc.EstimateModel(m, Options{CarrierBits: carrierBits}.Carrier(m), false)
+	return acc.EstimateModel(m, Options{CarrierBits: carrierBits}.Carrier(m))
 }
 
 // TrainStandin trains a reduced stand-in ("lenet5", "alexnet", "vgg16",
@@ -218,7 +220,7 @@ type Program = fpga.Program
 // stream at the given carrier width (Sec. 4.1.1; 0 = the model bits + 4
 // default).
 func CompileProgram(m *Model, carrierBits uint) (*Program, error) {
-	return fpga.Compile(fpga.ZCU104(), m, Options{CarrierBits: carrierBits}.Carrier(m), false)
+	return fpga.Compile(fpga.ZCU104(), m, Options{CarrierBits: carrierBits}.Carrier(m))
 }
 
 // ServeModelTCP runs the model-provider side of a two-process deployment:

@@ -107,7 +107,7 @@ func BenchmarkCostModel_ResNet50(b *testing.B) {
 	r := ring.New(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cfg.EstimateModel(m, r, false); err != nil {
+		if _, err := cfg.EstimateModel(m, r); err != nil {
 			b.Fatal(err)
 		}
 	}

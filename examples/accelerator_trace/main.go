@@ -33,7 +33,7 @@ func main() {
 		fmt.Printf("totals: %d cycles (%v compute) + %.3f MiB over %d rounds (%v comm) → %.2f fps\n\n",
 			est.Cycles, est.ComputeTime, est.CommMiB(), est.Comm.Rounds, est.CommTime, est.ThroughputFPS)
 	}
-	fmt.Println("halving the carrier width halves every EXCH payload — the root of the paper's communication savings")
+	fmt.Println("halving the carrier width nearly halves every EXCH payload — the root of the paper's communication savings")
 
 	// Measured counterpart: trace one real 16-bit secure inference and
 	// print the per-layer wall time and traffic attribution (every byte of

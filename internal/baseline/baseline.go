@@ -95,7 +95,7 @@ func FixedRing(cfg fpga.Config, m *nn.Model, bits uint) (fpga.Estimate, error) {
 	if bits > ring.MaxBits {
 		bits = ring.MaxBits
 	}
-	return cfg.EstimateModel(m, ring.New(bits), false)
+	return cfg.EstimateModel(m, ring.New(bits))
 }
 
 // GC ReLU cost (Sec. 2.2): "ReLU requires 67.9K wires". With half-gates

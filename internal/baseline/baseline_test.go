@@ -58,7 +58,7 @@ func TestFixedRingCostsMoreThanAdaptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := cfg.EstimateModel(m, ring.New(16), false)
+	adaptive, err := cfg.EstimateModel(m, ring.New(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +81,16 @@ func TestGCReLUCommDwarfsABReLU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relus, _ := m.ReLUCount()
-	ab := fpga.BytesFor(uint64(relus), fpga.ABReLUBits(ring.New(16)))
+	est, err := fpga.ZCU104().EstimateModel(m, ring.New(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ab uint64
+	for _, op := range est.PerOp {
+		if op.Kind == "ABReLU" {
+			ab += op.Bytes
+		}
+	}
 	if gc < 100*ab {
 		t.Errorf("GC ReLU %d bytes vs ABReLU %d bytes; expected ≥100× gap", gc, ab)
 	}

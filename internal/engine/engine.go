@@ -76,7 +76,7 @@ type Options struct {
 	Retries uint
 	// RetryBase is the first retry's backoff delay (default 100ms). It
 	// doubles per attempt, capped at 2s, with deterministic seed-derived
-	// jitter (see transport.BackoffDelay).
+	// jitter (see transport.Backoff).
 	RetryBase time.Duration
 	// SessionTimeout bounds one attempt end to end — on the user each
 	// Session.Infer attempt, on the provider each ServeRegistryTCP
@@ -361,9 +361,7 @@ func (p *Party) Infer(x []uint64) ([]uint64, error) {
 		case nn.ReLU:
 			out, err = p.runReLU(get(node.Inputs[0]))
 		case *nn.MaxPool:
-			// The tree tournament halves the round count at identical
-			// traffic (see secure.MaxPoolTree).
-			out, err = p.Ctx.MaxPoolTree(r, get(node.Inputs[0]), op.Geom)
+			out, err = p.Ctx.MaxPool(r, get(node.Inputs[0]), op.Geom)
 		case *nn.AvgPool:
 			out, err = p.Ctx.AvgPool(r, get(node.Inputs[0]), op.Geom)
 		case nn.Add:

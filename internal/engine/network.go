@@ -91,7 +91,7 @@ func revealResult(ctx *secure.Context, r ring.Ring, cfg Options, o []uint64) (lo
 	sp := ctx.Trace.Enter("reveal")
 	defer ctx.Trace.Exit(sp)
 	if cfg.RevealClassOnly {
-		idx, err := ctx.ArgMaxBatched(r, o)
+		idx, err := ctx.ArgMax(r, o)
 		if err != nil {
 			return nil, -1, err
 		}

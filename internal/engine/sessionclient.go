@@ -85,7 +85,7 @@ func (c *Client) OpenSession(ctx context.Context, m *nn.Model) (*Session, error)
 // withRetry runs op under the client's transient-retry budget: up to
 // cfg.Retries further attempts after a transient failure (connection
 // refused/reset, peer crash mid-protocol, an injected fault, an attempt
-// deadline expiry), spaced by transport.BackoffDelay with cfg.Seed-derived
+// deadline expiry), spaced by transport.Backoff.Delay with cfg.Seed-derived
 // jitter so a given configuration retries on a reproducible schedule.
 // Permanent errors — a handshake mismatch, a malformed payload — and
 // cancellation of ctx return immediately.
@@ -95,7 +95,7 @@ func (c *Client) withRetry(ctx context.Context, op func() error) error {
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			telemetry.Count("aq2pnn_session_retries_total", 1)
-			t := time.NewTimer(transport.BackoffDelay(attempt-1, c.cfg.RetryBase, 0, c.cfg.Seed^retrySeedSalt))
+			t := time.NewTimer(transport.Backoff{Base: c.cfg.RetryBase}.Delay(attempt-1, c.cfg.Seed^retrySeedSalt))
 			select {
 			case <-ctx.Done():
 				t.Stop()

@@ -53,7 +53,6 @@ func (s *Suite) AblationGC() ([]*report.Table, error) {
 		Title:  "Ablation: ABReLU vs garbled-circuit ReLU traffic",
 		Header: []string{"Model", "ReLU elems", "ABReLU 16-bit (MiB)", "GC ReLU (MiB)", "reduction"},
 	}
-	r := ring.New(16)
 	for _, name := range []string{"lenet5", "vgg16-cifar", "resnet18-imagenet"} {
 		m, err := nn.ByName(name, nn.ZooConfig{Skeleton: true})
 		if err != nil {
@@ -63,7 +62,17 @@ func (s *Suite) AblationGC() ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ab := float64(fpga.BytesFor(uint64(relus), fpga.ABReLUBits(r))) / (1 << 20)
+		est, err := fpga.ZCU104().EstimateModel(m, ring.New(16))
+		if err != nil {
+			return nil, err
+		}
+		var reluBytes uint64
+		for _, op := range est.PerOp {
+			if op.Kind == "ABReLU" {
+				reluBytes += op.Bytes
+			}
+		}
+		ab := float64(reluBytes) / (1 << 20)
 		gc, err := baseline.GCReLUComm(m)
 		if err != nil {
 			return nil, err
@@ -92,7 +101,7 @@ func (s *Suite) AblationArray() ([]*report.Table, error) {
 	for _, blk := range []int{8, 16, 32} {
 		cfg := fpga.ZCU104()
 		cfg.BlockIn, cfg.BlockOut = blk, blk
-		est, err := cfg.EstimateModel(m, r, false)
+		est, err := cfg.EstimateModel(m, r)
 		if err != nil {
 			return nil, err
 		}

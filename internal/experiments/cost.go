@@ -2,15 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"aq2pnn/internal/baseline"
-	"aq2pnn/internal/engine"
 	"aq2pnn/internal/fpga"
 	"aq2pnn/internal/nn"
 	"aq2pnn/internal/report"
 	"aq2pnn/internal/ring"
-	"aq2pnn/internal/tensor"
 	"aq2pnn/internal/train"
 )
 
@@ -55,7 +54,7 @@ func (s *Suite) Table4() ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		est, err := cfg.EstimateModel(zm, ring.New(16), false)
+		est, err := cfg.EstimateModel(zm, ring.New(16))
 		if err != nil {
 			return nil, err
 		}
@@ -93,70 +92,54 @@ func (s *Suite) Table4() ([]*report.Table, error) {
 	return []*report.Table{t, ratios}, nil
 }
 
-// MeasuredLeNetComm runs a real end-to-end 2PC LeNet5 inference and
-// returns its measured online communication, cross-checking the Table 4
-// model (exposed for tests and EXPERIMENTS.md).
-func (s *Suite) MeasuredLeNetComm(bits uint) (measuredMiB, modelledMiB float64, err error) {
-	m := nn.LeNet5(nn.ZooConfig{Seed: s.Cfg.Seed})
-	x := make([]int64, 28*28)
-	for i := range x {
-		x[i] = int64(i%23) - 11
-	}
-	res, err := engine.RunLocal(m, x, engine.Options{CarrierBits: bits, Seed: s.Cfg.Seed})
-	if err != nil {
-		return 0, 0, err
-	}
-	comm, err := fpga.ModelComm(m, ring.New(bits), false)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.Online.MiB(), float64(comm.Bytes) / (1 << 20), nil
-}
-
-// Table5 profiles the operators of ResNet50's 6th building block at 32 vs
-// 16 bit: 2PC-Conv2D-6, ABReLU-6 and 2PC-BNReQ-6 latency plus the block's
-// communication.
+// Table5 profiles ResNet50's 6th building block at 32 vs 16 bit:
+// 2PC-Conv2D-6, ABReLU-6 and 2PC-BNReQ-6 latency plus the block's
+// communication, all read from the compiled INST Q program of the zoo's
+// resnet50-imagenet graph.
 func (s *Suite) Table5() ([]*report.Table, error) {
 	t := &report.Table{
 		Title:  "Table 5: operator-wise profile of ResNet50 building block 6",
 		Header: []string{"bits", "2PC-Conv2D-6 (ms)", "ABReLU-6 (ms)", "2PC-BNReQ-6 (ms)", "Comm (MiB)"},
 	}
 	cfg := fpga.ZCU104()
-	// Block 6 of ResNet50 is the second block of stage 2: 28×28, mid
-	// channels 128; its main 3×3 convolution is 128→128 on 28×28.
-	g := tensor.ConvGeom{InC: 128, InH: 28, InW: 28, OutC: 128, KH: 3, KW: 3,
-		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	for _, bits := range []uint{32, 16} {
-		r := ring.New(bits)
-		elems := g.OutC * g.OutH() * g.OutW()
-
-		// 2PC-Conv2D: GEMM cycles + the E-mask exchange.
-		eBytes := uint64(g.Patches()*g.PatchLen()*r.Bytes()) * 2
-		gemmCycles := g.MACs()/int64(cfg.BlockIn*cfg.BlockOut) +
-			int64(g.Patches()*g.PatchLen()*r.Bytes())/int64(cfg.LoadBytesPerCycle)
-		convTime := cyclesToTime(cfg, gemmCycles) + cfg.OpTime(fpga.OpCost{Bytes: eBytes, Rounds: 1})
-
-		// ABReLU: SCM/A2BM cycles + OT traffic.
-		reluBytes := fpga.BytesFor(uint64(elems), fpga.ABReLUBits(r))
-		reluCycles := int64(elems) * int64(r.Bits/2+2) / int64(cfg.SCMLanes)
-		reluTime := cyclesToTime(cfg, reluCycles) + cfg.OpTime(fpga.OpCost{Bytes: reluBytes, Rounds: 4})
-
-		// BNReQ: ALU pass + faithful truncation traffic.
-		bnBytes := fpga.BytesFor(uint64(elems), fpga.FaithfulTruncBits(r))
-		bnCycles := int64(elems) / int64(cfg.ALULanes)
-		bnTime := cyclesToTime(cfg, bnCycles) + cfg.OpTime(fpga.OpCost{Bytes: bnBytes, Rounds: 3})
-
-		comm := float64(eBytes+reluBytes+bnBytes) / (1 << 20)
-		t.AddRow(fmt.Sprintf("%d", bits),
-			report.F(ms(convTime), 2), report.F(ms(reluTime), 2), report.F(ms(bnTime), 2),
-			report.F(comm, 2))
+	m, err := nn.ByName("resnet50-imagenet", nn.ZooConfig{Skeleton: true})
+	if err != nil {
+		return nil, err
 	}
-	t.AddNote("paper reports BNReQ without communication (local truncation); our default faithful truncation adds wrap-bit traffic — see the LocalTrunc ablation in EXPERIMENTS.md")
+	for _, bits := range []uint{32, 16} {
+		prog, err := fpga.Compile(cfg, m, ring.New(bits))
+		if err != nil {
+			return nil, err
+		}
+		// A conv node's instructions up to its GEMMs are 2PC-Conv2D; from
+		// its first ALU pass on (bias, scale, truncation, store) they are
+		// 2PC-BNReQ. The residual add is one ALU pass and no traffic.
+		var conv, relu, bn, block fpga.OpCost
+		rescaling := map[int]bool{}
+		for _, in := range prog.Instrs {
+			if in.Node < 0 || !strings.HasPrefix(m.Nodes[in.Node].Name, "block6.") {
+				continue
+			}
+			cost := cfg.Cost(in)
+			block.Add(cost)
+			switch m.Nodes[in.Node].Op.(type) {
+			case *nn.Conv:
+				rescaling[in.Node] = rescaling[in.Node] || in.Op == fpga.OpAlu
+				if rescaling[in.Node] {
+					bn.Add(cost)
+				} else {
+					conv.Add(cost)
+				}
+			case nn.ReLU:
+				relu.Add(cost)
+			}
+		}
+		t.AddRow(fmt.Sprintf("%d", bits),
+			report.F(ms(cfg.OpTime(conv)), 2), report.F(ms(cfg.OpTime(relu)), 2), report.F(ms(cfg.OpTime(bn)), 2),
+			report.F(float64(block.Bytes)/(1<<20), 2))
+	}
+	t.AddNote("block 6 is the third 28×28 bottleneck of stage 2 (512→128→128→512: three convs, three ABReLUs, the residual add); the paper reports BNReQ without communication (local truncation); our default faithful truncation adds wrap-bit traffic — see the LocalTrunc ablation in EXPERIMENTS.md")
 	return []*report.Table{t}, nil
-}
-
-func cyclesToTime(cfg fpga.Config, cycles int64) time.Duration {
-	return time.Duration(float64(cycles) / cfg.ClockHz * float64(time.Second))
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -195,7 +178,7 @@ func (s *Suite) BitSweep(arch, title, zooName string) ([]*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			est, err := cfg.EstimateModel(zm, ring.New(bits), false)
+			est, err := cfg.EstimateModel(zm, ring.New(bits))
 			if err != nil {
 				return nil, err
 			}
@@ -226,7 +209,7 @@ func (s *Suite) Scalability() ([]*report.Table, error) {
 		if err != nil {
 			return fpga.Estimate{}, err
 		}
-		return cfg.EstimateModel(m, ring.New(16), false)
+		return cfg.EstimateModel(m, ring.New(16))
 	}
 	alex, err := est("alexnet")
 	if err != nil {

@@ -1,12 +1,10 @@
 package fpga
 
 import (
-	"fmt"
 	"time"
 
 	"aq2pnn/internal/nn"
 	"aq2pnn/internal/ring"
-	"aq2pnn/internal/tensor"
 	"aq2pnn/internal/transport"
 )
 
@@ -96,6 +94,13 @@ type OpCost struct {
 	Rounds uint64
 }
 
+// Add accumulates another cost's cycles, bytes and rounds.
+func (o *OpCost) Add(x OpCost) {
+	o.Cycles += x.Cycles
+	o.Bytes += x.Bytes
+	o.Rounds += x.Rounds
+}
+
 // Estimate is the end-to-end cost of one secure inference on a two-board
 // deployment.
 type Estimate struct {
@@ -112,77 +117,36 @@ type Estimate struct {
 	PowerWatts float64
 	// EfficiencyFPSPerW uses the two-board total power, matching Table 4.
 	EfficiencyFPSPerW float64
-	PerOp             []OpCost
+	// PerOp prices each node; the output reveal counts in Comm only.
+	PerOp []OpCost
 }
 
 // CommMiB returns the modelled communication volume in MiB.
 func (e Estimate) CommMiB() float64 { return float64(e.Comm.Bytes) / (1 << 20) }
 
-// cyclesFor models one node's compute cycles.
-func (c Config) cyclesFor(node nn.Node, outElems int, r ring.Ring) int64 {
-	const pipelineFill = 24
-	switch op := node.Op.(type) {
-	case *nn.Conv:
-		macs := op.Geom.MACs()
-		gemm := macs/int64(c.BlockIn*c.BlockOut) + pipelineFill
-		// The C-C MU evaluates three products per MAC position in parallel
-		// (it is sized for that), so GEMM cycles equal plaintext GEMM
-		// cycles. BNReQ adds one ALU pass.
-		alu := int64(outElems)/int64(c.ALULanes) + pipelineFill
-		load := int64(op.Geom.Patches()*op.Geom.PatchLen())*int64(r.Bytes())/int64(c.LoadBytesPerCycle) + pipelineFill
-		return gemm + alu + load
-	case *nn.FC:
-		macs := int64(op.In) * int64(op.Out)
-		return macs/int64(c.BlockIn*c.BlockOut) + int64(op.Out)/int64(c.ALULanes) + 2*pipelineFill
-	case nn.ReLU:
-		// A2BM grouping + SCM token handling + mux, one element per SCM
-		// lane per ~U cycles.
-		u := int64(r.Bits/2 + 2)
-		return int64(outElems)*u/int64(c.SCMLanes) + pipelineFill
-	case *nn.MaxPool:
-		comparisons := int64(op.Geom.InC*op.Geom.InH*op.Geom.InW - outElems)
-		u := int64(r.Bits/2 + 2)
-		return comparisons*u/int64(c.SCMLanes) + pipelineFill
-	case *nn.AvgPool:
-		in := int64(op.Geom.InC * op.Geom.InH * op.Geom.InW)
-		return in/int64(c.ALULanes) + pipelineFill
-	case nn.Add:
-		return int64(outElems)/int64(c.ALULanes) + pipelineFill
-	default:
-		return pipelineFill
-	}
-}
-
-// EstimateModel prices a full secure inference: accelerator cycles for the
-// compute and the network model for the measured-or-modelled traffic.
-func (c Config) EstimateModel(m *nn.Model, r ring.Ring, localTrunc bool) (Estimate, error) {
-	shapes, err := m.Shapes()
+// EstimateModel prices a full secure inference from its compiled INST Q
+// program: accelerator cycles for the compute, and the EXCH instructions'
+// bytes and rounds on the network model for the communication.
+func (c Config) EstimateModel(m *nn.Model, r ring.Ring) (Estimate, error) {
+	p, err := Compile(c, m, r)
 	if err != nil {
 		return Estimate{}, err
 	}
-	comm, err := ModelComm(m, r, localTrunc)
-	if err != nil {
-		return Estimate{}, err
-	}
-	est := Estimate{Model: m.Name, Carrier: r, Comm: comm}
+	est := Estimate{Model: m.Name, Carrier: r, PerOp: make([]OpCost, len(m.Nodes))}
 	for i, node := range m.Nodes {
-		cy := c.cyclesFor(node, shapes[i].Numel(), r)
-		est.Cycles += cy
-		est.PerOp = append(est.PerOp, OpCost{Name: node.Name, Kind: node.Op.Kind(), Cycles: cy})
+		est.PerOp[i] = OpCost{Name: node.Name, Kind: node.Op.Kind()}
 	}
-	// Distribute the traffic back onto the ops for Table 5-style profiles.
-	opComm, err := perOpComm(m, shapes, r, localTrunc)
-	if err != nil {
-		return Estimate{}, err
+	for _, in := range p.Instrs {
+		if in.Node < 0 {
+			continue // the output reveal belongs to no node
+		}
+		est.PerOp[in.Node].Add(c.Cost(in))
 	}
-	for i := range est.PerOp {
-		est.PerOp[i].Bytes = opComm[i].Bytes
-		est.PerOp[i].Rounds = opComm[i].Rounds
-	}
+	est.Cycles, est.Comm = c.Simulate(p)
 	est.ComputeTime = time.Duration(float64(est.Cycles) / c.ClockHz * float64(time.Second))
 	// Each direction of the duplex link carries half the summed traffic;
 	// host-side protocol processing is paid on top of the wire time.
-	est.CommTime = c.Network.Time(comm.Bytes/2, comm.Rounds) + c.hostTime(comm.Bytes/2)
+	est.CommTime = c.Network.Time(est.Comm.Bytes/2, est.Comm.Rounds) + c.hostTime(est.Comm.Bytes/2)
 	est.Total = est.ComputeTime + est.CommTime
 	if est.Total > 0 {
 		est.ThroughputFPS = float64(time.Second) / float64(est.Total)
@@ -206,35 +170,4 @@ func (c Config) hostTime(bytes uint64) time.Duration {
 		return 0
 	}
 	return time.Duration(float64(bytes) / c.HostBytesPerSec * float64(time.Second))
-}
-
-// perOpComm applies the ModelComm formulas node by node by pricing each
-// operator as a one-node model with its real input shape.
-func perOpComm(m *nn.Model, shapes []tensor.Shape, r ring.Ring, localTrunc bool) ([]OpCost, error) {
-	out := make([]OpCost, len(m.Nodes))
-	for i, node := range m.Nodes {
-		if _, ok := node.Op.(nn.Add); ok {
-			continue // free, and it takes two inputs
-		}
-		var in tensor.Shape
-		if idx := node.Inputs[0]; idx == -1 {
-			in = tensor.Shape{m.InC, m.InH, m.InW}
-		} else {
-			in = shapes[idx]
-		}
-		one := nn.Model{
-			Name: "op", InBits: m.InBits,
-			InC: 1, InH: 1, InW: in.Numel(),
-			Nodes: []nn.Node{{Op: node.Op, Inputs: []int{-1}}},
-		}
-		if len(in) == 3 {
-			one.InC, one.InH, one.InW = in[0], in[1], in[2]
-		}
-		p, err := ModelComm(&one, r, localTrunc)
-		if err != nil {
-			return nil, fmt.Errorf("fpga: pricing node %d: %w", i, err)
-		}
-		out[i] = OpCost{Bytes: p.Bytes, Rounds: p.Rounds}
-	}
-	return out, nil
 }

@@ -1,150 +1,93 @@
 // Package fpga models the AQ2PNN accelerator of Fig. 1: the INST Q
 // instruction stream, the AS-GEMM array's cycle behaviour, the Sec-COMM
 // module's A2BM/SCM units, the on-chip buffers, the ZCU104 resource
-// footprint (Table 3) and the board power — everything needed to turn the
-// measured protocol byte counts and the model's MAC counts into the
-// latency / throughput / energy numbers of Tables 4, 5, 7 and 8.
+// footprint (Table 3) and the board power. The compiled INST Q program is
+// the one cost model: its instructions carry the cycles, and its EXCH
+// instructions the wire bytes and rounds, behind the latency, throughput
+// and energy numbers of Tables 4, 5, 7 and 8.
 package fpga
 
 import (
 	"aq2pnn/internal/a2b"
-	"aq2pnn/internal/nn"
 	"aq2pnn/internal/ring"
 )
 
-// The analytic per-element communication model. Constants are not free
-// parameters: they are derived from the wire format of the protocols in
-// internal/ot, internal/scm and internal/secure, and a test cross-checks
-// the model against bytes measured on live protocol runs.
+// The wire model of the online protocol. Every protocol step is written as
+// the frames party i (the user, whose endpoint the engine profiles) sends
+// and receives, in order, so an EXCH instruction's bytes are the sum of its
+// frames and its rounds are the send→recv turns among them — the way
+// transport.Stats counts both. The frame sizes follow the wire formats of
+// internal/transport (ring elements at ⌈ℓ/8⌉ bytes), internal/ot (one
+// shift byte per 1-of-2 instance; coalesced token transfers bit-packed per
+// frame) and internal/scm, and a test pins the result to the measured
+// per-node traffic.
+
+// frame is one message at party i's endpoint.
+type frame struct {
+	send  bool
+	bytes int
+}
 
 // tokenBits is the packed width of one comparison token on the wire
 // (the {LT, EQ, GT} alphabet fits two bits), matching internal/scm.
 const tokenBits = 2
 
-// The coalesced token transfer packs sub-byte quantities across a whole
-// tensor, so per-element costs are fractional bytes. The model therefore
-// works in BITS per element and converts to bytes once per protocol step
-// over the full element count.
+// openFrames opens a masked n-element tensor: party i sends its share
+// first, then receives its peer's.
+func openFrames(n int, r ring.Ring) []frame {
+	return []frame{{true, n * r.Bytes()}, {false, n * r.Bytes()}}
+}
 
-// cmpBits is the per-element traffic (both directions, in bits) of one
-// full-width SCM comparison: the receiver packs log2(2^w)=w shift bits
-// per group into the coalesced ds frame, the sender answers with
-// 2^w·tokenBits candidate-token bits per group.
-func cmpBits(bits uint) uint64 {
-	var total uint64
-	for _, w := range a2b.Groups(bits) {
-		total += uint64(w) + (1<<w)*tokenBits
+// otSendFrames serves n 1-of-2 OTs with ring-element messages from party
+// i: it receives one shift byte per instance and answers with both masked
+// candidates (B2A, and the first half of the multiplexer).
+func otSendFrames(n int, r ring.Ring) []frame {
+	return []frame{{false, n}, {true, 2 * n * r.Bytes()}}
+}
+
+// otRecvFrames is the mirror image: party i chooses in n 1-of-2 OTs.
+func otRecvFrames(n int, r ring.Ring) []frame {
+	return []frame{{true, n}, {false, 2 * n * r.Bytes()}}
+}
+
+// tokenFrames is one coalesced SCM token transfer over n elements split
+// into groups of the given widths, party i sending the tokens: it receives
+// every instance's w-bit shift in one frame and answers with the 2^w
+// candidate tokens per group in another, each frame bit-packed and padded
+// to a whole byte.
+func tokenFrames(n int, widths []uint) []frame {
+	var shiftBits, tokBits int
+	for _, w := range widths {
+		shiftBits += int(w)
+		tokBits += (1 << w) * tokenBits
 	}
-	return total
+	return []frame{{false, (n*shiftBits + 7) / 8}, {true, (n*tokBits + 7) / 8}}
 }
 
-// msbBits is the per-element traffic of the sign protocol (groups of the
-// low ℓ−1 bits only; the sign bits ride the quadrant-detection XOR).
-func msbBits(bits uint) uint64 {
-	var total uint64
-	for _, w := range a2b.LowGroups(bits) {
-		total += uint64(w) + (1<<w)*tokenBits
-	}
-	return total
+// abreluFrames is ABReLU over n elements: the sign tokens over the low
+// ℓ−1 bits (the sign bits ride the quadrant XOR), then the OT multiplexer,
+// party i serving its term before choosing in its peer's.
+func abreluFrames(n int, r ring.Ring) []frame {
+	f := tokenFrames(n, a2b.LowGroups(r.Bits))
+	f = append(f, otSendFrames(n, r)...)
+	return append(f, otRecvFrames(n, r)...)
 }
 
-// muxBits is the per-element traffic of the OT multiplexer: two 1-of-2
-// OTs, each one choice byte plus two ring-element messages (the mux rides
-// the byte-aligned Send1ofN path, not the coalesced token frames).
-func muxBits(r ring.Ring) uint64 {
-	return 8 * 2 * (1 + 2*uint64(r.Bytes()))
+// truncFrames is the faithful truncation of n elements: the wrap-bit
+// comparison over the full width, then its B2A.
+func truncFrames(n int, r ring.Ring) []frame {
+	return append(tokenFrames(n, a2b.Groups(r.Bits)), otSendFrames(n, r)...)
 }
 
-// b2aBits is one 1-of-2 OT with ring-element messages.
-func b2aBits(r ring.Ring) uint64 {
-	return 8 * (1 + 2*uint64(r.Bytes()))
+// revealFrames opens n output elements to party i.
+func revealFrames(n int, r ring.Ring) []frame {
+	return []frame{{false, n * r.Bytes()}}
 }
 
-// ABReLUBits is the per-element online traffic of ABReLU, in bits.
-func ABReLUBits(r ring.Ring) uint64 {
-	return msbBits(r.Bits) + muxBits(r)
-}
-
-// FaithfulTruncBits is the per-element traffic of one faithful
-// requantization truncation (wrap-bit comparison + B2A), in bits.
-func FaithfulTruncBits(r ring.Ring) uint64 {
-	return cmpBits(r.Bits) + b2aBits(r)
-}
-
-// BytesFor converts a per-element bit cost over an element count into the
-// wire bytes of the packed frames.
-func BytesFor(elems, bits uint64) uint64 {
-	return (elems*bits + 7) / 8
-}
-
-// CommProfile aggregates a model's per-operator online traffic (both
-// directions summed, matching the engine's measured PerOp.Bytes) and its
-// protocol round count.
+// CommProfile is the online traffic of one inference at party i's
+// endpoint: both directions summed, matching the engine's measured
+// Result.Online, and the protocol rounds.
 type CommProfile struct {
 	Bytes  uint64
 	Rounds uint64
-	ByKind map[string]uint64
-}
-
-// rounds per batched protocol step (direction changes at one endpoint).
-// The coalesced token transfer rides every OT arity of a comparison step
-// on ONE ds/cts exchange, so MSB extraction and the wrap-bit comparison
-// each cost a single round regardless of how many group widths they span.
-const (
-	roundsPerExchange = 1
-	roundsPerMSB      = 1
-	roundsPerMux      = 2
-	roundsPerCmp      = 1
-	roundsPerB2A      = 1
-)
-
-// ModelComm computes the analytic online communication of a model on a
-// carrier ring. localTrunc selects the paper's zero-communication
-// requantization.
-func ModelComm(m *nn.Model, r ring.Ring, localTrunc bool) (CommProfile, error) {
-	shapes, err := m.Shapes()
-	if err != nil {
-		return CommProfile{}, err
-	}
-	p := CommProfile{ByKind: map[string]uint64{}}
-	rb := uint64(r.Bytes())
-	truncBits := FaithfulTruncBits(r)
-	truncR := uint64(roundsPerCmp + roundsPerB2A)
-	if localTrunc {
-		truncBits, truncR = 0, 0
-	}
-	add := func(kind string, bytes, rounds uint64) {
-		p.Bytes += bytes
-		p.Rounds += rounds
-		p.ByKind[kind] += bytes
-	}
-	for i, node := range m.Nodes {
-		elems := uint64(shapes[i].Numel())
-		switch op := node.Op.(type) {
-		case *nn.Conv:
-			// E exchange (both directions) + BNReQ truncation.
-			e := uint64(op.Geom.Patches()*op.Geom.PatchLen()) * rb * 2
-			add(op.Kind(), e+BytesFor(elems, truncBits), roundsPerExchange+truncR)
-		case *nn.FC:
-			e := uint64(op.In) * rb * 2
-			add(op.Kind(), e+BytesFor(elems, truncBits), roundsPerExchange+truncR)
-		case nn.ReLU:
-			add(op.Kind(), BytesFor(elems, ABReLUBits(r)), roundsPerMSB+roundsPerMux)
-		case *nn.MaxPool:
-			// Tournament: Σ(window−1) ABReLU evaluations over the diffs.
-			comparisons := uint64(op.Geom.InC*op.Geom.InH*op.Geom.InW) - elems
-			roundsN := uint64(op.Geom.KH*op.Geom.KW-1) * (roundsPerMSB + roundsPerMux)
-			add(op.Kind(), BytesFor(comparisons, ABReLUBits(r)), roundsN)
-		case *nn.AvgPool:
-			// One truncation per output (two for non-power-of-two windows).
-			stages := uint64(1)
-			if w := op.Geom.KH * op.Geom.KW; w&(w-1) != 0 {
-				stages = 2
-			}
-			add(op.Kind(), BytesFor(elems, truncBits)*stages, truncR*stages)
-		case nn.Add, nn.Flatten:
-			add(node.Op.Kind(), 0, 0)
-		}
-	}
-	return p, nil
 }

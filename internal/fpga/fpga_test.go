@@ -1,6 +1,7 @@
 package fpga
 
 import (
+	"fmt"
 	"testing"
 
 	"aq2pnn/internal/engine"
@@ -48,85 +49,136 @@ func TestResourcesScaleWithArray(t *testing.T) {
 	}
 }
 
-// tinyModel mirrors the engine test model so analytic comm can be compared
-// with live measurements.
-func tinyModel() *nn.Model {
-	g := tensor.ConvGeom{InC: 1, InH: 8, InW: 8, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	conv := &nn.Conv{Geom: g, W: make([]int64, 4*9), Bias: make([]int64, 4), Im: []int64{1, 1, 1, 1}, Ie: 4}
-	pg := tensor.ConvGeom{InC: 4, InH: 8, InW: 8, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
-	fc := &nn.FC{In: 4 * 4 * 4, Out: 5, W: make([]int64, 4*4*4*5), Im: []int64{1, 1, 1, 1, 1}, Ie: 2}
+// residualModel exercises the Add path: a residual connection around a
+// conv, as in ResNet's basic block.
+func residualModel() *nn.Model {
+	g := tensor.ConvGeom{InC: 2, InH: 4, InW: 4, OutC: 2, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	mk := func(seed int64) *nn.Conv {
+		c := &nn.Conv{Geom: g, W: make([]int64, 2*18), Im: []int64{1, 1}, Ie: 3}
+		for i := range c.W {
+			c.W[i] = (int64(i)+seed)%5 - 2
+		}
+		return c
+	}
 	return &nn.Model{
-		Name: "tiny", InC: 1, InH: 8, InW: 8, InBits: 8,
+		Name: "residual", InC: 2, InH: 4, InW: 4, InBits: 8,
 		Nodes: []nn.Node{
-			{Op: conv, Inputs: []int{-1}, Name: "conv1"},
+			{Op: mk(0), Inputs: []int{-1}, Name: "conv1"},
 			{Op: nn.ReLU{}, Inputs: []int{0}, Name: "relu1"},
-			{Op: &nn.MaxPool{Geom: pg}, Inputs: []int{1}, Name: "pool1"},
-			{Op: nn.Flatten{}, Inputs: []int{2}, Name: "flatten"},
-			{Op: fc, Inputs: []int{3}, Name: "fc"},
+			{Op: mk(3), Inputs: []int{1}, Name: "conv2"},
+			{Op: nn.Add{}, Inputs: []int{2, 1}, Name: "add"},
+			{Op: nn.ReLU{}, Inputs: []int{3}, Name: "relu2"},
 		},
 	}
 }
 
-func TestAnalyticCommMatchesMeasured(t *testing.T) {
-	// The analytic model must agree with bytes measured on the live
-	// protocol to within a few percent (the residual is OT pool refill
-	// granularity and per-batch headers).
-	m := tinyModel()
-	for _, local := range []bool{false, true} {
-		x := make([]int64, 64)
-		for i := range x {
-			x[i] = int64(i%17) - 8
-		}
-		res, err := engine.RunLocal(m, x, engine.Options{CarrierBits: 16, Seed: 9, LocalTrunc: local})
-		if err != nil {
-			t.Fatal(err)
-		}
-		measured := res.Online.TotalBytes()
-		analytic, err := ModelComm(m, ring.New(16), local)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ratio := float64(analytic.Bytes) / float64(measured)
-		if ratio < 0.9 || ratio > 1.1 {
-			t.Errorf("localTrunc=%v: analytic %d vs measured %d (ratio %.3f)", local, analytic.Bytes, measured, ratio)
-		}
-		t.Logf("localTrunc=%v: analytic %d, measured %d", local, analytic.Bytes, measured)
+// poolModel chains ResNet's stem pooling — a 3×3/s2/p1 max-pool, whose
+// windows overlap and shrink at the border — into a 3×3 average pool, a
+// window that is not a power of two.
+func poolModel() *nn.Model {
+	g := tensor.ConvGeom{InC: 1, InH: 12, InW: 12, OutC: 3, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	conv := &nn.Conv{Geom: g, W: make([]int64, 3*9), Bias: make([]int64, 3), Im: []int64{1, 1, 1}, Ie: 3}
+	for i := range conv.W {
+		conv.W[i] = int64(i%5) - 2
+	}
+	maxG := tensor.ConvGeom{InC: 3, InH: 12, InW: 12, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}
+	avgG := tensor.ConvGeom{InC: 3, InH: 6, InW: 6, KH: 3, KW: 3, StrideH: 3, StrideW: 3}
+	fc := &nn.FC{In: 3 * 2 * 2, Out: 4, W: make([]int64, 12*4), Bias: make([]int64, 4), Im: []int64{1, 1, 1, 1}, Ie: 2}
+	for i := range fc.W {
+		fc.W[i] = int64(i%3) - 1
+	}
+	return &nn.Model{
+		Name: "pools", InC: 1, InH: 12, InW: 12, InBits: 8,
+		Nodes: []nn.Node{
+			{Op: conv, Inputs: []int{-1}, Name: "conv1"},
+			{Op: nn.ReLU{}, Inputs: []int{0}, Name: "relu1"},
+			{Op: &nn.MaxPool{Geom: maxG}, Inputs: []int{1}, Name: "maxpool"},
+			{Op: &nn.AvgPool{Geom: avgG}, Inputs: []int{2}, Name: "avgpool"},
+			{Op: nn.Flatten{}, Inputs: []int{3}, Name: "flatten"},
+			{Op: fc, Inputs: []int{4}, Name: "fc"},
+		},
 	}
 }
 
+// forEachWire runs every graph of the cost-model pins at carriers 16 and
+// 32 through engine.RunLocal and hands each measured result to check along
+// with the estimate and the compiled program of the same model.
+func forEachWire(t *testing.T, check func(name string, res *engine.Result, est Estimate, prog *Program)) {
+	t.Helper()
+	models := []*nn.Model{
+		nn.Micro(nn.ZooConfig{Seed: 3}),
+		nn.LeNet5(nn.ZooConfig{Seed: 3}),
+		nn.Micro(nn.ZooConfig{Seed: 3, Pool: nn.PoolAvg}),
+		residualModel(),
+		poolModel(),
+	}
+	cfg := ZCU104()
+	for _, m := range models {
+		x := make([]int64, m.InputShape().Numel())
+		for i := range x {
+			x[i] = int64((i*7)%31) - 15
+		}
+		for _, bits := range []uint{16, 32} {
+			r := ring.New(bits)
+			name := fmt.Sprintf("%s@%d", m.Name, bits)
+			res, err := engine.RunLocal(m, x, engine.Options{CarrierBits: bits, Seed: 5})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			est, err := cfg.EstimateModel(m, r)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			prog, err := Compile(cfg, m, r)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			check(name, res, est, prog)
+		}
+	}
+}
+
+// TestPerOpCommMatchesEngineProfile pins the cost model to the wire node
+// by node: each node's EXCH bytes and rounds in the compiled program equal
+// the engine's measured per-node traffic at party i. A protocol change
+// that moves a byte or a round without updating the program fails here.
 func TestPerOpCommMatchesEngineProfile(t *testing.T) {
-	m := tinyModel()
-	x := make([]int64, 64)
-	res, err := engine.RunLocal(m, x, engine.Options{CarrierBits: 16, Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := ZCU104().EstimateModel(m, ring.New(16), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(est.PerOp) != len(res.PerOp) {
-		t.Fatalf("per-op lengths differ: %d vs %d", len(est.PerOp), len(res.PerOp))
-	}
-	for i := range est.PerOp {
-		a, b := est.PerOp[i].Bytes, res.PerOp[i].Bytes
-		if a == 0 && b == 0 {
-			continue
+	forEachWire(t, func(name string, res *engine.Result, est Estimate, _ *Program) {
+		if len(est.PerOp) != len(res.PerOp) {
+			t.Fatalf("%s: %d program nodes, %d measured", name, len(est.PerOp), len(res.PerOp))
 		}
-		ratio := float64(a) / float64(b)
-		if ratio < 0.85 || ratio > 1.15 {
-			t.Errorf("node %d (%s): analytic %d vs measured %d", i, res.PerOp[i].Kind, a, b)
+		for i, op := range res.PerOp {
+			if got := est.PerOp[i]; got.Bytes != op.Bytes || got.Rounds != op.Rounds {
+				t.Errorf("%s node %s: program %d B / %d rounds, measured %d B / %d rounds",
+					name, op.Name, got.Bytes, got.Rounds, op.Bytes, op.Rounds)
+			}
 		}
-	}
+	})
+}
+
+// TestAnalyticCommMatchesMeasured pins the estimate's totals: its bytes
+// and rounds (the output reveal included) equal the measured online
+// traffic, and its cycles are the compiled program's.
+func TestAnalyticCommMatchesMeasured(t *testing.T) {
+	cfg := ZCU104()
+	forEachWire(t, func(name string, res *engine.Result, est Estimate, prog *Program) {
+		if est.Comm.Bytes != res.Online.TotalBytes() || est.Comm.Rounds != res.Online.Rounds {
+			t.Errorf("%s: estimate %d B / %d rounds, measured online %d B / %d rounds",
+				name, est.Comm.Bytes, est.Comm.Rounds, res.Online.TotalBytes(), res.Online.Rounds)
+		}
+		if cycles, _ := cfg.Simulate(prog); est.Cycles != cycles {
+			t.Errorf("%s: estimate %d cycles, program %d", name, est.Cycles, cycles)
+		}
+	})
 }
 
 func TestEstimateCommScalesWithCarrier(t *testing.T) {
-	m := tinyModel()
-	e16, err := ZCU104().EstimateModel(m, ring.New(16), false)
+	m := nn.Micro(nn.ZooConfig{Skeleton: true})
+	e16, err := ZCU104().EstimateModel(m, ring.New(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e32, err := ZCU104().EstimateModel(m, ring.New(32), false)
+	e32, err := ZCU104().EstimateModel(m, ring.New(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +200,7 @@ func TestEstimateResNet50Magnitudes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := ZCU104().EstimateModel(m, ring.New(16), false)
+	est, err := ZCU104().EstimateModel(m, ring.New(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,26 +218,26 @@ func TestEstimateResNet50Magnitudes(t *testing.T) {
 }
 
 func TestCompileAndSimulateConsistency(t *testing.T) {
-	m := tinyModel()
+	m := nn.Micro(nn.ZooConfig{Skeleton: true})
 	r := ring.New(16)
-	prog, err := Compile(ZCU104(), m, r, false)
+	prog, err := Compile(ZCU104(), m, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(prog.Instrs) == 0 {
 		t.Fatal("empty program")
 	}
-	cycles, exch := ZCU104().Simulate(prog)
-	if cycles <= 0 {
-		t.Error("no cycles")
+	if cycles, comm := ZCU104().Simulate(prog); cycles <= 0 || comm.Bytes == 0 || comm.Rounds == 0 {
+		t.Errorf("simulated %d cycles, %d B, %d rounds", cycles, comm.Bytes, comm.Rounds)
 	}
-	// The instruction stream's exchange bytes equal the analytic comm.
-	comm, _ := ModelComm(m, r, false)
-	if exch != comm.Bytes {
-		t.Errorf("program exchanges %d bytes, analytic model says %d", exch, comm.Bytes)
-	}
-	// Every instruction maps to a real node.
-	for _, in := range prog.Instrs {
+	// Every instruction maps to a real node, except the closing reveal.
+	for k, in := range prog.Instrs {
+		if k == len(prog.Instrs)-1 {
+			if in.Op != OpExch || in.Node != -1 {
+				t.Errorf("last instruction %+v, want the output reveal", in)
+			}
+			continue
+		}
 		if in.Node < 0 || in.Node >= len(m.Nodes) {
 			t.Fatalf("instruction references node %d", in.Node)
 		}
@@ -198,8 +250,12 @@ func TestCompileAndSimulateConsistency(t *testing.T) {
 func TestCompileRejectsUnknownOp(t *testing.T) {
 	m := &nn.Model{Name: "bad", InC: 1, InH: 1, InW: 1, InBits: 8,
 		Nodes: []nn.Node{{Op: badOp{}, Inputs: []int{-1}}}}
-	if _, err := Compile(ZCU104(), m, ring.New(16), false); err == nil {
+	if _, err := Compile(ZCU104(), m, ring.New(16)); err == nil {
 		t.Error("unknown op compiled")
+	}
+	m.Nodes = nil
+	if _, err := Compile(ZCU104(), m, ring.New(16)); err == nil {
+		t.Error("model without nodes compiled")
 	}
 }
 
@@ -210,21 +266,11 @@ func (badOp) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{1}, nil
 }
 
-func TestLocalTruncCheaper(t *testing.T) {
-	m := tinyModel()
-	r := ring.New(16)
-	faithful, _ := ModelComm(m, r, false)
-	local, _ := ModelComm(m, r, true)
-	if local.Bytes >= faithful.Bytes {
-		t.Error("local truncation should communicate less")
-	}
-}
-
 func BenchmarkEstimateResNet50(b *testing.B) {
 	m, _ := nn.ByName("resnet50-imagenet", nn.ZooConfig{Skeleton: true})
 	cfg := ZCU104()
 	r := ring.New(16)
 	for i := 0; i < b.N; i++ {
-		cfg.EstimateModel(m, r, false)
+		cfg.EstimateModel(m, r)
 	}
 }

@@ -171,10 +171,3 @@ func tileGEMM(b Buffers, m, k, n, eb int) ([]gemmTile, error) {
 	}
 	return tiles, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -66,7 +66,7 @@ func TestCompiledProgramsFitBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := ring.New(16)
-		prog, err := Compile(cfg, m, r, false)
+		prog, err := Compile(cfg, m, r)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -82,7 +82,7 @@ func TestTilingPreservesCommAndMACs(t *testing.T) {
 	cfg := ZCU104()
 	m, _ := nn.ByName("vgg16-cifar", nn.ZooConfig{Skeleton: true})
 	r := ring.New(16)
-	prog, err := Compile(cfg, m, r, false)
+	prog, err := Compile(cfg, m, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,18 +95,26 @@ func TestTilingPreservesCommAndMACs(t *testing.T) {
 	if macs != m.MACs() {
 		t.Errorf("tiled MACs %d vs model %d", macs, m.MACs())
 	}
-	_, exch := cfg.Simulate(prog)
-	comm, _ := ModelComm(m, r, false)
-	if exch != comm.Bytes {
-		t.Errorf("tiled exchange %d vs analytic %d", exch, comm.Bytes)
+	// Buffers large enough to hold every layer whole compile one tile per
+	// GEMM; the traffic must be the same.
+	whole := cfg
+	whole.BlockIn, whole.BlockOut = 1024, 1024
+	untiled, err := Compile(whole, m, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tiledComm := cfg.Simulate(prog)
+	_, wholeComm := whole.Simulate(untiled)
+	if tiledComm != wholeComm {
+		t.Errorf("tiled exchange %+v vs untiled %+v", tiledComm, wholeComm)
 	}
 }
 
 func TestScheduleAnalysis(t *testing.T) {
 	cfg := ZCU104()
-	m := tinyModel()
+	m := nn.Micro(nn.ZooConfig{Skeleton: true})
 	r := ring.New(16)
-	prog, err := Compile(cfg, m, r, false)
+	prog, err := Compile(cfg, m, r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,58 +10,17 @@ import (
 // Secure argmax: classification without revealing the logits. A natural
 // extension of ABReLU's machinery (the paper's protocol reveals the
 // output vector; with this operator only the winning class index is
-// opened): a sequential tournament where each round keeps the running
-// maximum via max(a,b) = a + ReLU(b−a) and carries the winning *index*
+// opened): a tournament where each comparison keeps the larger value
+// via max(a,b) = a + ReLU(b−a) and carries the winning *index*
 // through the same OT multiplexer, selecting with the DReLU bit of the
 // difference.
 
 // ArgMax returns arithmetic shares of the index of the maximum element,
 // breaking ties toward the LATER index (the challenger wins on equality,
-// because DReLU(0) = 1). It costs n−1 rounds of one DReLU + two Mux calls
-// (value and index lanes).
+// because DReLU(0) = 1). Pairs are compared in parallel each stage,
+// halving the candidate set: ⌈log₂ n⌉ stages of one DReLU plus two Mux
+// calls (value and index lanes).
 func (c *Context) ArgMax(r ring.Ring, x []uint64) (uint64, error) {
-	if len(x) == 0 {
-		return 0, fmt.Errorf("secure: ArgMax of empty vector")
-	}
-	sp := c.Trace.Enter("secure.argmax", telemetry.WithAttrs(
-		telemetry.Int("elems", int64(len(x))), telemetry.Int("bits", int64(r.Bits))))
-	defer c.Trace.Exit(sp)
-	// curVal/curIdx are this party's shares of the running winner. Index
-	// shares start as the public constant 0 (party i holds it).
-	curVal := x[0]
-	var curIdx uint64
-	for k := 1; k < len(x); k++ {
-		diff := r.Sub(x[k], curVal)
-		d, err := c.DReLU(r, []uint64{diff}) // d = [x_k ≥ cur]
-		if err != nil {
-			return 0, fmt.Errorf("secure: ArgMax round %d: %w", k, err)
-		}
-		// Value lane: cur += d·diff.
-		dv, err := c.Mux(r, []uint64{diff}, d)
-		if err != nil {
-			return 0, err
-		}
-		curVal = r.Add(curVal, dv[0])
-		// Index lane: cur_idx += d·(k − cur_idx). The index difference is
-		// a valid share vector: party i adds the public k.
-		idxDiff := r.Neg(curIdx)
-		if c.Party == 0 {
-			idxDiff = r.Add(idxDiff, uint64(k))
-		}
-		di, err := c.Mux(r, []uint64{idxDiff}, d)
-		if err != nil {
-			return 0, err
-		}
-		curIdx = r.Add(curIdx, di[0])
-	}
-	return curIdx, nil
-}
-
-// ArgMaxBatched evaluates the tournament with a logarithmic schedule:
-// pairs are compared in parallel each round, halving the candidate set —
-// ⌈log₂ n⌉ protocol rounds instead of n−1, the variant an accelerator
-// would run.
-func (c *Context) ArgMaxBatched(r ring.Ring, x []uint64) (uint64, error) {
 	n := len(x)
 	if n == 0 {
 		return 0, fmt.Errorf("secure: ArgMax of empty vector")

@@ -8,7 +8,7 @@ import (
 	"aq2pnn/internal/share"
 )
 
-func runArgMax(t *testing.T, seed uint64, vals []int64, batched bool) int64 {
+func runArgMax(t *testing.T, seed uint64, vals []int64) int64 {
 	t.Helper()
 	r := ring.New(16)
 	g := prg.NewSeeded(seed)
@@ -17,24 +17,8 @@ func runArgMax(t *testing.T, seed uint64, vals []int64, batched bool) int64 {
 	defer s.Close()
 	var i0, i1 uint64
 	err := s.Run(
-		func(c *Context) error {
-			var e error
-			if batched {
-				i0, e = c.ArgMaxBatched(r, x0)
-			} else {
-				i0, e = c.ArgMax(r, x0)
-			}
-			return e
-		},
-		func(c *Context) error {
-			var e error
-			if batched {
-				i1, e = c.ArgMaxBatched(r, x1)
-			} else {
-				i1, e = c.ArgMax(r, x1)
-			}
-			return e
-		})
+		func(c *Context) error { var e error; i0, e = c.ArgMax(r, x0); return e },
+		func(c *Context) error { var e error; i1, e = c.ArgMax(r, x1); return e })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,16 +44,13 @@ func TestArgMaxVariants(t *testing.T) {
 		{9, 3},
 		{-5, -2, -9, -1},
 		{100, 100, 99},           // ties keep the later index (DReLU(0)=1)
-		{0, -1, 7, 7, 2, -30, 6}, // odd length for the batched carry-over
+		{0, -1, 7, 7, 2, -30, 6}, // odd length for the tournament carry-over
 		{-8000, 8000, -1, 0},
 	}
 	for ci, vals := range cases {
 		want := plainArgMax(vals)
-		if got := runArgMax(t, uint64(100+ci), vals, false); got != want {
-			t.Errorf("case %d sequential: argmax %d, want %d (%v)", ci, got, want, vals)
-		}
-		if got := runArgMax(t, uint64(200+ci), vals, true); got != want {
-			t.Errorf("case %d batched: argmax %d, want %d (%v)", ci, got, want, vals)
+		if got := runArgMax(t, uint64(200+ci), vals); got != want {
+			t.Errorf("case %d: argmax %d, want %d (%v)", ci, got, want, vals)
 		}
 	}
 }
@@ -83,7 +64,7 @@ func TestArgMaxRandom(t *testing.T) {
 			vals[i] = g.Int64n(10000)
 		}
 		want := plainArgMax(vals)
-		if got := runArgMax(t, uint64(300+trial), vals, true); got != want {
+		if got := runArgMax(t, uint64(300+trial), vals); got != want {
 			t.Fatalf("trial %d: argmax %d, want %d (%v)", trial, got, want, vals)
 		}
 	}
@@ -95,9 +76,6 @@ func TestArgMaxEmpty(t *testing.T) {
 	if _, err := s.P0.ArgMax(ring.New(8), nil); err == nil {
 		t.Error("empty vector accepted")
 	}
-	if _, err := s.P0.ArgMaxBatched(ring.New(8), nil); err == nil {
-		t.Error("empty vector accepted (batched)")
-	}
 }
 
 func TestArgMaxDoesNotRevealLogits(t *testing.T) {
@@ -108,8 +86,8 @@ func TestArgMaxDoesNotRevealLogits(t *testing.T) {
 	// nothing is opened at all inside ArgMax; output stays shared).
 	a := []int64{10, 50, 20}
 	b := []int64{11, 49, 7}
-	ia := runArgMax(t, 42, a, true)
-	ib := runArgMax(t, 43, b, true)
+	ia := runArgMax(t, 42, a)
+	ib := runArgMax(t, 43, b)
 	if ia != 1 || ib != 1 {
 		t.Errorf("argmax = %d, %d, want 1, 1", ia, ib)
 	}

@@ -9,12 +9,16 @@ import (
 )
 
 // 2PC pooling. Max pooling is a tournament of secure maxima,
-// max(a, b) = a + ReLU(b − a), so each round costs one batched ABReLU over
-// every still-active window — the communication the paper's Sec. 6.5
-// identifies as the max-pooling penalty. Average pooling is AS-ALU only
-// (sum plus P-C division) and costs no communication.
+// max(a, b) = a + ReLU(b − a), so each stage costs one batched ABReLU over
+// every still-active pair — the communication the paper's Sec. 6.5
+// identifies as the max-pooling penalty. Average pooling sums on the
+// AS-ALU and divides by share truncation: one truncation per
+// power-of-two window size, two otherwise.
 
-// MaxPool computes shares of the channel-wise max pool of a (C,H,W) tensor.
+// MaxPool computes shares of the channel-wise max pool of a (C,H,W) tensor
+// with a logarithmic tournament: each stage halves every window's
+// candidate set, so a K-element window needs ⌈log₂K⌉ batched ABReLU
+// stages and Σ(K−1) comparisons over all windows.
 func (c *Context) MaxPool(r ring.Ring, x []uint64, g tensor.ConvGeom) ([]uint64, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -22,51 +26,50 @@ func (c *Context) MaxPool(r ring.Ring, x []uint64, g tensor.ConvGeom) ([]uint64,
 	if len(x) != g.InC*g.InH*g.InW {
 		return nil, fmt.Errorf("secure: MaxPool input %d for %v", len(x), g)
 	}
-	type window struct {
-		out int
-		in  []int
-	}
-	var windows []window
-	maxLen := 0
-	tensor.PoolWindows(g, func(out int, in []int) {
-		cp := append([]int(nil), in...)
-		windows = append(windows, window{out: out, in: cp})
-		if len(cp) > maxLen {
-			maxLen = len(cp)
+	// Per-window candidate lists.
+	var wins [][]uint64
+	var outIdx []int
+	tensor.PoolWindows(g, func(oi int, in []int) {
+		vals := make([]uint64, len(in))
+		for k, ii := range in {
+			vals[k] = x[ii]
 		}
+		wins = append(wins, vals)
+		outIdx = append(outIdx, oi)
 	})
-	if maxLen == 0 {
-		return nil, fmt.Errorf("secure: MaxPool produced empty windows")
-	}
-	out := make([]uint64, g.InC*g.OutH()*g.OutW())
-	cur := make([]uint64, len(windows))
-	for wi, w := range windows {
-		cur[wi] = x[w.in[0]]
-	}
-	// Tournament round t challenges every window that still has a t-th
-	// candidate. All windows are batched into one ABReLU per round.
-	for t := 1; t < maxLen; t++ {
-		var active []int
+	for {
+		// Gather one pair per window with ≥2 candidates.
 		var diffs []uint64
-		for wi, w := range windows {
-			if t < len(w.in) {
-				active = append(active, wi)
-				diffs = append(diffs, r.Sub(x[w.in[t]], cur[wi]))
+		var where [][2]int // window, slot of the surviving candidate
+		for wi, vals := range wins {
+			for p := 0; p+1 < len(vals); p += 2 {
+				diffs = append(diffs, r.Sub(vals[p+1], vals[p]))
+				where = append(where, [2]int{wi, p})
 			}
 		}
-		if len(active) == 0 {
-			continue
+		if len(diffs) == 0 {
+			break
 		}
 		relu, err := c.ABReLU(r, diffs)
 		if err != nil {
-			return nil, fmt.Errorf("secure: MaxPool round %d: %w", t, err)
+			return nil, fmt.Errorf("secure: MaxPool stage: %w", err)
 		}
-		for k, wi := range active {
-			cur[wi] = r.Add(cur[wi], relu[k])
+		for k, w := range where {
+			wins[w[0]][w[1]] = r.Add(wins[w[0]][w[1]], relu[k])
+		}
+		// Compact: the survivors sit at the even slots (an unpaired trailing
+		// candidate is itself at an even index).
+		for wi, vals := range wins {
+			next := vals[:0]
+			for p := 0; p < len(vals); p += 2 {
+				next = append(next, vals[p])
+			}
+			wins[wi] = next
 		}
 	}
-	for wi, w := range windows {
-		out[w.out] = cur[wi]
+	out := make([]uint64, g.InC*g.OutH()*g.OutW())
+	for wi, vals := range wins {
+		out[outIdx[wi]] = vals[0]
 	}
 	return out, nil
 }
@@ -143,66 +146,6 @@ func (c *Context) AvgPool(r ring.Ring, x []uint64, g tensor.ConvGeom) ([]uint64,
 		for k, oi := range idxs {
 			out[oi] = sub[k]
 		}
-	}
-	return out, nil
-}
-
-// MaxPoolTree evaluates the same max pooling with a logarithmic tournament:
-// each round halves every window's candidate set, so a K-element window
-// needs ⌈log₂K⌉ batched ABReLU rounds instead of K−1 — the schedule a
-// round-latency-bound deployment prefers (total comparison count, and thus
-// traffic, is identical).
-func (c *Context) MaxPoolTree(r ring.Ring, x []uint64, g tensor.ConvGeom) ([]uint64, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if len(x) != g.InC*g.InH*g.InW {
-		return nil, fmt.Errorf("secure: MaxPoolTree input %d for %v", len(x), g)
-	}
-	// Per-window candidate lists.
-	var wins [][]uint64
-	var outIdx []int
-	tensor.PoolWindows(g, func(oi int, in []int) {
-		vals := make([]uint64, len(in))
-		for k, ii := range in {
-			vals[k] = x[ii]
-		}
-		wins = append(wins, vals)
-		outIdx = append(outIdx, oi)
-	})
-	for {
-		// Gather one pair per window with ≥2 candidates.
-		var diffs []uint64
-		var where [][2]int // window, slot of the surviving candidate
-		for wi, vals := range wins {
-			for p := 0; p+1 < len(vals); p += 2 {
-				diffs = append(diffs, r.Sub(vals[p+1], vals[p]))
-				where = append(where, [2]int{wi, p})
-			}
-		}
-		if len(diffs) == 0 {
-			break
-		}
-		relu, err := c.ABReLU(r, diffs)
-		if err != nil {
-			return nil, fmt.Errorf("secure: MaxPoolTree round: %w", err)
-		}
-		for k, w := range where {
-			wins[w[0]][w[1]] = r.Add(wins[w[0]][w[1]], relu[k])
-		}
-		// Compact: the survivors sit at the even slots (an unpaired trailing
-		// candidate is itself at an even index).
-		for wi, vals := range wins {
-			next := vals[:0]
-			for p := 0; p < len(vals); p += 2 {
-				next = append(next, vals[p])
-			}
-			wins[wi] = next
-		}
-	}
-	out := make([]uint64, g.InC*g.OutH()*g.OutW())
-	for wi, vals := range wins {
-		out[outIdx[wi]] = vals[0]
 	}
 	return out, nil
 }

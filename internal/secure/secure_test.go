@@ -666,6 +666,9 @@ func BenchmarkPreparedLinear(b *testing.B) {
 	}
 }
 
+// TestMaxPoolTreeMatchesSequential checks the tournament-tree MaxPool
+// against a sequential left-to-right scan of each window in plaintext, on
+// even windows and on padded odd ones whose border windows shrink.
 func TestMaxPoolTreeMatchesSequential(t *testing.T) {
 	r := ring.New(14)
 	g := prg.NewSeeded(80)
@@ -678,7 +681,7 @@ func TestMaxPoolTreeMatchesSequential(t *testing.T) {
 			vals[i] = g.Int64n(900)
 		}
 		got := runOp(t, 81, r, r.FromInts(vals), func(c *Context, xs []uint64) ([]uint64, error) {
-			return c.MaxPoolTree(r, xs, geom)
+			return c.MaxPool(r, xs, geom)
 		})
 		tensor.PoolWindows(geom, func(oi int, in []int) {
 			want := vals[in[0]]
@@ -694,34 +697,34 @@ func TestMaxPoolTreeMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestMaxPoolTreeFewerRounds(t *testing.T) {
-	// 3×3 windows: sequential needs 8 ABReLU rounds, the tree needs 4.
+// TestMaxPoolRoundsPinned pins the tournament's round count: each of the
+// ⌈log₂K⌉ stages of a K-element window is one batched ABReLU whose sign
+// tokens ride behind the previous stage's last receive, leaving the Mux's
+// two rounds — 4 rounds for 2×2 windows, 8 for 3×3.
+func TestMaxPoolRoundsPinned(t *testing.T) {
 	r := ring.New(14)
 	g := prg.NewSeeded(82)
-	geom := tensor.ConvGeom{InC: 1, InH: 6, InW: 6, KH: 3, KW: 3, StrideH: 3, StrideW: 3}
-	vals := make([]int64, 36)
-	for i := range vals {
-		vals[i] = g.Int64n(500)
-	}
-	rounds := func(tree bool) uint64 {
-		s := NewLocalSession(83)
-		defer s.Close()
-		x0, x1 := share.SplitVec(g, r, r.FromInts(vals))
-		op := func(c *Context, xs []uint64) ([]uint64, error) {
-			if tree {
-				return c.MaxPoolTree(r, xs, geom)
-			}
-			return c.MaxPool(r, xs, geom)
+	for _, tc := range []struct {
+		k      int
+		rounds uint64
+	}{{2, 4}, {3, 8}} {
+		geom := tensor.ConvGeom{InC: 1, InH: 6, InW: 6, KH: tc.k, KW: tc.k, StrideH: tc.k, StrideW: tc.k}
+		vals := make([]int64, 36)
+		for i := range vals {
+			vals[i] = g.Int64n(500)
 		}
-		s.Run(
-			func(c *Context) error { _, e := op(c, x0); return e },
-			func(c *Context) error { _, e := op(c, x1); return e })
+		s := NewLocalSession(83)
+		x0, x1 := share.SplitVec(g, r, r.FromInts(vals))
+		err := s.Run(
+			func(c *Context) error { _, e := c.MaxPool(r, x0, geom); return e },
+			func(c *Context) error { _, e := c.MaxPool(r, x1, geom); return e })
 		st, _ := s.Stats()
-		return st.Rounds
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Rounds != tc.rounds {
+			t.Errorf("%d×%d windows: %d rounds, want %d", tc.k, tc.k, st.Rounds, tc.rounds)
+		}
 	}
-	seq, tree := rounds(false), rounds(true)
-	if tree >= seq {
-		t.Errorf("tree rounds %d not fewer than sequential %d", tree, seq)
-	}
-	t.Logf("maxpool rounds: sequential %d, tree %d", seq, tree)
 }

@@ -69,16 +69,3 @@ func TestBackoffFullJitterSpreads(t *testing.T) {
 		t.Error("full jitter never landed below half the step across 64 seeds")
 	}
 }
-
-// TestBackoffDelayWrapperEquivalence pins BackoffDelay as exactly the
-// equal-jitter policy, so the existing call sites keep their schedules.
-func TestBackoffDelayWrapperEquivalence(t *testing.T) {
-	for attempt := 0; attempt < 10; attempt++ {
-		for _, seed := range []uint64{0, 7, 0xDEAD} {
-			want := Backoff{Base: 25 * time.Millisecond, Max: time.Second}.Delay(attempt, seed)
-			if got := BackoffDelay(attempt, 25*time.Millisecond, time.Second, seed); got != want {
-				t.Fatalf("attempt %d seed %d: BackoffDelay %v != Backoff.Delay %v", attempt, seed, got, want)
-			}
-		}
-	}
-}

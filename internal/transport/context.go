@@ -38,7 +38,7 @@ func DialContext(ctx context.Context, addr string, timeout time.Duration) (Conn,
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 		}
-		wait := BackoffDelay(attempt, 25*time.Millisecond, time.Second, seed)
+		wait := Backoff{Base: 25 * time.Millisecond, Max: time.Second}.Delay(attempt, seed)
 		if rem := time.Until(deadline); wait > rem {
 			wait = rem
 		}
@@ -52,8 +52,8 @@ func DialContext(ctx context.Context, addr string, timeout time.Duration) (Conn,
 	}
 }
 
-// Listener accepts framed party connections; unlike the one-shot Listen it
-// stays open, so a server can host many concurrent sessions.
+// Listener accepts framed party connections and stays open, so a server
+// can host many concurrent sessions.
 type Listener struct {
 	l    net.Listener
 	mu   sync.Mutex

@@ -123,12 +123,3 @@ func (b Backoff) Delay(attempt int, seed uint64) time.Duration {
 	}
 	return half + time.Duration(j%uint64(half+1))
 }
-
-// BackoffDelay returns the delay to wait before retry number attempt
-// (0-based) under the default equal-jitter policy: exponential growth
-// base·2^attempt capped at max, jitter in [d/2, d] derived from seed and
-// the attempt index. base 0 defaults to 100 ms, max 0 to 2 s. It is
-// shorthand for Backoff{Base: base, Max: max}.Delay(attempt, seed).
-func BackoffDelay(attempt int, base, max time.Duration, seed uint64) time.Duration {
-	return Backoff{Base: base, Max: max}.Delay(attempt, seed)
-}

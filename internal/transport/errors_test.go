@@ -41,10 +41,11 @@ func TestIsTransientClassification(t *testing.T) {
 
 func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
 	base, max := 50*time.Millisecond, time.Second
+	b := Backoff{Base: base, Max: max}
 	var prevCap time.Duration
 	for attempt := 0; attempt < 12; attempt++ {
-		d1 := BackoffDelay(attempt, base, max, 7)
-		d2 := BackoffDelay(attempt, base, max, 7)
+		d1 := b.Delay(attempt, 7)
+		d2 := b.Delay(attempt, 7)
 		if d1 != d2 {
 			t.Fatalf("attempt %d: nondeterministic delay %v vs %v", attempt, d1, d2)
 		}
@@ -64,14 +65,14 @@ func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
 	// Different seeds should usually produce different jitter.
 	same := 0
 	for attempt := 0; attempt < 8; attempt++ {
-		if BackoffDelay(attempt, base, max, 1) == BackoffDelay(attempt, base, max, 2) {
+		if b.Delay(attempt, 1) == b.Delay(attempt, 2) {
 			same++
 		}
 	}
 	if same == 8 {
 		t.Error("jitter identical across seeds for every attempt")
 	}
-	if d := BackoffDelay(0, 0, 0, 0); d <= 0 || d > 2*time.Second {
+	if d := (Backoff{}).Delay(0, 0); d <= 0 || d > 2*time.Second {
 		t.Errorf("zero-value defaults gave %v", d)
 	}
 }

@@ -334,17 +334,6 @@ func Dial(addr string, timeout time.Duration) (Conn, error) {
 	return DialContext(context.Background(), addr, timeout)
 }
 
-// Listen accepts a single peer connection on addr, closing the listener
-// afterwards. Servers hosting concurrent sessions use NewListener.
-func Listen(addr string) (Conn, error) {
-	l, err := NewListener(addr)
-	if err != nil {
-		return nil, err
-	}
-	defer l.Close()
-	return l.Accept(context.Background())
-}
-
 // ioChunk is the segment size for moving frame payloads: the idle
 // deadline is re-armed and the receive buffer grown per segment, so
 // neither allocation nor patience ever runs ahead of the bytes the peer
