@@ -1,9 +1,7 @@
 // Command aq2pnnlint enforces the static invariants of the 2PC engine:
 // ring reduction of share arithmetic (ringmask), PRG-only randomness in
 // secret-handling packages (prgonly), transport error discipline
-// (sendcheck), context plumbing in the serving engine (ctxplumb),
-// panic-free protocol paths (panicfree), race-free parallel kernels
-// (looppar), telemetry spans ended on all paths (spanend), bounded
+// (sendcheck), race-free parallel kernels (looppar), bounded
 // wire-declared allocations (alloccap), interprocedural secret-leakage
 // taint tracking via cross-package facts (secretflow) and the salted
 // session-seed derivation contract (detrand). See the "Static

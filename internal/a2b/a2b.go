@@ -26,7 +26,8 @@ var (
 // matching the paper's U = ⌊ℓ/2⌋ + 1.
 func Groups(bits uint) []uint {
 	if bits == 0 {
-		//lint:allow panicfree config-time guard: every caller passes ring.Ring.Bits, which ring.New bounds to [1,MaxBits]
+		// Every caller passes ring.Ring.Bits, which ring.New bounds to
+		// [1,MaxBits].
 		panic("a2b: zero bit-length")
 	}
 	if bits == 1 {
@@ -48,7 +49,8 @@ func Groups(bits uint) []uint {
 // single bits, then ⌈(ℓ−2)/2⌉ groups of the rest.
 func U(bits uint) int {
 	if bits == 0 {
-		//lint:allow panicfree config-time guard: every caller passes ring.Ring.Bits, which ring.New bounds to [1,MaxBits]
+		// Every caller passes ring.Ring.Bits, which ring.New bounds to
+		// [1,MaxBits].
 		panic("a2b: zero bit-length")
 	}
 	if bits == 1 {

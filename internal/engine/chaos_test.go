@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"runtime"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"aq2pnn/internal/nn"
 	"aq2pnn/internal/ot"
+	"aq2pnn/internal/telemetry"
 	"aq2pnn/internal/testutil"
 	"aq2pnn/internal/transport"
 )
@@ -214,6 +216,76 @@ func TestFaultSweepLatency(t *testing.T) {
 		}
 		if errP != nil && !transport.IsTransient(errP) {
 			t.Errorf("latency+drop at %d: provider error %v not transient", k, errP)
+		}
+	}
+}
+
+// TestFaultSweepTraceAttribution holds the span contract on error paths:
+// traced sessions of one are cut at every op index of either party, and
+// every failed attempt must still end each span it started. Each
+// *.session.infer root that a party opened stays partitioned exactly by
+// its children's deltas, and no finished span hangs under a parent that
+// never ended. A protocol span left open on an error return breaks one
+// or the other. Micro's session is a few dozen ops per party, so no
+// index is sampled out.
+func TestFaultSweepTraceAttribution(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fault sweep")
+	}
+	m, err := nn.ByName("micro", nn.ZooConfig{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Options{Seed: 4, Group: ot.TestGroup(), Trace: telemetry.New()}
+	x := make([]int64, m.InputShape().Numel())
+	for i := range x {
+		x[i] = int64(i%13) - 6
+	}
+	base := runtime.NumGoroutine()
+	userOps, providerOps, want := cleanRun(t, registryOf(t, m), m, x, cfg)
+	assertSpansEnded(t, cfg.Trace)
+	assertExactAttribution(t, cfg.Trace, "user.session.infer", nil)
+	for _, faultUser := range []bool{true, false} {
+		side, ops := "provider", providerOps
+		if faultUser {
+			side, ops = "user", userOps
+		}
+		for k := 0; k < ops; k++ {
+			t.Run(fmt.Sprintf("%s/op%d", side, k), func(t *testing.T) {
+				cfg := cfg
+				cfg.Trace = telemetry.New()
+				faultedRun(t, m, x, cfg, faultUser, k, want)
+				assertSpansEnded(t, cfg.Trace)
+				for _, root := range []string{"user.session.infer", "provider.session.infer"} {
+					if countSpans(cfg.Trace, root) > 0 {
+						assertExactAttribution(t, cfg.Trace, root, nil)
+					}
+				}
+			})
+		}
+	}
+	testutil.CheckGoroutines(t, base)
+}
+
+// assertSpansEnded checks that every span the tracer started was ended.
+// Span IDs are issued consecutively from 1 and only ended spans are
+// recorded, so the trace must hold IDs 1..len(spans), and every recorded
+// parent must itself be recorded.
+func assertSpansEnded(t *testing.T, tr *telemetry.Tracer) {
+	t.Helper()
+	spans := tr.Spans()
+	ended := make(map[uint64]bool, len(spans))
+	var maxID uint64
+	for _, r := range spans {
+		ended[r.ID] = true
+		maxID = max(maxID, r.ID)
+	}
+	if maxID != uint64(len(spans)) {
+		t.Errorf("%d spans started, %d ended", maxID, len(spans))
+	}
+	for _, r := range spans {
+		if r.Parent != 0 && !ended[r.Parent] {
+			t.Errorf("span %q ended under parent %d, which never ended", r.Name, r.Parent)
 		}
 	}
 }

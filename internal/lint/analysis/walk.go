@@ -23,15 +23,3 @@ func WithStack(files []*ast.File, fn func(n ast.Node, stack []ast.Node) bool) {
 		})
 	}
 }
-
-// EnclosingFunc returns the innermost function declaration or literal on
-// the stack, or nil.
-func EnclosingFunc(stack []ast.Node) ast.Node {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch stack[i].(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			return stack[i]
-		}
-	}
-	return nil
-}

@@ -6,31 +6,19 @@ import (
 	"aq2pnn/internal/lint/analysis"
 )
 
-// Suite returns every analyzer, in reporting order.
-func Suite() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		RingMask,
-		PRGOnly,
-		SendCheck,
-		CtxPlumb,
-		PanicFree,
-		LoopPar,
-		SpanEnd,
-		AllocCap,
-		SecretFlow,
-		DetRand,
-	}
-}
-
-// scopes maps an analyzer to the import paths it patrols. A nil entry
-// means every package of this module. The analyzers themselves are scope-
-// agnostic; this table is the single place where "secret-handling
-// package" and "protocol-runtime package" are defined.
-var scopes = map[string][]string{
+// suite lists every analyzer, in reporting order, with the import paths
+// it patrols. A nil paths entry means every package of this module. The
+// analyzers themselves are scope-agnostic; this table is the single place
+// where "secret-handling package" and "wire-facing package" are defined,
+// and an analyzer cannot join the suite without a scope.
+var suite = []struct {
+	a     *analysis.Analyzer
+	paths []string
+}{
 	// Share arithmetic lives in the protocol operator packages. The ring
 	// package itself is the reduction layer (every op carries the mask),
 	// and tensor/fpga do plaintext-domain math, so they are out of scope.
-	RingMask.Name: {
+	{RingMask, []string{
 		"aq2pnn/internal/secure",
 		"aq2pnn/internal/scm",
 		"aq2pnn/internal/a2b",
@@ -39,11 +27,11 @@ var scopes = map[string][]string{
 		"aq2pnn/internal/preproc",
 		"aq2pnn/cmd/...",
 		"aq2pnn/examples/...",
-	},
+	}},
 	// Everything that touches shares, masks, triples or pads. internal/prg
 	// is deliberately absent: it is the one place allowed to consume
 	// crypto/rand (to seed sessions).
-	PRGOnly.Name: {
+	{PRGOnly, []string{
 		"aq2pnn/internal/secure",
 		"aq2pnn/internal/scm",
 		"aq2pnn/internal/a2b",
@@ -56,34 +44,14 @@ var scopes = map[string][]string{
 		"aq2pnn/internal/ring",
 		"aq2pnn/cmd/...",
 		"aq2pnn/examples/...",
-	},
+	}},
 	// Dropped transport errors are a bug anywhere in the module.
-	SendCheck.Name: nil,
-	// Context plumbing is a serving-path concern: the engine/transport
-	// stack plus the long-running party binary, whose graceful shutdown
-	// depends on the signal context reaching every session.
-	CtxPlumb.Name: {
-		"aq2pnn",
-		"aq2pnn/internal/engine",
-		"aq2pnn/internal/transport",
-		"aq2pnn/cmd/party",
-	},
-	// Protocol-runtime packages reachable from SecureInfer*.
-	PanicFree.Name: {
-		"aq2pnn/internal/secure",
-		"aq2pnn/internal/scm",
-		"aq2pnn/internal/a2b",
-		"aq2pnn/internal/triple",
-		"aq2pnn/internal/transport",
-		"aq2pnn/internal/ot",
-		"aq2pnn/internal/engine",
-		"aq2pnn/internal/preproc",
-	},
+	{SendCheck, nil},
 	// Pool kernels appear wherever the shared pool is used.
-	LoopPar.Name: nil,
+	{LoopPar, nil},
 	// Wire-facing decoders: everywhere a peer-declared length could size
 	// an allocation before a bound check.
-	AllocCap.Name: {
+	{AllocCap, []string{
 		"aq2pnn/internal/transport",
 		"aq2pnn/internal/engine",
 		"aq2pnn/internal/preproc",
@@ -92,31 +60,27 @@ var scopes = map[string][]string{
 		"aq2pnn/internal/a2b",
 		"aq2pnn/cmd/...",
 		"aq2pnn/examples/...",
-	},
-	// Every package that starts telemetry spans (the instrumented protocol
-	// stack, the engine, the facade and the telemetry package itself).
-	SpanEnd.Name: {
-		"aq2pnn",
-		"aq2pnn/internal/engine",
-		"aq2pnn/internal/secure",
-		"aq2pnn/internal/scm",
-		"aq2pnn/internal/ot",
-		"aq2pnn/internal/triple",
-		"aq2pnn/internal/a2b",
-		"aq2pnn/internal/telemetry",
-		"aq2pnn/internal/preproc",
-	},
+	}},
 	// The leakage boundary is a whole-module contract: a share value can be
 	// laundered through any helper before it reaches a sink, so every
 	// package is in scope and facts stitch the flows together.
-	SecretFlow.Name: nil,
+	{SecretFlow, nil},
 	// Transcript-determinism is owned by the engine's session layer — the
 	// only place seeds are minted. internal/prg is the mechanism, not a
 	// policy violation, and tests mint fixture seeds freely.
-	DetRand.Name: {
+	{DetRand, []string{
 		"aq2pnn/internal/engine",
 		"aq2pnn/internal/preproc",
-	},
+	}},
+}
+
+// Suite returns every analyzer, in reporting order.
+func Suite() []*analysis.Analyzer {
+	out := make([]*analysis.Analyzer, len(suite))
+	for i, e := range suite {
+		out[i] = e.a
+	}
+	return out
 }
 
 // AnalyzersFor returns the analyzers that patrol the package with the
@@ -125,16 +89,12 @@ var scopes = map[string][]string{
 func AnalyzersFor(importPath string, selected map[string]bool) []*analysis.Analyzer {
 	path := NormalizeImportPath(importPath)
 	var out []*analysis.Analyzer
-	for _, a := range Suite() {
-		if selected != nil && !selected[a.Name] {
+	for _, e := range suite {
+		if selected != nil && !selected[e.a.Name] {
 			continue
 		}
-		paths, ok := scopes[a.Name]
-		if !ok {
-			continue // unscoped analyzers never run implicitly
-		}
-		if paths == nil || containsPath(paths, path) {
-			out = append(out, a)
+		if e.paths == nil || containsPath(e.paths, path) {
+			out = append(out, e.a)
 		}
 	}
 	return out

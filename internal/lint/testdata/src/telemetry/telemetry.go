@@ -1,10 +1,7 @@
 // Package telemetry is a miniature mimic of aq2pnn/internal/telemetry for
-// analyzer testdata (matched by the package name and the Scope / Tracer /
-// Span type and method names).
+// analyzer testdata (matched by the package name and the attribute
+// builder and Span.SetAttr names that secretflow treats as sinks).
 package telemetry
-
-// SpanOption configures a started span.
-type SpanOption func()
 
 // Attr is one key/value span attribute.
 type Attr struct {
@@ -21,17 +18,4 @@ func Int(k string, v int64) Attr { return Attr{Key: k, Value: v} }
 // Span is one started span.
 type Span struct{}
 
-func (s *Span) End()                                        {}
-func (s *Span) SetAttr(key string, value any)               {}
-func (s *Span) Child(name string, opts ...SpanOption) *Span { return &Span{} }
-
-// Tracer starts root spans.
-type Tracer struct{}
-
-func (t *Tracer) Root(name string, opts ...SpanOption) *Span { return &Span{} }
-
-// Scope threads the current span through one party's sequential flow.
-type Scope struct{}
-
-func (s *Scope) Enter(name string, opts ...SpanOption) *Span { return &Span{} }
-func (s *Scope) Exit(sp *Span)                               {}
+func (s *Span) SetAttr(key string, value any) {}

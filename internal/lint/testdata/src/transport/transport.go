@@ -3,8 +3,6 @@
 // helper function names).
 package transport
 
-import "context"
-
 type Conn interface {
 	Send(p []byte) error
 	Recv() ([]byte, error)
@@ -24,7 +22,3 @@ func RecvElems(c Conn, n int) ([]uint64, error)        { return nil, nil }
 func SendBytes(c Conn, p []byte) error                 { return c.Send(p) }
 func RecvBytes(c Conn) ([]byte, error)                 { return c.Recv() }
 func Exchange(c Conn, mine []uint64) ([]uint64, error) { return nil, nil }
-
-func Dial(addr string) (Conn, error) { return DialContext(context.Background(), addr) }
-
-func DialContext(ctx context.Context, addr string) (Conn, error) { return nil, nil }

@@ -70,7 +70,8 @@ func DefaultGroup() Group { return defaultGroup() }
 var defaultGroup = sync.OnceValue(func() Group {
 	p, err := crand.Prime(crand.Reader, 512)
 	if err != nil {
-		//lint:allow panicfree config-time: the group is built once per process before any protocol bytes flow, and crand.Prime fails only when the OS CSPRNG is broken
+		// The group is built once per process before any protocol bytes
+		// flow, and crand.Prime fails only when the OS CSPRNG is broken.
 		panic("ot: cannot generate group prime: " + err.Error())
 	}
 	return Group{P: p, G: big.NewInt(5)}

@@ -24,7 +24,8 @@ func PackElems(r ring.Ring, xs []uint64) []byte {
 func PackElemsInto(dst []byte, r ring.Ring, xs []uint64) {
 	w := r.Bytes()
 	if len(dst) != len(xs)*w {
-		//lint:allow panicfree local programming error, not peer input: dst is sized by the caller from the same xs/ring it passes in
+		// A local programming error, not peer input: dst is sized by the
+		// caller from the same xs/ring it passes in.
 		panic(fmt.Sprintf("transport: PackElemsInto dst length %d for %d elements of width %d", len(dst), len(xs), w))
 	}
 	le := binary.LittleEndian
