@@ -94,14 +94,15 @@ chaos:
 # transcripts, token steps of rising then falling size over stocks
 # compacted in place, the pad definition, serial-vs-pooled OT endpoints,
 # an extend pair on recycled 0xFF slabs against one on fresh buffers, the
-# Gilboa and fixed-choice triple shares, Micro's cold and warm online
-# round counts and the accelerator cost model's per-node bytes and rounds
-# against the measured wire, at three worker counts, once with the AES-NI
-# kernel behind the fixed-key permutation and the IKNP column expansion
-# and once under -tags purego, which runs the per-block fallback. The
+# Gilboa and fixed-choice triple shares, the seed expansion's known
+# answer, Micro's cold and warm online round counts and the accelerator
+# cost model's per-node bytes and rounds against the measured wire, at
+# three worker counts, once with the AES-NI kernels behind the fixed-key
+# permutation, the seed expansion and the IKNP column expansion and once
+# under -tags purego, which runs the per-block fallback. The
 # pinned constants must not depend on GOMAXPROCS or on the build, and
 # tier-1 runs them at one count only.
-PINS_RUN = TestOTTranscriptPinned|TestStockStepsPinned|TestPoolMatchesSerial|TestPadKnownAnswer|TestExtendSlabHygiene|TestGilboaSharesPinned|TestFixedChoiceSharesPinned|TestSessionTranscriptPinned|TestMicroOnlineRoundsPinned|TestPerOpCommMatchesEngineProfile|TestAnalyticCommMatchesMeasured
+PINS_RUN = TestOTTranscriptPinned|TestStockStepsPinned|TestPoolMatchesSerial|TestPadKnownAnswer|TestExtendSlabHygiene|TestGilboaSharesPinned|TestFixedChoiceSharesPinned|TestExpandKnownAnswer|TestSessionTranscriptPinned|TestMicroOnlineRoundsPinned|TestPerOpCommMatchesEngineProfile|TestAnalyticCommMatchesMeasured
 PINS_PKGS = ./internal/ot/ ./internal/triple/ ./internal/engine/ ./internal/fpga/
 
 pins:
@@ -122,7 +123,8 @@ chaos-fleet:
 # Protocol fuzzing suite (docs/robustness.md, "Hostile peers"): every
 # wire decoder that consumes peer-controlled bytes, from its committed
 # seed corpus in testdata/fuzz/, then the fixed-key permutation's kernel
-# differentially against crypto/aes, the IKNP row-block transpose against
+# differentially against crypto/aes, the seed expansion's kernel against
+# its Go fallback, the IKNP row-block transpose against
 # the bit-by-bit one, the keyed IKNP column expansion against
 # prg.Keystream, and the 1 KiB-buffered PRG against the 8 KiB-buffered
 # one it replaced. `go test -fuzz` with a pattern that matches
@@ -139,6 +141,7 @@ FUZZ_TARGETS = \
 	./internal/scm/:FuzzSCMMessage \
 	./internal/triple/:FuzzFixedChoiceFrame \
 	./internal/ot/:FuzzPermBlocks \
+	./internal/ot/:FuzzExpand \
 	./internal/ot/:FuzzTransposeBlock \
 	./internal/ot/:FuzzColumnExpand \
 	./internal/prg/:FuzzPRGStream

@@ -4,6 +4,7 @@ import (
 	"crypto/aes"
 	"crypto/subtle"
 	"encoding/binary"
+	"fmt"
 	"sync"
 )
 
@@ -263,9 +264,21 @@ func PermuteSeeds(dst, src []byte) { permuteBlocks(dst, src) }
 // π(x_i) is block i of px, it writes blocks consecutive blocks per seed to
 // dst, block b of seed i being H(x_i, ⟨tagSeq, seq, b⟩). It is a PRG keyed
 // by x_i with (seq, b) in the tweak, so a seed masks a fresh pad at every
-// seq and a replayed seq rebuilds the same one. One π call covers the
-// whole slab; len(dst) must be len(px)·blocks, and nothing is allocated.
+// seq and a replayed seq rebuilds the same one. One pass covers the whole
+// slab, and nothing is allocated. px must be whole blocks and len(dst)
+// len(px)·blocks, or Expand panics before it writes: the amd64 kernel
+// behind it would not check.
 func Expand(dst, px []byte, seq uint64, blocks int) {
+	if len(px)%aes.BlockSize != 0 || blocks < 0 || len(dst) != len(px)*blocks {
+		panic(fmt.Sprintf("ot: Expand of %d bytes of seeds by %d blocks into %d bytes", len(px), blocks, len(dst)))
+	}
+	expandSeeds(dst, px, seq, blocks)
+}
+
+// expandGeneric is Expand's portable body: it writes every tweak block
+// ⟨tagSeq, seq, b⟩ ⊕ π(x_i) to dst, runs π over the slab in one call and
+// XORs π(x_i) back in. The purego build and CPUs without AES-NI run it.
+func expandGeneric(dst, px []byte, seq uint64, blocks int) {
 	le := binary.LittleEndian
 	const tag = uint64(tagSeq) << 56
 	n := len(px) / aes.BlockSize

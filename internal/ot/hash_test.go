@@ -198,3 +198,72 @@ func BenchmarkHashForms(b *testing.B) {
 		})
 	}
 }
+
+// TestExpandKnownAnswer checks Expand, and the Go fallback beside it,
+// against H(x, ⟨tagSeq, seq, b⟩) built from crypto/aes one block at a
+// time: 1–9 seeds per call at 1–9, 13, 16, 17 and 98 blocks per seed, so
+// that the kernel's eight- and one-block passes start and end inside a
+// seed and straddle seed boundaries.
+func TestExpandKnownAnswer(t *testing.T) {
+	g := prg.NewSeeded(109)
+	for _, blocks := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16, 17, 98} {
+		for seeds := 1; seeds <= 9; seeds++ {
+			seq := g.Uint64() >> g.Intn(64)
+			xs := make([][SeedLen]byte, seeds)
+			px := make([]byte, seeds*SeedLen)
+			for i := range xs {
+				g.Read(xs[i][:])
+				p := refPermute(xs[i])
+				copy(px[i*SeedLen:], p[:])
+			}
+			want := make([]byte, 0, len(px)*blocks)
+			for _, x := range xs {
+				for b := range blocks {
+					h := refHash(x, tagSeq, seq, uint64(b))
+					want = append(want, h[:]...)
+				}
+			}
+			for name, f := range map[string]func(dst, px []byte, seq uint64, blocks int){"Expand": Expand, "expandGeneric": expandGeneric} {
+				got := make([]byte, len(want))
+				f(got, px, seq, blocks)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s: %d seeds × %d blocks at seq %#x differ from crypto/aes", name, seeds, blocks, seq)
+				}
+			}
+		}
+	}
+}
+
+// TestExpandChecksLength: Expand panics on a dst that is not exactly
+// len(px)·blocks bytes, on seeds that are not whole blocks and on a
+// negative block count, before it writes a byte of dst's array.
+func TestExpandChecksLength(t *testing.T) {
+	px := make([]byte, 3*SeedLen)
+	prg.NewSeeded(110).Read(px)
+	const blocks = 5
+	want := len(px) * blocks
+	for _, c := range []struct {
+		name    string
+		dst, px int
+		blocks  int
+	}{
+		{"dst one block short", want - SeedLen, len(px), blocks},
+		{"dst one byte short", want - 1, len(px), blocks},
+		{"dst one block long", want + SeedLen, len(px), blocks},
+		{"seeds not whole blocks", want, len(px) - 1, blocks},
+		{"negative blocks", 0, len(px), -1},
+	} {
+		buf := make([]byte, want+2*SeedLen)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Expand returned, want a panic", c.name)
+				}
+			}()
+			Expand(buf[:c.dst], px[:c.px], 1, c.blocks)
+		}()
+		if !bytes.Equal(buf, make([]byte, len(buf))) {
+			t.Errorf("%s: Expand wrote into dst's array before it panicked", c.name)
+		}
+	}
+}

@@ -10,7 +10,9 @@ import (
 // over many blocks per call in an 8-way interleaved kernel (perm_amd64.s),
 // whose round keys come from expandKey. Under the purego tag, on other
 // architectures and on CPUs without AES-NI, it runs permuteBlocksGeneric:
-// one cipher.Block call per block.
+// one cipher.Block call per block. Expand's session-seed hashes have a
+// kernel of their own there (aesExpand), which builds each tweak block in
+// registers instead of staging it in memory.
 //
 // The IKNP column expansion is AES-128 in counter mode under each base-OT
 // seed (colKey). A plane keys each of its columns once; where the kernel

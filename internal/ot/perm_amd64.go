@@ -34,6 +34,16 @@ func permuteBlocks(dst, src []byte) {
 	aesBlocks(&permKeys, dst[:len(src)], src)
 }
 
+// expandSeeds is Expand's body: the kernel builds each tweak block in
+// registers and XORs π(x) back in before it stores.
+func expandSeeds(dst, px []byte, seq uint64, blocks int) {
+	if !useAESNI {
+		expandGeneric(dst, px, seq, blocks)
+		return
+	}
+	aesExpand(&permKeys, dst, px, seq, blocks)
+}
+
 // colKey is a column seed's AES-128, keyed once: the kernel's round keys
 // where the CPU has AES-NI, a crypto/aes block where it has not. It is
 // only read after newColKey, so endpoints share it.
@@ -86,3 +96,14 @@ func aesBlocks(rk *roundKeys, dst, src []byte)
 //
 //go:noescape
 func aesCTR(rk *roundKeys, dst []byte, hi, lo uint64)
+
+// aesExpand writes H(x_i, ⟨tagSeq, seq, b⟩) = π(π(x_i) ⊕ tw) ⊕ π(x_i) for
+// the len(dst)/16 blocks of dst, blocks consecutive ones per seed, π(x_i)
+// being block i of px. Each tweak block is built in registers; the
+// blocks are encrypted eight, four, then one at a time as in aesBlocks,
+// and a pass of eight runs across seed boundaries, so a slab of short
+// expansions still fills every lane. The caller checks that len(dst) is
+// len(px)·blocks.
+//
+//go:noescape
+func aesExpand(rk *roundKeys, dst, px []byte, seq uint64, blocks int)

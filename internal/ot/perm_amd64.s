@@ -161,3 +161,77 @@ ctr1:
 
 ctrdone:
 	RET
+
+// The input block of one lane of aesExpand: π(x) of the current seed,
+// spilled to the frame at off, XORed with the tweak ⟨tagSeq, seq, b⟩
+// (seq in the low quadword, tag|b in the high one). Then b counts on; at
+// the end of a seed's blocks it restarts at 0 and SI moves to the next
+// seed's π(x), without a branch, so a pass of eight lanes may span seeds.
+#define TWEAK(X, off) MOVOU (SI), X; MOVOU X, off(SP); \
+	MOVQ DX, R10; ORQ R9, R10; MOVQ R8, X10; MOVQ R10, X11; \
+	PUNPCKLQDQ X11, X10; PXOR X10, X; \
+	INCQ DX; CMPQ DX, BX; LEAQ 16(SI), R11; CMOVQEQ R11, SI; CMOVQEQ R12, DX
+
+// The lane's π(x), from the frame at off, XORed back in.
+#define UNTWEAK(X, off) MOVOU off(SP), X9; PXOR X9, X
+
+// func aesExpand(rk *roundKeys, dst, px []byte, seq uint64, blocks int)
+// Requires: AES, SSE2, CMOV
+TEXT ·aesExpand(SB), NOSPLIT, $128-72
+	MOVQ rk+0(FP), AX
+	MOVQ dst_base+8(FP), DI
+	MOVQ dst_len+16(FP), CX
+	MOVQ px_base+32(FP), SI
+	MOVQ seq+56(FP), R8
+	MOVQ blocks+64(FP), BX
+	MOVQ $0x0500000000000000, R9
+	XORQ DX, DX
+	XORQ R12, R12
+	SHRQ $4, CX
+
+exp8:
+	CMPQ CX, $8
+	JB   exp4
+	TWEAK(X0, 0); TWEAK(X1, 16); TWEAK(X2, 32); TWEAK(X3, 48)
+	TWEAK(X4, 64); TWEAK(X5, 80); TWEAK(X6, 96); TWEAK(X7, 112)
+	ROUNDS(XOR8, ENC8, LAST8)
+	UNTWEAK(X0, 0); UNTWEAK(X1, 16); UNTWEAK(X2, 32); UNTWEAK(X3, 48)
+	UNTWEAK(X4, 64); UNTWEAK(X5, 80); UNTWEAK(X6, 96); UNTWEAK(X7, 112)
+	MOVOU X0, 0(DI)
+	MOVOU X1, 16(DI)
+	MOVOU X2, 32(DI)
+	MOVOU X3, 48(DI)
+	MOVOU X4, 64(DI)
+	MOVOU X5, 80(DI)
+	MOVOU X6, 96(DI)
+	MOVOU X7, 112(DI)
+	ADDQ $128, DI
+	SUBQ $8, CX
+	JMP  exp8
+
+exp4:
+	CMPQ CX, $4
+	JB   exp1
+	TWEAK(X0, 0); TWEAK(X1, 16); TWEAK(X2, 32); TWEAK(X3, 48)
+	ROUNDS(XOR4, ENC4, LAST4)
+	UNTWEAK(X0, 0); UNTWEAK(X1, 16); UNTWEAK(X2, 32); UNTWEAK(X3, 48)
+	MOVOU X0, 0(DI)
+	MOVOU X1, 16(DI)
+	MOVOU X2, 32(DI)
+	MOVOU X3, 48(DI)
+	ADDQ $64, DI
+	SUBQ $4, CX
+
+exp1:
+	TESTQ CX, CX
+	JZ    expdone
+	TWEAK(X0, 0)
+	ROUNDS(XOR1, ENC1, LAST1)
+	UNTWEAK(X0, 0)
+	MOVOU X0, (DI)
+	ADDQ  $16, DI
+	DECQ  CX
+	JMP   exp1
+
+expdone:
+	RET

@@ -12,6 +12,9 @@ import (
 // either the same slice or disjoint.
 func permuteBlocks(dst, src []byte) { permuteBlocksGeneric(dst, src) }
 
+// expandSeeds is Expand's body, the Go tweak pass around permuteBlocks.
+func expandSeeds(dst, px []byte, seq uint64, blocks int) { expandGeneric(dst, px, seq, blocks) }
+
 // colKey is a column seed's AES-128, keyed once as a crypto/aes block. It
 // is only read after newColKey, so endpoints share it.
 type colKey struct{ block cipher.Block }

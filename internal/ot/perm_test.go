@@ -217,3 +217,51 @@ func BenchmarkExpandKey(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/key")
 }
+
+// FuzzExpand is a differential test of Expand's kernel against the Go
+// fallback over arbitrary seeds (up to 64), seq and blocks per seed
+// (0–31). The corpus runs 0, 1, 3, 4, 7, 8 and 9 seeds at 1 to 13 blocks
+// each, so that passes of eight and of one end inside a seed and across
+// seed boundaries.
+func FuzzExpand(f *testing.F) {
+	for i, c := range [][2]int{{1, 1}, {3, 2}, {4, 5}, {7, 8}, {8, 1}, {9, 13}, {0, 3}} {
+		data := make([]byte, c[0]*aes.BlockSize)
+		prg.NewSeeded(uint64(i)).Read(data)
+		f.Add(data, uint64(i)<<32|uint64(c[0]), uint8(c[1]))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, seq uint64, blocks uint8) {
+		px := data[:min(len(data), 64*aes.BlockSize)/aes.BlockSize*aes.BlockSize]
+		n := int(blocks % 32)
+		want := make([]byte, len(px)*n)
+		expandGeneric(want, px, seq, n)
+		got := make([]byte, len(want))
+		Expand(got, px, seq, n)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d seeds × %d blocks at seq %#x: Expand differs from the Go fallback", len(px)/aes.BlockSize, n, seq)
+		}
+	})
+}
+
+// BenchmarkExpand reports ns per block for Expand (the kernel, where the
+// build and CPU have one) and for the Go fallback, at the fixed-choice
+// kit's two shapes: 16 seeds of 98 blocks (LeNet5's first convolution)
+// and 16 of 4 (Micro's).
+func BenchmarkExpand(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		f    func(dst, px []byte, seq uint64, blocks int)
+	}{{"kernel", Expand}, {"generic", expandGeneric}} {
+		for _, blocks := range []int{98, 4} {
+			b.Run(fmt.Sprintf("%s/16x%d", bc.name, blocks), func(b *testing.B) {
+				px := make([]byte, 16*aes.BlockSize)
+				prg.NewSeeded(111).Read(px)
+				dst := make([]byte, len(px)*blocks)
+				b.SetBytes(int64(len(dst)))
+				for i := 0; i < b.N; i++ {
+					bc.f(dst, px, uint64(i), blocks)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*16*blocks), "ns/block")
+			})
+		}
+	}
+}

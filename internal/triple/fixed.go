@@ -196,17 +196,13 @@ func fixedZ(conn transport.Conn, pool *parallel.Pool, s *FixedSeeds, party int, 
 	r, k, n := s.R, s.K, s.N
 	z := make([]uint64, m*n)
 	tensor.MatMulModParInto(pool, z, aShare, s.BShare, m, k, n, r.Mask)
-	at := fixedSlab.Get(k * m)
+	p := s.plan(m)
+	at := fixedSlab.Get(k * p.words)
 	defer fixedSlab.Put(at)
-	for i := range m {
-		for kk := range k {
-			at[kk*m+i] = aShare[i*k+kk]
-		}
-	}
-	zt := fixedSlab.Get(n * m)
+	p.pack(at, aShare, k)
+	zt := fixedSlab.Get(n * p.words)
 	defer fixedSlab.Put(zt)
 	clear(zt)
-	p := s.plan(m)
 	frame := make([]byte, k*n*p.row)
 	pool.Blocks(n, func(lo, hi int) {
 		sc := s.scratch(p)
@@ -236,33 +232,147 @@ func fixedZ(conn transport.Conn, pool *parallel.Pool, s *FixedSeeds, party int, 
 	for i := range m {
 		zi := z[i*n : (i+1)*n]
 		for j := range zi {
-			zi[j] = (zi[j] + zt[j*m+i]) & r.Mask
+			v := zi[j]
+			for c := range p.cls {
+				v += p.cls[c].elem(zt[j*p.words:], i)
+			}
+			zi[j] = v & r.Mask
 		}
 	}
 	return z, nil
+}
+
+// Lanes. Bit t's elements have ℓ−t bits in w[t] bytes, and an element
+// enters Z as g·2^t mod 2^ℓ. Elements of one or two bytes are processed
+// eight or four to a uint64, each in a lane of its own width, with
+// lane-local add and sub that never carry into the next lane. Their
+// contribution fits that lane once the shift s = max(0, ℓ − lane width)
+// is taken out: ℓ−t ≤ lane width, so t ≥ s and g·2^(t−s) < 2^(ℓ−s), and
+// Z's bits from s up are the lane's mod 2^(lane width). Wider elements
+// (3 to 8 bytes, carriers over 16 bits only) keep a uint64 each.
+//
+// Each width class keeps its own words of a row of m elements: the
+// cross-term accumulator has one row per column j, and A, packed once per
+// generation, one per kk. A lane holds A mod 2^(lane width), which is all
+// a correction mod 2^(ℓ−t) reads of it.
+
+// laneClass is the layout of one width class in a row: its words words
+// start at word off, and each holds lanes elements of bits bits, which
+// stand for Z's bits from shift up. ones has the lowest bit of every lane
+// set.
+type laneClass struct {
+	off, words, lanes int
+	bits, shift       uint
+	ones              uint64
+}
+
+// classOf is the class of w-byte elements: bytes, 16-bit lanes, or one
+// element per word.
+func classOf(w int) int {
+	if w <= 2 {
+		return w
+	}
+	return 0
+}
+
+// laneBits is each class's lane width.
+var laneBits = [3]uint{64, 8, 16}
+
+// elem is element i of the class in row, as its contribution to Z: the
+// lane shifted up by the class's shift. A class that is absent has no
+// lanes and contributes 0.
+func (c *laneClass) elem(row []uint64, i int) uint64 {
+	if c.lanes == 0 {
+		return 0
+	}
+	//lint:allow ringmask one lane of a packed row, placed at its bits of Z; the caller reduces the sum
+	return row[c.off+i/c.lanes] >> (c.bits * uint(i%c.lanes)) & (^uint64(0) >> (64 - c.bits)) << c.shift
+}
+
+// laneAdd and laneSub add and subtract x and y lane by lane, each lane mod
+// 2^(lane width): h holds the top bit of every lane, and no carry or
+// borrow crosses into the next lane (the SWAR forms of Hacker's Delight,
+// 2-18).
+func laneAdd(x, y, h uint64) uint64 {
+	//lint:allow ringmask lane-local add, each lane mod its width; callers mask the lanes they keep
+	return ((x &^ h) + (y &^ h)) ^ ((x ^ y) & h)
+}
+
+func laneSub(x, y, h uint64) uint64 {
+	//lint:allow ringmask lane-local sub, each lane mod its width; callers mask the lanes they keep
+	return ((x | h) - (y &^ h)) ^ ((x ^ ^y) & h)
 }
 
 // fixedPlan is the layout of one m-row triple of a layer. Bit t's
 // correction needs only its ℓ−t low bits, since it lands in Z times 2^t:
 // its elements take w[t] bytes, reduced by mask[t], and start at byte
 // fo[t] of a (kk, j) row of row bytes; each of its expansions takes nb[t]
-// hash blocks.
+// hash blocks. A lane or accumulator row is words uint64s, the classes
+// side by side; zmask is the ring's mask.
 type fixedPlan struct {
-	bits, m, row int
-	w, fo, nb    [64]int
-	mask         [64]uint64
+	bits, m, row, words int
+	w, fo, nb           [64]int
+	mask                [64]uint64
+	zmask               uint64
+	cls                 [3]laneClass
 }
 
 func (s *FixedSeeds) plan(m int) *fixedPlan {
-	p := &fixedPlan{bits: int(s.R.Bits), m: m}
+	p := &fixedPlan{bits: int(s.R.Bits), m: m, zmask: s.R.Mask}
 	for t := range p.bits {
 		r := ring.New(uint(p.bits - t))
 		p.w[t], p.mask[t] = r.Bytes(), r.Mask
 		p.fo[t] = p.row
 		p.row += m * p.w[t]
 		p.nb[t] = (m*p.w[t] + aes.BlockSize - 1) / aes.BlockSize
+		ci := classOf(p.w[t])
+		if c := &p.cls[ci]; c.lanes == 0 {
+			c.bits = laneBits[ci]
+			c.lanes = 64 / int(c.bits)
+			c.words = (m + c.lanes - 1) / c.lanes
+			c.shift = uint(max(0, p.bits-int(c.bits)))
+			c.ones = ^uint64(0) / (^uint64(0) >> (64 - c.bits))
+		}
+	}
+	for i := range p.cls {
+		if c := &p.cls[i]; c.lanes != 0 {
+			c.off = p.words
+			p.words += c.words
+		}
 	}
 	return p
+}
+
+// lanes is bit t's class and its lane constants: each lane's top bit h,
+// bit t's mask in every lane lm, and the shift sh of its contributions
+// inside their lanes.
+func (p *fixedPlan) lanes(t int) (c *laneClass, h, lm uint64, sh uint) {
+	c = &p.cls[classOf(p.w[t])]
+	//lint:allow ringmask lane constants, not ring values: each lane's top bit, and bit t's mask in every lane
+	return c, c.ones << (c.bits - 1), p.mask[t] * c.ones, uint(t) - c.shift
+}
+
+// of is the class's words of a lane or accumulator row.
+func (c *laneClass) of(row []uint64) []uint64 { return row[c.off : c.off+c.words] }
+
+// pack sets the K rows of at to the columns of the m×K matrix a, each in
+// every class's lanes.
+func (p *fixedPlan) pack(at, a []uint64, k int) {
+	for kk := range k {
+		row := at[kk*p.words : (kk+1)*p.words]
+		clear(row)
+		for ci := range p.cls {
+			c := &p.cls[ci]
+			if c.lanes == 0 {
+				continue
+			}
+			lm := ^uint64(0) >> (64 - c.bits)
+			for i := range p.m {
+				//lint:allow ringmask lane packing: A mod 2^(lane width), shifted into its lane
+				row[c.off+i/c.lanes] |= a[i*k+kk] & lm << (c.bits * uint(i%c.lanes))
+			}
+		}
+	}
 }
 
 // run returns the end of the run of bits from t0 on whose elements share
@@ -288,7 +398,7 @@ func (s *FixedSeeds) checkFrame(p []byte, m int) error {
 	return nil
 }
 
-// fixedSlab recycles fixedZ's transposed A and cross-term accumulators.
+// fixedSlab recycles fixedZ's packed A and cross-term accumulators.
 var fixedSlab parallel.Slab[uint64]
 
 // expandScratch is one pool chunk's staging: the expansions of one
@@ -309,25 +419,24 @@ func (s *FixedSeeds) scratch(p *fixedPlan) *expandScratch {
 
 // correctCols is the sender half for the columns j in [lo, hi): it writes
 // each (kk, j, t)'s correction u = G(k⁰) − G(k¹) + A[:, kk] mod 2^(ℓ−t)
-// to its place in frame and subtracts 2^t·G(k⁰) from column j of zt (N×m,
-// the transposed cross term, reduced by the caller). at is A transposed
-// (K×m).
+// to its place in frame and subtracts 2^t·G(k⁰) from column j of zt (N
+// accumulator rows, reduced by the caller). at is A packed (pack).
 func (s *FixedSeeds) correctCols(sc *expandScratch, p *fixedPlan, frame []byte, zt, at []uint64, seq uint32, lo, hi int) {
 	const blk = aes.BlockSize
 	m, bits := p.m, p.bits
 	for j := lo; j < hi; j++ {
-		ztj := zt[j*m : (j+1)*m]
+		ztj := zt[j*p.words : (j+1)*p.words]
 		for kk := range s.K {
 			idx := kk*s.N + j
 			px := s.send[2*idx*bits*blk : 2*(idx+1)*bits*blk]
-			ak := at[kk*m : (kk+1)*m]
+			ak := at[kk*p.words : (kk+1)*p.words]
 			row := frame[idx*p.row : (idx+1)*p.row]
 			for t0 := 0; t0 < bits; {
 				t1, ex := p.run(t0), p.nb[t0]*blk
 				ot.Expand(sc.g[:2*(t1-t0)*ex], px[2*t0*blk:2*t1*blk], uint64(seq), p.nb[t0])
 				for t := t0; t < t1; t++ {
 					e := sc.g[2*(t-t0)*ex:]
-					correctRow(row[p.fo[t]:p.fo[t]+m*p.w[t]], e, e[ex:], ztj, ak, uint(t), p.w[t], p.mask[t], s.R.Mask)
+					p.correctRow(row[p.fo[t]:p.fo[t]+m*p.w[t]], e[:ex], e[ex:2*ex], ztj, ak, t)
 				}
 				t0 = t1
 			}
@@ -342,7 +451,7 @@ func (s *FixedSeeds) absorbCols(sc *expandScratch, p *fixedPlan, zt []uint64, fr
 	const blk = aes.BlockSize
 	m, bits := p.m, p.bits
 	for j := lo; j < hi; j++ {
-		ztj := zt[j*m : (j+1)*m]
+		ztj := zt[j*p.words : (j+1)*p.words]
 		for kk := range s.K {
 			idx := kk*s.N + j
 			px := s.recv[idx*bits*blk : (idx+1)*bits*blk]
@@ -352,10 +461,8 @@ func (s *FixedSeeds) absorbCols(sc *expandScratch, p *fixedPlan, zt []uint64, fr
 				t1, ex := p.run(t0), p.nb[t0]*blk
 				ot.Expand(sc.g[:(t1-t0)*ex], px[t0*blk:t1*blk], uint64(seq), p.nb[t0])
 				for t := t0; t < t1; t++ {
-					addRow(ztj, sc.g[(t-t0)*ex:], uint(t), p.w[t], p.mask[t], s.R.Mask)
-					if b>>t&1 == 1 {
-						addRow(ztj, row[p.fo[t]:], uint(t), p.w[t], p.mask[t], s.R.Mask)
-					}
+					e := sc.g[(t-t0)*ex:]
+					p.absorbRow(ztj, e[:ex], row[p.fo[t]:p.fo[t]+m*p.w[t]], t, b>>t&1)
 				}
 				t0 = t1
 			}
@@ -363,57 +470,79 @@ func (s *FixedSeeds) absorbCols(sc *expandScratch, p *fixedPlan, zt []uint64, fr
 	}
 }
 
-// correctRow sets u to the w-byte elements g0 − g1 + a, reduced by mask,
-// and subtracts g0·2^t, reduced by zmask, from z, for the len(z) elements
-// of the expansions e0 and e1 (read from their start, reduced by mask). z
-// itself stays unreduced: ring addition mod 2^64 agrees with it mod 2^ℓ.
-func correctRow(u, e0, e1 []byte, z, a []uint64, t uint, w int, mask, zmask uint64) {
-	le := binary.LittleEndian
-	m := len(z)
-	e0, e1, a, u = e0[:m*w], e1[:m*w], a[:m], u[:m*w]
-	switch w {
-	case 1:
-		for i := range z {
-			g0, g1 := uint64(e0[i])&mask, uint64(e1[i])&mask
-			z[i] -= g0 << t & zmask
-			u[i] = byte((g0 - g1 + a[i]) & mask)
-		}
-	case 2:
-		for i := range z {
-			g0, g1 := uint64(le.Uint16(e0[2*i:]))&mask, uint64(le.Uint16(e1[2*i:]))&mask
-			z[i] -= g0 << t & zmask
-			le.PutUint16(u[2*i:], uint16((g0-g1+a[i])&mask))
-		}
-	default:
-		for i := range z {
+// correctRow is one (kk, j, t) of the sender: it sets u to the elements
+// g0 − g1 + a, reduced by bit t's mask, and subtracts g0·2^t from the
+// accumulator row z, for the m elements of the expansions e0 and e1 (read
+// from their start, reduced by the mask) and of the packed A row a.
+func (p *fixedPlan) correctRow(u, e0, e1 []byte, z, a []uint64, t int) {
+	c, h, lm, sh := p.lanes(t)
+	zc, ac := c.of(z), c.of(a)
+	if c.lanes == 1 {
+		w, mask := p.w[t], p.mask[t]
+		for i := range zc {
 			g0, g1 := loadElem(e0[w*i:], w, mask), loadElem(e1[w*i:], w, mask)
-			z[i] -= g0 << t & zmask
-			v := (g0 - g1 + a[i]) & mask
+			zc[i] -= g0 << t & p.zmask
+			v := (g0 - g1 + ac[i]) & mask
 			for b := range w {
 				u[w*i+b] = byte(v >> (8 * b))
 			}
 		}
+		return
+	}
+	n := len(u) / 8
+	correctLanes(u[:8*n], e0[:8*n], e1[:8*n], zc[:n], ac[:n], h, lm, sh)
+	if n < len(zc) {
+		var tail [8]byte
+		correctLanes(tail[:], e0[8*n:8*n+8], e1[8*n:8*n+8], zc[n:], ac[n:], h, lm, sh)
+		copy(u[8*n:], tail[:])
 	}
 }
 
-// addRow adds 2^t times each of the len(z) w-byte elements at the start
-// of p, reduced by mask, then by zmask, to z, itself unreduced.
-func addRow(z []uint64, p []byte, t uint, w int, mask, zmask uint64) {
+// correctLanes is correctRow over whole words: u, e0 and e1 hold 8 bytes
+// per word of z.
+func correctLanes(u, e0, e1 []byte, z, a []uint64, h, lm uint64, sh uint) {
 	le := binary.LittleEndian
-	p = p[:len(z)*w]
-	switch w {
-	case 1:
-		for i := range z {
-			z[i] += (uint64(p[i]) & mask) << t & zmask
+	z, a = z[:len(u)/8], a[:len(u)/8]
+	e0, e1 = e0[:len(u)], e1[:len(u)]
+	for q := range z {
+		g0, g1 := le.Uint64(e0[8*q:8*q+8])&lm, le.Uint64(e1[8*q:8*q+8])&lm
+		le.PutUint64(u[8*q:8*q+8], laneAdd(laneSub(g0, g1, h), a[q], h)&lm)
+		//lint:allow ringmask g0 < 2^(ℓ−t), so g0·2^(t−s) fits its lane; the merge reduces the accumulator
+		z[q] = laneSub(z[q], g0<<(sh&63), h)
+	}
+}
+
+// absorbRow is one (kk, j, t) of the receiver: it adds
+// (g + b·u mod 2^(ℓ−t))·2^t to the accumulator row z, in one pass over the
+// m elements of the expansion e and of the peer's correction u.
+func (p *fixedPlan) absorbRow(z []uint64, e, u []byte, t int, b uint64) {
+	c, h, lm, sh := p.lanes(t)
+	zc, bm := c.of(z), -b
+	if c.lanes == 1 {
+		w, mask := p.w[t], p.mask[t]
+		for i := range zc {
+			zc[i] += (loadElem(e[w*i:], w, mask) + loadElem(u[w*i:], w, mask)&bm) << t & p.zmask
 		}
-	case 2:
-		for i := range z {
-			z[i] += (uint64(le.Uint16(p[2*i:])) & mask) << t & zmask
-		}
-	default:
-		for i := range z {
-			z[i] += loadElem(p[w*i:], w, mask) << t & zmask
-		}
+		return
+	}
+	n := len(u) / 8
+	absorbLanes(zc[:n], e[:8*n], u[:8*n], h, lm, bm, sh)
+	if n < len(zc) {
+		var tail [8]byte
+		copy(tail[:], u[8*n:])
+		absorbLanes(zc[n:], e[8*n:8*n+8], tail[:], h, lm, bm, sh)
+	}
+}
+
+// absorbLanes is absorbRow over whole words: e and u hold 8 bytes per
+// word of z, and bm is b's mask, all ones or zero.
+func absorbLanes(z []uint64, e, u []byte, h, lm, bm uint64, sh uint) {
+	le := binary.LittleEndian
+	z, e = z[:len(u)/8], e[:len(u)]
+	for q := range z {
+		v := laneAdd(le.Uint64(e[8*q:8*q+8]), le.Uint64(u[8*q:8*q+8])&bm, h) & lm
+		//lint:allow ringmask v < 2^(ℓ−t), so v·2^(t−s) fits its lane; the merge reduces the accumulator
+		z[q] = laneAdd(z[q], v<<(sh&63), h)
 	}
 }
 

@@ -1,11 +1,14 @@
 package triple
 
 import (
+	"bytes"
 	"crypto/aes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -127,13 +130,15 @@ func TestFixedCorrectionHidesA(t *testing.T) {
 				}
 				s.send = make([]byte, len(seeds))
 				ot.PermuteSeeds(s.send, seeds)
-				at := make([]uint64, m)
-				for i := range at {
-					at[i] = aval
+				a := make([]uint64, m)
+				for i := range a {
+					a[i] = aval
 				}
 				p := s.plan(m)
+				at := make([]uint64, p.words)
+				p.pack(at, a, 1)
 				frame := make([]byte, s.frameLen(m))
-				s.correctCols(s.scratch(p), p, frame, make([]uint64, m), at, 9, 0, 1)
+				s.correctCols(s.scratch(p), p, frame, make([]uint64, p.words), at, 9, 0, 1)
 				for tb, hist := range hists {
 					for _, v := range frame[p.fo[tb] : p.fo[tb]+m] {
 						hist[v]++
@@ -194,18 +199,18 @@ func TestFixedExpansionsNeverRepeat(t *testing.T) {
 }
 
 // TestFixedHotPathAllocs: a kit's steady-state expansion — the sender's
-// and the receiver's per-chunk kernels on a taken scratch, and ot.Expand
-// under them — allocates nothing.
+// and the receiver's per-chunk kernels on a taken scratch and lane rows,
+// and ot.Expand under them — allocates nothing.
 func TestFixedHotPathAllocs(t *testing.T) {
 	r := ring.New(16)
 	fp := newFixedPair(t, nil)
 	fp.setUp(t, prg.NewSeeded(64), []FixedLayer{{R: r, K: 25, N: 6}})
 	s := fp.seeds[0][0]
 	const m = 784
-	at := make([]uint64, s.K*m)
-	zt := make([]uint64, s.N*m)
-	frame := make([]byte, s.frameLen(m))
 	p := s.plan(m)
+	at := make([]uint64, s.K*p.words)
+	zt := make([]uint64, s.N*p.words)
+	frame := make([]byte, s.frameLen(m))
 	sc := s.scratch(p)
 	px := s.send[:4*aes.BlockSize]
 	ex := make([]byte, 4*p.nb[0]*aes.BlockSize)
@@ -216,6 +221,142 @@ func TestFixedHotPathAllocs(t *testing.T) {
 	} {
 		if n := testing.AllocsPerRun(3, f); n != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", name, n)
+		}
+	}
+}
+
+// correctRowRef and addRowRef are the per-element sender and receiver
+// rows that the lane kernels replaced, kept as their reference.
+// correctRowRef sets u to the w-byte elements g0 − g1 + a, reduced by
+// mask, and subtracts g0·2^t, reduced by zmask, from z, for the len(z)
+// elements of the expansions e0 and e1 (read from their start, reduced by
+// mask). addRowRef adds 2^t times each of the len(z) w-byte elements at
+// the start of p, reduced by mask, then by zmask, to z.
+func correctRowRef(u, e0, e1 []byte, z, a []uint64, t uint, w int, mask, zmask uint64) {
+	le := binary.LittleEndian
+	m := len(z)
+	e0, e1, a, u = e0[:m*w], e1[:m*w], a[:m], u[:m*w]
+	switch w {
+	case 1:
+		for i := range z {
+			g0, g1 := uint64(e0[i])&mask, uint64(e1[i])&mask
+			z[i] -= g0 << t & zmask
+			u[i] = byte((g0 - g1 + a[i]) & mask)
+		}
+	case 2:
+		for i := range z {
+			g0, g1 := uint64(le.Uint16(e0[2*i:]))&mask, uint64(le.Uint16(e1[2*i:]))&mask
+			z[i] -= g0 << t & zmask
+			le.PutUint16(u[2*i:], uint16((g0-g1+a[i])&mask))
+		}
+	default:
+		for i := range z {
+			g0, g1 := loadElem(e0[w*i:], w, mask), loadElem(e1[w*i:], w, mask)
+			z[i] -= g0 << t & zmask
+			v := (g0 - g1 + a[i]) & mask
+			for b := range w {
+				u[w*i+b] = byte(v >> (8 * b))
+			}
+		}
+	}
+}
+
+func addRowRef(z []uint64, p []byte, t uint, w int, mask, zmask uint64) {
+	le := binary.LittleEndian
+	p = p[:len(z)*w]
+	switch w {
+	case 1:
+		for i := range z {
+			z[i] += (uint64(p[i]) & mask) << t & zmask
+		}
+	case 2:
+		for i := range z {
+			z[i] += (uint64(le.Uint16(p[2*i:])) & mask) << t & zmask
+		}
+	default:
+		for i := range z {
+			z[i] += loadElem(p[w*i:], w, mask) << t & zmask
+		}
+	}
+}
+
+// TestFixedLanesMatchScalar runs one (kk, j, t) of the sender and of the
+// receiver through the plan's lane kernels and through the per-element
+// reference, on random expansions, A, peer corrections (with bits above
+// the mask set) and accumulators, at every ring width 1–16, every bit t
+// and both b, for m = 1…17, 100 and 784 so that every word tail runs. The
+// corrections must match byte for byte, without a write past the row,
+// and the accumulators element for element mod 2^ℓ.
+func TestFixedLanesMatchScalar(t *testing.T) {
+	g := prg.NewSeeded(71)
+	ms := []int{100, 784}
+	for m := 1; m <= 17; m++ {
+		ms = append(ms, m)
+	}
+	for bits := uint(1); bits <= 16; bits++ {
+		r := ring.New(bits)
+		s := &FixedSeeds{FixedLayer: FixedLayer{R: r, K: 1, N: 1}}
+		for _, m := range ms {
+			p := s.plan(m)
+			a := g.Elems(m, r)
+			at := make([]uint64, p.words)
+			p.pack(at, a, 1)
+			for tb := range int(bits) {
+				w, cl := p.w[tb], &p.cls[classOf(p.w[tb])]
+				e0 := make([]byte, p.nb[tb]*aes.BlockSize)
+				e1 := make([]byte, len(e0))
+				g.Read(e0)
+				g.Read(e1)
+				z0 := make([]uint64, p.words)
+				for i := range z0 {
+					z0[i] = g.Uint64()
+				}
+				// elems is an accumulator row's bit-t class, element by
+				// element, as its contribution to Z mod 2^ℓ.
+				elems := func(z []uint64) []uint64 {
+					out := make([]uint64, m)
+					for i := range out {
+						out[i] = cl.elem(z, i) & r.Mask
+					}
+					return out
+				}
+				check := func(what string, z []uint64, ref []uint64) {
+					t.Helper()
+					got := elems(z)
+					for i := range ref {
+						if got[i] != ref[i]&r.Mask {
+							t.Fatalf("ℓ=%d m=%d t=%d %s: element %d of the accumulator is %#x, reference %#x", bits, m, tb, what, i, got[i], ref[i]&r.Mask)
+						}
+					}
+				}
+
+				buf := make([]byte, m*w+8)
+				for i := range buf {
+					buf[i] = 0xEE
+				}
+				z, zref, uref := slices.Clone(z0), elems(z0), make([]byte, m*w)
+				p.correctRow(buf[:m*w], e0, e1, z, at, tb)
+				correctRowRef(uref, e0, e1, zref, a, uint(tb), w, p.mask[tb], r.Mask)
+				if !bytes.Equal(buf[:m*w], uref) {
+					t.Fatalf("ℓ=%d m=%d t=%d: lane corrections differ from the reference", bits, m, tb)
+				}
+				if !bytes.Equal(buf[m*w:], bytes.Repeat([]byte{0xEE}, 8)) {
+					t.Fatalf("ℓ=%d m=%d t=%d: correctRow wrote past its row", bits, m, tb)
+				}
+				check("sender", z, zref)
+
+				peer := make([]byte, m*w)
+				g.Read(peer)
+				for b := range uint64(2) {
+					z, zref := slices.Clone(z0), elems(z0)
+					p.absorbRow(z, e0, peer[:m*w:m*w], tb, b)
+					addRowRef(zref, e0, uint(tb), w, p.mask[tb], r.Mask)
+					if b == 1 {
+						addRowRef(zref, peer, uint(tb), w, p.mask[tb], r.Mask)
+					}
+					check(fmt.Sprintf("receiver b=%d", b), z, zref)
+				}
+			}
 		}
 	}
 }
@@ -305,7 +446,7 @@ func FuzzFixedChoiceFrame(f *testing.F) {
 		}
 		plan := s.plan(m)
 		sc := s.scratch(plan)
-		s.absorbCols(sc, plan, make([]uint64, s.N*m), p, 1, 0, s.N)
+		s.absorbCols(sc, plan, make([]uint64, s.N*plan.words), p, 1, 0, s.N)
 		fixedScratch.Put(sc)
 	})
 }
@@ -313,28 +454,37 @@ func FuzzFixedChoiceFrame(f *testing.F) {
 // benchConvShapes are LeNet5's two convolutions at ℓ = 16 (M×K×N).
 var benchConvShapes = [][3]int{{784, 25, 6}, {100, 150, 16}}
 
-// BenchmarkFixedChoiceKit times both parties building the two LeNet5
+// BenchmarkFixedChoiceKit times both parties building the fixed-choice
 // convolutions' triples of one kit from session seeds, over a pipe on a
-// GOMAXPROCS pool. The once-per-session seed OTs run before the timer and
-// are reported as setup_ms.
+// GOMAXPROCS pool: lenet5 builds LeNet5's two, micro Micro's one
+// (64×9×4), which fleet_micro's cold inferences run inline. The
+// once-per-session seed OTs run before the timer and are reported as
+// setup_ms.
 func BenchmarkFixedChoiceKit(b *testing.B) {
-	r := ring.New(16)
-	pool := parallel.New(0)
-	fp := newFixedPair(b, pool)
-	var shapes []FixedLayer
-	for _, sh := range benchConvShapes {
-		shapes = append(shapes, FixedLayer{R: r, K: sh[1], N: sh[2]})
+	for _, bc := range []struct {
+		name   string
+		shapes [][3]int
+	}{{"lenet5", benchConvShapes}, {"micro", [][3]int{{64, 9, 4}}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := ring.New(16)
+			pool := parallel.New(0)
+			fp := newFixedPair(b, pool)
+			var shapes []FixedLayer
+			for _, sh := range bc.shapes {
+				shapes = append(shapes, FixedLayer{R: r, K: sh[1], N: sh[2]})
+			}
+			start := time.Now()
+			fp.setUp(b, prg.NewSeeded(68), shapes)
+			setup := time.Since(start)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for li, sh := range bc.shapes {
+					fp.gen(b, li, sh[0], uint32(i), pool)
+				}
+			}
+			b.ReportMetric(float64(setup.Microseconds())/1e3, "setup_ms")
+		})
 	}
-	start := time.Now()
-	fp.setUp(b, prg.NewSeeded(68), shapes)
-	setup := time.Since(start)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for li, sh := range benchConvShapes {
-			fp.gen(b, li, sh[0], uint32(i), pool)
-		}
-	}
-	b.ReportMetric(float64(setup.Microseconds())/1e3, "setup_ms")
 }
 
 // BenchmarkGilboaConvKit is BenchmarkFixedChoiceKit's reference: the same
