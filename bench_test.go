@@ -76,7 +76,8 @@ func BenchmarkSecureInference_LeNet5(b *testing.B) {
 }
 
 // BenchmarkASGEMM_Fig2 measures the ciphertext-ciphertext GEMM micro-op
-// of Fig. 2/Alg. 1 at the AS-GEMM array's native tile shape.
+// of Fig. 2/Alg. 1 at the AS-GEMM array's native tile shape, over a
+// prepared layer: the E-only exchange inference runs.
 func BenchmarkASGEMM_Fig2(b *testing.B) {
 	benchSecureOp(b, func(r *secureRunner) error { return r.gemm() })
 }

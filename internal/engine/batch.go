@@ -81,41 +81,34 @@ func RunLocalBatch(m *nn.Model, xs [][]int64, cfg Options) (*BatchResult, error)
 		fixed[i] = fb
 		linearNodes = append(linearNodes, i)
 	}
+	g.Fork() // Fork advances g: keeps the input shares and per-image forks at their pinned positions
 
-	// Setup phase: one session pays the F openings; the preparation
-	// product is exported for reuse by every image session, so batch setup
-	// traffic equals single-inference setup traffic exactly.
-	famsFor := func(pg *prg.PRG, party int) map[int]triple.Family {
-		fams := map[int]triple.Family{}
-		for _, i := range linearNodes {
-			fams[i] = fixed[i].Pool(pg.Fork()).View(party)
-		}
-		return fams
-	}
+	// Setup phase: one session pays the F openings against the dealt
+	// masks; the preparation product is reused by every image session, so
+	// batch setup traffic equals single-inference setup traffic exactly.
 	prep := secure.NewLocalSession(saltedSeed(cfg.Seed, 0x5E55BA7C))
-	prep.P0.LocalTrunc = cfg.LocalTrunc
-	prep.P1.LocalTrunc = cfg.LocalTrunc
-	prepG := g.Fork()
-	party0 := &Party{Ctx: prep.P0, Model: m, Weights: ws0, R: r, Families: famsFor(prepG, 0)}
-	party1 := &Party{Ctx: prep.P1, Model: m, Weights: ws1, R: r, Families: famsFor(prepG, 1)}
 	sp0 := cfg.Trace.Root("p0.setup", telemetry.WithConn(prep.P0.Conn))
 	sp1 := cfg.Trace.Root("p1.setup", telemetry.WithConn(prep.P1.Conn))
 	prep.P0.SetTrace(telemetry.NewScope(sp0))
 	prep.P1.SetTrace(telemetry.NewScope(sp1))
-	err = prep.Run(
-		func(*secure.Context) error { return party0.Prepare() },
-		func(*secure.Context) error { return party1.Prepare() },
-	)
+	var preps [2]map[int]*secure.Prepared
+	prepare := func(c *secure.Context) (err error) {
+		p := c.P()
+		bs := map[int][]uint64{}
+		for _, i := range linearNodes {
+			bs[i] = fixed[i].BShare(p)
+		}
+		preps[p], err = prepareLinears(c, m, r, [2]*WeightShares{ws0, ws1}[p], bs)
+		return err
+	}
+	err = prep.Run(prepare, prepare)
 	sp0.End()
 	sp1.End()
+	setup, _ := prep.Stats()
+	prep.Close()
 	if err != nil {
-		prep.Close()
 		return nil, err
 	}
-	setup, _ := prep.Stats()
-	preps0 := party0.PreparedWeights()
-	preps1 := party1.PreparedWeights()
-	prep.Close()
 
 	reluRing := reluRingFor(cfg, r)
 	pool := cfg.Pool()
@@ -159,8 +152,8 @@ func RunLocalBatch(m *nn.Model, xs [][]int64, cfg Options) (*BatchResult, error)
 		var profile []OpProfile
 		p0 := &Party{Ctx: sess.P0, Model: m, Weights: ws0, R: r, ReLURing: reluRing, Pool: pool, Profile: &profile}
 		p1 := &Party{Ctx: sess.P1, Model: m, Weights: ws1, R: r, ReLURing: reluRing, Pool: pool}
-		p0.Bind(preps0, fams0)
-		p1.Bind(preps1, fams1)
+		p0.Bind(preps[0], fams0)
+		p1.Bind(preps[1], fams1)
 		// Each image session gets its own pair of root spans (= trace
 		// lanes); the tracer is goroutine-safe, the per-lane scopes are
 		// confined to their party goroutine.

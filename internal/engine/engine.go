@@ -252,11 +252,8 @@ type Party struct {
 	// transpose); nil runs serially. The context carries its own pool for
 	// the secure operators.
 	Pool *parallel.Pool
-	// Families optionally overrides the triple family per linear node
-	// (node id → family); Prepare falls back to the context's NewFamily
-	// provider for nodes not present.
-	Families map[int]triple.Family
-	linears  map[int]*secure.Linear
+	// linears holds the bound linear layers (Bind), one per linear node.
+	linears map[int]*secure.Linear
 	// slab recycles the im2col lowering buffers across layers and
 	// inferences — their lifetime ends inside each conv call.
 	slab parallel.Slab[uint64]
@@ -277,45 +274,31 @@ func LinearDims(node nn.Node) (k, n int, ok bool) {
 	return 0, 0, false
 }
 
-// Prepare opens the weight masks F for every linear node (the setup
-// phase; its communication is reported separately from the online phase).
-// When Families supplies a node's triple family it is used directly;
-// otherwise the context's NewFamily provider is consulted.
-func (p *Party) Prepare() error {
-	p.linears = map[int]*secure.Linear{}
-	for i, node := range p.Model.Nodes {
+// prepareLinears opens the weight mask F of every linear node, in node
+// order, against this party's share of the node's fixed weight mask B
+// (bShares, node id → K×N share): the setup phase, whose communication is
+// reported separately from the online phase. The result is what Bind
+// takes.
+func prepareLinears(ctx *secure.Context, m *nn.Model, r ring.Ring, weights *WeightShares, bShares map[int][]uint64) (map[int]*secure.Prepared, error) {
+	preps := map[int]*secure.Prepared{}
+	for i, node := range m.Nodes {
 		k, n, ok := LinearDims(node)
 		if !ok {
 			continue
 		}
-		var l *secure.Linear
-		var err error
-		if fam := p.Families[i]; fam != nil {
-			l, err = p.Ctx.PrepareLinearWith(p.R, p.Weights.W[i], k, n, fam)
-		} else {
-			l, err = p.Ctx.PrepareLinear(fmt.Sprintf("n%d", i), p.R, p.Weights.W[i], k, n)
-		}
+		prep, err := ctx.PrepareLinear(r, weights.W[i], bShares[i], k, n)
 		if err != nil {
-			return fmt.Errorf("engine: prepare node %d: %w", i, err)
+			return nil, fmt.Errorf("engine: prepare node %d: %w", i, err)
 		}
-		p.linears[i] = l
+		preps[i] = prep
 	}
-	return nil
+	return preps, nil
 }
 
-// PreparedWeights exports every prepared layer's connection-independent
-// product (opened F, precombined W_p − p·F). Call after Prepare.
-func (p *Party) PreparedWeights() map[int]*secure.Prepared {
-	out := map[int]*secure.Prepared{}
-	for i, l := range p.linears {
-		out[i] = l.Export()
-	}
-	return out
-}
-
-// Bind installs already-prepared weights with fresh per-node triple
-// families, skipping the setup-phase F openings entirely — the batch
-// executor pays preparation once and binds it into each image's session.
+// Bind installs prepared weights (prepareLinears) with this inference's
+// per-node triple families, each over the fixed B its F was opened
+// against: preparation is paid once, and every inference, of a batch or
+// of a session, binds it afresh.
 func (p *Party) Bind(preps map[int]*secure.Prepared, fams map[int]triple.Family) {
 	p.linears = map[int]*secure.Linear{}
 	for i, prep := range preps {
@@ -324,12 +307,10 @@ func (p *Party) Bind(preps map[int]*secure.Prepared, fams map[int]triple.Family)
 }
 
 // Infer runs the secure forward pass on this party's input share and
-// returns this party's output share.
+// returns this party's output share. The weights must be bound (Bind).
 func (p *Party) Infer(x []uint64) ([]uint64, error) {
 	if p.linears == nil {
-		if err := p.Prepare(); err != nil {
-			return nil, err
-		}
+		return nil, fmt.Errorf("engine: inference before the weights are bound")
 	}
 	shapes, err := p.Model.Shapes()
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"aq2pnn/internal/secure"
 	"aq2pnn/internal/share"
 	"aq2pnn/internal/transport"
-	"aq2pnn/internal/triple"
 )
 
 // Two-process deployment: the same operators as RunLocal, but over a real
@@ -19,28 +18,24 @@ import (
 // session seeds (triple.FixedFamily, bound by the session). The session (session.go) is the only
 // networked protocol, emulating the paper's two-board setup.
 
-// NewNetworkContext builds a party context over a live connection with
-// harvest-backed OT and Gilboa triple families. start builds the OT
-// endpoint, given the context's OT stream: a seq's endpoint derived from
-// a plane (the main stream's for a cold inference; for a warm one, its
-// kit's fill plane, on a stream of its own), or one that runs no OT at
-// all (the open's F openings). The context sets the endpoint's pool.
-func NewNetworkContext(party int, conn transport.Conn, cfg Options, start func(rng *prg.PRG) *ot.Endpoint) *secure.Context {
+// newNetworkContext builds a party context over a live connection around
+// the OT endpoint start returns, given the context's OT stream: a seq's
+// endpoint derived from a plane (the main stream's for a cold inference;
+// for a warm one, its kit's fill plane, on a stream of its own), or one
+// that runs no OT at all (the open's F openings). The context sets the
+// endpoint's pool. Triples come from the families the caller binds.
+func newNetworkContext(party int, conn transport.Conn, cfg Options, start func(rng *prg.PRG) *ot.Endpoint) *secure.Context {
 	rng := prg.NewSeeded(saltedSeed(cfg.Seed, uint64(party)*7919))
 	ep := start(rng.Fork())
 	ep.Pool = cfg.Pool()
-	gilboaRng := rng.Fork()
+	rng.Fork() // Fork advances rng: keeps ctx.Rng (ABReLU, B2A, faithful truncation) at its pinned position
 	return &secure.Context{
 		Party:      share.Party(party),
 		Conn:       conn,
 		OT:         ep,
 		Rng:        rng.Fork(),
-		Triples:    &triple.OTSource{EP: ep, Rng: gilboaRng.Fork(), Party: party},
 		LocalTrunc: cfg.LocalTrunc,
 		Pool:       ep.Pool,
-		NewFamily: func(id string, r ring.Ring, k, n int) (triple.Family, error) {
-			return triple.NewGilboaFamily(ep, gilboaRng.Fork(), party, r, k, n), nil
-		},
 	}
 }
 

@@ -106,7 +106,7 @@ func preprocGen(pconn transport.Conn, party int, cfg Options, st *sessionState, 
 				fam := &triple.FixedFamily{EP: ep, Rng: famRng.Fork(), Party: party, Seeds: s, Seq: seq, Pool: pool}
 				mat, err = fam.Generate(l.M)
 			} else {
-				fam := triple.NewGilboaFamilyFixed(ep, famRng.Fork(), party, st.r, l.K, l.N, st.bShares[l.Node])
+				fam := triple.NewGilboaFamily(ep, famRng.Fork(), party, st.r, l.K, l.N, st.bShares[l.Node])
 				fam.Pool = pool
 				mat, err = fam.Generate(l.M)
 			}

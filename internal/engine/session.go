@@ -306,28 +306,22 @@ func (st *sessionState) setupFixed(conn transport.Conn, party int, cfg Options, 
 }
 
 // newSessionState runs this party's setup half over an established
-// context: per-layer Gilboa families with fresh fixed weight masks B, then
-// the interactive F openings (Party.Prepare). famSeed drives the B draws —
+// context: it draws the fixed weight mask B of every linear node, then
+// opens F against it (prepareLinears). famSeed drives the B draws —
 // unique per session so distinct sessions never share masks.
 func newSessionState(ctx *secure.Context, m *nn.Model, r ring.Ring, weights *WeightShares, famSeed uint64) (*sessionState, error) {
 	famRng := prg.NewSeeded(famSeed)
-	fams := map[int]triple.Family{}
+	bs := map[int][]uint64{}
 	for i, node := range m.Nodes {
-		k, n, ok := LinearDims(node)
-		if !ok {
-			continue
+		if k, n, ok := LinearDims(node); ok {
+			bs[i] = famRng.Fork().Elems(k*n, r)
 		}
-		fams[i] = triple.NewGilboaFamily(ctx.OT, famRng.Fork(), ctx.P(), r, k, n)
 	}
-	p := &Party{Ctx: ctx, Model: m, Weights: weights, R: r, Pool: ctx.Pool, Families: fams}
-	if err := p.Prepare(); err != nil {
+	preps, err := prepareLinears(ctx, m, r, weights, bs)
+	if err != nil {
 		return nil, err
 	}
-	bs := map[int][]uint64{}
-	for i, f := range fams {
-		bs[i] = f.BShare()
-	}
-	return &sessionState{model: m, r: r, weights: weights, preps: p.PreparedWeights(), bShares: bs}, nil
+	return &sessionState{model: m, r: r, weights: weights, preps: preps, bShares: bs}, nil
 }
 
 // sessionFamSeed derives the B-mask stream for one session's setup from
@@ -347,7 +341,7 @@ func sessionFamSeed(cfg Options, party int, token SessionToken) uint64 {
 // with no base-OT group.
 func openState(conn transport.Conn, party int, cfg Options, m *nn.Model, r ring.Ring, token SessionToken,
 	fixed bool, exchange func() (*WeightShares, error)) (*sessionState, error) {
-	ctx := NewNetworkContext(party, conn, cfg, func(rng *prg.PRG) *ot.Endpoint { return ot.NewEndpoint(party, conn, rng) })
+	ctx := newNetworkContext(party, conn, cfg, func(rng *prg.PRG) *ot.Endpoint { return ot.NewEndpoint(party, conn, rng) })
 	sp := cfg.Trace.Root(roleNames[party]+".session.open", telemetry.WithConn(conn))
 	defer sp.End()
 	ctx.SetTrace(telemetry.NewScope(sp))
@@ -420,7 +414,7 @@ func inferFamSeed(icfg Options, party int) uint64 {
 // cold logits byte-identical.
 func (st *sessionState) bindInfer(conn transport.Conn, party int, cfg Options, seq uint32, kit *preproc.Kit) (*secure.Context, *Party) {
 	icfg := inferOptions(cfg, seq)
-	ctx := NewNetworkContext(party, conn, icfg, func(rng *prg.PRG) *ot.Endpoint {
+	ctx := newNetworkContext(party, conn, icfg, func(rng *prg.PRG) *ot.Endpoint {
 		if kit == nil {
 			return st.plane.Derive(conn, rng, seq, ot.KitHalf)
 		}
@@ -442,7 +436,7 @@ func (st *sessionState) bindInfer(conn transport.Conn, party int, cfg Options, s
 			fams[i] = &triple.FixedFamily{EP: ctx.OT, Rng: frng, Party: party, Seeds: seeds, Seq: seq, Pool: ctx.Pool}
 			continue
 		}
-		fams[i] = triple.NewGilboaFamilyFixed(ctx.OT, frng, party, st.r, k, n, st.bShares[i])
+		fams[i] = triple.NewGilboaFamily(ctx.OT, frng, party, st.r, k, n, st.bShares[i])
 	}
 	p := &Party{Ctx: ctx, Model: st.model, Weights: st.weights, R: st.r,
 		ReLURing: reluRingFor(cfg, st.r), Pool: ctx.Pool}

@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"aq2pnn/internal/nn"
+	"aq2pnn/internal/ot"
 	"aq2pnn/internal/telemetry"
 	"aq2pnn/internal/transport"
 )
@@ -186,5 +188,51 @@ func TestTelemetryDisabledBitIdentical(t *testing.T) {
 				t.Errorf("workers=%d traced=%v: logits %v != baseline %v", workers, traced, res.Logits, base)
 			}
 		}
+	}
+}
+
+// TestTripleCountersAgreeAcrossPaths: the dealer-backed local path
+// (RunLocal) and a networked session of one consume the same triples, one
+// per linear node per party, so both advance the consumed-triple and
+// triple-multiplication counters by the same non-zero amounts.
+func TestTripleCountersAgreeAcrossPaths(t *testing.T) {
+	telemetry.Enable()
+	m, err := nn.ByName("micro", nn.ZooConfig{Bits: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := input(m.InputShape().Numel())
+	cfg := Options{Seed: 1, Group: ot.TestGroup()}
+	counts := func(run func()) [2]uint64 {
+		t.Helper()
+		c0, m0 := counterValue("aq2pnn_triples_consumed_total"), counterValue("aq2pnn_triple_muls_total")
+		run()
+		return [2]uint64{counterValue("aq2pnn_triples_consumed_total") - c0, counterValue("aq2pnn_triple_muls_total") - m0}
+	}
+	local := counts(func() {
+		if _, err := RunLocal(m, x, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	session := counts(func() {
+		h := newSessionHarness(t, m, cfg)
+		s, err := NewClient(h.dial, cfg).OpenSession(context.Background(), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Infer(context.Background(), x); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		h.wg.Wait()
+	})
+	if session[0] == 0 || session[1] == 0 {
+		t.Fatalf("a session of one counted %d triples and %d multiplications", session[0], session[1])
+	}
+	if local != session {
+		t.Errorf("RunLocal counted %d triples and %d multiplications, a session of one %d and %d",
+			local[0], local[1], session[0], session[1])
 	}
 }

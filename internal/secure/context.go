@@ -23,22 +23,17 @@ import (
 	"aq2pnn/internal/share"
 	"aq2pnn/internal/telemetry"
 	"aq2pnn/internal/transport"
-	"aq2pnn/internal/triple"
 )
 
 // Context is one party's execution environment: its identity, the channel
-// to the peer, the OT endpoint, the Beaver-triple supply and local
-// randomness.
+// to the peer, the OT endpoint and local randomness. Beaver triples come
+// from the triple.Family each prepared linear layer is bound to
+// (BindLinear).
 type Context struct {
 	Party share.Party
 	Conn  transport.Conn
 	OT    *ot.Endpoint
 	Rng   *prg.PRG
-	// Triples supplies ad-hoc triples (tests, one-shot multiplications).
-	Triples triple.Source
-	// NewFamily supplies the per-layer triple families used by prepared
-	// linear layers (fixed weight mask B, pre-deployable F).
-	NewFamily func(id string, r ring.Ring, k, n int) (triple.Family, error)
 	// LocalTrunc selects the paper's zero-communication local share
 	// truncation for requantization instead of the default faithful
 	// truncation (see trunc.go). Both parties must agree.
@@ -91,17 +86,18 @@ func (c *Context) RevealTo(r ring.Ring, to share.Party, x []uint64) ([]uint64, e
 }
 
 // Session holds the two in-process party contexts used by tests, examples
-// and the experiment harness: dealer-backed offline material over an
-// in-memory pipe, exactly mirroring the paper's "pre-compute constants
-// loaded into the AS-CST buffer" setup.
+// and the experiment harness: dealer-backed OT over an in-memory pipe,
+// mirroring the paper's "pre-compute constants loaded into the AS-CST
+// buffer" setup. Linear layers bind triples from a dealt triple.FixedB
+// pool.
 type Session struct {
 	P0, P1 *Context
 	connA  transport.Conn
 	connB  transport.Conn
 }
 
-// NewLocalSession wires two contexts with dealer-backed OT and triples.
-// The seed makes runs reproducible.
+// NewLocalSession wires two contexts with dealer-backed OT. The seed makes
+// runs reproducible.
 func NewLocalSession(seed uint64) *Session {
 	return NewLocalSessionFrom(prg.NewSeeded(seed))
 }
@@ -112,20 +108,16 @@ func NewLocalSession(seed uint64) *Session {
 // across workers.
 func NewLocalSessionFrom(master *prg.PRG) *Session {
 	otDealer := ot.NewDealer(master.Fork())
-	trDealer := triple.NewDealer(master.Fork())
+	master.Fork() // Fork advances master: keeps the streams below at their pinned positions
 	a, b := transport.Pipe()
 	mk := func(party int, conn transport.Conn) *Context {
 		ep := ot.NewEndpoint(party, conn, master.Fork())
 		ep.Dealer = otDealer
 		return &Context{
-			Party:   share.Party(party),
-			Conn:    conn,
-			OT:      ep,
-			Rng:     master.Fork(),
-			Triples: trDealer.SourceFor(party),
-			NewFamily: func(id string, r ring.Ring, k, n int) (triple.Family, error) {
-				return trDealer.Family(party, id, r, k, n)
-			},
+			Party: share.Party(party),
+			Conn:  conn,
+			OT:    ep,
+			Rng:   master.Fork(),
 		}
 	}
 	return &Session{P0: mk(0, a), P1: mk(1, b), connA: a, connB: b}

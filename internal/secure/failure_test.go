@@ -48,11 +48,12 @@ func TestPreparedLinearSurfacesFault(t *testing.T) {
 	r := ring.New(16)
 	g := prg.NewSeeded(60)
 	w0, w1 := share.SplitVec(g, r, g.Elems(12, r))
+	d := dealLayer(t, 61, r, 3, 4)
 	s := faultySession(61, 0)
 	defer s.Close()
 	err := s.Run(
-		func(c *Context) error { _, e := c.PrepareLinear("x", r, w0, 3, 4); return e },
-		func(c *Context) error { _, e := c.PrepareLinear("x", r, w1, 3, 4); return e })
+		func(c *Context) error { _, e := d.prepare(c, w0); return e },
+		func(c *Context) error { _, e := d.prepare(c, w1); return e })
 	if err == nil {
 		t.Fatal("fault swallowed during F opening")
 	}

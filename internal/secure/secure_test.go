@@ -7,6 +7,7 @@ import (
 	"aq2pnn/internal/ring"
 	"aq2pnn/internal/share"
 	"aq2pnn/internal/tensor"
+	"aq2pnn/internal/triple"
 )
 
 // mulMod is the serial ring GEMM A(m×k) × B(k×n) into a fresh matrix.
@@ -35,6 +36,53 @@ func runOp(t *testing.T, seed uint64, r ring.Ring, x []uint64,
 	return share.OpenVec(r, o0, o1)
 }
 
+// dealtLayer is a k×n linear layer's dealer-side triple supply: a dealt
+// fixed weight mask B and one triple pool against it.
+type dealtLayer struct {
+	fb   *triple.FixedB
+	pool *triple.FixedBPool
+}
+
+func dealLayer(tb testing.TB, seed uint64, r ring.Ring, k, n int) dealtLayer {
+	tb.Helper()
+	g := prg.NewSeeded(seed)
+	fb, err := triple.DealFixedB(g.Fork(), r, k, n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dealtLayer{fb: fb, pool: fb.Pool(g.Fork())}
+}
+
+// prepare opens F for c's weight share against the layer's B and binds
+// the prepared layer to c's view of the pool.
+func (d dealtLayer) prepare(c *Context, ws []uint64) (*Linear, error) {
+	prep, err := c.PrepareLinear(d.fb.R, ws, d.fb.BShare(c.P()), d.fb.K, d.fb.N)
+	if err != nil {
+		return nil, err
+	}
+	return c.BindLinear(prep, d.pool.View(c.P())), nil
+}
+
+// matMul returns shares of rec(IN) ⊗ rec(W) for IN (M×K) and W (K×N) over
+// a prepared layer: F is opened once, then one E exchange.
+func matMul(t *testing.T, s *Session, d dealtLayer, in0, in1, w0, w1 []uint64, m int) (o0, o1 []uint64) {
+	t.Helper()
+	run := func(in, w []uint64, out *[]uint64) func(*Context) error {
+		return func(c *Context) error {
+			l, err := d.prepare(c, w)
+			if err != nil {
+				return err
+			}
+			*out, err = l.Mul(in, m)
+			return err
+		}
+	}
+	if err := s.Run(run(in0, w0, &o0), run(in1, w1, &o1)); err != nil {
+		t.Fatal(err)
+	}
+	return o0, o1
+}
+
 func TestMatMulMatchesPlaintext(t *testing.T) {
 	r := ring.New(16)
 	g := prg.NewSeeded(1)
@@ -47,13 +95,7 @@ func TestMatMulMatchesPlaintext(t *testing.T) {
 	defer s.Close()
 	in0, in1 := share.SplitVec(g, r, in)
 	w0, w1 := share.SplitVec(g, r, w)
-	var o0, o1 []uint64
-	err := s.Run(
-		func(c *Context) error { var e error; o0, e = c.MatMul(r, in0, w0, m, k, n); return e },
-		func(c *Context) error { var e error; o1, e = c.MatMul(r, in1, w1, m, k, n); return e })
-	if err != nil {
-		t.Fatal(err)
-	}
+	o0, o1 := matMul(t, s, dealLayer(t, 2, r, k, n), in0, in1, w0, w1, m)
 	got := share.OpenVec(r, o0, o1)
 	for i := range want {
 		if got[i] != want[i] {
@@ -75,13 +117,7 @@ func TestMatMulPaperExampleFig3(t *testing.T) {
 	defer s.Close()
 	in0, in1 := share.SplitVec(g, r, in)
 	w0, w1 := share.SplitVec(g, r, w)
-	var o0, o1 []uint64
-	err := s.Run(
-		func(c *Context) error { var e error; o0, e = c.MatMul(r, in0, w0, 1, 4, 1); return e },
-		func(c *Context) error { var e error; o1, e = c.MatMul(r, in1, w1, 1, 4, 1); return e })
-	if err != nil {
-		t.Fatal(err)
-	}
+	o0, o1 := matMul(t, s, dealLayer(t, 4, r, 4, 1), in0, in1, w0, w1, 1)
 	if got := r.ToInt(share.Open(r, o0[0], o1[0])); got != want {
 		t.Fatalf("2PC-MMAC = %d, want %d", got, want)
 	}
@@ -99,10 +135,11 @@ func TestPreparedLinearOnlineCommIsEOnly(t *testing.T) {
 	defer s.Close()
 	in0, in1 := share.SplitVec(g, r, in)
 	w0, w1 := share.SplitVec(g, r, w)
+	d := dealLayer(t, 6, r, k, n)
 	var l0, l1 *Linear
 	err := s.Run(
-		func(c *Context) error { var e error; l0, e = c.PrepareLinear("fc", r, w0, k, n); return e },
-		func(c *Context) error { var e error; l1, e = c.PrepareLinear("fc", r, w1, k, n); return e })
+		func(c *Context) error { var e error; l0, e = d.prepare(c, w0); return e },
+		func(c *Context) error { var e error; l1, e = d.prepare(c, w1); return e })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,8 +613,9 @@ func TestConvViaIm2ColAndPreparedLinear(t *testing.T) {
 	defer s.Close()
 	x0, x1 := share.SplitVec(g, r, imgR)
 	w0, w1 := share.SplitVec(g, r, wt)
+	d := dealLayer(t, 33, r, pl, geom.OutC)
 	run := func(c *Context, xs, ws []uint64) ([]uint64, error) {
-		l, err := c.PrepareLinear("conv1", r, ws, pl, geom.OutC)
+		l, err := d.prepare(c, ws)
 		if err != nil {
 			return nil, err
 		}
@@ -653,10 +691,13 @@ func BenchmarkPreparedLinear(b *testing.B) {
 	defer s.Close()
 	in0, in1 := share.SplitVec(g, r, in)
 	w0, w1 := share.SplitVec(g, r, w)
+	d := dealLayer(b, 3, r, k, n)
 	var l0, l1 *Linear
-	s.Run(
-		func(c *Context) error { var e error; l0, e = c.PrepareLinear("b", r, w0, k, n); return e },
-		func(c *Context) error { var e error; l1, e = c.PrepareLinear("b", r, w1, k, n); return e })
+	if err := s.Run(
+		func(c *Context) error { var e error; l0, e = d.prepare(c, w0); return e },
+		func(c *Context) error { var e error; l1, e = d.prepare(c, w1); return e }); err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(int64(m * k * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

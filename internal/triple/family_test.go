@@ -10,7 +10,9 @@ import (
 	"aq2pnn/internal/transport"
 )
 
-func checkFamilyTriple(t *testing.T, r ring.Ring, m int, f0, f1 Family) {
+// checkFamilyTriple draws one m-row triple from both parties' families in
+// lockstep and checks it against the fixed mask whose shares are b0, b1.
+func checkFamilyTriple(t *testing.T, r ring.Ring, m int, f0, f1 Family, b0, b1 []uint64) {
 	t.Helper()
 	var t0, t1 *Mat
 	var e0, e1 error
@@ -25,26 +27,18 @@ func checkFamilyTriple(t *testing.T, r ring.Ring, m int, f0, f1 Family) {
 	checkTriple(t, r, t0, t1)
 	// B must be the family's fixed mask.
 	for i := range t0.B {
-		if t0.B[i] != f0.BShare()[i] || t1.B[i] != f1.BShare()[i] {
+		if t0.B[i] != b0[i] || t1.B[i] != b1[i] {
 			t.Fatal("triple B diverges from the family mask")
 		}
 	}
 }
 
 func TestDealerFamilyFixedBFreshA(t *testing.T) {
-	d := NewDealer(prg.NewSeeded(20))
 	r := ring.New(16)
-	f0, err := d.Family(0, "layer1", r, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1, err := d.Family(1, "layer1", r, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkFamilyTriple(t, r, 2, f0, f1)
-	checkFamilyTriple(t, r, 2, f0, f1) // fresh A, same B
-	checkFamilyTriple(t, r, 5, f0, f1) // different row count
+	fb, f0, f1 := dealerViews(t, 20, r, 3, 4)
+	checkFamilyTriple(t, r, 2, f0, f1, fb.BShare(0), fb.BShare(1))
+	checkFamilyTriple(t, r, 2, f0, f1, fb.BShare(0), fb.BShare(1)) // fresh A, same B
+	checkFamilyTriple(t, r, 5, f0, f1, fb.BShare(0), fb.BShare(1)) // different row count
 
 	// Consecutive A masks must differ (fresh randomness per inference).
 	a1, _ := f0.Next(2)
@@ -65,24 +59,24 @@ func TestDealerFamilyFixedBFreshA(t *testing.T) {
 }
 
 func TestDealerFamilyDistinctLayers(t *testing.T) {
-	d := NewDealer(prg.NewSeeded(21))
 	r := ring.New(12)
-	fa0, _ := d.Family(0, "convA", r, 2, 2)
-	fb0, _ := d.Family(0, "convB", r, 2, 2)
+	g := prg.NewSeeded(21)
+	fa, err := DealFixedB(g, r, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := DealFixedB(g, r, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	same := true
-	for i := range fa0.BShare() {
-		if fa0.BShare()[i] != fb0.BShare()[i] {
+	for i := range fa.BShare(0) {
+		if fa.BShare(0)[i] != fb.BShare(0)[i] {
 			same = false
 		}
 	}
 	if same {
 		t.Error("different layers share a weight mask")
-	}
-	if _, err := d.Family(0, "bad", r, 0, 1); err == nil {
-		t.Error("zero dims accepted")
-	}
-	if _, err := fa0.Next(0); err == nil {
-		t.Error("zero rows accepted")
 	}
 }
 
@@ -96,10 +90,12 @@ func TestGilboaFamily(t *testing.T) {
 	e0.Dealer = dealer
 	e1 := ot.NewEndpoint(1, b, prg.NewSeeded(24))
 	e1.Dealer = dealer
-	f0 := NewGilboaFamily(e0, prg.NewSeeded(25), 0, r, 3, 2)
-	f1 := NewGilboaFamily(e1, prg.NewSeeded(26), 1, r, 3, 2)
-	checkFamilyTriple(t, r, 2, f0, f1)
-	checkFamilyTriple(t, r, 2, f0, f1)
+	g0, g1 := prg.NewSeeded(25), prg.NewSeeded(26)
+	b0, b1 := g0.Elems(6, r), g1.Elems(6, r)
+	f0 := NewGilboaFamily(e0, g0, 0, r, 3, 2, b0)
+	f1 := NewGilboaFamily(e1, g1, 1, r, 3, 2, b1)
+	checkFamilyTriple(t, r, 2, f0, f1, b0, b1)
+	checkFamilyTriple(t, r, 2, f0, f1, b0, b1)
 	if _, err := f0.Next(0); err == nil {
 		t.Error("zero rows accepted")
 	}
@@ -109,12 +105,10 @@ func TestFamilyTripleUsableForBeaver(t *testing.T) {
 	// The family triple must actually support a Beaver multiplication:
 	// OUT = −p·E⊗F + IN_p⊗F + E⊗W_p + Z_p reconstructs to IN⊗W when the
 	// weight equals rec(B)+F.
-	d := NewDealer(prg.NewSeeded(27))
 	r := ring.New(16)
 	g := prg.NewSeeded(28)
 	k, n, m := 3, 2, 2
-	f0, _ := d.Family(0, "l", r, k, n)
-	f1, _ := d.Family(1, "l", r, k, n)
+	_, f0, f1 := dealerViews(t, 27, r, k, n)
 	t0, _ := f0.Next(m)
 	t1, _ := f1.Next(m)
 

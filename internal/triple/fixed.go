@@ -16,7 +16,7 @@ import (
 )
 
 // Gilboa with session-fixed choice bits. A session fixes each layer's
-// weight mask B (NewGilboaFamilyFixed), so the cross term A_p⊗B_q can take
+// weight mask B (NewGilboaFamily), so the cross term A_p⊗B_q can take
 // its OT choice bits from B instead of A: column j of the product gains,
 // for every kk and bit t, b_t·2^t·A[:, kk], with b_t bit t of B_q[kk, j]
 // and an M-element message. Those choices never change within a session,
@@ -153,9 +153,6 @@ type FixedFamily struct {
 	// over its workers (bit-identical at any worker count).
 	Pool *parallel.Pool
 }
-
-// BShare implements Family.
-func (f *FixedFamily) BShare() []uint64 { return f.Seeds.BShare }
 
 // Next implements Family: an inline (consumption-counted) generation.
 func (f *FixedFamily) Next(m int) (*Mat, error) {

@@ -8,12 +8,12 @@ import (
 	"aq2pnn/internal/ring"
 )
 
-// FixedB is a dealt layer family with its weight-side mask pinned: the same
-// trusted-dealer trust model as Dealer, but detached from any single
-// session. The batch executor deals one FixedB per linear layer, opens F
-// against it once during weight preparation, and then spins up an
-// independent Pool per image so concurrent inferences never contend on — or
-// perturb — each other's triple streams.
+// FixedB is the trusted dealer's layer family with its weight-side mask
+// pinned, detached from any single session. The batch executor deals one
+// FixedB per linear layer, opens F against BShare once during weight
+// preparation, and then spins up an independent Pool per image so
+// concurrent inferences never contend on — or perturb — each other's
+// triple streams.
 type FixedB struct {
 	R    ring.Ring
 	K, N int
@@ -41,19 +41,22 @@ func (fb *FixedB) BShare(party int) []uint64 { return fb.shares[party] }
 // independent triple streams, which is what keeps per-image transcripts
 // identical regardless of how the batch schedules images across workers.
 func (fb *FixedB) Pool(g *prg.PRG) *FixedBPool {
-	return &FixedBPool{fb: fb, g: g, queues: pending[int]{}}
+	return &FixedBPool{fb: fb, g: g, queues: pending{}}
 }
 
-// FixedBPool deals matched A/Z pairs on demand against the pool's fixed B.
-// Safe for concurrent use by the two party views.
+// FixedBPool deals matched A/Z pairs on demand against the pool's fixed B,
+// queueing each party's view until that party asks for it (at most
+// MaxPending per row count). Safe for concurrent use by the two party
+// views.
 type FixedBPool struct {
 	mu     sync.Mutex
 	fb     *FixedB
 	g      *prg.PRG
-	queues pending[int] // per m
+	queues pending
 }
 
-// View returns the party's Family handle onto the pool.
+// View returns the party's Family handle onto the pool. Its Next counts
+// the triple consumed, as every Family's inline Next does.
 func (p *FixedBPool) View(party int) Family { return &fixedBView{p: p, party: party} }
 
 type fixedBView struct {
@@ -61,13 +64,12 @@ type fixedBView struct {
 	party int
 }
 
-func (v *fixedBView) BShare() []uint64 { return v.p.fb.shares[v.party] }
-
 func (v *fixedBView) Next(m int) (*Mat, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("triple: non-positive row count %d", m)
 	}
 	p, fb := v.p, v.p.fb
+	countConsumed(m, fb.K, fb.N)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.queues.take(v.party, m, func() [2]*Mat {

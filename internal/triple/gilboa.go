@@ -122,16 +122,3 @@ func gilboaZ(ep *ot.Endpoint, rng *prg.PRG, pool *parallel.Pool, r ring.Ring, pa
 	}
 	return z, nil
 }
-
-// OTSource generates triples on demand through the Gilboa protocol.
-type OTSource struct {
-	EP    *ot.Endpoint
-	Rng   *prg.PRG
-	Party int
-}
-
-// MatTriple implements Source.
-func (s *OTSource) MatTriple(r ring.Ring, m, k, n int) (*Mat, error) {
-	countConsumed(m, k, n)
-	return GenMatGilboa(s.EP, s.Rng, r, s.Party, m, k, n)
-}

@@ -2,17 +2,21 @@
 // constants (AS-CST buffer) that power ciphertext-ciphertext GEMM:
 // matrices [[A]], [[B]], [[Z]] with Z = rec(A) ⊗ rec(B) (Sec. 4.1.2).
 //
-// Two offline generators are provided. The trusted Dealer mirrors the
-// paper's treatment of triples as pre-deployed constants (the paper points
-// at HE [60] or OT [28] for their generation and leaves it offline). The
-// Gilboa generator actually runs the OT-based protocol over the session
-// connection, so the full pipeline can be exercised without any trusted
-// party.
+// Every triple serves one linear layer against the layer's fixed weight
+// mask B, through the layer's Family: the opened F = rec(W) − rec(B) is
+// pre-deployed once and only the input-side mask is exchanged per
+// inference. The trusted dealer, FixedB, mirrors the paper's treatment of
+// triples as pre-deployed constants (the paper points at HE [60] or OT
+// [28] for their generation and leaves it offline) and serves the
+// in-process paths. The networked session needs no trusted party: it runs
+// Gilboa's OT-based protocol (GilboaFamily) for fully-connected layers and
+// fixed-choice generation from session seeds (FixedFamily) for
+// convolutions, and MatFamily hands out a triple the preprocessing plane
+// generated ahead of demand.
 package triple
 
 import (
 	"fmt"
-	"sync"
 
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/ring"
@@ -43,27 +47,6 @@ type Mat struct {
 	Z       []uint64 // share of Z = rec(A) ⊗ rec(B)    (M×N)
 }
 
-// Key identifies a triple shape for buffering.
-func (t *Mat) Key() string { return matKey(t.R, t.M, t.K, t.N) }
-
-func matKey(r ring.Ring, m, k, n int) string {
-	return fmt.Sprintf("%d:%dx%dx%d", r.Bits, m, k, n)
-}
-
-// DealMat samples a fresh matrix triple and splits it between the parties.
-func DealMat(g *prg.PRG, r ring.Ring, m, k, n int) (p0, p1 *Mat) {
-	a := g.Elems(m*k, r)
-	b := g.Elems(k*n, r)
-	z := make([]uint64, m*n)
-	tensor.MatMulModParInto(nil, z, a, b, m, k, n, r.Mask)
-	p0 = &Mat{R: r, M: m, K: k, N: n}
-	p1 = &Mat{R: r, M: m, K: k, N: n}
-	p0.A, p1.A = split(g, r, a)
-	p0.B, p1.B = split(g, r, b)
-	p0.Z, p1.Z = split(g, r, z)
-	return p0, p1
-}
-
 // dealFixedB deals one m-row triple against a fixed weight mask b whose
 // shares the parties already hold: a fresh A and Z = A⊗B, each split. It
 // returns party 0's and party 1's views.
@@ -88,24 +71,24 @@ func split(g *prg.PRG, r ring.Ring, x []uint64) (s0, s1 []uint64) {
 	return s0, s1
 }
 
-// pending holds, per key, each party's FIFO of dealt but undelivered
-// triple views. The caller serialises access.
-type pending[K comparable] map[K][2][]*Mat
+// pending holds, per row count, each party's FIFO of dealt but
+// undelivered triple views. The caller serialises access.
+type pending map[int][2][]*Mat
 
-// take returns the party's next view under key, calling deal for a fresh
-// pair of views when the party's FIFO is empty. Dealing for one party also
+// take returns the party's next m-row view, calling deal for a fresh pair
+// of views when the party's FIFO is empty. Dealing for one party also
 // queues the peer's view, so a peer that never consumes would grow its
 // FIFO without bound: the deal that would push it past MaxPending fails
-// instead, since the parties request identical keys in identical order
-// and a deeper backlog is a protocol-order bug, not demand. A key whose
-// views are all delivered is dropped, so long-lived dealers cycling
-// through many shapes do not accumulate empty entries.
-func (q pending[K]) take(party int, key K, deal func() [2]*Mat) (*Mat, error) {
-	views := q[key]
+// instead, since the parties request identical row counts in identical
+// order and a deeper backlog is a protocol-order bug, not demand. A row
+// count whose views are all delivered is dropped, so a long-lived pool
+// cycling through many row counts does not accumulate empty entries.
+func (q pending) take(party, m int, deal func() [2]*Mat) (*Mat, error) {
+	views := q[m]
 	if len(views[party]) == 0 {
 		if len(views[1-party]) >= MaxPending {
-			return nil, fmt.Errorf("triple: party %d holds %d undelivered triples under key %v (max %d)",
-				1-party, len(views[1-party]), key, MaxPending)
+			return nil, fmt.Errorf("triple: party %d holds %d undelivered %d-row triples (max %d)",
+				1-party, len(views[1-party]), m, MaxPending)
 		}
 		dealt := deal()
 		views[0] = append(views[0], dealt[0])
@@ -114,52 +97,9 @@ func (q pending[K]) take(party int, key K, deal func() [2]*Mat) (*Mat, error) {
 	out := views[party][0]
 	views[party] = views[party][1:]
 	if len(views[0]) == 0 && len(views[1]) == 0 {
-		delete(q, key)
+		delete(q, m)
 	} else {
-		q[key] = views
+		q[m] = views
 	}
 	return out, nil
-}
-
-// Source supplies one party's triples in protocol order. Both parties must
-// request identical shapes in identical order, which holds because they
-// execute the same layer schedule.
-type Source interface {
-	MatTriple(r ring.Ring, m, k, n int) (*Mat, error)
-}
-
-// Dealer is the in-process trusted offline phase shared by the two
-// parties' DealerSource views. It is safe for concurrent use.
-type Dealer struct {
-	mu       sync.Mutex
-	g        *prg.PRG
-	queue    pending[string] // per shape
-	families map[string]*dealerFamilyState
-}
-
-// NewDealer returns a dealer drawing randomness from g.
-func NewDealer(g *prg.PRG) *Dealer {
-	return &Dealer{g: g, queue: pending[string]{}}
-}
-
-// SourceFor returns the party's view of the dealer.
-func (d *Dealer) SourceFor(party int) Source { return &dealerSource{d: d, party: party} }
-
-type dealerSource struct {
-	d     *Dealer
-	party int
-}
-
-func (s *dealerSource) MatTriple(r ring.Ring, m, k, n int) (*Mat, error) {
-	if m <= 0 || k <= 0 || n <= 0 {
-		return nil, fmt.Errorf("triple: non-positive dims %dx%dx%d", m, k, n)
-	}
-	countConsumed(m, k, n)
-	d := s.d
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.queue.take(s.party, matKey(r, m, k, n), func() [2]*Mat {
-		p0, p1 := DealMat(d.g, r, m, k, n)
-		return [2]*Mat{p0, p1}
-	})
 }

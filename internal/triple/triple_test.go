@@ -38,11 +38,38 @@ func checkTriple(t *testing.T, r ring.Ring, p0, p1 *Mat) {
 	}
 }
 
+// dealPair deals one m-row triple against a freshly dealt k×n FixedB and
+// returns both parties' views of it.
+func dealPair(t *testing.T, g *prg.PRG, r ring.Ring, m, k, n int) (p0, p1 *Mat) {
+	t.Helper()
+	fb, err := DealFixedB(g, r, k, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := dealFixedB(g, r, m, k, n, fb.b, fb.shares)
+	return v[0], v[1]
+}
+
+// dealerViews deals a fixed weight mask for a k×n layer and returns it
+// with both parties' views of one triple pool over it.
+func dealerViews(t *testing.T, seed uint64, r ring.Ring, k, n int) (fb *FixedB, f0, f1 Family) {
+	t.Helper()
+	g := prg.NewSeeded(seed)
+	fb, err := DealFixedB(g.Fork(), r, k, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := fb.Pool(g.Fork())
+	return fb, pool.View(0), pool.View(1)
+}
+
+// TestDealMatCorrectness: a dealt triple reconstructs to
+// Z = rec(A)⊗rec(B) at every carrier width.
 func TestDealMatCorrectness(t *testing.T) {
 	g := prg.NewSeeded(1)
 	for _, bits := range []uint{8, 16, 32} {
 		r := ring.New(bits)
-		p0, p1 := DealMat(g, r, 3, 5, 4)
+		p0, p1 := dealPair(t, g, r, 3, 5, 4)
 		checkTriple(t, r, p0, p1)
 	}
 }
@@ -50,7 +77,7 @@ func TestDealMatCorrectness(t *testing.T) {
 func TestDealMatSharesLookRandom(t *testing.T) {
 	g := prg.NewSeeded(2)
 	r := ring.New(16)
-	p0, _ := DealMat(g, r, 8, 8, 8)
+	p0, _ := dealPair(t, g, r, 8, 8, 8)
 	distinct := map[uint64]bool{}
 	for _, v := range p0.A {
 		distinct[v] = true
@@ -60,34 +87,26 @@ func TestDealMatSharesLookRandom(t *testing.T) {
 	}
 }
 
+// TestDealerSourceViewsMatch: the two parties' views of one pool stay in
+// correspondence over a sequence of mixed row counts.
 func TestDealerSourceViewsMatch(t *testing.T) {
-	d := NewDealer(prg.NewSeeded(3))
-	s0, s1 := d.SourceFor(0), d.SourceFor(1)
 	r := ring.New(20)
-	var t0, t1 *Mat
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); t0, _ = s0.MatTriple(r, 2, 3, 4) }()
-	go func() { defer wg.Done(); t1, _ = s1.MatTriple(r, 2, 3, 4) }()
-	wg.Wait()
-	checkTriple(t, r, t0, t1)
-
-	// Sequences of mixed shapes stay in correspondence.
-	shapes := [][3]int{{1, 1, 1}, {4, 2, 3}, {1, 1, 1}, {2, 2, 2}}
-	for _, sh := range shapes {
-		var a, b *Mat
-		wg.Add(2)
-		go func() { defer wg.Done(); a, _ = s0.MatTriple(r, sh[0], sh[1], sh[2]) }()
-		go func() { defer wg.Done(); b, _ = s1.MatTriple(r, sh[0], sh[1], sh[2]) }()
-		wg.Wait()
-		checkTriple(t, r, a, b)
+	fb, f0, f1 := dealerViews(t, 3, r, 3, 4)
+	for _, m := range []int{2, 1, 4, 1, 2} {
+		checkFamilyTriple(t, r, m, f0, f1, fb.BShare(0), fb.BShare(1))
 	}
 }
 
 func TestDealerSourceRejectsBadDims(t *testing.T) {
-	d := NewDealer(prg.NewSeeded(4))
-	if _, err := d.SourceFor(0).MatTriple(ring.New(8), 0, 1, 1); err == nil {
-		t.Error("zero dim accepted")
+	r := ring.New(8)
+	for _, d := range [][2]int{{0, 1}, {1, 0}, {-1, 2}} {
+		if _, err := DealFixedB(prg.NewSeeded(4), r, d[0], d[1]); err == nil {
+			t.Errorf("dims %dx%d accepted", d[0], d[1])
+		}
+	}
+	_, f0, _ := dealerViews(t, 4, r, 1, 1)
+	if _, err := f0.Next(0); err == nil {
+		t.Error("zero rows accepted")
 	}
 }
 
@@ -114,31 +133,20 @@ func TestGilboaTriple(t *testing.T) {
 	checkTriple(t, r, t0, t1)
 }
 
-func TestGilboaOTSource(t *testing.T) {
-	r := ring.New(8)
-	dealer := ot.NewDealer(prg.NewSeeded(10))
-	a, b := transport.Pipe()
-	defer a.Close()
-	defer b.Close()
-	e0 := ot.NewEndpoint(0, a, prg.NewSeeded(11))
-	e0.Dealer = dealer
-	e1 := ot.NewEndpoint(1, b, prg.NewSeeded(12))
-	e1.Dealer = dealer
-	s0 := &OTSource{EP: e0, Rng: prg.NewSeeded(13), Party: 0}
-	s1 := &OTSource{EP: e1, Rng: prg.NewSeeded(14), Party: 1}
-	var t0, t1 *Mat
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); t0, _ = s0.MatTriple(r, 1, 4, 1) }()
-	go func() { defer wg.Done(); t1, _ = s1.MatTriple(r, 1, 4, 1) }()
-	wg.Wait()
-	checkTriple(t, r, t0, t1)
-}
-
-func BenchmarkDealMat(b *testing.B) {
-	g := prg.NewSeeded(1)
+func BenchmarkDealFixedB(b *testing.B) {
 	r := ring.New(16)
+	fb, err := DealFixedB(prg.NewSeeded(1), r, 64, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := fb.Pool(prg.NewSeeded(2))
+	f0, f1 := pool.View(0), pool.View(1)
 	for i := 0; i < b.N; i++ {
-		DealMat(g, r, 16, 64, 16)
+		if _, err := f0.Next(16); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := f1.Next(16); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
