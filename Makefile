@@ -92,7 +92,9 @@ chaos:
 
 # Determinism pins (docs/performance.md): the OT and session wire
 # transcripts, token steps of rising then falling size over stocks
-# compacted in place, the pad definition, serial-vs-pooled OT endpoints,
+# compacted in place, the OT dealer's streams (each view the same whatever
+# the take sizes and the taking order, and each instance its documented
+# keystream blocks), the in-process path's logits, the pad definition, serial-vs-pooled OT endpoints,
 # an extend pair on recycled 0xFF slabs against one on fresh buffers, the
 # Gilboa and fixed-choice triple shares, the seed expansion's known
 # answer, Micro's cold and warm online round counts and the accelerator
@@ -102,7 +104,7 @@ chaos:
 # under -tags purego, which runs the per-block fallback. The
 # pinned constants must not depend on GOMAXPROCS or on the build, and
 # tier-1 runs them at one count only.
-PINS_RUN = TestOTTranscriptPinned|TestStockStepsPinned|TestPoolMatchesSerial|TestPadKnownAnswer|TestExtendSlabHygiene|TestGilboaSharesPinned|TestFixedChoiceSharesPinned|TestExpandKnownAnswer|TestSessionTranscriptPinned|TestMicroOnlineRoundsPinned|TestPerOpCommMatchesEngineProfile|TestAnalyticCommMatchesMeasured
+PINS_RUN = TestOTTranscriptPinned|TestStockStepsPinned|TestDealerStreamIndependentOfTakes|TestDealerKnownAnswer|TestLocalBatchLogitsPinned|TestPoolMatchesSerial|TestPadKnownAnswer|TestExtendSlabHygiene|TestGilboaSharesPinned|TestFixedChoiceSharesPinned|TestExpandKnownAnswer|TestSessionTranscriptPinned|TestMicroOnlineRoundsPinned|TestPerOpCommMatchesEngineProfile|TestAnalyticCommMatchesMeasured
 PINS_PKGS = ./internal/ot/ ./internal/triple/ ./internal/engine/ ./internal/fpga/
 
 pins:

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"aq2pnn/internal/nn"
@@ -53,5 +55,40 @@ func TestBatchValidation(t *testing.T) {
 	}
 	if _, err := RunLocalBatch(m, [][]int64{{1, 2}}, Options{}); err == nil {
 		t.Error("short image accepted")
+	}
+}
+
+// TestLocalBatchLogitsPinned pins the in-process path's logits: Micro at
+// seed 1, two images, through RunLocalBatch at one and at two workers,
+// against a digest captured before the OT dealer drew its correlations
+// per view. The dealer's pads never reach the logits, so no change to how
+// it deals may move this digest.
+func TestLocalBatchLogitsPinned(t *testing.T) {
+	m, err := nn.ByName("micro", nn.ZooConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := make([][]int64, 2)
+	for b := range xs {
+		xs[b] = make([]int64, m.InputShape().Numel())
+		for i := range xs[b] {
+			xs[b][i] = int64((i*13+b*7)%23) - 11
+		}
+	}
+	const want = 0x3c22b73010fec5c9
+	for _, w := range []uint{1, 2} {
+		res, err := RunLocalBatch(m, xs, Options{CarrierBits: 16, Seed: 1, Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, logits := range res.Logits {
+			for _, v := range logits {
+				h.Write(binary.LittleEndian.AppendUint64(nil, uint64(v)))
+			}
+		}
+		if got := h.Sum64(); got != want {
+			t.Errorf("Workers=%d: logits digest %#016x, pinned %#016x (logits %v)", w, got, uint64(want), res.Logits)
+		}
 	}
 }

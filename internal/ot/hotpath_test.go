@@ -114,6 +114,36 @@ func TestOTHotPathAllocs(t *testing.T) {
 	}
 }
 
+// TestDealerRefillAllocs: once a dealer-backed endpoint's stocks have
+// grown to a step's size, refilling them for the same step again
+// allocates nothing, on the sender's side or on the receiver's.
+func TestDealerRefillAllocs(t *testing.T) {
+	d := NewDealer(prg.NewSeeded(46))
+	snd, rcv := NewEndpoint(0, nil, nil), NewEndpoint(1, nil, nil)
+	snd.Dealer, rcv.Dealer = d, d
+	needs := map[int]int{2: 3000, 4: 1500, 16: 200}
+	var err error
+	step := func() {
+		if e := snd.refillSend(needs); e != nil {
+			err = e
+		}
+		if e := rcv.refillRecv(needs); e != nil {
+			err = e
+		}
+		for n := range needs {
+			snd.sendStock[n] = consume(snd.sendStock[n], len(snd.sendStock[n]))
+			rcv.recvStock[n] = consume(rcv.recvStock[n], len(rcv.recvStock[n]))
+		}
+	}
+	step()
+	if a := testing.AllocsPerRun(10, step); a != 0 {
+		t.Errorf("a repeated dealer refill allocated %.1f times, want 0", a)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRecvPreRejectsWideArity: the shift travels as one byte, so N > 256
 // must fail before any traffic — a truncated shift would leave the
 // receiver waiting on a sender that rejected the batch without answering.

@@ -2,8 +2,12 @@ package ot
 
 import (
 	"bytes"
+	"crypto/aes"
 	"crypto/subtle"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -291,52 +295,164 @@ func TestEndpointsWithDealer(t *testing.T) {
 }
 
 // TestDealerStreamIndependentOfTakes: the k-th sender and receiver views
-// of one (direction, arity) stream are the same whether the stream is taken
-// whole or in pieces, and an append to a taken slice cannot write into
-// stock the dealer has not handed out yet.
+// of one (direction, arity) stream are the same whether the stream is
+// taken whole or in pieces of any size, appended to a stock that holds
+// leftovers, by one goroutine or by both parties' goroutines at once, the
+// sender's first or the receiver's; and each receiver view holds the
+// sender's chosen seed.
 func TestDealerStreamIndependentOfTakes(t *testing.T) {
 	const n = 4
-	sizes := []int{1, 7, 1024, 5000}
+	sizes := []int{1, 7, 63, 64, 65, 1024, 5000}
 	total := 0
 	for _, c := range sizes {
 		total += c
 	}
-	whole := NewDealer(prg.NewSeeded(44))
-	wantS, wantR := whole.TakeSender(0, n, total), whole.TakeRecv(0, n, total)
-
-	pieces := NewDealer(prg.NewSeeded(44))
-	var gotS [][SeedLen]byte
-	var gotR []RecvInst
-	for i, c := range sizes {
-		s := pieces.TakeSender(0, n, c)
-		// The receiver takes the same total in the reverse split.
-		r := pieces.TakeRecv(0, n, sizes[len(sizes)-1-i])
-		if cap(s) != len(s) || cap(r) != len(r) {
-			t.Fatalf("take %d: capacities %d/%d exceed lengths %d/%d", i, cap(s), cap(r), len(s), len(r))
+	// Each stream's sender view takes one order of sizes, its receiver
+	// view the other, so no view's split matches its peer's.
+	reversed := slices.Clone(sizes)
+	slices.Reverse(reversed)
+	split := func(dir int, recv bool) []int {
+		if dir == 0 != recv {
+			return sizes
 		}
-		_ = append(s, [SeedLen]byte{1})
-		_ = append(r, RecvInst{Choice: -1})
-		gotS, gotR = append(gotS, s...), append(gotR, r...)
+		return reversed
 	}
-	for k := 0; k < total; k++ {
-		if !bytes.Equal(seedBytes(gotS[k*n:(k+1)*n]), seedBytes(wantS[k*n:(k+1)*n])) {
-			t.Fatalf("sender view %d differs between one take and pieces", k)
+	whole := NewDealer(prg.NewSeeded(44))
+	var wantS [2][][SeedLen]byte
+	var wantR [2][]RecvInst
+	for s := range 2 {
+		wantS[s], wantR[s] = whole.TakeSender(nil, s, n, total), whole.TakeRecv(nil, s, n, total)
+	}
+	// take runs party p's side of both streams: the sender view of its own
+	// direction and the receiver view of the other, each in its split,
+	// behind one leftover entry.
+	type views struct {
+		snd [][SeedLen]byte
+		rcv []RecvInst
+	}
+	take := func(d *Dealer, p int) views {
+		v := views{snd: [][SeedLen]byte{{0xAA}}, rcv: []RecvInst{{Choice: -1}}}
+		for _, c := range split(p, false) {
+			v.snd = d.TakeSender(v.snd, p, n, c)
 		}
-		if gotR[k] != wantR[k] {
-			t.Fatalf("receiver view %d differs between one take and pieces", k)
+		for _, c := range split(1-p, true) {
+			v.rcv = d.TakeRecv(v.rcv, 1-p, n, c)
 		}
-		if gotS[k*n+gotR[k].Choice] != gotR[k].Seed {
-			t.Fatalf("instance %d: receiver seed is not the chosen sender seed", k)
+		if v.snd[0] != [SeedLen]byte{0xAA} || v.rcv[0].Choice != -1 {
+			t.Errorf("party %d: a take overwrote the stock's leftover", p)
+		}
+		v.snd, v.rcv = v.snd[1:], v.rcv[1:]
+		return v
+	}
+	check := func(how string, got [2]views) {
+		t.Helper()
+		for s := range 2 {
+			snd, rcv := got[s].snd, got[1-s].rcv
+			if !slices.Equal(snd, wantS[s]) {
+				t.Errorf("%s: direction %d sender views differ from one whole take", how, s)
+			}
+			if !slices.Equal(rcv, wantR[s]) {
+				t.Errorf("%s: direction %d receiver views differ from one whole take", how, s)
+			}
+			for k := range rcv {
+				if c := rcv[k].Choice; c < 0 || c >= n || snd[k*n+c] != rcv[k].Seed {
+					t.Fatalf("%s: direction %d instance %d: receiver seed is not the chosen sender seed", how, s, k)
+				}
+			}
+		}
+	}
+	for _, first := range []int{0, 1} {
+		d := NewDealer(prg.NewSeeded(44))
+		var got [2]views
+		got[first] = take(d, first)
+		got[1-first] = take(d, 1-first)
+		check(fmt.Sprintf("party %d first", first), got)
+	}
+	for round := range 4 {
+		d := NewDealer(prg.NewSeeded(44))
+		var got [2]views
+		var wg sync.WaitGroup
+		for p := range 2 {
+			wg.Add(1)
+			go func() { defer wg.Done(); got[p] = take(d, p) }()
+		}
+		wg.Wait()
+		check(fmt.Sprintf("concurrent round %d", round), got)
+	}
+}
+
+// TestDealerKnownAnswer: instance i of the stream (sender s, arity n) is
+// AES-128-CTR under the dealer's key, computed here with crypto/aes from
+// the documented counter blocks: its seeds are the blocks ⟨1, s, n, 0⟩ ‖
+// i·n+l, and its choice the first word of ⟨2, s, n, 0⟩ ‖ i mod n (no
+// word of these few instances is rejected).
+func TestDealerKnownAnswer(t *testing.T) {
+	var key [SeedLen]byte
+	prg.NewSeeded(47).Read(key[:])
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	aesAt := func(dom byte, s, n int, lo uint64) (out [SeedLen]byte) {
+		var in [SeedLen]byte
+		in[0], in[1] = dom, byte(s)
+		binary.BigEndian.PutUint16(in[2:], uint16(n))
+		binary.BigEndian.PutUint64(in[8:], lo)
+		block.Encrypt(out[:], in[:])
+		return out
+	}
+	d := NewDealer(prg.NewSeeded(47))
+	for _, tc := range []struct{ s, n, count int }{{0, 2, 300}, {1, 4, 300}, {0, 16, 40}, {1, 3, 20}} {
+		snd := d.TakeSender(nil, tc.s, tc.n, tc.count)
+		rcv := d.TakeRecv(nil, tc.s, tc.n, tc.count)
+		for i := range tc.count {
+			for l := range tc.n {
+				if snd[i*tc.n+l] != aesAt(1, tc.s, tc.n, uint64(i*tc.n+l)) {
+					t.Fatalf("s=%d n=%d: instance %d seed %d is not its keystream block", tc.s, tc.n, i, l)
+				}
+			}
+			w := aesAt(2, tc.s, tc.n, uint64(i))
+			c := int(binary.LittleEndian.Uint64(w[:]) % uint64(tc.n))
+			if rcv[i] != (RecvInst{Choice: c, Seed: snd[i*tc.n+c]}) {
+				t.Fatalf("s=%d n=%d: instance %d receiver view %v, want choice %d and its seed", tc.s, tc.n, i, rcv[i], c)
+			}
 		}
 	}
 }
 
-func seedBytes(seeds [][SeedLen]byte) []byte {
-	var b []byte
-	for _, s := range seeds {
-		b = append(b, s[:]...)
+// TestDealerChoiceRejection: a dealt choice is rejection-sampled exactly
+// as prg.Intn samples: a word below the limit (the largest multiple of n
+// that fits 64 bits) is taken mod n, a word at the limit or above is
+// skipped for the next one, and a block of rejected words reports that it
+// holds no choice.
+func TestDealerChoiceRejection(t *testing.T) {
+	words := func(ws ...uint64) []byte {
+		b := make([]byte, 8*len(ws))
+		for i, w := range ws {
+			binary.LittleEndian.PutUint64(b[8*i:], w)
+		}
+		return b
 	}
-	return b
+	const top = ^uint64(0)
+	for _, n := range []int{1, 2, 3, 4, 7, 16, 256, 300} {
+		limit := top / uint64(n) * uint64(n)
+		for _, tc := range []struct {
+			ws   []uint64
+			want int
+			ok   bool
+		}{
+			{[]uint64{limit - 1}, int((limit - 1) % uint64(n)), true},
+			{[]uint64{limit - 1, 5}, int((limit - 1) % uint64(n)), true},
+			{[]uint64{limit, 5}, 5 % n, true},
+			{[]uint64{top, limit - 1}, int((limit - 1) % uint64(n)), true},
+			{[]uint64{limit, top}, 0, false},
+		} {
+			c, ok := choiceOf(n, words(tc.ws...))
+			if ok != tc.ok || (ok && c != tc.want) {
+				t.Errorf("n=%d words %#x: choice %d ok %v, want %d ok %v", n, tc.ws, c, ok, tc.want, tc.ok)
+			}
+		}
+	}
 }
 
 func TestEndpointTransportFailure(t *testing.T) {

@@ -31,9 +31,12 @@ var perm = newBlock([SeedLen]byte([]byte(fixedKey)))
 // permuteBlocksGeneric sets each 16-byte block of dst to π of the same
 // block of src, one Encrypt call per block. dst and src are whole blocks,
 // len(dst) ≥ len(src), and they are either the same slice or disjoint.
-func permuteBlocksGeneric(dst, src []byte) {
+func permuteBlocksGeneric(dst, src []byte) { encryptGeneric(perm, dst, src) }
+
+// encryptGeneric is permuteBlocksGeneric under the block b.
+func encryptGeneric(b cipher.Block, dst, src []byte) {
 	for i := 0; i+aes.BlockSize <= len(src); i += aes.BlockSize {
-		perm.Encrypt(dst[i:i+aes.BlockSize], src[i:i+aes.BlockSize])
+		b.Encrypt(dst[i:i+aes.BlockSize], src[i:i+aes.BlockSize])
 	}
 }
 

@@ -78,6 +78,16 @@ func (k *colKey) expand(dst []byte, iv [aes.BlockSize]byte, tail *[aes.BlockSize
 	}
 }
 
+// encrypt sets each 16-byte block of dst to the key's AES-128 of the same
+// block of src, as permuteBlocks does under π's key.
+func (k *colKey) encrypt(dst, src []byte) {
+	if !useAESNI {
+		encryptGeneric(k.block, dst, src)
+		return
+	}
+	aesBlocks(&k.rk, dst[:len(src)], src)
+}
+
 // hasAESNI reports CPUID leaf 1's AES bit (ECX bit 25).
 func hasAESNI() bool
 

@@ -26,3 +26,7 @@ func newColKey(seed [SeedLen]byte) colKey { return colKey{block: newBlock(seed)}
 func (k *colKey) expand(dst []byte, iv [aes.BlockSize]byte, tail *[aes.BlockSize]byte) {
 	ctrGeneric(k.block, dst, iv, tail)
 }
+
+// encrypt sets each 16-byte block of dst to the key's AES-128 of the same
+// block of src.
+func (k *colKey) encrypt(dst, src []byte) { encryptGeneric(k.block, dst, src) }

@@ -1,7 +1,10 @@
 package ot
 
 import (
+	"crypto/aes"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"aq2pnn/internal/parallel"
@@ -20,67 +23,182 @@ const minChunk = 1024
 // sender/receiver views of random OT correlations to the two endpoints of
 // a session. It is safe for concurrent use by both party goroutines.
 //
-// A sender stream is one seed slab, n seeds per instance. Every slice the
-// dealer hands out is capacity-clipped: an append to a taken slice
-// reallocates instead of writing into stock not yet handed out.
+// Each stream of correlations, a direction (the sending party) and an
+// arity n, is AES-128-CTR under the dealer's one key in counter blocks of
+// its own (dealHi): instance i's seeds are the keystream blocks
+// i·n … i·n+n−1 of ⟨dealSeeds, sender, n⟩, and its choice is drawn from
+// block i of ⟨dealChoice, sender, n, 0⟩ (choiceOf). So instance i is a
+// function of the dealer's seed, the direction, the arity and i alone,
+// whatever the take sizes and whichever party takes first. Each view
+// keeps a cursor of its own and is dealt where it is taken, straight into
+// the taking party's stock: the sender's view expands its instances'
+// seeds, the receiver's only each instance's choice block and its chosen
+// seed. The dealer's lock covers moving a cursor and lending a view's
+// staging, never a deal.
 type Dealer struct {
-	mu  sync.Mutex
-	g   *prg.PRG
-	snd map[dealKey][][SeedLen]byte
-	rcv map[dealKey][]RecvInst
+	key   colKey
+	mu    sync.Mutex
+	views map[dealView]*viewState
 }
 
-// dealKey names one stream of correlations: a direction (the sending
-// party) and an arity.
-type dealKey struct{ sender, n int }
+// dealView names one view of a stream: its direction (the sending party),
+// its arity and whether it is the receiver's.
+type dealView struct {
+	sender, n int
+	recv      bool
+}
 
-// NewDealer returns a dealer drawing correlations from g.
+// viewState is a view's cursor, the next instance it deals, and its
+// staging, lent to one take at a time (nil while lent).
+type viewState struct {
+	next uint64
+	buf  *dealBuf
+}
+
+// dealBatch is the number of blocks a take expands or encrypts per call.
+const dealBatch = 256
+
+// dealBuf stages a take's keystream: dealBatch blocks, and as many
+// counter blocks of the receiver's chosen seeds.
+type dealBuf struct {
+	ks, ctr [dealBatch * aes.BlockSize]byte
+}
+
+// Counter domains of the dealer's keystream, the top byte of a counter
+// block's high word.
+const (
+	dealSeeds  = 1 // ⟨dealSeeds, sender, n, 0⟩ ‖ i·n+l: seed l of instance i
+	dealChoice = 2 // ⟨dealChoice, sender, n, a⟩ ‖ i: attempt a at instance i's choice
+)
+
+// maxDealArity bounds a stream's arity: n fills 16 bits of the counter.
+const maxDealArity = 1<<16 - 1
+
+// NewDealer returns a dealer keyed by 16 bytes drawn from g.
 func NewDealer(g *prg.PRG) *Dealer {
-	return &Dealer{g: g, snd: map[dealKey][][SeedLen]byte{}, rcv: map[dealKey][]RecvInst{}}
+	var key [SeedLen]byte
+	g.Read(key[:])
+	return &Dealer{key: newColKey(key), views: map[dealView]*viewState{}}
 }
 
-// ensure tops both views of k up to at least count instances. It deals the
-// deficit, rounded up to whole minChunk blocks, in one call into a fresh
-// slab behind the small remainder. The rounding matters: every stream draws
-// from the one PRG, so the size of each deal fixes where the next stream's
-// draws begin, and whole blocks keep those positions what dealing one
-// block at a time gave.
-func (d *Dealer) ensure(k dealKey, count int) {
-	s, r := d.snd[k], d.rcv[k]
-	short := count - min(len(s)/k.n, len(r))
-	if short <= 0 {
-		return
+// dealHi is the high word of the counter block ⟨dom, sender, n, a⟩: the
+// domain in its top byte, the direction in the next, the arity in the 16
+// bits below and the attempt in the low 32 bits.
+func dealHi(dom byte, sender, n int, a uint32) uint64 {
+	return uint64(dom)<<56 | uint64(sender&0xff)<<48 | uint64(n)<<32 | uint64(a)
+}
+
+// putCounter writes the counter block hi ‖ lo into blk, big-endian as
+// crypto/cipher's CTR mode counts.
+func putCounter(blk []byte, hi, lo uint64) {
+	binary.BigEndian.PutUint64(blk[:8], hi)
+	binary.BigEndian.PutUint64(blk[8:16], lo)
+}
+
+// dealIV is the counter block hi ‖ lo as an IV.
+func dealIV(hi, lo uint64) (iv [aes.BlockSize]byte) {
+	putCounter(iv[:], hi, lo)
+	return iv
+}
+
+// reserve moves a view's cursor past count instances and returns the
+// first of them, with the view's staging (a fresh one while another take
+// of the view holds it).
+func (d *Dealer) reserve(v dealView, count int) (uint64, *dealBuf) {
+	if v.n < 1 || v.n > maxDealArity {
+		panic(fmt.Sprintf("ot: dealer arity %d outside [1, %d]", v.n, maxDealArity))
 	}
-	deal := (short + minChunk - 1) / minChunk * minChunk
-	ns := make([][SeedLen]byte, len(s)+deal*k.n)
-	nr := make([]RecvInst, len(r)+deal)
-	copy(ns, s)
-	copy(nr, r)
-	dealInto(d.g, k.n, ns[len(s):], nr[len(r):])
-	d.snd[k], d.rcv[k] = ns, nr
+	d.mu.Lock()
+	s := d.views[v]
+	if s == nil {
+		s = &viewState{buf: new(dealBuf)}
+		d.views[v] = s
+	}
+	i0, buf := s.next, s.buf
+	s.next += uint64(count)
+	s.buf = nil
+	d.mu.Unlock()
+	if buf == nil {
+		buf = new(dealBuf)
+	}
+	return i0, buf
 }
 
-// TakeSender removes `count` sender views for the given direction/arity:
-// count·n seeds, n per instance.
-func (d *Dealer) TakeSender(senderParty, n, count int) [][SeedLen]byte {
+// release hands a take's staging back to its view.
+func (d *Dealer) release(v dealView, buf *dealBuf) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	k := dealKey{senderParty, n}
-	d.ensure(k, count)
-	out := d.snd[k][: count*n : count*n]
-	d.snd[k] = d.snd[k][count*n:]
-	return out
+	d.views[v].buf = buf
+	d.mu.Unlock()
 }
 
-// TakeRecv removes `count` receiver views for the given direction/arity.
-func (d *Dealer) TakeRecv(senderParty, n, count int) []RecvInst {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	k := dealKey{senderParty, n}
-	d.ensure(k, count)
-	out := d.rcv[k][:count:count]
-	d.rcv[k] = d.rcv[k][count:]
-	return out
+// TakeSender appends the next count sender views of the given
+// direction/arity, n seeds per instance, to stock and returns it. The
+// stock grows in place while its capacity lasts.
+func (d *Dealer) TakeSender(stock [][SeedLen]byte, senderParty, n, count int) [][SeedLen]byte {
+	v := dealView{senderParty, n, false}
+	i0, buf := d.reserve(v, count)
+	stock = slices.Grow(stock, count*n)
+	fresh := stock[len(stock) : len(stock)+count*n]
+	hi := dealHi(dealSeeds, senderParty, n, 0)
+	for b := 0; b < len(fresh); b += dealBatch {
+		blks := fresh[b:min(b+dealBatch, len(fresh))]
+		ks := buf.ks[:len(blks)*aes.BlockSize]
+		// Whole blocks: the expansion needs no tail scratch.
+		d.key.expand(ks, dealIV(hi, i0*uint64(n)+uint64(b)), nil)
+		for j := range blks {
+			blks[j] = [aes.BlockSize]byte(ks[j*aes.BlockSize:])
+		}
+	}
+	d.release(v, buf)
+	return stock[:len(stock)+count*n]
+}
+
+// TakeRecv appends the next count receiver views of the given
+// direction/arity to stock and returns it. Per instance it expands the
+// choice block, then encrypts the one counter block of the chosen seed.
+func (d *Dealer) TakeRecv(stock []RecvInst, senderParty, n, count int) []RecvInst {
+	v := dealView{senderParty, n, true}
+	i0, buf := d.reserve(v, count)
+	stock = slices.Grow(stock, count)
+	fresh := stock[len(stock) : len(stock)+count]
+	choice, seeds := dealHi(dealChoice, senderParty, n, 0), dealHi(dealSeeds, senderParty, n, 0)
+	for lo := 0; lo < count; lo += dealBatch {
+		insts := fresh[lo:min(lo+dealBatch, count)]
+		ch, ctr := buf.ks[:len(insts)*aes.BlockSize], buf.ctr[:len(insts)*aes.BlockSize]
+		d.key.expand(ch, dealIV(choice, i0+uint64(lo)), nil)
+		for j := range insts {
+			i := i0 + uint64(lo+j)
+			blk := ch[j*aes.BlockSize : (j+1)*aes.BlockSize]
+			c, ok := choiceOf(n, blk)
+			for a := uint32(1); !ok; a++ {
+				d.key.expand(blk, dealIV(choice+uint64(a), i), nil)
+				c, ok = choiceOf(n, blk)
+			}
+			insts[j].Choice = c
+			putCounter(ctr[j*aes.BlockSize:], seeds, i*uint64(n)+uint64(c))
+		}
+		d.key.encrypt(ctr, ctr)
+		for j := range insts {
+			insts[j].Seed = [aes.BlockSize]byte(ctr[j*aes.BlockSize:])
+		}
+	}
+	d.release(v, buf)
+	return stock[:len(stock)+count]
+}
+
+// choiceOf draws a choice in [0, n) from the little-endian 64-bit words
+// of blk by rejection sampling, as prg.Intn does: the first word below
+// the largest multiple of n that fits 64 bits, reduced mod n. ok is false
+// when blk holds no such word.
+func choiceOf(n int, blk []byte) (c int, ok bool) {
+	bound := uint64(n)
+	limit := ^uint64(0) / bound * bound
+	for ; len(blk) >= 8; blk = blk[8:] {
+		if v := binary.LittleEndian.Uint64(blk); v < limit {
+			return int(v % bound), true
+		}
+	}
+	return 0, false
 }
 
 // Endpoint is one party's OT interface: it owns the precomputed stock and
@@ -167,21 +285,10 @@ func (e *Endpoint) receiver() (*ExtReceiver, error) {
 	return e.extR, err
 }
 
-// stockUp appends fresh instances to an arity's stock. An empty stock
-// takes fresh as it is, without a copy; dealer takes are capacity-clipped,
-// so a later append never writes into the dealer's memory.
-func stockUp[T any](stock, fresh []T) []T {
-	if len(stock) == 0 {
-		return fresh
-	}
-	return append(stock, fresh...)
-}
-
 // consume drops a stock's first k entries by moving the rest to the
 // front. The stock keeps its capacity, so once an endpoint's stock has
 // grown to its largest step, later refills grow it in place; a reslice
-// would lose the consumed front and make every refill reallocate. A
-// dealer take is the endpoint's own memory too: the copy stays inside it.
+// would lose the consumed front and make every refill reallocate.
 func consume[T any](stock []T, k int) []T { return stock[:copy(stock, stock[k:])] }
 
 // log2Arity returns t for n = 2^t, rejecting non-power-of-two arities and

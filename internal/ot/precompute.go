@@ -27,29 +27,12 @@ type RecvInst struct {
 // Deal produces `count` correlated random 1-of-N OT instances from a
 // single dealer PRG: the trusted-dealer offline phase used by the
 // in-process experiments (the paper likewise treats offline material as
-// pre-deployed constants). The sender's view is one flat seed slab, n
-// seeds per instance: instance k's are entries k·n to (k+1)·n − 1.
+// pre-deployed constants). It is the first count instances of a fresh
+// Dealer's party-0 stream of arity n. The sender's view is one flat seed
+// slab, n seeds per instance: instance k's are entries k·n to (k+1)·n − 1.
 func Deal(g *prg.PRG, n, count int) ([][SeedLen]byte, []RecvInst) {
-	snd := make([][SeedLen]byte, count*n)
-	rcv := make([]RecvInst, count)
-	dealInto(g, n, snd, rcv)
-	return snd, rcv
-}
-
-// dealInto fills snd (n seeds per instance) and rcv (one view per
-// instance) with fresh correlations. Per instance the draws are its n
-// seeds, as one n·16-byte read, then the choice.
-func dealInto(g *prg.PRG, n int, snd [][SeedLen]byte, rcv []RecvInst) {
-	buf := make([]byte, n*SeedLen)
-	for k := range rcv {
-		g.Read(buf)
-		s := snd[k*n : (k+1)*n]
-		for l := range s {
-			copy(s[l][:], buf[l*SeedLen:])
-		}
-		c := g.Intn(n)
-		rcv[k] = RecvInst{Choice: c, Seed: s[c]}
-	}
+	d := NewDealer(g)
+	return d.TakeSender(nil, 0, n, count), d.TakeRecv(nil, 0, n, count)
 }
 
 // batchLen returns the number of instances in a non-empty flat candidate

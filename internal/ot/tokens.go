@@ -236,18 +236,22 @@ func (e *Endpoint) RecvTokens(bits uint, batches []RecvTokenBatch) ([][]byte, er
 	return out, nil
 }
 
-// refillSend tops up several arities' sender stock in one pass, in
-// ascending-arity order: one dealer take per arity, or else a single IKNP
-// Extend call shared by every arity.
+// refillSend tops up several arities' sender stock in one pass: one
+// dealer take per arity, each from a stream of its own, so in any order;
+// or else a single IKNP Extend call shared by every arity, in
+// ascending-arity order.
 func (e *Endpoint) refillSend(needs map[int]int) error {
-	arities := sortedArities(needs)
-	if len(arities) == 0 {
+	if e.Dealer != nil {
+		for n, need := range needs {
+			if err := dealArity(n); err != nil {
+				return err
+			}
+			e.sendStock[n] = e.Dealer.TakeSender(e.sendStock[n], e.Party, n, max(need, minChunk))
+		}
 		return nil
 	}
-	if e.Dealer != nil {
-		for _, n := range arities {
-			e.sendStock[n] = stockUp(e.sendStock[n], e.Dealer.TakeSender(e.Party, n, max(needs[n], minChunk)))
-		}
+	arities := sortedArities(needs)
+	if len(arities) == 0 {
 		return nil
 	}
 	chunks, ts, total, err := refillSchedule(arities, needs)
@@ -283,15 +287,18 @@ func (e *Endpoint) refillSend(needs map[int]int) error {
 
 // refillRecv is the receiver counterpart of refillSend.
 func (e *Endpoint) refillRecv(needs map[int]int) error {
-	arities := sortedArities(needs)
-	if len(arities) == 0 {
+	if e.Dealer != nil {
+		for n, need := range needs {
+			if err := dealArity(n); err != nil {
+				return err
+			}
+			// The sender of these correlations is the other party.
+			e.recvStock[n] = e.Dealer.TakeRecv(e.recvStock[n], 1-e.Party, n, max(need, minChunk))
+		}
 		return nil
 	}
-	if e.Dealer != nil {
-		for _, n := range arities {
-			// The sender of these correlations is the other party.
-			e.recvStock[n] = stockUp(e.recvStock[n], e.Dealer.TakeRecv(1-e.Party, n, max(needs[n], minChunk)))
-		}
+	arities := sortedArities(needs)
+	if len(arities) == 0 {
 		return nil
 	}
 	chunks, ts, total, err := refillSchedule(arities, needs)
@@ -318,6 +325,15 @@ func (e *Endpoint) refillRecv(needs map[int]int) error {
 		})
 		raw = raw[chunk*t:]
 		e.recvStock[n] = stock[:len(stock)+chunk]
+	}
+	return nil
+}
+
+// dealArity rejects an arity the online phase cannot serve (SendPre and
+// RecvPre stop at 256) before a dealer deals stock for it.
+func dealArity(n int) error {
+	if n < 1 || n > 256 {
+		return fmt.Errorf("ot: online derandomization supports 1 ≤ N ≤ 256, got %d", n)
 	}
 	return nil
 }
