@@ -58,37 +58,47 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// TestLocalBatchLogitsPinned pins the in-process path's logits: Micro at
-// seed 1, two images, through RunLocalBatch at one and at two workers,
-// against a digest captured before the OT dealer drew its correlations
-// per view. The dealer's pads never reach the logits, so no change to how
-// it deals may move this digest.
+// TestLocalBatchLogitsPinned pins the in-process path's logits at seed 1,
+// two images, through RunLocalBatch at one and at two workers: Micro on a
+// 16-bit carrier, against a digest captured before the OT dealer drew its
+// correlations per view, and LeNet5 on a 32-bit carrier (the compute-bound
+// benchmark workload's model and carrier), captured while the batch still
+// queued its triples through a shared dealer. Neither the dealer's pads
+// nor how a batch obtains its dealt triples may move a digest.
 func TestLocalBatchLogitsPinned(t *testing.T) {
-	m, err := nn.ByName("micro", nn.ZooConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := make([][]int64, 2)
-	for b := range xs {
-		xs[b] = make([]int64, m.InputShape().Numel())
-		for i := range xs[b] {
-			xs[b][i] = int64((i*13+b*7)%23) - 11
-		}
-	}
-	const want = 0x3c22b73010fec5c9
-	for _, w := range []uint{1, 2} {
-		res, err := RunLocalBatch(m, xs, Options{CarrierBits: 16, Seed: 1, Workers: w})
+	for _, tc := range []struct {
+		model string
+		bits  uint
+		want  uint64
+	}{
+		{"micro", 16, 0x3c22b73010fec5c9},
+		{"lenet5", 32, 0x2097d9e97f574ed6},
+	} {
+		m, err := nn.ByName(tc.model, nn.ZooConfig{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := fnv.New64a()
-		for _, logits := range res.Logits {
-			for _, v := range logits {
-				h.Write(binary.LittleEndian.AppendUint64(nil, uint64(v)))
+		xs := make([][]int64, 2)
+		for b := range xs {
+			xs[b] = make([]int64, m.InputShape().Numel())
+			for i := range xs[b] {
+				xs[b][i] = int64((i*13+b*7)%23) - 11
 			}
 		}
-		if got := h.Sum64(); got != want {
-			t.Errorf("Workers=%d: logits digest %#016x, pinned %#016x (logits %v)", w, got, uint64(want), res.Logits)
+		for _, w := range []uint{1, 2} {
+			res, err := RunLocalBatch(m, xs, Options{CarrierBits: tc.bits, Seed: 1, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			for _, logits := range res.Logits {
+				for _, v := range logits {
+					h.Write(binary.LittleEndian.AppendUint64(nil, uint64(v)))
+				}
+			}
+			if got := h.Sum64(); got != tc.want {
+				t.Errorf("%s Workers=%d: logits digest %#016x, pinned %#016x (logits %v)", tc.model, w, got, tc.want, res.Logits)
+			}
 		}
 	}
 }
