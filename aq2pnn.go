@@ -150,7 +150,11 @@ func SecureInfer(m *Model, x []int64, cfg InferenceConfig) (*InferenceResult, er
 // protocol puts on the wire, the output reveal included — for the
 // communication.
 func EstimateModel(acc Accelerator, m *Model, carrierBits uint) (Estimate, error) {
-	return acc.EstimateModel(m, Options{CarrierBits: carrierBits}.Carrier(m))
+	r, err := Options{CarrierBits: carrierBits}.Carrier(m)
+	if err != nil {
+		return Estimate{}, err
+	}
+	return acc.EstimateModel(m, r)
 }
 
 // TrainStandin trains a reduced stand-in ("lenet5", "alexnet", "vgg16",
@@ -220,7 +224,11 @@ type Program = fpga.Program
 // stream at the given carrier width (Sec. 4.1.1; 0 = the model bits + 4
 // default).
 func CompileProgram(m *Model, carrierBits uint) (*Program, error) {
-	return fpga.Compile(fpga.ZCU104(), m, Options{CarrierBits: carrierBits}.Carrier(m))
+	r, err := Options{CarrierBits: carrierBits}.Carrier(m)
+	if err != nil {
+		return nil, err
+	}
+	return fpga.Compile(fpga.ZCU104(), m, r)
 }
 
 // ServeModelTCP runs the model-provider side of a two-process deployment:

@@ -2,6 +2,8 @@ package aq2pnn
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"testing"
 )
 
@@ -87,5 +89,41 @@ func TestFacadeValidation(t *testing.T) {
 	}
 	if _, err := BuildModel("nope", ZooConfig{}); err == nil {
 		t.Error("unknown model accepted")
+	}
+}
+
+// TestCarrierOutOfRangeIsAnError: a carrier wider than the ring supports
+// fails every entry point that resolves one with an error, not a panic.
+func TestCarrierOutOfRangeIsAnError(t *testing.T) {
+	m, err := BuildModel("micro", ZooConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bits = 63
+	cfg := InferenceConfig{Options: Options{CarrierBits: bits, Seed: 1}}
+	x := make([]int64, m.InputShape().Numel())
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"SecureInfer", func() error { _, err := SecureInfer(m, x, cfg); return err }},
+		{"SecureInferBatch", func() error { _, err := SecureInferBatch(m, [][]int64{x}, cfg); return err }},
+		// The carrier is resolved before any dial, so no provider is needed.
+		{"OpenSession", func() error { _, err := Dial("127.0.0.1:0", cfg).OpenSession(context.Background(), m); return err }},
+		{"EstimateModel", func() error { _, err := EstimateModel(ZCU104(), m, bits); return err }},
+		{"CompileProgram", func() error { _, err := CompileProgram(m, bits); return err }},
+	} {
+		err := func() (err error) {
+			defer func() {
+				if p := recover(); p != nil {
+					err = fmt.Errorf("panic: %v", p)
+					t.Errorf("%s: %v", tc.name, err)
+				}
+			}()
+			return tc.run()
+		}()
+		if err == nil {
+			t.Errorf("%s accepted a %d-bit carrier", tc.name, bits)
+		}
 	}
 }

@@ -38,7 +38,6 @@ func (sr *secureRunner) gemm() error {
 		if err != nil {
 			return err
 		}
-		pool := fb.Pool(sr.g.Fork())
 		var w [2][]uint64
 		w[0], w[1] = share.SplitVec(sr.g, sr.r, sr.g.Elems(k*n, sr.r))
 		prepare := func(c *secure.Context) error {
@@ -46,7 +45,7 @@ func (sr *secureRunner) gemm() error {
 			if err != nil {
 				return err
 			}
-			sr.l[c.P()] = c.BindLinear(prep, pool.View(c.P()))
+			sr.l[c.P()] = c.BindLinear(prep, &dealtFamily{fb: fb, g: prg.NewSeeded(3), party: c.P()})
 			return nil
 		}
 		if err := sr.sess.Run(prepare, prepare); err != nil {
@@ -106,3 +105,15 @@ func runOTFlowOnce() error {
 	}
 	return <-errCh
 }
+
+// dealtFamily is one party's family over a dealt layer: each Next deals a
+// fresh pair of views from the family's own generator and keeps the
+// party's. Both parties' generators are seeded alike, so they deal the
+// same pairs in the same order.
+type dealtFamily struct {
+	fb    *triple.FixedB
+	g     *prg.PRG
+	party int
+}
+
+func (f *dealtFamily) Next(m int) (*triple.Mat, error) { return f.fb.Deal(f.g, m)[f.party], nil }

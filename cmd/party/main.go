@@ -24,8 +24,8 @@
 // enables the asynchronous preprocessing plane — a second multiplexed
 // stream over the same connection on which paired background fillers
 // pre-generate each upcoming inference's triple/OT material, taking the
-// generation cost off the online path.
-// -fill-workers bounds its compute; the filler runs -bank-depth ahead.
+// generation cost off the online path. The filler runs -bank-depth ahead
+// on the -workers pool.
 //
 // Fault tolerance (see docs/robustness.md): both roles exchange a
 // versioned handshake before any setup material crosses the wire, so a
@@ -82,7 +82,6 @@ func main() {
 	handshakeTimeout := flag.Duration("handshake-timeout", 0, "bound the hello and attach exchange (0 = 30s default, negative = none)")
 	sessionCache := flag.Int("session-cache", 0, "provider: detached sessions kept resumable (0 = default 64, negative = disable resumption)")
 	bankDepth := flag.Int("bank-depth", 0, "user: enable the asynchronous preprocessing plane with a kit bank this deep (0 = off; see docs/preprocessing.md)")
-	fillWorkers := flag.Uint("fill-workers", 0, "filler compute parallelism, independent of -workers (0 = all CPUs)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file on exit")
 	metrics := flag.String("metrics", "", "serve /metrics and /debug/pprof on this address (e.g. :9090; loopback unless a host is given)")
 	flag.Parse()
@@ -94,7 +93,7 @@ func main() {
 		MaxConcurrentSessions: *maxSessions, IdleTimeout: *idleTimeout,
 		MemBudget: *memBudget, HandshakeTimeout: *handshakeTimeout,
 		SessionCache: *sessionCache,
-		BankDepth:    *bankDepth, FillWorkers: *fillWorkers,
+		BankDepth:    *bankDepth,
 	}
 	if *demoGroup {
 		cfg.Group = ot.TestGroup()
@@ -163,6 +162,9 @@ func serve(ctx context.Context, listen string, models []string, cfg engine.Optio
 	for _, name := range models {
 		m, err := nn.ByName(strings.TrimSpace(name), nn.ZooConfig{Seed: cfg.Seed})
 		if err != nil {
+			return err
+		}
+		if _, err := cfg.Carrier(m); err != nil {
 			return err
 		}
 		if err := reg.Add(m); err != nil {

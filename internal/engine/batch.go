@@ -22,10 +22,9 @@ import (
 // Images are pipelined: cfg.Workers lanes each run a full online phase
 // over their own in-memory session, so one image's OT rounds overlap
 // another's GEMMs. Determinism is preserved by construction — every image
-// draws its transcript randomness from a PRG fork derived serially before
-// any lane starts, and pulls triples from its own fixed-B pool — so the
-// logits and the measured per-image traffic are bit-identical for every
-// Workers setting.
+// draws its transcript randomness and its dealt triples from a PRG fork
+// derived serially before any lane starts — so the logits and the measured
+// per-image traffic are bit-identical for every Workers setting.
 
 // BatchResult reports a batched secure inference run.
 type BatchResult struct {
@@ -53,7 +52,10 @@ func RunLocalBatch(m *nn.Model, xs [][]int64, cfg Options) (*BatchResult, error)
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("engine: empty batch")
 	}
-	r := cfg.Carrier(m)
+	r, err := cfg.Carrier(m)
+	if err != nil {
+		return nil, err
+	}
 	for i, x := range xs {
 		if len(x) != m.InputShape().Numel() {
 			return nil, fmt.Errorf("engine: image %d has %d values, want %d", i, len(x), m.InputShape().Numel())
@@ -65,21 +67,14 @@ func RunLocalBatch(m *nn.Model, xs [][]int64, cfg Options) (*BatchResult, error)
 		return nil, err
 	}
 
-	// One fixed weight mask per linear node, dealt up front so the F
-	// openings (setup) and every image's triple pools share the same B.
-	fixed := map[int]*triple.FixedB{}
-	linearNodes := []int{}
-	for i, node := range m.Nodes {
-		k, n, ok := LinearDims(node)
-		if !ok {
-			continue
+	// One fixed weight mask per linear layer, dealt up front so the F
+	// openings (setup) and every image's dealt triples share the same B.
+	layers := linearLayers(m)
+	fixed := make([]*triple.FixedB, len(layers))
+	for j, l := range layers {
+		if fixed[j], err = triple.DealFixedB(g.Fork(), r, l.K, l.N); err != nil {
+			return nil, fmt.Errorf("engine: dealing node %d mask: %w", l.Node, err)
 		}
-		fb, err := triple.DealFixedB(g.Fork(), r, k, n)
-		if err != nil {
-			return nil, fmt.Errorf("engine: dealing node %d mask: %w", i, err)
-		}
-		fixed[i] = fb
-		linearNodes = append(linearNodes, i)
 	}
 	g.Fork() // Fork advances g: keeps the input shares and per-image forks at their pinned positions
 
@@ -95,8 +90,8 @@ func RunLocalBatch(m *nn.Model, xs [][]int64, cfg Options) (*BatchResult, error)
 	prepare := func(c *secure.Context) (err error) {
 		p := c.P()
 		bs := map[int][]uint64{}
-		for _, i := range linearNodes {
-			bs[i] = fixed[i].BShare(p)
+		for j, l := range layers {
+			bs[l.Node] = fixed[j].BShare(p)
 		}
 		preps[p], err = prepareLinears(c, m, r, [2]*WeightShares{ws0, ws1}[p], bs)
 		return err
@@ -134,14 +129,13 @@ func RunLocalBatch(m *nn.Model, xs [][]int64, cfg Options) (*BatchResult, error)
 
 	runImage := func(i int) error {
 		ig := forks[i]
-		// Per-image triple pools over the shared fixed Bs (fork order is
-		// the serial node order — deterministic).
-		fams0 := map[int]triple.Family{}
-		fams1 := map[int]triple.Family{}
-		for _, n := range linearNodes {
-			fp := fixed[n].Pool(ig.Fork())
-			fams0[n] = fp.View(0)
-			fams1[n] = fp.View(1)
+		// The image's triples, one per linear layer, dealt up front over
+		// the shared fixed Bs (one fork each, in node order).
+		fams := [2]map[int]triple.Family{{}, {}}
+		for j, l := range layers {
+			mats := fixed[j].Deal(ig.Fork(), l.M)
+			fams[0][l.Node] = triple.NewMatFamily(mats[0])
+			fams[1][l.Node] = triple.NewMatFamily(mats[1])
 		}
 		sess := secure.NewLocalSessionFrom(ig.Fork())
 		defer sess.Close()
@@ -152,8 +146,8 @@ func RunLocalBatch(m *nn.Model, xs [][]int64, cfg Options) (*BatchResult, error)
 		var profile []OpProfile
 		p0 := &Party{Ctx: sess.P0, Model: m, Weights: ws0, R: r, ReLURing: reluRing, Pool: pool, Profile: &profile}
 		p1 := &Party{Ctx: sess.P1, Model: m, Weights: ws1, R: r, ReLURing: reluRing, Pool: pool}
-		p0.Bind(preps[0], fams0)
-		p1.Bind(preps[1], fams1)
+		p0.Bind(preps[0], fams[0])
+		p1.Bind(preps[1], fams[1])
 		// Each image session gets its own pair of root spans (= trace
 		// lanes); the tracer is goroutine-safe, the per-lane scopes are
 		// confined to their party goroutine.

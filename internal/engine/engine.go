@@ -125,11 +125,6 @@ type Options struct {
 	// default) disables the plane; values above preproc.MaxDepth clamp.
 	// Warm and cold inferences reveal byte-identical logits.
 	BankDepth int
-	// FillWorkers caps the filler's local compute parallelism (its Gilboa
-	// GEMMs and its OT endpoint's pad, IKNP row-hash and combine loops),
-	// independently of Workers so background fill does not steal the
-	// online path's CPUs. 0 uses GOMAXPROCS. Ignored when BankDepth is 0.
-	FillWorkers uint
 }
 
 // DefaultHandshakeTimeout bounds the hello and attach exchange when
@@ -151,13 +146,17 @@ func (c Options) handshakeTimeout() time.Duration {
 // Pool resolves the compute pool for the Workers setting.
 func (c Options) Pool() *parallel.Pool { return parallel.New(c.Workers) }
 
-// Carrier resolves the ring for a model.
-func (c Options) Carrier(m *nn.Model) ring.Ring {
+// Carrier resolves the ring for a model. A width past ring.MaxBits, set
+// or defaulted, is an error.
+func (c Options) Carrier(m *nn.Model) (ring.Ring, error) {
 	bits := c.CarrierBits
 	if bits == 0 {
 		bits = m.InBits + Margin
 	}
-	return ring.New(bits)
+	if bits > ring.MaxBits {
+		return ring.Ring{}, fmt.Errorf("engine: %d-bit carrier exceeds the %d-bit maximum", bits, ring.MaxBits)
+	}
+	return ring.New(bits), nil
 }
 
 // OpProfile is one node's measured cost at party i's endpoint.
@@ -262,35 +261,45 @@ type Party struct {
 	Profile *[]OpProfile
 }
 
-// LinearDims reports the GEMM shape (K×N) of a linear node, or ok=false
-// for non-linear nodes.
-func LinearDims(node nn.Node) (k, n int, ok bool) {
-	switch op := node.Op.(type) {
-	case *nn.Conv:
-		return op.Geom.PatchLen(), op.Geom.OutC, true
-	case *nn.FC:
-		return op.In, op.Out, true
-	}
-	return 0, 0, false
+// linearLayer is the public GEMM shape of one linear node: each inference
+// consumes exactly one (M×K)⊗(K×N) triple for it, M the static conv patch
+// count (or 1 for FC), K×N the weight in GEMM layout.
+type linearLayer struct {
+	Node    int // node index in the model graph
+	M, K, N int
 }
 
-// prepareLinears opens the weight mask F of every linear node, in node
+// linearLayers lists m's linear nodes in node order. Both parties derive
+// it from the shared architecture, and every walk over the linear layers
+// — the B masks and F openings, the fixed-choice set-up, the per-inference
+// bind, the kit fill, the dealt batch and the payload check — runs over
+// it, so all of them agree on shapes and order without negotiation.
+func linearLayers(m *nn.Model) []linearLayer {
+	var ls []linearLayer
+	for i, node := range m.Nodes {
+		switch op := node.Op.(type) {
+		case *nn.Conv:
+			ls = append(ls, linearLayer{Node: i, M: op.Geom.Patches(), K: op.Geom.PatchLen(), N: op.Geom.OutC})
+		case *nn.FC:
+			ls = append(ls, linearLayer{Node: i, M: 1, K: op.In, N: op.Out})
+		}
+	}
+	return ls
+}
+
+// prepareLinears opens the weight mask F of every linear layer, in node
 // order, against this party's share of the node's fixed weight mask B
 // (bShares, node id → K×N share): the setup phase, whose communication is
 // reported separately from the online phase. The result is what Bind
 // takes.
 func prepareLinears(ctx *secure.Context, m *nn.Model, r ring.Ring, weights *WeightShares, bShares map[int][]uint64) (map[int]*secure.Prepared, error) {
 	preps := map[int]*secure.Prepared{}
-	for i, node := range m.Nodes {
-		k, n, ok := LinearDims(node)
-		if !ok {
-			continue
-		}
-		prep, err := ctx.PrepareLinear(r, weights.W[i], bShares[i], k, n)
+	for _, l := range linearLayers(m) {
+		prep, err := ctx.PrepareLinear(r, weights.W[l.Node], bShares[l.Node], l.K, l.N)
 		if err != nil {
-			return nil, fmt.Errorf("engine: prepare node %d: %w", i, err)
+			return nil, fmt.Errorf("engine: prepare node %d: %w", l.Node, err)
 		}
-		preps[i] = prep
+		preps[l.Node] = prep
 	}
 	return preps, nil
 }

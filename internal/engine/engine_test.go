@@ -130,11 +130,14 @@ func TestSecureInferenceResidual(t *testing.T) {
 
 func TestDefaultCarrierIsPlusMargin(t *testing.T) {
 	m := tinyModel(nn.PoolMax)
-	if got := (Options{}).Carrier(m); got.Bits != 12 {
-		t.Errorf("default carrier = %d bits, want InBits+4 = 12", got.Bits)
+	if got, err := (Options{}).Carrier(m); err != nil || got.Bits != 12 {
+		t.Errorf("default carrier = (%d bits, %v), want InBits+4 = 12", got.Bits, err)
 	}
-	if got := (Options{CarrierBits: 16}).Carrier(m); got.Bits != 16 {
-		t.Errorf("explicit carrier = %d", got.Bits)
+	if got, err := (Options{CarrierBits: 16}).Carrier(m); err != nil || got.Bits != 16 {
+		t.Errorf("explicit carrier = (%d bits, %v)", got.Bits, err)
+	}
+	if _, err := (Options{CarrierBits: ring.MaxBits + 1}).Carrier(m); err == nil {
+		t.Errorf("a %d-bit carrier resolved", ring.MaxBits+1)
 	}
 }
 

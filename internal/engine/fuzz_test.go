@@ -105,7 +105,7 @@ func FuzzRecvSetup(f *testing.F) {
 // unchanged (the decoder reads exactly the fields the encoder writes).
 func FuzzHandshakeHello(f *testing.F) {
 	m := tinyModel(nn.PoolAvg)
-	r := Options{CarrierBits: 20}.Carrier(m)
+	r := carrierOf(Options{CarrierBits: 20}, m)
 	f.Add(helloFor(roleUser, m, r, Options{CarrierBits: 20}).encode())
 	f.Add(busyFrame())
 	f.Add([]byte("AQ2S"))

@@ -14,7 +14,7 @@ import (
 func TestGatewirePeeks(t *testing.T) {
 	m := tinyModel(nn.PoolAvg)
 	cfg := testCfg()
-	h := helloFor(roleUser, m, cfg.Carrier(m), cfg)
+	h := helloFor(roleUser, m, carrierOf(cfg, m), cfg)
 	h.Flags |= flagSession | flagPreproc
 	hi, err := PeekHello(h.encode())
 	if err != nil {
@@ -30,7 +30,7 @@ func TestGatewirePeeks(t *testing.T) {
 		t.Error("PeekHello accepted a malformed hello")
 	}
 	var he *HandshakeError
-	if _, err := PeekHello(helloFor(roleUser, m, cfg.Carrier(m), cfg).encode()); !errors.As(err, &he) || he.Field != "protocol flags" {
+	if _, err := PeekHello(helloFor(roleUser, m, carrierOf(cfg, m), cfg).encode()); !errors.As(err, &he) || he.Field != "protocol flags" {
 		t.Errorf("PeekHello on a hello without the session flag = %v, want the protocol-flags *HandshakeError", err)
 	}
 	if _, err := PeekHello(BusyRejectFrame()); !errors.Is(err, transport.ErrServerBusy) {

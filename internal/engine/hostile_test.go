@@ -330,7 +330,7 @@ func TestIdleTimeoutKillsStalledPeer(t *testing.T) {
 func TestHandshakeRejectsTruncatedAndGarbage(t *testing.T) {
 	m := tinyModel(nn.PoolAvg)
 	cfg := testCfg()
-	valid := helloFor(roleProvider, m, cfg.Carrier(m), cfg).encode()
+	valid := helloFor(roleProvider, m, carrierOf(cfg, m), cfg).encode()
 	cases := []struct {
 		name      string
 		frame     []byte

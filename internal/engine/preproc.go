@@ -3,9 +3,7 @@ package engine
 import (
 	"fmt"
 
-	"aq2pnn/internal/nn"
 	"aq2pnn/internal/ot"
-	"aq2pnn/internal/parallel"
 	"aq2pnn/internal/preproc"
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/telemetry"
@@ -44,45 +42,27 @@ func wrapPreprocConn(party int, c transport.Conn) transport.Conn {
 	return c
 }
 
-// preprocLayers extracts the public per-inference GEMM schedule from the
-// model: one (M×K)⊗(K×N) family triple per linear node, M the static conv
-// patch count (or 1 for FC). Both parties derive the identical schedule
-// from the shared architecture, so the fillers agree on a kit's shape
-// without negotiation.
-func preprocLayers(m *nn.Model) []preproc.Layer {
-	var ls []preproc.Layer
-	for i, node := range m.Nodes {
-		k, n, ok := LinearDims(node)
-		if !ok {
-			continue
-		}
-		rows := 1
-		if op, isConv := node.Op.(*nn.Conv); isConv {
-			rows = op.Geom.Patches()
-		}
-		ls = append(ls, preproc.Layer{Node: i, M: rows, K: k, N: n})
-	}
-	return ls
-}
-
 // preprocGen builds one party's kit generator for the fill loop. Each call
 // replays exactly the per-seq derivation the cold path's bindInfer would
 // run — a fresh OT endpoint over the fill stream (its own salted seed; the
 // endpoint internals never reach the delivered shares) and the per-layer
 // family streams forked from inferFamSeed in node order — then generates
-// every linear layer's triple: fixed-choice layers from the fill stream's
-// seeds, the others through Gilboa on the kit's endpoint. The first call
-// sets up the fill stream's plane (setupFixed: one public-key set-up and
-// the seed OTs, on an endpoint of its own); every kit's endpoint is
-// derived from that plane in its seq's ot.KitHalf namespace, so a kit runs
-// no public-key flow and no bootstrap. The produced triples are
-// bit-identical to those an inline cold inference of the same seq would
-// generate: both streams' seeds come from the session's one seed-pair
-// stream. The kit keeps the plane, from which bindInfer derives the seq's
-// online endpoint in its ot.OnlineHalf namespace, so a warm inference
-// runs no public-key OT either.
-func preprocGen(pconn transport.Conn, party int, cfg Options, st *sessionState, pool *parallel.Pool) preproc.GenFunc {
-	layers := preprocLayers(st.model)
+// every linear layer's triple through the same live families (liveFamily):
+// fixed-choice layers from the fill stream's seeds, the others through
+// Gilboa on the kit's endpoint. Both parties derive the kit's shape from
+// the shared architecture (linearLayers), so the fillers agree on it
+// without negotiation. The first call sets up the fill stream's plane
+// (setupFixed: one public-key set-up and the seed OTs, on an endpoint of
+// its own); every kit's endpoint is derived from that plane in its seq's
+// ot.KitHalf namespace, so a kit runs no public-key flow and no bootstrap.
+// The produced triples are bit-identical to those an inline cold inference
+// of the same seq would generate: both streams' seeds come from the
+// session's one seed-pair stream. The kit keeps the plane, from which
+// bindInfer derives the seq's online endpoint in its ot.OnlineHalf
+// namespace, so a warm inference runs no public-key OT either. Local work
+// runs on the Workers pool (cfg.Pool).
+func preprocGen(pconn transport.Conn, party int, cfg Options, st *sessionState) preproc.GenFunc {
+	layers, pool := linearLayers(st.model), cfg.Pool()
 	var seeds map[int]*triple.FixedSeeds
 	var plane *ot.Plane
 	return func(seq uint32, root *telemetry.Span) (*preproc.Kit, error) {
@@ -100,16 +80,7 @@ func preprocGen(pconn transport.Conn, party int, cfg Options, st *sessionState, 
 		famRng := prg.NewSeeded(inferFamSeed(icfg, party))
 		mats := make(map[int]*triple.Mat, len(layers))
 		for _, l := range layers {
-			var mat *triple.Mat
-			var err error
-			if s := seeds[l.Node]; s != nil {
-				fam := &triple.FixedFamily{EP: ep, Rng: famRng.Fork(), Party: party, Seeds: s, Seq: seq, Pool: pool}
-				mat, err = fam.Generate(l.M)
-			} else {
-				fam := triple.NewGilboaFamily(ep, famRng.Fork(), party, st.r, l.K, l.N, st.bShares[l.Node])
-				fam.Pool = pool
-				mat, err = fam.Generate(l.M)
-			}
+			mat, err := st.liveFamily(l, ep, famRng.Fork(), party, seq, seeds, pool).Next(l.M)
 			if err != nil {
 				return nil, fmt.Errorf("preprocessing node %d: %w", l.Node, err)
 			}
@@ -131,7 +102,7 @@ func preprocGen(pconn transport.Conn, party int, cfg Options, st *sessionState, 
 // or by the caller closing the main stream first.
 func startFill(pconn transport.Conn, party int, cfg Options, st *sessionState, loop func(preproc.Filler) error) (join func()) {
 	pc := wrapPreprocConn(party, pconn)
-	gen := preprocGen(pc, party, cfg, st, parallel.New(cfg.FillWorkers))
+	gen := preprocGen(pc, party, cfg, st)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

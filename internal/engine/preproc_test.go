@@ -93,7 +93,6 @@ func TestSessionPreprocWarmMatchesCold(t *testing.T) {
 
 		wcfg := cfg
 		wcfg.BankDepth = 2
-		wcfg.FillWorkers = 2
 		tr := telemetry.New()
 		wcfg.Trace = tr
 		warm, warmOnline := runSessionLogits(t, m, x, wcfg, inferences)

@@ -11,6 +11,7 @@ import (
 
 	"aq2pnn/internal/nn"
 	"aq2pnn/internal/ot"
+	"aq2pnn/internal/ring"
 	"aq2pnn/internal/transport"
 )
 
@@ -54,9 +55,18 @@ func rawOpen(t *testing.T, conn transport.Conn, h sessionHello) sessionHello {
 	return peer
 }
 
+// carrierOf resolves a carrier the test knows to be in range.
+func carrierOf(cfg Options, m *nn.Model) ring.Ring {
+	r, err := cfg.Carrier(m)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // userHello is the hello a real client sends for (m, cfg).
 func userHello(m *nn.Model, cfg Options) sessionHello {
-	h := helloFor(roleUser, m, cfg.Carrier(m), cfg)
+	h := helloFor(roleUser, m, carrierOf(cfg, m), cfg)
 	h.Flags |= flagSession
 	return h
 }
@@ -385,5 +395,24 @@ func TestRetryExhaustsBudget(t *testing.T) {
 	}
 	if dials != 3 {
 		t.Errorf("made %d attempts, want 3", dials)
+	}
+}
+
+// TestServeCarrierOutOfRange: a provider whose carrier is wider than the
+// ring supports fails the session with an error, not a panic, and the
+// client's open fails with it.
+func TestServeCarrierOutOfRange(t *testing.T) {
+	m := tinyModel(nn.PoolAvg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addr, done := serveOnce(t, ctx, Options{CarrierBits: ring.MaxBits + 1, Seed: 4}, m, 1, nil)
+	dial := func(ctx context.Context) (transport.Conn, error) {
+		return transport.DialContext(ctx, addr, 5*time.Second)
+	}
+	if _, err := inferOnce(ctx, dial, m, input(64), Options{CarrierBits: 20, Seed: 4}); err == nil {
+		t.Error("a session opened against a provider with an out-of-range carrier")
+	}
+	if err := <-done; err == nil {
+		t.Error("the provider served a session on an out-of-range carrier")
 	}
 }

@@ -254,7 +254,7 @@ type sessionState struct {
 // fixedLayers lists the fixed-choice layers (triple.FixedChoice) of the
 // session's schedule in node order, with this party's B shares.
 func (st *sessionState) fixedLayers() (nodes []int, layers []triple.FixedLayer) {
-	for _, l := range preprocLayers(st.model) {
+	for _, l := range linearLayers(st.model) {
 		if triple.FixedChoice(l.M, l.N) {
 			nodes = append(nodes, l.Node)
 			layers = append(layers, triple.FixedLayer{R: st.r, K: l.K, N: l.N, BShare: st.bShares[l.Node]})
@@ -312,10 +312,8 @@ func (st *sessionState) setupFixed(conn transport.Conn, party int, cfg Options, 
 func newSessionState(ctx *secure.Context, m *nn.Model, r ring.Ring, weights *WeightShares, famSeed uint64) (*sessionState, error) {
 	famRng := prg.NewSeeded(famSeed)
 	bs := map[int][]uint64{}
-	for i, node := range m.Nodes {
-		if k, n, ok := LinearDims(node); ok {
-			bs[i] = famRng.Fork().Elems(k*n, r)
-		}
+	for _, l := range linearLayers(m) {
+		bs[l.Node] = famRng.Fork().Elems(l.K*l.N, r)
 	}
 	preps, err := prepareLinears(ctx, m, r, weights, bs)
 	if err != nil {
@@ -403,12 +401,11 @@ func inferFamSeed(icfg Options, party int) uint64 {
 // derived from the fill plane that made it (kit.Plane) in seq's
 // ot.OnlineHalf namespace, which the kit's own fill never extended, and
 // linear nodes it covers bind a consumed-once precomputed family instead
-// of a live one, so the online transcript carries no triple generation. A
-// live family of a fixed-choice node builds from the main stream's seeds
-// (st.fixed), of any other node runs Gilboa. A warm endpoint draws on an
-// OT stream of its own (warmOTSeedSalt), apart from the stream a cold run
-// of seq draws its choice bits from: a seq retried after a fault runs
-// cold. The per-node family stream is forked either way — the fork
+// of a live one (liveFamily over the main stream's seeds, st.fixed), so
+// the online transcript carries no triple generation. A warm endpoint
+// draws on an OT stream of its own (warmOTSeedSalt), apart from the stream
+// a cold run of seq draws its choice bits from: a seq retried after a
+// fault runs cold. The per-node family stream is forked either way — the fork
 // positions stay identical between warm and cold binds, which (together
 // with the kit itself being generated from inferFamSeed) keeps warm and
 // cold logits byte-identical.
@@ -422,26 +419,34 @@ func (st *sessionState) bindInfer(conn transport.Conn, party int, cfg Options, s
 	})
 	famRng := prg.NewSeeded(inferFamSeed(icfg, party))
 	fams := map[int]triple.Family{}
-	for i, node := range st.model.Nodes {
-		k, n, ok := LinearDims(node)
-		if !ok {
-			continue
-		}
+	for _, l := range linearLayers(st.model) {
 		frng := famRng.Fork()
-		if kit != nil && kit.Mats[i] != nil {
-			fams[i] = triple.NewMatFamily(kit.Mats[i])
-			continue
+		if kit != nil && kit.Mats[l.Node] != nil {
+			fams[l.Node] = triple.NewMatFamily(kit.Mats[l.Node])
+		} else {
+			fams[l.Node] = st.liveFamily(l, ctx.OT, frng, party, seq, st.fixed, ctx.Pool)
 		}
-		if seeds := st.fixed[i]; seeds != nil {
-			fams[i] = &triple.FixedFamily{EP: ctx.OT, Rng: frng, Party: party, Seeds: seeds, Seq: seq, Pool: ctx.Pool}
-			continue
-		}
-		fams[i] = triple.NewGilboaFamily(ctx.OT, frng, party, st.r, k, n, st.bShares[i])
 	}
 	p := &Party{Ctx: ctx, Model: st.model, Weights: st.weights, R: st.r,
 		ReLURing: reluRingFor(cfg, st.r), Pool: ctx.Pool}
 	p.Bind(st.preps, fams)
 	return ctx, p
+}
+
+// liveFamily is party's family for layer l of seq, generated live over
+// ep: fixed-choice from seeds when the layer has them, Gilboa otherwise.
+// The cold bind passes the main stream's seeds and the kit fill the fill
+// stream's, and both draw rng from the same inferFamSeed fork, which is
+// what makes a kit bit-identical to the cold path's triples. pool spreads
+// each generation's local work (bit-identical at any worker count).
+func (st *sessionState) liveFamily(l linearLayer, ep *ot.Endpoint, rng *prg.PRG, party int, seq uint32,
+	seeds map[int]*triple.FixedSeeds, pool *parallel.Pool) triple.Family {
+	if s := seeds[l.Node]; s != nil {
+		return &triple.FixedFamily{EP: ep, Rng: rng, Party: party, Seeds: s, Seq: seq, Pool: pool}
+	}
+	fam := triple.NewGilboaFamily(ep, rng, party, st.r, l.K, l.N, st.bShares[l.Node])
+	fam.Pool = pool
+	return fam
 }
 
 // inferSeq runs one party's inference seq over the live connection: a

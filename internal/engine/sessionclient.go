@@ -74,8 +74,12 @@ type Session struct {
 // failures per cfg.Retries. The returned session's Infer calls cost only
 // online traffic.
 func (c *Client) OpenSession(ctx context.Context, m *nn.Model) (*Session, error) {
-	s := &Session{c: c, m: m, r: c.cfg.Carrier(m)}
-	err := c.withRetry(ctx, func() error { return s.establish(ctx, false) })
+	r, err := c.cfg.Carrier(m)
+	if err != nil {
+		return nil, err
+	}
+	s := &Session{c: c, m: m, r: r}
+	err = c.withRetry(ctx, func() error { return s.establish(ctx, false) })
 	if err != nil {
 		return nil, err
 	}

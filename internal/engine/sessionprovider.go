@@ -32,8 +32,12 @@ func provideConn(conn transport.Conn, reg *Registry, cfg Options) error {
 	scfg := cfg
 	scfg.RevealClassOnly = peer.Flags&flagClassOnly != 0
 	var mine sessionHello
+	var r ring.Ring
 	if m != nil {
-		mine = helloFor(roleProvider, m, scfg.Carrier(m), scfg)
+		if r, err = scfg.Carrier(m); err != nil {
+			return err
+		}
+		mine = helloFor(roleProvider, m, r, scfg)
 		mine.Flags |= flagSession | peer.Flags&flagPreproc
 	} else {
 		// Unknown model: answer with the peer's own parameters under a
@@ -61,7 +65,6 @@ func provideConn(conn transport.Conn, reg *Registry, cfg Options) error {
 	if err != nil {
 		return err
 	}
-	r := scfg.Carrier(m)
 	token, st := attachState(reg, req, m, r)
 	if err := conn.Send(encodeAttach(attachRespMagic, attachFrame{flag: st != nil, token: token})); err != nil {
 		return fmt.Errorf("engine: sending session attach: %w", err)
@@ -133,7 +136,7 @@ func provideSession(conn transport.Conn, reg *Registry, m *nn.Model, r ring.Ring
 	}
 	var store *preproc.Store
 	if pconn != nil {
-		// The store cap is the structural bound (MaxPending), not the
+		// The store cap is the structural bound (MaxDepth), not the
 		// provider's own bank-depth knob: pacing is the client's job (its
 		// bank depth), the cap only defends against a client that demands
 		// without consuming.

@@ -192,9 +192,11 @@ func TestTelemetryDisabledBitIdentical(t *testing.T) {
 }
 
 // TestTripleCountersAgreeAcrossPaths: the dealer-backed local path
-// (RunLocal) and a networked session of one consume the same triples, one
-// per linear node per party, so both advance the consumed-triple and
-// triple-multiplication counters by the same non-zero amounts.
+// (RunLocal), a networked session of one and a warm inference of a banked
+// session consume the same triples, one per linear node per party, so all
+// three advance the consumed-triple and triple-multiplication counters by
+// the same non-zero amounts. Kits filled ahead of demand count nothing
+// until an inference consumes them.
 func TestTripleCountersAgreeAcrossPaths(t *testing.T) {
 	telemetry.Enable()
 	m, err := nn.ByName("micro", nn.ZooConfig{Bits: 8, Seed: 1})
@@ -234,5 +236,34 @@ func TestTripleCountersAgreeAcrossPaths(t *testing.T) {
 	if local != session {
 		t.Errorf("RunLocal counted %d triples and %d multiplications, a session of one %d and %d",
 			local[0], local[1], session[0], session[1])
+	}
+
+	bcfg := cfg
+	bcfg.BankDepth = 2
+	h := newSessionHarness(t, m, bcfg)
+	var s *Session
+	open := counts(func() {
+		if s, err = NewClient(h.dial, bcfg).OpenSession(context.Background(), m); err != nil {
+			t.Fatal(err)
+		}
+		if !s.WarmupPreproc(2) {
+			t.Fatal("the bank never filled")
+		}
+	})
+	warm := counts(func() {
+		if _, err := s.Infer(context.Background(), x); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h.wg.Wait()
+	if open != ([2]uint64{}) {
+		t.Errorf("a banked open and its fill counted %d triples and %d multiplications, want none", open[0], open[1])
+	}
+	if warm != local {
+		t.Errorf("RunLocal counted %d triples and %d multiplications, a warm inference %d and %d",
+			local[0], local[1], warm[0], warm[1])
 	}
 }

@@ -74,7 +74,7 @@ func (c *transcriptConn) Recv() ([]byte, error) {
 // TestSessionTranscriptPinned pins the client's wire transcript, byte for
 // byte, for one session of three inferences — cold (inline generation) and
 // warm (banked kits, main stream only) — at the default worker count and at
-// Workers = FillWorkers = 1 and 4. The constants were last re-captured when
+// Workers = 1 and 4. The constants were last re-captured when
 // the base-OT flow's blinding became multiplicative (content changed) and
 // each OT endpoint came to run one public-key set-up at most: a cold seq's
 // second set-up became a κ-OT bootstrap (six flow frames per seq became
@@ -123,7 +123,7 @@ func TestSessionTranscriptPinned(t *testing.T) {
 			m := tinyModel(nn.PoolAvg)
 			cfg := testCfg()
 			cfg.BankDepth = tc.bankDepth
-			cfg.Workers, cfg.FillWorkers = tc.workers, tc.workers
+			cfg.Workers = tc.workers
 			h := newSessionHarness(t, m, cfg)
 			var tc0 *transcriptConn
 			h.wrap = func(_ int, c transport.Conn) transport.Conn {

@@ -165,36 +165,31 @@ func wireError(field string, got, want int) *PayloadError {
 // short share surfaced later as an index panic deep inside the tiled
 // GEMM — or worse, a silently wrong reveal.
 func validateWirePayload(m *nn.Model, wp *WeightShares) error {
-	for i, node := range m.Nodes {
-		k, n, ok := LinearDims(node)
-		if !ok {
-			if len(wp.W[i]) != 0 {
-				return &PayloadError{Node: i, Field: "weights", Got: len(wp.W[i]), Want: 0}
-			}
-			if len(wp.Bias[i]) != 0 {
-				return &PayloadError{Node: i, Field: "bias", Got: len(wp.Bias[i]), Want: 0}
-			}
-			continue
-		}
-		if len(wp.W[i]) != k*n {
-			return &PayloadError{Node: i, Field: "weights", Got: len(wp.W[i]), Want: k * n}
+	linear := map[int]bool{}
+	for _, l := range linearLayers(m) {
+		i := l.Node
+		linear[i] = true
+		if len(wp.W[i]) != l.K*l.N {
+			return &PayloadError{Node: i, Field: "weights", Got: len(wp.W[i]), Want: l.K * l.N}
 		}
 		wantBias := 0
-		if nodeHasBias(node) {
-			wantBias = n
+		if nodeHasBias(m.Nodes[i]) {
+			wantBias = l.N
 		}
 		if len(wp.Bias[i]) != wantBias {
 			return &PayloadError{Node: i, Field: "bias", Got: len(wp.Bias[i]), Want: wantBias}
 		}
 	}
-	for id := range wp.W {
-		if id < 0 || id >= len(m.Nodes) {
-			return &PayloadError{Node: id, Field: "weights", Got: len(wp.W[id]), Want: 0}
+	// Any other entry must be an empty one of an in-range node.
+	stray := func(id, n int) bool { return !linear[id] && (n != 0 || id < 0 || id >= len(m.Nodes)) }
+	for id, w := range wp.W {
+		if stray(id, len(w)) {
+			return &PayloadError{Node: id, Field: "weights", Got: len(w), Want: 0}
 		}
 	}
-	for id := range wp.Bias {
-		if id < 0 || id >= len(m.Nodes) {
-			return &PayloadError{Node: id, Field: "bias", Got: len(wp.Bias[id]), Want: 0}
+	for id, b := range wp.Bias {
+		if stray(id, len(b)) {
+			return &PayloadError{Node: id, Field: "bias", Got: len(b), Want: 0}
 		}
 	}
 	return nil

@@ -151,16 +151,11 @@ func TestValidateWirePayload(t *testing.T) {
 	if err := validateWirePayload(m, good()); err != nil {
 		t.Fatalf("well-formed payload rejected: %v", err)
 	}
-	linear := -1
-	for i, node := range m.Nodes {
-		if _, _, ok := LinearDims(node); ok {
-			linear = i
-			break
-		}
-	}
-	if linear < 0 {
+	layers := linearLayers(m)
+	if len(layers) == 0 {
 		t.Fatal("micro has no linear node")
 	}
+	linear := layers[0].Node
 	cases := []struct {
 		name   string
 		mutate func(*WeightShares)

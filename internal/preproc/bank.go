@@ -38,9 +38,6 @@ func NewBank(start uint32, depth int) *Bank {
 	return b
 }
 
-// Depth reports the clamped bank capacity.
-func (b *Bank) Depth() int { return b.depth }
-
 // NextSeq blocks until the filler may run another seq (fewer than depth
 // seqs ahead of the online path) and claims it. ok=false means
 // the bank was stopped or marked dead — the filler's clean exit signal.
@@ -90,13 +87,6 @@ func (b *Bank) Take(seq uint32) *Kit {
 		}
 		b.cond.Wait()
 	}
-}
-
-// Fill reports how many kits are currently committed.
-func (b *Bank) Fill() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.kits)
 }
 
 // WaitFill blocks until the bank holds at least n kits (clamped to the
@@ -193,11 +183,4 @@ func (s *Store) Take(seq uint32) *Kit {
 	}
 	telemetry.SetGauge("aq2pnn_preproc_bank_fill", int64(len(s.kits)))
 	return k
-}
-
-// Len reports how many kits are currently committed.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.kits)
 }

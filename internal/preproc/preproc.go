@@ -38,19 +38,12 @@ import (
 	"aq2pnn/internal/triple"
 )
 
-// MaxDepth bounds the configured bank depth: the plane never holds more
-// than this many inference kits ahead of consumption per party,
-// consistent with the dealer-queue bound (see triple.MaxPending).
-const MaxDepth = triple.MaxPending
-
-// Layer is the public GEMM shape of one linear node: each inference
-// consumes exactly one (M×K)⊗(K×N) family triple for it. M is static
-// (the conv patch count, or 1 for FC), which is what makes
-// ahead-of-demand generation possible at all.
-type Layer struct {
-	Node    int // node index in the model graph
-	M, K, N int
-}
+// MaxDepth bounds the configured bank depth and the provider's store: the
+// plane never holds more than this many inference kits ahead of
+// consumption per party. The two parties consume in lockstep, so a deeper
+// backlog would mean a protocol-order bug (or a hostile client), not a
+// legitimate working set.
+const MaxDepth = 256
 
 // Kit is the correlated material for one inference seq: one family triple
 // per linear node, and the fill plane whose base state made them. The

@@ -10,10 +10,10 @@ import (
 func kit(seq uint32) *Kit { return &Kit{Seq: seq} }
 
 func TestBankClamps(t *testing.T) {
-	if d := NewBank(0, 0).Depth(); d != 1 {
+	if d := NewBank(0, 0).depth; d != 1 {
 		t.Errorf("depth 0 clamped to %d, want 1", d)
 	}
-	if d := NewBank(0, MaxDepth+100).Depth(); d != MaxDepth {
+	if d := NewBank(0, MaxDepth+100).depth; d != MaxDepth {
 		t.Errorf("depth %d clamped to %d, want MaxDepth %d", MaxDepth+100, d, MaxDepth)
 	}
 	// The filler may immediately claim depth seqs ahead.
@@ -85,8 +85,8 @@ func TestBankTakeBlocksUntilCommit(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Take still blocked after the commit")
 	}
-	if b.Fill() != 0 {
-		t.Errorf("bank holds %d kits after the take, want 0", b.Fill())
+	if len(b.kits) != 0 {
+		t.Errorf("bank holds %d kits after the take, want 0", len(b.kits))
 	}
 }
 
@@ -122,7 +122,7 @@ func TestBankDeadAndStop(t *testing.T) {
 			tc.kill(b)
 			wg.Wait()
 			b.Commit(kit(0))
-			if b.Fill() != 0 {
+			if len(b.kits) != 0 {
 				t.Errorf("commit after %s stored a kit", tc.name)
 			}
 		})
@@ -185,8 +185,8 @@ func TestStoreLifecycle(t *testing.T) {
 	if k := s.Take(1); k == nil || k.Seq != 1 {
 		t.Fatalf("Take(1) = %v", k)
 	}
-	if s.Len() != 0 {
-		t.Errorf("store holds %d kits after the pruning take, want 0", s.Len())
+	if len(s.kits) != 0 {
+		t.Errorf("store holds %d kits after the pruning take, want 0", len(s.kits))
 	}
 	if k := s.Take(9); k != nil {
 		t.Errorf("Take of an unfilled seq = %v, want nil", k)

@@ -98,6 +98,14 @@ func (l *Linear) Mul(in []uint64, m int) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The one place a triple counts as consumed, whichever supply made it:
+	// the triple itself and its scalar-multiplication volume M·K·N (the
+	// unit the paper's offline-cost accounting uses).
+	if telemetry.Enabled() {
+		telemetry.Count("aq2pnn_triples_consumed_total", 1)
+		//lint:allow ringmask metric arithmetic on matrix dimensions, not on ring shares
+		telemetry.Count("aq2pnn_triple_muls_total", uint64(m)*uint64(l.K)*uint64(l.N))
+	}
 	r := l.R
 	eShare := gemmSlab.Get(m * l.K)
 	r.SubVec(eShare, in, t.A)

@@ -37,30 +37,42 @@ func runOp(t *testing.T, seed uint64, r ring.Ring, x []uint64,
 }
 
 // dealtLayer is a k×n linear layer's dealer-side triple supply: a dealt
-// fixed weight mask B and one triple pool against it.
+// fixed weight mask B and the seed of the generator its triples are dealt
+// from.
 type dealtLayer struct {
 	fb   *triple.FixedB
-	pool *triple.FixedBPool
+	seed uint64
 }
 
 func dealLayer(tb testing.TB, seed uint64, r ring.Ring, k, n int) dealtLayer {
 	tb.Helper()
-	g := prg.NewSeeded(seed)
-	fb, err := triple.DealFixedB(g.Fork(), r, k, n)
+	fb, err := triple.DealFixedB(prg.NewSeeded(seed).Fork(), r, k, n)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return dealtLayer{fb: fb, pool: fb.Pool(g.Fork())}
+	return dealtLayer{fb: fb, seed: seed}
 }
 
+// dealtFamily is one party's family over a dealt layer: each Next deals a
+// fresh pair of views from the family's own generator and keeps the
+// party's. Both parties' generators start from the layer's seed, so they
+// deal the same pairs in the same order.
+type dealtFamily struct {
+	fb    *triple.FixedB
+	g     *prg.PRG
+	party int
+}
+
+func (f *dealtFamily) Next(m int) (*triple.Mat, error) { return f.fb.Deal(f.g, m)[f.party], nil }
+
 // prepare opens F for c's weight share against the layer's B and binds
-// the prepared layer to c's view of the pool.
+// the prepared layer to c's dealt family.
 func (d dealtLayer) prepare(c *Context, ws []uint64) (*Linear, error) {
 	prep, err := c.PrepareLinear(d.fb.R, ws, d.fb.BShare(c.P()), d.fb.K, d.fb.N)
 	if err != nil {
 		return nil, err
 	}
-	return c.BindLinear(prep, d.pool.View(c.P())), nil
+	return c.BindLinear(prep, &dealtFamily{fb: d.fb, g: prg.NewSeeded(d.seed), party: c.P()}), nil
 }
 
 // matMul returns shares of rec(IN) ⊗ rec(W) for IN (M×K) and W (K×N) over

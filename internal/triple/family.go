@@ -20,17 +20,10 @@ import (
 // Family is one party's handle to a layer's triple family.
 type Family interface {
 	// Next returns a fresh triple for an M-row multiplication against the
-	// fixed B.
+	// fixed B. It counts nothing: the triple is consumed, and counted,
+	// where a multiplication uses it (secure.Linear.Mul).
 	Next(m int) (*Mat, error)
 }
-
-// MaxPending bounds FixedBPool's undelivered-triple queues and anchors the
-// preprocessing plane's bank depth: no component may hold more than
-// MaxPending triples per (row count, party) ahead of consumption. The two
-// parties' consumption runs in lockstep, so a queue past this bound means
-// a protocol-order bug (or a hostile schedule), not a legitimate working
-// set.
-const MaxPending = 256
 
 // GilboaFamily generates family triples through the OT-based protocol
 // against the party's fixed B share: every Next runs the two Gilboa cross
@@ -43,9 +36,7 @@ type GilboaFamily struct {
 	K, N   int
 	bShare []uint64
 	// Pool, when non-nil, parallelises the local A_p⊗B_p term of each
-	// generation (bit-identical at any worker count). The preprocessing
-	// fillers set it from the fill-workers knob; the inline online path
-	// leaves it nil.
+	// generation (bit-identical at any worker count).
 	Pool *parallel.Pool
 }
 
@@ -57,24 +48,14 @@ func NewGilboaFamily(ep *ot.Endpoint, rng *prg.PRG, party int, r ring.Ring, k, n
 	return &GilboaFamily{EP: ep, Rng: rng, Party: party, R: r, K: k, N: n, bShare: bShare}
 }
 
-// Next implements Family: an inline (consumption-counted) generation.
+// Next implements Family: it runs the interactive protocol for one fresh
+// m-row triple. The preprocessing plane calls it ahead of demand and the
+// cold path inline; the delivered shares are bit-identical either way over
+// the same Rng stream — the OT plaintexts are the sender's inputs at the
+// receiver's choice bits, independent of the endpoint's internal
+// randomness — which is the warm==cold determinism argument of the
+// preprocessing plane.
 func (f *GilboaFamily) Next(m int) (*Mat, error) {
-	if m <= 0 {
-		return nil, fmt.Errorf("triple: non-positive row count %d", m)
-	}
-	countConsumed(m, f.K, f.N)
-	return f.Generate(m)
-}
-
-// Generate runs the interactive protocol for one fresh m-row triple
-// without recording consumption: the preprocessing plane generates ahead
-// of demand, and the triple counts as consumed only when a bank-backed
-// family later hands it to the online path. The delivered shares are
-// bit-identical to what an inline Next over the same Rng stream would
-// produce — the OT plaintexts are the sender's inputs at the receiver's
-// choice bits, independent of the endpoint's internal randomness — which
-// is the warm==cold determinism argument of the preprocessing plane.
-func (f *GilboaFamily) Generate(m int) (*Mat, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("triple: non-positive row count %d", m)
 	}
@@ -94,11 +75,11 @@ func (f *GilboaFamily) Generate(m int) (*Mat, error) {
 }
 
 // MatFamily adapts one precomputed triple into a single-use Family: the
-// bank-backed warm path of a persistent session installs one per linear
-// node per inference. Its B is the session's fixed weight-mask share (the
-// same share the session's F openings were computed against), and Next
-// delivers the triple exactly once, validating the requested row count
-// against the precomputed shape.
+// in-process batch installs one dealt triple per linear node per image,
+// and the bank-backed warm path of a persistent session one kit triple.
+// Its B is the fixed weight-mask share the F openings were computed
+// against, and Next delivers the triple exactly once, validating the
+// requested row count against the precomputed shape.
 type MatFamily struct {
 	mat *Mat
 }
@@ -114,7 +95,6 @@ func (f *MatFamily) Next(m int) (*Mat, error) {
 	if m != f.mat.M {
 		return nil, fmt.Errorf("triple: precomputed family has %d rows, want %d", f.mat.M, m)
 	}
-	countConsumed(m, f.mat.K, f.mat.N)
 	t := f.mat
 	f.mat = nil
 	return t, nil

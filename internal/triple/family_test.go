@@ -35,21 +35,20 @@ func checkFamilyTriple(t *testing.T, r ring.Ring, m int, f0, f1 Family, b0, b1 [
 
 func TestDealerFamilyFixedBFreshA(t *testing.T) {
 	r := ring.New(16)
-	fb, f0, f1 := dealerViews(t, 20, r, 3, 4)
-	checkFamilyTriple(t, r, 2, f0, f1, fb.BShare(0), fb.BShare(1))
-	checkFamilyTriple(t, r, 2, f0, f1, fb.BShare(0), fb.BShare(1)) // fresh A, same B
-	checkFamilyTriple(t, r, 5, f0, f1, fb.BShare(0), fb.BShare(1)) // different row count
+	fb, g := dealer(t, 20, r, 3, 4)
+	// Two triples against the same B with fresh A, then another row count.
+	for _, m := range []int{2, 2, 5} {
+		f0, f1 := dealt(fb, g, m)
+		checkFamilyTriple(t, r, m, f0, f1, fb.BShare(0), fb.BShare(1))
+	}
 
 	// Consecutive A masks must differ (fresh randomness per inference).
-	a1, _ := f0.Next(2)
-	b1, _ := f1.Next(2)
-	a2, _ := f0.Next(2)
-	b2, _ := f1.Next(2)
-	r.AddVec(a1.A, a1.A, b1.A)
-	r.AddVec(a2.A, a2.A, b2.A)
+	v1, v2 := fb.Deal(g, 2), fb.Deal(g, 2)
+	r.AddVec(v1[0].A, v1[0].A, v1[1].A)
+	r.AddVec(v2[0].A, v2[0].A, v2[1].A)
 	same := true
-	for i := range a1.A {
-		if a1.A[i] != a2.A[i] {
+	for i := range v1[0].A {
+		if v1[0].A[i] != v2[0].A[i] {
 			same = false
 		}
 	}
@@ -108,9 +107,9 @@ func TestFamilyTripleUsableForBeaver(t *testing.T) {
 	r := ring.New(16)
 	g := prg.NewSeeded(28)
 	k, n, m := 3, 2, 2
-	_, f0, f1 := dealerViews(t, 27, r, k, n)
-	t0, _ := f0.Next(m)
-	t1, _ := f1.Next(m)
+	fb, dg := dealer(t, 27, r, k, n)
+	v := fb.Deal(dg, m)
+	t0, t1 := v[0], v[1]
 
 	in := g.Elems(m*k, r)
 	w := g.Elems(k*n, r)
@@ -152,5 +151,24 @@ func TestFamilyTripleUsableForBeaver(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Beaver output [%d] = %d, want %d", i, got[i], want[i])
 		}
+	}
+}
+
+// TestMatFamilySingleUse: the bank-backed warm path's adapter hands out
+// its precomputed triple exactly once and validates the requested shape.
+func TestMatFamilySingleUse(t *testing.T) {
+	g := prg.NewSeeded(10)
+	r := ring.New(16)
+	p0, _ := dealPair(t, g, r, 4, 2, 3)
+	f := NewMatFamily(p0)
+	if _, err := f.Next(5); err == nil {
+		t.Error("Next with a mismatched row count succeeded")
+	}
+	got, err := f.Next(4)
+	if err != nil || got != p0 {
+		t.Fatalf("Next = (%v, %v), want the precomputed triple", got, err)
+	}
+	if _, err := f.Next(4); err == nil {
+		t.Error("second Next on a single-use family succeeded")
 	}
 }

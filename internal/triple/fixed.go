@@ -140,9 +140,9 @@ func (e *FrameError) Error() string {
 }
 
 // FixedFamily generates a fixed-choice layer's family triples from its
-// session seeds: each Generate draws a fresh A and exchanges one
-// correction frame each way over EP.Conn, with no OT. Seq keys the pads,
-// so a family serves one seq.
+// session seeds: each Next draws a fresh A and exchanges one correction
+// frame each way over EP.Conn, with no OT. Seq keys the pads, so a family
+// serves one seq.
 type FixedFamily struct {
 	EP    *ot.Endpoint
 	Rng   *prg.PRG
@@ -154,19 +154,11 @@ type FixedFamily struct {
 	Pool *parallel.Pool
 }
 
-// Next implements Family: an inline (consumption-counted) generation.
+// Next implements Family: it builds one fresh m-row triple, ahead of
+// demand or inline (see GilboaFamily.Next). A is the first draw of Rng, as
+// in Gilboa generation, and the shares depend only on A, B, the seeds and
+// Seq.
 func (f *FixedFamily) Next(m int) (*Mat, error) {
-	if m <= 0 {
-		return nil, fmt.Errorf("triple: non-positive row count %d", m)
-	}
-	countConsumed(m, f.Seeds.K, f.Seeds.N)
-	return f.Generate(m)
-}
-
-// Generate builds one fresh m-row triple without recording consumption
-// (see GilboaFamily.Generate). A is the first draw of Rng, as in Gilboa
-// generation, and the shares depend only on A, B, the seeds and Seq.
-func (f *FixedFamily) Generate(m int) (*Mat, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("triple: non-positive row count %d", m)
 	}

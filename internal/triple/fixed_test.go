@@ -76,7 +76,7 @@ func (fp *fixedPair) gen(t testing.TB, li, m int, seq uint32, pool *parallel.Poo
 	var mats [2]*Mat
 	both(t, func(p int) (err error) {
 		f := &FixedFamily{EP: fp.eps[p], Rng: prg.NewSeeded(uint64(50 + p + 2*int(seq))), Party: p, Seeds: fp.seeds[p][li], Seq: seq, Pool: pool}
-		mats[p], err = f.Generate(m)
+		mats[p], err = f.Next(m)
 		return err
 	})
 	return mats
@@ -380,7 +380,7 @@ func TestFixedFrameLengthChecked(t *testing.T) {
 		hostile <- err
 	}()
 	f := &FixedFamily{EP: fp.eps[0], Rng: prg.NewSeeded(1), Party: 0, Seeds: fp.seeds[0][0], Seq: 1}
-	_, err := f.Generate(m)
+	_, err := f.Next(m)
 	if herr := <-hostile; herr != nil {
 		t.Fatal(herr)
 	}

@@ -2,18 +2,18 @@ package triple
 
 import (
 	"fmt"
-	"sync"
 
 	"aq2pnn/internal/prg"
 	"aq2pnn/internal/ring"
+	"aq2pnn/internal/tensor"
 )
 
 // FixedB is the trusted dealer's layer family with its weight-side mask
 // pinned, detached from any single session. The batch executor deals one
 // FixedB per linear layer, opens F against BShare once during weight
-// preparation, and then spins up an independent Pool per image so
-// concurrent inferences never contend on — or perturb — each other's
-// triple streams.
+// preparation, and then deals every image's triples from a generator of
+// that image's own, so concurrent inferences never contend on — or
+// perturb — each other's triple streams.
 type FixedB struct {
 	R    ring.Ring
 	K, N int
@@ -36,43 +36,27 @@ func DealFixedB(g *prg.PRG, r ring.Ring, k, n int) (*FixedB, error) {
 // weight preparation.
 func (fb *FixedB) BShare(party int) []uint64 { return fb.shares[party] }
 
-// Pool creates an independent triple pool over this fixed B, drawing all
-// its randomness from g. Distinct pools with distinct generators produce
-// independent triple streams, which is what keeps per-image transcripts
-// identical regardless of how the batch schedules images across workers.
-func (fb *FixedB) Pool(g *prg.PRG) *FixedBPool {
-	return &FixedBPool{fb: fb, g: g, queues: pending{}}
-}
-
-// FixedBPool deals matched A/Z pairs on demand against the pool's fixed B,
-// queueing each party's view until that party asks for it (at most
-// MaxPending per row count). Safe for concurrent use by the two party
-// views.
-type FixedBPool struct {
-	mu     sync.Mutex
-	fb     *FixedB
-	g      *prg.PRG
-	queues pending
-}
-
-// View returns the party's Family handle onto the pool. Its Next counts
-// the triple consumed, as every Family's inline Next does.
-func (p *FixedBPool) View(party int) Family { return &fixedBView{p: p, party: party} }
-
-type fixedBView struct {
-	p     *FixedBPool
-	party int
-}
-
-func (v *fixedBView) Next(m int) (*Mat, error) {
-	if m <= 0 {
-		return nil, fmt.Errorf("triple: non-positive row count %d", m)
+// Deal deals one m-row triple against the fixed mask, drawing all its
+// randomness from g: a fresh A and Z = A⊗B, each split. It returns party
+// 0's and party 1's views.
+func (fb *FixedB) Deal(g *prg.PRG, m int) [2]*Mat {
+	r, k, n := fb.R, fb.K, fb.N
+	a := g.Elems(m*k, r)
+	z := make([]uint64, m*n)
+	tensor.MatMulModParInto(nil, z, a, fb.b, m, k, n, r.Mask)
+	a0, a1 := split(g, r, a)
+	z0, z1 := split(g, r, z)
+	return [2]*Mat{
+		{R: r, M: m, K: k, N: n, A: a0, B: fb.shares[0], Z: z0},
+		{R: r, M: m, K: k, N: n, A: a1, B: fb.shares[1], Z: z1},
 	}
-	p, fb := v.p, v.p.fb
-	countConsumed(m, fb.K, fb.N)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.queues.take(v.party, m, func() [2]*Mat {
-		return dealFixedB(p.g, fb.R, m, fb.K, fb.N, fb.b, fb.shares)
-	})
+}
+
+// split returns the parties' additive shares of x: s0 drawn from g and
+// s1 = x − s0.
+func split(g *prg.PRG, r ring.Ring, x []uint64) (s0, s1 []uint64) {
+	s0 = g.Elems(len(x), r)
+	s1 = make([]uint64, len(x))
+	r.SubVec(s1, x, s0)
+	return s0, s1
 }

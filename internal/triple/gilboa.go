@@ -21,7 +21,7 @@ import (
 // Both halves accumulate straight into the caller's Z share (ring addition
 // is exact, so the order of accumulation cannot change a share). The
 // sender's r_t draws run in (row, bit, element) order — the order the
-// warm ≡ cold argument of GilboaFamily.Generate relies on.
+// warm ≡ cold argument of GilboaFamily.Next relies on.
 
 // gilboaSend is the OT-sender half of one cross term of an M×K by K×N
 // product: for every row idx = i·K + kk the peer holds the scalar a_idx and

@@ -46,21 +46,27 @@ func dealPair(t *testing.T, g *prg.PRG, r ring.Ring, m, k, n int) (p0, p1 *Mat) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := dealFixedB(g, r, m, k, n, fb.b, fb.shares)
+	v := fb.Deal(g, m)
 	return v[0], v[1]
 }
 
-// dealerViews deals a fixed weight mask for a k×n layer and returns it
-// with both parties' views of one triple pool over it.
-func dealerViews(t *testing.T, seed uint64, r ring.Ring, k, n int) (fb *FixedB, f0, f1 Family) {
+// dealer deals a fixed weight mask for a k×n layer and returns it with the
+// generator its triples are dealt from.
+func dealer(t *testing.T, seed uint64, r ring.Ring, k, n int) (*FixedB, *prg.PRG) {
 	t.Helper()
 	g := prg.NewSeeded(seed)
 	fb, err := DealFixedB(g.Fork(), r, k, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := fb.Pool(g.Fork())
-	return fb, pool.View(0), pool.View(1)
+	return fb, g.Fork()
+}
+
+// dealt deals one m-row triple from g and returns the parties' families
+// over their views of it, as a batch binds them.
+func dealt(fb *FixedB, g *prg.PRG, m int) (f0, f1 Family) {
+	v := fb.Deal(g, m)
+	return NewMatFamily(v[0]), NewMatFamily(v[1])
 }
 
 // TestDealMatCorrectness: a dealt triple reconstructs to
@@ -87,12 +93,13 @@ func TestDealMatSharesLookRandom(t *testing.T) {
 	}
 }
 
-// TestDealerSourceViewsMatch: the two parties' views of one pool stay in
+// TestDealerSourceViewsMatch: the two parties' views of one dealer stay in
 // correspondence over a sequence of mixed row counts.
 func TestDealerSourceViewsMatch(t *testing.T) {
 	r := ring.New(20)
-	fb, f0, f1 := dealerViews(t, 3, r, 3, 4)
+	fb, g := dealer(t, 3, r, 3, 4)
 	for _, m := range []int{2, 1, 4, 1, 2} {
+		f0, f1 := dealt(fb, g, m)
 		checkFamilyTriple(t, r, m, f0, f1, fb.BShare(0), fb.BShare(1))
 	}
 }
@@ -104,7 +111,8 @@ func TestDealerSourceRejectsBadDims(t *testing.T) {
 			t.Errorf("dims %dx%d accepted", d[0], d[1])
 		}
 	}
-	_, f0, _ := dealerViews(t, 4, r, 1, 1)
+	fb, g := dealer(t, 4, r, 1, 1)
+	f0, _ := dealt(fb, g, 1)
 	if _, err := f0.Next(0); err == nil {
 		t.Error("zero rows accepted")
 	}
@@ -139,14 +147,8 @@ func BenchmarkDealFixedB(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := fb.Pool(prg.NewSeeded(2))
-	f0, f1 := pool.View(0), pool.View(1)
+	g := prg.NewSeeded(2)
 	for i := 0; i < b.N; i++ {
-		if _, err := f0.Next(16); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := f1.Next(16); err != nil {
-			b.Fatal(err)
-		}
+		fb.Deal(g, 16)
 	}
 }
